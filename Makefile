@@ -14,9 +14,9 @@ verify:
 	sh scripts/verify.sh
 
 # bench runs the substrate micro-benchmarks (query engine, storage,
-# dashboard rendering) with allocation reporting.
+# dashboard rendering, uncached retrieval) with allocation reporting.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryRange|BenchmarkSelect$$|BenchmarkDashboardRender|BenchmarkTSDBAppend|BenchmarkPromQL' -benchmem -benchtime=20x .
+	$(GO) test -run '^$$' -bench 'BenchmarkQueryRange|BenchmarkSelect$$|BenchmarkDashboardRender|BenchmarkTSDBAppend|BenchmarkPromQL|BenchmarkVecstoreFlatSearch|BenchmarkRetrieverRetrieve' -benchmem -benchtime=20x .
 
 # bench-paper regenerates the paper's evaluation tables alongside
 # performance numbers (every benchmark, one iteration each).

@@ -17,14 +17,11 @@ import (
 // Adds after Build assign incrementally to existing lists).
 type IVF struct {
 	mu        sync.RWMutex
-	dim       int
 	nlist     int
 	nprobe    int
 	centroids []embedding.Vector
-	lists     [][]int // per-centroid slice of entry indexes
-	ids       []string
-	vecs      []embedding.Vector
-	pos       map[string]int
+	lists     [][]int // per-centroid slice of row indexes into t
+	t         table
 	built     bool
 	seed      int64
 }
@@ -41,24 +38,22 @@ func NewIVF(dim, nlist, nprobe int, seed int64) *IVF {
 	if nprobe > nlist {
 		nprobe = nlist
 	}
-	return &IVF{dim: dim, nlist: nlist, nprobe: nprobe, pos: make(map[string]int), seed: seed}
+	return &IVF{nlist: nlist, nprobe: nprobe, t: table{dim: dim, pos: make(map[string]int)}, seed: seed}
 }
 
 // Add stores vec under id. Before Build, vectors are buffered; after
-// Build, they are assigned to the nearest existing centroid.
+// Build, they are assigned to the nearest existing centroid. Vectors with
+// a NaN or infinite component are rejected.
 func (ix *IVF) Add(id string, vec embedding.Vector) error {
-	if len(vec) != ix.dim {
-		return fmt.Errorf("vecstore: vector dim %d does not match index dim %d", len(vec), ix.dim)
+	if err := ix.t.check(vec); err != nil {
+		return err
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if _, ok := ix.pos[id]; ok {
+	if _, ok := ix.t.pos[id]; ok {
 		return fmt.Errorf("vecstore: duplicate id %q in IVF index", id)
 	}
-	i := len(ix.ids)
-	ix.pos[id] = i
-	ix.ids = append(ix.ids, id)
-	ix.vecs = append(ix.vecs, embedding.Clone(vec))
+	i := ix.t.add(id, vec)
 	if ix.built {
 		c := ix.nearestCentroid(vec)
 		ix.lists[c] = append(ix.lists[c], i)
@@ -70,7 +65,7 @@ func (ix *IVF) Add(id string, vec embedding.Vector) error {
 func (ix *IVF) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.ids)
+	return len(ix.t.ids)
 }
 
 // Built reports whether the coarse quantiser has been trained.
@@ -86,27 +81,28 @@ func (ix *IVF) Built() bool {
 func (ix *IVF) Build(iters int) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if len(ix.vecs) == 0 {
+	n := len(ix.t.ids)
+	if n == 0 {
 		return errors.New("vecstore: cannot build IVF index with no vectors")
 	}
-	if ix.nlist > len(ix.vecs) {
-		ix.nlist = len(ix.vecs)
+	if ix.nlist > n {
+		ix.nlist = n
 		if ix.nprobe > ix.nlist {
 			ix.nprobe = ix.nlist
 		}
 	}
 	rng := rand.New(rand.NewSource(ix.seed))
 	// k-means++ style seeding: random distinct picks.
-	perm := rng.Perm(len(ix.vecs))
+	perm := rng.Perm(n)
 	ix.centroids = make([]embedding.Vector, ix.nlist)
 	for c := 0; c < ix.nlist; c++ {
-		ix.centroids[c] = embedding.Clone(ix.vecs[perm[c]])
+		ix.centroids[c] = embedding.Clone(ix.t.row(perm[c]))
 	}
-	assign := make([]int, len(ix.vecs))
+	assign := make([]int, n)
 	for it := 0; it < iters; it++ {
 		changed := false
-		for i, v := range ix.vecs {
-			c := ix.nearestCentroid(v)
+		for i := range assign {
+			c := ix.nearestCentroid(ix.t.row(i))
 			if assign[i] != c || it == 0 {
 				assign[i] = c
 				changed = true
@@ -116,19 +112,18 @@ func (ix *IVF) Build(iters int) error {
 		sums := make([]embedding.Vector, ix.nlist)
 		counts := make([]int, ix.nlist)
 		for c := range sums {
-			sums[c] = make(embedding.Vector, ix.dim)
+			sums[c] = make(embedding.Vector, ix.t.dim)
 		}
-		for i, v := range ix.vecs {
-			c := assign[i]
+		for i, c := range assign {
 			counts[c]++
-			for d := range v {
-				sums[c][d] += v[d]
+			for d, x := range ix.t.row(i) {
+				sums[c][d] += x
 			}
 		}
 		for c := range sums {
 			if counts[c] == 0 {
 				// Re-seed empty cluster with a random vector.
-				sums[c] = embedding.Clone(ix.vecs[rng.Intn(len(ix.vecs))])
+				sums[c] = embedding.Clone(ix.t.row(rng.Intn(n)))
 			}
 			embedding.Normalize(sums[c])
 			ix.centroids[c] = sums[c]
@@ -138,8 +133,8 @@ func (ix *IVF) Build(iters int) error {
 		}
 	}
 	ix.lists = make([][]int, ix.nlist)
-	for i, v := range ix.vecs {
-		c := ix.nearestCentroid(v)
+	for i := 0; i < n; i++ {
+		c := ix.nearestCentroid(ix.t.row(i))
 		ix.lists[c] = append(ix.lists[c], i)
 	}
 	ix.built = true
@@ -160,13 +155,13 @@ func (ix *IVF) nearestCentroid(v embedding.Vector) int {
 }
 
 // Search probes the NProbe nearest inverted lists and returns the top-k
-// hits, best first. Search on an unbuilt index falls back to exact
-// brute force so results are never silently empty.
+// hits, best first. Search on an unbuilt index scans every row, as Flat
+// does, so results are never silently empty.
 func (ix *IVF) Search(query embedding.Vector, k int) []Result {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if !ix.built {
-		return bruteForce(query, ix.ids, ix.vecs, k)
+		return ix.t.topK(query, k, nil, len(ix.t.ids))
 	}
 	// Rank centroids by similarity, probe the best nprobe lists.
 	type cscore struct {
@@ -178,22 +173,11 @@ func (ix *IVF) Search(query embedding.Vector, k int) []Result {
 		cs[c] = cscore{c, embedding.Dot(query, cent)}
 	}
 	sort.Slice(cs, func(i, j int) bool { return cs[i].s > cs[j].s })
-	var cand []Result
+	var cand []int
 	for p := 0; p < ix.nprobe && p < len(cs); p++ {
-		for _, i := range ix.lists[cs[p].c] {
-			cand = append(cand, Result{ID: ix.ids[i], Score: embedding.Dot(query, ix.vecs[i])})
-		}
+		cand = append(cand, ix.lists[cs[p].c]...)
 	}
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].Score != cand[j].Score {
-			return cand[i].Score > cand[j].Score
-		}
-		return cand[i].ID < cand[j].ID
-	})
-	if len(cand) > k {
-		cand = cand[:k]
-	}
-	return cand
+	return ix.t.topK(query, k, cand, len(cand))
 }
 
 // Recall measures IVF recall@k against exact search for a query set: the

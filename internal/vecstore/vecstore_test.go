@@ -86,31 +86,6 @@ func TestFlatSearchEdgeCases(t *testing.T) {
 	}
 }
 
-func TestFlatSaveLoad(t *testing.T) {
-	f := NewFlat(4)
-	vecs := randomVectors(5, 4, 2)
-	for i, v := range vecs {
-		must(t, f.Add(fmt.Sprintf("v%d", i), v))
-	}
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g, err := LoadFlat(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Len() != f.Len() || g.Dim() != f.Dim() {
-		t.Fatalf("loaded index differs: len %d dim %d", g.Len(), g.Dim())
-	}
-	a, b := f.Search(vecs[0], 3), g.Search(vecs[0], 3)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("loaded search differs: %v vs %v", a, b)
-		}
-	}
-}
-
 func TestLoadFlatCorrupt(t *testing.T) {
 	if _, err := LoadFlat(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("expected error")

@@ -10,6 +10,12 @@ go vet ./...
 echo ">> go test -race ./..."
 go test -race ./...
 
+# bench/ is a module of its own, so ./... above never enters it; an
+# internal/ signature change that breaks the harness must fail here.
+echo ">> go -C bench vet . && go -C bench test ."
+go -C bench vet .
+go -C bench test .
+
 echo ">> go test ./... with DIO_TSDB_SHARDS=4 (distributed executor leg)"
 DIO_TSDB_SHARDS=4 go test ./internal/promql/ ./internal/tsdb/ ./internal/ingest/
 
