@@ -436,10 +436,9 @@ func rangeBenchDB(b *testing.B) (*tsdb.DB, time.Time, time.Time) {
 	return db, base, base.Add(minutes * time.Minute)
 }
 
-// BenchmarkQueryRange compares select-once cursor evaluation against the
-// legacy stepwise path (full storage selection per step) on 195-step range
-// queries over 100 series: a plain selector (the gauge-panel shape) and a
-// rate aggregation (the counter-panel shape).
+// BenchmarkQueryRange measures 195-step range queries over 100 series: a
+// plain selector (the gauge-panel shape) and a rate aggregation (the
+// counter-panel shape).
 func BenchmarkQueryRange(b *testing.B) {
 	db, start, end := rangeBenchDB(b)
 	queries := []struct{ name, q string }{
@@ -447,23 +446,16 @@ func BenchmarkQueryRange(b *testing.B) {
 		{"rate", "sum by (nf) (rate(bench_requests_total[5m]))"},
 	}
 	for _, query := range queries {
-		for _, mode := range []struct {
-			name     string
-			stepwise bool
-		}{{"select-once", false}, {"stepwise", true}} {
-			b.Run(query.name+"/"+mode.name, func(b *testing.B) {
-				opts := promql.DefaultEngineOptions()
-				opts.StepwiseRange = mode.stepwise
-				eng := promql.NewEngine(db, opts)
-				ctx := context.Background()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.QueryRange(ctx, query.q, start.Add(5*time.Minute), end, time.Minute); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(query.name, func(b *testing.B) {
+			eng := promql.NewEngine(db, promql.DefaultEngineOptions())
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.QueryRange(ctx, query.q, start.Add(5*time.Minute), end, time.Minute); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

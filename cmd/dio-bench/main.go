@@ -8,13 +8,8 @@
 //	dio-bench -experiment setup     §4        (setup checks: catalog, config)
 //	dio-bench -experiment ablations extensions (context-size, few-shot,
 //	                                retrieval index, feedback learning curve)
-//	dio-bench -experiment engine    range-evaluation perf: select-once vs
-//	                                stepwise, serial vs parallel dashboards
 //	dio-bench -experiment trace     ask-pipeline overhead of request-scoped
 //	                                trace capture: off vs sampled vs always-on
-//	dio-bench -experiment querystats  per-operator query-stats overhead on
-//	                                the dashboard mix: stats off vs the full
-//	                                stats + slow-query-log production path
 //	dio-bench -experiment throughput  serving-layer QPS: answer cache +
 //	                                singleflight on vs off under a Zipf mix
 //	dio-bench -experiment ingest    durable ingest: remote-write over HTTP
@@ -23,10 +18,6 @@
 //	dio-bench -experiment shard     sharded TSDB scaling curve: the
 //	                                shardable query mix plus streaming
 //	                                writers at 1/2/4/8 shards
-//	dio-bench -experiment batch     streaming vectorized execution: pooled
-//	                                batched step vectors vs per-step
-//	                                materialization (allocs/op), and peak
-//	                                intermediate bytes on multi-day ranges
 //	dio-bench -experiment multitenant  multi-tenant serving: thousands of
 //	                                Zipf-skewed tenants over consistent-hash
 //	                                cache replicas, with a quota-capped
@@ -54,13 +45,10 @@ import (
 	"dio/internal/benchmark"
 	"dio/internal/catalog"
 	"dio/internal/core"
-	"dio/internal/dashboard"
 	"dio/internal/embedding"
 	"dio/internal/fivegsim"
 	"dio/internal/llm"
 	"dio/internal/obs"
-	"dio/internal/promql"
-	"dio/internal/sandbox"
 	"dio/internal/servecache"
 	"dio/internal/tsdb"
 	"dio/internal/vecstore"
@@ -74,7 +62,7 @@ func fatal(msg string, err error) {
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run: fig1, table3a, table3b, cost, setup, ablations, engine, trace, querystats, throughput, ingest, shard, batch, multitenant, all")
+	experiment := flag.String("experiment", "all", "which experiment to run: fig1, table3a, table3b, cost, setup, ablations, trace, throughput, ingest, shard, multitenant, all")
 	size := flag.Int("questions", benchmark.DefaultSize, "benchmark size")
 	seed := flag.Int64("seed", 7, "benchmark generation seed")
 	verbose := flag.Bool("v", false, "print per-task breakdowns")
@@ -108,13 +96,10 @@ func main() {
 	run("table3b", (*env1).table3b)
 	run("cost", (*env1).cost)
 	run("ablations", (*env1).ablations)
-	run("engine", (*env1).engine)
 	run("trace", (*env1).trace)
-	run("querystats", (*env1).querystats)
 	run("throughput", (*env1).throughput)
 	run("ingest", (*env1).ingest)
 	run("shard", (*env1).shard)
-	run("batch", (*env1).batch)
 	run("multitenant", (*env1).multitenant)
 }
 
@@ -510,322 +495,6 @@ func (e *env1) ablations() error {
 		fmt.Printf("  self-consistency (temp 0.7, k=%d): EX=%.0f%%\n", k, r.EX())
 	}
 	return nil
-}
-
-// engineModes are the three evaluation paths the engine experiment
-// compares: the plan-based executor (default), the legacy select-once
-// tree-walker, and the legacy stepwise tree-walker (full storage selection
-// per step — the original evaluator, kept as the differential oracle).
-var engineModes = []struct {
-	name             string
-	legacy, stepwise bool
-}{
-	{"planner    ", false, false},
-	{"legacy     ", true, false},
-	{"stepwise   ", false, true},
-}
-
-// engineModeOptions returns engine options for one comparison mode.
-func engineModeOptions(legacy, stepwise bool) promql.EngineOptions {
-	opts := promql.DefaultEngineOptions()
-	opts.LegacyEval = legacy
-	opts.StepwiseRange = stepwise
-	return opts
-}
-
-// engine measures the range-evaluation hot path on the populated operator
-// trace: the plan-based executor versus the legacy tree-walker paths on
-// the dashboard query mix (gated at >= 1.5x over the stepwise legacy
-// evaluator), plus serial versus parallel dashboard rendering. With
-// -bench-out it records the run in BENCH_5.json form.
-func (e *env1) engine() error {
-	minT, maxT, ok := e.db.TimeRange()
-	if !ok {
-		return fmt.Errorf("engine: empty store")
-	}
-	start, end := time.UnixMilli(minT), time.UnixMilli(maxT)
-	steps := 200
-	if e.short {
-		steps = 50
-	}
-	step := end.Sub(start) / time.Duration(steps)
-	queries := []string{
-		"smfsm_pdu_sessions_active",
-		"sum by (instance) (rate(amfcc_initial_registration_attempt[5m]))",
-	}
-	fmt.Printf("range window: %s … %s, step %s (%d steps)\n",
-		start.Format(time.RFC3339), end.Format(time.RFC3339), step, steps)
-	for _, q := range queries {
-		fmt.Printf("\nquery: %s\n", q)
-		for _, mode := range engineModes {
-			eng := promql.NewEngine(e.db, engineModeOptions(mode.legacy, mode.stepwise))
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				ctx := context.Background()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.QueryRange(ctx, q, start, end, step); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			fmt.Printf("  %s  %s  %s\n", mode.name, r.String(), r.MemString())
-		}
-	}
-
-	if err := e.engineMix(start, end, step, steps); err != nil {
-		return err
-	}
-
-	ex := sandbox.New(e.db, sandbox.DefaultLimits())
-	d := &dashboard.Dashboard{Title: "engine-bench"}
-	for _, q := range dashboardMix {
-		d.Panels = append(d.Panels, dashboard.Panel{Title: q, Query: q, Kind: dashboard.KindTimeSeries})
-	}
-	fmt.Printf("\ndashboard: %d panels, 30m window\n", len(d.Panels))
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"serial  ", 1}, {"parallel", 0}} {
-		r := dashboard.NewRenderer(ex, mode.workers)
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			ctx := context.Background()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Render(ctx, d, end, 30*time.Minute, time.Minute, 60); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		fmt.Printf("  %s  %s  %s\n", mode.name, res.String(), res.MemString())
-	}
-	return nil
-}
-
-// dashboardMix is the panel query mix the serving dashboards evaluate on
-// every refresh — the workload the planner gate measures.
-var dashboardMix = []string{
-	"smfsm_pdu_sessions_active",
-	"sum by (instance) (rate(amfcc_initial_registration_attempt[5m]))",
-	"sum(rate(amfmm_paging_attempt[5m]))",
-	"upfgtp_tunnels_active",
-}
-
-// engineMix benchmarks the dashboard query mix under every engine mode and
-// enforces the planner's speedup floor: the plan-based executor must beat
-// the stepwise legacy evaluator (the original per-step tree-walker, the
-// planner-off baseline) by at least 1.5x. Run under VERIFY_BENCH=1 this is
-// the merge gate for engine regressions.
-func (e *env1) engineMix(start, end time.Time, step time.Duration, steps int) error {
-	const minSpeedup = 1.5
-
-	fmt.Printf("\ndashboard mix: %d queries x %d steps, planner on/off\n", len(dashboardMix), steps)
-	nsOp := make(map[string]int64)
-	results := make(map[string]map[string]any)
-	for _, mode := range engineModes {
-		eng := promql.NewEngine(e.db, engineModeOptions(mode.legacy, mode.stepwise))
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			ctx := context.Background()
-			for i := 0; i < b.N; i++ {
-				for _, q := range dashboardMix {
-					if _, err := eng.QueryRange(ctx, q, start, end, step); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		name := strings.TrimSpace(mode.name)
-		nsOp[name] = int64(r.NsPerOp())
-		results[name] = map[string]any{
-			"ns_op": int64(r.NsPerOp()), "b_op": r.AllocedBytesPerOp(), "allocs_op": r.AllocsPerOp(),
-		}
-		fmt.Printf("  %s  %s  %s\n", mode.name, r.String(), r.MemString())
-	}
-
-	vsStepwise := float64(nsOp["stepwise"]) / float64(nsOp["planner"])
-	vsSelectOnce := float64(nsOp["legacy"]) / float64(nsOp["planner"])
-	fmt.Printf("  planner speedup: %.2fx vs stepwise legacy, %.2fx vs select-once legacy\n",
-		vsStepwise, vsSelectOnce)
-	if vsStepwise < minSpeedup {
-		return fmt.Errorf("engine: planner %.2fx over the stepwise legacy evaluator, below the %.1fx floor",
-			vsStepwise, minSpeedup)
-	}
-	fmt.Printf("  PASS: planner >= %.1fx over the stepwise legacy evaluator\n", minSpeedup)
-
-	if e.benchOut != "" {
-		if err := e.writeEngineJSON(steps, step, results, vsStepwise, vsSelectOnce); err != nil {
-			return err
-		}
-		fmt.Println("wrote", e.benchOut)
-	}
-	return nil
-}
-
-// writeEngineJSON records the engine run in the BENCH_N.json convention
-// used by earlier perf issues.
-func (e *env1) writeEngineJSON(steps int, step time.Duration, results map[string]map[string]any,
-	vsStepwise, vsSelectOnce float64) error {
-	doc := map[string]any{
-		"issue": 5,
-		"title": "Plan-based query execution: logical plan, optimizer passes, and parallel vectorized operators",
-		"date":  time.Now().Format("2006-01-02"),
-		"host": map[string]any{
-			"cpu": cpuModel(), "cores": runtime.NumCPU(),
-			"goos": runtime.GOOS, "goarch": runtime.GOARCH,
-		},
-		"command": "go run ./cmd/dio-bench -experiment engine -bench-out BENCH_5.json",
-		"workload": fmt.Sprintf("dashboard query mix (%d queries) over the fivegsim operator trace, "+
-			"%d-step range queries (step %s) per op; planner = plan-based executor (default), "+
-			"legacy = select-once tree-walker, stepwise = per-step tree-walker (planner-off baseline)",
-			len(dashboardMix), steps, step),
-		"queries": dashboardMix,
-		"results": results,
-		"summary": map[string]any{
-			"speedup_vs_stepwise":    fmt.Sprintf("%.2fx over the stepwise legacy evaluator", vsStepwise),
-			"speedup_vs_select_once": fmt.Sprintf("%.2fx over the select-once legacy tree-walker", vsSelectOnce),
-			"byte_identity":          "planner output is byte-identical to both legacy paths (differential + fuzz tested)",
-			"acceptance":             fmt.Sprintf("PASS: %.2fx >= 1.5x floor over the legacy evaluator on the dashboard mix", vsStepwise),
-		},
-	}
-	f, err := os.Create(e.benchOut)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// querystats measures the query-level profiler's cost on the dashboard
-// mix: per-operator stats collection is always-on by default, so the gate
-// is that the full production path — stats collection plus the
-// finished-query hook feeding the slow-query log — stays within 5% of an
-// engine with stats disabled. It also checks the two modes render
-// byte-identical results (the profiler must be observably inert) and,
-// with -bench-out, records the numbers in BENCH_8.json form.
-func (e *env1) querystats() error {
-	const maxOverhead = 0.05
-
-	minT, maxT, ok := e.db.TimeRange()
-	if !ok {
-		return fmt.Errorf("querystats: empty store")
-	}
-	start, end := time.UnixMilli(minT), time.UnixMilli(maxT)
-	steps := 200
-	if e.short {
-		steps = 50
-	}
-	step := end.Sub(start) / time.Duration(steps)
-	fmt.Printf("dashboard mix: %d queries x %d steps, query stats off/on\n", len(dashboardMix), steps)
-
-	newEngine := func(statsOn bool) *promql.Engine {
-		opts := promql.DefaultEngineOptions()
-		opts.DisableQueryStats = !statsOn
-		eng := promql.NewEngine(e.db, opts)
-		if statsOn {
-			// The honest production path: a finished-query listener makes
-			// the engine build the stats tree and log entry per query.
-			qlog := obs.NewQueryLog(0, time.Second)
-			eng.SetHooks(promql.Hooks{OnQueryDone: qlog.Observe})
-		}
-		return eng
-	}
-
-	// Byte-identity: the profiler must not change a single rendered sample.
-	offEng, onEng := newEngine(false), newEngine(true)
-	ctx := context.Background()
-	for _, q := range dashboardMix {
-		mOff, err := offEng.QueryRange(ctx, q, start, end, step)
-		if err != nil {
-			return err
-		}
-		mOn, err := onEng.QueryRange(ctx, q, start, end, step)
-		if err != nil {
-			return err
-		}
-		if promql.FormatValue(mOff) != promql.FormatValue(mOn) {
-			return fmt.Errorf("querystats: %s renders differently with stats on", q)
-		}
-	}
-	fmt.Printf("  byte-identity: %d queries render identically with stats on\n", len(dashboardMix))
-
-	nsOp := make(map[string]int64)
-	results := make(map[string]map[string]any)
-	for _, mode := range []struct {
-		name    string
-		statsOn bool
-	}{{"stats-off", false}, {"stats-on ", true}} {
-		eng := newEngine(mode.statsOn)
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, q := range dashboardMix {
-					if _, err := eng.QueryRange(ctx, q, start, end, step); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		name := strings.TrimSpace(mode.name)
-		nsOp[name] = int64(r.NsPerOp())
-		results[name] = map[string]any{
-			"ns_op": int64(r.NsPerOp()), "b_op": r.AllocedBytesPerOp(), "allocs_op": r.AllocsPerOp(),
-		}
-		fmt.Printf("  %s  %s  %s\n", mode.name, r.String(), r.MemString())
-	}
-
-	overhead := float64(nsOp["stats-on"]-nsOp["stats-off"]) / float64(nsOp["stats-off"])
-	fmt.Printf("  stats-on overhead vs stats-off: %+.2f%%\n", overhead*100)
-	if overhead > maxOverhead {
-		return fmt.Errorf("querystats: always-on stats overhead %.2f%% exceeds the %.0f%% budget",
-			overhead*100, maxOverhead*100)
-	}
-	fmt.Printf("  PASS: always-on query stats within the %.0f%% overhead budget\n", maxOverhead*100)
-
-	if e.benchOut != "" {
-		if err := e.writeQuerystatsJSON(steps, step, results, overhead); err != nil {
-			return err
-		}
-		fmt.Println("wrote", e.benchOut)
-	}
-	return nil
-}
-
-// writeQuerystatsJSON records the querystats run in the BENCH_N.json
-// convention used by earlier perf issues.
-func (e *env1) writeQuerystatsJSON(steps int, step time.Duration, results map[string]map[string]any,
-	overhead float64) error {
-	doc := map[string]any{
-		"issue": 8,
-		"title": "Query-level profiling: EXPLAIN ANALYZE, active-query tracker, and a slow-query log",
-		"date":  time.Now().Format("2006-01-02"),
-		"host": map[string]any{
-			"cpu": cpuModel(), "cores": runtime.NumCPU(),
-			"goos": runtime.GOOS, "goarch": runtime.GOARCH,
-		},
-		"command": "go run ./cmd/dio-bench -experiment querystats -bench-out BENCH_8.json",
-		"workload": fmt.Sprintf("dashboard query mix (%d queries) over the fivegsim operator trace, "+
-			"%d-step range queries (step %s) per op; stats-off = DisableQueryStats engine, "+
-			"stats-on = default engine with per-operator stats collection plus the finished-query "+
-			"hook feeding the slow-query log (the full production path)",
-			len(dashboardMix), steps, step),
-		"queries": dashboardMix,
-		"results": results,
-		"summary": map[string]any{
-			"overhead":      fmt.Sprintf("%+.2f%% stats-on vs stats-off on the dashboard mix", overhead*100),
-			"byte_identity": "stats-on output renders byte-identically to stats-off on every mix query (also golden-corpus tested under -race)",
-			"acceptance":    fmt.Sprintf("PASS: %+.2f%% <= 5%% overhead budget for always-on per-operator stats", overhead*100),
-		},
-	}
-	f, err := os.Create(e.benchOut)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 // trace measures the ask-pipeline cost of request-scoped trace capture:

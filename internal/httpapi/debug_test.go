@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"testing"
 	"time"
 
@@ -134,9 +133,7 @@ func TestAskExplainTraceTree(t *testing.T) {
 	}
 	// The executed plan is recorded on the span: what ran, not just what
 	// was asked (visible in dio-cli -explain and GET /debug/traces/{id}).
-	// No plan runs — so none must be claimed — when the CI legacy-oracle
-	// leg forces the tree-walker via DIO_PROMQL_LEGACY.
-	if os.Getenv("DIO_PROMQL_LEGACY") == "" && !hasAttr("sandbox-exec", "promql.plan") {
+	if !hasAttr("sandbox-exec", "promql.plan") {
 		t.Error("sandbox-exec span lacks promql.plan attr")
 	}
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -160,6 +161,34 @@ func TestQueryRangeEndpoint(t *testing.T) {
 	}
 	if w, _ := do(t, h, "GET", "/api/v1/query_range?query=up&step=bogus", nil); w.Code != 400 {
 		t.Errorf("bad step = %d", w.Code)
+	}
+}
+
+// TestQueryRangeStepLimit: the request ROADMAP 4e/4f names — 130 years at
+// a 1 ms step — is answered with an error envelope at once and without
+// allocating for the steps it asks for, instead of building them until the
+// process dies.
+func TestQueryRangeStepLimit(t *testing.T) {
+	h := newServer(t)
+	const target = "/api/v1/query_range?query=smfsm_pdu_sessions_active&start=0&end=4102444800&step=1ms"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	began := time.Now()
+	w, out := do(t, h, "GET", target, nil)
+	took := time.Since(began)
+	runtime.ReadMemStats(&after)
+
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d %v, want 422", w.Code, out)
+	}
+	if msg, _ := out["error"].(string); out["status"] != "error" || !strings.Contains(msg, "exceeds the maximum of 11000") {
+		t.Errorf("envelope = %v, want the step-limit error", out)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("refused request allocated %d bytes, want < 1 MB", alloc)
+	}
+	if took > time.Second {
+		t.Errorf("refused request took %v, want milliseconds", took)
 	}
 }
 

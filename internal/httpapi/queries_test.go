@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -16,12 +15,6 @@ import (
 	"dio/internal/obs"
 	"dio/internal/testenv"
 )
-
-// statsOff reports whether this test run forces an execution path that
-// collects no per-operator stats (the CI legacy-oracle and stats-off legs).
-func statsOff() bool {
-	return os.Getenv("DIO_PROMQL_LEGACY") != "" || os.Getenv("DIO_QUERY_STATS") == "0"
-}
 
 // newQueryObsServer builds a handler with the slow-query log and the
 // active-query tracker wired through the executor's engine hooks — the
@@ -91,11 +84,8 @@ func TestDebugQueriesSlow(t *testing.T) {
 	if _, ok := row["duration_ms"].(float64); !ok {
 		t.Errorf("duration_ms missing: %v", row)
 	}
-	if !statsOff() {
-		plan, _ := row["plan"].(string)
-		if plan == "" {
-			t.Error("entry carries no compact analyzed plan on the plan-based path")
-		}
+	if plan, _ := row["plan"].(string); plan == "" {
+		t.Error("entry carries no compact analyzed plan")
 	}
 	if heaviest, _ := out["heaviest"].([]any); len(heaviest) == 0 {
 		t.Error("heaviest ring is empty")
@@ -150,9 +140,6 @@ func TestDebugPlanAnalyze(t *testing.T) {
 		t.Errorf("analyzed = %v, want false", out["analyzed"])
 	}
 
-	if statsOff() {
-		t.Skip("stats collection forced off for this run; analyze path yields no profile")
-	}
 	w, out = do(t, h, "GET", "/debug/plan?query=sum%28smf_pdu_session_active%29&analyze=true", nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("analyzed plan: %d %s", w.Code, w.Body.String())
@@ -171,9 +158,6 @@ func TestDebugPlanAnalyze(t *testing.T) {
 // TestAskAnalyze: an ask with "analyze": true profiles the generated
 // query's sandbox execution and returns its EXPLAIN ANALYZE tree.
 func TestAskAnalyze(t *testing.T) {
-	if statsOff() {
-		t.Skip("stats collection forced off for this run")
-	}
 	h := newServer(t)
 	w, out := do(t, h, "POST", "/api/v1/ask",
 		map[string]any{"question": "How many PDU sessions are currently active?", "analyze": true})

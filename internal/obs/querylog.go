@@ -23,11 +23,11 @@ type QueryLogEntry struct {
 	TraceID  string // empty when the request was untraced
 	Start    time.Time
 	Duration time.Duration
-	Samples  int64 // stored samples touched (0 on the legacy path)
+	Samples  int64 // stored samples touched (0 when the query failed)
 	Steps    int
 	Slow     bool   // duration reached the log's slow threshold
 	Err      string // empty on success
-	Plan     string // compact analyzed plan; empty when stats were off
+	Plan     string // compact analyzed plan; empty when the query failed
 }
 
 // QueryLog is the dual-ring slow-query store. Safe for concurrent use.

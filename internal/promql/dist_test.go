@@ -30,8 +30,6 @@ func unshardedTestDB(t testing.TB) (*tsdb.DB, time.Time) {
 func TestDistributedGoldenCorpus(t *testing.T) {
 	base, end := unshardedTestDB(t)
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
 	ref := NewEngine(base, opts)
 
 	windows := []struct {
@@ -202,8 +200,6 @@ func TestDistDemotionOnExoticLabelOrder(t *testing.T) {
 	build(sharded)
 
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
 	eng := NewEngine(sharded, opts)
 	ref := NewEngine(single, opts)
 	var stats RangeStats
@@ -267,8 +263,6 @@ func TestShardedClampRegression(t *testing.T) {
 	}
 
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
 	eng := NewEngine(sharded, opts)
 	ref := NewEngine(single, opts)
 	end := base.Add(12 * time.Minute) // past every head
@@ -299,8 +293,6 @@ func TestShardedClampRegression(t *testing.T) {
 func TestDistBudgetEquivalence(t *testing.T) {
 	base, end := unshardedTestDB(t)
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
 	opts.MaxSamples = 3 // each step of the aggregation touches 4 series
 	tight := opts
 	tight.MaxSamples = 1 // smf_pdu_session_active has 2 series per step

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -32,60 +30,16 @@ type EngineOptions struct {
 	// in a semaphore queue (and fail if their context is cancelled while
 	// queued). Zero means unlimited.
 	MaxConcurrent int
-	// StepwiseRange disables both the planner and select-once range
-	// evaluation, re-running full storage selection at every step of a
-	// range query. Kept as an escape hatch and as the oldest oracle for
-	// equivalence tests and benchmarks.
-	StepwiseRange bool
-	// LegacyEval disables the plan-based executor and evaluates with the
-	// legacy tree-walking evaluator (select-once range cache included).
-	// The legacy path is kept as a differential oracle; CI runs the whole
-	// suite with it forced on so it cannot rot.
-	LegacyEval bool
 	// ExecWorkers caps the goroutines the plan executor may use for one
 	// query (step partitions, parallel plan branches, per-series
 	// partitions). Zero picks min(GOMAXPROCS, 16); 1 forces sequential
 	// execution.
 	ExecWorkers int
-	// DisableQueryStats turns off per-operator execution statistics
-	// (EXPLAIN ANALYZE, the slow-query log's analyzed plans). Collection
-	// is on by default: it is allocation-free on the hot path and gated
-	// at <= 5% overhead by dio-bench -experiment querystats.
-	DisableQueryStats bool
-	// BatchSize bounds how many steps of a range query the plan executor
-	// evaluates between arena resets: intermediate containers live for at
-	// most one batch, so peak intermediate memory scales with BatchSize ×
-	// series count instead of range length × series count. Zero picks the
-	// default (64); negative evaluates each partition's whole span as one
-	// batch — the materialized-memory shape, kept for benchmarking.
-	BatchSize int
-	// DisablePooling turns the batch arena allocator off entirely: every
-	// intermediate container is heap-allocated exactly as the pre-batching
-	// executor did. The DIO_PROMQL_NOPOOL env (read by NewEngine) forces
-	// it for a whole test run — the CI leg that proves results never
-	// depend on recycling.
-	DisablePooling bool
 }
 
-// DefaultEngineOptions mirrors Prometheus defaults. Setting
-// DIO_PROMQL_LEGACY (any non-empty value) forces LegacyEval, giving CI a
-// matrix leg that exercises the oracle evaluator everywhere; tests that
-// construct EngineOptions explicitly are unaffected.
+// DefaultEngineOptions mirrors Prometheus defaults.
 func DefaultEngineOptions() EngineOptions {
-	o := EngineOptions{LookbackDelta: 5 * time.Minute, MaxSamples: 50_000_000, Timeout: 2 * time.Minute, MaxConcurrent: 20}
-	if os.Getenv("DIO_PROMQL_LEGACY") != "" {
-		o.LegacyEval = true
-	}
-	// DIO_QUERY_STATS pins per-operator stats collection for a whole test
-	// run: "0" disables it, "1" forces it on (the default; the CI leg uses
-	// it to keep the always-on contract from flipping silently).
-	switch os.Getenv("DIO_QUERY_STATS") {
-	case "0":
-		o.DisableQueryStats = true
-	case "1":
-		o.DisableQueryStats = false
-	}
-	return o
+	return EngineOptions{LookbackDelta: 5 * time.Minute, MaxSamples: 50_000_000, Timeout: 2 * time.Minute, MaxConcurrent: 20}
 }
 
 // Hooks observe engine behaviour without coupling evaluation to any
@@ -104,13 +58,13 @@ type Hooks struct {
 	// fronts a ShardedDB.
 	OnFanout func(time.Duration)
 	// OnQueryStart fires when a query begins evaluating (after the
-	// concurrency gate), for every path — planner and legacy, instant and
-	// range. The returned func fires when the query finishes, whatever
-	// the outcome: the active-query tracker's insert/release pair.
+	// concurrency gate), instant and range alike. The returned func fires
+	// when the query finishes, whatever the outcome: the active-query
+	// tracker's insert/release pair.
 	OnQueryStart func(query, kind, traceID string) func()
 	// OnQueryDone receives every finished query's log entry — the
-	// slow-query log's feed. Entries carry the compact analyzed plan when
-	// stats collection ran (plan-based path with stats enabled).
+	// slow-query log's feed. Entries of successful queries carry the
+	// compact analyzed plan.
 	OnQueryDone func(obs.QueryLogEntry)
 }
 
@@ -134,8 +88,7 @@ type RangeStats struct {
 	DistFallbacks int
 	// PeakIntermediateBytes is the high-water mark of pooled intermediate
 	// memory across all partitions of the query — the figure the batched
-	// executor bounds by BatchSize. Zero on the legacy paths and when
-	// pooling is disabled.
+	// executor bounds by its batch size.
 	PeakIntermediateBytes int64
 }
 
@@ -149,6 +102,14 @@ type Engine struct {
 	sharded *tsdb.ShardedDB
 	gate    chan struct{}
 	hooks   Hooks
+
+	// batch is the number of range steps evaluated between arena resets
+	// (defaultBatchSize); noArena runs range partitions on the nil arena,
+	// the plain-heap path instant queries always take. In-package tests
+	// set them to move batch boundaries and to check that results never
+	// depend on recycling; nothing else does.
+	batch   int
+	noArena bool
 
 	// Compiled plans are cached by canonical expression string: plans
 	// store scan hints as offsets relative to the evaluation range, so
@@ -173,15 +134,7 @@ func NewEngine(db tsdb.Storage, opts EngineOptions) *Engine {
 			opts.ExecWorkers = 16
 		}
 	}
-	if opts.BatchSize == 0 {
-		opts.BatchSize = defaultBatchSize
-	}
-	// Read here, not in DefaultEngineOptions, so explicitly-constructed
-	// options (the test fixtures) honour the CI matrix leg too.
-	if os.Getenv("DIO_PROMQL_NOPOOL") != "" {
-		opts.DisablePooling = true
-	}
-	e := &Engine{db: db, opts: opts, plans: make(map[string]*compiledPlan)}
+	e := &Engine{db: db, opts: opts, plans: make(map[string]*compiledPlan), batch: defaultBatchSize}
 	if sh, ok := db.(*tsdb.ShardedDB); ok && sh.NumShards() > 1 {
 		e.sharded = sh
 	}
@@ -190,10 +143,6 @@ func NewEngine(db tsdb.Storage, opts EngineOptions) *Engine {
 	}
 	return e
 }
-
-// usePlanner reports whether this engine evaluates through the compiled
-// plan path (the default) instead of a legacy oracle.
-func (e *Engine) usePlanner() bool { return !e.opts.LegacyEval && !e.opts.StepwiseRange }
 
 // planFor compiles (or fetches from cache) the physical plan for expr.
 // hit reports whether the plan came from the cache (surfaced by EXPLAIN
@@ -266,7 +215,7 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, input string, ts time.Time)
 	if _, err := e.Eval(ctx, expr, ts); err != nil {
 		return "", err
 	}
-	return renderCapture(cap)
+	return cap.Stats().Render(), nil
 }
 
 // ExplainAnalyzeRange is ExplainAnalyze over a range evaluation — the
@@ -276,28 +225,12 @@ func (e *Engine) ExplainAnalyzeRange(ctx context.Context, input string, start, e
 	if _, err := e.QueryRange(ctx, input, start, end, step); err != nil {
 		return "", err
 	}
-	return renderCapture(cap)
+	return cap.Stats().Render(), nil
 }
-
-func renderCapture(cap *StatsCapture) (string, error) {
-	qs := cap.Stats()
-	if qs == nil {
-		return "", errors.New("promql: no execution statistics collected (stats disabled or legacy evaluator)")
-	}
-	return qs.Render(), nil
-}
-
-// PlannerEnabled reports whether queries route through the plan-based
-// executor (false when LegacyEval or StepwiseRange forces an oracle path).
-func (e *Engine) PlannerEnabled() bool { return e.usePlanner() }
 
 // SetHooks installs observation hooks. Call before the engine serves
 // concurrent queries.
 func (e *Engine) SetHooks(h Hooks) { e.hooks = h }
-
-// StatsEnabled reports whether per-operator execution statistics are
-// collected for this engine's queries (plan-based path with stats on).
-func (e *Engine) StatsEnabled() bool { return !e.opts.DisableQueryStats && e.usePlanner() }
 
 // finishNothing is beginQuery's no-op finish when no query hooks are set.
 func finishNothing(error) {}
@@ -318,7 +251,7 @@ func (e *Engine) beginQuery(ctx context.Context, expr Expr, kind string) (contex
 	if e.hooks.OnQueryStart != nil {
 		release = e.hooks.OnQueryStart(query, kind, traceID)
 	}
-	if e.hooks.OnQueryDone != nil && e.StatsEnabled() {
+	if e.hooks.OnQueryDone != nil {
 		if _, ok := statsCaptureFrom(ctx); !ok {
 			ctx, _ = WithQueryStats(ctx)
 		}
@@ -384,27 +317,12 @@ func (e *Engine) exit() {
 	}
 }
 
+// maxRangeSteps bounds the steps of one range query (Prometheus's limit of
+// 11,000 points per series).
+const maxRangeSteps = 11000
+
 // ErrTooManySamples is returned when a query exceeds MaxSamples.
 var ErrTooManySamples = errors.New("promql: query touches too many samples")
-
-// evaluator carries per-query state.
-type evaluator struct {
-	ctx     context.Context
-	eng     *Engine
-	ts      int64 // evaluation timestamp (ms)
-	samples int
-	// sel, when set, serves selector evaluations from the range query's
-	// select-once cache instead of hitting storage per step.
-	sel *selCache
-}
-
-func (ev *evaluator) account(n int) error {
-	ev.samples += n
-	if ev.eng.opts.MaxSamples > 0 && ev.samples > ev.eng.opts.MaxSamples {
-		return ErrTooManySamples
-	}
-	return ev.ctx.Err()
-}
 
 // Query parses and evaluates input at ts.
 func (e *Engine) Query(ctx context.Context, input string, ts time.Time) (Value, error) {
@@ -424,35 +342,19 @@ func (e *Engine) Eval(ctx context.Context, expr Expr, ts time.Time) (v Value, er
 	defer e.exit()
 	ctx, fin := e.beginQuery(ctx, expr, "instant")
 	defer func() { fin(err) }()
-	return e.evalInstant(ctx, expr, ts)
-}
-
-// evalInstant evaluates one instant without touching the gate; the public
-// entry points hold a slot across it (QueryRange holds one slot for its
-// whole step loop, so a gated engine cannot deadlock against itself).
-func (e *Engine) evalInstant(ctx context.Context, expr Expr, ts time.Time) (Value, error) {
 	if e.opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
 		defer cancel()
 	}
-	if e.usePlanner() {
-		return e.execInstant(ctx, expr, ts)
-	}
-	ev := &evaluator{ctx: ctx, eng: e, ts: ts.UnixMilli()}
-	v, err := ev.eval(expr)
-	if e.hooks.OnSamples != nil {
-		e.hooks.OnSamples(ev.samples)
-	}
-	obs.SpanFrom(ctx).SetAttr("promql.samples_loaded", ev.samples)
-	return v, err
+	return e.execInstant(ctx, expr, ts)
 }
 
 // QueryRange evaluates input at every step in [start, end], producing a
 // matrix (used by dashboard panels). Storage selection runs once per
 // selector for the whole range: every step after the first advances
 // per-series cursors over the fetched samples instead of re-running
-// Select/SelectRange (disable with EngineOptions.StepwiseRange).
+// Select/SelectRange.
 func (e *Engine) QueryRange(ctx context.Context, input string, start, end time.Time, step time.Duration) (Matrix, error) {
 	expr, err := Parse(input)
 	if err != nil {
@@ -471,313 +373,29 @@ func (e *Engine) QueryRangeExpr(ctx context.Context, expr Expr, start, end time.
 	if end.Before(start) {
 		return nil, fmt.Errorf("promql: range end precedes start")
 	}
+	// Refused before the gate, the plan and the step slice: MaxSamples is a
+	// per-step budget, so nothing else bounds what a tiny step allocates.
+	if n := int64(end.Sub(start)/step) + 1; n > maxRangeSteps {
+		return nil, fmt.Errorf("promql: range of %d steps exceeds the maximum of %d; use a larger step", n, maxRangeSteps)
+	}
 	if err := e.enter(ctx); err != nil {
 		return nil, err
 	}
 	defer e.exit()
 	ctx, fin := e.beginQuery(ctx, expr, "range")
 	defer func() { fin(err) }()
-	// The engine timeout spans the whole range evaluation (the stepwise
-	// path bounded each step separately, which let a slow range query run
-	// for steps × Timeout).
+	// The engine timeout spans the whole range evaluation.
 	if e.opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
 		defer cancel()
 	}
-	if e.usePlanner() {
-		return e.execRange(ctx, expr, start, end, step)
-	}
-	var sel *selCache
-	if !e.opts.StepwiseRange {
-		sel = newSelCache(e.db)
-		if e.hooks.OnRangeEval != nil {
-			defer func() { e.hooks.OnRangeEval(sel.stats()) }()
-		}
-	}
-	// Trace attributes aggregate over the whole range: per-step attrs
-	// would rewrite the same key hundreds of times for long ranges.
-	totalSamples, steps := 0, 0
-	defer func() {
-		if sp := obs.SpanFrom(ctx); sp.Recording() {
-			sp.SetAttr("promql.samples_loaded", totalSamples)
-			sp.SetAttr("promql.steps", steps)
-			if sel != nil {
-				st := sel.stats()
-				sp.SetAttr("promql.selector_cache", map[string]int{
-					"hits": st.SelectorHits, "misses": st.SelectorMisses,
-				})
-			}
-		}
-	}()
-	acc := make(map[string]*MSeries)
-	var order []string
-	for t := start; !t.After(end); t = t.Add(step) {
-		ev := &evaluator{ctx: ctx, eng: e, ts: t.UnixMilli(), sel: sel}
-		v, err := ev.eval(expr)
-		steps++
-		totalSamples += ev.samples
-		if e.hooks.OnSamples != nil {
-			e.hooks.OnSamples(ev.samples)
-		}
-		if err != nil {
-			return nil, err
-		}
-		var vec Vector
-		switch x := v.(type) {
-		case Vector:
-			vec = x
-		case Scalar:
-			vec = Vector{{Labels: nil, T: x.T, V: x.V}}
-		default:
-			return nil, fmt.Errorf("promql: range query requires a vector or scalar expression")
-		}
-		for _, s := range vec {
-			var key string
-			if sel != nil {
-				key = sel.keyOf(s.Labels)
-			} else {
-				key = s.Labels.Key()
-			}
-			ms, ok := acc[key]
-			if !ok {
-				ms = &MSeries{Labels: s.Labels}
-				acc[key] = ms
-				order = append(order, key)
-			}
-			ms.Samples = append(ms.Samples, tsdb.Sample{T: t.UnixMilli(), V: s.V})
-		}
-	}
-	sort.Strings(order)
-	out := make(Matrix, 0, len(order))
-	for _, k := range order {
-		out = append(out, *acc[k])
-	}
-	return out, nil
-}
-
-func (ev *evaluator) eval(expr Expr) (Value, error) {
-	if err := ev.ctx.Err(); err != nil {
-		return nil, err
-	}
-	switch n := expr.(type) {
-	case *NumberLiteral:
-		return Scalar{T: ev.ts, V: n.Val}, nil
-	case *StringLiteral:
-		return String{T: ev.ts, V: n.Val}, nil
-	case *ParenExpr:
-		return ev.eval(n.Expr)
-	case *UnaryExpr:
-		return ev.evalUnary(n)
-	case *VectorSelector:
-		return ev.evalVectorSelector(n)
-	case *MatrixSelector:
-		return ev.evalMatrixSelector(n)
-	case *SubqueryExpr:
-		m, _, _, err := ev.evalSubquery(n)
-		return m, err
-	case *Call:
-		return ev.evalCall(n)
-	case *AggregateExpr:
-		return ev.evalAggregate(n)
-	case *BinaryExpr:
-		return ev.evalBinary(n)
-	}
-	return nil, fmt.Errorf("promql: cannot evaluate %T", expr)
-}
-
-func (ev *evaluator) evalUnary(n *UnaryExpr) (Value, error) {
-	v, err := ev.eval(n.Expr)
-	if err != nil {
-		return nil, err
-	}
-	switch x := v.(type) {
-	case Scalar:
-		return Scalar{T: x.T, V: -x.V}, nil
-	case Vector:
-		out := make(Vector, len(x))
-		for i, s := range x {
-			out[i] = VSample{Labels: s.Labels.Without(tsdb.MetricNameLabel), T: s.T, V: -s.V}
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("promql: unary minus on %s", v.ValueType())
-}
-
-func (ev *evaluator) evalVectorSelector(n *VectorSelector) (Value, error) {
-	ts := ev.ts - n.Offset.Milliseconds()
-	lookback := ev.eng.opts.LookbackDelta.Milliseconds()
-	if ev.sel != nil {
-		out := ev.sel.instant(n, ts, lookback, ev.ts)
-		if err := ev.account(len(out)); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	points := ev.eng.db.Select(n.Matchers, ts, lookback)
-	if err := ev.account(len(points)); err != nil {
-		return nil, err
-	}
-	out := make(Vector, 0, len(points))
-	for _, p := range points {
-		out = append(out, VSample{Labels: p.Labels, T: ev.ts, V: p.Sample.V})
-	}
-	return out, nil
-}
-
-// evalMatrix returns the window series for a matrix selector.
-func (ev *evaluator) evalMatrix(n *MatrixSelector) (Matrix, int64, int64, error) {
-	end := ev.ts - n.VectorSelector.Offset.Milliseconds()
-	start := end - n.Range.Milliseconds()
-	if ev.sel != nil {
-		out, total := ev.sel.windows(n.VectorSelector, start, end)
-		if err := ev.account(total); err != nil {
-			return nil, 0, 0, err
-		}
-		return out, start, end, nil
-	}
-	ranges := ev.eng.db.SelectRange(n.VectorSelector.Matchers, start, end)
-	total := 0
-	out := make(Matrix, 0, len(ranges))
-	for _, r := range ranges {
-		total += len(r.Samples)
-		out = append(out, MSeries{Labels: r.Labels, Samples: r.Samples})
-	}
-	if err := ev.account(total); err != nil {
-		return nil, 0, 0, err
-	}
-	return out, start, end, nil
-}
-
-func (ev *evaluator) evalMatrixSelector(n *MatrixSelector) (Value, error) {
-	m, _, _, err := ev.evalMatrix(n)
-	return m, err
+	return e.execRange(ctx, expr, start, end, step)
 }
 
 // dropName removes __name__, as Prometheus does for any operation that
 // changes the meaning of a series' values.
 func dropName(ls tsdb.Labels) tsdb.Labels { return ls.Without(tsdb.MetricNameLabel) }
-
-func (ev *evaluator) evalCall(n *Call) (Value, error) {
-	name := n.Func.Name
-	switch name {
-	case "time":
-		return Scalar{T: ev.ts, V: float64(ev.ts) / 1000}, nil
-	case "vector":
-		s, err := ev.evalScalar(n.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return Vector{{Labels: nil, T: ev.ts, V: s}}, nil
-	case "scalar":
-		v, err := ev.evalVector(n.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		if len(v) != 1 {
-			return Scalar{T: ev.ts, V: math.NaN()}, nil
-		}
-		return Scalar{T: ev.ts, V: v[0].V}, nil
-	case "absent":
-		v, err := ev.evalVector(n.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		if len(v) > 0 {
-			return Vector{}, nil
-		}
-		return Vector{{Labels: nil, T: ev.ts, V: 1}}, nil
-	case "histogram_quantile":
-		return ev.evalHistogramQuantile(n)
-	case "label_replace":
-		return ev.evalLabelReplace(n)
-	}
-
-	// Range-vector functions.
-	if len(n.Args) >= 1 {
-		if arg, ok := unwrapMatrixArg(n); ok {
-			return ev.evalRangeFunc(n, arg)
-		}
-	}
-
-	// Simple vector→vector math functions.
-	return ev.evalVectorMath(n)
-}
-
-// unwrapMatrixArg returns the range-vector argument of a call (a matrix
-// selector or a subquery), if the function takes one.
-func unwrapMatrixArg(n *Call) (Expr, bool) {
-	for _, a := range n.Args {
-		if p, ok := a.(*ParenExpr); ok {
-			a = p.Expr
-		}
-		switch a.(type) {
-		case *MatrixSelector, *SubqueryExpr:
-			return a, true
-		}
-	}
-	return nil, false
-}
-
-// evalRangeArg evaluates a range-vector argument to its window series.
-func (ev *evaluator) evalRangeArg(arg Expr) (Matrix, int64, int64, error) {
-	switch x := arg.(type) {
-	case *MatrixSelector:
-		return ev.evalMatrix(x)
-	case *SubqueryExpr:
-		return ev.evalSubquery(x)
-	}
-	return nil, 0, 0, fmt.Errorf("promql: not a range-vector expression: %T", arg)
-}
-
-func (ev *evaluator) evalRangeFunc(n *Call, arg Expr) (Value, error) {
-	matrix, start, end, err := ev.evalRangeArg(arg)
-	if err != nil {
-		return nil, err
-	}
-	// Scalar parameters (quantile_over_time's φ, predict_linear's horizon).
-	var scalarParam float64
-	for _, a := range n.Args {
-		if a.Type() == ValueScalar {
-			scalarParam, err = ev.evalScalar(a)
-			if err != nil {
-				return nil, err
-			}
-			break
-		}
-	}
-	return applyRangeFunc(nil, n.Func.Name, matrix, start, end, ev.ts, scalarParam)
-}
-
-func (ev *evaluator) evalVectorMath(n *Call) (Value, error) {
-	vec, err := ev.evalVector(n.Args[0])
-	if err != nil {
-		return nil, err
-	}
-	scalars := make([]float64, 0, 2)
-	for _, a := range n.Args[1:] {
-		s, err := ev.evalScalar(a)
-		if err != nil {
-			return nil, err
-		}
-		scalars = append(scalars, s)
-	}
-	return applyVectorMath(nil, n.Func.Name, vec, scalars), nil
-}
-
-// evalHistogramQuantile implements classic histogram quantiles over
-// <metric>_bucket series with le labels.
-func (ev *evaluator) evalHistogramQuantile(n *Call) (Value, error) {
-	phi, err := ev.evalScalar(n.Args[0])
-	if err != nil {
-		return nil, err
-	}
-	vec, err := ev.evalVector(n.Args[1])
-	if err != nil {
-		return nil, err
-	}
-	return histogramQuantileVector(nil, phi, vec, ev.ts), nil
-}
 
 func parseLE(s string) (float64, error) {
 	if s == "+Inf" || s == "inf" || s == "Inf" {
@@ -827,91 +445,6 @@ func bucketQuantile(phi float64, bs []bucket) float64 {
 		return upperBound
 	}
 	return lowerBound + (upperBound-lowerBound)*(rank-lowerCount)/(upperCount-lowerCount)
-}
-
-func (ev *evaluator) evalLabelReplace(n *Call) (Value, error) {
-	vec, err := ev.evalVector(n.Args[0])
-	if err != nil {
-		return nil, err
-	}
-	var lit [4]string
-	for i := range lit {
-		s, err := stringLitArg(n.Args[i+1])
-		if err != nil {
-			return nil, err
-		}
-		lit[i] = s
-	}
-	dst, repl, src, pattern := lit[0], lit[1], lit[2], lit[3]
-	re, err := compileLabelReplace(pattern)
-	if err != nil {
-		return nil, err
-	}
-	return labelReplaceVector(nil, vec, re, dst, repl, src), nil
-}
-
-// evalScalar evaluates an expression that must yield a scalar.
-func (ev *evaluator) evalScalar(e Expr) (float64, error) {
-	v, err := ev.eval(e)
-	if err != nil {
-		return 0, err
-	}
-	s, ok := v.(Scalar)
-	if !ok {
-		return 0, fmt.Errorf("promql: expected scalar, got %s", v.ValueType())
-	}
-	return s.V, nil
-}
-
-// evalVector evaluates an expression that must yield an instant vector.
-func (ev *evaluator) evalVector(e Expr) (Vector, error) {
-	v, err := ev.eval(e)
-	if err != nil {
-		return nil, err
-	}
-	vec, ok := v.(Vector)
-	if !ok {
-		return nil, fmt.Errorf("promql: expected instant vector, got %s", v.ValueType())
-	}
-	return vec, nil
-}
-
-// --- aggregation ---------------------------------------------------------
-
-func (ev *evaluator) evalAggregate(n *AggregateExpr) (Value, error) {
-	vec, err := ev.evalVector(n.Expr)
-	if err != nil {
-		return nil, err
-	}
-	var param float64
-	var strParam string
-	if n.Param != nil {
-		switch p := n.Param.(type) {
-		case *StringLiteral:
-			strParam = p.Val
-		default:
-			param, err = ev.evalScalar(n.Param)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	return aggregateVector(nil, n, vec, param, strParam, ev.ts)
-}
-
-// --- binary operators ----------------------------------------------------
-
-func (ev *evaluator) evalBinary(n *BinaryExpr) (Value, error) {
-	lv, err := ev.eval(n.LHS)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := ev.eval(n.RHS)
-	if err != nil {
-		return nil, err
-	}
-	return applyBinary(nil, n, lv, rv, ev.ts)
 }
 
 // binArith applies op to two floats. keep reports whether a comparison

@@ -2,10 +2,11 @@ package promql
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
-
-	"dio/internal/tsdb"
 )
 
 // rangeCorpus exercises every evaluation shape that touches storage:
@@ -40,69 +41,73 @@ var rangeCorpus = []string{
 	"scalar(sum(smf_pdu_session_active)) * 2",
 }
 
-// equivalenceEngines returns the three evaluation paths that must agree
-// byte-for-byte on every query: the plan-based executor (default), the
-// legacy select-once tree-walker, and the legacy stepwise tree-walker.
-// Options are constructed explicitly so the test pins all three paths even
-// when DIO_PROMQL_LEGACY is set in the environment.
-func equivalenceEngines(db tsdb.Storage) map[string]*Engine {
-	planned := DefaultEngineOptions()
-	planned.LegacyEval = false
-	planned.StepwiseRange = false
-
-	legacy := planned
-	legacy.LegacyEval = true
-
-	stepwise := planned
-	stepwise.StepwiseRange = true
-
-	return map[string]*Engine{
-		"planner":  NewEngine(db, planned),
-		"legacy":   NewEngine(db, legacy),
-		"stepwise": NewEngine(db, stepwise),
-	}
-}
-
-// TestQueryRangeEquivalence: the plan-based executor, the legacy select-once
-// cursor path, and the legacy stepwise path (full storage selection per
-// step) must produce byte-identical matrices for every corpus query, over
-// windows that include steps before data begins and steps past its end
-// (lookback/staleness).
-func TestQueryRangeEquivalence(t *testing.T) {
-	db, end := testDB(t)
-	engines := equivalenceEngines(db)
-
-	windows := []struct {
-		name       string
-		start, end time.Time
-		step       time.Duration
-	}{
+// corpusWindows are the range shapes the differential tests sweep: inside
+// the data, before it begins, past its end (lookback/staleness) and a
+// single step.
+func corpusWindows(end time.Time) []rangeWindow {
+	return []rangeWindow{
 		{"mid", end.Add(-20 * time.Minute), end, time.Minute},
 		{"pre-data", end.Add(-40 * time.Minute), end.Add(-25 * time.Minute), 30 * time.Second},
 		{"past-end", end.Add(-5 * time.Minute), end.Add(10 * time.Minute), 2 * time.Minute},
 		{"single-step", end, end, time.Minute},
 	}
-	for _, w := range windows {
+}
+
+type rangeWindow struct {
+	name       string
+	start, end time.Time
+	step       time.Duration
+}
+
+// checkRangeAgainstOracle fails unless eng's executor and the oracle
+// (evaluating under eng's options and storage) agree on q over w: the same
+// rendered matrix byte for byte, or the same error text.
+func checkRangeAgainstOracle(t *testing.T, name string, eng *Engine, q string, w rangeWindow) {
+	t.Helper()
+	ctx := context.Background()
+	want, wantErr := oracleQueryRange(ctx, eng, q, w.start, w.end, w.step)
+	m, err := eng.QueryRange(ctx, q, w.start, w.end, w.step)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s %s %q: error mismatch: executor=%v oracle=%v", name, w.name, q, err, wantErr)
+	}
+	if err != nil {
+		if err.Error() != wantErr.Error() {
+			t.Errorf("%s %s %q: error text differs\nexecutor: %v\noracle:   %v", name, w.name, q, err, wantErr)
+		}
+		return
+	}
+	if got, ref := m.String(), want.String(); got != ref {
+		t.Errorf("%s %s %q: matrices differ\nexecutor:\n%s\noracle:\n%s", name, w.name, q, got, ref)
+	}
+}
+
+// checkInstantAgainstOracle is checkRangeAgainstOracle for one instant.
+func checkInstantAgainstOracle(t *testing.T, eng *Engine, q string, ts time.Time) {
+	t.Helper()
+	ctx := context.Background()
+	want, wantErr := oracleQuery(ctx, eng, q, ts)
+	got, err := eng.Query(ctx, q, ts)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("instant %q: error mismatch: executor=%v oracle=%v", q, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if g, r := FormatValue(got), FormatValue(want); g != r {
+		t.Errorf("instant %q: results differ\nexecutor:\n%s\noracle:\n%s", q, g, r)
+	}
+}
+
+// TestQueryRangeEquivalence: the plan-based executor and the oracle (full
+// storage selection per step) must produce byte-identical matrices for
+// every corpus query, over windows that include steps before data begins
+// and steps past its end (lookback/staleness).
+func TestQueryRangeEquivalence(t *testing.T) {
+	db, end := testDB(t)
+	eng := NewEngine(db, DefaultEngineOptions())
+	for _, w := range corpusWindows(end) {
 		for _, q := range rangeCorpus {
-			ref, refErr := engines["stepwise"].QueryRange(context.Background(), q, w.start, w.end, w.step)
-			for name, eng := range engines {
-				if name == "stepwise" {
-					continue
-				}
-				m, err := eng.QueryRange(context.Background(), q, w.start, w.end, w.step)
-				if (err == nil) != (refErr == nil) {
-					t.Fatalf("%s %q: error mismatch: %s=%v stepwise=%v", w.name, q, name, err, refErr)
-				}
-				if err != nil {
-					if err.Error() != refErr.Error() {
-						t.Errorf("%s %q: error text differs\n%s:   %v\nstepwise: %v", w.name, q, name, err, refErr)
-					}
-					continue
-				}
-				if got, want := m.String(), ref.String(); got != want {
-					t.Errorf("%s %q: matrices differ\n%s:\n%s\nstepwise:\n%s", w.name, q, name, got, want)
-				}
-			}
+			checkRangeAgainstOracle(t, "default", eng, q, w)
 		}
 	}
 }
@@ -113,8 +118,6 @@ func TestQueryRangeEquivalence(t *testing.T) {
 func TestQueryRangeEquivalenceSingleWorker(t *testing.T) {
 	db, end := testDB(t)
 	par := DefaultEngineOptions()
-	par.LegacyEval = false
-	par.StepwiseRange = false
 	par.ExecWorkers = 8
 	seq := par
 	seq.ExecWorkers = 1
@@ -177,36 +180,59 @@ func TestQueryRangeStats(t *testing.T) {
 	}
 }
 
-// TestQueryRangeStepwiseSkipsHook: the legacy path has no select-once cache
-// and must not report range stats.
-func TestQueryRangeStepwiseSkipsHook(t *testing.T) {
-	db, end := testDB(t)
-	opts := DefaultEngineOptions()
-	opts.StepwiseRange = true
-	eng := NewEngine(db, opts)
-	called := false
-	eng.SetHooks(Hooks{OnRangeEval: func(RangeStats) { called = true }})
-	if _, err := eng.QueryRange(context.Background(), "smf_pdu_session_active", end.Add(-5*time.Minute), end, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if called {
-		t.Error("OnRangeEval fired on the stepwise path")
-	}
-}
-
-// TestQueryRangeMaxSamplesPerStep: the sample budget is per step, exactly
-// as on the stepwise path — the cached fetch must not change when a query
-// trips MaxSamples.
+// TestQueryRangeMaxSamplesPerStep: the sample budget is per step on the
+// executor exactly as on the oracle — the prefetch must not change when a
+// query trips MaxSamples.
 func TestQueryRangeMaxSamplesPerStep(t *testing.T) {
 	db, end := testDB(t)
 	opts := DefaultEngineOptions()
 	opts.MaxSamples = 3 // each step touches 4 series
-	for _, stepwise := range []bool{false, true} {
-		opts.StepwiseRange = stepwise
-		eng := NewEngine(db, opts)
-		_, err := eng.QueryRange(context.Background(), "amfcc_n1_auth_request + smf_pdu_session_active", end.Add(-5*time.Minute), end, time.Minute)
-		if err == nil {
-			t.Errorf("stepwise=%v: expected ErrTooManySamples, got nil", stepwise)
-		}
+	eng := NewEngine(db, opts)
+	const q = "amfcc_n1_auth_request + smf_pdu_session_active"
+	if _, err := eng.QueryRange(context.Background(), q, end.Add(-5*time.Minute), end, time.Minute); !errors.Is(err, ErrTooManySamples) {
+		t.Errorf("executor: got %v, want ErrTooManySamples", err)
+	}
+	if _, err := oracleQueryRange(context.Background(), eng, q, end.Add(-5*time.Minute), end, time.Minute); !errors.Is(err, ErrTooManySamples) {
+		t.Errorf("oracle: got %v, want ErrTooManySamples", err)
+	}
+}
+
+// TestQueryRangeStepLimit: a range asking for more than maxRangeSteps steps
+// is refused from the arithmetic step count, before the step slice, the
+// plan or the prefetch exist — so it costs (almost) nothing however many
+// steps were asked for, even under a deadline far shorter than building
+// them would take.
+func TestQueryRangeStepLimit(t *testing.T) {
+	db, _ := testDB(t)
+	eng := NewEngine(db, DefaultEngineOptions())
+	expr, err := Parse("smf_pdu_session_active")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Unix(0, 0)
+	// Exactly at the limit is served.
+	if _, err := eng.QueryRangeExpr(context.Background(), expr, start, start.Add((maxRangeSteps-1)*time.Second), time.Second); err != nil {
+		t.Fatalf("%d steps: %v", maxRangeSteps, err)
+	}
+	if _, err := eng.QueryRangeExpr(context.Background(), expr, start, start.Add(maxRangeSteps*time.Second), time.Second); err == nil || !strings.Contains(err.Error(), "exceeds the maximum of 11000") {
+		t.Fatalf("%d steps: got %v, want the step-limit error", maxRangeSteps+1, err)
+	}
+
+	// 130 years at 1 ms: ~4.1e12 steps.
+	end := time.Unix(4102444800, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	began := time.Now()
+	_, err = eng.QueryRangeExpr(context.Background(), expr, start, end, time.Millisecond)
+	took := time.Since(began)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeds the maximum of 11000") {
+		t.Fatalf("got %v, want the step-limit error", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("refused query allocated %d bytes, want < 1 MB", alloc)
+	}
+	if took > time.Second {
+		t.Errorf("refused query took %v, want milliseconds", took)
 	}
 }

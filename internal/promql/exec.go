@@ -6,9 +6,9 @@ package promql
 //
 //   - Range queries split their steps into contiguous partitions, one
 //     goroutine each, every partition owning private scan cursors that
-//     advance monotonically through its steps (the select-once cursor
-//     discipline from selcache.go, parallelised). Each partition streams
-//     its steps in bounded batches (EngineOptions.BatchSize): step
+//     advance monotonically through its steps (seekAfter in selcache.go
+//     gallops from the previous position). Each partition streams its
+//     steps in bounded batches (defaultBatchSize): step
 //     vectors fold into a per-partition accumulator as they are produced,
 //     and the arena holding the batch's intermediates (pool.go) resets at
 //     every batch boundary — peak memory is bounded by batch size ×
@@ -29,7 +29,7 @@ package promql
 // must not mask the root cause) — the same rule the dashboard renderer
 // uses for its panel pool.
 //
-// Sample budgets match the legacy evaluator exactly: each range step gets
+// Sample budgets match the test oracle exactly: each range step gets
 // a fresh MaxSamples budget, and subqueries inherit and extend their
 // step's budget. Instant queries use one budget guarded by an atomic so
 // parallel branches share it safely.
@@ -82,10 +82,10 @@ type execState struct {
 	resets       atomic.Int64
 	totalSamples atomic.Int64
 
-	// opStats, when non-nil, holds one accumulator per operator of the
-	// compiled plan (indexed by statsIdx) — the EXPLAIN ANALYZE slab,
-	// pre-sized once per execution and updated with atomics. shardWallNs
-	// adds per-shard fan-out wall times for distribute nodes, indexed
+	// opStats holds one accumulator per operator of the compiled plan
+	// (indexed by statsIdx) — the EXPLAIN ANALYZE slab, pre-sized once per
+	// execution and updated with atomics. shardWallNs adds per-shard
+	// fan-out wall times for distribute nodes, indexed
 	// distID*shards+shard.
 	opStats     []opSlot
 	shardWallNs []int64
@@ -93,10 +93,6 @@ type execState struct {
 	workers int
 	sem     chan struct{} // bounds extra goroutines beyond the caller's
 
-	// pooling enables the per-partition arena allocators; batch is the
-	// step count between arena resets (<= 0: a partition's whole span).
-	pooling bool
-	batch   int
 	// peakIntermediate collects the max pooled-intermediate high-water
 	// mark across the execution's allocs (RangeStats.PeakIntermediateBytes).
 	peakIntermediate atomic.Int64
@@ -112,8 +108,7 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState
 		lookbackMs: e.opts.LookbackDelta.Milliseconds(),
 		services:   make([]int64, len(cp.plan.scans)),
 		workers:    e.opts.ExecWorkers,
-		pooling:    !e.opts.DisablePooling,
-		batch:      e.opts.BatchSize,
+		opStats:    make([]opSlot, len(cp.stats)),
 	}
 	hints := cp.plan.selectHints(startMs, endMs)
 	if e.sharded != nil {
@@ -137,6 +132,7 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState
 		}
 	}
 	if st.shardSeries != nil {
+		st.shardWallNs = make([]int64, len(cp.distScans)*len(st.shardSeries))
 		st.distDemoted = make([]atomic.Bool, len(cp.distScans))
 		// Name-first guard: name-dropping operators in a distributed
 		// child subtree preserve fingerprint order only while __name__
@@ -155,12 +151,6 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState
 	}
 	if st.workers > 1 {
 		st.sem = make(chan struct{}, st.workers-1)
-	}
-	if !e.opts.DisableQueryStats {
-		st.opStats = make([]opSlot, len(cp.stats))
-		if st.shardSeries != nil && len(cp.distScans) > 0 {
-			st.shardWallNs = make([]int64, len(cp.distScans)*len(st.shardSeries))
-		}
 	}
 	return st
 }
@@ -216,8 +206,7 @@ func (st *execState) notePeakIntermediate(b int64) {
 	}
 }
 
-// useCursor is the per-partition cursor state of one selector use site
-// (the partitioned analogue of selEntry in selcache.go).
+// useCursor is the per-partition cursor state of one selector use site.
 type useCursor struct {
 	inst     []int
 	instT    int64
@@ -254,15 +243,14 @@ type part struct {
 	distAcc   *atomic.Int64
 	// al, when non-nil, is this part's batch arena (pool.go): every
 	// intermediate container the part's operators produce comes from it
-	// and is recycled at the next batch boundary. Nil on instant parts
-	// and when pooling is disabled — all methods degrade to plain heap
-	// allocation.
+	// and is recycled at the next batch boundary. Nil on instant parts:
+	// all methods degrade to plain heap allocation.
 	al *alloc
 }
 
 func (st *execState) newCursorPart(ctx context.Context) *part {
 	p := &part{st: st, ctx: ctx, shard: -1, cursors: make([]useCursor, st.cp.nCursors)}
-	if st.pooling {
+	if !st.eng.noArena {
 		p.al = getAlloc(st.keys)
 	}
 	return p
@@ -396,21 +384,16 @@ func (p *part) mergeShardVectors(vecs []Vector) (Vector, bool) {
 	return out, true
 }
 
-// eval runs one operator, enforcing cancellation at every node like the
-// legacy evaluator's eval dispatcher. With stats collection on it also
+// eval runs one operator, enforcing cancellation at every node, and
 // accumulates the operator's call count and output series into its
 // pre-sized slot — atomics only, no allocation, and never a change to
-// the value flowing through (stats-on output is byte-identical). Wall
-// time is sampled (every statsTimeEvery-th call per operator, the first
-// included) and scaled back up by buildOp: on hosts without a cheap
-// monotonic clock a per-call time.Now pair alone would blow the 5%
-// overhead budget dio-bench enforces.
+// the value flowing through. Wall time is sampled (every
+// statsTimeEvery-th call per operator, the first included) and scaled
+// back up by buildOp: on hosts without a cheap monotonic clock a per-call
+// time.Now pair alone cost 16% on the dashboard mix.
 func (p *part) eval(op physOp, ts int64) (Value, error) {
 	if err := p.ctx.Err(); err != nil {
 		return nil, err
-	}
-	if p.st.opStats == nil {
-		return op.exec(p, ts)
 	}
 	sl := &p.st.opStats[op.statsIdx()]
 	if (atomic.AddInt64(&sl.calls, 1)-1)&(statsTimeEvery-1) != 0 {
@@ -434,9 +417,6 @@ func (p *part) evalVec(op vecExecer, ts int64) (Vector, error) {
 	if err := p.ctx.Err(); err != nil {
 		return nil, err
 	}
-	if p.st.opStats == nil {
-		return op.execVec(p, ts)
-	}
 	sl := &p.st.opStats[op.statsIdx()]
 	if (atomic.AddInt64(&sl.calls, 1)-1)&(statsTimeEvery-1) != 0 {
 		v, err := op.execVec(p, ts)
@@ -457,9 +437,6 @@ func (p *part) window(op windowOp, ts int64) (Matrix, int64, int64, error) {
 	if err := p.ctx.Err(); err != nil {
 		return nil, 0, 0, err
 	}
-	if p.st.opStats == nil {
-		return op.window(p, ts)
-	}
 	sl := &p.st.opStats[op.statsIdx()]
 	if (atomic.AddInt64(&sl.calls, 1)-1)&(statsTimeEvery-1) != 0 {
 		m, start, end, err := op.window(p, ts)
@@ -477,9 +454,7 @@ func (p *part) window(op windowOp, ts int64) (Matrix, int64, int64, error) {
 // noteSamples attributes stored samples to the scan operator that
 // accounted them.
 func (p *part) noteSamples(sx, n int) {
-	if p.st.opStats != nil {
-		atomic.AddInt64(&p.st.opStats[sx].samples, int64(n))
-	}
+	atomic.AddInt64(&p.st.opStats[sx].samples, int64(n))
 }
 
 func (p *part) account(n int) error {
@@ -528,9 +503,10 @@ func (p *part) vector(op physOp, ts int64) (Vector, error) {
 	return vec, nil
 }
 
-// keyOf mirrors selCache.keyOf: stored series labels resolve to their
-// cached fingerprint, fresh label sets compute their key. Parts with an
-// arena also hit its derived-label key cache (same strings, no rebuild).
+// keyOf resolves a label set's canonical key: stored series labels
+// resolve to their cached fingerprint, fresh label sets compute it. Parts
+// with an arena also hit its derived-label key cache (same strings, no
+// rebuild).
 func (p *part) keyOf(ls tsdb.Labels) string {
 	if p.al != nil {
 		return p.al.keyFor(ls)
@@ -774,7 +750,7 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 	// step order; partitions are contiguous, so concatenating accumulators
 	// in ascending partition order keeps every series' samples
 	// time-ascending, and the final sort.Strings reproduces the exact
-	// series order the sequential legacy loop renders.
+	// series order a sequential step loop renders.
 	acc, order := accs[0].acc, accs[0].order
 	for _, pa := range accs[1:] {
 		for _, key := range pa.order {
@@ -825,8 +801,8 @@ func (a *rangeAcc) foldVec(p *part, vec Vector, ts int64) {
 	}
 }
 
-// foldScalar appends a scalar step under the empty key, exactly as the
-// legacy loop's Vector{{Labels: nil, ...}} wrapping did.
+// foldScalar appends a scalar step under the empty key, as wrapping it in
+// Vector{{Labels: nil, ...}} would.
 func (a *rangeAcc) foldScalar(v float64, ts int64) {
 	ms, ok := a.acc[""]
 	if !ok {
@@ -849,14 +825,9 @@ func (st *execState) keyOf(ls tsdb.Labels) string {
 }
 
 // runSpan evaluates a contiguous run of steps [lo, hi) in arena batches:
-// every st.batch steps the partition's intermediates are recycled. A
-// non-positive batch evaluates the whole span as one batch (the
-// materialized-memory shape, kept for benchmarking).
+// every batch steps the partition's intermediates are recycled.
 func (p *part) runSpan(root physOp, steps []int64, lo, hi int, acc *rangeAcc) stepError {
-	batch := p.st.batch
-	if batch <= 0 {
-		batch = hi - lo
-	}
+	batch := p.st.eng.batch
 	ve, _ := root.(vecExecer)
 	for b0 := lo; b0 < hi; b0 += batch {
 		b1 := b0 + batch

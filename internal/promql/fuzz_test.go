@@ -12,7 +12,7 @@ import (
 // fuzzTooDeep rejects inputs whose evaluation cost is unbounded by
 // construction — subqueries with pathological step counts — before they
 // reach either engine. Everything else must parse → plan → evaluate
-// without panicking, and the planner must agree with the legacy
+// without panicking, and the planner must agree with the oracle
 // tree-walker on both success/failure and rendered results.
 func fuzzTooDeep(e Expr) bool {
 	deep := false
@@ -57,7 +57,7 @@ func fuzzTimeout(err error) bool {
 }
 
 // FuzzParsePlanEval: for arbitrary input, parse → plan → evaluate never
-// panics, and on valid inputs the plan-based executor and the legacy
+// panics, and on valid inputs the plan-based executor and the oracle
 // tree-walker agree byte-for-byte (instant and range). Seeded with the
 // golden range corpus. CI runs a 30s -fuzz smoke on top of the checked-in
 // corpus replay that `go test` always performs.
@@ -78,14 +78,9 @@ func FuzzParsePlanEval(f *testing.F) {
 
 	db, end := testDB(f)
 	base := DefaultEngineOptions()
-	base.LegacyEval = false
-	base.StepwiseRange = false
 	base.MaxSamples = 1_000_000
 	base.Timeout = 5 * time.Second
 	planner := NewEngine(db, base)
-	legacyOpts := base
-	legacyOpts.LegacyEval = true
-	legacy := NewEngine(db, legacyOpts)
 	// The 4-shard engine runs the same data through fan-out + distributed
 	// partial aggregation; it must agree with the single-shard planner.
 	shardBase := db
@@ -108,16 +103,16 @@ func FuzzParsePlanEval(f *testing.F) {
 		ctx := context.Background()
 
 		pv, perr := planner.Query(ctx, input, end)
-		lv, lerr := legacy.Query(ctx, input, end)
+		lv, lerr := oracleQuery(ctx, planner, input, end)
 		if fuzzTimeout(perr) || fuzzTimeout(lerr) {
 			return
 		}
 		if (perr == nil) != (lerr == nil) {
-			t.Fatalf("instant %q: error mismatch: planner=%v legacy=%v", input, perr, lerr)
+			t.Fatalf("instant %q: error mismatch: planner=%v oracle=%v", input, perr, lerr)
 		}
 		if perr == nil {
 			if got, want := FormatValue(pv), FormatValue(lv); got != want {
-				t.Fatalf("instant %q: results differ\nplanner:\n%s\nlegacy:\n%s", input, got, want)
+				t.Fatalf("instant %q: results differ\nplanner:\n%s\noracle:\n%s", input, got, want)
 			}
 		}
 		sv, serr := sharded.Query(ctx, input, end)
@@ -135,16 +130,16 @@ func FuzzParsePlanEval(f *testing.F) {
 
 		start := end.Add(-10 * time.Minute)
 		pm, perr := planner.QueryRange(ctx, input, start, end, time.Minute)
-		lm, lerr := legacy.QueryRange(ctx, input, start, end, time.Minute)
+		lm, lerr := oracleQueryRange(ctx, planner, input, start, end, time.Minute)
 		if fuzzTimeout(perr) || fuzzTimeout(lerr) {
 			return
 		}
 		if (perr == nil) != (lerr == nil) {
-			t.Fatalf("range %q: error mismatch: planner=%v legacy=%v", input, perr, lerr)
+			t.Fatalf("range %q: error mismatch: planner=%v oracle=%v", input, perr, lerr)
 		}
 		if perr == nil {
 			if got, want := pm.String(), lm.String(); got != want {
-				t.Fatalf("range %q: matrices differ\nplanner:\n%s\nlegacy:\n%s", input, got, want)
+				t.Fatalf("range %q: matrices differ\nplanner:\n%s\noracle:\n%s", input, got, want)
 			}
 		}
 		sm, serr := sharded.QueryRange(ctx, input, start, end, time.Minute)

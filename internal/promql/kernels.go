@@ -1,11 +1,11 @@
 package promql
 
-// Shared evaluation kernels. Both engine paths — the legacy tree-walking
-// evaluator in engine.go and the compiled physical operators in
-// physical.go — delegate the actual math to the functions in this file.
-// Keeping a single implementation is what makes the planner/legacy
-// differential tests meaningful: the two paths can only diverge in how
-// they fetch samples and order work, never in the arithmetic itself.
+// Shared evaluation kernels. The compiled physical operators in
+// physical.go and the test-only tree-walking oracle (oracle_test.go) both
+// delegate the actual math to the functions in this file, so the
+// differential tests can only catch divergence in how samples are fetched
+// and work is ordered, never in the arithmetic itself — that is what the
+// hand-derived conformance corpus (testdata/conformance) is for.
 
 import (
 	"fmt"
@@ -223,7 +223,7 @@ func histogramQuantileVector(al *alloc, phi float64, vec Vector, ts int64) Vecto
 }
 
 // compileLabelReplace compiles a label_replace pattern with the same
-// anchoring and error message the legacy evaluator used.
+// anchoring and error message the test oracle expects.
 func compileLabelReplace(pattern string) (*regexp.Regexp, error) {
 	re, err := regexp.Compile("^(?:" + pattern + ")$")
 	if err != nil {

@@ -3,7 +3,6 @@ package promql
 import (
 	"context"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -42,27 +41,12 @@ var longRangeCorpus = []string{
 }
 
 // TestLongRangeGoldenCorpus: the long-range corpus over the full 3-day
-// window (433 half-hour steps — several default batches deep) must render
-// byte-identically across the batched executor at default and small batch
-// sizes, the legacy select-once path, and the stepwise oracle, at 1 and 4
-// shards.
+// window (145 half-hour steps — several batches deep at 64 and at 7) must
+// render byte-identically on the batched executor, at the default and at
+// a small batch size, and on the oracle, at 1 and 4 shards.
 func TestLongRangeGoldenCorpus(t *testing.T) {
 	base, end := longRangeDB(t)
-	start := end.Add(-72 * time.Hour)
-	step := 30 * time.Minute
-
-	def := DefaultEngineOptions()
-	def.LegacyEval = false
-	def.StepwiseRange = false
-
-	small := def
-	small.BatchSize = 7
-
-	legacy := def
-	legacy.LegacyEval = true
-
-	stepwise := def
-	stepwise.StepwiseRange = true
+	w := rangeWindow{"3d", end.Add(-72 * time.Hour), end, 30 * time.Minute}
 
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -70,25 +54,15 @@ func TestLongRangeGoldenCorpus(t *testing.T) {
 			if shards > 1 {
 				db = tsdb.Reshard(base, shards)
 			}
+			small := NewEngine(db, DefaultEngineOptions())
+			small.batch = 7
 			engines := map[string]*Engine{
-				"batched":     NewEngine(db, def),
-				"small-batch": NewEngine(db, small),
-				"legacy":      NewEngine(db, legacy),
+				"batched":     NewEngine(db, DefaultEngineOptions()),
+				"small-batch": small,
 			}
-			oracle := NewEngine(db, stepwise)
 			for _, q := range longRangeCorpus {
-				want, wantErr := oracle.QueryRange(context.Background(), q, start, end, step)
-				if wantErr != nil {
-					t.Fatalf("stepwise %q: %v", q, wantErr)
-				}
 				for name, eng := range engines {
-					m, err := eng.QueryRange(context.Background(), q, start, end, step)
-					if err != nil {
-						t.Fatalf("%s %q: %v", name, q, err)
-					}
-					if got := m.String(); got != want.String() {
-						t.Errorf("%s %q: matrices differ from stepwise\ngot:\n%s\nwant:\n%s", name, q, got, want.String())
-					}
+					checkRangeAgainstOracle(t, name, eng, q, w)
 				}
 			}
 		})
@@ -98,22 +72,18 @@ func TestLongRangeGoldenCorpus(t *testing.T) {
 // TestLongRangeBoundedIntermediate pins the memory story of streaming
 // execution: over the 3-day window, peak intermediate (arena-held) bytes
 // with the default batch size must come in well under a whole-range
-// single-batch run, because only one batch of step vectors is ever live.
+// single-batch run, because only one batch of step vectors is ever live —
+// and must stay flat when the same window is cut into three times as many
+// steps (145 → 433), because the bound is the batch, not the range.
 func TestLongRangeBoundedIntermediate(t *testing.T) {
-	if os.Getenv("DIO_PROMQL_NOPOOL") != "" {
-		t.Skip("peak intermediate accounting needs arena pooling; forced off via DIO_PROMQL_NOPOOL")
-	}
 	base, end := longRangeDB(t)
 	start := end.Add(-72 * time.Hour)
-	step := 30 * time.Minute
 
-	peak := func(batch int) int64 {
+	peak := func(batch int, step time.Duration) int64 {
 		opts := DefaultEngineOptions()
-		opts.LegacyEval = false
-		opts.StepwiseRange = false
-		opts.BatchSize = batch
 		opts.ExecWorkers = 1 // partitioning splits the range; single-part isolates batch size
 		eng := NewEngine(base, opts)
+		eng.batch = batch
 		var p int64
 		eng.SetHooks(Hooks{OnRangeEval: func(s RangeStats) { p = s.PeakIntermediateBytes }})
 		if _, err := eng.QueryRange(context.Background(), longRangeCorpus[0], start, end, step); err != nil {
@@ -122,12 +92,16 @@ func TestLongRangeBoundedIntermediate(t *testing.T) {
 		return p
 	}
 
-	batched, whole := peak(defaultBatchSize), peak(-1)
-	t.Logf("peak intermediate bytes: batch=%d %d, whole-range %d", defaultBatchSize, batched, whole)
+	batched, whole := peak(defaultBatchSize, 30*time.Minute), peak(1<<20, 30*time.Minute)
+	fine := peak(defaultBatchSize, 10*time.Minute)
+	t.Logf("peak intermediate bytes: batch=%d %d (145 steps) %d (433 steps), whole-range %d", defaultBatchSize, batched, fine, whole)
 	if batched <= 0 || whole <= 0 {
 		t.Fatalf("peak bytes not recorded: batched=%d whole=%d", batched, whole)
 	}
 	if batched*2 >= whole {
 		t.Errorf("batched peak %d not meaningfully below whole-range peak %d", batched, whole)
+	}
+	if fine > 2*batched {
+		t.Errorf("batched peak grew %d -> %d from 145 to 433 steps; want flat (bounded by batch size, not range)", batched, fine)
 	}
 }

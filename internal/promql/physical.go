@@ -10,9 +10,9 @@ package promql
 // passed to exec, so one compiled plan can serve concurrent executions
 // and concurrent partitions of the same execution.
 //
-// Every operator reproduces the legacy evaluator's behaviour exactly —
-// same evaluation order, same kernels (kernels.go), same error messages —
-// which is what the planner/legacy differential suite pins.
+// Every operator reproduces the test oracle's behaviour exactly — same
+// evaluation order, same kernels (kernels.go), same error messages —
+// which is what the differential suite pins.
 
 import (
 	"fmt"
@@ -295,7 +295,7 @@ func (c *compiler) compileCall(x *lCall) (physOp, error) {
 		op := &pLabelReplace{vec: vec, dst: lits[0], repl: lits[1], src: lits[2]}
 		// The pattern compiles once per plan instead of once per step; a
 		// bad pattern is reported at exec time after the input vector
-		// evaluates, exactly where the legacy evaluator reports it.
+		// evaluates, exactly where the test oracle reports it.
 		op.re, op.reErr = compileLabelReplace(lits[3])
 		return op, nil
 	}
@@ -311,7 +311,7 @@ func (c *compiler) compileCall(x *lCall) (physOp, error) {
 		op := &pRangeFunc{name: name, arg: w}
 		// Scalar parameters (quantile_over_time's φ, predict_linear's
 		// horizon): the first scalar-typed argument, evaluated after the
-		// range argument like the legacy evaluator does.
+		// range argument like the test oracle does.
 		for i, astArg := range x.ast.Args {
 			if astArg.Type() == ValueScalar {
 				op.scalarArg, err = arg(i)
@@ -460,7 +460,7 @@ func (o *pMatrix) exec(p *part, ts int64) (Value, error) {
 
 // pSubquery evaluates its child at every inner step of the window
 // (start, end], accumulating a matrix in first-seen series order (the
-// same order the legacy evaluator produces).
+// same order the test oracle produces).
 type pSubquery struct {
 	opMeta
 	child  physOp
@@ -766,7 +766,7 @@ func (o *pBinary) exec(p *part, ts int64) (Value, error) {
 			rv, rerr = p.eval(o.rhs, ts)
 		}
 	}
-	// The left error wins, matching the legacy evaluator's sequential
+	// The left error wins, matching the test oracle's sequential
 	// order (it never reached the right side).
 	if lerr != nil {
 		return nil, lerr
@@ -837,11 +837,8 @@ func (o *pDistAgg) childVector(p *part, ts int64) (Vector, error) {
 	vecs := make([]Vector, o.shards)
 	errs := make([]error, o.shards)
 	// shardVec records each shard's fan-out wall time into the stats slab
-	// (EXPLAIN ANALYZE's per-shard latencies) when collection is on.
+	// (EXPLAIN ANALYZE's per-shard latencies).
 	shardVec := func(i int) (Vector, error) {
-		if st.shardWallNs == nil {
-			return parts[i].vector(o.child, ts)
-		}
 		begin := time.Now()
 		v, err := parts[i].vector(o.child, ts)
 		atomic.AddInt64(&st.shardWallNs[o.distID*o.shards+i], int64(time.Since(begin)))

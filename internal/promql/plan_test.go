@@ -1,7 +1,6 @@
 package promql
 
 import (
-	"context"
 	"math"
 	"strings"
 	"testing"
@@ -177,40 +176,6 @@ func TestPlanCache(t *testing.T) {
 	}
 	if hit1 || !hit2 {
 		t.Errorf("plan-cache hit flags = %v, %v; want false, true", hit1, hit2)
-	}
-}
-
-// TestPlannerDefaultRouting: with default options the planner handles both
-// instant and range queries; forcing LegacyEval or StepwiseRange routes away
-// from it. The planner is observable via the plan cache filling up.
-func TestPlannerDefaultRouting(t *testing.T) {
-	db, end := testDB(t)
-
-	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
-	eng := NewEngine(db, opts)
-	if !eng.usePlanner() {
-		t.Fatal("default options must route to the planner")
-	}
-	if _, err := eng.Query(context.Background(), "sum(smf_pdu_session_active)", end); err != nil {
-		t.Fatal(err)
-	}
-	eng.planMu.Lock()
-	cached := len(eng.plans)
-	eng.planMu.Unlock()
-	if cached != 1 {
-		t.Errorf("plan cache entries = %d, want 1 after a planner query", cached)
-	}
-
-	opts.LegacyEval = true
-	if NewEngine(db, opts).usePlanner() {
-		t.Error("LegacyEval must disable the planner")
-	}
-	opts.LegacyEval = false
-	opts.StepwiseRange = true
-	if NewEngine(db, opts).usePlanner() {
-		t.Error("StepwiseRange must disable the planner")
 	}
 }
 

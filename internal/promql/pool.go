@@ -1,7 +1,7 @@
 package promql
 
 // pool.go — the allocation layer of the streaming batched executor. Range
-// queries evaluate their steps in bounded batches (EngineOptions.BatchSize);
+// queries evaluate their steps in bounded batches (defaultBatchSize);
 // every intermediate container a batch produces — step vectors, window
 // matrices, merge scratch — is handed out by a per-partition alloc and
 // recycled wholesale when the batch has been folded into the partition's
@@ -29,9 +29,9 @@ package promql
 // released — label pointers must not leak across queries, where a
 // recycled slice address could alias a different series.
 //
-// DIO_PROMQL_NOPOOL=1 (or EngineOptions.DisablePooling) turns the whole
-// layer off: parts carry a nil alloc and every method falls back to plain
-// heap allocation, byte-identical to the pre-batching executor. The
+// Instant parts carry a nil alloc, on which every method falls back to
+// plain heap allocation; the tests run range queries that way too
+// (Engine.noArena) to pin that results never depend on recycling. The
 // poison mode scribbles sentinel values over recycled containers so the
 // golden corpus catches any use-after-reset aliasing.
 
@@ -49,9 +49,9 @@ import (
 // (2^23 elements ≈ 8M — far above any per-step container).
 const poolBuckets = 24
 
-// defaultBatchSize is the EngineOptions.BatchSize default: enough steps
-// that per-batch fixed costs amortize, small enough that a dashboard
-// panel's intermediates stay cache-resident.
+// defaultBatchSize is the number of range steps evaluated between arena
+// resets: enough that per-batch fixed costs amortize, small enough that a
+// dashboard panel's intermediates stay cache-resident.
 const defaultBatchSize = 64
 
 // poisonPools, when set (tests only), scribbles sentinel values over every
@@ -156,8 +156,8 @@ func (sc *aggScratch) addGroup(gl tsdb.Labels) int {
 }
 
 // alloc is the per-partition arena allocator plus derivation caches. A nil
-// *alloc is valid everywhere and means "heap, uncached" — the legacy
-// evaluator, instant parts and pooling-disabled engines all run with nil.
+// *alloc is valid everywhere and means "heap, uncached" — instant parts
+// and the test oracle run with nil.
 type alloc struct {
 	// shared is the execution's stored-series fingerprint cache
 	// (execState.keys) — read-only during evaluation, safe to share

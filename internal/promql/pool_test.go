@@ -3,7 +3,6 @@ package promql
 import (
 	"context"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -15,75 +14,46 @@ import (
 // step vectors, matrices, and scratch slices before they are handed out
 // again. Any operator that holds a reference across a batch boundary —
 // instead of copying what it keeps — surfaces as poisoned labels or
-// timestamps in the rendered matrix, not as a silent wrong answer.
+// timestamps in the rendered matrix, not as a silent wrong answer. A
+// 7-step batch puts two resets inside each 21-step query.
 func TestPoolPoisonEquivalence(t *testing.T) {
 	poisonPools.Store(true)
 	defer poisonPools.Store(false)
 
 	db, end := testDB(t)
-	engines := equivalenceEngines(db)
-
-	start := end.Add(-20 * time.Minute)
-	for _, q := range rangeCorpus {
-		ref, refErr := engines["legacy"].QueryRange(context.Background(), q, start, end, time.Minute)
-		m, err := engines["planner"].QueryRange(context.Background(), q, start, end, time.Minute)
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("%q: error mismatch under poison: planner=%v legacy=%v", q, err, refErr)
-		}
-		if err != nil {
-			if err.Error() != refErr.Error() {
-				t.Errorf("%q: error text differs under poison\nplanner: %v\nlegacy:  %v", q, err, refErr)
-			}
-			continue
-		}
-		if got, want := m.String(), ref.String(); got != want {
-			t.Errorf("%q: matrices differ under poison\nplanner:\n%s\nlegacy:\n%s", q, got, want)
+	w := corpusWindows(end)[0]
+	for _, batch := range []int{defaultBatchSize, 7} {
+		eng := NewEngine(db, DefaultEngineOptions())
+		eng.batch = batch
+		for _, q := range rangeCorpus {
+			checkRangeAgainstOracle(t, fmt.Sprintf("poisoned batch=%d", batch), eng, q, w)
 		}
 	}
 }
 
-// TestBatchSizeEquivalence pins that batch size is invisible in results:
-// pooling disabled, single-step batches, a tiny odd batch, and a single
-// whole-range batch (BatchSize < 0) must all render byte-identically to
-// the legacy path over the full corpus.
+// TestBatchSizeEquivalence pins that batch size and arena recycling are
+// invisible in results: single-step batches, a small odd batch, a batch
+// longer than the whole range, and the nil-arena heap path must all
+// render byte-identically to the oracle over the full corpus (the default
+// 64 is TestQueryRangeEquivalence's). The variants are set through the
+// engine's unexported fields — no option selects them.
 func TestBatchSizeEquivalence(t *testing.T) {
 	db, end := testDB(t)
-
-	base := DefaultEngineOptions()
-	base.LegacyEval = false
-	base.StepwiseRange = false
-
-	legacyOpts := base
-	legacyOpts.LegacyEval = true
-	ref := NewEngine(db, legacyOpts)
+	w := corpusWindows(end)[0] // 21 steps
 
 	variants := map[string]*Engine{}
-	for _, bs := range []int{1, 3, -1} {
-		opts := base
-		opts.BatchSize = bs
-		variants[fmt.Sprintf("batch=%d", bs)] = NewEngine(db, opts)
+	for _, bs := range []int{1, 7, 1 << 20} {
+		eng := NewEngine(db, DefaultEngineOptions())
+		eng.batch = bs
+		variants[fmt.Sprintf("batch=%d", bs)] = eng
 	}
-	nopool := base
-	nopool.DisablePooling = true
-	variants["nopool"] = NewEngine(db, nopool)
+	heap := NewEngine(db, DefaultEngineOptions())
+	heap.noArena = true
+	variants["no-arena"] = heap
 
-	start := end.Add(-20 * time.Minute)
 	for _, q := range rangeCorpus {
-		want, refErr := ref.QueryRange(context.Background(), q, start, end, time.Minute)
 		for name, eng := range variants {
-			m, err := eng.QueryRange(context.Background(), q, start, end, time.Minute)
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("%s %q: error mismatch: %v vs legacy %v", name, q, err, refErr)
-			}
-			if err != nil {
-				if err.Error() != refErr.Error() {
-					t.Errorf("%s %q: error text differs\n%s\nlegacy: %v", name, q, err, refErr)
-				}
-				continue
-			}
-			if got := m.String(); got != want.String() {
-				t.Errorf("%s %q: matrices differ\ngot:\n%s\nlegacy:\n%s", name, q, got, want.String())
-			}
+			checkRangeAgainstOracle(t, name, eng, q, w)
 		}
 	}
 }
@@ -126,15 +96,10 @@ func TestStreamingAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not hold under the race detector")
 	}
-	if os.Getenv("DIO_PROMQL_NOPOOL") != "" {
-		t.Skip("arena pooling forced off via DIO_PROMQL_NOPOOL")
-	}
 	base, end := unshardedTestDB(t)
 	start := end.Add(-20 * time.Minute)
 
 	opts := DefaultEngineOptions()
-	opts.LegacyEval = false
-	opts.StepwiseRange = false
 	opts.ExecWorkers = 1 // partitioning adds per-part arenas; pin one for a stable count
 
 	eng := NewEngine(base, opts)

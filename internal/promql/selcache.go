@@ -6,95 +6,12 @@ import (
 	"dio/internal/tsdb"
 )
 
-// selCache is the select-once state of one range query. For each selector
-// node in the expression it fetches the matching series from storage
-// exactly once (zero-copy views), then serves every subsequent step from
-// per-series cursors: monotone indexes into the sample slices that advance
-// with the evaluation timestamp instead of re-running Select with fresh
-// binary searches from zero. Range queries evaluate steps in ascending
-// order, so cursor advances are amortised O(total samples); subqueries
-// re-anchor their inner timeline each outer step, which shows up as a
-// counted backward re-seek (binary search), never as wrong data.
-//
-// A selCache belongs to a single QueryRange call and is not safe for
-// concurrent use.
-type selCache struct {
-	db      tsdb.Storage
-	entries map[*VectorSelector]*selEntry
-	// keys maps label slices (by identity) to their canonical Labels.Key(),
-	// seeded with the fingerprints cached on fetched series. Selector
-	// outputs share the stored label slices across steps, so the range
-	// accumulator resolves their keys without rebuilding the string.
-	keys   map[labelsRef]string
-	hits   int // selector evaluations served from the cached fetch
-	misses int // selector fetches that went to storage
-	resets int // cursor re-seeks caused by non-monotone timestamps
-}
-
 // labelsRef identifies a label slice by backing array and length. Equal
 // refs view the exact same elements, so (labels being immutable) they
 // share one canonical key.
 type labelsRef struct {
 	p *tsdb.Label
 	n int
-}
-
-// keyOf returns ls.Key(), served from the fingerprint cache when ls is a
-// slice the cache has seen (stored series labels). Unknown slices — labels
-// built fresh by aggregations and label-transforming functions each step —
-// are computed without being inserted: their pointers never recur, so
-// caching them would only grow the map.
-func (sc *selCache) keyOf(ls tsdb.Labels) string {
-	if len(ls) == 0 {
-		return ls.Key()
-	}
-	if k, ok := sc.keys[labelsRef{&ls[0], len(ls)}]; ok {
-		return k
-	}
-	return ls.Key()
-}
-
-// selEntry is the cached fetch and cursor state of one selector node.
-type selEntry struct {
-	series []tsdb.SeriesView
-	// inst[i] is the index of the first sample of series i past the last
-	// instant timestamp served (so inst[i]-1 is the candidate sample).
-	inst    []int
-	instT   int64
-	instPos bool // instant cursors have been positioned at least once
-	// lo[i]/hi[i] bound the last (start, end] window served for series i.
-	lo, hi   []int
-	winStart int64
-	winEnd   int64
-	winPos   bool // window cursors have been positioned at least once
-}
-
-func newSelCache(db tsdb.Storage) *selCache {
-	return &selCache{db: db, entries: make(map[*VectorSelector]*selEntry), keys: make(map[labelsRef]string)}
-}
-
-// entry returns the cached series fetch for the selector node, going to
-// storage only on first use.
-func (sc *selCache) entry(n *VectorSelector) *selEntry {
-	if e, ok := sc.entries[n]; ok {
-		sc.hits++
-		return e
-	}
-	sc.misses++
-	series := sc.db.SelectSeries(n.Matchers)
-	e := &selEntry{
-		series: series,
-		inst:   make([]int, len(series)),
-		lo:     make([]int, len(series)),
-		hi:     make([]int, len(series)),
-	}
-	for _, sv := range series {
-		if len(sv.Labels) > 0 {
-			sc.keys[labelsRef{&sv.Labels[0], len(sv.Labels)}] = sv.Fingerprint
-		}
-	}
-	sc.entries[n] = e
-	return e
 }
 
 // seekAfter returns the smallest index with samples[i].T > t. When scan is
@@ -123,61 +40,4 @@ func seekAfter(samples []tsdb.Sample, hint int, t int64, scan bool) int {
 	}
 	// Answer lies in (lo, hi]: binary-search the open interval.
 	return lo + 1 + sort.Search(hi-lo-1, func(k int) bool { return samples[lo+1+k].T > t })
-}
-
-// instant returns, for every cached series of the selector, the newest
-// sample at or before ts that is no older than lookback, as a Vector
-// stamped with outT — the cursor-based equivalent of tsdb.Select. Results
-// are in fingerprint order because the fetch is.
-func (sc *selCache) instant(n *VectorSelector, ts, lookback, outT int64) Vector {
-	e := sc.entry(n)
-	scan := e.instPos && ts >= e.instT
-	if e.instPos && ts < e.instT {
-		sc.resets++
-	}
-	e.instT, e.instPos = ts, true
-	out := make(Vector, 0, len(e.series))
-	for i, sv := range e.series {
-		idx := seekAfter(sv.Samples, e.inst[i], ts, scan)
-		e.inst[i] = idx
-		if idx == 0 {
-			continue
-		}
-		smp := sv.Samples[idx-1]
-		if smp.T < ts-lookback {
-			continue
-		}
-		out = append(out, VSample{Labels: sv.Labels, T: outT, V: smp.V})
-	}
-	return out
-}
-
-// windows returns, for every cached series of the selector with samples in
-// (start, end], a zero-copy MSeries view plus the total sample count for
-// budget accounting — the cursor-based equivalent of tsdb.SelectRange.
-func (sc *selCache) windows(n *VectorSelector, start, end int64) (Matrix, int) {
-	e := sc.entry(n)
-	scan := e.winPos && start >= e.winStart && end >= e.winEnd
-	if e.winPos && !scan {
-		sc.resets++
-	}
-	e.winStart, e.winEnd, e.winPos = start, end, true
-	out := make(Matrix, 0, len(e.series))
-	total := 0
-	for i, sv := range e.series {
-		lo := seekAfter(sv.Samples, e.lo[i], start, scan)
-		hi := seekAfter(sv.Samples, e.hi[i], end, scan)
-		e.lo[i], e.hi[i] = lo, hi
-		if hi <= lo {
-			continue
-		}
-		out = append(out, MSeries{Labels: sv.Labels, Samples: sv.Samples[lo:hi]})
-		total += hi - lo
-	}
-	return out, total
-}
-
-// stats summarises the cache for the engine's observation hooks.
-func (sc *selCache) stats() RangeStats {
-	return RangeStats{SelectorHits: sc.hits, SelectorMisses: sc.misses, CursorResets: sc.resets}
 }

@@ -15,9 +15,9 @@ package promql
 // mirroring the plan, retrieved by callers through a context capture
 // (WithQueryStats) and rendered by Render/Compact.
 //
-// Collection never touches evaluation values — results with stats on are
-// byte-identical to the golden corpus, which stats_test.go pins at 1 and
-// 4 shards.
+// Collection is unconditional and never touches evaluation values: the
+// golden corpora compare the instrumented executor with an oracle that
+// collects nothing.
 
 import (
 	"context"
@@ -45,7 +45,7 @@ type statsNode struct {
 // buildOp scales the sampled sum back up by calls/timed. Counters stay
 // exact; only the clock reads are sampled — on hosts where a monotonic
 // clock read costs ~100ns, timing all of a 200-step range query's
-// operator calls would alone exceed the 5% overhead budget.
+// operator calls cost 16% on the dashboard mix.
 const statsTimeEvery = 16
 
 // opSlot is the per-execution accumulator of one operator. All fields are
@@ -242,8 +242,8 @@ func (c *StatsCapture) set(qs *QueryStats) {
 	c.mu.Unlock()
 }
 
-// Stats returns the captured profile, or nil when no plan-based execution
-// deposited one (legacy evaluator, stats disabled, or failed evaluation).
+// Stats returns the captured profile, or nil when no evaluation has
+// deposited one (none ran under the context yet, or it failed).
 func (c *StatsCapture) Stats() *QueryStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -253,11 +253,8 @@ func (c *StatsCapture) Stats() *QueryStats {
 // --- building ------------------------------------------------------------
 
 // buildStats folds the execution's slots into the QueryStats tree. Called
-// once, after every partition has joined; nil when collection was off.
+// once, after every partition has joined.
 func (st *execState) buildStats(query, kind string, start time.Time, samples int64, steps int, cacheHit bool) *QueryStats {
-	if st.opStats == nil {
-		return nil
-	}
 	qs := &QueryStats{
 		Query:        query,
 		Kind:         kind,
@@ -290,7 +287,7 @@ func (st *execState) buildOp(idx int) *OpStats {
 	if timed := atomic.LoadInt64(&sl.timed); timed > 0 && timed < o.Calls {
 		o.Wall = time.Duration(float64(o.Wall) * float64(o.Calls) / float64(timed))
 	}
-	if sn.dist >= 0 && st.shardWallNs != nil {
+	if sn.dist >= 0 {
 		o.ShardWall = make([]time.Duration, sn.shards)
 		for i := range o.ShardWall {
 			o.ShardWall[i] = time.Duration(atomic.LoadInt64(&st.shardWallNs[sn.dist*sn.shards+i]))

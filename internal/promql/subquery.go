@@ -1,11 +1,6 @@
 package promql
 
-import (
-	"fmt"
-	"time"
-
-	"dio/internal/tsdb"
-)
+import "time"
 
 // SubqueryExpr evaluates an inner expression at a fixed resolution over a
 // window, producing a range vector: <expr>[<range>:<step>]. It lets range
@@ -27,65 +22,4 @@ func (sq *SubqueryExpr) String() string {
 		s += " offset " + FormatDuration(sq.Offset)
 	}
 	return s
-}
-
-// evalSubquery evaluates the inner expression at every step in the
-// window (start, end], grouping results into a matrix.
-func (ev *evaluator) evalSubquery(sq *SubqueryExpr) (Matrix, int64, int64, error) {
-	end := ev.ts - sq.Offset.Milliseconds()
-	start := end - sq.Range.Milliseconds()
-	stepMs := sq.Step.Milliseconds()
-	if stepMs <= 0 {
-		return nil, 0, 0, fmt.Errorf("promql: subquery step must be positive")
-	}
-	acc := make(map[string]*MSeries)
-	var order []string
-	// First evaluation point: the earliest step boundary inside the
-	// window (left-open), aligned to the end.
-	n := (end - start) / stepMs
-	for i := n; i >= 0; i-- {
-		t := end - i*stepMs
-		if t <= start {
-			continue
-		}
-		// The step evaluator inherits and extends the parent's sample
-		// budget, so a subquery cannot amplify past MaxSamples. It also
-		// inherits the select-once cache: inner timestamps rewind at the
-		// next outer step, which the cache absorbs as a cursor re-seek.
-		sub := &evaluator{ctx: ev.ctx, eng: ev.eng, ts: t, samples: ev.samples, sel: ev.sel}
-		v, err := sub.eval(sq.Expr)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		ev.samples = sub.samples
-		var vec Vector
-		switch x := v.(type) {
-		case Vector:
-			vec = x
-		case Scalar:
-			vec = Vector{{Labels: nil, T: x.T, V: x.V}}
-		default:
-			return nil, 0, 0, fmt.Errorf("promql: subquery inner expression must be a vector or scalar")
-		}
-		for _, s := range vec {
-			var key string
-			if ev.sel != nil {
-				key = ev.sel.keyOf(s.Labels)
-			} else {
-				key = s.Labels.Key()
-			}
-			ms, ok := acc[key]
-			if !ok {
-				ms = &MSeries{Labels: s.Labels}
-				acc[key] = ms
-				order = append(order, key)
-			}
-			ms.Samples = append(ms.Samples, tsdb.Sample{T: t, V: s.V})
-		}
-	}
-	out := make(Matrix, 0, len(order))
-	for _, k := range order {
-		out = append(out, *acc[k])
-	}
-	return out, start, end, nil
 }

@@ -33,9 +33,8 @@ type AuditEntry struct {
 	Tenant string `json:"tenant,omitempty"`
 	Error  string `json:"error,omitempty"`
 	// Plan is the compact execution plan the engine compiled for the
-	// query (empty when the query never reached the planner, or when a
-	// legacy oracle path is forced on): the reviewable record of what
-	// actually ran, not just what was asked.
+	// query (empty when the query never reached the planner): the
+	// reviewable record of what actually ran, not just what was asked.
 	Plan     string        `json:"plan,omitempty"`
 	Duration time.Duration `json:"duration_ns"`
 }

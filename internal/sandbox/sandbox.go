@@ -35,10 +35,6 @@ type Limits struct {
 	// MaxConcurrent caps queries evaluating at once (the engine gate);
 	// zero uses the engine default.
 	MaxConcurrent int
-	// BatchSize sets how many range-query steps stream through the
-	// operator tree per pooled batch: zero uses the engine default,
-	// negative evaluates the whole range as one batch.
-	BatchSize int
 }
 
 // DefaultLimits returns production-shaped limits.
@@ -92,9 +88,6 @@ func New(db tsdb.Storage, limits Limits) *Executor {
 	}
 	if limits.MaxConcurrent > 0 {
 		opts.MaxConcurrent = limits.MaxConcurrent
-	}
-	if limits.BatchSize != 0 {
-		opts.BatchSize = limits.BatchSize
 	}
 	return &Executor{engine: promql.NewEngine(db, opts), limits: limits}
 }
@@ -262,12 +255,8 @@ func (e *Executor) Execute(ctx context.Context, query string, ts time.Time) (pro
 }
 
 // explain returns the compact execution plan for an already vetted
-// expression, empty when a legacy oracle path is forced on (then no plan
-// runs, and the audit log must not claim one did).
+// expression, empty when it does not compile (Eval then reports why).
 func (e *Executor) explain(expr promql.Expr) string {
-	if !e.engine.PlannerEnabled() {
-		return ""
-	}
 	plan, err := e.engine.ExplainCompact(expr)
 	if err != nil {
 		return ""
@@ -324,7 +313,7 @@ func (e *Executor) executeRange(ctx context.Context, query string, start, end ti
 		e.rejected.Add(1)
 		return nil, err
 	}
-	m, err := e.engine.QueryRange(ctx, query, start, end, step)
+	m, err := e.engine.QueryRangeExpr(ctx, expr, start, end, step)
 	if err != nil {
 		e.failed.Add(1)
 		return nil, err

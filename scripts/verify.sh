@@ -16,33 +16,26 @@ echo ">> go -C bench vet . && go -C bench test ."
 go -C bench vet .
 go -C bench test .
 
-echo ">> go test ./... with DIO_TSDB_SHARDS=4 (distributed executor leg)"
-DIO_TSDB_SHARDS=4 go test ./internal/promql/ ./internal/tsdb/ ./internal/ingest/
-
-echo ">> go test ./internal/promql/ with DIO_PROMQL_NOPOOL=1 (arena pooling off leg)"
-DIO_PROMQL_NOPOOL=1 go test ./internal/promql/
+# DIO_TSDB_SHARDS reshards the promql test fixture (promql_test.go testDB);
+# no other package reads it.
+echo ">> go test ./internal/promql/ with DIO_TSDB_SHARDS=4 (distributed executor leg)"
+DIO_TSDB_SHARDS=4 go test ./internal/promql/
 
 echo ">> tenant-aware suites with DIO_REPLICAS=4 (multi-tenant serving leg)"
 DIO_REPLICAS=4 go test ./internal/servecache/ ./internal/httpapi/ ./internal/router/ ./internal/tenant/
 
 # Opt-in: substrate micro-benchmarks with allocation reporting, plus the
-# perf gates — the plan-based executor must hold >= 1.5x over the legacy
-# evaluator on the dashboard query mix, and the durable ingest path must
-# sustain its remote-write floor while acknowledged samples survive a
-# crash (VERIFY_BENCH=1 make verify).
+# perf gates — the durable ingest path must sustain its remote-write floor
+# while acknowledged samples survive a crash, the shard curve must stay
+# byte-identical, and the tenant fleet must hold its QPS and isolation
+# floors (VERIFY_BENCH=1 make verify).
 if [ "${VERIFY_BENCH:-0}" = "1" ]; then
 	echo ">> make bench (VERIFY_BENCH=1)"
 	make bench
-	echo ">> dio-bench engine gate (VERIFY_BENCH=1)"
-	go run ./cmd/dio-bench -experiment engine -short
-	echo ">> dio-bench querystats gate (VERIFY_BENCH=1)"
-	go run ./cmd/dio-bench -experiment querystats -short
 	echo ">> dio-bench ingest gate (VERIFY_BENCH=1)"
 	go run ./cmd/dio-bench -experiment ingest -short
 	echo ">> dio-bench shard scaling curve (VERIFY_BENCH=1)"
 	go run ./cmd/dio-bench -experiment shard -short
-	echo ">> dio-bench batch gate (VERIFY_BENCH=1)"
-	go run ./cmd/dio-bench -experiment batch -short
 	echo ">> dio-bench multitenant gate (VERIFY_BENCH=1)"
 	go run ./cmd/dio-bench -experiment multitenant -short
 	echo ">> crash-recovery smoke (VERIFY_BENCH=1)"
