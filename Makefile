@@ -8,8 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
-# verify runs the merge gate: vet + full suite under the race detector.
-# Set VERIFY_BENCH=1 to also run the substrate micro-benchmarks.
+# verify runs the merge gate: vet, the full suite under the race detector,
+# the bench/ module, the 4-shard promql leg and every example program.
+# Set VERIFY_BENCH=1 to also run the substrate micro-benchmarks and the
+# two crash-recovery smokes.
 verify:
 	sh scripts/verify.sh
 

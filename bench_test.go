@@ -305,7 +305,7 @@ func BenchmarkVecstoreIVFSearch(b *testing.B) {
 func BenchmarkPromQLSimpleSum(b *testing.B) {
 	e := env(b)
 	ex := sandbox.New(e.db, sandbox.DefaultLimits())
-	at := e.eval.At()
+	at := time.UnixMilli(e.db.HeadTime())
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -318,7 +318,7 @@ func BenchmarkPromQLSimpleSum(b *testing.B) {
 func BenchmarkPromQLRateAggregation(b *testing.B) {
 	e := env(b)
 	ex := sandbox.New(e.db, sandbox.DefaultLimits())
-	at := e.eval.At()
+	at := time.UnixMilli(e.db.HeadTime())
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -388,22 +388,6 @@ func BenchmarkEmbeddingTrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		embedding.Train(corpus, lex, embedding.DefaultOptions())
-	}
-}
-
-func BenchmarkVecstoreHNSWSearch(b *testing.B) {
-	e := env(b)
-	m := e.retriever.EmbeddingModel()
-	h := vecstore.NewHNSW(m.Dim(), 16, 128, 96, 3)
-	for _, d := range e.cat.Documents() {
-		if err := h.Add(d.ID, m.Embed(d.Text)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	q := m.Embed("PDU session establishment failures")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Search(q, 29)
 	}
 }
 

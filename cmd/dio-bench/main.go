@@ -8,37 +8,18 @@
 //	dio-bench -experiment setup     §4        (setup checks: catalog, config)
 //	dio-bench -experiment ablations extensions (context-size, few-shot,
 //	                                retrieval index, feedback learning curve)
-//	dio-bench -experiment trace     ask-pipeline overhead of request-scoped
-//	                                trace capture: off vs sampled vs always-on
-//	dio-bench -experiment throughput  serving-layer QPS: answer cache +
-//	                                singleflight on vs off under a Zipf mix
-//	dio-bench -experiment ingest    durable ingest: remote-write over HTTP
-//	                                into the WAL-backed store, concurrent
-//	                                with the dashboard query mix
-//	dio-bench -experiment shard     sharded TSDB scaling curve: the
-//	                                shardable query mix plus streaming
-//	                                writers at 1/2/4/8 shards
-//	dio-bench -experiment multitenant  multi-tenant serving: thousands of
-//	                                Zipf-skewed tenants over consistent-hash
-//	                                cache replicas, with a quota-capped
-//	                                abusive tenant isolation gate
 //	dio-bench -experiment all       everything above
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
-	"math"
-	"math/rand"
 	"os"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"testing"
 	"time"
 
 	"dio/internal/baselines"
@@ -48,8 +29,6 @@ import (
 	"dio/internal/embedding"
 	"dio/internal/fivegsim"
 	"dio/internal/llm"
-	"dio/internal/obs"
-	"dio/internal/servecache"
 	"dio/internal/tsdb"
 	"dio/internal/vecstore"
 )
@@ -61,60 +40,73 @@ func fatal(msg string, err error) {
 	os.Exit(1)
 }
 
+// experiments is what -experiment accepts, in the order "all" runs them.
+var experiments = []struct {
+	name string
+	run  func(*env1) error
+}{
+	{"setup", (*env1).setup},
+	{"fig1", (*env1).fig1},
+	{"table3a", (*env1).table3a},
+	{"table3b", (*env1).table3b},
+	{"cost", (*env1).cost},
+	{"ablations", (*env1).ablations},
+}
+
+// checkExperiment rejects a name -experiment does not know, so a script
+// that still asks for a removed experiment fails instead of printing
+// nothing and exiting 0.
+func checkExperiment(name string) error {
+	valid := []string{"all"}
+	for _, e := range experiments {
+		valid = append(valid, e.name)
+	}
+	if slices.Contains(valid, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown experiment %q; valid: %s", name, strings.Join(valid, ", "))
+}
+
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run: fig1, table3a, table3b, cost, setup, ablations, trace, throughput, ingest, shard, multitenant, all")
+	experiment := flag.String("experiment", "all", "which experiment to run: setup, fig1, table3a, table3b, cost, ablations, all")
 	size := flag.Int("questions", benchmark.DefaultSize, "benchmark size")
 	seed := flag.Int64("seed", 7, "benchmark generation seed")
 	verbose := flag.Bool("v", false, "print per-task breakdowns")
 	outCSV := flag.String("csv", "", "write per-question results of table3a/table3b to this CSV file")
-	short := flag.Bool("short", false, "shrink the throughput experiment to a CI-sized smoke run")
-	benchOut := flag.String("bench-out", "", "write the throughput experiment's results to this JSON file (BENCH_4.json format)")
 	flag.Parse()
+	if err := checkExperiment(*experiment); err != nil {
+		fmt.Fprintln(os.Stderr, "dio-bench:", err)
+		os.Exit(2)
+	}
 
 	env, err := newEnv(*size, *seed)
 	if err != nil {
 		fatal("environment", err)
 	}
-
-	run := func(name string, fn func(*env1) error) {
-		if *experiment != "all" && *experiment != name {
-			return
-		}
-		fmt.Printf("\n================ %s ================\n", name)
-		if err := fn(env); err != nil {
-			fatal(name, err)
-		}
-	}
 	env.verbose = *verbose
 	env.outCSV = *outCSV
-	env.short = *short
-	env.benchOut = *benchOut
 
-	run("setup", (*env1).setup)
-	run("fig1", (*env1).fig1)
-	run("table3a", (*env1).table3a)
-	run("table3b", (*env1).table3b)
-	run("cost", (*env1).cost)
-	run("ablations", (*env1).ablations)
-	run("trace", (*env1).trace)
-	run("throughput", (*env1).throughput)
-	run("ingest", (*env1).ingest)
-	run("shard", (*env1).shard)
-	run("multitenant", (*env1).multitenant)
+	for _, e := range experiments {
+		if *experiment != "all" && *experiment != e.name {
+			continue
+		}
+		fmt.Printf("\n================ %s ================\n", e.name)
+		if err := e.run(env); err != nil {
+			fatal(e.name, err)
+		}
+	}
 }
 
 // env1 carries the shared experiment environment: the catalog, the
 // populated TSDB and the benchmark dataset.
 type env1 struct {
-	cat      *catalog.Database
-	db       *tsdb.DB
-	items    []benchmark.Item
-	eval     *benchmark.Evaluator
-	verbose  bool
-	outCSV   string
-	short    bool
-	benchOut string
-	results  []*benchmark.Result
+	cat     *catalog.Database
+	db      *tsdb.DB
+	items   []benchmark.Item
+	eval    *benchmark.Evaluator
+	verbose bool
+	outCSV  string
+	results []*benchmark.Result
 }
 
 func newEnv(size int, seed int64) (*env1, error) {
@@ -308,8 +300,8 @@ func (e *env1) ablations() error {
 		fmt.Printf("  few-shot=%-3d EX=%.0f%%\n", n, r.EX())
 	}
 
-	// Retrieval index: exact flat versus approximate IVF and HNSW.
-	fmt.Println("Ablation C: retrieval index (flat vs IVF vs HNSW)")
+	// Retrieval index: exact flat versus approximate IVF.
+	fmt.Println("Ablation C: retrieval index (flat vs IVF)")
 	flat, err := core.NewRetriever(e.cat, nil)
 	if err != nil {
 		return err
@@ -320,11 +312,6 @@ func (e *env1) ablations() error {
 		return err
 	}
 	if err := ivf.Build(10); err != nil {
-		return err
-	}
-	hnsw := vecstore.NewHNSW(flat.EmbeddingModel().Dim(), 24, 300, 250, 3)
-	hnswRet, err := core.NewRetriever(e.cat, hnsw)
-	if err != nil {
 		return err
 	}
 	model := flat.EmbeddingModel()
@@ -340,11 +327,10 @@ func (e *env1) ablations() error {
 		}
 	}
 	fmt.Printf("  IVF(nlist=64, nprobe=8) recall@29 = %.3f\n", vecstore.Recall(exact, ivf, qvecs, 29))
-	fmt.Printf("  HNSW(m=24, ef=250)       recall@29 = %.3f\n", vecstore.Recall(exact, hnsw, qvecs, 29))
 	for _, entry := range []struct {
 		label string
 		ret   *core.Retriever
-	}{{"flat", flat}, {"ivf", ivfRet}, {"hnsw", hnswRet}} {
+	}{{"flat", flat}, {"ivf", ivfRet}} {
 		label, ret := entry.label, entry.ret
 		cp, err := core.New(core.Config{Catalog: e.cat, TSDB: e.db, Model: llm.MustNew("gpt-4"), Retriever: ret})
 		if err != nil {
@@ -495,262 +481,6 @@ func (e *env1) ablations() error {
 		fmt.Printf("  self-consistency (temp 0.7, k=%d): EX=%.0f%%\n", k, r.EX())
 	}
 	return nil
-}
-
-// trace measures the ask-pipeline cost of request-scoped trace capture:
-// instrumented-but-untraced (histograms only) versus sampled (1 in 8)
-// versus always-on capture. The tentpole contract is that always-on
-// capture stays within 5% of the untraced pipeline.
-func (e *env1) trace() error {
-	const question = "How many PDU sessions are currently active?"
-	const maxOverhead = 0.05
-
-	modes := []struct {
-		name        string
-		sampleEvery int // 0 = capture disabled
-	}{
-		{"untraced ", 0},
-		{"sampled-8", 8},
-		{"always-on", 1},
-	}
-	nsOp := make(map[string]int64)
-	for _, mode := range modes {
-		reg := obs.NewRegistry()
-		cp, err := core.New(core.Config{Catalog: e.cat, TSDB: e.db, Model: llm.MustNew("gpt-4"), Metrics: reg})
-		if err != nil {
-			return err
-		}
-		if mode.sampleEvery > 0 {
-			cp.Tracer().EnableCapture(obs.NewTraceStore(256, time.Second), mode.sampleEvery)
-		}
-		ctx := context.Background()
-		// Warm the retriever/prompt caches so the measured loop is steady-state.
-		if _, err := cp.Ask(ctx, question); err != nil {
-			return err
-		}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cp.Ask(ctx, question); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		nsOp[mode.name] = int64(r.NsPerOp())
-		fmt.Printf("  %s  %s  %s\n", mode.name, r.String(), r.MemString())
-	}
-
-	base := nsOp["untraced "]
-	for _, name := range []string{"sampled-8", "always-on"} {
-		overhead := float64(nsOp[name]-base) / float64(base)
-		fmt.Printf("  %s overhead vs untraced: %+.2f%%\n", name, overhead*100)
-		if name == "always-on" && overhead > maxOverhead {
-			return fmt.Errorf("trace: always-on capture overhead %.2f%% exceeds the %.0f%% budget",
-				overhead*100, maxOverhead*100)
-		}
-	}
-	fmt.Printf("  PASS: always-on capture within the %.0f%% overhead budget\n", maxOverhead*100)
-	return nil
-}
-
-// throughput measures the serving layer on a concurrency-heavy repeated-
-// question workload: N workers draw questions from a Zipf mix (operator
-// traffic concentrates on a few recurring questions) and push them either
-// straight through the pipeline (cache off) or through the answer-cache/
-// singleflight front (cache on). It also checks cached answers render
-// byte-identically to uncached ones and, with -bench-out, records the
-// numbers in BENCH_4.json form.
-func (e *env1) throughput() error {
-	workers, perMode := 8, 3*time.Second
-	if e.short {
-		workers, perMode = 4, 750*time.Millisecond
-	}
-	distinct := 32
-	if len(e.items) < distinct {
-		distinct = len(e.items)
-	}
-	questions := make([]string, distinct)
-	for i := range questions {
-		questions[i] = e.items[i].Question
-	}
-
-	cp, err := core.New(core.Config{Catalog: e.cat, TSDB: e.db, Model: llm.MustNew("gpt-4")})
-	if err != nil {
-		return err
-	}
-	front := servecache.NewFront(servecache.FrontConfig[*core.Answer]{
-		Size: 4096, TTL: time.Hour,
-		Version: e.cat.Version, Head: e.db.HeadTime,
-		Compute: cp.Ask,
-	})
-	ctx := context.Background()
-
-	// Byte-identity: for every distinct question the cached answer must
-	// render exactly like a fresh uncached computation.
-	for _, q := range questions {
-		fresh, _, err := front.Do(ctx, q, true)
-		if err != nil {
-			return fmt.Errorf("throughput: uncached %q: %w", q, err)
-		}
-		if _, _, err := front.Do(ctx, q, false); err != nil { // fills the cache
-			return err
-		}
-		cached, st, err := front.Do(ctx, q, false)
-		if err != nil {
-			return err
-		}
-		if st != servecache.StatusHit {
-			return fmt.Errorf("throughput: expected hit for %q, got %s", q, st)
-		}
-		if core.RenderAnswer(fresh) != core.RenderAnswer(cached) {
-			return fmt.Errorf("throughput: cached answer for %q differs from uncached", q)
-		}
-	}
-	fmt.Printf("byte-identity: cached == uncached for all %d distinct questions\n", distinct)
-	front.Purge()
-
-	// runMode hammers the front from `workers` goroutines for perMode and
-	// reports aggregate QPS with latency percentiles.
-	runMode := func(bypass bool) (qps float64, p50, p99 time.Duration, n int, err error) {
-		lats := make([][]time.Duration, workers)
-		errs := make([]error, workers)
-		deadline := time.Now().Add(perMode)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// Zipf s=1.2: a handful of questions dominate, with a long
-				// tail — the repeated-question shape of operator traffic.
-				zipf := rand.NewZipf(rand.New(rand.NewSource(int64(w)+99)), 1.2, 1, uint64(len(questions)-1))
-				for time.Now().Before(deadline) {
-					q := questions[zipf.Uint64()]
-					t0 := time.Now()
-					if _, _, err := front.Do(ctx, q, bypass); err != nil {
-						errs[w] = err
-						return
-					}
-					lats[w] = append(lats[w], time.Since(t0))
-				}
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		for _, e := range errs {
-			if e != nil {
-				return 0, 0, 0, 0, e
-			}
-		}
-		var all []time.Duration
-		for _, l := range lats {
-			all = append(all, l...)
-		}
-		if len(all) == 0 {
-			return 0, 0, 0, 0, fmt.Errorf("throughput: no requests completed")
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		return float64(len(all)) / elapsed.Seconds(),
-			all[len(all)/2], all[len(all)*99/100], len(all), nil
-	}
-
-	fmt.Printf("workload: %d workers, %d distinct questions (Zipf s=1.2), %s per mode\n",
-		workers, distinct, perMode)
-	offQPS, offP50, offP99, offN, err := runMode(true)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  cache off  %7.0f q/s  p50=%-10s p99=%-10s (%d asks)\n", offQPS, offP50, offP99, offN)
-	onQPS, onP50, onP99, onN, err := runMode(false)
-	if err != nil {
-		return err
-	}
-	st := front.Stats()
-	fmt.Printf("  cache on   %7.0f q/s  p50=%-10s p99=%-10s (%d asks, %.1f%% hit, %d coalesced)\n",
-		onQPS, onP50, onP99, onN, st.HitRate()*100, st.Coalesced)
-
-	speedup := onQPS / offQPS
-	fmt.Printf("cache on vs off: %.1fx QPS (%.0f vs %.0f q/s) at %.1f%% hit rate\n",
-		speedup, onQPS, offQPS, st.HitRate()*100)
-	minSpeedup := 5.0
-	if e.short {
-		minSpeedup = 1.5 // smoke threshold: CI containers are noisy single-core boxes
-	}
-	if speedup < minSpeedup {
-		return fmt.Errorf("throughput: %.1fx speedup below the %.1fx floor", speedup, minSpeedup)
-	}
-	fmt.Printf("PASS: >= %.1fx QPS with the serving cache on\n", minSpeedup)
-
-	if e.benchOut != "" {
-		if err := e.writeThroughputJSON(workers, distinct, perMode,
-			offQPS, offP50, offP99, offN, onQPS, onP50, onP99, onN, st, speedup); err != nil {
-			return err
-		}
-		fmt.Println("wrote", e.benchOut)
-	}
-	return nil
-}
-
-// writeThroughputJSON records the throughput run in the BENCH_N.json
-// convention used by earlier perf issues.
-func (e *env1) writeThroughputJSON(workers, distinct int, perMode time.Duration,
-	offQPS float64, offP50, offP99 time.Duration, offN int,
-	onQPS float64, onP50, onP99 time.Duration, onN int,
-	st servecache.FrontStats, speedup float64) error {
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	mode := func(qps float64, p50, p99 time.Duration, n int) map[string]any {
-		return map[string]any{"qps": math.Round(qps), "p50_ms": ms(p50), "p99_ms": ms(p99), "asks": n}
-	}
-	doc := map[string]any{
-		"issue": 4,
-		"title": "Serving-throughput layer: answer & retrieval caching with versioned invalidation, singleflight, and admission control",
-		"date":  time.Now().Format("2006-01-02"),
-		"host": map[string]any{
-			"cpu": cpuModel(), "cores": runtime.NumCPU(),
-			"goos": runtime.GOOS, "goarch": runtime.GOARCH,
-		},
-		"command": "go run ./cmd/dio-bench -experiment throughput -bench-out BENCH_4.json",
-		"workload": fmt.Sprintf("%d workers, %d distinct questions under a Zipf(s=1.2) mix, %s per mode; "+
-			"full ask pipeline over the fivegsim operator trace; cache off = every request computes, "+
-			"cache on = answer cache (4096 entries, 1h TTL) + singleflight keyed by "+
-			"(normalized question, catalog version, TSDB-head bucket)", workers, distinct, perMode),
-		"results": map[string]any{
-			"cache_off": mode(offQPS, offP50, offP99, offN),
-			"cache_on":  mode(onQPS, onP50, onP99, onN),
-			"cache": map[string]any{
-				"hits": st.Hits, "misses": st.Misses, "coalesced": st.Coalesced,
-				"hit_rate": math.Round(st.HitRate()*1000) / 1000, "entries": st.Entries,
-			},
-		},
-		"summary": map[string]any{
-			"speedup":       fmt.Sprintf("%.1fx QPS with the serving cache on (%.0f vs %.0f q/s)", speedup, onQPS, offQPS),
-			"hit_rate":      fmt.Sprintf("%.1f%% answer-cache hit rate on the Zipf mix", st.HitRate()*100),
-			"byte_identity": "cached answers render byte-identical to uncached for every distinct question",
-			"acceptance":    fmt.Sprintf("PASS: %.1fx >= 5x QPS floor on the repeated-question workload", speedup),
-		},
-	}
-	f, err := os.Create(e.benchOut)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// cpuModel best-effort reads the CPU model name for the bench host record.
-func cpuModel() string {
-	b, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
-		}
-	}
-	return ""
 }
 
 // selfConsistent majority-votes over k sampled generations.

@@ -32,7 +32,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -45,7 +44,6 @@ import (
 	"dio/internal/ingest"
 	"dio/internal/llm"
 	"dio/internal/obs"
-	"dio/internal/router"
 	"dio/internal/servecache"
 	"dio/internal/tenant"
 	"dio/internal/tsdb"
@@ -57,7 +55,7 @@ func main() {
 	duration := flag.Duration("duration", 2*time.Hour, "simulated trace length")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	experts := flag.String("experts", "r.nakamura,a.kimura,m.okafor,s.ivanova", "comma-separated pre-identified experts")
-	stateDir := flag.String("state", "", "directory for persistent state (TSDB snapshot, feedback issues); empty disables persistence")
+	stateDir := flag.String("state", "", "directory for feedback issues (issues.json, written on shutdown) and, without -data-dir, the active-query slot file; empty keeps neither")
 	selfScrape := flag.Bool("selfscrape", true, "append the server's own dio_* metrics into the TSDB so the copilot can answer questions about itself")
 	scrapeInterval := flag.Duration("selfscrape-interval", 15*time.Second, "self-scrape period")
 	debug := flag.Bool("debug", false, "serve net/http/pprof under /debug/pprof/")
@@ -68,8 +66,7 @@ func main() {
 	cacheTTL := flag.Duration("cache-ttl", 30*time.Second, "answer freshness window: cached answers expire once the TSDB head advances past this bucket")
 	maxInflight := flag.Int("max-inflight", 64, "concurrent answer computations admitted (0 disables the gate)")
 	queueWait := flag.Duration("queue-wait", 2*time.Second, "longest a request waits for an admission slot before 429")
-	replicas := flag.Int("replicas", defaultReplicas(), "in-process serving replicas: >1 distributes tenants across K answer-cache fronts via a consistent-hash ring (default from DIO_REPLICAS)")
-	tenantShare := flag.Int("tenant-share", 0, "answer-cache entries one tenant may hold (0 lets a tenant use a whole replica's cache)")
+	tenantShare := flag.Int("tenant-share", 0, "answer-cache entries one tenant may hold (0 lets a tenant use the whole cache)")
 	tenantQuotas := flag.String("tenant-quotas", "", "per-tenant admission QPS quotas, e.g. 'acme=5:10:2,*=1' (tenant=rate[:burst[:weight]], '*' is the default quota)")
 	tenantTokens := flag.String("tenant-tokens", "", "bearer-token tenant mapping, e.g. 'tok1=acme,tok2=umbrella'")
 	dataDir := flag.String("data-dir", "", "durable ingest directory (WAL + checkpoints); enables POST /api/v1/write, empty runs memory-only")
@@ -92,7 +89,7 @@ func main() {
 
 	// Durable ingest: the store recovers the TSDB from its newest
 	// checkpoint plus WAL replay, and every /api/v1/write lands in the WAL
-	// before it is acknowledged. It supersedes the legacy gob snapshot.
+	// before it is acknowledged.
 	var store *ingest.Store
 	if *dataDir != "" {
 		var err error
@@ -108,28 +105,6 @@ func main() {
 			"wal_tail_repaired", rs.TailTruncated)
 	}
 
-	snapshotPath := ""
-	if *stateDir != "" && store == nil {
-		if err := os.MkdirAll(*stateDir, 0o755); err != nil {
-			fatal("state dir", err)
-		}
-		snapshotPath = filepath.Join(*stateDir, "tsdb.snapshot")
-		if f, err := os.Open(snapshotPath); err == nil {
-			loaded, lerr := tsdb.LoadSnapshot(f)
-			f.Close()
-			if lerr != nil {
-				fatal("loading snapshot", lerr)
-			}
-			if *tsdbShards > 1 {
-				// The gob snapshot is a single-store format; spread it over
-				// the requested shard layout.
-				db = tsdb.Reshard(loaded, *tsdbShards)
-			} else {
-				db = loaded
-			}
-			logger.Info("restored TSDB snapshot", "series", db.NumSeries(), "samples", db.NumSamples())
-		}
-	}
 	if db == nil || db.NumSamples() == 0 {
 		logger.Info("generating catalog and simulating operator workload", "duration", *duration)
 		if db == nil {
@@ -147,19 +122,13 @@ func main() {
 			fatal("populating TSDB", err)
 		}
 		logger.Info(fmt.Sprint(rep))
-		switch {
-		case store != nil:
+		if store != nil {
 			// The simulation wrote straight to the TSDB (not through the
 			// WAL); a checkpoint makes the seed durable.
 			if err := store.Checkpoint(); err != nil {
 				fatal("checkpointing simulated workload", err)
 			}
 			logger.Info("checkpointed simulated workload", "dir", *dataDir)
-		case snapshotPath != "":
-			if err := saveSnapshot(db, snapshotPath); err != nil {
-				fatal("saving snapshot", err)
-			}
-			logger.Info("saved TSDB snapshot", "path", snapshotPath)
 		}
 	}
 
@@ -193,6 +162,9 @@ func main() {
 	tracker := feedback.NewTracker(splitComma(*experts), nil)
 	issuesPath := ""
 	if *stateDir != "" {
+		if err := os.MkdirAll(*stateDir, 0o755); err != nil {
+			fatal("state dir", err)
+		}
 		issuesPath = filepath.Join(*stateDir, "issues.json")
 		if f, err := os.Open(issuesPath); err == nil {
 			loaded, lerr := feedback.Load(f, nil)
@@ -241,48 +213,24 @@ func main() {
 	if *traceCapacity > 0 {
 		apiOpts = append(apiOpts, httpapi.WithTracing(cp.Tracer()))
 	}
-	// Serving-throughput layer: tenant-keyed answer cache(s) with
+	// Serving-throughput layer: the tenant-keyed answer cache with
 	// singleflight, plus the weighted-fair admission gate bounding
-	// concurrent pipeline runs. With -replicas K > 1 a consistent-hash
-	// ring pins each tenant to one of K independent cache fronts.
-	nReplicas := *replicas
-	if nReplicas < 1 {
-		nReplicas = 1
-	}
+	// concurrent pipeline runs.
 	var answerFront httpapi.AnswerFront
 	if *cacheSize > 0 {
-		frontCfg := func(size int) servecache.FrontConfig[*core.Answer] {
-			return servecache.FrontConfig[*core.Answer]{
-				Size:          size,
-				TenantShare:   *tenantShare,
-				TTL:           *cacheTTL,
-				Version:       cat.Version,
-				TenantVersion: cp.TenantVersion,
-				Head:          db.HeadTime,
-				Compute:       cp.Ask,
-			}
-		}
-		if nReplicas > 1 {
-			perReplica := *cacheSize / nReplicas
-			if perReplica < 1 {
-				perReplica = 1
-			}
-			fronts := make([]*servecache.Front[*core.Answer], nReplicas)
-			for i := range fronts {
-				fronts[i] = servecache.NewFront(frontCfg(perReplica))
-			}
-			pool := router.NewPool(fronts, 0)
-			pool.Instrument(reg)
-			answerFront = pool
-			logger.Info("answer cache enabled", "replicas", nReplicas,
-				"size_per_replica", perReplica, "tenant_share", *tenantShare, "ttl", *cacheTTL)
-		} else {
-			front := servecache.NewFront(frontCfg(*cacheSize))
-			front.Instrument(reg)
-			answerFront = front
-			logger.Info("answer cache enabled", "size", *cacheSize,
-				"tenant_share", *tenantShare, "ttl", *cacheTTL)
-		}
+		front := servecache.NewFront(servecache.FrontConfig[*core.Answer]{
+			Size:          *cacheSize,
+			TenantShare:   *tenantShare,
+			TTL:           *cacheTTL,
+			Version:       cat.Version,
+			TenantVersion: cp.TenantVersion,
+			Head:          db.HeadTime,
+			Compute:       cp.Ask,
+		})
+		front.Instrument(reg)
+		answerFront = front
+		logger.Info("answer cache enabled", "size", *cacheSize,
+			"tenant_share", *tenantShare, "ttl", *cacheTTL)
 	}
 	var admitter httpapi.Admitter
 	if *maxInflight > 0 {
@@ -401,30 +349,6 @@ func main() {
 	<-done
 }
 
-// saveSnapshot atomically writes the TSDB snapshot. Sharded stores are
-// gathered into the single-store gob format first.
-func saveSnapshot(db tsdb.Storage, path string) error {
-	single, ok := db.(*tsdb.DB)
-	if !ok {
-		single = db.(*tsdb.ShardedDB).Gather()
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := single.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // saveIssues atomically writes the feedback tracker state.
 func saveIssues(t *feedback.Tracker, path string) error {
 	tmp := path + ".tmp"
@@ -442,17 +366,6 @@ func saveIssues(t *feedback.Tracker, path string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// defaultReplicas reads the DIO_REPLICAS environment variable so CI legs
-// and deployments can set the replica count without editing flags.
-func defaultReplicas() int {
-	if s := os.Getenv("DIO_REPLICAS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
 }
 
 // parseTokens parses a comma-separated "token=tenant" bearer-token map.

@@ -41,9 +41,6 @@ func NewEvaluator(db tsdb.Storage) (*Evaluator, error) {
 	}, nil
 }
 
-// At returns the evaluation instant.
-func (e *Evaluator) At() time.Time { return e.at }
-
 // Reference executes an item's reference query (cached).
 func (e *Evaluator) Reference(ctx context.Context, it Item) (promql.NumericResult, error) {
 	if r, ok := e.refs[it.ID]; ok {

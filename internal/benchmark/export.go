@@ -2,8 +2,6 @@ package benchmark
 
 import (
 	"encoding/csv"
-	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -39,35 +37,4 @@ func WriteCSV(w io.Writer, results ...*Result) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// summaryJSON is the wire form of WriteSummaryJSON.
-type summaryJSON struct {
-	System        string            `json:"system"`
-	EX            float64           `json:"ex_percent"`
-	Correct       int               `json:"correct"`
-	Total         int               `json:"total"`
-	MeanCostCents float64           `json:"mean_cost_cents"`
-	PerTask       map[string][2]int `json:"per_task"`
-}
-
-// WriteSummaryJSON exports run summaries as a JSON array.
-func WriteSummaryJSON(w io.Writer, results ...*Result) error {
-	out := make([]summaryJSON, 0, len(results))
-	for _, r := range results {
-		s := summaryJSON{
-			System: r.System, EX: r.EX(), Correct: r.Correct, Total: r.Total,
-			MeanCostCents: r.MeanCostCents, PerTask: make(map[string][2]int, len(r.PerTask)),
-		}
-		for task, counts := range r.PerTask {
-			s.PerTask[task.String()] = counts
-		}
-		out = append(out, s)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		return fmt.Errorf("benchmark: encoding summary: %w", err)
-	}
-	return nil
 }

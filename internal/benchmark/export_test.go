@@ -45,16 +45,3 @@ func TestWriteCSV(t *testing.T) {
 		t.Errorf("error row = %q", lines[2])
 	}
 }
-
-func TestWriteSummaryJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := benchmark.WriteSummaryJSON(&buf, sampleResult()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{`"system": "test-system"`, `"ex_percent": 50`, `"rate"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -71,7 +71,12 @@ func TestPaperExampleMetricExists(t *testing.T) {
 func TestProcedureFamilies(t *testing.T) {
 	db := Generate()
 	for _, p := range Procedures()[:10] {
-		fam := db.ProcedureMetrics(p.NF, p.Service, p.Slug)
+		var fam []*Metric
+		for _, m := range db.Metrics {
+			if m.NF == p.NF && m.Service == p.Service && m.Procedure == p.Slug {
+				fam = append(fam, m)
+			}
+		}
 		// 8 lifecycle + 10 failure causes + 6 reject causes + 3 histogram.
 		want := len(CounterVariants) + len(FailureCauses) + len(RejectCauses) + 3
 		if len(fam) != want {

@@ -441,15 +441,6 @@ var gauges = []GaugeDef{
 // Gauges returns the gauge table.
 func Gauges() []GaugeDef { return gauges }
 
-// MessageDef describes a protocol message instrumented with tx/rx/error
-// counters.
-type MessageDef struct {
-	NF, Service string
-	// Slug is the name fragment, Phrase the documented message name.
-	Slug, Phrase string
-	Spec         string
-}
-
 // messagesCompact expands to the message table: per NF/service/spec, a list
 // of message slugs (phrase derived by replacing underscores).
 var messagesCompact = []struct {
@@ -548,14 +539,6 @@ var resources = []ResourceDef{
 	{Slug: "dropped_events", Phrase: "internal events dropped under overload", Unit: "", Type: Counter},
 	{Slug: "log_errors", Phrase: "error-level log records emitted", Unit: "", Type: Counter},
 	{Slug: "config_reloads", Phrase: "configuration reloads applied", Unit: "", Type: Counter},
-}
-
-// TrafficDef describes a UPF per-interface traffic metric.
-type TrafficDef struct {
-	Interface string // n3, n6, n9
-	Direction string // ul, dl
-	Kind      string // bytes, packets, dropped_packets, ...
-	Unit      string
 }
 
 var trafficInterfaces = []string{"n3", "n6", "n9"}

@@ -140,9 +140,8 @@ var selfMetricDefs = []selfMetricDef{
 		desc: "Stored samples touched per DIO PromQL query evaluation, as counted by the query-level profiler feeding the slow-query log."},
 
 	// Multi-tenant serving (internal/servecache fair gate and tenant-keyed
-	// answer cache, internal/router replica pool). Tenant label cardinality
-	// is capped: beyond the first 64 distinct tenants, rows aggregate under
-	// tenant="other".
+	// answer cache). Tenant label cardinality is capped: beyond the first
+	// 64 distinct tenants, rows aggregate under tenant="other".
 	{name: "dio_tenant_requests_total", typ: Counter, labels: []string{"tenant", "outcome"},
 		desc: "Admission-gate decisions of the DIO serving layer, partitioned by tenant and outcome (admitted, shed_quota for token-bucket QPS exhaustion, shed_queue for fair-queue wait expiry)."},
 	{name: "dio_tenant_queue_wait_seconds", unit: "seconds", labels: []string{"tenant"}, histogram: true,
@@ -151,10 +150,6 @@ var selfMetricDefs = []selfMetricDef{
 		desc: "Tokens remaining in a tenant's admission-rate bucket in the DIO serving layer (-1 for tenants without a quota)."},
 	{name: "dio_tenant_cache_requests_total", typ: Counter, labels: []string{"tenant", "outcome"},
 		desc: "DIO answer-cache lookups, partitioned by tenant and outcome (hit, miss, coalesced, bypass)."},
-	{name: "dio_replica_requests_total", typ: Counter, labels: []string{"replica"},
-		desc: "Requests the DIO tenant router dispatched to each in-process serving replica via the consistent-hash ring."},
-	{name: "dio_replica_count", typ: Gauge,
-		desc: "The number of in-process serving replicas behind the DIO tenant router."},
 }
 
 // SelfMetrics returns the catalog entries for the copilot's dio_* metrics.

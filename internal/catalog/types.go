@@ -147,7 +147,6 @@ type Database struct {
 
 	mu       sync.RWMutex
 	byName   map[string]*Metric
-	byProc   map[string][]*Metric
 	funcByID map[string]*FunctionDef
 
 	// overlays holds per-tenant deltas over the shared base corpus (see
@@ -168,15 +167,10 @@ func NewDatabase(metrics []*Metric, functions []*FunctionDef) *Database {
 		Metrics:   metrics,
 		Functions: functions,
 		byName:    make(map[string]*Metric, len(metrics)),
-		byProc:    make(map[string][]*Metric),
 		funcByID:  make(map[string]*FunctionDef, len(functions)),
 	}
 	for _, m := range metrics {
 		db.byName[m.Name] = m
-		if m.Procedure != "" {
-			key := m.NF + "/" + m.Service + "/" + m.Procedure
-			db.byProc[key] = append(db.byProc[key], m)
-		}
 	}
 	for _, f := range functions {
 		db.funcByID[f.Name] = f
@@ -203,13 +197,6 @@ func (db *Database) LookupFunction(name string) (*FunctionDef, bool) {
 	defer db.mu.RUnlock()
 	f, ok := db.funcByID[name]
 	return f, ok
-}
-
-// ProcedureMetrics returns the metrics of one procedure.
-func (db *Database) ProcedureMetrics(nf, service, proc string) []*Metric {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.byProc[nf+"/"+service+"/"+proc]
 }
 
 // MetricNames returns all metric names, sorted.
@@ -289,20 +276,6 @@ func (db *Database) replaceLocked(old, m *Metric) {
 			db.Metrics[i] = m
 			break
 		}
-	}
-	if m.Procedure != "" {
-		// Replace, never mutate, the procedure list: ProcedureMetrics hands
-		// the stored slice to readers, so its backing array must stay
-		// stable once published.
-		key := m.NF + "/" + m.Service + "/" + m.Procedure
-		lst := append([]*Metric(nil), db.byProc[key]...)
-		for i, em := range lst {
-			if em == old {
-				lst[i] = m
-				break
-			}
-		}
-		db.byProc[key] = lst
 	}
 }
 

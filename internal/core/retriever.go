@@ -49,9 +49,8 @@ type Retriever struct {
 
 	// cache memoises question → (query vector, top-K scored docs). It
 	// depends only on the indexed corpus (not on TSDB contents), so it
-	// survives answer-cache expiry. The pointer is atomic so live lookups
-	// never race a SetRetrievalCache resize; nil when disabled.
-	cache   atomic.Pointer[servecache.LRU[retrievalEntry]]
+	// survives answer-cache expiry.
+	cache   *servecache.LRU[retrievalEntry]
 	lookups *obs.CounterVec // dio_cache_requests_total{cache="retrieval",outcome}; nil w/o Instrument
 }
 
@@ -79,9 +78,9 @@ func NewRetriever(db *catalog.Database, index vecstore.Index) (*Retriever, error
 	}
 	r := &Retriever{
 		model: model, index: index,
-		docs: make(map[string]catalog.Document, len(docs)),
+		docs:  make(map[string]catalog.Document, len(docs)),
+		cache: servecache.NewLRU[retrievalEntry](defaultRetrievalCacheSize),
 	}
-	r.cache.Store(servecache.NewLRU[retrievalEntry](defaultRetrievalCacheSize))
 	for _, d := range docs {
 		if err := index.Add(d.ID, model.Embed(d.Text)); err != nil {
 			return nil, fmt.Errorf("core: indexing %s: %w", d.ID, err)
@@ -94,16 +93,6 @@ func NewRetriever(db *catalog.Database, index vecstore.Index) (*Retriever, error
 // EmbeddingModel exposes the trained embedder (benchmarks and the
 // vector-store ablation reuse it).
 func (r *Retriever) EmbeddingModel() *embedding.Model { return r.model }
-
-// SetRetrievalCache resizes the question→result cache; size 0 disables
-// caching (ablations isolating raw index performance).
-func (r *Retriever) SetRetrievalCache(size int) {
-	if size <= 0 {
-		r.cache.Store(nil)
-		return
-	}
-	r.cache.Store(servecache.NewLRU[retrievalEntry](size))
-}
 
 // Instrument counts retrieval-cache outcomes on the registry (shared
 // dio_cache_requests_total family, cache="retrieval").

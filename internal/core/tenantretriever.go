@@ -100,20 +100,17 @@ func (r *Retriever) DocTenant(tid, id string) (catalog.Document, bool) {
 // a tenant contribution invalidates only that tenant's entries.
 func (r *Retriever) RetrieveScoredTenant(tid, query string, k int) []ScoredDoc {
 	ver := r.TenantVersion(tid)
-	cache := r.cache.Load()
 	key := tid + "\x1f" + query
 	var qv embedding.Vector
-	if cache != nil {
-		if e, ok := cache.Get(key); ok && e.version == ver {
-			if e.k == k {
-				r.countLookup("hit")
-				return append([]ScoredDoc(nil), e.scored...)
-			}
-			// Same corpus, different k: the embedding is still valid.
-			qv = e.vec
+	if e, ok := r.cache.Get(key); ok && e.version == ver {
+		if e.k == k {
+			r.countLookup("hit")
+			return append([]ScoredDoc(nil), e.scored...)
 		}
-		r.countLookup("miss")
+		// Same corpus, different k: the embedding is still valid.
+		qv = e.vec
 	}
+	r.countLookup("miss")
 	if qv == nil {
 		qv = r.model.Embed(query)
 	}
@@ -152,11 +149,9 @@ func (r *Retriever) RetrieveScoredTenant(tid, query string, k int) []ScoredDoc {
 		}
 	}
 	r.mu.RUnlock()
-	if cache != nil {
-		cache.Put(key, retrievalEntry{
-			version: ver, k: k, vec: qv,
-			scored: append([]ScoredDoc(nil), out...),
-		})
-	}
+	r.cache.Put(key, retrievalEntry{
+		version: ver, k: k, vec: qv,
+		scored: append([]ScoredDoc(nil), out...),
+	})
 	return out
 }

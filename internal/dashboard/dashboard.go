@@ -22,11 +22,8 @@ import (
 // PanelKind selects the visualisation of one panel.
 type PanelKind string
 
-// Panel kinds.
-const (
-	KindTimeSeries PanelKind = "timeseries"
-	KindStat       PanelKind = "stat"
-)
+// KindTimeSeries is the one panel kind the copilot generates.
+const KindTimeSeries PanelKind = "timeseries"
 
 // Panel is one chart: a title, a PromQL expression and a unit.
 type Panel struct {
@@ -44,15 +41,6 @@ type Dashboard struct {
 
 // JSON serialises the dashboard spec.
 func (d *Dashboard) JSON() ([]byte, error) { return json.MarshalIndent(d, "", "  ") }
-
-// FromJSON parses a dashboard spec.
-func FromJSON(data []byte) (*Dashboard, error) {
-	var d Dashboard
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("dashboard: bad spec: %w", err)
-	}
-	return &d, nil
-}
 
 // PanelQuery derives the natural time-series expression for one catalog
 // metric: gauges plot per-instance levels, counters plot per-instance

@@ -1,7 +1,6 @@
 package embedding
 
 import (
-	"sort"
 	"strings"
 
 	"dio/internal/textutil"
@@ -44,17 +43,6 @@ func (l *Lexicon) Add(phrase, canonical string) {
 
 // Len returns the number of distinct expansion keys.
 func (l *Lexicon) Len() int { return len(l.expansions) }
-
-// Keys returns the expansion keys in sorted order, mainly for inspection
-// and tests.
-func (l *Lexicon) Keys() []string {
-	keys := make([]string, 0, len(l.expansions))
-	for k := range l.expansions {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // Expand returns tokens with canonical expansions appended for every
 // longest-match phrase found in the input. The original tokens are always

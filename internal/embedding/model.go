@@ -87,9 +87,6 @@ func (m *Model) features(text string) []string {
 // Dim returns the embedding dimensionality.
 func (m *Model) Dim() int { return m.opts.Dim }
 
-// CorpusSize returns the number of documents the IDF table was fitted on.
-func (m *Model) CorpusSize() int { return m.docs }
-
 // IDF returns the inverse document frequency of a (normalised) token,
 // falling back to DefaultIDF for unseen tokens.
 func (m *Model) IDF(tok string) float64 {
@@ -145,12 +142,6 @@ func (m *Model) addFeature(v Vector, name string, w float64) {
 	}
 	v[h1%d] += float32(sign1 * w)
 	v[h2%d] += float32(sign2 * w * 0.5)
-}
-
-// Similarity is shorthand for the cosine similarity of the embeddings of
-// two texts.
-func (m *Model) Similarity(a, b string) float64 {
-	return Cosine(m.Embed(a), m.Embed(b))
 }
 
 // modelState is the gob wire form of a Model.

@@ -55,16 +55,6 @@ func Normalize(v Vector) {
 	}
 }
 
-// Cosine returns the cosine similarity of a and b in [-1, 1]. Zero vectors
-// yield similarity 0.
-func Cosine(a, b Vector) float64 {
-	na, nb := Norm(a), Norm(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
-}
-
 // Clone returns an independent copy of v.
 func Clone(v Vector) Vector {
 	out := make(Vector, len(v))

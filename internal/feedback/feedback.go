@@ -122,13 +122,6 @@ func (t *Tracker) Experts() []string {
 	return out
 }
 
-// AddExpert expands the expert pool (the paper's future-work lever).
-func (t *Tracker) AddExpert(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.experts[name] = true
-}
-
 // Open files a new issue from a copilot interaction.
 func (t *Tracker) Open(question, response, query string, context []string) *Issue {
 	t.mu.Lock()

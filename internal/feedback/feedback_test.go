@@ -111,11 +111,6 @@ func TestExpertsRoster(t *testing.T) {
 	if got := tr.Experts(); len(got) != 2 || got[0] != "alice" {
 		t.Fatalf("experts = %v", got)
 	}
-	tr.AddExpert("carol")
-	is := tr.Open("q?", "", "", nil)
-	if err := tr.Resolve(is.ID, "carol", feedback.Contribution{MetricName: "m", Description: "d"}); err != nil {
-		t.Fatalf("added expert cannot resolve: %v", err)
-	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {

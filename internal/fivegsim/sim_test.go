@@ -144,10 +144,11 @@ func TestHistogramCumulative(t *testing.T) {
 	db, _, _ := populate(t, shortConfig())
 	name := "amfcc_initial_registration_duration_seconds_bucket"
 	_, end, _ := db.TimeRange()
-	points := db.Select([]*tsdb.Matcher{
-		tsdb.NameMatcher(name),
-		tsdb.MustMatcher(tsdb.MatchEqual, "instance", "pod-0"),
-	}, end, 5*60*1000)
+	pod0, err := tsdb.NewMatcher(tsdb.MatchEqual, "instance", "pod-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := db.Select([]*tsdb.Matcher{tsdb.NameMatcher(name), pod0}, end, 5*60*1000)
 	if len(points) != len(DurationBuckets)+1 {
 		t.Fatalf("got %d bucket series, want %d", len(points), len(DurationBuckets)+1)
 	}

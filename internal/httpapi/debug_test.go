@@ -270,7 +270,6 @@ func TestDebugTraceGolden(t *testing.T) {
 	root.SetAttr("question", "q?")
 	_, sp := obs.StartSpan(ctx, "retrieve")
 	sp.SetAttr("retrieved.count", 2)
-	sp.AddEvent("hit", obs.KV("metric", "m1"))
 	sp.End()
 	_, sp = obs.StartSpan(ctx, "llm")
 	sp.SetAttr("llm.kind", "select_metrics")
@@ -284,14 +283,13 @@ func TestDebugTraceGolden(t *testing.T) {
 	}
 
 	want := `{"status":"success","trace_id":"t01","name":"POST /api/v1/ask",` +
-		`"start":"2026-08-06T12:00:00.001Z","duration_ms":6,"errored":false,"spans":3,` +
+		`"start":"2026-08-06T12:00:00.001Z","duration_ms":5,"errored":false,"spans":3,` +
 		`"tree":{"span_id":"s01","name":"POST /api/v1/ask","start":"2026-08-06T12:00:00.001Z",` +
-		`"duration_ms":6,"attrs":[{"key":"question","value":"q?"}],` +
+		`"duration_ms":5,"attrs":[{"key":"question","value":"q?"}],` +
 		`"children":[` +
 		`{"span_id":"s02","parent_id":"s01","name":"retrieve","start":"2026-08-06T12:00:00.002Z",` +
-		`"duration_ms":2,"attrs":[{"key":"retrieved.count","value":2}],` +
-		`"events":[{"time":"2026-08-06T12:00:00.003Z","name":"hit","attrs":[{"key":"metric","value":"m1"}]}]},` +
-		`{"span_id":"s03","parent_id":"s01","name":"llm","start":"2026-08-06T12:00:00.005Z",` +
+		`"duration_ms":1,"attrs":[{"key":"retrieved.count","value":2}]},` +
+		`{"span_id":"s03","parent_id":"s01","name":"llm","start":"2026-08-06T12:00:00.004Z",` +
 		`"duration_ms":1,"attrs":[{"key":"llm.kind","value":"select_metrics"}]}` +
 		`]}}` + "\n"
 	if got := w.Body.String(); got != want {

@@ -45,8 +45,7 @@ const CacheHeader = "X-DIO-Cache"
 const TenantHeader = "X-DIO-Tenant"
 
 // AnswerFront is the answer-cache surface the ask path serves through: a
-// single *servecache.Front or a router.Pool spreading tenants over K
-// replica fronts.
+// *servecache.Front, or bench/'s tracing decorator around one.
 type AnswerFront interface {
 	Do(ctx context.Context, question string, bypass bool) (*core.Answer, servecache.Status, error)
 }
@@ -122,27 +121,10 @@ func WithTracing(tr *obs.Tracer) Option {
 	}
 }
 
-// WithServing attaches the serving-throughput layer: ask answers are
+// WithServingLayer attaches the serving-throughput layer: ask answers are
 // served through the cache/singleflight front, and the admission gate
 // bounds how many answers compute concurrently (overload sheds with
-// 429). Either may be nil to enable just one half.
-func WithServing(front *servecache.Front[*core.Answer], gate *servecache.Gate) Option {
-	return func(s *Server) {
-		// Assign through the concrete nil checks so a nil half stays a nil
-		// interface (a typed-nil AnswerFront would pass the s.front != nil
-		// guard and then panic).
-		if front != nil {
-			s.front = front
-		}
-		if gate != nil {
-			s.gate = gate
-		}
-	}
-}
-
-// WithServingLayer is WithServing for alternative implementations: a
-// router.Pool distributing tenants over K replica fronts, or a custom
-// admitter. Either may be nil.
+// 429). Either may be a nil interface to enable just one half.
 func WithServingLayer(front AnswerFront, gate Admitter) Option {
 	return func(s *Server) {
 		if front != nil {
@@ -530,6 +512,33 @@ func (s *Server) writeErr(w http.ResponseWriter, code int, err error) {
 	s.writeJSON(w, code, apiError{Status: "error", Error: err.Error()})
 }
 
+// maxJSONBody bounds the JSON body of every POST route but /api/v1/write
+// (which has its own, larger limit): a question, a contribution or a vote
+// is a few hundred bytes.
+const maxJSONBody = 1 << 20
+
+// decodeJSON decodes the request's JSON body into v, reading at most
+// maxJSONBody bytes of it. On failure it answers — 413 for an oversized
+// body, 400 for anything else — and reports false. A body whose declared
+// length is already over the limit is refused unread; MaxBytesReader
+// stops the ones that declare none (chunked) or lie.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	var err error = &http.MaxBytesError{Limit: maxJSONBody}
+	if r.ContentLength <= maxJSONBody {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+	}
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	s.writeErr(w, code, fmt.Errorf("bad request body: %w", err))
+	return false
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -611,8 +620,7 @@ func retryAfter(err error) string {
 
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	var req askRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Question) == "" {
@@ -890,7 +898,10 @@ func (s *Server) handleFeedbackOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req feedbackOpenRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || strings.TrimSpace(req.Question) == "" {
+	if !s.decodeJSON(w, r, &req) {
+		return
+	}
+	if strings.TrimSpace(req.Question) == "" {
 		s.writeErr(w, http.StatusBadRequest, errors.New("question is required"))
 		return
 	}
@@ -931,8 +942,7 @@ func (s *Server) handleFeedbackResolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req resolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	err = s.tracker.Resolve(id, req.Expert, feedback.Contribution{
@@ -976,8 +986,7 @@ func (s *Server) handleProposalOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req proposeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	p, err := s.tracker.Propose(id, req.Author, feedback.Contribution{
@@ -1029,8 +1038,7 @@ func (s *Server) handleProposalVote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req voteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	err = s.tracker.Vote(id, req.Expert, req.Up)

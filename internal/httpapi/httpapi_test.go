@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -367,5 +368,64 @@ func TestDebugPlan(t *testing.T) {
 	w, _ = do(t, h, "GET", "/debug/plan?query="+queryEscape("sum by ("), nil)
 	if w.Code != http.StatusUnprocessableEntity {
 		t.Errorf("bad query: status = %d", w.Code)
+	}
+}
+
+// countingReader counts the bytes a handler pulled out of a request body.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestJSONBodyLimit posts one byte more than the 1 MiB JSON body limit to
+// every JSON POST route, with and without a Content-Length: each answers
+// 413 in the standard error envelope and stops reading at the limit, and
+// a declared length is refused without buffering the body.
+func TestJSONBodyLimit(t *testing.T) {
+	h := newServer(t)
+	const limit = 1 << 20
+	// One string token, so the decoder cannot finish before the limit.
+	body := append([]byte(`{"question":"`), bytes.Repeat([]byte("a"), limit)...)[:limit+1]
+	for _, path := range []string{
+		"/api/v1/ask",
+		"/api/v1/feedback",
+		"/api/v1/feedback/1/resolve",
+		"/api/v1/feedback/1/propose",
+		"/api/v1/proposals/1/vote",
+	} {
+		for _, declared := range []bool{true, false} {
+			src := &countingReader{r: bytes.NewReader(body)}
+			req := httptest.NewRequest("POST", path, src) // a reader of unknown length: chunked
+			if declared {
+				req.ContentLength = int64(len(body))
+			}
+			w := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(w, req)
+			runtime.ReadMemStats(&after)
+			name := fmt.Sprintf("%s declared=%v", path, declared)
+			if w.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s: status %d, want 413: %s", name, w.Code, w.Body)
+				continue
+			}
+			var env struct{ Status, Error string }
+			if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Status != "error" || env.Error == "" {
+				t.Errorf("%s: body %q is not the error envelope", name, w.Body)
+			}
+			// MaxBytesReader asks for one byte past the limit to tell "at" from "over".
+			if src.n > limit+1 {
+				t.Errorf("%s: read %d bytes, limit is %d", name, src.n, limit)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; declared && got >= 2*limit {
+				t.Errorf("%s: allocated %d bytes rejecting the body, want < %d", name, got, 2*limit)
+			}
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 // newServingServer builds the handler with the answer-cache front (and an
 // optional compute hook for gate tests) over the shared fixture.
-func newServingServer(t *testing.T, gate *servecache.Gate, hook func()) http.Handler {
+func newServingServer(t *testing.T, gate httpapi.Admitter, hook func()) http.Handler {
 	t.Helper()
 	cat, db, r, err := testenv.Env()
 	if err != nil {
@@ -37,7 +37,7 @@ func newServingServer(t *testing.T, gate *servecache.Gate, hook func()) http.Han
 		},
 	})
 	tracker := feedback.NewTracker([]string{"alice"}, nil)
-	return httpapi.New(cp, tracker, nil, httpapi.WithServing(front, gate))
+	return httpapi.New(cp, tracker, nil, httpapi.WithServingLayer(front, gate))
 }
 
 func TestAskCacheHeader(t *testing.T) {

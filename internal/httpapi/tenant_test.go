@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
@@ -14,22 +12,10 @@ import (
 	"dio/internal/feedback"
 	"dio/internal/httpapi"
 	"dio/internal/llm"
-	"dio/internal/router"
 	"dio/internal/servecache"
 	"dio/internal/tenant"
 	"dio/internal/testenv"
 )
-
-// testReplicas honours the DIO_REPLICAS env override (the CI multitenant
-// leg); the default 1 keeps the single-front wiring.
-func testReplicas() int {
-	if s := os.Getenv("DIO_REPLICAS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
 
 // doH is do with request headers.
 func doH(t *testing.T, h http.Handler, method, path string, body any, headers map[string]string) (*httptest.ResponseRecorder, map[string]any) {
@@ -53,7 +39,7 @@ func doH(t *testing.T, h http.Handler, method, path string, body any, headers ma
 
 // newTenantServer builds the handler with a tenant-keyed front, the given
 // gate, and a bearer-token tenant mapping.
-func newTenantServer(t *testing.T, gate *servecache.Gate) http.Handler {
+func newTenantServer(t *testing.T, gate httpapi.Admitter) http.Handler {
 	t.Helper()
 	cat, db, r, err := testenv.Env()
 	if err != nil {
@@ -69,26 +55,9 @@ func newTenantServer(t *testing.T, gate *servecache.Gate) http.Handler {
 		Compute: cp.Ask,
 	}
 	tracker := feedback.NewTracker([]string{"alice"}, nil)
-	opts := []httpapi.Option{
+	return httpapi.New(cp, tracker, nil,
 		httpapi.WithTenantTokens(map[string]string{"s3cret-acme": "ACME"}),
-	}
-	// The DIO_REPLICAS override (the CI multitenant leg) runs every tenant
-	// test through a replica pool instead of a single front, so routing
-	// cannot break tenant isolation or back-compat unnoticed.
-	if n := testReplicas(); n > 1 {
-		fronts := make([]*servecache.Front[*core.Answer], n)
-		for i := range fronts {
-			fronts[i] = servecache.NewFront(frontCfg)
-		}
-		var admitter httpapi.Admitter
-		if gate != nil {
-			admitter = gate
-		}
-		opts = append(opts, httpapi.WithServingLayer(router.NewPool(fronts, 0), admitter))
-	} else {
-		opts = append(opts, httpapi.WithServing(servecache.NewFront(frontCfg), gate))
-	}
-	return httpapi.New(cp, tracker, nil, opts...)
+		httpapi.WithServingLayer(servecache.NewFront(frontCfg), gate))
 }
 
 // TestAskTenantCacheIsolation pins that the answer cache keys on the

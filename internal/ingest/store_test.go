@@ -144,7 +144,7 @@ func TestStoreCheckpointGarbageCollects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := st.wal.CurrentSegment()
+	cur := st.wal.currentSegment()
 	for _, s := range segs {
 		if s < cur {
 			t.Fatalf("segment %d survived checkpointing (current %d)", s, cur)
@@ -172,7 +172,7 @@ func TestStoreTornTailRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seg := st.wal.CurrentSegment()
+	seg := st.wal.currentSegment()
 	st.Close()
 	// A crash tore the last record in half.
 	f, err := os.OpenFile(filepath.Join(dir, "wal", segmentName(seg)), os.O_APPEND|os.O_WRONLY, 0)

@@ -192,13 +192,6 @@ func (w *WAL) openSegmentLocked(idx int) error {
 	return nil
 }
 
-// CurrentSegment returns the index of the segment appends go to.
-func (w *WAL) CurrentSegment() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seg
-}
-
 // flushLoop is the fsync batcher: every FsyncInterval it syncs whatever
 // has been written and wakes the appenders waiting on durability.
 func (w *WAL) flushLoop() {

@@ -108,7 +108,7 @@ func TestWALRepairsTornTail(t *testing.T) {
 	if _, err := w.Log([]TimeSeries{mkSeries("m", nil, tsdb.Sample{T: 1, V: 1})}); err != nil {
 		t.Fatal(err)
 	}
-	seg := w.CurrentSegment()
+	seg := w.currentSegment()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestWALCorruptEarlierSegmentFails(t *testing.T) {
 	if _, err := w.Log([]TimeSeries{mkSeries("m", nil, tsdb.Sample{T: 1, V: 1})}); err != nil {
 		t.Fatal(err)
 	}
-	seg1 := w.CurrentSegment()
+	seg1 := w.currentSegment()
 	if _, err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestWALOpenStartsFreshSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := w.CurrentSegment()
+	first := w.currentSegment()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestWALOpenStartsFreshSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if w2.CurrentSegment() <= first {
-		t.Fatalf("reopen reused segment %d (first was %d)", w2.CurrentSegment(), first)
+	if w2.currentSegment() <= first {
+		t.Fatalf("reopen reused segment %d (first was %d)", w2.currentSegment(), first)
 	}
 }

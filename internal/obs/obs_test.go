@@ -19,8 +19,7 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 	g := r.Gauge("g", "a gauge", "")
 	g.Set(10)
-	g.Dec()
-	g.Add(-2)
+	g.Add(-3)
 	if got := g.Value(); got != 7 {
 		t.Errorf("gauge = %v, want 7", got)
 	}

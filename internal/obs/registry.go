@@ -227,9 +227,6 @@ func (g *Gauge) Add(v float64) { g.c.add(v) }
 // Inc adds 1.
 func (g *Gauge) Inc() { g.c.add(1) }
 
-// Dec subtracts 1.
-func (g *Gauge) Dec() { g.c.add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.c.get() }
 

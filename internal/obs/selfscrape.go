@@ -49,9 +49,6 @@ func NewSelfScraper(reg *Registry, db tsdb.Storage, interval time.Duration, logg
 	}
 }
 
-// Interval returns the scrape period.
-func (s *SelfScraper) Interval() time.Duration { return s.interval }
-
 // ScrapeOnce gathers the registry and appends every sample at one
 // timestamp. It returns how many samples were appended and how many
 // appends failed.

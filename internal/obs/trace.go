@@ -13,7 +13,7 @@ import (
 // Tracer records the ask pipeline's per-stage latencies into a
 // dio_stage_duration_seconds{stage} histogram and, when capture is
 // enabled, the full request-scoped trace — hierarchical spans with
-// trace/span IDs, typed attributes and events — into a TraceStore. The
+// trace/span IDs and typed attributes — into a TraceStore. The
 // zero tracer and nil spans are no-ops, so instrumented code never has to
 // branch on whether observability is enabled.
 type Tracer struct {
@@ -225,11 +225,10 @@ type Span struct {
 	start  time.Time
 	root   bool
 
-	mu     sync.Mutex
-	attrs  []Attr
-	events []EventData
-	err    error
-	ended  bool
+	mu    sync.Mutex
+	attrs []Attr
+	err   error
+	ended bool
 }
 
 // StartSpan begins measuring the named stage as a child of the span (and
@@ -250,9 +249,9 @@ func StartSpan(ctx context.Context, stage string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
-// Recording reports whether attributes and events on this span will be
-// captured. Callers use it to skip building expensive attribute values on
-// untraced paths.
+// Recording reports whether attributes on this span will be captured.
+// Callers use it to skip building expensive attribute values on untraced
+// paths.
 func (s *Span) Recording() bool { return s != nil && s.trace != nil }
 
 // TraceID returns the ID of the trace this span belongs to ("" when the
@@ -283,17 +282,6 @@ func (s *Span) SetAttr(key string, value any) {
 	s.mu.Unlock()
 }
 
-// AddEvent appends a timestamped event. No-op on nil or untraced spans.
-func (s *Span) AddEvent(name string, attrs ...Attr) {
-	if s == nil || s.trace == nil {
-		return
-	}
-	ev := EventData{Time: s.t.clock(), Name: name, Attrs: attrs}
-	s.mu.Lock()
-	s.events = append(s.events, ev)
-	s.mu.Unlock()
-}
-
 // SetError marks the span failed; errored traces are preferentially
 // retained by the store. No-op on nil/untraced spans or nil errors.
 func (s *Span) SetError(err error) {
@@ -304,9 +292,6 @@ func (s *Span) SetError(err error) {
 	s.err = err
 	s.mu.Unlock()
 }
-
-// KV builds one attribute.
-func KV(key string, value any) Attr { return Attr{Key: key, Value: value} }
 
 // End records the stage duration (and, for traced spans, snapshots the
 // span into its trace; the root span End closes the trace and hands it to
@@ -338,7 +323,6 @@ func (s *Span) End() {
 		Start:      s.start,
 		DurationMS: float64(end.Sub(s.start)) / float64(time.Millisecond),
 		Attrs:      s.attrs,
-		Events:     s.events,
 	}
 	if s.err != nil {
 		sd.Error = s.err.Error()

@@ -15,23 +15,15 @@ type Attr struct {
 	Value any    `json:"value"`
 }
 
-// EventData is one timestamped event recorded on a span.
-type EventData struct {
-	Time  time.Time `json:"time"`
-	Name  string    `json:"name"`
-	Attrs []Attr    `json:"attrs,omitempty"`
-}
-
 // SpanData is one completed span of a captured trace.
 type SpanData struct {
-	SpanID     string      `json:"span_id"`
-	ParentID   string      `json:"parent_id,omitempty"`
-	Name       string      `json:"name"`
-	Start      time.Time   `json:"start"`
-	DurationMS float64     `json:"duration_ms"`
-	Error      string      `json:"error,omitempty"`
-	Attrs      []Attr      `json:"attrs,omitempty"`
-	Events     []EventData `json:"events,omitempty"`
+	SpanID     string    `json:"span_id"`
+	ParentID   string    `json:"parent_id,omitempty"`
+	Name       string    `json:"name"`
+	Start      time.Time `json:"start"`
+	DurationMS float64   `json:"duration_ms"`
+	Error      string    `json:"error,omitempty"`
+	Attrs      []Attr    `json:"attrs,omitempty"`
 }
 
 // TraceData is one completed request-scoped trace: the root span's
@@ -146,10 +138,6 @@ func NewTraceStore(capacity int, slowThreshold time.Duration) *TraceStore {
 		notable: make([]*TraceData, notable),
 	}
 }
-
-// SlowThreshold returns the duration at or above which a trace counts as
-// slow.
-func (s *TraceStore) SlowThreshold() time.Duration { return s.slow }
 
 // isSlow reports whether td crosses the slow threshold.
 func (s *TraceStore) isSlow(td *TraceData) bool {
@@ -291,13 +279,6 @@ func FormatTrace(td *TraceData) string {
 		b.WriteByte('\n')
 		for _, a := range n.Attrs {
 			formatAttr(&b, indent+"    ", a)
-		}
-		for _, e := range n.Events {
-			fmt.Fprintf(&b, "%s    [event] %s", indent, e.Name)
-			for _, a := range e.Attrs {
-				fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-			}
-			b.WriteByte('\n')
 		}
 		for _, c := range n.Children {
 			walk(c, depth+1)

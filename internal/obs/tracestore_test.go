@@ -25,7 +25,7 @@ func testTracer(store *TraceStore, tick time.Duration) *Tracer {
 }
 
 // TestTraceCaptureTree exercises the full capture path: nested spans with
-// attrs and events land in the store as a correctly-parented tree.
+// attrs land in the store as a correctly-parented tree.
 func TestTraceCaptureTree(t *testing.T) {
 	store := NewTraceStore(16, time.Second)
 	tr := testTracer(store, time.Millisecond)
@@ -38,7 +38,6 @@ func TestTraceCaptureTree(t *testing.T) {
 
 	sctx, sp := StartSpan(ctx, "retrieve")
 	sp.SetAttr("retrieved.count", 29)
-	sp.AddEvent("indexed", KV("docs", 3))
 	// A nested child must parent to "retrieve", not to the root.
 	_, inner := StartSpan(sctx, "embed")
 	inner.End()
@@ -77,9 +76,6 @@ func TestTraceCaptureTree(t *testing.T) {
 	}
 	if len(ret.Attrs) != 1 || ret.Attrs[0].Key != "retrieved.count" {
 		t.Errorf("retrieve attrs = %+v", ret.Attrs)
-	}
-	if len(ret.Events) != 1 || ret.Events[0].Name != "indexed" {
-		t.Errorf("retrieve events = %+v", ret.Events)
 	}
 	if tree.Children[1].Error != "boom" {
 		t.Errorf("sandbox-exec error = %q, want boom", tree.Children[1].Error)
@@ -125,7 +121,6 @@ func TestStartSpanDerivesChildContext(t *testing.T) {
 		t.Fatal("untraced StartSpan should return nil span and unchanged ctx")
 	}
 	nop.SetAttr("k", 1)
-	nop.AddEvent("e")
 	nop.SetError(errors.New("x"))
 	nop.End()
 	if nop.Recording() || nop.TraceID() != "" {
@@ -297,8 +292,7 @@ func TestConcurrentCapture(t *testing.T) {
 						defer inner.Done()
 						_, sp := StartSpan(ctx, "stage")
 						sp.SetAttr("worker", s)
-						sp.AddEvent("tick", KV("i", i))
-						root.AddEvent("shared")
+						root.SetAttr("shared", s)
 						sp.End()
 					}(s)
 				}
@@ -325,12 +319,11 @@ func TestFormatTrace(t *testing.T) {
 	root.SetAttr("question", "q?")
 	_, sp := StartSpan(ctx, "retrieve")
 	sp.SetAttr("retrieved.count", 2)
-	sp.AddEvent("hit", KV("metric", "m1"))
 	sp.End()
 	root.End()
 	td, _ := store.Get(root.TraceID())
 	out := FormatTrace(td)
-	for _, want := range []string{"trace t01", "ask", "question: q?", "- retrieve", "retrieved.count: 2", "[event] hit metric=m1"} {
+	for _, want := range []string{"trace t01", "ask", "question: q?", "- retrieve", "retrieved.count: 2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatTrace output missing %q:\n%s", want, out)
 		}

@@ -14,7 +14,7 @@ type ValueType int
 
 // Expression result types.
 const (
-	ValueNone ValueType = iota
+	_ ValueType = iota // the zero value is no type
 	ValueScalar
 	ValueVector
 	ValueMatrix

@@ -218,16 +218,6 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, input string, ts time.Time)
 	return cap.Stats().Render(), nil
 }
 
-// ExplainAnalyzeRange is ExplainAnalyze over a range evaluation — the
-// dashboard-panel shape, with per-operator stats summed across steps.
-func (e *Engine) ExplainAnalyzeRange(ctx context.Context, input string, start, end time.Time, step time.Duration) (string, error) {
-	ctx, cap := WithQueryStats(ctx)
-	if _, err := e.QueryRange(ctx, input, start, end, step); err != nil {
-		return "", err
-	}
-	return cap.Stats().Render(), nil
-}
-
 // SetHooks installs observation hooks. Call before the engine serves
 // concurrent queries.
 func (e *Engine) SetHooks(h Hooks) { e.hooks = h }

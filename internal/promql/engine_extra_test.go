@@ -25,7 +25,7 @@ func TestLabelReplace(t *testing.T) {
 	// Non-matching pattern leaves labels untouched.
 	v = evalQuery(t, db, `label_replace(smf_pdu_session_active, "pod", "$1", "instance", "zzz")`, end)
 	for _, s := range v.(Vector) {
-		if s.Labels.Has("pod") {
+		if s.Labels.Get("pod") != "" {
 			t.Error("non-matching label_replace added a label")
 		}
 	}

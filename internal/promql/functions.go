@@ -64,16 +64,6 @@ func LookupFunction(name string) (*Function, bool) {
 	return f, ok
 }
 
-// FunctionNames returns the sorted names of all built-ins.
-func FunctionNames() []string {
-	names := make([]string, 0, len(functions))
-	for n := range functions {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // --- range-vector function kernels -------------------------------------
 
 // extrapolatedRate implements the Prometheus rate/increase/delta

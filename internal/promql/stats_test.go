@@ -189,12 +189,12 @@ func TestExplainAnalyze(t *testing.T) {
 		t.Errorf("second ExplainAnalyze did not report a plan cache hit:\n%s", out2)
 	}
 
-	rout, err := eng.ExplainAnalyzeRange(context.Background(), q, end.Add(-10*time.Minute), end, time.Minute)
-	if err != nil {
+	rctx, rcap := WithQueryStats(context.Background())
+	if _, err := eng.QueryRange(rctx, q, end.Add(-10*time.Minute), end, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(rout, "steps 11") {
-		t.Errorf("ExplainAnalyzeRange output missing steps 11:\n%s", rout)
+	if rout := rcap.Stats().Render(); !strings.Contains(rout, "steps 11") {
+		t.Errorf("analyzed range plan missing steps 11:\n%s", rout)
 	}
 
 	if _, err := eng.ExplainAnalyze(context.Background(), "sum by ((", end); err == nil {

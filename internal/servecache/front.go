@@ -90,16 +90,6 @@ func NewFront[V any](cfg FrontConfig[V]) *Front[V] {
 // histogram, entry gauge and per-tenant outcome counters on the registry
 // under cache="answer".
 func (f *Front[V]) Instrument(reg *obs.Registry) {
-	f.InstrumentShared(reg)
-	reg.GaugeVec("dio_cache_entries",
-		"Entries currently resident in a serving cache, by cache layer.", "", "cache").
-		Func(func() float64 { return float64(f.cache.Len()) }, "answer")
-}
-
-// InstrumentShared registers everything except the entry gauge, whose
-// registration is last-writer-wins per label set. A router.Pool running K
-// fronts calls this per replica and registers one summed gauge itself.
-func (f *Front[V]) InstrumentShared(reg *obs.Registry) {
 	f.requests = reg.CounterVec("dio_cache_requests_total",
 		"Serving-cache lookups, by cache layer and outcome (hit, miss, coalesced, bypass).", "", "cache", "outcome")
 	f.tenReqs = reg.CounterVec("dio_tenant_cache_requests_total",
@@ -110,6 +100,9 @@ func (f *Front[V]) InstrumentShared(reg *obs.Registry) {
 	f.lookup = reg.Histogram("dio_cache_lookup_seconds",
 		"Latency of one answer-cache lookup (key build + LRU probe).", "seconds",
 		obs.ExponentialBuckets(1e-7, 10, 8))
+	reg.GaugeVec("dio_cache_entries",
+		"Entries currently resident in a serving cache, by cache layer.", "", "cache").
+		Func(func() float64 { return float64(f.cache.Len()) }, "answer")
 }
 
 // version resolves the cache-key version for a tenant.
@@ -232,9 +225,6 @@ func (f *Front[V]) Purge() {
 	f.coalesced.Store(0)
 	f.bypasses.Store(0)
 }
-
-// TenantEntries returns the number of answers cached for one tenant.
-func (f *Front[V]) TenantEntries(tenantID string) int { return f.cache.TenantLen(tenantID) }
 
 // Stats snapshots the front's counters.
 func (f *Front[V]) Stats() FrontStats {

@@ -53,11 +53,6 @@ func (e *ShedError) Is(target error) bool {
 	return target == ErrOverloaded
 }
 
-// Gate is the historical name of the admission controller; it is now the
-// weighted-fair gate. Single-tenant callers see the old behaviour: FIFO
-// admission up to maxInflight, shedding after queueWait.
-type Gate = FairGate
-
 // FairGate is the multi-tenant admission controller for the expensive ask
 // pipeline. Arriving requests first pass their tenant's token bucket
 // (sustained QPS + burst, sheds with ErrQuotaExceeded and a refill-derived
@@ -99,9 +94,6 @@ type gateTenant struct {
 	waiters []*gateWaiter
 	deficit float64
 	inRing  bool
-
-	admitted uint64
-	shed     uint64
 }
 
 // gateWaiter is one queued request. granted/abandoned are guarded by the
@@ -239,7 +231,6 @@ func (g *FairGate) Acquire(ctx context.Context) (release func(), err error) {
 	if !ts.quota.Unlimited() {
 		if ts.tokens < 1 {
 			retry := g.refillAfterLocked(ts)
-			ts.shed++
 			g.exportTokensLocked(ts)
 			g.mu.Unlock()
 			g.shedMetrics(tid, "shed_quota")
@@ -251,7 +242,6 @@ func (g *FairGate) Acquire(ctx context.Context) (release func(), err error) {
 	// Fast path: free slot and nobody queued ahead.
 	if g.inflight < g.maxInflight && len(g.ring) == 0 {
 		g.inflight++
-		ts.admitted++
 		g.mu.Unlock()
 		g.observeWait(tid, start)
 		return g.release, nil
@@ -300,7 +290,6 @@ func (g *FairGate) abandon(ts *gateTenant, w *gateWaiter) (granted bool) {
 		return true
 	}
 	w.abandoned = true
-	ts.shed++
 	if !ts.quota.Unlimited() {
 		g.refillLocked(ts)
 		ts.tokens = math.Min(ts.quota.NormBurst(), ts.tokens+1)
@@ -359,7 +348,6 @@ func (g *FairGate) dispatchLocked() {
 			ts.waiters = ts.waiters[1:]
 			ts.deficit--
 			g.inflight++
-			ts.admitted++
 			w.granted = true
 			w.ch <- struct{}{}
 		}
@@ -420,30 +408,3 @@ func (g *FairGate) shedMetrics(tid, outcome string) {
 
 // Rejected returns the total number of shed requests (quota and queue).
 func (g *FairGate) Rejected() uint64 { return g.rejected.Load() }
-
-// Queued returns the number of requests currently waiting for admission.
-func (g *FairGate) Queued() int64 { return g.queued.Load() }
-
-// Inflight returns the number of admitted executions in flight.
-func (g *FairGate) Inflight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inflight
-}
-
-// TenantStats reports one tenant's admitted/shed counts and remaining
-// tokens (-1 for unlimited quotas). Unknown tenants report zeros.
-func (g *FairGate) TenantStats(id string) (admitted, shed uint64, tokens float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	ts, ok := g.tenants[id]
-	if !ok {
-		return 0, 0, -1
-	}
-	g.refillLocked(ts)
-	tokens = -1
-	if !ts.quota.Unlimited() {
-		tokens = ts.tokens
-	}
-	return ts.admitted, ts.shed, tokens
-}

@@ -55,10 +55,6 @@ func (s Status) String() string {
 	return "unknown"
 }
 
-// Cached reports whether the request was served without running the
-// pipeline itself (a direct hit, or coalesced onto another execution).
-func (s Status) Cached() bool { return s == StatusHit || s == StatusCoalesced }
-
 // Normalize canonicalises a question for cache keying: lower-cased,
 // whitespace-collapsed, with trailing punctuation stripped, so "How many
 // PDU sessions?", "how many PDU sessions" and "  How many  PDU sessions? "

@@ -376,7 +376,7 @@ func TestGateQueueWaitAdmits(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
-	if q := g.Queued(); q != 1 {
+	if q := g.queued.Load(); q != 1 {
 		t.Fatalf("Queued = %d, want 1", q)
 	}
 	r1()

@@ -17,8 +17,7 @@ type TenantLRU[V any] struct {
 	max    int
 	clock  atomic.Uint64 // logical time for tenant recency
 
-	evictions      atomic.Uint64 // per-entry capacity evictions across dropped tenants
-	tenantsDropped atomic.Uint64
+	evictions atomic.Uint64 // per-entry capacity evictions across dropped tenants
 }
 
 // tenantCache embeds its LRU by value: a tenant hit dereferences the map
@@ -87,7 +86,6 @@ func (c *TenantLRU[V]) dropColdestLocked() {
 		return
 	}
 	c.evictions.Add(cold.lru.Evictions() + uint64(cold.lru.Len()))
-	c.tenantsDropped.Add(1)
 	delete(c.caches, coldID)
 }
 
@@ -121,27 +119,12 @@ func (c *TenantLRU[V]) Len() int {
 	return n
 }
 
-// TenantLen returns the number of entries cached for one tenant.
-func (c *TenantLRU[V]) TenantLen(id string) int {
-	c.mu.RLock()
-	tc, ok := c.caches[id]
-	c.mu.RUnlock()
-	if !ok {
-		return 0
-	}
-	return tc.lru.Len()
-}
-
 // Tenants returns the number of resident tenant caches.
 func (c *TenantLRU[V]) Tenants() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.caches)
 }
-
-// TenantsDropped returns how many whole tenant caches were evicted for the
-// resident-tenant bound.
-func (c *TenantLRU[V]) TenantsDropped() uint64 { return c.tenantsDropped.Load() }
 
 // Evictions returns the total entries evicted for capacity, including the
 // entries of dropped tenants.
@@ -160,16 +143,6 @@ func (c *TenantLRU[V]) Purge() {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, tc := range c.caches {
-		tc.lru.Purge()
-	}
-}
-
-// PurgeTenant drops one tenant's entries.
-func (c *TenantLRU[V]) PurgeTenant(id string) {
-	c.mu.RLock()
-	tc, ok := c.caches[id]
-	c.mu.RUnlock()
-	if ok {
 		tc.lru.Purge()
 	}
 }

@@ -1,7 +1,7 @@
 // Package tenant defines the tenant identity threaded through the
 // serving path: httpapi extracts it from the request, stamps it into the
 // context, and every layer below (admission gate, answer cache, retrieval
-// cache, catalog overlays, replica router, slow-query log) keys on it.
+// cache, catalog overlays, slow-query log) keys on it.
 //
 // The package is intentionally a leaf — stdlib only — so servecache, core,
 // catalog, promql and httpapi can all import it without cycles.
@@ -14,7 +14,6 @@ package tenant
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -165,22 +164,6 @@ func ParseQuotas(spec string) (map[string]Quota, error) {
 		out[id] = q
 	}
 	return out, nil
-}
-
-// FormatQuotas renders a quota map back into the flag syntax, tenants
-// sorted (logs and tests).
-func FormatQuotas(m map[string]Quota) string {
-	names := make([]string, 0, len(m))
-	for id := range m {
-		names = append(names, id)
-	}
-	sort.Strings(names)
-	parts := make([]string, 0, len(names))
-	for _, id := range names {
-		q := m[id]
-		parts = append(parts, fmt.Sprintf("%s=%g:%g:%d", id, q.Rate, q.NormBurst(), q.NormWeight()))
-	}
-	return strings.Join(parts, ",")
 }
 
 // LabelCapper bounds the cardinality of tenant-labelled metrics: the

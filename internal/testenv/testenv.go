@@ -42,15 +42,3 @@ func Env() (*catalog.Database, *tsdb.DB, *core.Retriever, error) {
 	once.Do(build)
 	return cat, db, retriever, buildErr
 }
-
-// Latest returns the newest sample instant of the shared trace.
-func Latest() time.Time {
-	once.Do(build)
-	if db == nil {
-		return time.Time{}
-	}
-	if _, maxT, ok := db.TimeRange(); ok {
-		return time.UnixMilli(maxT)
-	}
-	return time.Time{}
-}

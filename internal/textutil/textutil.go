@@ -70,9 +70,6 @@ var stopwords = map[string]bool{
 	"right": true, "across": true, "all": true, "each": true,
 }
 
-// IsStopword reports whether tok is a stop word.
-func IsStopword(tok string) bool { return stopwords[tok] }
-
 // FilterStopwords returns tokens with stop words removed. The input slice
 // is not modified.
 func FilterStopwords(tokens []string) []string {

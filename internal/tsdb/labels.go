@@ -68,16 +68,6 @@ func (ls Labels) Get(name string) string {
 	return ""
 }
 
-// Has reports whether the named label is present.
-func (ls Labels) Has(name string) bool {
-	for _, l := range ls {
-		if l.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Name returns the metric name (the __name__ label).
 func (ls Labels) Name() string { return ls.Get(MetricNameLabel) }
 

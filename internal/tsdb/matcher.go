@@ -53,15 +53,6 @@ func NewMatcher(t MatchType, name, value string) (*Matcher, error) {
 	return m, nil
 }
 
-// MustMatcher is NewMatcher that panics on error, for tests and literals.
-func MustMatcher(t MatchType, name, value string) *Matcher {
-	m, err := NewMatcher(t, name, value)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // NameMatcher is shorthand for an equality matcher on __name__.
 func NameMatcher(metric string) *Matcher {
 	return &Matcher{Type: MatchEqual, Name: MetricNameLabel, Value: metric}

@@ -289,8 +289,8 @@ func (sh *ShardedDB) Truncate(keepAfter int64) int64 {
 	return dropped
 }
 
-// Gather copies every series into a single unsharded DB — the bridge
-// back to single-store formats (the legacy gob snapshot).
+// Gather copies every series into a single unsharded DB (a sharded
+// checkpoint reopened without shards).
 func (sh *ShardedDB) Gather() *DB {
 	db := New()
 	for _, sr := range sh.AllSeries() {

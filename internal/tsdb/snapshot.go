@@ -3,7 +3,6 @@ package tsdb
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -22,81 +21,10 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorruptSnapshot, fmt.Sprintf(format, args...))
 }
 
-// snapshotSeries is the gob wire form of one series.
-type snapshotSeries struct {
-	Labels  []Label
-	Samples []Sample
-}
-
-// snapshotState is the gob wire form of the whole store.
-type snapshotState struct {
-	Series []snapshotSeries
-}
-
-// Snapshot serialises the entire store in the gob format. The snapshot is
-// deterministic (series ordered by label key) so identical databases
-// produce identical bytes. Gob snapshots decode every chunk and are the
-// migration/oracle path; SnapshotChunked writes the compressed form used
-// by ingest checkpoints.
-func (db *DB) Snapshot(w io.Writer) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	keys := db.sortedKeysLocked()
-	st := snapshotState{Series: make([]snapshotSeries, 0, len(keys))}
-	for _, k := range keys {
-		s := db.series[k]
-		st.Series = append(st.Series, snapshotSeries{Labels: s.Labels, Samples: s.allSamples()})
-	}
-	return gob.NewEncoder(w).Encode(st)
-}
-
-// LoadSnapshot restores a store saved with Snapshot, validating series
-// names, uniqueness and sample time-ordering; any malformed input is
-// rejected with an error wrapping ErrCorruptSnapshot.
-func LoadSnapshot(r io.Reader) (*DB, error) {
-	var st snapshotState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, corruptf("gob decode: %v", err)
-	}
-	db := New()
-	for _, s := range st.Series {
-		ls := Labels(s.Labels)
-		if ls.Name() == "" {
-			return nil, corruptf("series without a metric name: %s", ls)
-		}
-		key := ls.Key()
-		if _, dup := db.series[key]; dup {
-			return nil, corruptf("duplicate series %s", ls)
-		}
-		prev := int64(math.MinInt64)
-		first := true
-		for _, smp := range s.Samples {
-			if !first && smp.T <= prev {
-				return nil, corruptf("series %s has out-of-order samples (t=%d after %d)", ls, smp.T, prev)
-			}
-			prev, first = smp.T, false
-		}
-		sr := db.addSeriesLocked(key, ls)
-		for _, smp := range s.Samples {
-			sr.append(smp.T, smp.V)
-		}
-		if n := len(s.Samples); n > 0 {
-			if s.Samples[0].T < db.minT {
-				db.minT = s.Samples[0].T
-			}
-			if s.Samples[n-1].T > db.maxT {
-				db.maxT = s.Samples[n-1].T
-			}
-			db.samples += int64(n)
-		}
-	}
-	return db, nil
-}
-
 // Chunked snapshot format — the durable on-disk representation ingest
-// checkpoints use. Unlike the gob path it writes the sealed chunk bytes
-// verbatim, so a checkpoint is cheap (no decode) and loads are
-// proportional to compressed size:
+// checkpoints use. It writes the sealed chunk bytes verbatim, so a
+// checkpoint is cheap (no decode) and loads are proportional to
+// compressed size:
 //
 //	8B  magic "DIOCHK1\n"
 //	uvarint series count; per series:

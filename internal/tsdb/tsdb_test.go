@@ -34,9 +34,18 @@ func TestLabelsString(t *testing.T) {
 	}
 }
 
+// MustMatcher is NewMatcher that panics on error.
+func MustMatcher(t MatchType, name, value string) *Matcher {
+	m, err := NewMatcher(t, name, value)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func TestLabelsWithoutKeepWith(t *testing.T) {
 	ls := FromMap(map[string]string{"__name__": "m", "a": "1", "b": "2"})
-	if got := ls.Without("__name__"); got.Has("__name__") || !got.Has("a") {
+	if got := ls.Without("__name__"); got.Get("__name__") != "" || got.Get("a") != "1" {
 		t.Errorf("Without failed: %v", got)
 	}
 	if got := ls.Keep("a"); len(got) != 1 || got.Get("a") != "1" {
@@ -46,7 +55,7 @@ func TestLabelsWithoutKeepWith(t *testing.T) {
 		t.Errorf("With failed: %v", got)
 	}
 	// Original unmodified.
-	if ls.Has("c") {
+	if ls.Get("c") != "" {
 		t.Error("With mutated the receiver")
 	}
 }

@@ -68,13 +68,6 @@ func (ix *IVF) Len() int {
 	return len(ix.t.ids)
 }
 
-// Built reports whether the coarse quantiser has been trained.
-func (ix *IVF) Built() bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.built
-}
-
 // Build trains the k-means coarse quantiser on the buffered vectors and
 // assigns every vector to an inverted list. iters bounds the Lloyd
 // iterations (10 is plenty for retrieval purposes).

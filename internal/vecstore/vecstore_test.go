@@ -102,7 +102,7 @@ func TestIVFBuildAndSearch(t *testing.T) {
 		must(t, ivf.Add(id, v))
 		must(t, exact.Add(id, v))
 	}
-	if ivf.Built() {
+	if ivf.built {
 		t.Fatal("index should not be built yet")
 	}
 	// Before Build, search falls back to exact.
@@ -113,7 +113,7 @@ func TestIVFBuildAndSearch(t *testing.T) {
 	if err := ivf.Build(10); err != nil {
 		t.Fatal(err)
 	}
-	if !ivf.Built() {
+	if !ivf.built {
 		t.Fatal("index should be built")
 	}
 	queries := randomVectors(50, dim, 4)

@@ -148,23 +148,3 @@ func Translate(src *catalog.Database, v *Vendor) (*Translation, error) {
 	tr.Catalog = catalog.NewDatabase(metrics, src.Functions)
 	return tr, nil
 }
-
-// Merge combines the canonical catalog with a vendor translation into one
-// domain-specific database covering a mixed-vendor deployment (§5.1:
-// "multi-source data integration"). Functions are de-duplicated by name.
-func Merge(canonical *catalog.Database, translations ...*Translation) *catalog.Database {
-	var metrics []*catalog.Metric
-	metrics = append(metrics, canonical.Metrics...)
-	for _, tr := range translations {
-		metrics = append(metrics, tr.Catalog.Metrics...)
-	}
-	seen := make(map[string]bool)
-	var funcs []*catalog.FunctionDef
-	for _, f := range canonical.Functions {
-		if !seen[f.Name] {
-			seen[f.Name] = true
-			funcs = append(funcs, f)
-		}
-	}
-	return catalog.NewDatabase(metrics, funcs)
-}

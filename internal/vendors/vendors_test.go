@@ -74,29 +74,6 @@ func TestTranslateBijective(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	cat := catalog.Generate()
-	tr, err := vendors.Translate(cat, vendors.VendorB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := vendors.Merge(cat, tr)
-	if len(merged.Metrics) != 2*len(cat.Metrics) {
-		t.Fatalf("merged has %d metrics, want %d", len(merged.Metrics), 2*len(cat.Metrics))
-	}
-	// Both spellings resolve.
-	if _, ok := merged.Lookup("amfcc_n1_auth_attempt"); !ok {
-		t.Error("canonical name missing from merge")
-	}
-	if _, ok := merged.Lookup("amfCcN1AuthAtt"); !ok {
-		t.Error("vendor name missing from merge")
-	}
-	// Functions not duplicated.
-	if len(merged.Functions) != len(cat.Functions) {
-		t.Errorf("functions duplicated: %d", len(merged.Functions))
-	}
-}
-
 // TestCopilotOverVendorBDeployment is the §5.1 aha: the same pipeline
 // answers questions against a vendor-B deployment because the
 // domain-specific database documents vendor-B names.
