@@ -16,9 +16,10 @@ verify:
 	sh scripts/verify.sh
 
 # bench runs the substrate micro-benchmarks (query engine, storage,
-# dashboard rendering, uncached retrieval) with allocation reporting.
+# dashboard rendering, uncached retrieval and the whole uncached ask, the
+# in-process number that tracks ask_cold) with allocation reporting.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryRange|BenchmarkSelect$$|BenchmarkDashboardRender|BenchmarkTSDBAppend|BenchmarkPromQL|BenchmarkVecstoreFlatSearch|BenchmarkRetrieverRetrieve' -benchmem -benchtime=20x .
+	$(GO) test -run '^$$' -bench 'BenchmarkQueryRange|BenchmarkSelect$$|BenchmarkDashboardRender|BenchmarkTSDBAppend|BenchmarkPromQL|BenchmarkVecstoreFlatSearch|BenchmarkRetrieverRetrieve|BenchmarkCopilotAsk' -benchmem -benchtime=20x .
 
 # bench-paper regenerates the paper's evaluation tables alongside
 # performance numbers (every benchmark, one iteration each).

@@ -356,6 +356,9 @@ func (c *Copilot) Ask(ctx context.Context, question string) (*Answer, error) {
 	return a, err
 }
 
+// askSystemPrompt opens both prompts of an ask.
+const askSystemPrompt = "You are a data analytics assistant for 5G operator metrics. Identify the relevant metrics and produce a PromQL query answering the question."
+
 // scoredRef is the wire shape of one retrieved-metric trace attribute.
 type scoredRef struct {
 	Metric string  `json:"metric"`
@@ -398,18 +401,17 @@ func (c *Copilot) ask(ctx context.Context, question string) (*Answer, error) {
 	sp.End()
 
 	builder := &llm.Builder{
-		System:      "You are a data analytics assistant for 5G operator metrics. Identify the relevant metrics and produce a PromQL query answering the question.",
+		System:      askSystemPrompt,
 		TokenBudget: c.promptBudget(),
+		Model:       c.model,
 	}
 
-	// 2. Metric selection by the foundation model over the filtered set.
-	// Descriptions are clipped to their leading tokens in the prompt —
-	// enough to disambiguate, while keeping per-query token cost near the
-	// paper's (§4.2.5).
+	// 2. Metric selection by the foundation model over the filtered set,
+	// each description clipped as the retriever stored it.
 	_, sp = obs.StartSpan(ctx, "prompt-build")
-	clipped := make([]llm.ContextDoc, len(a.Context))
-	for i, d := range a.Context {
-		clipped[i] = llm.ContextDoc{ID: d.ID, Text: llm.TruncateToTokens(d.Text, 24)}
+	clipped := make([]llm.ContextDoc, len(scored))
+	for i, s := range scored {
+		clipped[i] = s.Clipped
 	}
 	selPrompt := builder.Build(clipped, nil, question)
 	if sp.Recording() {
@@ -440,8 +442,8 @@ func (c *Copilot) ask(ctx context.Context, question string) (*Answer, error) {
 	_, sp = obs.StartSpan(ctx, "prompt-build")
 	selDocs := make([]llm.ContextDoc, 0, len(selResp.Metrics))
 	for _, name := range selResp.Metrics {
-		if d, ok := c.retriever.DocTenant(tid, name); ok {
-			selDocs = append(selDocs, llm.ContextDoc{ID: d.ID, Text: llm.TruncateToTokens(d.Text, 24)})
+		if d, ok := c.retriever.clippedTenant(tid, name); ok {
+			selDocs = append(selDocs, d)
 		} else {
 			selDocs = append(selDocs, llm.ContextDoc{ID: name})
 		}

@@ -33,7 +33,7 @@ type Retriever struct {
 	// retrieval holds the read lock, AddDocument the write lock.
 	mu    sync.RWMutex
 	index vecstore.Index
-	docs  map[string]catalog.Document
+	docs  map[string]indexedDoc
 
 	// tenants holds per-tenant overlay indexes (see tenantretriever.go).
 	// Lazily created; nil until the first tenant-scoped contribution.
@@ -52,6 +52,27 @@ type Retriever struct {
 	// survives answer-cache expiry.
 	cache   *servecache.LRU[retrievalEntry]
 	lookups *obs.CounterVec // dio_cache_requests_total{cache="retrieval",outcome}; nil w/o Instrument
+}
+
+// promptDocTokens is how much of a description enters a prompt: its
+// leading tokens are enough to disambiguate, while keeping per-query token
+// cost near the paper's (§4.2.5).
+const promptDocTokens = 24
+
+// indexedDoc is a document as the retriever holds it: the document, and
+// the form of it a prompt carries, clipped once when it is indexed.
+type indexedDoc struct {
+	catalog.Document
+	clipped llm.ContextDoc
+}
+
+func indexDoc(d catalog.Document) indexedDoc {
+	return indexedDoc{d, llm.ContextDoc{ID: d.ID, Text: llm.TruncateToTokens(d.Text, promptDocTokens)}}
+}
+
+// scored returns the document as a retrieval hit.
+func (d indexedDoc) scored(score float64) ScoredDoc {
+	return ScoredDoc{Doc: llm.ContextDoc{ID: d.ID, Text: d.Text}, Clipped: d.clipped, Score: score}
 }
 
 // retrievalEntry is one cached retrieval: the embedded query vector plus
@@ -78,14 +99,14 @@ func NewRetriever(db *catalog.Database, index vecstore.Index) (*Retriever, error
 	}
 	r := &Retriever{
 		model: model, index: index,
-		docs:  make(map[string]catalog.Document, len(docs)),
+		docs:  make(map[string]indexedDoc, len(docs)),
 		cache: servecache.NewLRU[retrievalEntry](defaultRetrievalCacheSize),
 	}
 	for _, d := range docs {
 		if err := index.Add(d.ID, model.Embed(d.Text)); err != nil {
 			return nil, fmt.Errorf("core: indexing %s: %w", d.ID, err)
 		}
-		r.docs[d.ID] = d
+		r.docs[d.ID] = indexDoc(d)
 	}
 	return r, nil
 }
@@ -114,7 +135,7 @@ func (r *Retriever) AddDocument(d catalog.Document) error {
 	if err := r.index.Add(d.ID, r.model.Embed(d.Text)); err != nil {
 		return err
 	}
-	r.docs[d.ID] = d
+	r.docs[d.ID] = indexDoc(d)
 	r.version.Add(1)
 	return nil
 }
@@ -124,15 +145,18 @@ func (r *Retriever) Doc(id string) (catalog.Document, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	d, ok := r.docs[id]
-	return d, ok
+	return d.Document, ok
 }
 
 // ScoredDoc is one retrieved context document with its cosine-similarity
 // score (trace attributes surface these so an explain view shows *why*
 // each document entered the prompt).
 type ScoredDoc struct {
-	Doc   llm.ContextDoc
-	Score float64
+	Doc llm.ContextDoc
+	// Clipped is Doc as a prompt carries it, the text cut to its leading
+	// tokens.
+	Clipped llm.ContextDoc
+	Score   float64
 }
 
 // RetrieveScored returns the top-k documents semantically closest to the

@@ -21,7 +21,7 @@ import (
 // vector index plus the documents behind it. Guarded by Retriever.mu.
 type tenantIndex struct {
 	index   vecstore.Index
-	docs    map[string]catalog.Document
+	docs    map[string]indexedDoc
 	version uint64
 }
 
@@ -33,7 +33,7 @@ func (r *Retriever) tenantIndexLocked(id string) *tenantIndex {
 	}
 	ti, ok := r.tenants[id]
 	if !ok {
-		ti = &tenantIndex{index: vecstore.NewFlat(r.model.Dim()), docs: make(map[string]catalog.Document)}
+		ti = &tenantIndex{index: vecstore.NewFlat(r.model.Dim()), docs: make(map[string]indexedDoc)}
 		r.tenants[id] = ti
 		r.ntenants.Add(1)
 	}
@@ -68,30 +68,30 @@ func (r *Retriever) AddDocumentTenant(id string, d catalog.Document) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ti := r.tenantIndexLocked(id)
-	if _, exists := ti.docs[d.ID]; !exists {
-		if err := ti.index.Add(d.ID, r.model.Embed(d.Text)); err != nil {
-			return err
-		}
+	// A second contribution under one id replaces the first, vector and all.
+	if err := ti.index.Add(d.ID, r.model.Embed(d.Text)); err != nil {
+		return err
 	}
-	ti.docs[d.ID] = d
+	ti.docs[d.ID] = indexDoc(d)
 	ti.version++
 	return nil
 }
 
-// DocTenant returns the document a tenant sees under id: its overlay
-// entry when one exists, the shared base entry otherwise.
-func (r *Retriever) DocTenant(tid, id string) (catalog.Document, bool) {
+// clippedTenant returns the prompt form of the document a tenant sees
+// under id: its overlay entry when one exists, the shared base entry
+// otherwise.
+func (r *Retriever) clippedTenant(tid, id string) (llm.ContextDoc, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if tid != tenant.Default {
 		if ti, ok := r.tenants[tid]; ok {
 			if d, ok := ti.docs[id]; ok {
-				return d, true
+				return d.clipped, true
 			}
 		}
 	}
 	d, ok := r.docs[id]
-	return d, ok
+	return d.clipped, ok
 }
 
 // RetrieveScoredTenant returns the top-k documents closest to the query as
@@ -122,7 +122,7 @@ func (r *Retriever) RetrieveScoredTenant(tid, query string, k int) []ScoredDoc {
 		if !ok {
 			continue
 		}
-		out = append(out, ScoredDoc{Doc: llm.ContextDoc{ID: d.ID, Text: d.Text}, Score: h.Score})
+		out = append(out, d.scored(h.Score))
 	}
 	if tid != tenant.Default {
 		if ti, ok := r.tenants[tid]; ok {
@@ -140,7 +140,7 @@ func (r *Retriever) RetrieveScoredTenant(tid, query string, k int) []ScoredDoc {
 				if !ok {
 					continue
 				}
-				out = append(out, ScoredDoc{Doc: llm.ContextDoc{ID: d.ID, Text: d.Text}, Score: h.Score})
+				out = append(out, d.scored(h.Score))
 			}
 			sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
 			if len(out) > k {

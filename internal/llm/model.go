@@ -3,9 +3,12 @@ package llm
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"dio/internal/embedding"
@@ -70,6 +73,16 @@ type Model struct {
 	cap   Capability
 	lex   *embedding.Lexicon
 	calls atomic.Int64
+
+	// What the model reads from a context document or a few-shot example
+	// depends on nothing but the model and that value, so each is read
+	// once and remembered under the value itself (see facts). mu guards
+	// the three maps; they grow with the distinct documents and examples
+	// the process prompts with, which is what it has indexed.
+	mu       sync.RWMutex
+	docs     map[ContextDoc]*docFacts
+	examples map[string]exampleFacts // by question
+	tokenIDs map[string]uint32       // the tokens of docs, numbered from 0
 }
 
 // New returns the simulated model with the given published name.
@@ -78,7 +91,12 @@ func New(name string) (*Model, error) {
 	if !ok {
 		return nil, fmt.Errorf("llm: unknown model %q (have %v)", name, ModelNames())
 	}
-	return &Model{name: name, cap: cap, lex: knowledgeLexicon(name, cap.Knowledge)}, nil
+	return &Model{
+		name: name, cap: cap, lex: knowledgeLexicon(name, cap.Knowledge),
+		docs:     make(map[ContextDoc]*docFacts),
+		examples: make(map[string]exampleFacts),
+		tokenIDs: make(map[string]uint32),
+	}, nil
 }
 
 // MustNew is New that panics on error, for tests and examples.
@@ -229,61 +247,172 @@ func rolesFor(task TaskKind, question string) []string {
 	}
 }
 
+// scaffold is the task and lifecycle wording coreTokens drops so only the
+// subject phrase scores; the lifecycle variant is resolved separately by
+// the role logic, and letting "attempt"/"failure" score here would match
+// every procedure family in the store.
+var scaffold = map[string]bool{
+	"rate": true, "average": true, "total": true, "number": true,
+	"percentage": true, "percent": true, "fraction": true, "ratio": true,
+	"second": true, "hour": true, "minute": true, "instance": true,
+	"time": true, "out": true, "share": true, "highest": true,
+	"attempt": true, "failure": true, "fail": true, "success": true,
+	"timeout": true, "reject": true, "procedure": true, "completion": true,
+	"so": true, "far": true, "busiest": true,
+}
+
 // coreTokens extracts the content-bearing tokens of a question, expanded
-// through the model's world-knowledge lexicon.
-func (m *Model) coreTokens(question string) []string {
+// through the model's world-knowledge lexicon, as the set docScores
+// compares with a document's (see tokenSet).
+func (m *Model) coreTokens(question string) []uint32 {
 	toks := textutil.NormalizeTokens(question)
-	// Drop task and lifecycle scaffolding words so only the subject
-	// phrase scores; the lifecycle variant is resolved separately by the
-	// role logic, and letting "attempt"/"failure" score here would match
-	// every procedure family in the store.
-	scaffold := map[string]bool{
-		"rate": true, "average": true, "total": true, "number": true,
-		"percentage": true, "percent": true, "fraction": true, "ratio": true,
-		"second": true, "hour": true, "minute": true, "instance": true,
-		"time": true, "out": true, "share": true, "highest": true,
-		"attempt": true, "failure": true, "fail": true, "success": true,
-		"timeout": true, "reject": true, "procedure": true, "completion": true,
-		"so": true, "far": true, "busiest": true,
-	}
-	core := make([]string, 0, len(toks))
+	core := toks[:0]
 	for _, t := range toks {
 		if !scaffold[t] {
 			core = append(core, t)
 		}
 	}
-	return m.lex.Expand(core)
+	core = m.lex.Expand(core)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.tokenSet(core)
 }
 
-// docScore measures how well a context document answers for the question
-// core. Two components: coverage (how many question tokens the document
-// accounts for anywhere) and subject affinity (symmetric similarity with
-// the document's subject — its name plus first documentation sentence),
-// which is what lets a documented entry about "paging failures with cause
-// authentication failure" lose to the authentication procedure itself on
-// an authentication question. Both sides are expanded through the model's
-// world-knowledge lexicon, so a tier that knows an abbreviation can bridge
-// it and a tier that does not cannot.
-func (m *Model) docScore(core []string, doc ContextDoc) float64 {
+// tokenSet returns tokens as a set: the sorted ids of the distinct ones.
+// Only a document's tokens have ids (learn); a token no document holds
+// takes one from the top of the range instead, which matches nothing and
+// still counts towards the size of the set. Callers hold mu.
+func (m *Model) tokenSet(tokens []string) []uint32 {
+	ids := make([]uint32, len(tokens))
+	for i, t := range tokens {
+		id, ok := m.tokenIDs[t]
+		if !ok {
+			id = math.MaxUint32 - uint32(slices.Index(tokens, t))
+		}
+		ids[i] = id
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// learn numbers the tokens it has not seen, from 0 up. Callers hold mu
+// for writing.
+func (m *Model) learn(tokens []string) {
+	for _, t := range tokens {
+		if _, ok := m.tokenIDs[t]; !ok {
+			m.tokenIDs[t] = uint32(len(m.tokenIDs))
+		}
+	}
+}
+
+// docFacts is what a model reads from one context document.
+type docFacts struct {
+	// subject and all are the token sets docScores compares with the
+	// question's: of the name plus first documentation sentence, and of
+	// the name plus the whole text. subject is empty for a document the
+	// model makes nothing of.
+	subject, all []uint32
+	// tokens is the count of the document's line in a rendered prompt.
+	tokens int
+}
+
+// facts returns what the model reads from doc, reading it on first sight.
+func (m *Model) facts(doc ContextDoc) *docFacts {
+	m.mu.RLock()
+	f := m.docs[doc]
+	m.mu.RUnlock()
+	if f != nil {
+		return f
+	}
+	f = &docFacts{tokens: docTokens(doc)}
 	// A bare identifier (no documentation) is only usable if the model
 	// can decode the vendor's naming — which it does for a per-tier
 	// fraction of names, deterministically per (model, name).
-	if doc.Text == "" && hashFrac(m.name+"|comprehend|"+doc.ID) >= m.cap.BareNameComprehension {
-		return 0
+	var subject, all []string
+	if doc.Text != "" || hashFrac(m.name+"|comprehend|"+doc.ID) < m.cap.BareNameComprehension {
+		first := doc.Text
+		if i := strings.IndexByte(first, '.'); i > 0 {
+			first = first[:i]
+		}
+		subject = m.lex.Expand(textutil.NormalizeTokens(doc.ID + " " + first))
+		all = subject
+		if first != doc.Text {
+			all = m.lex.Expand(textutil.NormalizeTokens(doc.ID + " " + doc.Text))
+		}
 	}
-	subject := doc.Text
-	if i := strings.IndexByte(subject, '.'); i > 0 {
-		subject = subject[:i]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if have := m.docs[doc]; have != nil {
+		return have
 	}
-	subjToks := m.lex.Expand(textutil.NormalizeTokens(doc.ID + " " + subject))
-	if len(subjToks) == 0 {
-		return 0
+	m.learn(all) // subject's are among them
+	f.subject, f.all = m.tokenSet(subject), m.tokenSet(all)
+	m.docs[doc] = f
+	return f
+}
+
+// docTokens returns the count of doc's line in a rendered prompt. A nil
+// model counts it from the text, and so does any model for a bare name,
+// which is short and need not come from an indexed document.
+func (m *Model) docTokens(doc ContextDoc) int {
+	if m == nil || doc.Text == "" {
+		return docTokens(doc)
 	}
-	allToks := subjToks
-	if subject != doc.Text {
-		allToks = m.lex.Expand(textutil.NormalizeTokens(doc.ID + " " + doc.Text))
+	return m.facts(doc).tokens
+}
+
+// exampleFacts is the remembered token count of the example that had
+// these metrics and this query when it was counted.
+type exampleFacts struct {
+	metrics []string
+	query   string
+	tokens  int
+}
+
+// exampleTokens returns the count of e's lines in a rendered prompt; a
+// nil model counts them from the text.
+func (m *Model) exampleTokens(e Example) int {
+	if m == nil {
+		return exampleTokens(e)
 	}
-	return textutil.OverlapCoefficient(core, allToks) + 0.5*textutil.JaccardSimilarity(core, subjToks)
+	m.mu.RLock()
+	f, ok := m.examples[e.Question]
+	m.mu.RUnlock()
+	if ok && f.query == e.Query && slices.Equal(f.metrics, e.Metrics) {
+		return f.tokens
+	}
+	f = exampleFacts{slices.Clone(e.Metrics), e.Query, exampleTokens(e)}
+	m.mu.Lock()
+	m.examples[e.Question] = f
+	m.mu.Unlock()
+	return f.tokens
+}
+
+// docScores measures how well each context document answers for the
+// question core. Two components: coverage (how many question tokens the
+// document accounts for anywhere) and subject affinity (symmetric
+// similarity with the document's subject — its name plus first
+// documentation sentence), which is what lets a documented entry about
+// "paging failures with cause authentication failure" lose to the
+// authentication procedure itself on an authentication question. Both
+// sides are expanded through the model's world-knowledge lexicon, so a
+// tier that knows an abbreviation can bridge it and a tier that does not
+// cannot.
+func (m *Model) docScores(question string, docs []ContextDoc) []float64 {
+	facts := make([]*docFacts, len(docs))
+	for i, d := range docs {
+		facts[i] = m.facts(d)
+	}
+	// The question is read after the documents, whose tokens have their
+	// ids by now.
+	core := m.coreTokens(question)
+	scores := make([]float64, len(docs))
+	for i, f := range facts {
+		if len(f.subject) > 0 {
+			scores[i] = textutil.OverlapCoefficient(core, f.all) + 0.5*textutil.JaccardSimilarity(core, f.subject)
+		}
+	}
+	return scores
 }
 
 // camelVariantAbbrevs are the camelCase lifecycle suffixes used by some
@@ -346,7 +475,7 @@ func (m *Model) selectMetrics(req Request, rng *rand.Rand) Response {
 	p := req.Prompt
 	task := m.classify(p.Question, rng, req.Decomposed)
 	roles := rolesFor(task, p.Question)
-	core := m.coreTokens(p.Question)
+	scores := m.docScores(p.Question, p.Context)
 
 	type scored struct {
 		doc   ContextDoc
@@ -367,7 +496,7 @@ func (m *Model) selectMetrics(req Request, rng *rand.Rand) Response {
 	}
 	cands := make([]scored, 0, len(p.Context))
 	for i, d := range p.Context {
-		s := m.docScore(core, d)
+		s := scores[i]
 		if s <= 0 {
 			continue
 		}
@@ -623,12 +752,11 @@ func corrupt(query string, metrics []string, rng *rand.Rand) string {
 // context the prompt carries, returning prose instead of code.
 func (m *Model) answerDirect(req Request, rng *rand.Rand) Response {
 	p := req.Prompt
-	core := m.coreTokens(p.Question)
 	bestScore := 0.0
 	var best ContextDoc
-	for _, d := range p.Context {
-		if s := m.docScore(core, d); s > bestScore {
-			bestScore, best = s, d
+	for i, s := range m.docScores(p.Question, p.Context) {
+		if s > bestScore {
+			bestScore, best = s, p.Context[i]
 		}
 	}
 	if bestScore < 0.45 {

@@ -155,6 +155,10 @@ type Prompt struct {
 	Context  []ContextDoc
 	Examples []Example
 	Question string
+
+	// tokens is the count Builder.Build summed for the prompt it returned,
+	// which is final; zero on a hand-built prompt, counted on demand.
+	tokens int
 }
 
 // Render flattens the prompt to text.
@@ -187,8 +191,61 @@ func (p *Prompt) Render() string {
 	return b.String()
 }
 
+// Token counts of the text Render puts around the parts of a prompt.
+var (
+	contextHeadTokens   = CountTokens("Relevant metrics and their documentation:\n")
+	examplesHeadTokens  = CountTokens("Examples:\n")
+	exampleFrameTokens  = CountTokens("Q: \nMetrics: \nPromQL: \n\n")
+	questionFrameTokens = CountTokens("Q: \nPromQL:")
+)
+
+// docTokens counts one context line of Render: "- id" or "- id: text".
+func docTokens(d ContextDoc) int {
+	n := 1 + CountTokens(d.ID)
+	if d.Text != "" {
+		n += 1 + CountTokens(d.Text)
+	}
+	return n
+}
+
+// exampleTokens counts one example of Render, a comma between metrics.
+func exampleTokens(e Example) int {
+	n := exampleFrameTokens + CountTokens(e.Question) + CountTokens(e.Query) + max(len(e.Metrics)-1, 0)
+	for _, name := range e.Metrics {
+		n += CountTokens(name)
+	}
+	return n
+}
+
+// count returns the token count of the rendered prompt as the sum over
+// its parts. That equals CountTokens(p.Render()) because Render puts
+// white space or punctuation at every seam ("- ", ": ", "\n", "Q: "), and
+// a token never spans either. m, which may be nil, remembers the parts it
+// has counted before.
+func (p *Prompt) count(m *Model) int {
+	n := CountTokens(p.System) + questionFrameTokens + CountTokens(p.Question)
+	if len(p.Context) > 0 {
+		n += contextHeadTokens
+	}
+	for _, d := range p.Context {
+		n += m.docTokens(d)
+	}
+	if len(p.Examples) > 0 {
+		n += examplesHeadTokens
+	}
+	for _, e := range p.Examples {
+		n += m.exampleTokens(e)
+	}
+	return n
+}
+
 // Tokens returns the token count of the rendered prompt.
-func (p *Prompt) Tokens() int { return CountTokens(p.Render()) }
+func (p *Prompt) Tokens() int {
+	if p.tokens > 0 {
+		return p.tokens
+	}
+	return p.count(nil)
+}
 
 // Builder assembles prompts under a token budget, dropping the
 // lowest-ranked context documents first when the budget would overflow
@@ -196,20 +253,33 @@ func (p *Prompt) Tokens() int { return CountTokens(p.Render()) }
 type Builder struct {
 	System      string
 	TokenBudget int
+	// Model, when set, remembers the token count of every document and
+	// example it has been prompted with, so Build counts only what is new;
+	// the counts are the same without it.
+	Model *Model
 }
 
 // Build assembles a prompt from ranked context (best first), examples and
 // the question, trimming context to fit the budget.
 func (b *Builder) Build(context []ContextDoc, examples []Example, question string) *Prompt {
 	p := &Prompt{System: b.System, Context: context, Examples: examples, Question: question}
+	p.tokens = p.count(b.Model)
 	if b.TokenBudget <= 0 {
 		return p
 	}
-	for len(p.Context) > 0 && p.Tokens() > b.TokenBudget {
-		p.Context = p.Context[:len(p.Context)-1]
+	for n := len(p.Context); n > 0 && p.tokens > b.TokenBudget; n-- {
+		p.tokens -= b.Model.docTokens(p.Context[n-1])
+		if n == 1 {
+			p.tokens -= contextHeadTokens
+		}
+		p.Context = p.Context[:n-1]
 	}
-	for len(p.Examples) > 0 && p.Tokens() > b.TokenBudget {
-		p.Examples = p.Examples[:len(p.Examples)-1]
+	for n := len(p.Examples); n > 0 && p.tokens > b.TokenBudget; n-- {
+		p.tokens -= b.Model.exampleTokens(p.Examples[n-1])
+		if n == 1 {
+			p.tokens -= examplesHeadTokens
+		}
+		p.Examples = p.Examples[:n-1]
 	}
 	return p
 }

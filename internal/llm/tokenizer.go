@@ -56,21 +56,16 @@ func CountTokens(text string) int {
 }
 
 // TruncateToTokens trims text to at most maxTokens tokens, cutting at a
-// word boundary.
+// word boundary: text within the budget comes back as it is, a longer one
+// as its leading words joined by single spaces. A word's tokens do not
+// depend on its neighbours, so one running sum finds the cut.
 func TruncateToTokens(text string, maxTokens int) string {
-	if CountTokens(text) <= maxTokens {
-		return text
-	}
 	words := strings.Fields(text)
-	var b strings.Builder
-	for _, w := range words {
-		if CountTokens(b.String()+" "+w) > maxTokens {
-			break
+	tokens := 0
+	for i, w := range words {
+		if tokens += CountTokens(w); tokens > maxTokens {
+			return strings.Join(words[:i], " ")
 		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(w)
 	}
-	return b.String()
+	return text
 }

@@ -9,6 +9,7 @@
 package textutil
 
 import (
+	"cmp"
 	"strings"
 	"unicode"
 )
@@ -161,61 +162,40 @@ func WordNGrams(tokens []string, n int) []string {
 	return grams
 }
 
-// JaccardSimilarity returns |A∩B| / |A∪B| over two token slices, treating
-// them as sets. It is the cheap lexical-overlap fallback used by the
-// simulated models when scoring candidate metric names.
-func JaccardSimilarity(a, b []string) float64 {
+// common returns |A∩B| of two sets, each a sorted slice without duplicates.
+func common[T cmp.Ordered](a, b []T) int {
+	n := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := cmp.Compare(a[i], b[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			n, i, j = n+1, i+1, j+1
+		}
+	}
+	return n
+}
+
+// JaccardSimilarity returns |A∩B| / |A∪B| of two sets, each a sorted
+// slice without duplicates. It is the cheap lexical-overlap measure the
+// simulated models use when scoring candidate metric names.
+func JaccardSimilarity[T cmp.Ordered](a, b []T) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
 	}
-	setA := make(map[string]bool, len(a))
-	for _, t := range a {
-		setA[t] = true
-	}
-	setB := make(map[string]bool, len(b))
-	for _, t := range b {
-		setB[t] = true
-	}
-	inter := 0
-	for t := range setA {
-		if setB[t] {
-			inter++
-		}
-	}
-	union := len(setA) + len(setB) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
+	inter := common(a, b)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
-// OverlapCoefficient returns |A∩B| / min(|A|,|B|) over two token sets. It
-// is more forgiving than Jaccard when one side is much longer (a one-line
-// question versus a paragraph of documentation).
-func OverlapCoefficient(a, b []string) float64 {
+// OverlapCoefficient returns |A∩B| / min(|A|,|B|) of two sets, each a
+// sorted slice without duplicates. It is more forgiving than Jaccard when
+// one side is much longer (a one-line question versus a paragraph of
+// documentation).
+func OverlapCoefficient[T cmp.Ordered](a, b []T) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	setA := make(map[string]bool, len(a))
-	for _, t := range a {
-		setA[t] = true
-	}
-	setB := make(map[string]bool, len(b))
-	for _, t := range b {
-		setB[t] = true
-	}
-	inter := 0
-	for t := range setA {
-		if setB[t] {
-			inter++
-		}
-	}
-	m := len(setA)
-	if len(setB) < m {
-		m = len(setB)
-	}
-	if m == 0 {
-		return 0
-	}
-	return float64(inter) / float64(m)
+	return float64(common(a, b)) / float64(min(len(a), len(b)))
 }

@@ -1,12 +1,9 @@
 package vecstore_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -214,75 +211,8 @@ func TestAddRejectsNonFinite(t *testing.T) {
 	if err := flat.Add("a", embedding.Vector{nan, 0}); err == nil {
 		t.Error("replacement with NaN accepted")
 	}
-	if v, _ := flat.Get("a"); !reflect.DeepEqual(v, embedding.Vector{1, 0}) {
-		t.Errorf("row after rejected replacement = %v", v)
-	}
-}
-
-// oldFlatState has the field shape the pre-matrix Flat wrote.
-type oldFlatState struct {
-	Dim  int
-	IDs  []string
-	Vecs [][]float32
-}
-
-func encodeState(t *testing.T, st oldFlatState) *bytes.Buffer {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	return &buf
-}
-
-func TestFlatSaveLoadRoundTrip(t *testing.T) {
-	const dim = 10
-	rng := rand.New(rand.NewSource(3))
-	flat := vecstore.NewFlat(dim)
-	var c corpus
-	old := oldFlatState{Dim: dim}
-	for i, v := range sparseVectors(rng, 9, dim, 0.5) {
-		id := fmt.Sprintf("v%d", i)
-		c.add(t, flat, id, v)
-		old.IDs, old.Vecs = append(old.IDs, id), append(old.Vecs, v)
-	}
-	var saved bytes.Buffer
-	if err := flat.Save(&saved); err != nil {
-		t.Fatal(err)
-	}
-	for name, buf := range map[string]*bytes.Buffer{"saved": &saved, "old layout": encodeState(t, old)} {
-		got, err := vecstore.LoadFlat(buf)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Len() != flat.Len() || got.Dim() != dim {
-			t.Fatalf("%s: loaded len %d dim %d", name, got.Len(), got.Dim())
-		}
-		for i, id := range c.ids {
-			if v, ok := got.Get(id); !ok || !reflect.DeepEqual(v, c.vecs[i]) {
-				t.Fatalf("%s: Get(%s) = %v, %v", name, id, v, ok)
-			}
-		}
-		for _, q := range sparseVectors(rng, 4, dim, 0.5) {
-			c.check(t, got, name, q, 4)
-		}
-	}
-}
-
-func TestLoadFlatRejectsCorruptState(t *testing.T) {
-	nan := float32(math.NaN())
-	for name, st := range map[string]oldFlatState{
-		"count mismatch": {Dim: 2, IDs: []string{"a", "b"}, Vecs: [][]float32{{1, 0}}},
-		"short vector":   {Dim: 2, IDs: []string{"a", "b"}, Vecs: [][]float32{{1, 0}, {1}}},
-		"long vector":    {Dim: 2, IDs: []string{"a"}, Vecs: [][]float32{{1, 0, 0}}},
-		"duplicate id":   {Dim: 2, IDs: []string{"a", "a"}, Vecs: [][]float32{{1, 0}, {0, 1}}},
-		"NaN component":  {Dim: 2, IDs: []string{"a"}, Vecs: [][]float32{{nan, 0}}},
-		"negative dim":   {Dim: -1},
-	} {
-		_, err := vecstore.LoadFlat(encodeState(t, st))
-		if err == nil || !strings.Contains(err.Error(), "corrupt flat index state") {
-			t.Errorf("%s: err = %v, want corrupt flat index state", name, err)
-		}
+	if got := flat.Search(embedding.Vector{1, 0}, 1); len(got) != 1 || got[0].Score != 1 {
+		t.Errorf("search after rejected replacement = %v", got)
 	}
 }
 
@@ -324,11 +254,14 @@ func TestFlatConcurrentAddSearch(t *testing.T) {
 	}
 }
 
+// TestFlatSearchAllocCeiling counts the two-pass search: the query has
+// more lanes than the first pass scores, so both passes, the lane split
+// and the rescoring all run on pooled scratch.
 func TestFlatSearchAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not hold under the race detector")
 	}
-	const dim = 64
+	const dim = 192
 	rng := rand.New(rand.NewSource(9))
 	flat := vecstore.NewFlat(dim)
 	for i, v := range sparseVectors(rng, 501, dim, 0.5) {
@@ -337,7 +270,179 @@ func TestFlatSearchAllocCeiling(t *testing.T) {
 		}
 	}
 	q := sparseVectors(rng, 1, dim, 0.45)[0]
+	if flat.Rescored(q, 29) == 0 {
+		t.Fatal("the query did not take the two-pass search")
+	}
 	if allocs := testing.AllocsPerRun(200, func() { flat.Search(q, 29) }); allocs > 2 {
 		t.Errorf("Flat.Search allocates %.1f times per call, ceiling 2", allocs)
 	}
+}
+
+// coldQueries embeds the distinct questions among the first n generated at
+// seed 1, the set the ask_cold workload cycles through.
+func coldQueries(t *testing.T, cat *catalog.Database, model *embedding.Model, n int) []embedding.Vector {
+	t.Helper()
+	items, err := benchmark.Generate(cat, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	var out []embedding.Vector
+	for _, it := range items {
+		if !seen[it.Question] {
+			seen[it.Question] = true
+			out = append(out, model.Embed(it.Question))
+		}
+	}
+	return out
+}
+
+// TestFlatSearchPrunesOnCatalog holds the bound to what it was measured
+// to do: a bound that is merely valid would still pass every reference
+// check while rescoring the whole catalog.
+func TestFlatSearchPrunesOnCatalog(t *testing.T) {
+	cat := catalog.Generate()
+	flat := vecstore.NewFlat(embedding.DefaultOptions().Dim)
+	r, err := core.NewRetriever(cat, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 1200
+	if raceEnabled || testing.Short() {
+		n = 120
+	}
+	queries := coldQueries(t, cat, r.EmbeddingModel(), n)
+	total := 0
+	for _, q := range queries {
+		got := flat.Rescored(q, core.DefaultOptions().TopK)
+		if got == 0 {
+			t.Fatal("a cold question took the one-pass search")
+		}
+		total += got
+	}
+	mean := float64(total) / float64(len(queries))
+	t.Logf("%d questions: %.0f of %d rows rescored on average", len(queries), mean, flat.Len())
+	if mean > 0.10*float64(flat.Len()) {
+		t.Errorf("second pass rescored %.0f of %d rows on average, want at most 10%%", mean, flat.Len())
+	}
+}
+
+// denseVector returns a vector whose first nnz lanes are non-zero, of
+// magnitudes spread over two decades so the heavy lanes are a real choice.
+func denseVector(rng *rand.Rand, dim, nnz int) embedding.Vector {
+	v := make(embedding.Vector, dim)
+	for _, d := range rng.Perm(dim)[:nnz] {
+		v[d] = float32(rng.NormFloat64() * math.Pow(10, -2*rng.Float64()))
+	}
+	return v
+}
+
+// TestPrunedSearchMatchesReference aims at the ways a norm bound can be
+// wrong: rows that are not unit vectors, scores that all tie at the
+// floor, queries either side of the heavy-lane count, a row whose norm
+// changed after it was stored, and k at or past the corpus size.
+func TestPrunedSearchMatchesReference(t *testing.T) {
+	const dim, n = 96, 300
+	rng := rand.New(rand.NewSource(21))
+	var queries []embedding.Vector
+	for _, nnz := range []int{31, 32, 33, 60, dim} {
+		queries = append(queries, denseVector(rng, dim, nnz), denseVector(rng, dim, nnz))
+	}
+	// Equal magnitudes everywhere: which lanes are heavy is all tie-break.
+	flat33 := make(embedding.Vector, dim)
+	for d := 0; d < 33; d++ {
+		flat33[d] = float32(1 - 2*(d%2))
+	}
+	queries = append(queries, flat33)
+
+	build := func(name string) vecstore.Index {
+		if name == "flat" {
+			return vecstore.NewFlat(dim)
+		}
+		return vecstore.NewIVF(dim, 4, 4, 1) // nprobe = nlist: every row is a candidate
+	}
+	finish := func(t *testing.T, name string, ix vecstore.Index) {
+		if name == "ivf-built" {
+			if err := ix.(*vecstore.IVF).Build(5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkAll := func(t *testing.T, c *corpus, ix vecstore.Index, name string) {
+		for _, q := range queries {
+			for _, k := range []int{1, 29, len(c.ids) - 1, len(c.ids), len(c.ids) + 5} {
+				c.check(t, ix, name, q, k)
+			}
+		}
+	}
+	for _, name := range []string{"flat", "ivf-unbuilt", "ivf-built"} {
+		t.Run(name+"/scaled rows", func(t *testing.T) {
+			ix, c := build(name), &corpus{}
+			for i, v := range sparseVectors(rng, n, dim, 0.6) {
+				scale := float32(math.Pow(10, float64(i%7-3))) // 1e-3 … 1e3
+				for d := range v {
+					v[d] *= scale
+				}
+				c.add(t, ix, fmt.Sprintf("v%03d", i), v)
+			}
+			finish(t, name, ix)
+			checkAll(t, c, ix, name)
+		})
+		t.Run(name+"/identical rows", func(t *testing.T) {
+			ix, c := build(name), &corpus{}
+			v := sparseVectors(rng, 1, dim, 0.8)[0]
+			for _, i := range rng.Perm(n) {
+				c.add(t, ix, fmt.Sprintf("v%03d", i), v)
+			}
+			finish(t, name, ix)
+			checkAll(t, c, ix, name)
+		})
+	}
+	t.Run("flat/tie across passes", func(t *testing.T) {
+		// Every row scores exactly 0.5. The b rows earn it on a heavy lane
+		// and lead the first pass; the a rows earn it on a light lane, are
+		// only found by the second, and win the tie on id.
+		q := make(embedding.Vector, dim)
+		for d := 0; d < 40; d++ {
+			q[d] = 1
+			if d >= 32 {
+				q[d] = 0.25
+			}
+		}
+		ix, c := vecstore.NewFlat(dim), &corpus{}
+		for i := 0; i < 5; i++ {
+			a, b := make(embedding.Vector, dim), make(embedding.Vector, dim)
+			a[32+i], b[i] = 2, 0.5
+			c.add(t, ix, fmt.Sprintf("b%d", i), b)
+			c.add(t, ix, fmt.Sprintf("a%d", i), a)
+		}
+		for _, k := range []int{1, 5, 7, 10} {
+			c.check(t, ix, "tie", q, k)
+		}
+	})
+	t.Run("flat/replaced row grew", func(t *testing.T) {
+		ix, c := vecstore.NewFlat(dim), &corpus{}
+		for i, v := range sparseVectors(rng, n, dim, 0.6) {
+			if i == n/2 {
+				clear(v) // norm 0: every bound on it is 0
+			}
+			c.add(t, ix, fmt.Sprintf("v%03d", i), v)
+		}
+		for _, q := range queries {
+			// The new row is the best match there is, and all of that on
+			// the query's smaller lanes: the first pass sees 0, so a norm
+			// left at 0 would prune it.
+			order := rng.Perm(dim)
+			sort.SliceStable(order, func(i, j int) bool {
+				return math.Abs(float64(q[order[i]])) > math.Abs(float64(q[order[j]]))
+			})
+			grown := make(embedding.Vector, dim)
+			for _, d := range order[32:] {
+				grown[d] = 50 * q[d]
+			}
+			c.add(t, ix, c.ids[n/2], grown)
+			c.check(t, ix, "after replace", q, 1)
+			c.check(t, ix, "after replace", q, 29)
+		}
+	})
 }

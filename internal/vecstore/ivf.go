@@ -89,13 +89,14 @@ func (ix *IVF) Build(iters int) error {
 	perm := rng.Perm(n)
 	ix.centroids = make([]embedding.Vector, ix.nlist)
 	for c := 0; c < ix.nlist; c++ {
-		ix.centroids[c] = embedding.Clone(ix.t.row(perm[c]))
+		ix.centroids[c] = ix.t.row(perm[c], make(embedding.Vector, ix.t.dim))
 	}
 	assign := make([]int, n)
+	row := make(embedding.Vector, ix.t.dim)
 	for it := 0; it < iters; it++ {
 		changed := false
 		for i := range assign {
-			c := ix.nearestCentroid(ix.t.row(i))
+			c := ix.nearestCentroid(ix.t.row(i, row))
 			if assign[i] != c || it == 0 {
 				assign[i] = c
 				changed = true
@@ -109,14 +110,14 @@ func (ix *IVF) Build(iters int) error {
 		}
 		for i, c := range assign {
 			counts[c]++
-			for d, x := range ix.t.row(i) {
+			for d, x := range ix.t.row(i, row) {
 				sums[c][d] += x
 			}
 		}
 		for c := range sums {
 			if counts[c] == 0 {
 				// Re-seed empty cluster with a random vector.
-				sums[c] = embedding.Clone(ix.t.row(rng.Intn(n)))
+				ix.t.row(rng.Intn(n), sums[c])
 			}
 			embedding.Normalize(sums[c])
 			ix.centroids[c] = sums[c]
@@ -127,7 +128,7 @@ func (ix *IVF) Build(iters int) error {
 	}
 	ix.lists = make([][]int, ix.nlist)
 	for i := 0; i < n; i++ {
-		c := ix.nearestCentroid(ix.t.row(i))
+		c := ix.nearestCentroid(ix.t.row(i, row))
 		ix.lists[c] = append(ix.lists[c], i)
 	}
 	ix.built = true
@@ -154,7 +155,8 @@ func (ix *IVF) Search(query embedding.Vector, k int) []Result {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if !ix.built {
-		return ix.t.topK(query, k, nil, len(ix.t.ids))
+		res, _ := ix.t.topK(query, k, nil, len(ix.t.ids))
+		return res
 	}
 	// Rank centroids by similarity, probe the best nprobe lists.
 	type cscore struct {
@@ -170,7 +172,8 @@ func (ix *IVF) Search(query embedding.Vector, k int) []Result {
 	for p := 0; p < ix.nprobe && p < len(cs); p++ {
 		cand = append(cand, ix.lists[cs[p].c]...)
 	}
-	return ix.t.topK(query, k, cand, len(cand))
+	res, _ := ix.t.topK(query, k, cand, len(cand))
+	return res
 }
 
 // Recall measures IVF recall@k against exact search for a query set: the
