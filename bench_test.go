@@ -28,6 +28,7 @@ import (
 	"dio/internal/dashboard"
 	"dio/internal/embedding"
 	"dio/internal/fivegsim"
+	"dio/internal/ingest"
 	"dio/internal/llm"
 	"dio/internal/promql"
 	"dio/internal/sandbox"
@@ -351,6 +352,53 @@ func BenchmarkTSDBAppend(b *testing.B) {
 		if err := db.Append(ls, int64(i), float64(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkIngestPush times one write_read push in process: DecodeBinary
+// of 2000 series × 1 sample (40 gNBs × 50 UEs, as bench/ pushes them),
+// then Store.Append through the WAL and its fsync. It tracks write_read the
+// way BenchmarkCopilotAsk tracks ask_cold.
+func BenchmarkIngestPush(b *testing.B) {
+	st, err := ingest.OpenStore(b.TempDir(), ingest.StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	batch := make([]ingest.TimeSeries, 0, 2000)
+	for g := 0; g < 40; g++ {
+		for u := 0; u < 50; u++ {
+			batch = append(batch, ingest.TimeSeries{
+				Labels: tsdb.NewLabels(
+					tsdb.Label{Name: tsdb.MetricNameLabel, Value: "bench_dl_bytes_total"},
+					tsdb.Label{Name: "job", Value: "bench"},
+					tsdb.Label{Name: "instance", Value: fmt.Sprintf("gnb-%02d", g)},
+					tsdb.Label{Name: "ue", Value: fmt.Sprintf("ue-%04d", g*50+u)},
+				),
+				Samples: make([]tsdb.Sample, 1),
+			})
+		}
+	}
+	push := func(i int) {
+		b.StopTimer()
+		for s := range batch {
+			batch[s].Samples[0] = tsdb.Sample{T: int64(i+1) * 1000, V: float64(i * s)}
+		}
+		body := ingest.EncodeBinary(batch)
+		b.StartTimer()
+		decoded, err := ingest.DecodeBinary(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Append(decoded); err != nil {
+			b.Fatal(err)
+		}
+	}
+	push(-1) // the server's series exist after the first push; time the rest
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		push(i)
 	}
 }
 

@@ -70,7 +70,6 @@ func main() {
 	tenantQuotas := flag.String("tenant-quotas", "", "per-tenant admission QPS quotas, e.g. 'acme=5:10:2,*=1' (tenant=rate[:burst[:weight]], '*' is the default quota)")
 	tenantTokens := flag.String("tenant-tokens", "", "bearer-token tenant mapping, e.g. 'tok1=acme,tok2=umbrella'")
 	dataDir := flag.String("data-dir", "", "durable ingest directory (WAL + checkpoints); enables POST /api/v1/write, empty runs memory-only")
-	walFsync := flag.Duration("wal-fsync-interval", 25*time.Millisecond, "WAL group-commit window: appends are acknowledged once the next periodic fsync covers them (0 syncs every batch)")
 	retention := flag.Duration("retention", 0, "drop samples older than this behind the TSDB head (0 keeps everything)")
 	checkpointEvery := flag.Duration("checkpoint-interval", 5*time.Minute, "how often the ingest store checkpoints and truncates its WAL")
 	tsdbShards := flag.Int("tsdb-shards", 1, "TSDB shards: >1 partitions series by fingerprint hash, parallelising ingest and fanning queries out to per-shard partial aggregation")
@@ -93,7 +92,7 @@ func main() {
 	var store *ingest.Store
 	if *dataDir != "" {
 		var err error
-		store, err = ingest.OpenStore(*dataDir, ingest.StoreOptions{FsyncInterval: *walFsync, Shards: *tsdbShards})
+		store, err = ingest.OpenStore(*dataDir, ingest.StoreOptions{Shards: *tsdbShards})
 		if err != nil {
 			fatal("opening ingest store", err)
 		}
@@ -208,7 +207,7 @@ func main() {
 		store.Instrument(reg)
 		apiOpts = append(apiOpts, httpapi.WithIngest(store))
 		logger.Info("remote-write enabled at POST /api/v1/write",
-			"fsync_interval", *walFsync, "retention", *retention, "checkpoint_interval", *checkpointEvery)
+			"retention", *retention, "checkpoint_interval", *checkpointEvery)
 	}
 	if *traceCapacity > 0 {
 		apiOpts = append(apiOpts, httpapi.WithTracing(cp.Tracer()))

@@ -17,7 +17,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
+	"strings"
 
 	"dio/internal/tsdb"
 )
@@ -60,9 +60,9 @@ const (
 //	4B  magic "DWR1"
 //	uvarint series count; per series:
 //	  uvarint label count; per label: uvarint len + bytes (name, value)
-//	  uvarint sample count; zigzag-varint t0; then per extra sample a
-//	  zigzag-varint delta from the previous timestamp; values as 8B
-//	  little-endian IEEE-754 bits each
+//	  uvarint sample count; per sample a zigzag-varint delta from the
+//	  previous timestamp (from 0 for the first, so t0 itself), then the
+//	  value as 8B little-endian IEEE-754 bits
 //	4B  IEEE CRC-32 (big-endian) of everything after the magic
 const binaryMagic = "DWR1"
 
@@ -84,12 +84,8 @@ func EncodeBinary(series []TimeSeries) []byte {
 		}
 		b = binary.AppendUvarint(b, uint64(len(ts.Samples)))
 		prevT := int64(0)
-		for i, s := range ts.Samples {
-			if i == 0 {
-				b = binary.AppendUvarint(b, zigzag(s.T))
-			} else {
-				b = binary.AppendUvarint(b, zigzag(s.T-prevT))
-			}
+		for _, s := range ts.Samples {
+			b = binary.AppendUvarint(b, zigzag(s.T-prevT))
 			prevT = s.T
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.V))
 		}
@@ -99,7 +95,11 @@ func EncodeBinary(series []TimeSeries) []byte {
 	return append(b, sum[:]...)
 }
 
-// DecodeBinary parses and validates a binary write request.
+// DecodeBinary parses and validates a binary write request. Label strings
+// are slices of a few shared strings holding only the label bytes (no
+// sample bytes), and label sets share a few backing arrays; whoever keeps
+// a label set beyond the request (the TSDB, the WAL) copies it, so
+// nothing long-lived pins the request.
 func DecodeBinary(raw []byte) ([]TimeSeries, error) {
 	if len(raw) < len(binaryMagic)+4 || string(raw[:len(binaryMagic)]) != binaryMagic {
 		return nil, badPayloadf("bad magic")
@@ -118,21 +118,6 @@ func DecodeBinary(raw []byte) ([]TimeSeries, error) {
 		pos += n
 		return v, nil
 	}
-	readString := func(max int) (string, error) {
-		n, err := readUvarint()
-		if err != nil {
-			return "", err
-		}
-		if n > uint64(max) {
-			return "", badPayloadf("string of %d bytes exceeds the %d limit", n, max)
-		}
-		if uint64(len(payload)-pos) < n {
-			return "", badPayloadf("truncated string at offset %d", pos)
-		}
-		s := string(payload[pos : pos+int(n)])
-		pos += int(n)
-		return s, nil
-	}
 	nSeries, err := readUvarint()
 	if err != nil {
 		return nil, err
@@ -141,6 +126,14 @@ func DecodeBinary(raw []byte) ([]TimeSeries, error) {
 		return nil, badPayloadf("%d series exceeds the %d limit", nSeries, maxSeriesPerRequest)
 	}
 	out := make([]TimeSeries, 0, nSeries)
+	// Both arenas are sized as if every remaining series were this one
+	// (capped by the bytes left) and are replaced, not grown, when a larger
+	// series comes along: labelArena holds the label sets, labelBytes a
+	// copy of each series' label region for the strings to slice.
+	var labelArena []tsdb.Label
+	var labelBytes strings.Builder
+	// spans[i] is where name or value i starts and ends in the region.
+	var spans [2 * maxLabelsPerSeries][2]int
 	totalSamples := uint64(0)
 	for si := uint64(0); si < nSeries; si++ {
 		nLabels, err := readUvarint()
@@ -150,18 +143,37 @@ func DecodeBinary(raw []byte) ([]TimeSeries, error) {
 		if nLabels == 0 || nLabels > maxLabelsPerSeries {
 			return nil, badPayloadf("series %d has %d labels", si, nLabels)
 		}
-		ls := make(tsdb.Labels, 0, nLabels)
-		for li := uint64(0); li < nLabels; li++ {
-			name, err := readString(maxLabelLength)
+		start := pos
+		for i := 0; i < 2*int(nLabels); i++ {
+			n, err := readUvarint()
 			if err != nil {
 				return nil, err
 			}
-			value, err := readString(maxLabelLength)
-			if err != nil {
-				return nil, err
+			if n > maxLabelLength {
+				return nil, badPayloadf("string of %d bytes exceeds the %d limit", n, maxLabelLength)
 			}
-			ls = append(ls, tsdb.Label{Name: name, Value: value})
+			if uint64(len(payload)-pos) < n {
+				return nil, badPayloadf("truncated string at offset %d", pos)
+			}
+			spans[i] = [2]int{pos - start, pos - start + int(n)}
+			pos += int(n)
 		}
+		region := payload[start:pos]
+		if labelBytes.Cap()-labelBytes.Len() < len(region) {
+			labelBytes = strings.Builder{}
+			labelBytes.Grow(max(len(region), min(len(region)*int(nSeries-si), len(payload)-start)))
+		}
+		labelBytes.Write(region)
+		str := labelBytes.String()[labelBytes.Len()-len(region):]
+		if cap(labelArena)-len(labelArena) < int(nLabels) {
+			labelArena = make([]tsdb.Label, 0, max(nLabels, min(nLabels*(nSeries-si), uint64(len(payload)-pos)/2)))
+		}
+		ls := labelArena[len(labelArena) : len(labelArena) : len(labelArena)+int(nLabels)]
+		for i := 0; i < 2*int(nLabels); i += 2 {
+			name, value := spans[i], spans[i+1]
+			ls = append(ls, tsdb.Label{Name: str[name[0]:name[1]], Value: str[value[0]:value[1]]})
+		}
+		labelArena = labelArena[:len(labelArena)+len(ls)]
 		nSamples, err := readUvarint()
 		if err != nil {
 			return nil, err
@@ -179,10 +191,7 @@ func DecodeBinary(raw []byte) ([]TimeSeries, error) {
 			if err != nil {
 				return nil, err
 			}
-			t := unzigzag(zz)
-			if i > 0 {
-				t += prevT
-			}
+			t := prevT + unzigzag(zz)
 			if len(payload)-pos < 8 {
 				return nil, badPayloadf("truncated value at offset %d", pos)
 			}
@@ -205,12 +214,12 @@ func DecodeBinary(raw []byte) ([]TimeSeries, error) {
 
 // validateSeries enforces the semantic rules shared by both codecs.
 func validateSeries(idx uint64, ts TimeSeries) error {
-	if !sort.SliceIsSorted(ts.Labels, func(i, j int) bool { return ts.Labels[i].Name < ts.Labels[j].Name }) {
-		return badPayloadf("series %d labels are not sorted by name", idx)
-	}
 	for i := 1; i < len(ts.Labels); i++ {
-		if ts.Labels[i].Name == ts.Labels[i-1].Name {
-			return badPayloadf("series %d repeats label %q", idx, ts.Labels[i].Name)
+		switch prev, cur := ts.Labels[i-1].Name, ts.Labels[i].Name; {
+		case cur < prev:
+			return badPayloadf("series %d labels are not sorted by name", idx)
+		case cur == prev:
+			return badPayloadf("series %d repeats label %q", idx, cur)
 		}
 	}
 	if ts.Labels.Name() == "" {

@@ -2,8 +2,11 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
+	"strconv"
 	"testing"
 
 	"dio/internal/tsdb"
@@ -138,5 +141,75 @@ func TestDecodeWriteRequestDispatch(t *testing.T) {
 	sameSeries(t, out, in)
 	if _, err := DecodeWriteRequest(bytes.NewReader(raw), "text/plain"); !errors.Is(err, ErrBadWritePayload) {
 		t.Fatalf("unknown content type accepted: %v", err)
+	}
+}
+
+// frameBinary wraps body in the DWR1 magic and trailing CRC, so the fuzzer
+// reaches the parser instead of stopping at the checksum.
+func frameBinary(body []byte) []byte {
+	raw := append([]byte(binaryMagic), body...)
+	return binary.BigEndian.AppendUint32(raw, crc32.ChecksumIEEE(body))
+}
+
+// FuzzDecodeBinary: no input panics the decoder, every rejection wraps
+// ErrBadWritePayload, and whatever it accepts survives an EncodeBinary →
+// DecodeBinary round trip.
+func FuzzDecodeBinary(f *testing.F) {
+	for _, batch := range [][]TimeSeries{
+		pushBatch(3, 1000),
+		{mkSeries("weird", nil, tsdb.Sample{T: -1, V: math.NaN()}, tsdb.Sample{T: 1 << 44, V: math.Inf(-1)})},
+		{mkSeries("empty", nil)},
+	} {
+		raw := EncodeBinary(batch)
+		f.Add(raw[len(binaryMagic) : len(raw)-4])
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, raw := range [][]byte{body, frameBinary(body)} {
+			got, err := DecodeBinary(raw)
+			if err != nil {
+				if !errors.Is(err, ErrBadWritePayload) {
+					t.Fatalf("rejection %v does not wrap ErrBadWritePayload", err)
+				}
+				continue
+			}
+			again, err := DecodeBinary(EncodeBinary(got))
+			if err != nil {
+				t.Fatalf("re-decoding an accepted request: %v", err)
+			}
+			sameSeries(t, again, got)
+		}
+	})
+}
+
+// BenchmarkDecodeBinary decodes a label-heavy push (write_read's 2000
+// series × 1 sample) and a sample-heavy one (10 series × 100 000 samples,
+// a 10 MB body), so a cut in one shape's copies cannot hide a cost in the
+// other's.
+func BenchmarkDecodeBinary(b *testing.B) {
+	for _, shape := range []struct {
+		name            string
+		series, samples int
+	}{{"2000x1", 2000, 1}, {"10x100000", 10, 100_000}} {
+		batch := make([]TimeSeries, shape.series)
+		for i := range batch {
+			batch[i].Labels = tsdb.Labels{
+				{Name: tsdb.MetricNameLabel, Value: "bench_dl_bytes_total"},
+				{Name: "instance", Value: "gnb-" + strconv.Itoa(i%40)},
+				{Name: "ue", Value: "ue-" + strconv.Itoa(i)},
+			}
+			for j := 0; j < shape.samples; j++ {
+				batch[i].Samples = append(batch[i].Samples, tsdb.Sample{T: int64(j) * 1000, V: float64(j)})
+			}
+		}
+		raw := EncodeBinary(batch)
+		b.Run(shape.name, func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeBinary(raw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

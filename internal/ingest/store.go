@@ -38,8 +38,8 @@ import (
 // a crash mid-checkpoint falls back to the previous complete set plus a
 // longer replay, never to a partial state.
 type Store struct {
-	dir  string
-	db   tsdb.Storage
+	dir string
+	db  tsdb.Storage
 	// sharded is non-nil when db fronts more than one shard.
 	sharded *tsdb.ShardedDB
 	wal     *WAL
@@ -69,7 +69,8 @@ type Store struct {
 
 // StoreOptions configure the durable store.
 type StoreOptions struct {
-	// FsyncInterval and SegmentBytes are passed to the WAL.
+	// FsyncInterval is ignored, like WALOptions.FsyncInterval.
+	// SegmentBytes is passed to the WAL.
 	FsyncInterval time.Duration
 	SegmentBytes  int64
 	// Shards selects the TSDB layout: <= 1 keeps the single-DB store and
@@ -265,8 +266,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 
 	// 3. Open the WAL for new appends (always a fresh segment).
 	wal, err := OpenWAL(walDir, WALOptions{
-		SegmentBytes:  opts.SegmentBytes,
-		FsyncInterval: opts.FsyncInterval,
+		SegmentBytes: opts.SegmentBytes,
 		OnFsync: func(sec float64) {
 			if h := s.mFsync.Load(); h != nil {
 				h.Observe(sec)
@@ -384,7 +384,7 @@ func (s *Store) Checkpoint() error {
 			tmp.Close()
 			return err
 		}
-		if err := fsyncFile(tmp); err != nil {
+		if err := syncFile(tmp); err != nil {
 			tmp.Close()
 			return err
 		}
@@ -409,9 +409,9 @@ func (s *Store) Checkpoint() error {
 			return err
 		}
 	}
-	if d, err := os.Open(s.dir); err == nil {
-		fsyncFile(d)
-		d.Close()
+	// The renames must be durable before the segments they replace go.
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("ingest: sync checkpoint directory: %w", err)
 	}
 
 	// Garbage-collect what the new checkpoint supersedes: covered WAL

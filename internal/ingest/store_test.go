@@ -217,7 +217,7 @@ func TestStoreFsyncFailureRefusesAck(t *testing.T) {
 	// The disk starts failing fsyncs: the append must report failure (the
 	// client cannot assume durability) and the WAL must stay failed rather
 	// than silently acknowledge later writes.
-	restore := SetFsyncHook(func(*os.File) error { return errors.New("injected fsync failure") })
+	restore := SetDiskFaults(DiskFaults{Sync: func(*os.File) error { return errors.New("injected fsync failure") }})
 	if _, err := st.Append(batches[1]); err == nil {
 		t.Fatal("append acknowledged despite fsync failure")
 	}

@@ -34,7 +34,7 @@ import (
 //	     per label uvarint len + bytes (name, value)
 //	0x02 samples: uvarint count, then per sample
 //	     uvarint seriesRef, zigzag-varint delta from the previous
-//	     timestamp in the record (first is absolute), 8B LE value bits
+//	     timestamp in the record (from 0 for the first), 8B LE value bits
 //
 // Series refs are process-lifetime identifiers. Every segment re-logs a
 // series' labels before its first sample record in that segment, so a
@@ -55,17 +55,38 @@ var ErrWALCorrupt = errors.New("ingest: corrupt WAL")
 // ErrWALClosed is returned by appends after Close.
 var ErrWALClosed = errors.New("ingest: WAL is closed")
 
-// fsyncFile is swapped by tests to inject fsync failures.
-var fsyncFile = func(f *os.File) error { return f.Sync() }
+// writeFile and syncFile carry every segment write and every fsync the WAL
+// and the store make. Tests swap them (export_test.go) to slow a sync down
+// or to inject a short write, ENOSPC or a failed fsync.
+var (
+	writeFile = (*os.File).Write
+	syncFile  = (*os.File).Sync
+)
+
+// segmentWriter sends a segment's buffered writes through writeFile.
+type segmentWriter struct{ f *os.File }
+
+func (s segmentWriter) Write(p []byte) (int, error) { return writeFile(s.f, p) }
+
+// syncDir fsyncs a directory, which is what makes a file created or
+// renamed in it survive power loss: fsync(2) on the file alone does not
+// persist its directory entry.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close() // opened read-only: nothing to lose on close
+	return syncFile(d)
+}
 
 // WALOptions tune the write-ahead log.
 type WALOptions struct {
 	// SegmentBytes rotates to a new segment once the current one exceeds
 	// this size. Default 16 MiB.
 	SegmentBytes int64
-	// FsyncInterval batches fsyncs: appends are acknowledged once the
-	// periodic flusher syncs past them. 0 syncs on every append batch
-	// (group-committing whatever accumulated meanwhile).
+	// FsyncInterval is ignored: every WAL commits as soon as a waiter
+	// takes the lock. The field remains for callers that still set it.
 	FsyncInterval time.Duration
 	// OnFsync, when set, observes each fsync's duration in seconds.
 	OnFsync func(seconds float64)
@@ -74,14 +95,16 @@ type WALOptions struct {
 }
 
 // WAL is the segmented write-ahead log. It is safe for concurrent use.
+// Durability is a group commit with no goroutine of its own: the first
+// appender to wait takes the lock and fsyncs everything written so far,
+// and the appenders that queue behind it meanwhile form the next group.
 type WAL struct {
 	dir  string
 	opts WALOptions
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	f    *os.File
-	bw   *bufio.Writer
+	mu       sync.Mutex
+	f        *os.File
+	bw       *bufio.Writer
 	seg      int
 	segBytes int64
 	// refs maps series fingerprints to their process-lifetime refs;
@@ -90,13 +113,15 @@ type WAL struct {
 	refs        map[string]uint64
 	loggedInSeg map[uint64]bool
 	nextRef     uint64
+	// keyBuf, rec and seriesRec are reused across appends (each as large
+	// as the largest request needs): the series-key lookup buffer, the
+	// samples record and the series record payloads.
+	keyBuf, rec, seriesRec []byte
 
-	written uint64 // append batches written to the OS
-	synced  uint64 // append batches covered by an fsync
+	written uint64 // append batches written to the buffer
+	synced  uint64 // append batches covered by a successful fsync
 	err     error  // sticky write/fsync error
 	closed  bool
-	stop    chan struct{}
-	done    chan struct{}
 }
 
 // segmentName formats the file name of segment idx.
@@ -153,83 +178,62 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	if len(segs) > 0 {
 		next = segs[len(segs)-1] + 1
 	}
-	w := &WAL{
-		dir:         dir,
-		opts:        opts,
-		refs:        make(map[string]uint64),
-		loggedInSeg: make(map[uint64]bool),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
-	}
-	w.cond = sync.NewCond(&w.mu)
+	w := &WAL{dir: dir, opts: opts, refs: make(map[string]uint64)}
 	if err := w.openSegmentLocked(next); err != nil {
 		return nil, err
-	}
-	if opts.FsyncInterval > 0 {
-		go w.flushLoop()
-	} else {
-		close(w.done)
 	}
 	return w, nil
 }
 
-// openSegmentLocked starts segment idx. Callers hold mu (or own the WAL
-// exclusively during open).
+// openSegmentLocked starts segment idx and fsyncs its magic and then the
+// WAL directory, so the records later acknowledged in it cannot lose
+// their file to a power cut, and a durable entry never names a headless
+// file. Callers hold mu (or own the WAL exclusively during open).
 func (w *WAL) openSegmentLocked(idx int) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, segmentName(idx)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteString(walMagic); err != nil {
+	if _, err := writeFile(f, []byte(walMagic)); err != nil {
+		f.Close()
+		return err
+	}
+	if err := syncFile(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := syncDir(w.dir); err != nil {
 		f.Close()
 		return err
 	}
 	w.f = f
-	w.bw = bufio.NewWriterSize(f, 1<<20)
+	w.bw = bufio.NewWriterSize(segmentWriter{f}, 1<<20)
 	w.seg = idx
 	w.segBytes = int64(len(walMagic))
 	w.loggedInSeg = make(map[uint64]bool)
 	return nil
 }
 
-// flushLoop is the fsync batcher: every FsyncInterval it syncs whatever
-// has been written and wakes the appenders waiting on durability.
-func (w *WAL) flushLoop() {
-	defer close(w.done)
-	tick := time.NewTicker(w.opts.FsyncInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-tick.C:
-			w.mu.Lock()
-			if !w.closed && w.written > w.synced {
-				w.flushSyncLocked()
-			}
-			w.mu.Unlock()
-		}
+// syncLocked flushes the buffer and fsyncs the segment; on success every
+// batch written so far is durable. A failure poisons the WAL. Callers
+// hold mu.
+func (w *WAL) syncLocked() {
+	if w.err != nil {
+		return
 	}
-}
-
-// flushSyncLocked flushes the buffer and fsyncs the segment, advancing
-// the durability watermark and waking waiters. Callers hold mu.
-func (w *WAL) flushSyncLocked() {
-	if w.err == nil {
-		if err := w.bw.Flush(); err != nil {
-			w.err = err
-		}
+	if err := w.bw.Flush(); err != nil {
+		w.err = err
+		return
 	}
-	if w.err == nil {
-		t0 := time.Now()
-		if err := fsyncFile(w.f); err != nil {
-			w.err = err
-		} else if w.opts.OnFsync != nil {
-			w.opts.OnFsync(time.Since(t0).Seconds())
-		}
+	t0 := time.Now()
+	if err := syncFile(w.f); err != nil {
+		w.err = err
+		return
 	}
-	w.synced = w.written
-	w.cond.Broadcast()
+	w.synced = w.written // mu held throughout: nothing was written meanwhile
+	if w.opts.OnFsync != nil {
+		w.opts.OnFsync(time.Since(t0).Seconds())
+	}
 }
 
 // writeRecordLocked frames and writes one record payload.
@@ -257,15 +261,15 @@ func (w *WAL) writeRecordLocked(payload []byte) {
 // refLocked resolves (allocating if needed) the ref for a series and
 // guarantees its series record exists in the current segment.
 func (w *WAL) refLocked(ls tsdb.Labels) uint64 {
-	key := ls.Key()
-	ref, ok := w.refs[key]
+	w.keyBuf = ls.AppendKey(w.keyBuf[:0])
+	ref, ok := w.refs[string(w.keyBuf)]
 	if !ok {
 		w.nextRef++
 		ref = w.nextRef
-		w.refs[key] = ref
+		w.refs[string(w.keyBuf)] = ref
 	}
 	if !w.loggedInSeg[ref] {
-		payload := []byte{recSeries}
+		payload := append(w.seriesRec[:0], recSeries)
 		payload = binary.AppendUvarint(payload, ref)
 		payload = binary.AppendUvarint(payload, uint64(len(ls)))
 		for _, l := range ls {
@@ -275,6 +279,7 @@ func (w *WAL) refLocked(ls tsdb.Labels) uint64 {
 			payload = append(payload, l.Value...)
 		}
 		w.writeRecordLocked(payload)
+		w.seriesRec = payload
 		w.loggedInSeg[ref] = true
 	}
 	return ref
@@ -294,10 +299,9 @@ func (w *WAL) Log(batch []TimeSeries) (uint64, error) {
 		n += len(ts.Samples)
 	}
 	if n > 0 {
-		payload := []byte{recSamples}
+		payload := append(w.rec[:0], recSamples)
 		payload = binary.AppendUvarint(payload, uint64(n))
 		prevT := int64(0)
-		first := true
 		for _, ts := range batch {
 			if len(ts.Samples) == 0 {
 				continue
@@ -305,32 +309,24 @@ func (w *WAL) Log(batch []TimeSeries) (uint64, error) {
 			ref := w.refLocked(ts.Labels)
 			for _, s := range ts.Samples {
 				payload = binary.AppendUvarint(payload, ref)
-				if first {
-					payload = binary.AppendUvarint(payload, zigzag(s.T))
-					first = false
-				} else {
-					payload = binary.AppendUvarint(payload, zigzag(s.T-prevT))
-				}
+				payload = binary.AppendUvarint(payload, zigzag(s.T-prevT))
 				prevT = s.T
 				payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(s.V))
 			}
 		}
 		w.writeRecordLocked(payload)
+		w.rec = payload
 	}
 	w.written++
-	mark := w.written
-	if w.err != nil {
-		return mark, w.err
-	}
-	if w.segBytes >= w.opts.SegmentBytes {
+	if w.err == nil && w.segBytes >= w.opts.SegmentBytes {
 		w.rotateLocked()
 	}
-	return mark, w.err
+	return w.written, w.err
 }
 
 // rotateLocked syncs and closes the current segment and opens the next.
 func (w *WAL) rotateLocked() {
-	w.flushSyncLocked()
+	w.syncLocked()
 	if err := w.f.Close(); err != nil && w.err == nil {
 		w.err = err
 	}
@@ -352,28 +348,23 @@ func (w *WAL) Rotate() (int, error) {
 	return w.seg, w.err
 }
 
-// WaitDurable blocks until the batch identified by mark is fsynced (or
-// the WAL fails/closes). With no fsync interval configured it performs
-// the sync itself, group-committing everything written so far.
+// WaitDurable blocks until the batch identified by mark is fsynced, or
+// returns the error that keeps it from being. A waiter that finds its
+// batch not yet synced commits everything written so far itself, holding
+// the lock, so appenders arriving meanwhile queue up as the next group.
 func (w *WAL) WaitDurable(mark uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.opts.FsyncInterval <= 0 {
-		if w.synced < mark && !w.closed {
-			w.flushSyncLocked()
-		}
-		return w.err
+	if w.synced < mark && !w.closed {
+		w.syncLocked()
 	}
-	for w.synced < mark && w.err == nil && !w.closed {
-		w.cond.Wait()
+	if w.synced >= mark {
+		return nil
 	}
 	if w.err != nil {
 		return w.err
 	}
-	if w.synced < mark {
-		return ErrWALClosed
-	}
-	return nil
+	return ErrWALClosed
 }
 
 // DeleteSegmentsBefore removes segments with index < keep (checkpoint
@@ -397,21 +388,16 @@ func (w *WAL) DeleteSegmentsBefore(keep int) error {
 // fail with ErrWALClosed.
 func (w *WAL) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return w.err
 	}
-	w.flushSyncLocked()
+	w.syncLocked()
 	w.closed = true
 	if err := w.f.Close(); err != nil && w.err == nil {
 		w.err = err
 	}
-	w.cond.Broadcast()
-	err := w.err
-	w.mu.Unlock()
-	close(w.stop)
-	<-w.done
-	return err
+	return w.err
 }
 
 // ReplayStats describes a crash-recovery replay.
@@ -468,13 +454,18 @@ func replaySegment(dir string, seg int, last bool, series map[uint64]tsdb.Labels
 		st.TailBytesDropped = int64(len(raw) - offset)
 		return os.Truncate(path, int64(offset))
 	}
-	if len(raw) < len(walMagic) || string(raw[:len(walMagic)]) != walMagic {
-		// A header too short to identify is a torn first write; anything
-		// else claiming to be a segment but mislabeled is corruption.
-		if len(raw) < len(walMagic) {
-			return damaged(0, "torn segment header")
+	if len(raw) < len(walMagic) && last {
+		// A torn first write left no record. Truncating would leave a
+		// headless file for the next segment to make non-final, so the
+		// file goes, durably, before any new segment exists.
+		st.TailTruncated, st.TailBytesDropped = true, int64(len(raw))
+		if err := os.Remove(path); err != nil {
+			return err
 		}
-		return fmt.Errorf("%w: segment %d: bad magic", ErrWALCorrupt, seg)
+		return syncDir(dir)
+	}
+	if len(raw) < len(walMagic) || string(raw[:len(walMagic)]) != walMagic {
+		return fmt.Errorf("%w: segment %d: torn or bad magic", ErrWALCorrupt, seg)
 	}
 	pos := len(walMagic)
 	for pos < len(raw) {
@@ -563,10 +554,7 @@ func applyRecord(payload []byte, series map[uint64]tsdb.Labels,
 			if !ok {
 				return fmt.Errorf("%w: sample timestamp", errBadRecord)
 			}
-			t := unzigzag(zz)
-			if i > 0 {
-				t += prevT
-			}
+			t := prevT + unzigzag(zz)
 			prevT = t
 			if len(payload)-pos < 8 {
 				return fmt.Errorf("%w: sample value", errBadRecord)

@@ -18,6 +18,7 @@ import (
 //	  by 2/s (a) and 4/s (b), sampled every 15s for 30 minutes.
 //	smf_pdu_session_active{instance in {a,b}}: gauges 100 and 200.
 //	http_request_duration_seconds_bucket: a classic histogram.
+//
 // When DIO_TSDB_SHARDS is set above 1 the fixture is resharded, so the
 // whole suite exercises the distributed executor against the same data.
 func testDB(t testing.TB) (tsdb.Storage, time.Time) {

@@ -163,11 +163,11 @@ const leadingUnset = 0xff
 // chunkAppender is the open head chunk: the bit stream plus the state
 // needed to append the next sample without re-reading it.
 type chunkAppender struct {
-	w     bwriter
-	count int
-	minT  int64
-	t     int64   // last appended timestamp
-	v     float64 // last appended value
+	w                 bwriter
+	count             int
+	minT              int64
+	t                 int64   // last appended timestamp
+	v                 float64 // last appended value
 	tDelta            uint64
 	leading, trailing uint8
 }
@@ -255,11 +255,11 @@ func (a *chunkAppender) numBytes() int { return len(a.w.b) }
 // chunkIter decodes a chunk stream. The zero value is invalid; use
 // newChunkIter.
 type chunkIter struct {
-	r     breader
-	total int
-	read  int
-	t     int64
-	v     float64
+	r                 breader
+	total             int
+	read              int
+	t                 int64
+	v                 float64
 	tDelta            uint64
 	leading, trailing uint8
 	err               error

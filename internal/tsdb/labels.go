@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // MetricNameLabel is the reserved label holding the metric name, mirroring
@@ -108,19 +109,56 @@ func (ls Labels) With(name, value string) Labels {
 	return FromMap(m)
 }
 
+// The series key (fingerprint) is every label as name keyValueSep value,
+// the labels joined by keyLabelSep. Neither byte occurs in valid UTF-8.
+// AppendKey writes the format and cloneFromKey reads it back.
+const (
+	keyLabelSep = 0xfe
+	keyValueSep = 0xff
+)
+
 // Key returns a canonical string identity for the label set, usable as a
 // map key (series fingerprint).
 func (ls Labels) Key() string {
-	var b strings.Builder
+	n := 0
+	for _, l := range ls {
+		n += len(l.Name) + len(l.Value) + 2
+	}
+	b := ls.AppendKey(make([]byte, 0, n))
+	return unsafe.String(unsafe.SliceData(b), len(b)) // b is never written again
+}
+
+// AppendKey appends the bytes of Key to dst and returns the extended
+// buffer. Looking a series up with m[string(buf)] on a reused buffer costs
+// no allocation; only inserting a new key does.
+func (ls Labels) AppendKey(dst []byte) []byte {
 	for i, l := range ls {
 		if i > 0 {
-			b.WriteByte(0xfe)
+			dst = append(dst, keyLabelSep)
 		}
-		b.WriteString(l.Name)
-		b.WriteByte(0xff)
-		b.WriteString(l.Value)
+		dst = append(dst, l.Name...)
+		dst = append(dst, keyValueSep)
+		dst = append(dst, l.Value...)
 	}
-	return b.String()
+	return dst
+}
+
+// cloneFromKey returns a copy of ls whose names and values are slices of
+// key, which must be ls.Key(): one string and one slice hold the whole
+// set, and the copy shares no memory with the caller's buffers.
+func (ls Labels) cloneFromKey(key string) Labels {
+	out := make(Labels, len(ls))
+	pos := 0
+	for i, l := range ls {
+		if i > 0 {
+			pos++ // keyLabelSep
+		}
+		out[i].Name = key[pos : pos+len(l.Name)]
+		pos += len(l.Name) + 1 // keyValueSep
+		out[i].Value = key[pos : pos+len(l.Value)]
+		pos += len(l.Value)
+	}
+	return out
 }
 
 // String renders the label set in PromQL notation:

@@ -59,12 +59,16 @@ func (sh *ShardedDB) NumShards() int { return len(sh.shards) }
 // ingest layer's per-shard checkpointing.
 func (sh *ShardedDB) Shard(i int) *DB { return sh.shards[i] }
 
-// shardFor routes a fingerprint to its shard: FNV-1a over the key.
-func (sh *ShardedDB) shardFor(key string) int {
+// shardFor routes a series to its shard: FNV-1a over its key, built in a
+// stack buffer so routing an append allocates nothing for typical label
+// sets.
+func (sh *ShardedDB) shardFor(ls Labels) int {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
+	var buf [256]byte
+	key := ls.AppendKey(buf[:0])
 	h := uint64(offset64)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -75,14 +79,14 @@ func (sh *ShardedDB) shardFor(key string) int {
 
 // Append routes one sample to its series' shard.
 func (sh *ShardedDB) Append(ls Labels, t int64, v float64) error {
-	return sh.shards[sh.shardFor(ls.Key())].Append(ls, t, v)
+	return sh.shards[sh.shardFor(ls)].Append(ls, t, v)
 }
 
 // AppendSamples routes a per-series batch to its shard. One lock
 // acquisition on one shard; writers for series on different shards
 // proceed in parallel.
 func (sh *ShardedDB) AppendSamples(ls Labels, samples []Sample) (appended, outOfOrder, duplicate int, err error) {
-	return sh.shards[sh.shardFor(ls.Key())].AppendSamples(ls, samples)
+	return sh.shards[sh.shardFor(ls)].AppendSamples(ls, samples)
 }
 
 // fanOut runs fn for every shard index, shard 0 on the calling

@@ -40,9 +40,9 @@ func shardedFixture(t *testing.T) (*DB, map[int]*ShardedDB) {
 func TestShardedRoutingIsStable(t *testing.T) {
 	sh := NewSharded(4)
 	ls := FromMap(map[string]string{MetricNameLabel: "m", "a": "b"})
-	want := sh.shardFor(ls.Key())
+	want := sh.shardFor(ls)
 	for i := 0; i < 10; i++ {
-		if got := sh.shardFor(ls.Key()); got != want {
+		if got := sh.shardFor(ls); got != want {
 			t.Fatalf("shardFor not stable: %d vs %d", got, want)
 		}
 	}

@@ -32,6 +32,9 @@ type DB struct {
 	// minT/maxT track the ingested time range.
 	minT, maxT int64
 	samples    int64
+	// keyBuf is the appenders' reused series-key buffer (under the write
+	// lock).
+	keyBuf []byte
 }
 
 // New returns an empty database.
@@ -62,13 +65,9 @@ func (db *DB) Append(ls Labels, t int64, v float64) error {
 	if ls.Name() == "" {
 		return fmt.Errorf("tsdb: series %s has no metric name", ls)
 	}
-	key := ls.Key()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s, ok := db.series[key]
-	if !ok {
-		s = db.addSeriesLocked(key, ls)
-	}
+	s := db.seriesLocked(ls)
 	if s.total > 0 {
 		switch {
 		case t < s.lastT:
@@ -104,13 +103,9 @@ func (db *DB) AppendSamples(ls Labels, samples []Sample) (appended, outOfOrder, 
 	if len(samples) == 0 {
 		return 0, 0, 0, nil
 	}
-	key := ls.Key()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s, ok := db.series[key]
-	if !ok {
-		s = db.addSeriesLocked(key, ls)
-	}
+	s := db.seriesLocked(ls)
 	for _, smp := range samples {
 		if s.total > 0 {
 			switch {
@@ -139,9 +134,21 @@ func (db *DB) AppendSamples(ls Labels, samples []Sample) (appended, outOfOrder, 
 	return appended, outOfOrder, duplicate, nil
 }
 
-// addSeriesLocked registers a new empty series and indexes it. Callers
-// must hold the write lock.
+// seriesLocked returns the series for ls, creating it if needed. Only a
+// new series allocates. Callers must hold the write lock.
+func (db *DB) seriesLocked(ls Labels) *Series {
+	db.keyBuf = ls.AppendKey(db.keyBuf[:0])
+	if s, ok := db.series[string(db.keyBuf)]; ok {
+		return s
+	}
+	return db.addSeriesLocked(string(db.keyBuf), ls)
+}
+
+// addSeriesLocked registers a new empty series and indexes it. The series
+// keeps a copy of ls carved from key, never the caller's label memory.
+// Callers must hold the write lock.
 func (db *DB) addSeriesLocked(key string, ls Labels) *Series {
+	ls = ls.cloneFromKey(key)
 	s := &Series{Labels: ls, fp: key}
 	db.series[key] = s
 	db.index.add(key, ls)

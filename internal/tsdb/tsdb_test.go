@@ -79,6 +79,19 @@ func TestLabelsKeyUniqueness(t *testing.T) {
 	}
 }
 
+// TestLabelsAppendKeyAndClone: AppendKey writes exactly Key's bytes, and
+// the copy carved from a key equals the original label set.
+func TestLabelsAppendKeyAndClone(t *testing.T) {
+	f := func(k1, v1, k2, v2 string) bool {
+		ls := FromMap(map[string]string{MetricNameLabel: "m", k1: v1, k2: v2})
+		key := ls.Key()
+		return string(ls.AppendKey([]byte("prefix"))) == "prefix"+key && ls.cloneFromKey(key).Equal(ls)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestMatchers(t *testing.T) {
 	eq := MustMatcher(MatchEqual, "a", "x")
 	ne := MustMatcher(MatchNotEqual, "a", "x")

@@ -36,7 +36,7 @@ fail() {
 
 start_server() {
     ./bin/dio-server -addr "127.0.0.1:${PORT}" -data-dir "$WORK/store" \
-        -duration 10m -selfscrape=false -wal-fsync-interval 5ms \
+        -duration 10m -selfscrape=false \
         -tsdb-shards "$SHARDS" \
         >>"$WORK/server.log" 2>&1 &
     SERVER_PID=$!

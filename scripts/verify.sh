@@ -1,9 +1,17 @@
 #!/bin/sh
-# verify.sh — the checks a change must pass before merging: static
-# vetting, the full test suite under the race detector, the bench/ module,
-# the 4-shard promql leg and a run of every example program.
+# verify.sh — the checks a change must pass before merging: formatting,
+# static vetting, the full test suite under the race detector, the bench/
+# module, the 4-shard promql leg and a run of every example program.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo ">> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt would rewrite:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo ">> go vet ./..."
 go vet ./...
