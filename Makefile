@@ -17,11 +17,12 @@ verify:
 	sh scripts/verify.sh
 
 # bench runs the substrate micro-benchmarks (query engine, storage,
-# dashboard rendering, uncached retrieval, the whole uncached ask and one
-# remote-write push, the in-process numbers that track ask_cold and
-# write_read) with allocation reporting.
+# dashboard rendering, uncached retrieval, the whole uncached ask, one
+# remote-write push and one dashboard query_range through ServeHTTP, the
+# in-process numbers that track ask_cold, write_read and dashboard) with
+# allocation reporting.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryRange|BenchmarkSelect$$|BenchmarkDashboardRender|BenchmarkTSDBAppend|BenchmarkPromQL|BenchmarkVecstoreFlatSearch|BenchmarkRetrieverRetrieve|BenchmarkCopilotAsk|BenchmarkIngestPush' -benchmem -benchtime=20x .
+	$(GO) test -run '^$$' -bench 'BenchmarkQueryRange$$|BenchmarkQueryRangeServe|BenchmarkSelect$$|BenchmarkDashboardRender|BenchmarkTSDBAppend|BenchmarkPromQL|BenchmarkVecstoreFlatSearch|BenchmarkRetrieverRetrieve|BenchmarkCopilotAsk|BenchmarkIngestPush' -benchmem -benchtime=20x .
 
 # bench-paper regenerates the paper's evaluation tables alongside
 # performance numbers (every benchmark, one iteration each).

@@ -17,6 +17,11 @@ package dio
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 	"time"
@@ -28,8 +33,10 @@ import (
 	"dio/internal/dashboard"
 	"dio/internal/embedding"
 	"dio/internal/fivegsim"
+	"dio/internal/httpapi"
 	"dio/internal/ingest"
 	"dio/internal/llm"
+	"dio/internal/obs"
 	"dio/internal/promql"
 	"dio/internal/sandbox"
 	"dio/internal/tsdb"
@@ -495,6 +502,82 @@ func BenchmarkQueryRange(b *testing.B) {
 			}
 		})
 	}
+}
+
+// dashboardQueries are the six query_range shapes of bench/'s dashboard
+// workload, each asked for 200 steps of 36 s over the 2 h trace.
+var dashboardQueries = []string{
+	"smfsm_pdu_sessions_active",
+	"sum by (instance) (rate(amfcc_initial_registration_attempt[5m]))",
+	"sum(rate(amfmm_paging_attempt[5m]))",
+	"upfgtp_tunnels_active",
+	"100 * sum(amfcc_initial_registration_success) / sum(amfcc_initial_registration_attempt)",
+	"topk(5, sum by (instance) (rate(amfcc_initial_registration_attempt[5m])))",
+}
+
+// benchWriter is a ResponseWriter that keeps the status and the body size.
+type benchWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *benchWriter) Header() http.Header         { return w.h }
+func (w *benchWriter) WriteHeader(code int)        { w.status = code }
+func (w *benchWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// BenchmarkQueryRangeServe times one dashboard query_range through
+// Server.ServeHTTP on dio-server's wiring (metrics, request tracing, the
+// slow-query log and the active-query tracker, a request log line), the
+// six queries round-robin: bench/'s dashboard workload without the socket.
+func BenchmarkQueryRangeServe(b *testing.B) {
+	e := env(b)
+	reg := obs.NewRegistry()
+	cp, err := core.New(core.Config{Catalog: e.cat, TSDB: e.db, Model: llm.MustNew("gpt-4"), Retriever: e.retriever, Metrics: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cp.Tracer().EnableCapture(obs.NewTraceStore(256, time.Second), 1)
+	qlog := obs.NewQueryLog(0, time.Second)
+	qlog.Instrument(reg)
+	activeq, _, err := obs.NewActiveQueryTracker(b.TempDir(), 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer activeq.Close()
+	cp.Executor().ObserveQueries(qlog, activeq)
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	srv := httpapi.New(cp, nil, logger, httpapi.WithMetrics(reg),
+		httpapi.WithQueryObservability(qlog, activeq), httpapi.WithTracing(cp.Tracer()))
+
+	start := time.Date(2026, 7, 6, 8, 0, 0, 0, time.UTC)
+	reqs := make([]*http.Request, len(dashboardQueries))
+	for i, q := range dashboardQueries {
+		v := url.Values{"query": {q}, "start": {start.Format(time.RFC3339)},
+			"end": {start.Add(2 * time.Hour).Format(time.RFC3339)}, "step": {"36s"}}
+		reqs[i] = httptest.NewRequest("GET", "/api/v1/query_range?"+v.Encode(), nil)
+	}
+	w := &benchWriter{h: http.Header{}}
+	serve := func(r *http.Request) {
+		clear(w.h)
+		w.status, w.n = http.StatusOK, 0
+		srv.ServeHTTP(w, r)
+		if w.status != http.StatusOK {
+			b.Fatalf("%s: status %d", r.URL.RawQuery, w.status)
+		}
+	}
+	body := 0
+	for _, r := range reqs {
+		serve(r)
+		body += w.n
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(reqs[i%len(reqs)])
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N), "ms/op")
+	b.ReportMetric(float64(body)/float64(len(reqs)), "body-B/resp")
 }
 
 // BenchmarkSelect compares one-shot instant selection (copying points)

@@ -655,48 +655,32 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// queryData is the Prometheus-style result envelope.
-type queryData struct {
-	Status string `json:"status"`
-	Data   struct {
-		ResultType string `json:"resultType"`
-		Result     any    `json:"result"`
-	} `json:"data"`
-}
-
-// wireVector marshals an instant vector in Prometheus wire form.
-func wireVector(v promql.Vector) []map[string]any {
-	out := make([]map[string]any, 0, len(v))
-	for _, s := range v {
-		out = append(out, map[string]any{
-			"metric": s.Labels.Map(),
-			"value":  [2]any{float64(s.T) / 1000, strconv.FormatFloat(s.V, 'g', -1, 64)},
-		})
-	}
-	return out
-}
-
-func wireMatrix(m promql.Matrix) []map[string]any {
-	out := make([]map[string]any, 0, len(m))
-	for _, s := range m {
-		values := make([][2]any, 0, len(s.Samples))
-		for _, smp := range s.Samples {
-			values = append(values, [2]any{float64(smp.T) / 1000, strconv.FormatFloat(smp.V, 'g', -1, 64)})
-		}
-		out = append(out, map[string]any{"metric": s.Labels.Map(), "values": values})
-	}
-	return out
-}
-
-// parseTime accepts RFC3339 or Unix seconds; zero value means defaultT.
-func parseTime(s string, defaultT time.Time) (time.Time, error) {
+// parseTime accepts RFC3339 or Unix seconds. An empty s means defaultT(),
+// which is called only then: a default can cost a parse and a store walk.
+func parseTime(s string, defaultT func() time.Time) (time.Time, error) {
 	if s == "" {
-		return defaultT, nil
+		return defaultT(), nil
 	}
 	if ts, err := strconv.ParseFloat(s, 64); err == nil {
 		return time.UnixMilli(int64(ts * 1000)), nil
 	}
 	return time.Parse(time.RFC3339, s)
+}
+
+// parseStep reads a step as the Prometheus HTTP API defines it, <duration |
+// float>: float seconds (what Grafana sends), else a duration. Float seconds
+// round to whole milliseconds, the store's resolution, and must come to at
+// least one.
+func parseStep(s string) (time.Duration, error) {
+	secs, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return promql.ParseDuration(s)
+	}
+	ns := secs * float64(time.Second)
+	if !(ns >= float64(time.Millisecond)/2 && ns < math.MaxInt64) { // also NaN
+		return 0, fmt.Errorf("step %q is not a finite duration of at least 1ms", s)
+	}
+	return time.Duration(ns).Round(time.Millisecond), nil
 }
 
 // latest returns the newest sample instant in the store.
@@ -742,7 +726,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, errors.New("query parameter is required"))
 		return
 	}
-	ts, err := parseTime(r.URL.Query().Get("time"), s.defaultEvalTime(q))
+	ts, err := parseTime(r.URL.Query().Get("time"), func() time.Time { return s.defaultEvalTime(q) })
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad time: %w", err))
 		return
@@ -756,23 +740,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, code, err)
 		return
 	}
-	var resp queryData
-	resp.Status = "success"
-	switch x := v.(type) {
-	case promql.Scalar:
-		resp.Data.ResultType = "scalar"
-		resp.Data.Result = [2]any{float64(x.T) / 1000, strconv.FormatFloat(x.V, 'g', -1, 64)}
-	case promql.Vector:
-		resp.Data.ResultType = "vector"
-		resp.Data.Result = wireVector(x)
-	case promql.Matrix:
-		resp.Data.ResultType = "matrix"
-		resp.Data.Result = wireMatrix(x)
-	default:
-		resp.Data.ResultType = "string"
-		resp.Data.Result = promql.FormatValue(v)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	writeResult(w, v)
 }
 
 func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
@@ -782,35 +750,29 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, errors.New("query parameter is required"))
 		return
 	}
-	end, err := parseTime(qv.Get("end"), s.defaultEvalTime(q))
+	end, err := parseTime(qv.Get("end"), func() time.Time { return s.defaultEvalTime(q) })
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad end: %w", err))
 		return
 	}
-	start, err := parseTime(qv.Get("start"), end.Add(-time.Hour))
+	start, err := parseTime(qv.Get("start"), func() time.Time { return end.Add(-time.Hour) })
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad start: %w", err))
 		return
 	}
 	step := time.Minute
 	if sv := qv.Get("step"); sv != "" {
-		d, err := promql.ParseDuration(sv)
-		if err != nil {
+		if step, err = parseStep(sv); err != nil {
 			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad step: %w", err))
 			return
 		}
-		step = d
 	}
 	m, err := s.copilot.Executor().ExecuteRange(r.Context(), q, start, end, step)
 	if err != nil {
 		s.writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	var resp queryData
-	resp.Status = "success"
-	resp.Data.ResultType = "matrix"
-	resp.Data.Result = wireMatrix(m)
-	s.writeJSON(w, http.StatusOK, resp)
+	writeResult(w, m)
 }
 
 // metricInfo is the catalog search result row.

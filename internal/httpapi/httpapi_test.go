@@ -165,6 +165,58 @@ func TestQueryRangeEndpoint(t *testing.T) {
 	}
 }
 
+// TestQueryRangeStepFloatSeconds: the Prometheus HTTP API defines
+// query_range's step as "<duration | float>: query resolution step width
+// in duration format or float number of seconds", and refuses a zero or
+// negative step with 400. Grafana sends the float form.
+func TestQueryRangeStepFloatSeconds(t *testing.T) {
+	h := newServer(t)
+	// The fixture's trace runs 08:00–08:20 UTC on 2026-07-06.
+	end := time.Date(2026, 7, 6, 8, 10, 0, 0, time.UTC).Unix()
+	rangeQuery := func(start int64, step string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("GET", fmt.Sprintf("/api/v1/query_range?query=%s&start=%d&end=%d&step=%s",
+			escape("sum(smfsm_pdu_sessions_active)"), start, end, step), nil)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w
+	}
+
+	float, duration := rangeQuery(end-720, "36"), rangeQuery(end-720, "36s")
+	if float.Code != 200 || duration.Code != 200 {
+		t.Fatalf("step=36: %d, step=36s: %d", float.Code, duration.Code)
+	}
+	if !bytes.Equal(float.Body.Bytes(), duration.Body.Bytes()) {
+		t.Errorf("step=36 and step=36s differ:\n%s\n%s", float.Body, duration.Body)
+	}
+
+	w := rangeQuery(end-2, "0.5")
+	var half struct {
+		Data struct {
+			Result []struct {
+				Values [][2]any `json:"values"`
+			} `json:"result"`
+		} `json:"data"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &half); w.Code != 200 || err != nil || len(half.Data.Result) != 1 {
+		t.Fatalf("step=0.5: %d %v %s", w.Code, err, w.Body)
+	}
+	var stamps []float64
+	for _, p := range half.Data.Result[0].Values {
+		stamps = append(stamps, p[0].(float64))
+	}
+	want := []float64{float64(end) - 2, float64(end) - 1.5, float64(end) - 1, float64(end) - 0.5, float64(end)}
+	if fmt.Sprint(stamps) != fmt.Sprint(want) {
+		t.Errorf("step=0.5 timestamps = %v, want %v", stamps, want)
+	}
+
+	// 0.0001 s is 100 µs, below the store's 1 ms resolution.
+	for _, step := range []string{"0", "-1", "NaN", "Inf", "-Inf", "0s", "1e300", "0.0001"} {
+		if w := rangeQuery(end-720, step); w.Code != http.StatusBadRequest {
+			t.Errorf("step=%s: %d, want 400: %s", step, w.Code, w.Body)
+		}
+	}
+}
+
 // TestQueryRangeStepLimit: the request ROADMAP 4e/4f names — 130 years at
 // a 1 ms step — is answered with an error envelope at once and without
 // allocating for the steps it asks for, instead of building them until the
