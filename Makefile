@@ -16,13 +16,14 @@ test:
 verify:
 	sh scripts/verify.sh
 
-# bench runs the substrate micro-benchmarks (query engine, storage,
+# bench runs the 13 substrate micro-benchmarks (query engine, storage,
 # dashboard rendering, uncached retrieval, the whole uncached ask, one
 # remote-write push and one dashboard query_range through ServeHTTP, the
-# in-process numbers that track ask_cold, write_read and dashboard) with
-# allocation reporting.
+# in-process numbers that track ask_cold, write_read and dashboard, plus
+# the default two-hour simulated trace every start-up builds, which tracks
+# setup_s) with allocation reporting.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryRange$$|BenchmarkQueryRangeServe|BenchmarkSelect$$|BenchmarkDashboardRender|BenchmarkTSDBAppend|BenchmarkPromQL|BenchmarkVecstoreFlatSearch|BenchmarkRetrieverRetrieve|BenchmarkCopilotAsk|BenchmarkIngestPush' -benchmem -benchtime=20x .
+	$(GO) test -run '^$$' -bench 'BenchmarkQueryRange$$|BenchmarkQueryRangeServe|BenchmarkSelect$$|BenchmarkDashboardRender|BenchmarkTSDBAppend|BenchmarkPromQL|BenchmarkVecstoreFlatSearch|BenchmarkRetrieverRetrieve|BenchmarkCopilotAsk|BenchmarkIngestPush|BenchmarkSimulatorPopulate' -benchmem -benchtime=20x .
 
 # bench-paper regenerates the paper's evaluation tables alongside
 # performance numbers (every benchmark, one iteration each).

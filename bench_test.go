@@ -409,10 +409,12 @@ func BenchmarkIngestPush(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorPopulate times the default two-hour trace every
+// dio-server, testenv user and example builds at start-up.
 func BenchmarkSimulatorPopulate(b *testing.B) {
 	cat := catalog.Generate()
 	cfg := fivegsim.DefaultConfig()
-	cfg.Duration = 5 * time.Minute
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db := tsdb.New()

@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -78,7 +77,15 @@ func main() {
 		os.Exit(1)
 	}
 
+	// Start-up logs one "startup phase" line per phase with its duration,
+	// so a slow start names its phase.
+	phase := func(name string, began time.Time, attrs ...any) {
+		logger.Info("startup phase", append([]any{"phase", name, "duration", time.Since(began)}, attrs...)...)
+	}
+
+	began := time.Now()
 	cat := catalog.Generate()
+	phase("catalog", began, "metrics", len(cat.Metrics))
 	var db tsdb.Storage
 
 	// Durable ingest: the store recovers the TSDB from its newest
@@ -86,6 +93,7 @@ func main() {
 	// before it is acknowledged.
 	var store *ingest.Store
 	if *dataDir != "" {
+		began = time.Now()
 		var err error
 		store, err = ingest.OpenStore(*dataDir, ingest.StoreOptions{Shards: *tsdbShards})
 		if err != nil {
@@ -93,14 +101,13 @@ func main() {
 		}
 		db = store.DB()
 		rs := store.ReplayStats()
-		logger.Info("opened durable store", "dir", *dataDir, "shards", store.Shards(),
+		phase("open_store", began, "dir", *dataDir, "shards", store.Shards(),
 			"series", db.NumSeries(), "samples", db.NumSamples(),
 			"wal_segments_replayed", rs.Segments, "wal_samples_replayed", rs.Samples,
 			"wal_tail_repaired", rs.TailTruncated)
 	}
 
 	if db == nil || db.NumSamples() == 0 {
-		logger.Info("generating catalog and simulating operator workload", "duration", *duration)
 		if db == nil {
 			if *tsdbShards > 1 {
 				db = tsdb.NewSharded(*tsdbShards)
@@ -111,18 +118,22 @@ func main() {
 		cfg := fivegsim.DefaultConfig()
 		cfg.Duration = *duration
 		cfg.Seed = *seed
+		began = time.Now()
 		rep, err := fivegsim.Populate(db, cat, cfg)
 		if err != nil {
 			fatal("populating TSDB", err)
 		}
-		logger.Info(fmt.Sprint(rep))
+		phase("populate", began, "trace_duration", *duration, "steps", rep.Steps,
+			"series", rep.Series, "samples", rep.Samples, "ues", rep.SimulatedUEs,
+			"end", rep.End.Format(time.RFC3339))
 		if store != nil {
 			// The simulation wrote straight to the TSDB (not through the
 			// WAL); a checkpoint makes the seed durable.
+			began = time.Now()
 			if err := store.Checkpoint(); err != nil {
 				fatal("checkpointing simulated workload", err)
 			}
-			logger.Info("checkpointed simulated workload", "dir", *dataDir)
+			phase("checkpoint", began, "dir", *dataDir)
 		}
 	}
 
@@ -143,10 +154,12 @@ func main() {
 	if err != nil {
 		fatal("model", err)
 	}
+	began = time.Now()
 	cp, err := core.New(core.Config{Catalog: cat, TSDB: db, Model: model, Metrics: reg})
 	if err != nil {
 		fatal("copilot", err)
 	}
+	phase("copilot", began)
 	if *traceCapacity > 0 {
 		cp.Tracer().EnableCapture(obs.NewTraceStore(*traceCapacity, *traceSlow), *traceSample)
 		logger.Info("request-trace capture enabled",

@@ -30,6 +30,72 @@ const (
 	evDeregister
 )
 
+// desProc is one procedure the DES drives; desProcKeys holds each one's
+// "nf/service/slug" key.
+type desProc int
+
+// The DES-driven procedures.
+const (
+	procInitialRegistration desProc = iota
+	procN1Auth
+	procSMC
+	procMobilityRegistrationUpdate
+	procPeriodicRegistrationUpdate
+	procServiceRequest
+	procUEDeregistration
+	procUECtxSetup
+	procUECtxRelease
+	procPaging
+	procHOPreparation
+	procHOResourceAllocation
+	procHONotification
+	procPathSwitch
+	procPDUResourceSetup
+	procPDUResourceRelease
+	procSMCtxCreate
+	procSMCtxRelease
+	procPDUSessionEstablishment
+	procPDUSessionRelease
+	procIPAlloc
+	procN4SessionEstablishment
+	procN4SessionDeletion
+	procUPFSessionEstablishment
+	procUPFSessionDeletion
+	procTunnelCreate
+	procTunnelDelete
+	numDESProcs
+)
+
+var desProcKeys = [numDESProcs]string{
+	procInitialRegistration:        "amf/cc/initial_registration",
+	procN1Auth:                     "amf/cc/n1_auth",
+	procSMC:                        "amf/cc/smc",
+	procMobilityRegistrationUpdate: "amf/cc/mobility_registration_update",
+	procPeriodicRegistrationUpdate: "amf/cc/periodic_registration_update",
+	procServiceRequest:             "amf/cc/service_request",
+	procUEDeregistration:           "amf/cc/ue_deregistration",
+	procUECtxSetup:                 "amf/mm/ue_ctx_setup",
+	procUECtxRelease:               "amf/mm/ue_ctx_release",
+	procPaging:                     "amf/mm/paging",
+	procHOPreparation:              "amf/mm/ho_preparation",
+	procHOResourceAllocation:       "amf/mm/ho_resource_allocation",
+	procHONotification:             "amf/mm/ho_notification",
+	procPathSwitch:                 "amf/mm/path_switch",
+	procPDUResourceSetup:           "amf/mm/pdu_resource_setup",
+	procPDUResourceRelease:         "amf/mm/pdu_resource_release",
+	procSMCtxCreate:                "smf/sm/sm_ctx_create",
+	procSMCtxRelease:               "smf/sm/sm_ctx_release",
+	procPDUSessionEstablishment:    "smf/sm/pdu_session_establishment",
+	procPDUSessionRelease:          "smf/sm/pdu_session_release",
+	procIPAlloc:                    "smf/sm/ip_alloc",
+	procN4SessionEstablishment:     "smf/n4/session_establishment",
+	procN4SessionDeletion:          "smf/n4/session_deletion",
+	procUPFSessionEstablishment:    "upf/sess/session_establishment",
+	procUPFSessionDeletion:         "upf/sess/session_deletion",
+	procTunnelCreate:               "upf/gtp/tunnel_create",
+	procTunnelDelete:               "upf/gtp/tunnel_delete",
+}
+
 // event is one scheduled lifecycle event.
 type event struct {
 	at   float64 // simulated seconds since start
@@ -83,10 +149,19 @@ type des struct {
 	seq   int
 	now   float64
 	world *world
+	procs [numDESProcs]*proc
 }
 
 func newDES(seed int64, w *world) *des {
-	return &des{rng: rand.New(rand.NewSource(seed)), world: w}
+	d := &des{rng: rand.New(rand.NewSource(seed)), world: w}
+	for i, key := range desProcKeys {
+		p, ok := w.procs[key]
+		if !ok {
+			panic("fivegsim: unknown procedure " + key)
+		}
+		d.procs[i] = p
+	}
+	return d
 }
 
 // schedule enqueues an event after delay seconds.
@@ -112,33 +187,34 @@ func (d *des) runUntil(t float64) {
 
 // outcome draws a procedure outcome and bumps the procedure's counters.
 // Returns true when the procedure succeeded.
-func (d *des) outcome(proc string, pSuccess float64) bool {
+func (d *des) outcome(dp desProc, pSuccess float64) bool {
 	w := d.world
-	pSuccess = w.anomalySuccessProb(proc, pSuccess, d.now)
-	w.bumpProc(proc, "request", 1)
-	w.bumpProc(proc, "attempt", 1)
+	p := d.procs[dp]
+	pSuccess = w.anomalySuccessProb(p.key, pSuccess, d.now)
+	w.vals[p.request]++
+	w.vals[p.attempt]++
 	r := d.rng.Float64()
 	if r < pSuccess {
-		w.bumpProc(proc, "success", 1)
-		w.observeDuration(proc, d.rng)
+		w.vals[p.success]++
+		w.observeDuration(p, d.rng)
 		return true
 	}
 	// Split the unhappy path: failure, timeout, reject, abort.
 	rest := d.rng.Float64()
 	switch {
 	case rest < 0.45:
-		w.bumpProc(proc, "failure", 1)
-		w.bumpFailureCause(proc, d.rng)
+		w.vals[p.failure]++
+		w.bumpFailureCause(p, d.rng)
 	case rest < 0.70:
-		w.bumpProc(proc, "timeout", 1)
-		w.bumpProc(proc, "retransmission", 1)
+		w.vals[p.timeout]++
+		w.vals[p.retransmission]++
 	case rest < 0.90:
-		w.bumpProc(proc, "reject", 1)
-		w.bumpRejectCause(proc, d.rng)
+		w.vals[p.reject]++
+		w.bumpRejectCause(p, d.rng)
 	default:
-		w.bumpProc(proc, "abort", 1)
+		w.vals[p.abort]++
 	}
-	w.observeDuration(proc, d.rng)
+	w.observeDuration(p, d.rng)
 	return false
 }
 
@@ -157,7 +233,7 @@ func (d *des) dispatch(e *event) {
 
 	case evRegister:
 		u := e.ue
-		if d.outcome("amf/cc/initial_registration", 0.96) {
+		if d.outcome(procInitialRegistration, 0.96) {
 			d.schedule(d.expo(0.5), evAuthenticate, u)
 		} else {
 			// Failed registrations retry after a backoff.
@@ -166,13 +242,11 @@ func (d *des) dispatch(e *event) {
 
 	case evAuthenticate:
 		u := e.ue
-		if d.outcome("amf/cc/n1_auth", 0.97) {
-			d.outcome("amf/cc/smc", 0.995)
-			d.outcome("amf/mm/ue_ctx_setup", 0.99)
+		if d.outcome(procN1Auth, 0.97) {
+			d.outcome(procSMC, 0.995)
+			d.outcome(procUECtxSetup, 0.99)
 			u.state = ueRegistered
-			w.gauges["amfcc_registered_ues"]++
-			w.gauges["amfcc_ue_contexts"]++
-			w.gauges["amfcc_connected_ues"]++
+			w.move(w.ueGauges, 1)
 			d.schedule(d.expo(5), evEstablishSession, u)
 			d.schedule(d.expo(w.cfg.UELifetime), evDeregister, u)
 			d.schedule(d.expo(240), evPeriodicUpdate, u)
@@ -187,25 +261,17 @@ func (d *des) dispatch(e *event) {
 		if u.state != ueRegistered && u.state != ueSession {
 			return
 		}
-		ok1 := d.outcome("smf/sm/sm_ctx_create", 0.985)
-		ok2 := ok1 && d.outcome("smf/sm/pdu_session_establishment", 0.95)
+		ok1 := d.outcome(procSMCtxCreate, 0.985)
+		ok2 := ok1 && d.outcome(procPDUSessionEstablishment, 0.95)
 		if ok2 {
-			d.outcome("smf/sm/ip_alloc", 0.998)
-			d.outcome("smf/n4/session_establishment", 0.99)
-			d.outcome("upf/sess/session_establishment", 0.99)
-			d.outcome("upf/gtp/tunnel_create", 0.995)
-			d.outcome("amf/mm/pdu_resource_setup", 0.98)
+			d.outcome(procIPAlloc, 0.998)
+			d.outcome(procN4SessionEstablishment, 0.99)
+			d.outcome(procUPFSessionEstablishment, 0.99)
+			d.outcome(procTunnelCreate, 0.995)
+			d.outcome(procPDUResourceSetup, 0.98)
 			u.state = ueSession
 			u.sessions++
-			w.gauges["smfsm_pdu_sessions_active"]++
-			w.gauges["smfsm_ipv4_allocated"]++
-			w.gauges["smfsm_qos_flows_active"] += 2
-			w.gauges["smfsm_sm_contexts"]++
-			w.gauges["upfsess_sessions_active"]++
-			w.gauges["upfgtp_tunnels_active"]++
-			w.gauges["upfsess_installed_pdrs"] += 2
-			w.gauges["upfsess_installed_fars"] += 2
-			w.gauges["upfsess_installed_qers"]++
+			w.move(w.sessionGauges, 1)
 			d.schedule(d.expo(w.cfg.SessionLifetime), evReleaseSession, u)
 		} else if u.state == ueRegistered {
 			d.schedule(d.expo(20), evEstablishSession, u)
@@ -216,25 +282,17 @@ func (d *des) dispatch(e *event) {
 		if u.sessions == 0 {
 			return
 		}
-		d.outcome("smf/sm/pdu_session_release", 0.99)
-		d.outcome("smf/sm/sm_ctx_release", 0.995)
-		d.outcome("smf/n4/session_deletion", 0.995)
-		d.outcome("upf/sess/session_deletion", 0.995)
-		d.outcome("upf/gtp/tunnel_delete", 0.998)
-		d.outcome("amf/mm/pdu_resource_release", 0.99)
+		d.outcome(procPDUSessionRelease, 0.99)
+		d.outcome(procSMCtxRelease, 0.995)
+		d.outcome(procN4SessionDeletion, 0.995)
+		d.outcome(procUPFSessionDeletion, 0.995)
+		d.outcome(procTunnelDelete, 0.998)
+		d.outcome(procPDUResourceRelease, 0.99)
 		u.sessions--
 		if u.sessions == 0 && u.state == ueSession {
 			u.state = ueRegistered
 		}
-		w.gauges["smfsm_pdu_sessions_active"]--
-		w.gauges["smfsm_ipv4_allocated"]--
-		w.gauges["smfsm_qos_flows_active"] -= 2
-		w.gauges["smfsm_sm_contexts"]--
-		w.gauges["upfsess_sessions_active"]--
-		w.gauges["upfgtp_tunnels_active"]--
-		w.gauges["upfsess_installed_pdrs"] -= 2
-		w.gauges["upfsess_installed_fars"] -= 2
-		w.gauges["upfsess_installed_qers"]--
+		w.move(w.sessionGauges, -1)
 		if u.state != ueGone {
 			d.schedule(d.expo(40), evEstablishSession, u)
 		}
@@ -246,13 +304,13 @@ func (d *des) dispatch(e *event) {
 		}
 		if u.state == ueSession || u.state == ueRegistered {
 			if d.rng.Float64() < 0.6 {
-				d.outcome("amf/mm/ho_preparation", 0.97)
-				d.outcome("amf/mm/ho_resource_allocation", 0.96)
-				d.outcome("amf/mm/ho_notification", 0.99)
+				d.outcome(procHOPreparation, 0.97)
+				d.outcome(procHOResourceAllocation, 0.96)
+				d.outcome(procHONotification, 0.99)
 			} else {
-				d.outcome("amf/mm/path_switch", 0.98)
+				d.outcome(procPathSwitch, 0.98)
 			}
-			d.outcome("amf/cc/mobility_registration_update", 0.985)
+			d.outcome(procMobilityRegistrationUpdate, 0.985)
 		}
 		d.schedule(d.expo(60), evHandover, u)
 
@@ -262,8 +320,8 @@ func (d *des) dispatch(e *event) {
 			return
 		}
 		if u.state == ueRegistered {
-			d.outcome("amf/mm/paging", 0.92)
-			d.outcome("amf/cc/service_request", 0.97)
+			d.outcome(procPaging, 0.92)
+			d.outcome(procServiceRequest, 0.97)
 		}
 		d.schedule(d.expo(90), evPage, u)
 
@@ -272,7 +330,7 @@ func (d *des) dispatch(e *event) {
 		if u.state == ueGone {
 			return
 		}
-		d.outcome("amf/cc/periodic_registration_update", 0.99)
+		d.outcome(procPeriodicRegistrationUpdate, 0.99)
 		d.schedule(d.expo(240), evPeriodicUpdate, u)
 
 	case evDeregister:
@@ -281,24 +339,14 @@ func (d *des) dispatch(e *event) {
 			return
 		}
 		for u.sessions > 0 {
-			d.outcome("smf/sm/pdu_session_release", 0.99)
-			d.outcome("upf/gtp/tunnel_delete", 0.998)
+			d.outcome(procPDUSessionRelease, 0.99)
+			d.outcome(procTunnelDelete, 0.998)
 			u.sessions--
-			w.gauges["smfsm_pdu_sessions_active"]--
-			w.gauges["smfsm_ipv4_allocated"]--
-			w.gauges["smfsm_qos_flows_active"] -= 2
-			w.gauges["smfsm_sm_contexts"]--
-			w.gauges["upfsess_sessions_active"]--
-			w.gauges["upfgtp_tunnels_active"]--
-			w.gauges["upfsess_installed_pdrs"] -= 2
-			w.gauges["upfsess_installed_fars"] -= 2
-			w.gauges["upfsess_installed_qers"]--
+			w.move(w.sessionGauges, -1)
 		}
-		d.outcome("amf/cc/ue_deregistration", 0.99)
-		d.outcome("amf/mm/ue_ctx_release", 0.995)
+		d.outcome(procUEDeregistration, 0.99)
+		d.outcome(procUECtxRelease, 0.995)
 		u.state = ueGone
-		w.gauges["amfcc_registered_ues"]--
-		w.gauges["amfcc_ue_contexts"]--
-		w.gauges["amfcc_connected_ues"]--
+		w.move(w.ueGauges, -1)
 	}
 }

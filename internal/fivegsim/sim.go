@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
-
 	"time"
 
 	"dio/internal/catalog"
@@ -72,337 +71,319 @@ func (r Report) String() string {
 		r.Steps, r.Series, r.Samples, r.SimulatedUEs, r.End.Format(time.RFC3339))
 }
 
-// secondaryModel is the rate model of one counter not driven by the DES.
-type secondaryModel struct {
-	metric *catalog.Metric
-	rate   float64 // expected events per second at load 1.0
-}
-
 // Populate runs the simulation and appends every scraped sample to db.
 // The same (catalog, cfg) always produces the identical database.
+//
+// The simulator and the appender run one step apart on two goroutines:
+// the simulator snapshots step i's totals while the appender writes step
+// i-1, in exactly the order a single goroutine would. An append error
+// stops the simulator and is returned.
 func Populate(db tsdb.Storage, cat *catalog.Database, cfg Config) (*Report, error) {
 	if cfg.Step <= 0 || cfg.Duration <= 0 || cfg.Instances <= 0 {
 		return nil, fmt.Errorf("fivegsim: invalid config: step=%v duration=%v instances=%d", cfg.Step, cfg.Duration, cfg.Instances)
 	}
-	w := newWorld(cfg)
-	d := newDES(cfg.Seed, w)
-	secRng := rand.New(rand.NewSource(cfg.Seed + 1))
-
-	// Secondary models: every counter not produced by the DES or the
-	// traffic/gauge models gets a stable synthetic rate.
-	desMetrics := make(map[string]bool)
-	for key := range w.procs {
-		p := w.procs[key]
-		if desDriven[key] {
-			for _, v := range catalog.CounterVariants {
-				desMetrics[p.MetricName(v)] = true
-			}
-			for _, c := range catalog.FailureCauses {
-				desMetrics[p.MetricName("failure_cause_"+c)] = true
-			}
-			for _, c := range catalog.RejectCauses {
-				desMetrics[p.MetricName("reject_cause_"+c)] = true
-			}
-			base := p.MetricName("duration_seconds")
-			desMetrics[base+"_bucket"] = true
-			desMetrics[base+"_sum"] = true
-			desMetrics[base+"_count"] = true
-		}
-	}
-	var secondaries []secondaryModel
-	secondaryProcs := make(map[string]catalog.ProcedureDef)
-	var secondaryProcKeys []string
-	for _, m := range cat.Metrics {
-		if desMetrics[m.Name] {
-			continue
-		}
-		if m.Procedure != "" {
-			// Whole-procedure family handled coherently below.
-			key := m.NF + "/" + m.Service + "/" + m.Procedure
-			if _, seen := secondaryProcs[key]; !seen && !desDriven[key] {
-				secondaryProcs[key] = w.procs[key]
-				secondaryProcKeys = append(secondaryProcKeys, key)
-			}
-			continue
-		}
-		switch m.Type {
-		case catalog.Counter:
-			secondaries = append(secondaries, secondaryModel{metric: m, rate: 0.2 + 8*hash01(m.Name+"#rate")})
-		}
-	}
-
-	// Seed the event queue.
-	d.schedule(0, evUEArrival, nil)
-
-	// Track gauge setpoints for gauges the DES does not maintain.
-	staticGauges := staticGaugeSetpoints(cat)
-
+	s := newSimulator(cat, cfg)
+	plan := newScrapePlan(cat, s.w, instanceNames(cfg.Instances))
 	steps := int(cfg.Duration / cfg.Step)
-	stepSec := cfg.Step.Seconds()
-	var samples int64
-	instances := instanceNames(cfg.Instances)
-
-	for i := 0; i <= steps; i++ {
-		simT := float64(i) * stepSec
-		d.runUntil(simT)
-		mod := diurnal(simT)
-
-		// Advance secondary plain counters.
-		for _, s := range secondaries {
-			n := poisson(secRng, s.rate*stepSec*mod)
-			w.counters[s.metric.Name] += float64(n)
-		}
-		// Advance secondary procedure families coherently
-		// (attempt ≥ success + failure + timeout + reject + abort).
-		// Iterate in sorted order: map order would desynchronise the RNG
-		// stream across runs.
-		for _, key := range secondaryProcKeys {
-			advanceSecondaryProcedure(w, secRng, key, secondaryProcs[key], stepSec*mod)
-		}
-		// Traffic counters follow active sessions.
-		advanceTraffic(w, secRng, stepSec, simT)
-		// Resource gauges and static gauges drift around setpoints.
-		advanceResourceGauges(w, secRng, simT, mod)
-		for name, set := range staticGauges {
-			w.gauges[name] = set * (0.85 + 0.3*hash01(name+strconv.Itoa(i/10))) * mod
-		}
-
-		// Scrape: split aggregate state into per-instance series.
-		ts := cfg.Start.Add(time.Duration(i) * cfg.Step).UnixMilli()
-		n, err := scrape(db, cat, w, instances, ts)
-		if err != nil {
-			return nil, err
-		}
-		samples += n
+	err := pipeline(steps+1, len(s.w.vals),
+		func(i int, snap []float64) {
+			s.step(i)
+			copy(snap, s.w.vals)
+		},
+		func(i int, snap []float64) error {
+			at := cfg.Start.Add(time.Duration(i) * cfg.Step)
+			if err := plan.append(db, snap, at.UnixMilli()); err != nil {
+				return fmt.Errorf("fivegsim: scrape at %s: %w", at.Format(time.RFC3339), err)
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
-
 	return &Report{
 		Steps:        steps + 1,
 		Series:       db.NumSeries(),
 		Samples:      db.NumSamples(),
-		SimulatedUEs: w.nextUE,
+		SimulatedUEs: s.w.nextUE,
 		End:          cfg.Start.Add(time.Duration(steps) * cfg.Step),
 	}, nil
 }
 
-// desDriven lists the procedures whose counters come from the DES.
-var desDriven = map[string]bool{
-	"amf/cc/initial_registration":         true,
-	"amf/cc/n1_auth":                      true,
-	"amf/cc/smc":                          true,
-	"amf/cc/mobility_registration_update": true,
-	"amf/cc/periodic_registration_update": true,
-	"amf/cc/service_request":              true,
-	"amf/cc/ue_deregistration":            true,
-	"amf/mm/ue_ctx_setup":                 true,
-	"amf/mm/ue_ctx_release":               true,
-	"amf/mm/paging":                       true,
-	"amf/mm/ho_preparation":               true,
-	"amf/mm/ho_resource_allocation":       true,
-	"amf/mm/ho_notification":              true,
-	"amf/mm/path_switch":                  true,
-	"amf/mm/pdu_resource_setup":           true,
-	"amf/mm/pdu_resource_release":         true,
-	"smf/sm/sm_ctx_create":                true,
-	"smf/sm/sm_ctx_release":               true,
-	"smf/sm/pdu_session_establishment":    true,
-	"smf/sm/pdu_session_release":          true,
-	"smf/sm/ip_alloc":                     true,
-	"smf/n4/session_establishment":        true,
-	"smf/n4/session_deletion":             true,
-	"upf/sess/session_establishment":      true,
-	"upf/sess/session_deletion":           true,
-	"upf/gtp/tunnel_create":               true,
-	"upf/gtp/tunnel_delete":               true,
+// simulator advances the world one scrape interval at a time: the DES
+// drives the subscriber lifecycle, and seeded rate models drive every
+// other counter and gauge. Every name it writes was resolved to a cell
+// when it was built.
+type simulator struct {
+	w       *world
+	des     *des
+	rng     *rand.Rand // the secondary models' stream
+	stepSec float64
+	// counters are the plain counters not driven by the DES or the
+	// traffic/gauge models, each with a stable synthetic rate.
+	counters []secondaryCounter
+	// procs are the procedure families outside the DES, in catalog order:
+	// map order would desynchronise the RNG stream across runs.
+	procs     []secondaryProc
+	traffic   []trafficModel
+	resources []resourceModel
+	// static are the gauges neither the DES nor the resource model
+	// maintains; their drift factor changes every staticPeriod steps.
+	static []staticGauge
+}
+
+// secondaryCounter is the rate model of one counter not driven by the DES.
+type secondaryCounter struct {
+	cell int
+	rate float64 // expected events per second at load 1.0
+}
+
+// secondaryProc is the rate model of one procedure family outside the DES.
+type secondaryProc struct {
+	p        *proc
+	rate     float64 // expected procedures per second at load 1.0
+	pSuccess float64
+}
+
+// trafficModel is one UPF interface and direction's byte/packet counters.
+type trafficModel struct {
+	ifaceShare, dirShare                         float64
+	bytes, packets, dropped, errored, outOfOrder int
+}
+
+// resourceModel is one NF's platform metrics.
+type resourceModel struct {
+	loadShare float64 // the NF's share of load at diurnal peak
+	// Gauge cells.
+	cpu, memory, heap, goroutines, fds, inflight, dbConns, queue int
+	// Counter cells.
+	uptime, sbiErrors, dropped, logErrors int
+}
+
+// staticGauge is a gauge drifting around a fixed setpoint.
+type staticGauge struct {
+	name     string
+	cell     int
+	setpoint float64
+	drift    float64 // setpoint scaled by the current period's drift
+}
+
+// staticPeriod is how many steps a static gauge's drift factor holds.
+const staticPeriod = 10
+
+func newSimulator(cat *catalog.Database, cfg Config) *simulator {
+	w := newWorld(cfg)
+	s := &simulator{
+		w:       w,
+		des:     newDES(cfg.Seed, w),
+		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
+		stepSec: cfg.Step.Seconds(),
+	}
+
+	// Secondary models: every procedure family outside the DES advances
+	// coherently, and every other counter not produced by the traffic or
+	// gauge models gets a stable synthetic rate.
+	seen := make(map[string]bool) // procedure keys already modelled
+	for _, key := range desProcKeys {
+		seen[key] = true
+	}
+	for _, m := range cat.Metrics {
+		if m.Procedure != "" {
+			key := m.NF + "/" + m.Service + "/" + m.Procedure
+			if p, known := w.procs[key]; known && !seen[key] {
+				seen[key] = true
+				s.procs = append(s.procs, secondaryProc{
+					p:        p,
+					rate:     0.1 + 4*hash01(key+"#prate"),
+					pSuccess: 0.90 + 0.095*hash01(key+"#psucc"),
+				})
+			}
+			continue
+		}
+		if m.Type == catalog.Counter {
+			s.counters = append(s.counters, secondaryCounter{cell: w.counter(m.Name), rate: 0.2 + 8*hash01(m.Name+"#rate")})
+		}
+	}
+
+	for _, iface := range []string{"n3", "n6", "n9"} {
+		for _, dir := range []string{"ul", "dl"} {
+			dirShare := 0.35
+			if dir == "dl" {
+				dirShare = 0.65
+			}
+			base := "upfgtp_" + iface + "_" + dir + "_"
+			s.traffic = append(s.traffic, trafficModel{
+				ifaceShare: 0.2 + 0.8*hash01("traffic#"+iface),
+				dirShare:   dirShare,
+				bytes:      w.counter(base + "bytes"),
+				packets:    w.counter(base + "packets"),
+				dropped:    w.counter(base + "dropped_packets"),
+				errored:    w.counter(base + "errored_packets"),
+				outOfOrder: w.counter(base + "out_of_order_packets"),
+			})
+		}
+	}
+	for _, nf := range catalog.NFNames() {
+		sys := nf + "_system_"
+		s.resources = append(s.resources, resourceModel{
+			loadShare:  0.5 + 0.5*hash01(nf+"#load"),
+			cpu:        w.gauge(sys + "cpu_usage_percent"),
+			memory:     w.gauge(sys + "memory_bytes"),
+			heap:       w.gauge(sys + "heap_bytes"),
+			goroutines: w.gauge(sys + "goroutines"),
+			fds:        w.gauge(sys + "open_fds"),
+			inflight:   w.gauge(sys + "sbi_inflight_requests"),
+			dbConns:    w.gauge(sys + "db_connections"),
+			queue:      w.gauge(sys + "queue_depth"),
+			uptime:     w.counter(sys + "uptime_seconds"),
+			sbiErrors:  w.counter(sys + "sbi_request_errors"),
+			dropped:    w.counter(sys + "dropped_events"),
+			logErrors:  w.counter(sys + "log_errors"),
+		})
+	}
+	s.static = staticGaugeSetpoints(w)
+
+	// Seed the event queue.
+	s.des.schedule(0, evUEArrival, nil)
+	return s
+}
+
+// step advances the world to step i's scrape instant.
+func (s *simulator) step(i int) {
+	w := s.w
+	simT := float64(i) * s.stepSec
+	s.des.runUntil(simT)
+	mod := diurnal(simT)
+
+	// Advance secondary plain counters.
+	for _, c := range s.counters {
+		n := poisson(s.rng, c.rate*s.stepSec*mod)
+		w.vals[c.cell] += float64(n)
+	}
+	// Advance secondary procedure families coherently
+	// (attempt ≥ success + failure + timeout + reject + abort).
+	for _, sp := range s.procs {
+		advanceSecondaryProcedure(w, s.rng, sp, s.stepSec*mod)
+	}
+	// Traffic counters follow active sessions.
+	s.advanceTraffic(simT)
+	// Resource gauges and static gauges drift around setpoints.
+	s.advanceResourceGauges(simT, mod)
+	if i%staticPeriod == 0 {
+		period := strconv.Itoa(i / staticPeriod)
+		for j := range s.static {
+			g := &s.static[j]
+			g.drift = g.setpoint * (0.85 + 0.3*hash01(g.name+period))
+		}
+	}
+	for _, g := range s.static {
+		w.vals[g.cell] = g.drift * mod
+	}
 }
 
 // advanceSecondaryProcedure draws one step of coherent lifecycle counters
 // for a procedure outside the DES.
-func advanceSecondaryProcedure(w *world, rng *rand.Rand, key string, p catalog.ProcedureDef, effSec float64) {
-	rate := 0.1 + 4*hash01(key+"#prate")
-	n := poisson(rng, rate*effSec)
+func advanceSecondaryProcedure(w *world, rng *rand.Rand, sp secondaryProc, effSec float64) {
+	n := poisson(rng, sp.rate*effSec)
 	if n == 0 {
 		return
 	}
-	pSuccess := 0.90 + 0.095*hash01(key+"#psucc")
+	p := sp.p
 	succ := 0
 	for j := 0; j < n; j++ {
-		if rng.Float64() < pSuccess {
+		if rng.Float64() < sp.pSuccess {
 			succ++
 		}
 	}
 	fail := n - succ
-	w.counters[p.MetricName("attempt")] += float64(n)
-	w.counters[p.MetricName("request")] += float64(n)
-	w.counters[p.MetricName("success")] += float64(succ)
+	w.vals[p.attempt] += float64(n)
+	w.vals[p.request] += float64(n)
+	w.vals[p.success] += float64(succ)
 	// Split the unhappy path.
 	var failures, timeouts, rejects, aborts int
 	for j := 0; j < fail; j++ {
 		switch r := rng.Float64(); {
 		case r < 0.45:
 			failures++
-			w.bumpFailureCause(key, rng)
+			w.bumpFailureCause(p, rng)
 		case r < 0.70:
 			timeouts++
 		case r < 0.90:
 			rejects++
-			w.bumpRejectCause(key, rng)
+			w.bumpRejectCause(p, rng)
 		default:
 			aborts++
 		}
 	}
-	w.counters[p.MetricName("failure")] += float64(failures)
-	w.counters[p.MetricName("timeout")] += float64(timeouts)
-	w.counters[p.MetricName("retransmission")] += float64(timeouts)
-	w.counters[p.MetricName("reject")] += float64(rejects)
-	w.counters[p.MetricName("abort")] += float64(aborts)
+	w.vals[p.failure] += float64(failures)
+	w.vals[p.timeout] += float64(timeouts)
+	w.vals[p.retransmission] += float64(timeouts)
+	w.vals[p.reject] += float64(rejects)
+	w.vals[p.abort] += float64(aborts)
 	for j := 0; j < n; j++ {
-		w.observeDuration(key, rng)
+		w.observeDuration(p, rng)
 	}
 }
 
 // advanceTraffic drives the UPF per-interface byte/packet counters from
 // the number of active sessions.
-func advanceTraffic(w *world, rng *rand.Rand, stepSec, simT float64) {
+func (s *simulator) advanceTraffic(simT float64) {
+	w := s.w
 	dropFactor := w.anomalyDropFactor(simT)
-	sessions := w.gauges["upfsess_sessions_active"]
+	sessions := w.vals[w.upfSessions]
 	if sessions < 0 {
 		sessions = 0
 	}
 	perSessionBps := 250_000.0 // ~2 Mbit/s down+up combined across interfaces
-	for _, iface := range []string{"n3", "n6", "n9"} {
-		ifaceShare := 0.2 + 0.8*hash01("traffic#"+iface)
-		for _, dir := range []string{"ul", "dl"} {
-			dirShare := 0.35
-			if dir == "dl" {
-				dirShare = 0.65
-			}
-			bytes := sessions * perSessionBps * ifaceShare * dirShare * stepSec * (0.9 + 0.2*rng.Float64())
-			pkts := bytes / 1200
-			base := "upfgtp_" + iface + "_" + dir + "_"
-			w.counters[base+"bytes"] += bytes
-			w.counters[base+"packets"] += pkts
-			w.counters[base+"dropped_packets"] += pkts * 0.002 * rng.Float64() * dropFactor
-			w.counters[base+"errored_packets"] += pkts * 0.0005 * rng.Float64()
-			w.counters[base+"out_of_order_packets"] += pkts * 0.001 * rng.Float64()
-		}
+	for _, t := range s.traffic {
+		bytes := sessions * perSessionBps * t.ifaceShare * t.dirShare * s.stepSec * (0.9 + 0.2*s.rng.Float64())
+		pkts := bytes / 1200
+		w.vals[t.bytes] += bytes
+		w.vals[t.packets] += pkts
+		w.vals[t.dropped] += pkts * 0.002 * s.rng.Float64() * dropFactor
+		w.vals[t.errored] += pkts * 0.0005 * s.rng.Float64()
+		w.vals[t.outOfOrder] += pkts * 0.001 * s.rng.Float64()
 	}
 }
 
 // advanceResourceGauges drifts per-NF platform metrics with load.
-func advanceResourceGauges(w *world, rng *rand.Rand, simT, mod float64) {
-	for _, nf := range catalog.NFNames() {
-		load := mod * (0.5 + 0.5*hash01(nf+"#load"))
-		w.gauges[nf+"_system_cpu_usage_percent"] = math.Min(98, 15+60*load+6*rng.Float64())
-		w.gauges[nf+"_system_memory_bytes"] = (1.5 + 2.5*load + 0.2*rng.Float64()) * 1e9
-		w.gauges[nf+"_system_heap_bytes"] = (0.8 + 1.5*load + 0.1*rng.Float64()) * 1e9
-		w.gauges[nf+"_system_goroutines"] = math.Round(200 + 1500*load + 50*rng.Float64())
-		w.gauges[nf+"_system_open_fds"] = math.Round(100 + 600*load + 20*rng.Float64())
-		w.gauges[nf+"_system_sbi_inflight_requests"] = math.Round(5 + 80*load + 10*rng.Float64())
-		w.gauges[nf+"_system_db_connections"] = math.Round(8 + 24*load)
-		w.gauges[nf+"_system_queue_depth"] = math.Round(30 * load * rng.Float64())
-		w.counters[nf+"_system_uptime_seconds"] = simT
-		w.counters[nf+"_system_sbi_request_errors"] += float64(poisson(rng, 0.05*mod))
-		w.counters[nf+"_system_dropped_events"] += float64(poisson(rng, 0.02*mod))
-		w.counters[nf+"_system_log_errors"] += float64(poisson(rng, 0.1*mod))
+func (s *simulator) advanceResourceGauges(simT, mod float64) {
+	w, rng := s.w, s.rng
+	for _, r := range s.resources {
+		load := mod * r.loadShare
+		w.vals[r.cpu] = math.Min(98, 15+60*load+6*rng.Float64())
+		w.vals[r.memory] = (1.5 + 2.5*load + 0.2*rng.Float64()) * 1e9
+		w.vals[r.heap] = (0.8 + 1.5*load + 0.1*rng.Float64()) * 1e9
+		w.vals[r.goroutines] = math.Round(200 + 1500*load + 50*rng.Float64())
+		w.vals[r.fds] = math.Round(100 + 600*load + 20*rng.Float64())
+		w.vals[r.inflight] = math.Round(5 + 80*load + 10*rng.Float64())
+		w.vals[r.dbConns] = math.Round(8 + 24*load)
+		w.vals[r.queue] = math.Round(30 * load * rng.Float64())
+		w.vals[r.uptime] = simT
+		w.vals[r.sbiErrors] += float64(poisson(rng, 0.05*mod))
+		w.vals[r.dropped] += float64(poisson(rng, 0.02*mod))
+		w.vals[r.logErrors] += float64(poisson(rng, 0.1*mod))
 	}
 }
 
-// staticGaugeSetpoints returns setpoints for gauges not maintained by the
-// DES or the resource model.
-func staticGaugeSetpoints(cat *catalog.Database) map[string]float64 {
-	dynamic := map[string]bool{
-		"amfcc_registered_ues": true, "amfcc_ue_contexts": true,
-		"amfcc_connected_ues": true, "smfsm_pdu_sessions_active": true,
-		"smfsm_ipv4_allocated": true, "smfsm_qos_flows_active": true,
-		"smfsm_sm_contexts": true, "upfsess_sessions_active": true,
-		"upfgtp_tunnels_active": true, "upfsess_installed_pdrs": true,
-		"upfsess_installed_fars": true, "upfsess_installed_qers": true,
-	}
-	out := make(map[string]float64)
+// staticGaugeSetpoints returns the catalog gauges no other model
+// maintains, with their setpoints, in catalog order. Call it after the DES
+// and resource models have claimed their gauge cells: a gauge that already
+// has a cell is theirs.
+func staticGaugeSetpoints(w *world) []staticGauge {
+	var out []staticGauge
 	for _, g := range catalog.Gauges() {
 		name := g.MetricName()
-		if dynamic[name] {
+		if _, maintained := w.gaugeCells[name]; maintained {
 			continue
 		}
-		out[name] = math.Round(5 + 500*hash01(name+"#setpoint"))
+		out = append(out, staticGauge{name: name, cell: w.gauge(name), setpoint: math.Round(5 + 500*hash01(name+"#setpoint"))})
 	}
-	// Resource gauges handled separately.
-	_ = cat
 	return out
-}
-
-// scrape writes every metric's current value as per-instance series.
-func scrape(db tsdb.Storage, cat *catalog.Database, w *world, instances []string, ts int64) (int64, error) {
-	var n int64
-	appendSplit := func(name string, labels map[string]string, total float64) error {
-		shares := instanceShares(name, len(instances))
-		exported := name
-		if w.cfg.RenameMetric != nil {
-			exported = w.cfg.RenameMetric(name)
-		}
-		for i, inst := range instances {
-			ls := map[string]string{tsdb.MetricNameLabel: exported, "instance": inst}
-			for k, v := range labels {
-				ls[k] = v
-			}
-			v := total * shares[i]
-			if v < 0 {
-				v = 0
-			}
-			if err := db.Append(tsdb.FromMap(ls), ts, v); err != nil {
-				return err
-			}
-			n++
-		}
-		return nil
-	}
-
-	for _, m := range cat.Metrics {
-		switch m.Type {
-		case catalog.HistogramBucket:
-			key := m.NF + "/" + m.Service + "/" + m.Procedure
-			bs := w.histBuckets[key]
-			count := w.histCount[key]
-			for bi, le := range DurationBuckets {
-				var v float64
-				if bs != nil {
-					v = bs[bi]
-				}
-				if err := appendSplit(m.Name, map[string]string{"le": formatLE(le)}, v); err != nil {
-					return n, err
-				}
-			}
-			if err := appendSplit(m.Name, map[string]string{"le": "+Inf"}, count); err != nil {
-				return n, err
-			}
-		case catalog.HistogramSum:
-			key := m.NF + "/" + m.Service + "/" + m.Procedure
-			if err := appendSplit(m.Name, nil, w.histSum[key]); err != nil {
-				return n, err
-			}
-		case catalog.HistogramCount:
-			key := m.NF + "/" + m.Service + "/" + m.Procedure
-			if err := appendSplit(m.Name, nil, w.histCount[key]); err != nil {
-				return n, err
-			}
-		case catalog.Gauge:
-			if err := appendSplit(m.Name, nil, w.gauges[m.Name]); err != nil {
-				return n, err
-			}
-		default: // Counter
-			if err := appendSplit(m.Name, nil, w.counters[m.Name]); err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, nil
 }
 
 // formatLE renders a bucket bound as its le label value.
 func formatLE(le float64) string {
-	s := strconv.FormatFloat(le, 'g', -1, 64)
-	return s
+	return strconv.FormatFloat(le, 'g', -1, 64)
 }
 
 // instanceNames returns instance identifiers pod-0, pod-1, ...

@@ -2,6 +2,11 @@ package fivegsim
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -49,6 +54,40 @@ func TestPopulateBasics(t *testing.T) {
 	}
 	if missing > 0 {
 		t.Errorf("%d catalog metrics missing from the database", missing)
+	}
+}
+
+// TestPopulateGolden pins the default two-hour trace bit for bit. The
+// digest is a SHA-256 over db.AllSeries() in key order: each series'
+// Labels.Key() bytes, then every sample's T as a little-endian int64 and
+// math.Float64bits(V) as a little-endian uint64. It was computed on the
+// simulator before the scrape plan and the append pipeline existed, so it
+// holds every later optimisation to the original trace.
+func TestPopulateGolden(t *testing.T) {
+	const (
+		wantDigest  = "be134819f3ca988c2da48ee288115020c2962b9b544759347b96302d52d1b985"
+		wantSeries  = 7696
+		wantSamples = 1854736
+	)
+	db, _, _ := populate(t, DefaultConfig())
+	h := sha256.New()
+	var buf [16]byte
+	series, samples := 0, 0
+	for _, sr := range db.AllSeries() {
+		io.WriteString(h, sr.Labels.Key())
+		for _, s := range sr.Samples {
+			binary.LittleEndian.PutUint64(buf[:8], uint64(s.T))
+			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(s.V))
+			h.Write(buf[:])
+		}
+		series++
+		samples += len(sr.Samples)
+	}
+	if series != wantSeries || samples != wantSamples {
+		t.Errorf("trace has %d series and %d samples, want %d and %d", series, samples, wantSeries, wantSamples)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantDigest {
+		t.Errorf("trace digest %s, want %s", got, wantDigest)
 	}
 }
 
