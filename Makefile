@@ -9,10 +9,9 @@ test:
 	$(GO) test ./...
 
 # verify runs the merge gate: gofmt, vet, the full suite under the race
-# detector, the bench/ module, the 4-shard promql leg and every example
-# program.
+# detector, the bench/ module and every example program.
 # Set VERIFY_BENCH=1 to also run the substrate micro-benchmarks and the
-# two crash-recovery smokes.
+# crash-recovery smoke.
 verify:
 	sh scripts/verify.sh
 

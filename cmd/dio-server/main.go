@@ -66,7 +66,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable ingest directory (WAL + checkpoints); enables POST /api/v1/write, empty runs memory-only")
 	retention := flag.Duration("retention", 0, "drop samples older than this behind the TSDB head (0 keeps everything)")
 	checkpointEvery := flag.Duration("checkpoint-interval", 5*time.Minute, "how often the ingest store checkpoints and truncates its WAL")
-	tsdbShards := flag.Int("tsdb-shards", 1, "TSDB shards: >1 partitions series by fingerprint hash, parallelising ingest and fanning queries out to per-shard partial aggregation")
 	slowQuery := flag.Duration("slow-query-threshold", time.Second, "queries at least this long count as slow in the /debug/queries/slow log")
 	activeSlots := flag.Int("active-query-slots", 32, "in-flight queries tracked at once (the crash-survivable queries.active file holds this many slots)")
 	flag.Parse()
@@ -86,7 +85,7 @@ func main() {
 	began := time.Now()
 	cat := catalog.Generate()
 	phase("catalog", began, "metrics", len(cat.Metrics))
-	var db tsdb.Storage
+	var db *tsdb.DB
 
 	// Durable ingest: the store recovers the TSDB from its newest
 	// checkpoint plus WAL replay, and every /api/v1/write lands in the WAL
@@ -95,13 +94,13 @@ func main() {
 	if *dataDir != "" {
 		began = time.Now()
 		var err error
-		store, err = ingest.OpenStore(*dataDir, ingest.StoreOptions{Shards: *tsdbShards})
+		store, err = ingest.OpenStore(*dataDir, ingest.StoreOptions{})
 		if err != nil {
 			fatal("opening ingest store", err)
 		}
 		db = store.DB()
 		rs := store.ReplayStats()
-		phase("open_store", began, "dir", *dataDir, "shards", store.Shards(),
+		phase("open_store", began, "dir", *dataDir,
 			"series", db.NumSeries(), "samples", db.NumSamples(),
 			"wal_segments_replayed", rs.Segments, "wal_samples_replayed", rs.Samples,
 			"wal_tail_repaired", rs.TailTruncated)
@@ -109,11 +108,7 @@ func main() {
 
 	if db == nil || db.NumSamples() == 0 {
 		if db == nil {
-			if *tsdbShards > 1 {
-				db = tsdb.NewSharded(*tsdbShards)
-			} else {
-				db = tsdb.New()
-			}
+			db = tsdb.New()
 		}
 		cfg := fivegsim.DefaultConfig()
 		cfg.Duration = *duration
@@ -142,10 +137,6 @@ func main() {
 	// itself resolve like any operator question.
 	reg := obs.NewRegistry()
 	obs.RegisterRuntimeMetrics(reg)
-	if sh, ok := db.(*tsdb.ShardedDB); ok && store == nil {
-		// The durable store registers these itself in Instrument.
-		ingest.InstrumentShards(reg, sh)
-	}
 	if n := cat.AddSelfMetrics(); n > 0 {
 		logger.Info("registered dio_* self-metrics in the catalog", "count", n)
 	}

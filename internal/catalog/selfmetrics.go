@@ -113,21 +113,6 @@ var selfMetricDefs = []selfMetricDef{
 	{name: "dio_tsdb_compression_ratio", typ: Gauge,
 		desc: "Compression ratio of the DIO time-series store: raw 16-byte samples divided by encoded chunk bytes."},
 
-	// Sharded TSDB and distributed query execution (internal/tsdb sharding,
-	// internal/promql distribute pass).
-	{name: "dio_shard_count", typ: Gauge, unit: "shards",
-		desc: "Configured shard count of the DIO time-series store (1 when sharding is off)."},
-	{name: "dio_shard_series", typ: Gauge, unit: "series",
-		desc: "Series held by each DIO time-series store shard, labelled by shard index — shows how evenly the fingerprint hash spreads the keyspace."},
-	{name: "dio_shard_samples", typ: Gauge, unit: "samples",
-		desc: "Samples held by each DIO time-series store shard, labelled by shard index."},
-	{name: "dio_shard_fanout_seconds", unit: "seconds", histogram: true,
-		desc: "Latency of the per-query sharded storage fan-out in the DIO query engine: concurrent per-shard selection plus the fingerprint-ordered merge."},
-	{name: "dio_shard_partial_aggs_total", typ: Counter,
-		desc: "Aggregation evaluations the DIO query engine served via per-shard partial aggregation merged centrally."},
-	{name: "dio_shard_fallbacks_total", typ: Counter,
-		desc: "Distributed aggregations the DIO query engine demoted to gather-then-evaluate because a runtime ordering guard could not prove the shard merge exact."},
-
 	// Query-level profiling (internal/obs slow-query log, fed by the
 	// engine's finished-query hook; browsable at /debug/queries/slow).
 	{name: "dio_query_total", typ: Counter, labels: []string{"kind"},

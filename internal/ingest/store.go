@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,23 +28,10 @@ import (
 // idempotent because the TSDB treats an identical (t, v) re-append as a
 // no-op and rejects older timestamps — replaying a segment that overlaps
 // the checkpoint cannot corrupt or duplicate anything.
-//
-// With Shards > 1 the store fronts a tsdb.ShardedDB and checkpoints each
-// shard to its own file, checkpoint-%08d.s%03d-of-%03d.chunks. The WAL
-// stays a single fan-in log (one fsync acknowledges every shard's
-// writes); replay routes each record back to its shard through the same
-// fingerprint hash that routed the original append. A checkpoint set is
-// only usable when every shard file for its segment exists — segments are
-// garbage-collected strictly after the full set is renamed into place, so
-// a crash mid-checkpoint falls back to the previous complete set plus a
-// longer replay, never to a partial state.
 type Store struct {
 	dir string
-	db  tsdb.Storage
-	// sharded is non-nil when db fronts more than one shard.
-	sharded *tsdb.ShardedDB
-	wal     *WAL
-	opts    StoreOptions
+	db  *tsdb.DB
+	wal *WAL
 
 	// mu orders appends against checkpoints: appends hold RLock across
 	// {WAL write, TSDB apply} so a checkpoint (Lock during WAL rotation)
@@ -73,10 +61,7 @@ type StoreOptions struct {
 	// SegmentBytes is passed to the WAL.
 	FsyncInterval time.Duration
 	SegmentBytes  int64
-	// Shards selects the TSDB layout: <= 1 keeps the single-DB store and
-	// checkpoint format; > 1 fronts a ShardedDB with per-shard checkpoint
-	// files. A store written under one shard count reopens cleanly under
-	// another — recovery reshards the loaded checkpoint.
+	// Shards is ignored: the store holds one TSDB.
 	Shards int
 }
 
@@ -87,61 +72,30 @@ func checkpointName(seg int) string {
 	return fmt.Sprintf("%s%08d%s", checkpointPrefix, seg, checkpointSuffix)
 }
 
-// shardCheckpointName names shard i's file in an of-shard checkpoint set
-// for segment seg.
-func shardCheckpointName(seg, i, of int) string {
-	return fmt.Sprintf("%s%08d.s%03d-of-%03d%s", checkpointPrefix, seg, i, of, checkpointSuffix)
-}
-
-// checkpointID identifies one checkpoint file: the WAL segment it covers
-// and, for per-shard files, which shard out of how many. Single-file
-// checkpoints have of == 0.
-type checkpointID struct {
-	seg   int
-	shard int
-	of    int
-}
-
-func parseCheckpointName(name string) (checkpointID, bool) {
-	if !strings.HasPrefix(name, checkpointPrefix) || !strings.HasSuffix(name, checkpointSuffix) {
-		return checkpointID{}, false
-	}
-	body := strings.TrimSuffix(strings.TrimPrefix(name, checkpointPrefix), checkpointSuffix)
-	segStr, shardStr, sharded := strings.Cut(body, ".s")
-	seg, err := strconv.Atoi(segStr)
-	if err != nil || seg < 0 {
-		return checkpointID{}, false
-	}
-	if !sharded {
-		return checkpointID{seg: seg}, true
-	}
-	iStr, ofStr, ok := strings.Cut(shardStr, "-of-")
+// parseCheckpointName returns the WAL segment a checkpoint file covers.
+func parseCheckpointName(name string) (int, bool) {
+	body, ok := strings.CutPrefix(name, checkpointPrefix)
 	if !ok {
-		return checkpointID{}, false
+		return 0, false
 	}
-	i, err := strconv.Atoi(iStr)
-	if err != nil || i < 0 {
-		return checkpointID{}, false
+	body, ok = strings.CutSuffix(body, checkpointSuffix)
+	if !ok {
+		return 0, false
 	}
-	of, err := strconv.Atoi(ofStr)
-	if err != nil || of <= i {
-		return checkpointID{}, false
-	}
-	return checkpointID{seg: seg, shard: i, of: of}, true
+	seg, err := strconv.Atoi(body)
+	return seg, err == nil && seg >= 0
 }
 
-// completeCheckpoint describes a loadable checkpoint: the segment it
-// covers and the shard layout it was written under (of == 0: one file).
-type completeCheckpoint struct {
-	seg int
-	of  int
-}
+// shardCheckpoint matches the per-shard checkpoint files,
+// checkpoint-%08d.s%03d-of-%03d.chunks, that builds with a sharded TSDB
+// wrote. This build cannot load them.
+var shardCheckpoint = regexp.MustCompile(`^checkpoint-\d+\.s\d+-of-\d+\.chunks$`)
 
-// listCheckpoints returns every complete checkpoint in dir, sorted by
-// segment. A per-shard set counts only when all of its files exist; a
-// partial set (crash mid-checkpoint) is invisible here and removed by the
-// next successful Checkpoint's GC.
-func listCheckpoints(dir string) ([]completeCheckpoint, error) {
+// listCheckpoints returns the segments of every checkpoint in dir,
+// ascending. A per-shard checkpoint file is an error: the WAL segments it
+// covers are gone, so recovering without it would silently fall back to
+// an older checkpoint or to an empty TSDB.
+func listCheckpoints(dir string) ([]int, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -149,68 +103,32 @@ func listCheckpoints(dir string) ([]completeCheckpoint, error) {
 		}
 		return nil, err
 	}
-	type key struct{ seg, of int }
-	present := make(map[key]int)
+	var segs []int
 	for _, e := range ents {
-		if id, ok := parseCheckpointName(e.Name()); ok {
-			present[key{id.seg, id.of}]++
+		if shardCheckpoint.MatchString(e.Name()) {
+			return nil, fmt.Errorf("ingest: %s is a per-shard checkpoint from a sharded build, which this build cannot load; refusing to recover without it",
+				filepath.Join(dir, e.Name()))
+		}
+		if seg, ok := parseCheckpointName(e.Name()); ok {
+			segs = append(segs, seg)
 		}
 	}
-	var cps []completeCheckpoint
-	for k, n := range present {
-		if k.of == 0 || n == k.of {
-			cps = append(cps, completeCheckpoint{seg: k.seg, of: k.of})
-		}
-	}
-	sort.Slice(cps, func(i, j int) bool {
-		if cps[i].seg != cps[j].seg {
-			return cps[i].seg < cps[j].seg
-		}
-		return cps[i].of < cps[j].of
-	})
-	return cps, nil
+	sort.Ints(segs)
+	return segs, nil
 }
 
-// loadCheckpoint reads a complete checkpoint into a Storage laid out for
-// the requested shard count, resharding if the set was written under a
-// different layout.
-func loadCheckpoint(dir string, cp completeCheckpoint, shards int) (tsdb.Storage, error) {
-	loadOne := func(name string) (*tsdb.DB, error) {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return tsdb.LoadChunkedSnapshot(f)
+// loadCheckpoint reads the checkpoint covering segments before seg.
+func loadCheckpoint(dir string, seg int) (*tsdb.DB, error) {
+	f, err := os.Open(filepath.Join(dir, checkpointName(seg)))
+	if err != nil {
+		return nil, fmt.Errorf("ingest: load checkpoint %d: %w", seg, err)
 	}
-	var loaded tsdb.Storage
-	if cp.of == 0 {
-		db, err := loadOne(checkpointName(cp.seg))
-		if err != nil {
-			return nil, fmt.Errorf("ingest: load checkpoint %d: %w", cp.seg, err)
-		}
-		loaded = db
-	} else {
-		parts := make([]*tsdb.DB, cp.of)
-		for i := range parts {
-			db, err := loadOne(shardCheckpointName(cp.seg, i, cp.of))
-			if err != nil {
-				return nil, fmt.Errorf("ingest: load checkpoint %d shard %d/%d: %w", cp.seg, i, cp.of, err)
-			}
-			parts[i] = db
-		}
-		loaded = tsdb.ShardedFrom(parts)
+	defer f.Close()
+	db, err := tsdb.LoadChunkedSnapshot(f)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: load checkpoint %d: %w", seg, err)
 	}
-	switch {
-	case shards <= 1 && cp.of == 0:
-		return loaded, nil
-	case shards == cp.of:
-		return loaded, nil
-	case shards <= 1:
-		return loaded.(*tsdb.ShardedDB).Gather(), nil
-	default:
-		return tsdb.Reshard(loaded, shards), nil
-	}
+	return db, nil
 }
 
 // OpenStore recovers (or initialises) the durable store rooted at dir.
@@ -219,29 +137,22 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts}
+	s := &Store{dir: dir}
 
-	// 1. Newest complete checkpoint, if any, seeds the TSDB — resharded
-	// when it was written under a different shard count.
-	cps, err := listCheckpoints(dir)
+	// 1. Newest checkpoint, if any, seeds the TSDB.
+	segs, err := listCheckpoints(dir)
 	if err != nil {
 		return nil, err
 	}
 	fromSeg := 0
-	if len(cps) > 0 {
-		newest := cps[len(cps)-1]
-		fromSeg = newest.seg
-		db, err := loadCheckpoint(dir, newest, opts.Shards)
-		if err != nil {
+	if len(segs) > 0 {
+		fromSeg = segs[len(segs)-1]
+		if s.db, err = loadCheckpoint(dir, fromSeg); err != nil {
 			return nil, err
 		}
-		s.db = db
-	} else if opts.Shards > 1 {
-		s.db = tsdb.NewSharded(opts.Shards)
 	} else {
 		s.db = tsdb.New()
 	}
-	s.sharded, _ = s.db.(*tsdb.ShardedDB)
 
 	// 2. Replay WAL segments the checkpoint does not cover. Overlap with
 	// the checkpoint is expected (rotation happens before the snapshot);
@@ -287,15 +198,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 
 // DB exposes the underlying TSDB for the query engine. Reads are safe
 // concurrently with appends; writes must go through Store.Append.
-func (s *Store) DB() tsdb.Storage { return s.db }
-
-// Shards reports the store's shard count (1 for the single-DB layout).
-func (s *Store) Shards() int {
-	if s.sharded != nil {
-		return s.sharded.NumShards()
-	}
-	return 1
-}
+func (s *Store) DB() *tsdb.DB { return s.db }
 
 // ReplayStats reports what crash recovery had to do when the store was
 // opened.
@@ -374,49 +277,32 @@ func (s *Store) Checkpoint() error {
 		return err
 	}
 
-	writeOne := func(db *tsdb.DB, finalName string) error {
-		tmp, err := os.CreateTemp(s.dir, checkpointPrefix+"*.tmp")
-		if err != nil {
-			return err
-		}
-		defer os.Remove(tmp.Name())
-		if err := db.SnapshotChunked(tmp); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := syncFile(tmp); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp.Name(), filepath.Join(s.dir, finalName))
+	tmp, err := os.CreateTemp(s.dir, checkpointPrefix+"*.tmp")
+	if err != nil {
+		return err
 	}
-	if s.sharded != nil {
-		// Per-shard files. A crash before the last rename leaves a partial
-		// set; recovery ignores it (listCheckpoints requires all files) and
-		// uses the previous complete checkpoint, whose WAL segments are
-		// still present because GC runs only after this loop finishes.
-		n := s.sharded.NumShards()
-		for i := 0; i < n; i++ {
-			if err := writeOne(s.sharded.Shard(i), shardCheckpointName(newSeg, i, n)); err != nil {
-				return err
-			}
-		}
-	} else {
-		if err := writeOne(s.db.(*tsdb.DB), checkpointName(newSeg)); err != nil {
-			return err
-		}
+	defer os.Remove(tmp.Name())
+	if err := s.db.SnapshotChunked(tmp); err != nil {
+		tmp.Close()
+		return err
 	}
-	// The renames must be durable before the segments they replace go.
+	if err := syncFile(tmp); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, checkpointName(newSeg))); err != nil {
+		return err
+	}
+	// The rename must be durable before the segments it replaces go.
 	if err := syncDir(s.dir); err != nil {
 		return fmt.Errorf("ingest: sync checkpoint directory: %w", err)
 	}
 
 	// Garbage-collect what the new checkpoint supersedes: covered WAL
-	// segments, older checkpoints in any layout, and stray files from
-	// same-segment checkpoints under a different shard count.
+	// segments and older checkpoints.
 	if err := s.wal.DeleteSegmentsBefore(newSeg); err != nil {
 		return err
 	}
@@ -424,16 +310,8 @@ func (s *Store) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	curOf := 0
-	if s.sharded != nil {
-		curOf = s.sharded.NumShards()
-	}
 	for _, e := range ents {
-		id, ok := parseCheckpointName(e.Name())
-		if !ok {
-			continue
-		}
-		if id.seg < newSeg || (id.seg == newSeg && id.of != curOf) {
+		if seg, ok := parseCheckpointName(e.Name()); ok && seg < newSeg {
 			if err := os.Remove(filepath.Join(s.dir, e.Name())); err != nil {
 				return err
 			}
@@ -501,25 +379,4 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		"Raw 16-byte samples over encoded chunk bytes.", "ratio",
 		func() float64 { return s.db.Stats().CompressionRatio })
 
-	if s.sharded != nil {
-		InstrumentShards(reg, s.sharded)
-	}
-}
-
-// InstrumentShards registers per-shard occupancy gauges for a sharded
-// TSDB: how evenly the fingerprint hash spreads series and samples.
-func InstrumentShards(reg *obs.Registry, sh *tsdb.ShardedDB) {
-	series := reg.GaugeVec("dio_shard_series",
-		"Series held by each TSDB shard.", "series", "shard")
-	samples := reg.GaugeVec("dio_shard_samples",
-		"Samples held by each TSDB shard.", "samples", "shard")
-	for i := 0; i < sh.NumShards(); i++ {
-		db := sh.Shard(i)
-		label := strconv.Itoa(i)
-		series.Func(func() float64 { return float64(db.NumSeries()) }, label)
-		samples.Func(func() float64 { return float64(db.NumSamples()) }, label)
-	}
-	reg.GaugeFunc("dio_shard_count",
-		"Configured TSDB shard count.", "shards",
-		func() float64 { return float64(sh.NumShards()) })
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -289,6 +290,63 @@ func TestStoreTruncatePersists(t *testing.T) {
 	}
 	defer re.Close()
 	identicalStores(t, re.DB(), ref)
+}
+
+// TestOpenStoreRefusesShardCheckpoint: a data directory holding a
+// per-shard checkpoint file, which only a sharded build wrote, must fail
+// to open with an error naming that file, and must be left exactly as it
+// was. Recovering without the file would silently fall back to an older
+// checkpoint or an empty TSDB, because the WAL segments it covered were
+// collected when it was written.
+func TestOpenStoreRefusesShardCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	batches, _ := scrapeBatches(2, 2, 4)
+	st, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		if _, err := st.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	shardFile := filepath.Join(dir, "checkpoint-00000009.s001-of-004.chunks")
+	if err := os.WriteFile(shardFile, []byte("shard 1 of 4"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() []string {
+		var names []string
+		for _, d := range []string{dir, filepath.Join(dir, "wal")} {
+			ents, err := os.ReadDir(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				names = append(names, filepath.Join(d, e.Name()))
+			}
+		}
+		return names
+	}
+	before := listing()
+
+	re, err := OpenStore(dir, StoreOptions{})
+	if err == nil {
+		re.Close()
+		t.Fatal("OpenStore recovered around a per-shard checkpoint file")
+	}
+	if msg := err.Error(); !strings.Contains(msg, shardFile) || !strings.Contains(msg, "sharded build") {
+		t.Fatalf("error %q does not name %s as coming from a sharded build", msg, shardFile)
+	}
+	if got, err := os.ReadFile(shardFile); err != nil || string(got) != "shard 1 of 4" {
+		t.Fatalf("per-shard checkpoint changed: %q, %v", got, err)
+	}
+	if after := listing(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("OpenStore changed the directory:\nbefore %v\nafter  %v", before, after)
+	}
 }
 
 func TestStoreDropPolicyAndMetrics(t *testing.T) {

@@ -52,10 +52,6 @@ type Hooks struct {
 	OnSamples func(int)
 	// OnRangeEval receives the select-once statistics of each range query.
 	OnRangeEval func(RangeStats)
-	// OnFanout receives the duration of each sharded storage fan-out (the
-	// batched per-shard select + merge). Only called when the engine
-	// fronts a ShardedDB.
-	OnFanout func(time.Duration)
 	// OnQueryStart fires when a query begins evaluating (after the
 	// concurrency gate), instant and range alike. The returned func fires
 	// when the query finishes, whatever the outcome: the active-query
@@ -79,28 +75,19 @@ type RangeStats struct {
 	// evaluation timestamps (subqueries re-anchoring their inner
 	// timeline).
 	CursorResets int
-	// DistPartials counts distribute-node evaluations served by per-shard
-	// partial aggregation; DistFallbacks counts evaluations that fell
-	// back to gather-then-evaluate (demoted by a runtime order guard).
-	// Both stay zero on unsharded storage.
-	DistPartials  int
-	DistFallbacks int
 	// PeakIntermediateBytes is the high-water mark of pooled intermediate
 	// memory across all partitions of the query — the figure the batched
 	// executor bounds by its batch size.
 	PeakIntermediateBytes int64
 }
 
-// Engine evaluates parsed expressions against a tsdb.Storage — a single
-// DB or a ShardedDB. It is safe for concurrent use.
+// Engine evaluates parsed expressions against a tsdb.Storage. It is safe
+// for concurrent use.
 type Engine struct {
-	db   tsdb.Storage
-	opts EngineOptions
-	// sharded is set when db fronts more than one shard; it unlocks the
-	// distribute optimizer pass and per-shard partial aggregation.
-	sharded *tsdb.ShardedDB
-	gate    chan struct{}
-	hooks   Hooks
+	db    tsdb.Storage
+	opts  EngineOptions
+	gate  chan struct{}
+	hooks Hooks
 
 	// batch is the number of range steps evaluated between arena resets
 	// (defaultBatchSize); noArena runs range partitions on the nil arena,
@@ -134,9 +121,6 @@ func NewEngine(db tsdb.Storage, opts EngineOptions) *Engine {
 		}
 	}
 	e := &Engine{db: db, opts: opts, plans: make(map[string]*compiledPlan), batch: defaultBatchSize}
-	if sh, ok := db.(*tsdb.ShardedDB); ok && sh.NumShards() > 1 {
-		e.sharded = sh
-	}
 	if opts.MaxConcurrent > 0 {
 		e.gate = make(chan struct{}, opts.MaxConcurrent)
 	}
@@ -156,9 +140,6 @@ func (e *Engine) planFor(expr Expr) (cp *compiledPlan, hit bool, err error) {
 	plan, err := newPlan(expr, e.opts)
 	if err != nil {
 		return nil, false, err
-	}
-	if e.sharded != nil {
-		distributePlan(plan, e.sharded.NumShards())
 	}
 	cp, err = compilePlan(plan)
 	if err != nil {
@@ -203,8 +184,8 @@ func (e *Engine) ExplainCompact(expr Expr) (string, error) {
 
 // ExplainAnalyze executes input at ts and returns the plan annotated with
 // the measured per-operator statistics (wall time with hot-path
-// percentages, calls, output series, samples scanned, per-shard fan-out
-// latencies). The query really runs — budget, gate and hooks included.
+// percentages, calls, output series, samples scanned). The query really
+// runs — budget, gate and hooks included.
 func (e *Engine) ExplainAnalyze(ctx context.Context, input string, ts time.Time) (string, error) {
 	expr, err := Parse(input)
 	if err != nil {

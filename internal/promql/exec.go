@@ -65,30 +65,14 @@ type execState struct {
 	keys       map[labelsRef]string
 	lookbackMs int64
 
-	// shardSeries, when the engine fronts a ShardedDB and the plan holds
-	// distribute nodes, keeps the per-shard halves of the prefetch:
-	// shardSeries[shard][scanIdx]. The views are the same structs the
-	// merged series slices hold (one decode pass serves both).
-	shardSeries [][][]tsdb.SeriesView
-	// distDemoted[id] flips when distribute node id fails a runtime
-	// order guard; the node then evaluates over the merged view for the
-	// rest of this execution (sticky — re-checking a failed invariant
-	// every step buys nothing).
-	distDemoted   []atomic.Bool
-	distPartials  atomic.Int64
-	distFallbacks atomic.Int64
-
 	services     []int64 // per scan, atomic: operator reads served
 	resets       atomic.Int64
 	totalSamples atomic.Int64
 
 	// opStats holds one accumulator per operator of the compiled plan
 	// (indexed by statsIdx) — the EXPLAIN ANALYZE slab, pre-sized once per
-	// execution and updated with atomics. shardWallNs adds per-shard
-	// fan-out wall times for distribute nodes, indexed
-	// distID*shards+shard.
-	opStats     []opSlot
-	shardWallNs []int64
+	// execution and updated with atomics.
+	opStats []opSlot
 
 	workers int
 	sem     chan struct{} // bounds extra goroutines beyond the caller's
@@ -110,42 +94,11 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState
 		workers:    e.opts.ExecWorkers,
 		opStats:    make([]opSlot, len(cp.stats)),
 	}
-	hints := cp.plan.selectHints(startMs, endMs)
-	if e.sharded != nil {
-		fanStart := time.Now()
-		if len(cp.distScans) > 0 {
-			st.series, st.shardSeries = e.sharded.SelectBatchShards(hints)
-		} else {
-			st.series = e.sharded.SelectBatch(hints)
-		}
-		if e.hooks.OnFanout != nil {
-			e.hooks.OnFanout(time.Since(fanStart))
-		}
-	} else {
-		st.series = e.db.SelectBatch(hints)
-	}
+	st.series = e.db.SelectBatch(cp.plan.selectHints(startMs, endMs))
 	for _, views := range st.series {
 		for _, sv := range views {
 			if len(sv.Labels) > 0 {
 				st.keys[labelsRef{&sv.Labels[0], len(sv.Labels)}] = sv.Fingerprint
-			}
-		}
-	}
-	if st.shardSeries != nil {
-		st.shardWallNs = make([]int64, len(cp.distScans)*len(st.shardSeries))
-		st.distDemoted = make([]atomic.Bool, len(cp.distScans))
-		// Name-first guard: name-dropping operators in a distributed
-		// child subtree preserve fingerprint order only while __name__
-		// sorts first in every view's label set (a label name ordered
-		// before "__name__" — e.g. starting with an uppercase letter —
-		// breaks the invariant). Checked once per execution, per
-		// distribute node, over the merged views of its scan.
-		for id, scanIdx := range cp.distScans {
-			for _, sv := range st.series[scanIdx] {
-				if len(sv.Labels) == 0 || sv.Labels[0].Name != tsdb.MetricNameLabel {
-					st.distDemoted[id].Store(true)
-					break
-				}
 			}
 		}
 	}
@@ -189,8 +142,6 @@ func (st *execState) stats() RangeStats {
 		SelectorHits:          hits,
 		SelectorMisses:        misses,
 		CursorResets:          int(st.resets.Load()),
-		DistPartials:          int(st.distPartials.Load()),
-		DistFallbacks:         int(st.distFallbacks.Load()),
 		PeakIntermediateBytes: st.peakIntermediate.Load(),
 	}
 }
@@ -222,10 +173,6 @@ type useCursor struct {
 type part struct {
 	st  *execState
 	ctx context.Context
-	// shard restricts selector reads to one shard's prefetched views;
-	// -1 reads the merged view. Only distribute-node children run with
-	// shard >= 0.
-	shard int
 	// samples is the per-step budget in sequential cursor mode; asamples
 	// replaces it in parallel instant mode.
 	samples  int
@@ -235,12 +182,6 @@ type part struct {
 	cursors   []useCursor
 	seriesPar bool
 	branchPar bool
-	// distParts caches this part's per-shard child parts (cursor mode
-	// keeps per-shard cursor state across steps); distAcc is the shared
-	// budget those parts account into, seeded from samples per call so
-	// MaxSamples trips at the same totals as unsharded evaluation.
-	distParts []*part
-	distAcc   *atomic.Int64
 	// al, when non-nil, is this part's batch arena (pool.go): every
 	// intermediate container the part's operators produce comes from it
 	// and is recycled at the next batch boundary. Nil on instant parts:
@@ -249,139 +190,23 @@ type part struct {
 }
 
 func (st *execState) newCursorPart(ctx context.Context) *part {
-	p := &part{st: st, ctx: ctx, shard: -1, cursors: make([]useCursor, st.cp.nCursors)}
+	p := &part{st: st, ctx: ctx, cursors: make([]useCursor, st.cp.nCursors)}
 	if !st.eng.noArena {
 		p.al = getAlloc(st.keys)
 	}
 	return p
 }
 
-// resetArena recycles everything this part (and its per-shard children)
-// allocated during the finished batch. Called only at batch boundaries,
-// after the batch's step vectors have been folded into the partition
-// accumulator and no distribute fan-out is in flight.
-func (p *part) resetArena() {
-	p.al.reset()
-	for _, dp := range p.distParts {
-		dp.al.reset()
-	}
-}
-
-// releaseAllocs returns the partition's arenas to the global pool when
-// its span is done (shard children first — their goroutines joined at the
-// end of the last distribute evaluation).
+// releaseAllocs returns the partition's arena to the global pool when its
+// span is done.
 func (p *part) releaseAllocs() {
-	for _, dp := range p.distParts {
-		dp.al.release(p.st)
-		dp.al = nil
-	}
 	p.al.release(p.st)
 	p.al = nil
 }
 
 func (st *execState) newInstantPart(ctx context.Context) *part {
 	par := st.workers > 1
-	return &part{st: st, ctx: ctx, shard: -1, asamples: new(atomic.Int64), seriesPar: par, branchPar: par}
-}
-
-// shardParts returns one child part per shard for distribute-node
-// evaluation. Cursor-mode parts are cached (per-shard cursors advance
-// monotonically across steps, exactly like the parent's); instant-mode
-// parts are ephemeral because branch-parallel binary operands may
-// evaluate two distribute nodes on this part concurrently. Distribute
-// nodes share the cached parts safely: each child subtree owns disjoint
-// cursor slots.
-func (p *part) shardParts(n int) []*part {
-	if p.cursors == nil {
-		parts := make([]*part, n)
-		for i := range parts {
-			parts[i] = &part{st: p.st, ctx: p.ctx, shard: i, asamples: p.asamples, seriesPar: p.seriesPar}
-		}
-		return parts
-	}
-	if p.distParts == nil {
-		p.distAcc = new(atomic.Int64)
-		p.distParts = make([]*part, n)
-		for i := range p.distParts {
-			dp := &part{st: p.st, ctx: p.ctx, shard: i, asamples: p.distAcc, cursors: make([]useCursor, p.st.cp.nCursors)}
-			if p.al != nil {
-				// Each shard child runs on its own goroutine, so it gets
-				// its own arena; the parent resets and releases them in
-				// lockstep with its own.
-				dp.al = getAlloc(p.st.keys)
-			}
-			p.distParts[i] = dp
-		}
-	}
-	p.distAcc.Store(int64(p.samples))
-	return p.distParts
-}
-
-// seriesFor resolves a scan's prefetched views for this part's shard.
-func (p *part) seriesFor(scanIdx int) []tsdb.SeriesView {
-	if p.shard >= 0 {
-		return p.st.shardSeries[p.shard][scanIdx]
-	}
-	return p.st.series[scanIdx]
-}
-
-// mergeShardVectors k-way merges per-shard child vectors by label key,
-// guarding the two invariants the distributed path rests on: each shard
-// vector is strictly increasing in key (per-series operators preserved
-// shard view order and produced no duplicate keys), and no key appears on
-// two shards (fingerprint routing puts a series on exactly one shard; a
-// name-dropping collision would surface here as a cross-shard tie).
-// ok=false demotes the caller to the merged-view fallback.
-func (p *part) mergeShardVectors(vecs []Vector) (Vector, bool) {
-	total, live, lastIdx := 0, 0, 0
-	for i, v := range vecs {
-		if len(v) > 0 {
-			total += len(v)
-			live++
-			lastIdx = i
-		}
-	}
-	if total == 0 {
-		return Vector{}, true
-	}
-	if live == 1 {
-		// A single contributing shard is the merged result verbatim — its
-		// views were the whole merged view, so its output already matches
-		// the unsharded evaluation bit for bit.
-		return vecs[lastIdx], true
-	}
-	keys := make([][]string, len(vecs))
-	for i, v := range vecs {
-		ks := p.al.strs(len(v))[:len(v)]
-		for j, s := range v {
-			ks[j] = p.keyOf(s.Labels)
-			if j > 0 && ks[j-1] >= ks[j] {
-				return nil, false
-			}
-		}
-		keys[i] = ks
-	}
-	out := p.al.vec(total)
-	heads := make([]int, len(vecs))
-	for len(out) < total {
-		best := -1
-		for i, v := range vecs {
-			if heads[i] >= len(v) {
-				continue
-			}
-			switch {
-			case best < 0:
-				best = i
-			case keys[i][heads[i]] == keys[best][heads[best]]:
-				return nil, false // cross-shard key tie: order undefined
-			case keys[i][heads[i]] < keys[best][heads[best]]:
-				best = i
-			}
-		}
-		out = append(out, vecs[best][heads[best]])
-		heads[best]++
-	}
-	return out, true
+	return &part{st: st, ctx: ctx, asamples: new(atomic.Int64), seriesPar: par, branchPar: par}
 }
 
 // eval runs one operator, enforcing cancellation at every node, and
@@ -525,7 +350,7 @@ func (p *part) keyOf(ls tsdb.Labels) string {
 // binary search otherwise. Results are in fingerprint order because the
 // prefetch is.
 func (p *part) instant(scanIdx, cur int, ts, outT int64) Vector {
-	series := p.seriesFor(scanIdx)
+	series := p.st.series[scanIdx]
 	atomic.AddInt64(&p.st.services[scanIdx], 1)
 	lookback := p.st.lookbackMs
 	out := p.al.vec(len(series))
@@ -569,7 +394,7 @@ func (p *part) instant(scanIdx, cur int, ts, outT int64) Vector {
 
 // windows serves a matrix window (start, end] plus total sample count.
 func (p *part) windows(scanIdx, cur int, start, end int64) (Matrix, int) {
-	series := p.seriesFor(scanIdx)
+	series := p.st.series[scanIdx]
 	atomic.AddInt64(&p.st.services[scanIdx], 1)
 	out := p.al.mat(len(series))
 	total := 0
@@ -839,7 +664,7 @@ func (p *part) runSpan(root physOp, steps []int64, lo, hi int, acc *rangeAcc) st
 				return stepError{idx: i, err: err}
 			}
 		}
-		p.resetArena()
+		p.al.reset()
 	}
 	return stepError{idx: -1}
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"dio/internal/tsdb"
 )
 
 // fuzzTooDeep rejects inputs whose evaluation cost is unbounded by
@@ -69,8 +67,8 @@ func FuzzParsePlanEval(f *testing.F) {
 	f.Add("rate(((amfcc_n1_auth_request[5m])))")
 	f.Add("-(1 + 2) * time()")
 	f.Add("max_over_time(rate(amfcc_n1_auth_request[5m])[1h:1s])")
-	// Distributed-aggregation seeds: shapes whose merge order (avg exact
-	// fold, topk ties, count regrouping) is where sharding bugs would live.
+	// Aggregation seeds: shapes whose fold order (avg, topk ties, count
+	// regrouping) a kernel change could move.
 	f.Add("avg by (instance) (rate(amfcc_n1_auth_request[5m]))")
 	f.Add("topk(2, smf_pdu_session_active)")
 	f.Add("count by (nf) (amfcc_n1_auth_request)")
@@ -81,13 +79,6 @@ func FuzzParsePlanEval(f *testing.F) {
 	base.MaxSamples = 1_000_000
 	base.Timeout = 5 * time.Second
 	planner := NewEngine(db, base)
-	// The 4-shard engine runs the same data through fan-out + distributed
-	// partial aggregation; it must agree with the single-shard planner.
-	shardBase := db
-	if sh, ok := db.(*tsdb.ShardedDB); ok {
-		shardBase = sh.Gather()
-	}
-	sharded := NewEngine(tsdb.Reshard(shardBase, 4), base)
 
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 512 {
@@ -115,18 +106,6 @@ func FuzzParsePlanEval(f *testing.F) {
 				t.Fatalf("instant %q: results differ\nplanner:\n%s\noracle:\n%s", input, got, want)
 			}
 		}
-		sv, serr := sharded.Query(ctx, input, end)
-		if fuzzTimeout(serr) {
-			return
-		}
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("instant %q: error mismatch: sharded=%v planner=%v", input, serr, perr)
-		}
-		if serr == nil {
-			if got, want := FormatValue(sv), FormatValue(pv); got != want {
-				t.Fatalf("instant %q: sharded result differs\nsharded:\n%s\nplanner:\n%s", input, got, want)
-			}
-		}
 
 		start := end.Add(-10 * time.Minute)
 		pm, perr := planner.QueryRange(ctx, input, start, end, time.Minute)
@@ -140,18 +119,6 @@ func FuzzParsePlanEval(f *testing.F) {
 		if perr == nil {
 			if got, want := pm.String(), lm.String(); got != want {
 				t.Fatalf("range %q: matrices differ\nplanner:\n%s\noracle:\n%s", input, got, want)
-			}
-		}
-		sm, serr := sharded.QueryRange(ctx, input, start, end, time.Minute)
-		if fuzzTimeout(serr) {
-			return
-		}
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("range %q: error mismatch: sharded=%v planner=%v", input, serr, perr)
-		}
-		if serr == nil {
-			if got, want := sm.String(), pm.String(); got != want {
-				t.Fatalf("range %q: sharded matrix differs\nsharded:\n%s\nplanner:\n%s", input, got, want)
 			}
 		}
 	})

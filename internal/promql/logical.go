@@ -227,27 +227,6 @@ type lNeg struct{ child logNode }
 func (n *lNeg) describe() string { return "neg" }
 func (n *lNeg) kids() []logNode  { return []logNode{n.child} }
 
-// lDist marks an aggregation whose input evaluates per TSDB shard: the
-// executor fans the (shard-local) child subtree out across the shards'
-// series views on the worker pool, k-way merges the per-shard vectors
-// back into the exact order the unsharded child would produce, then runs
-// the unchanged central aggregation kernel. Exactness over the merged
-// input — rather than merging per-shard partial sums — is what keeps the
-// result byte-identical: float addition is not associative, min/max are
-// NaN-order-sensitive and topk tie-breaking is order-dependent, so any
-// true partial-fold merge would diverge from the oracle by bits.
-type lDist struct {
-	agg    *lAgg
-	scan   *ScanNode // the single shard-local scan feeding agg's input
-	shards int
-	id     int // dense distribute-node index within the plan
-}
-
-func (n *lDist) describe() string {
-	return fmt.Sprintf("distribute[%d shards] %s", n.shards, n.agg.describe())
-}
-func (n *lDist) kids() []logNode { return n.agg.kids() }
-
 // isSpecialCall lists the calls the evaluator special-cases before the
 // range-function / vector-math dispatch (mirrors evalCall).
 func isSpecialCall(name string) bool {
@@ -285,7 +264,6 @@ type Plan struct {
 	scans  []*ScanNode
 	query  string   // canonical form
 	passes []string // applied pass annotations, in order
-	dists  int      // distribute nodes introduced by distributePlan
 }
 
 // planBuilder accumulates scan dedup state while lowering the AST.
@@ -573,167 +551,6 @@ func compactNode(b *strings.Builder, n logNode) {
 		compactNode(b, x.child)
 		b.WriteByte(')')
 		return
-	case *lDist:
-		fmt.Fprintf(b, "distribute[%d](", x.shards)
-		compactNode(b, x.agg)
-		b.WriteByte(')')
-		return
 	}
 	b.WriteString(n.describe())
-}
-
-// --- distribute pass -----------------------------------------------------
-//
-// distributePlan rewrites shardable aggregations into lDist nodes when the
-// engine fronts a ShardedDB. An aggregation is shardable when (a) its
-// operator's central fold accepts the merged per-shard input unchanged
-// (sum, avg, min, max, count, topk, bottomk — group-preserving folds over
-// one input vector), and (b) its input subtree is *shard-local*: exactly
-// one scan feeds it, reached only through per-series operators, so
-// evaluating the subtree on each shard's view and merging preserves both
-// the element set and the element order of the unsharded evaluation.
-// Everything else — set operations, vector-vector joins, absent(),
-// histogram_quantile(), nested aggregations, value-ordered sort() — keeps
-// the gather-then-evaluate path over the merged series view.
-
-// distAggOK lists the aggregation operators the distribute pass accepts.
-// Mirrors the shardableFunctions idea from distributed PromQL engines,
-// restricted to the ops whose central fold is a pure function of the
-// merged input vector (stddev/stdvar/quantile qualify too, but stay
-// central until a use case shows up; group/count_values are cheap).
-func distAggOK(op AggOp) bool {
-	switch op {
-	case AggSum, AggAvg, AggMin, AggMax, AggCount, AggTopK, AggBottomK:
-		return true
-	}
-	return false
-}
-
-// scanHasNameEq reports whether the scan pins one metric name with an
-// equality matcher. Distribution requires it: single-name scans give
-// every view the same __name__ prefix, which (with the executor's
-// name-first runtime guard) is what makes name-dropping operators in the
-// child subtree order-preserving across the shard merge.
-func scanHasNameEq(s *ScanNode) bool {
-	for _, m := range s.Matchers {
-		if m.Type == tsdb.MatchEqual && m.Name == tsdb.MetricNameLabel && m.Value != "" {
-			return true
-		}
-	}
-	return false
-}
-
-// shardLocalScan walks an aggregation input subtree and returns its single
-// scan if every operator on the path is per-series (structure-preserving
-// under a shard split). The walk is conservative: anything it does not
-// positively recognise keeps the central path.
-func shardLocalScan(n logNode) (*ScanNode, bool) {
-	switch x := n.(type) {
-	case *lScan:
-		return x.scan, scanHasNameEq(x.scan)
-	case *lMatrix:
-		return x.scan, scanHasNameEq(x.scan)
-	case *lSubquery:
-		return shardLocalScan(x.child)
-	case *lNeg:
-		return shardLocalScan(x.child)
-	case *lCall:
-		name := x.ast.Func.Name
-		// Special calls have whole-vector semantics (absent's empty→1,
-		// scalar's len==1 check, histogram_quantile's bucket joins);
-		// sort/sort_desc order by value, breaking the fingerprint merge.
-		if isSpecialCall(name) || name == "sort" || name == "sort_desc" {
-			return nil, false
-		}
-		var scan *ScanNode
-		for _, a := range x.args {
-			if !subtreeHasScan(a) {
-				continue // scalar parameters evaluate identically per shard
-			}
-			s, ok := shardLocalScan(a)
-			if !ok || scan != nil {
-				return nil, false
-			}
-			scan = s
-		}
-		return scan, scan != nil
-	case *lBinary:
-		if x.ast.Op.isSetOp() {
-			return nil, false
-		}
-		lScans, rScans := subtreeHasScan(x.lhs), subtreeHasScan(x.rhs)
-		if lScans == rScans {
-			return nil, false // vector-vector join or constant fold leftover
-		}
-		// One side reads storage; the other must be a scalar so the binop
-		// stays per-series (vector⋅scalar, order-preserving). A scan-free
-		// *vector* side (vector(1)) would be a join with cross-shard
-		// duplicate-group detection the shards cannot see.
-		if lScans {
-			if x.ast.RHS.Type() != ValueScalar {
-				return nil, false
-			}
-			return shardLocalScan(x.lhs)
-		}
-		if x.ast.LHS.Type() != ValueScalar {
-			return nil, false
-		}
-		return shardLocalScan(x.rhs)
-	}
-	return nil, false
-}
-
-// distributePlan rewrites eligible aggregations into lDist nodes. It runs
-// after the standard passes, before compilation, only when the engine
-// fronts more than one shard; plans are cached per engine, so a cached
-// plan's shard count always matches its storage.
-func distributePlan(p *Plan, shards int) {
-	if shards <= 1 {
-		return
-	}
-	var rewrite func(n logNode) logNode
-	rewrite = func(n logNode) logNode {
-		switch x := n.(type) {
-		case *lAgg:
-			if distAggOK(x.ast.Op) {
-				if scan, ok := shardLocalScan(x.child); ok {
-					// The parameter (topk's k) may itself contain
-					// aggregations; it evaluates centrally, so rewrite it
-					// independently. The shard-local child contains no
-					// aggregations by construction.
-					if x.param != nil {
-						x.param = rewrite(x.param)
-					}
-					d := &lDist{agg: x, scan: scan, shards: shards, id: p.dists}
-					p.dists++
-					return d
-				}
-			}
-			x.child = rewrite(x.child)
-			if x.param != nil {
-				x.param = rewrite(x.param)
-			}
-			return x
-		case *lBinary:
-			x.lhs = rewrite(x.lhs)
-			x.rhs = rewrite(x.rhs)
-			return x
-		case *lCall:
-			for i := range x.args {
-				x.args[i] = rewrite(x.args[i])
-			}
-			return x
-		case *lSubquery:
-			x.child = rewrite(x.child)
-			return x
-		case *lNeg:
-			x.child = rewrite(x.child)
-			return x
-		}
-		return n
-	}
-	p.root = rewrite(p.root)
-	if p.dists > 0 {
-		p.passes = append(p.passes, fmt.Sprintf("distribute(%d aggs over %d shards)", p.dists, shards))
-	}
 }

@@ -18,9 +18,6 @@ import (
 	"fmt"
 	"math"
 	"regexp"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"dio/internal/tsdb"
 )
@@ -65,10 +62,6 @@ type compiledPlan struct {
 	// nCursors counts selector use sites: each gets a per-partition
 	// cursor slot for monotone multi-step execution.
 	nCursors int
-	// distScans maps distribute-node id → scan index, for the executor's
-	// per-shard prefetch and its order-preservation guard. Empty when the
-	// plan has no distribute nodes.
-	distScans []int
 	// stats is the per-operator skeleton EXPLAIN ANALYZE collects into:
 	// one node per operator, labelled with the logical node's describe()
 	// so the analyzed tree matches the plain Explain tree.
@@ -76,19 +69,18 @@ type compiledPlan struct {
 }
 
 type compiler struct {
-	cursors   int
-	distScans []int
-	stats     []statsNode
+	cursors int
+	stats   []statsNode
 }
 
 // compilePlan lowers plan to physical operators.
 func compilePlan(plan *Plan) (*compiledPlan, error) {
-	c := &compiler{distScans: make([]int, plan.dists)}
+	c := &compiler{}
 	root, err := c.compile(plan.root)
 	if err != nil {
 		return nil, err
 	}
-	return &compiledPlan{plan: plan, root: root, nCursors: c.cursors, distScans: c.distScans, stats: c.stats}, nil
+	return &compiledPlan{plan: plan, root: root, nCursors: c.cursors, stats: c.stats}, nil
 }
 
 // compile lowers one logical node and registers the operator's stats
@@ -99,12 +91,9 @@ func (c *compiler) compile(n logNode) (physOp, error) {
 	if err != nil {
 		return nil, err
 	}
-	sn := statsNode{label: n.describe(), dist: -1}
+	sn := statsNode{label: n.describe()}
 	for _, k := range opKids(op) {
 		sn.kids = append(sn.kids, k.statsIdx())
-	}
-	if d, ok := op.(*pDistAgg); ok {
-		sn.dist, sn.shards = d.distID, d.shards
 	}
 	c.setStatsIdx(op, len(c.stats))
 	c.stats = append(c.stats, sn)
@@ -147,11 +136,6 @@ func opKids(op physOp) []physOp {
 	case *pLabelReplace:
 		return []physOp{o.vec}
 	case *pAgg:
-		if o.param != nil {
-			return []physOp{o.child, o.param}
-		}
-		return []physOp{o.child}
-	case *pDistAgg:
 		if o.param != nil {
 			return []physOp{o.child, o.param}
 		}
@@ -211,24 +195,6 @@ func (c *compiler) lower(n logNode) (physOp, error) {
 				}
 			}
 		}
-		return op, nil
-	case *lDist:
-		child, err := c.compile(x.agg.child)
-		if err != nil {
-			return nil, err
-		}
-		op := &pDistAgg{ast: x.agg.ast, child: child, distID: x.id, shards: x.shards}
-		if x.agg.ast.Param != nil {
-			if sl, ok := x.agg.ast.Param.(*StringLiteral); ok {
-				op.strParam = sl.Val
-			} else {
-				op.param, err = c.compile(x.agg.param)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		c.distScans[x.id] = x.scan.ID
 		return op, nil
 	case *lBinary:
 		lhs, err := c.compile(x.lhs)
@@ -775,109 +741,4 @@ func (o *pBinary) exec(p *part, ts int64) (Value, error) {
 		return nil, rerr
 	}
 	return applyBinary(p.al, o.ast, lv, rv, ts)
-}
-
-// pDistAgg is the distributed form of pAgg: the shard-local child subtree
-// evaluates once per shard (concurrently, worker pool permitting) over
-// that shard's series views; the per-shard vectors k-way merge back into
-// the exact order the unsharded child would produce; then the unchanged
-// central aggregation kernel folds the merged vector. Any guard violation
-// (per-shard order, cross-shard key ties, name-first labels) demotes the
-// node — stickily, per execution — to the gather-then-evaluate fallback
-// over the merged view, so the distributed path can only ever change
-// performance, never bytes.
-type pDistAgg struct {
-	opMeta
-	ast      *AggregateExpr
-	child    physOp
-	param    physOp // nil for string or absent parameters
-	strParam string
-	distID   int
-	shards   int
-}
-
-func (o *pDistAgg) exec(p *part, ts int64) (Value, error) {
-	v, err := o.execVec(p, ts)
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-func (o *pDistAgg) execVec(p *part, ts int64) (Vector, error) {
-	vec, err := o.childVector(p, ts)
-	if err != nil {
-		return nil, err
-	}
-	// Parameter after the input, on the merged view — pAgg's exact order.
-	var param float64
-	if o.param != nil {
-		param, err = p.scalar(o.param, ts)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return aggregateVector(p.al, o.ast, vec, param, o.strParam, ts)
-}
-
-// childVector produces the aggregation input: per-shard fan-out + merge
-// on the fast path, a plain merged-view evaluation when demoted or when
-// the execution has no per-shard views (unsharded storage serving a
-// cached sharded plan never happens — plans are cached per engine — but
-// the nil check keeps the operator total).
-func (o *pDistAgg) childVector(p *part, ts int64) (Vector, error) {
-	st := p.st
-	if st.shardSeries == nil || st.distDemoted[o.distID].Load() {
-		if st.shardSeries != nil {
-			st.distFallbacks.Add(1)
-		}
-		return p.vector(o.child, ts)
-	}
-	parts := p.shardParts(o.shards)
-	vecs := make([]Vector, o.shards)
-	errs := make([]error, o.shards)
-	// shardVec records each shard's fan-out wall time into the stats slab
-	// (EXPLAIN ANALYZE's per-shard latencies).
-	shardVec := func(i int) (Vector, error) {
-		begin := time.Now()
-		v, err := parts[i].vector(o.child, ts)
-		atomic.AddInt64(&st.shardWallNs[o.distID*o.shards+i], int64(time.Since(begin)))
-		return v, err
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < o.shards; i++ {
-		if st.acquireWorker() {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer st.releaseWorker()
-				vecs[i], errs[i] = shardVec(i)
-			}(i)
-		} else {
-			vecs[i], errs[i] = shardVec(i)
-		}
-	}
-	vecs[0], errs[0] = shardVec(0)
-	wg.Wait()
-	if p.cursors != nil {
-		// Drain the shared shard budget back into the sequential counter.
-		p.samples = int(p.distAcc.Load())
-	}
-	var firstErr error
-	for _, err := range errs {
-		if err != nil && (firstErr == nil || (isCancellation(firstErr) && !isCancellation(err))) {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	merged, ok := p.mergeShardVectors(vecs)
-	if !ok {
-		st.distDemoted[o.distID].Store(true)
-		st.distFallbacks.Add(1)
-		return p.vector(o.child, ts)
-	}
-	st.distPartials.Add(1)
-	return merged, nil
 }

@@ -11,9 +11,8 @@ package promql
 // values (copied by the fold) and label slices (never pooled) — is safe by
 // construction.
 //
-// An alloc is single-goroutine: cursor partitions, and each per-shard
-// child part of a distribute node, own one each. The alloc structs
-// themselves recycle across queries through a global sync.Pool (pointer-
+// An alloc is single-goroutine: each cursor partition owns one. The alloc
+// structs themselves recycle across queries through a global sync.Pool (pointer-
 // typed, so Get/Put never box), which is what makes short single-batch
 // queries allocation-free in steady state: the freelists survive from one
 // dashboard refresh to the next.

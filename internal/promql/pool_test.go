@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"dio/internal/tsdb"
 )
 
 // TestPoolPoisonEquivalence re-runs the golden corpus with pool poisoning
@@ -88,24 +86,21 @@ func allocCeiling(t *testing.T, eng *Engine, query string, start, end time.Time,
 }
 
 // TestStreamingAllocCeilings pins steady-state allocations per range query
-// for the three core shapes: a raw selector, an aggregation over a rate,
-// and a distributed aggregation across four shards. Pooled streaming
-// execution keeps these flat in the number of steps; a regression to
-// per-step allocation blows the ceilings by an order of magnitude.
+// for the two core shapes: a raw selector and an aggregation over a rate.
+// Pooled streaming execution keeps these flat in the number of steps; a
+// regression to per-step allocation blows the ceilings by an order of
+// magnitude.
 func TestStreamingAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not hold under the race detector")
 	}
-	base, end := unshardedTestDB(t)
+	db, end := testDB(t)
 	start := end.Add(-20 * time.Minute)
 
 	opts := DefaultEngineOptions()
 	opts.ExecWorkers = 1 // partitioning adds per-part arenas; pin one for a stable count
 
-	eng := NewEngine(base, opts)
+	eng := NewEngine(db, opts)
 	allocCeiling(t, eng, "smf_pdu_session_active", start, end, time.Minute, 100)
 	allocCeiling(t, eng, "sum by (instance) (rate(amfcc_n1_auth_request[5m]))", start, end, time.Minute, 150)
-
-	dist := NewEngine(tsdb.Reshard(base, 4), opts)
-	allocCeiling(t, dist, "sum by (instance) (rate(amfcc_n1_auth_request[5m]))", start, end, time.Minute, 1000)
 }

@@ -3,8 +3,6 @@ package promql
 import (
 	"context"
 	"math"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,10 +16,7 @@ import (
 //	  by 2/s (a) and 4/s (b), sampled every 15s for 30 minutes.
 //	smf_pdu_session_active{instance in {a,b}}: gauges 100 and 200.
 //	http_request_duration_seconds_bucket: a classic histogram.
-//
-// When DIO_TSDB_SHARDS is set above 1 the fixture is resharded, so the
-// whole suite exercises the distributed executor against the same data.
-func testDB(t testing.TB) (tsdb.Storage, time.Time) {
+func testDB(t testing.TB) (*tsdb.DB, time.Time) {
 	t.Helper()
 	db := tsdb.New()
 	base := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
@@ -43,19 +38,7 @@ func testDB(t testing.TB) (tsdb.Storage, time.Time) {
 	}{{"0.1", 10}, {"0.5", 60}, {"+Inf", 100}} {
 		mustAppend(t, db, map[string]string{"__name__": "http_request_duration_seconds_bucket", "le": b.le}, end.UnixMilli(), b.v)
 	}
-	if n := testShards(); n > 1 {
-		return tsdb.Reshard(db, n), end
-	}
 	return db, end
-}
-
-// testShards reads DIO_TSDB_SHARDS (0 or unset means unsharded).
-func testShards() int {
-	n, err := strconv.Atoi(os.Getenv("DIO_TSDB_SHARDS"))
-	if err != nil || n < 1 {
-		return 0
-	}
-	return n
 }
 
 func mustAppend(t testing.TB, db tsdb.Storage, labels map[string]string, ts int64, v float64) {

@@ -6,9 +6,8 @@ package promql
 // execution allocates a matching []opSlot once up front. Collection is
 // allocation-free on the hot path: part.eval and part.window add call
 // counts, output series and sampled wall time into the slot with atomics
-// (steps of one range query may run on concurrent partitions, and
-// distribute nodes fan a single operator out across shard goroutines),
-// and the scan operators attribute the samples they account into their
+// (steps of one range query may run on concurrent partitions), and the
+// scan operators attribute the samples they account into their
 // own slot. Clock reads are strided (statsTimeEvery) and scaled back up
 // when folding; every other counter is exact. After
 // the last step, buildStats folds the slots back into a QueryStats tree
@@ -29,14 +28,10 @@ import (
 )
 
 // statsNode is the compile-time skeleton of one operator's stats slot:
-// its plan label and the slot indexes of its children. dist >= 0 marks a
-// distribute node (with its fan-out width) so buildStats can attach the
-// per-shard wall times.
+// its plan label and the slot indexes of its children.
 type statsNode struct {
-	label  string
-	kids   []int
-	dist   int
-	shards int
+	label string
+	kids  []int
 }
 
 // statsTimeEvery is the wall-time sampling stride: every N-th call of an
@@ -49,7 +44,7 @@ type statsNode struct {
 const statsTimeEvery = 16
 
 // opSlot is the per-execution accumulator of one operator. All fields are
-// updated with atomics: partitions and shard goroutines share the slots.
+// updated with atomics: partitions and branch goroutines share the slots.
 type opSlot struct {
 	wallNs  int64
 	calls   int64
@@ -78,22 +73,19 @@ type QueryStats struct {
 	Samples      int64 // stored samples touched (the MaxSamples currency)
 	Steps        int
 	PlanCacheHit bool
-	Shards       int // 0 on unsharded storage
 	MaxSamples   int // the budget Samples counts against; 0 = unlimited
 	Root         *OpStats
 }
 
 // OpStats is one operator's slice of the profile. Wall is inclusive of
-// children (Self excludes them); on multi-step or fanned-out executions
-// it sums across partitions and shards, so it can exceed the query's
-// wall-clock duration.
+// children (Self excludes them); on multi-step executions it sums across
+// partitions, so it can exceed the query's wall-clock duration.
 type OpStats struct {
 	Op        string
 	Wall      time.Duration
 	Calls     int64
 	SeriesOut int64
 	Samples   int64
-	ShardWall []time.Duration // per-shard child wall, distribute nodes only
 	Children  []*OpStats
 }
 
@@ -119,12 +111,8 @@ func (qs *QueryStats) Render() string {
 	if qs.PlanCacheHit {
 		cache = "hit"
 	}
-	fmt.Fprintf(&b, "total %s | samples %s | steps %d | plan cache %s",
+	fmt.Fprintf(&b, "total %s | samples %s | steps %d | plan cache %s\n",
 		formatDur(qs.Duration), formatBudget(qs.Samples, qs.MaxSamples), qs.Steps, cache)
-	if qs.Shards > 0 {
-		fmt.Fprintf(&b, " | shards %d", qs.Shards)
-	}
-	b.WriteByte('\n')
 	if qs.Root != nil {
 		root := qs.Root.Wall
 		renderOpTree(&b, qs.Root, root, "└─ ", "   ")
@@ -140,18 +128,7 @@ func renderOpTree(b *strings.Builder, o *OpStats, root time.Duration, head, tail
 	if o.Samples > 0 {
 		fmt.Fprintf(b, " | %d samples", o.Samples)
 	}
-	b.WriteByte(']')
-	if len(o.ShardWall) > 0 {
-		b.WriteString("  shards[")
-		for i, w := range o.ShardWall {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(formatDur(w))
-		}
-		b.WriteByte(']')
-	}
-	b.WriteByte('\n')
+	b.WriteString("]\n")
 	for i, c := range o.Children {
 		if i == len(o.Children)-1 {
 			renderOpTree(b, c, root, tail+"└─ ", tail+"   ")
@@ -265,9 +242,6 @@ func (st *execState) buildStats(query, kind string, start time.Time, samples int
 		PlanCacheHit: cacheHit,
 		MaxSamples:   st.eng.opts.MaxSamples,
 	}
-	if st.shardSeries != nil {
-		qs.Shards = len(st.shardSeries)
-	}
 	qs.Root = st.buildOp(st.cp.root.statsIdx())
 	return qs
 }
@@ -286,12 +260,6 @@ func (st *execState) buildOp(idx int) *OpStats {
 	// sum to the full call count (exact when every call was timed).
 	if timed := atomic.LoadInt64(&sl.timed); timed > 0 && timed < o.Calls {
 		o.Wall = time.Duration(float64(o.Wall) * float64(o.Calls) / float64(timed))
-	}
-	if sn.dist >= 0 {
-		o.ShardWall = make([]time.Duration, sn.shards)
-		for i := range o.ShardWall {
-			o.ShardWall[i] = time.Duration(atomic.LoadInt64(&st.shardWallNs[sn.dist*sn.shards+i]))
-		}
 	}
 	for _, k := range sn.kids {
 		o.Children = append(o.Children, st.buildOp(k))

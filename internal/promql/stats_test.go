@@ -2,54 +2,42 @@ package promql
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dio/internal/obs"
-	"dio/internal/tsdb"
 )
 
 // TestQueryStatsByteIdentity: per-operator stats collection must be
 // invisible in results. With a finished-query hook installed every query
 // runs the whole collection path (slot allocation, atomic accumulation,
 // buildStats, Compact); every corpus query, over every window shape, must
-// still render byte-identically to the oracle, which collects nothing — on
-// the single-DB store and again at 4 shards, where collection also runs
-// inside the distribute fan-out goroutines.
+// still render byte-identically to the oracle, which collects nothing.
 func TestQueryStatsByteIdentity(t *testing.T) {
-	base, end := unshardedTestDB(t)
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			var db tsdb.Storage = base
-			if shards > 1 {
-				db = tsdb.Reshard(base, shards)
+	db, end := testDB(t)
+	// The store is one shard; the subtest keeps the name it has always had.
+	t.Run("shards=1", func(t *testing.T) {
+		eng := NewEngine(db, DefaultEngineOptions())
+		eng.SetHooks(Hooks{OnQueryDone: func(obs.QueryLogEntry) {}})
+		for _, w := range corpusWindows(end) {
+			for _, q := range rangeCorpus {
+				checkRangeAgainstOracle(t, "hooked", eng, q, w)
 			}
-			eng := NewEngine(db, DefaultEngineOptions())
-			eng.SetHooks(Hooks{OnQueryDone: func(obs.QueryLogEntry) {}})
-			for _, w := range corpusWindows(end) {
-				for _, q := range rangeCorpus {
-					checkRangeAgainstOracle(t, "hooked", eng, q, w)
-				}
-				// Instant evaluation at the window end must agree too.
-				for _, q := range rangeCorpus {
-					checkInstantAgainstOracle(t, eng, q, w.end)
-				}
+			// Instant evaluation at the window end must agree too.
+			for _, q := range rangeCorpus {
+				checkInstantAgainstOracle(t, eng, q, w.end)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestWithQueryStatsCapture: a range evaluation under WithQueryStats must
 // deposit a fully-populated profile — totals, steps, budget, cache flag,
 // and a per-operator tree whose shape matches the plan.
 func TestWithQueryStatsCapture(t *testing.T) {
-	// Unsharded on purpose: the assertions pin the exact agg -> range_fn ->
-	// window plan shape, which a DIO_TSDB_SHARDS run would wrap in a
-	// distribute node (covered by TestQueryStatsShardWall).
-	db, end := unshardedTestDB(t)
+	db, end := testDB(t)
 	opts := DefaultEngineOptions()
 	eng := NewEngine(db, opts)
 
@@ -112,43 +100,6 @@ func TestWithQueryStatsCapture(t *testing.T) {
 	}
 	if qs2 := cap2.Stats(); qs2 == nil || !qs2.PlanCacheHit {
 		t.Error("second evaluation did not report a plan cache hit")
-	}
-}
-
-// TestQueryStatsShardWall: on sharded storage the distribute node's stats
-// must carry one wall-time slot per shard.
-func TestQueryStatsShardWall(t *testing.T) {
-	base, end := unshardedTestDB(t)
-	opts := DefaultEngineOptions()
-	eng := NewEngine(tsdb.Reshard(base, 4), opts)
-
-	ctx, cap := WithQueryStats(context.Background())
-	if _, err := eng.QueryRange(ctx, "sum(rate(amfcc_n1_auth_request[5m]))", end.Add(-10*time.Minute), end, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	qs := cap.Stats()
-	if qs == nil {
-		t.Fatal("no stats captured")
-	}
-	if qs.Shards != 4 {
-		t.Errorf("Shards = %d, want 4", qs.Shards)
-	}
-	var dist *OpStats
-	var walk func(o *OpStats)
-	walk = func(o *OpStats) {
-		if strings.HasPrefix(o.Op, "distribute[") {
-			dist = o
-		}
-		for _, c := range o.Children {
-			walk(c)
-		}
-	}
-	walk(qs.Root)
-	if dist == nil {
-		t.Fatalf("no distribute node in the analyzed tree:\n%s", qs.Render())
-	}
-	if len(dist.ShardWall) != 4 {
-		t.Errorf("distribute ShardWall has %d slots, want 4", len(dist.ShardWall))
 	}
 }
 
@@ -291,21 +242,19 @@ func TestQueryStatsRenderFormat(t *testing.T) {
 		Duration: 1500 * time.Microsecond,
 		Samples:  42,
 		Steps:    1,
-		Shards:   2,
 		Root: &OpStats{
 			Op: "agg sum", Wall: time.Millisecond, Calls: 1, SeriesOut: 1,
 			Children: []*OpStats{
-				{Op: "scan #0 up", Wall: 600 * time.Microsecond, Calls: 1, SeriesOut: 3, Samples: 42,
-					ShardWall: []time.Duration{300 * time.Microsecond, 250 * time.Microsecond}},
+				{Op: "scan #0 up", Wall: 600 * time.Microsecond, Calls: 1, SeriesOut: 3, Samples: 42},
 			},
 		},
 	}
 	out := qs.Render()
 	for _, want := range []string{
 		"analyze for: up\n",
-		"total 1.50ms | samples 42 | steps 1 | plan cache miss | shards 2\n",
+		"total 1.50ms | samples 42 | steps 1 | plan cache miss\n",
 		"└─ agg sum  [1.00ms 100% | self 400µs | 1 calls | 1 out]\n",
-		"   └─ scan #0 up  [600µs 60% | self 600µs | 1 calls | 3 out | 42 samples]  shards[300µs 250µs]\n",
+		"   └─ scan #0 up  [600µs 60% | self 600µs | 1 calls | 3 out | 42 samples]\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render missing %q:\n%s", want, out)

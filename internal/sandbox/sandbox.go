@@ -112,22 +112,12 @@ func (e *Executor) Instrument(reg *obs.Registry) {
 		"Range-query selector fetches that went to storage.", "")
 	resets := reg.Counter("dio_promql_cursor_resets_total",
 		"Series cursor re-seeks caused by non-monotone evaluation timestamps.", "")
-	fanout := reg.Histogram("dio_shard_fanout_seconds",
-		"Latency of the per-query sharded storage fan-out (per-shard select + merge).", "seconds",
-		obs.ExponentialBuckets(0.0001, 4, 8))
-	partials := reg.Counter("dio_shard_partial_aggs_total",
-		"Aggregations evaluated as per-shard partials and merged centrally.", "")
-	fallbacks := reg.Counter("dio_shard_fallbacks_total",
-		"Distributed aggregations demoted to gather-then-evaluate by a runtime order guard.", "")
 	e.hooks.QueueWait = func(d time.Duration) { queueWait.Observe(d.Seconds()) }
 	e.hooks.OnSamples = func(n int) { samples.Observe(float64(n)) }
-	e.hooks.OnFanout = func(d time.Duration) { fanout.Observe(d.Seconds()) }
 	e.hooks.OnRangeEval = func(s promql.RangeStats) {
 		selHits.Add(float64(s.SelectorHits))
 		selMisses.Add(float64(s.SelectorMisses))
 		resets.Add(float64(s.CursorResets))
-		partials.Add(float64(s.DistPartials))
-		fallbacks.Add(float64(s.DistFallbacks))
 	}
 	e.engine.SetHooks(e.hooks)
 }

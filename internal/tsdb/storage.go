@@ -1,15 +1,14 @@
 package tsdb
 
-// Storage is the read/append surface shared by a single DB and a
-// ShardedDB. Everything above the storage layer (ingest, promql, core,
-// the servers and benches) programs against this interface, so a
-// deployment picks its shard count with a flag instead of a rebuild.
+// Storage is the read/append surface of a DB. Everything above the
+// storage layer (ingest, promql, core, the servers and benches) programs
+// against this interface, so a caller can wrap the store — the bench
+// harness times every selection through a decorator — without the engine
+// knowing.
 //
 // All read methods return results in canonical fingerprint order — the
-// ordering contract the select-once cursors, the plan executor's merge
-// and the byte-identity oracles rely on. A ShardedDB preserves it by
-// k-way merging the per-shard results (each shard is itself ordered,
-// and fingerprints never span shards).
+// ordering contract the plan executor's merge and the byte-identity
+// oracles rely on.
 type Storage interface {
 	// Append path.
 	Append(ls Labels, t int64, v float64) error
@@ -37,7 +36,4 @@ type Storage interface {
 	Truncate(keepAfter int64) int64
 }
 
-var (
-	_ Storage = (*DB)(nil)
-	_ Storage = (*ShardedDB)(nil)
-)
+var _ Storage = (*DB)(nil)

@@ -13,10 +13,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PORT="${CRASH_SMOKE_PORT:-18080}"
-# CRASH_SMOKE_SHARDS > 1 runs the same smoke against the sharded store:
-# per-shard checkpoint sets plus the fan-in WAL must give the same
-# acknowledged-write-survives-kill-9 guarantee.
-SHARDS="${CRASH_SMOKE_SHARDS:-1}"
 BASE="http://127.0.0.1:${PORT}"
 WORK="$(mktemp -d)"
 SERVER_PID=""
@@ -37,7 +33,6 @@ fail() {
 start_server() {
     ./bin/dio-server -addr "127.0.0.1:${PORT}" -data-dir "$WORK/store" \
         -duration 10m -selfscrape=false \
-        -tsdb-shards "$SHARDS" \
         >>"$WORK/server.log" 2>&1 &
     SERVER_PID=$!
     # First boot simulates a 10m workload and trains the retriever;

@@ -1,7 +1,7 @@
 #!/bin/sh
 # verify.sh — the checks a change must pass before merging: formatting,
 # static vetting, the full test suite under the race detector, the bench/
-# module, the 4-shard promql leg and a run of every example program.
+# module and a run of every example program.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -25,11 +25,6 @@ echo ">> go -C bench vet . && go -C bench test ."
 go -C bench vet .
 go -C bench test .
 
-# DIO_TSDB_SHARDS reshards the promql test fixture (promql_test.go testDB);
-# no other package reads it.
-echo ">> go test ./internal/promql/ with DIO_TSDB_SHARDS=4 (distributed executor leg)"
-DIO_TSDB_SHARDS=4 go test ./internal/promql/
-
 # The examples compile in ./... but nothing else executes them; a non-zero
 # exit is the only failure (no output goldens).
 for ex in examples/*/; do
@@ -38,15 +33,13 @@ for ex in examples/*/; do
 done
 
 # Opt-in (VERIFY_BENCH=1 make verify): the substrate micro-benchmarks with
-# allocation reporting, and the two crash-recovery smokes — acknowledged
-# samples must survive kill -9 at 1 and at 4 shards.
+# allocation reporting, and the crash-recovery smoke — acknowledged
+# samples must survive kill -9.
 if [ "${VERIFY_BENCH:-0}" = "1" ]; then
 	echo ">> make bench (VERIFY_BENCH=1)"
 	make bench
 	echo ">> crash-recovery smoke (VERIFY_BENCH=1)"
 	./scripts/crash_smoke.sh
-	echo ">> crash-recovery smoke, 4-shard store (VERIFY_BENCH=1)"
-	CRASH_SMOKE_SHARDS=4 CRASH_SMOKE_PORT=18081 ./scripts/crash_smoke.sh
 fi
 
 echo "verify: OK"
