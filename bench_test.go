@@ -230,9 +230,12 @@ func BenchmarkAblation_FewShot(b *testing.B) {
 
 // --- Substrate micro-benchmarks ---------------------------------------------
 
+// BenchmarkEmbeddingEmbed times embedding one question, the part of an
+// uncached ask that BenchmarkRetrieverRetrieve does not split out.
 func BenchmarkEmbeddingEmbed(b *testing.B) {
 	e := env(b)
 	m := e.retriever.EmbeddingModel()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Embed("What is the initial registration success rate at the AMF?")
@@ -440,17 +443,19 @@ func BenchmarkCopilotAsk(b *testing.B) {
 	}
 }
 
-func BenchmarkEmbeddingTrain(b *testing.B) {
-	e := env(b)
-	docs := e.cat.Documents()
-	corpus := make([]string, len(docs))
-	for i, d := range docs {
-		corpus[i] = d.Text
-	}
-	lex := embedding.DomainLexicon()
+// BenchmarkRetrieverBuild times core.NewRetriever on the catalog a
+// dio-server indexes, self-metrics included: IDF training, embedding every
+// document and filling the flat index, the start-up phase logged as
+// "copilot". It tracks setup_s the way BenchmarkSimulatorPopulate does.
+func BenchmarkRetrieverBuild(b *testing.B) {
+	cat := catalog.Generate()
+	cat.AddSelfMetrics()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		embedding.Train(corpus, lex, embedding.DefaultOptions())
+		if _, err := core.NewRetriever(cat, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ func NewRetriever(db *catalog.Database, index vecstore.Index) (*Retriever, error
 	for i, d := range docs {
 		corpus[i] = d.Text
 	}
-	model := embedding.Train(corpus, embedding.DomainLexicon(), embedding.DefaultOptions())
+	model, vecs := embedding.Train(corpus, embedding.DomainLexicon(), embedding.DefaultOptions())
 	if index == nil {
 		index = vecstore.NewFlat(model.Dim())
 	}
@@ -94,8 +94,9 @@ func NewRetriever(db *catalog.Database, index vecstore.Index) (*Retriever, error
 		docs:  make(map[string]indexedDoc, len(docs)),
 		cache: servecache.NewLRU[retrievalEntry](defaultRetrievalCacheSize),
 	}
-	for _, d := range docs {
-		if err := index.Add(d.ID, model.Embed(d.Text)); err != nil {
+	// In document order: index rows and tie-breaks are a serial build's.
+	for i, d := range docs {
+		if err := index.Add(d.ID, vecs[i]); err != nil {
 			return nil, fmt.Errorf("core: indexing %s: %w", d.ID, err)
 		}
 		r.docs[d.ID] = indexDoc(d)

@@ -53,19 +53,21 @@ func (l *Lexicon) Expand(tokens []string) []string {
 	}
 	out := make([]string, len(tokens), len(tokens)+8)
 	copy(out, tokens)
+	var buf [64]byte // the longest window's key; shorter keys are its prefixes
 	for i := 0; i < len(tokens); i++ {
-		// Longest match first.
-		limit := l.maxKeyLen
-		if rem := len(tokens) - i; rem < limit {
-			limit = rem
+		limit := min(l.maxKeyLen, len(tokens)-i)
+		key := append(buf[:0], tokens[i]...)
+		for _, t := range tokens[i+1 : i+limit] {
+			key = append(append(key, ' '), t...)
 		}
+		// Longest match first: drop the window's last token and its space.
 		for n := limit; n >= 1; n-- {
-			key := strings.Join(tokens[i:i+n], " ")
-			if exp, ok := l.expansions[key]; ok {
+			if exp, ok := l.expansions[string(key)]; ok {
 				out = append(out, exp...)
 				i += n - 1
 				break
 			}
+			key = key[:max(len(key)-len(tokens[i+n-1])-1, 0)]
 		}
 	}
 	return out

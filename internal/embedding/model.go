@@ -1,11 +1,9 @@
 package embedding
 
 import (
-	"encoding/gob"
-	"errors"
-	"hash/fnv"
-	"io"
 	"math"
+	"runtime"
+	"sync"
 
 	"dio/internal/textutil"
 )
@@ -42,26 +40,28 @@ func DefaultOptions() Options {
 }
 
 // Model is a frozen text-embedding model. It is safe for concurrent use
-// after Train/Load.
+// after Train.
 type Model struct {
 	opts Options
 	lex  *Lexicon
 	idf  map[string]float64
-	docs int
 }
 
 // Train fits the IDF table on corpus and returns a frozen model using the
-// supplied lexicon (nil for none).
-func Train(corpus []string, lex *Lexicon, opts Options) *Model {
+// supplied lexicon (nil for none) and every document's vector: vecs[i] is
+// m.Embed(corpus[i]), computed from the tokens IDF was fitted on.
+func Train(corpus []string, lex *Lexicon, opts Options) (m *Model, vecs []Vector) {
 	if opts.Dim <= 0 {
 		opts = DefaultOptions()
 	}
-	m := &Model{opts: opts, lex: lex, idf: make(map[string]float64), docs: len(corpus)}
+	m = &Model{opts: opts, lex: lex, idf: make(map[string]float64)}
+	toks := make([][]string, len(corpus))
+	forEach(len(corpus), func(i int) { toks[i] = m.features(corpus[i]) })
 	df := make(map[string]int)
-	for _, doc := range corpus {
-		toks := m.features(doc)
-		seen := make(map[string]bool, len(toks))
-		for _, t := range toks {
+	seen := make(map[string]bool)
+	for _, doc := range toks {
+		clear(seen)
+		for _, t := range doc {
 			if !seen[t] {
 				seen[t] = true
 				df[t]++
@@ -72,7 +72,26 @@ func Train(corpus []string, lex *Lexicon, opts Options) *Model {
 	for t, d := range df {
 		m.idf[t] = math.Log(1 + n/float64(d))
 	}
-	return m
+	vecs = make([]Vector, len(corpus))
+	forEach(len(corpus), func(i int) { vecs[i] = m.embedFeatures(toks[i]) })
+	return m, vecs
+}
+
+// forEach calls f(i) for every i in [0, n), striding the indices over
+// GOMAXPROCS goroutines, and returns when all calls have.
+func forEach(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	workers := runtime.GOMAXPROCS(0)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // features returns the normalised, lexicon-expanded word tokens of text.
@@ -99,38 +118,67 @@ func (m *Model) IDF(tok string) float64 {
 // Embed maps text to a unit-norm vector. Embedding is deterministic: the
 // same text always yields the same vector.
 func (m *Model) Embed(text string) Vector {
+	return m.embedFeatures(m.features(text))
+}
+
+// FNV-1a (64-bit) is a streaming hash: hashing a name piece by piece gives
+// the hash of the whole, so a feature name like "c:" + n-gram is never
+// built as a string.
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// fnvAdd continues the FNV-1a hash h over the bytes of s.
+func fnvAdd[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
+// embedFeatures maps the tokens features returns to a unit-norm vector:
+// per token its IDF-weighted unigram "u:"+tok and its character n-grams
+// "c:"+gram of "^"+tok+"$" (the whole padded token when it is shorter than
+// n), then every word bigram "b:"+tok+" "+next, each hashed into the vector.
+func (m *Model) embedFeatures(toks []string) Vector {
 	v := make(Vector, m.opts.Dim)
-	toks := m.features(text)
+	unigram, subword, bigram := fnvAdd(fnvOffset, "u:"), fnvAdd(fnvOffset, "c:"), fnvAdd(fnvOffset, "b:")
+	var scratch [32]byte
+	padded := scratch[:0]
 	for _, t := range toks {
-		m.addFeature(v, "u:"+t, m.opts.UnigramWeight*m.IDF(t))
+		m.addFeature(v, fnvAdd(unigram, t), m.opts.UnigramWeight*m.IDF(t))
 		if m.opts.SubwordWeight > 0 {
+			padded = append(append(append(padded[:0], '^'), t...), '$')
 			for _, n := range m.opts.SubwordNs {
-				for _, g := range textutil.CharNGrams(t, n) {
-					m.addFeature(v, "c:"+g, m.opts.SubwordWeight)
+				switch {
+				case n <= 0: // no grams of that size
+				case len(padded) < n:
+					m.addFeature(v, fnvAdd(subword, padded), m.opts.SubwordWeight)
+				default:
+					for i := 0; i+n <= len(padded); i++ {
+						m.addFeature(v, fnvAdd(subword, padded[i:i+n]), m.opts.SubwordWeight)
+					}
 				}
 			}
 		}
 	}
 	if m.opts.BigramWeight > 0 {
-		for _, bg := range textutil.WordNGrams(toks, 2) {
-			m.addFeature(v, "b:"+bg, m.opts.BigramWeight)
+		for i := 0; i+1 < len(toks); i++ {
+			h := fnvAdd(fnvAdd(bigram, toks[i]), " ")
+			m.addFeature(v, fnvAdd(h, toks[i+1]), m.opts.BigramWeight)
 		}
 	}
 	Normalize(v)
 	return v
 }
 
-// addFeature hashes a named feature into two buckets with signed weights
-// (feature hashing with two hash functions reduces collision noise).
-func (m *Model) addFeature(v Vector, name string, w float64) {
+// addFeature adds a feature whose name hashes to h1 into two buckets with
+// signed weights (feature hashing with two hash functions reduces
+// collision noise); the second hash is that of the name followed by "#2".
+func (m *Model) addFeature(v Vector, h1 uint64, w float64) {
 	if w == 0 {
 		return
 	}
-	h := fnv.New64a()
-	io.WriteString(h, name)
-	h1 := h.Sum64()
-	io.WriteString(h, "#2")
-	h2 := h.Sum64()
+	h2 := fnvAdd(h1, "#2")
 	d := uint64(m.opts.Dim)
 	sign1 := float64(1)
 	if h1&(1<<63) != 0 {
@@ -142,29 +190,4 @@ func (m *Model) addFeature(v Vector, name string, w float64) {
 	}
 	v[h1%d] += float32(sign1 * w)
 	v[h2%d] += float32(sign2 * w * 0.5)
-}
-
-// modelState is the gob wire form of a Model.
-type modelState struct {
-	Opts Options
-	IDF  map[string]float64
-	Docs int
-}
-
-// Save serialises the model (IDF table and options; the lexicon is code,
-// not data, and is re-attached at Load).
-func (m *Model) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(modelState{Opts: m.opts, IDF: m.idf, Docs: m.docs})
-}
-
-// Load deserialises a model saved with Save and attaches lex.
-func Load(r io.Reader, lex *Lexicon) (*Model, error) {
-	var st modelState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, err
-	}
-	if st.Opts.Dim <= 0 {
-		return nil, errors.New("embedding: corrupt model state: non-positive dim")
-	}
-	return &Model{opts: st.Opts, lex: lex, idf: st.IDF, docs: st.Docs}, nil
 }

@@ -54,10 +54,3 @@ func Normalize(v Vector) {
 		v[i] *= inv
 	}
 }
-
-// Clone returns an independent copy of v.
-func Clone(v Vector) Vector {
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}

@@ -1,7 +1,7 @@
 // Package textutil provides text normalisation primitives shared by the
 // embedding model, the simulated foundation models and the catalog corpus:
-// tokenisation, stop-word filtering, a light suffix stemmer and n-gram
-// extraction.
+// tokenisation, stop-word filtering, a light suffix stemmer and set
+// similarity measures.
 //
 // All functions are deterministic and allocation-conscious; they sit on the
 // hot path of both indexing (thousands of metric descriptions) and query
@@ -125,41 +125,18 @@ func StemAll(tokens []string) []string {
 }
 
 // NormalizeTokens is the canonical pipeline used across the repository:
-// tokenize, drop stop words, stem.
+// tokenize, drop stop words, stem. It equals
+// StemAll(FilterStopwords(Tokenize(s))) but filters and stems in place in
+// Tokenize's slice, which nothing else holds.
 func NormalizeTokens(s string) []string {
-	return StemAll(FilterStopwords(Tokenize(s)))
-}
-
-// CharNGrams returns the set of character n-grams (with boundary padding)
-// of a token, used as subword features so that near-miss spellings and
-// compound abbreviations still share embedding mass.
-func CharNGrams(tok string, n int) []string {
-	if n <= 0 || tok == "" {
-		return nil
+	toks := Tokenize(s)
+	out := toks[:0]
+	for _, t := range toks {
+		if !stopwords[t] {
+			out = append(out, Stem(t))
+		}
 	}
-	padded := "^" + tok + "$"
-	if len(padded) < n {
-		return []string{padded}
-	}
-	grams := make([]string, 0, len(padded)-n+1)
-	for i := 0; i+n <= len(padded); i++ {
-		grams = append(grams, padded[i:i+n])
-	}
-	return grams
-}
-
-// WordNGrams returns contiguous word n-grams joined by a space. Bigrams of
-// normalised tokens let the embedder distinguish "session establishment"
-// from "session release".
-func WordNGrams(tokens []string, n int) []string {
-	if n <= 0 || len(tokens) < n {
-		return nil
-	}
-	grams := make([]string, 0, len(tokens)-n+1)
-	for i := 0; i+n <= len(tokens); i++ {
-		grams = append(grams, strings.Join(tokens[i:i+n], " "))
-	}
-	return grams
+	return out
 }
 
 // common returns |A∩B| of two sets, each a sorted slice without duplicates.

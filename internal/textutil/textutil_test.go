@@ -96,32 +96,18 @@ func TestNormalizeTokens(t *testing.T) {
 	}
 }
 
-func TestCharNGrams(t *testing.T) {
-	got := CharNGrams("abc", 3)
-	want := []string{"^ab", "abc", "bc$"}
-	if !equal(got, want) {
-		t.Errorf("CharNGrams = %v, want %v", got, want)
+// TestNormalizeTokensMatchesPipeline: filtering and stemming in place
+// gives what the copying FilterStopwords and StemAll give, and leaves their
+// input alone.
+func TestNormalizeTokensMatchesPipeline(t *testing.T) {
+	f := func(s string) bool {
+		s += " the Registrations of failed retries" // a stop word and stems in every case
+		toks := Tokenize(s)
+		want := StemAll(FilterStopwords(toks))
+		return equal(NormalizeTokens(s), want) && equal(toks, Tokenize(s))
 	}
-	if CharNGrams("", 3) != nil {
-		t.Error("empty token should have no ngrams")
-	}
-	if CharNGrams("x", 0) != nil {
-		t.Error("n=0 should have no ngrams")
-	}
-	// Short tokens yield the padded whole.
-	if got := CharNGrams("a", 4); len(got) != 1 || got[0] != "^a$" {
-		t.Errorf("short-token ngrams = %v", got)
-	}
-}
-
-func TestWordNGrams(t *testing.T) {
-	got := WordNGrams([]string{"a", "b", "c"}, 2)
-	want := []string{"a b", "b c"}
-	if !equal(got, want) {
-		t.Errorf("WordNGrams = %v, want %v", got, want)
-	}
-	if WordNGrams([]string{"a"}, 2) != nil {
-		t.Error("too-short input should yield nil")
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
