@@ -412,6 +412,55 @@ func BenchmarkIngestPush(b *testing.B) {
 	}
 }
 
+// BenchmarkWALReplay times OpenStore over 1.2 M pushed samples that no
+// checkpoint covers — 600 pushes of 2 000 series, as write_read sends
+// them — the crash recovery write_read's recover_s measures.
+func BenchmarkWALReplay(b *testing.B) {
+	dir := b.TempDir()
+	st, err := ingest.OpenStore(dir, ingest.StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]ingest.TimeSeries, 2000)
+	for s := range batch {
+		batch[s] = ingest.TimeSeries{
+			Labels: tsdb.NewLabels(
+				tsdb.Label{Name: tsdb.MetricNameLabel, Value: "bench_dl_bytes_total"},
+				tsdb.Label{Name: "instance", Value: fmt.Sprintf("gnb-%02d", s/50)},
+				tsdb.Label{Name: "ue", Value: fmt.Sprintf("ue-%04d", s)},
+			),
+			Samples: make([]tsdb.Sample, 1),
+		}
+	}
+	for i := 0; i < 600; i++ {
+		for s := range batch {
+			batch[s].Samples[0] = tsdb.Sample{T: int64(i+1) * 1000, V: float64(i * s)}
+		}
+		if _, err := st.Append(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		re, err := ingest.OpenStore(dir, ingest.StoreOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := re.ReplayStats().Samples; n != 1_200_000 {
+			b.Fatalf("replayed %d samples, want 1 200 000", n)
+		}
+		b.StopTimer()
+		if err := re.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
 // BenchmarkSimulatorPopulate times the default two-hour trace every
 // dio-server, testenv user and example builds at start-up.
 func BenchmarkSimulatorPopulate(b *testing.B) {

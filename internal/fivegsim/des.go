@@ -10,10 +10,7 @@
 // exactly as a Prometheus server would scrape a vNF.
 package fivegsim
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
 // eventKind enumerates the subscriber lifecycle events of the DES.
 type eventKind int
@@ -104,25 +101,54 @@ type event struct {
 	seq  int // tie-breaker for determinism
 }
 
-// eventQueue is a min-heap over events ordered by time then sequence.
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders events by time, then sequence. seq is unique, so the order
+// is total and every correct heap pops the same sequence.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+// eventQueue is a binary min-heap of events held by value: scheduling
+// allocates nothing once the slice has grown.
+type eventQueue []event
+
+// push adds e, moving the hole at the new leaf up to e's place.
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 && e.before(&h[(i-1)/2]) {
+		h[i] = h[(i-1)/2]
+		i = (i - 1) / 2
+	}
+	h[i] = e
+	*q = h
+}
+
+// pop removes the least event, sinking the last leaf from the root.
+func (q *eventQueue) pop() event {
+	h := *q
+	top, n := h[0], len(h)-1
+	last := h[n]
+	h[n] = event{} // release the *ue
+	h = h[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // ueState tracks where a subscriber is in its lifecycle.
@@ -167,7 +193,7 @@ func newDES(seed int64, w *world) *des {
 // schedule enqueues an event after delay seconds.
 func (d *des) schedule(delay float64, kind eventKind, u *ue) {
 	d.seq++
-	heap.Push(&d.queue, &event{at: d.now + delay, kind: kind, ue: u, seq: d.seq})
+	d.queue.push(event{at: d.now + delay, kind: kind, ue: u, seq: d.seq})
 }
 
 // expo draws an exponential inter-arrival time with the given mean.
@@ -177,10 +203,10 @@ func (d *des) expo(mean float64) float64 {
 
 // runUntil processes events up to (and including) time t.
 func (d *des) runUntil(t float64) {
-	for d.queue.Len() > 0 && d.queue[0].at <= t {
-		e := heap.Pop(&d.queue).(*event)
+	for len(d.queue) > 0 && d.queue[0].at <= t {
+		e := d.queue.pop()
 		d.now = e.at
-		d.dispatch(e)
+		d.dispatch(&e)
 	}
 	d.now = t
 }

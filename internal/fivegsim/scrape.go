@@ -7,24 +7,28 @@ import (
 	"dio/internal/tsdb"
 )
 
-// scrapePlan is every series one scrape appends, in append order,
-// resolved once per run: each row's per-instance label sets and shares,
-// and the world cell holding its total. A scrape then only reads totals
-// and appends.
-type scrapePlan []scrapeRow
+// scrapePlan is every series one scrape appends, resolved once per run:
+// each row's world cell and shares, then per series, rows × instances in
+// append order, its labels, its ref (0 until the first scrape resolves
+// it) and the value being appended.
+type scrapePlan struct {
+	rows   []scrapeRow
+	labels []tsdb.Labels
+	refs   []tsdb.SeriesRef
+	vals   []float64
+}
 
 // scrapeRow is one total split into per-instance series.
 type scrapeRow struct {
 	cell   int
-	labels []tsdb.Labels // per instance
-	shares []float64     // per instance, summing to 1
+	shares []float64 // per instance, summing to 1
 }
 
 // newScrapePlan resolves every row of cat against w, in catalog order:
 // a histogram bucket metric expands to one row per bound plus +Inf (the
 // count), and every other metric is one row.
-func newScrapePlan(cat *catalog.Database, w *world, instances []string) scrapePlan {
-	var plan scrapePlan
+func newScrapePlan(cat *catalog.Database, w *world, instances []string) *scrapePlan {
+	plan := &scrapePlan{}
 	hist := func(m *catalog.Metric) *proc {
 		if p, ok := w.procs[m.NF+"/"+m.Service+"/"+m.Procedure]; ok {
 			return p
@@ -39,14 +43,18 @@ func newScrapePlan(cat *catalog.Database, w *world, instances []string) scrapePl
 		}
 		shares := instanceShares(m.Name, len(instances))
 		add := func(cell int, le string) {
-			row := scrapeRow{cell: cell, shares: shares}
+			plan.rows = append(plan.rows, scrapeRow{cell: cell, shares: shares})
+			// One array holds the row's label sets, each already in name
+			// order; a non-bucket row has no le label.
+			arr := make([]tsdb.Label, 0, 3*len(instances))
 			for _, inst := range instances {
-				// FromMap drops the empty le of a non-bucket row.
-				row.labels = append(row.labels, tsdb.FromMap(map[string]string{
-					tsdb.MetricNameLabel: exported, "instance": inst, "le": le,
-				}))
+				from := len(arr)
+				arr = append(arr, tsdb.Label{Name: tsdb.MetricNameLabel, Value: exported}, tsdb.Label{Name: "instance", Value: inst})
+				if le != "" {
+					arr = append(arr, tsdb.Label{Name: "le", Value: le})
+				}
+				plan.labels = append(plan.labels, arr[from:len(arr):len(arr)])
 			}
-			plan = append(plan, row)
 		}
 		switch m.Type {
 		case catalog.HistogramBucket:
@@ -65,24 +73,28 @@ func newScrapePlan(cat *catalog.Database, w *world, instances []string) scrapePl
 			add(w.counter(m.Name), "")
 		}
 	}
+	plan.refs = make([]tsdb.SeriesRef, len(plan.labels))
+	plan.vals = make([]float64, len(plan.labels))
 	return plan
 }
 
-// append writes one scrape of the totals in vals at timestamp ts.
-func (p scrapePlan) append(db tsdb.Storage, vals []float64, ts int64) error {
-	for _, r := range p {
-		total := vals[r.cell]
-		for i, ls := range r.labels {
-			v := total * r.shares[i]
+// append writes one scrape of the totals at timestamp ts, under one store
+// lock. The first scrape resolves every series' ref; later ones append by
+// ref alone.
+func (p *scrapePlan) append(db *tsdb.DB, totals []float64, ts int64) error {
+	j := 0
+	for _, r := range p.rows {
+		total := totals[r.cell]
+		for _, share := range r.shares {
+			v := total * share
 			if v < 0 {
 				v = 0
 			}
-			if err := db.Append(ls, ts, v); err != nil {
-				return err
-			}
+			p.vals[j] = v
+			j++
 		}
 	}
-	return nil
+	return db.AppendScrape(p.refs, p.labels, ts, p.vals)
 }
 
 // pipelineBuffers is how many snapshots are in flight at once: one being

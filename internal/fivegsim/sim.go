@@ -76,9 +76,9 @@ func (r Report) String() string {
 //
 // The simulator and the appender run one step apart on two goroutines:
 // the simulator snapshots step i's totals while the appender writes step
-// i-1, in exactly the order a single goroutine would. An append error
-// stops the simulator and is returned.
-func Populate(db tsdb.Storage, cat *catalog.Database, cfg Config) (*Report, error) {
+// i-1, in exactly the order a single goroutine would, one store lock per
+// step. An append error stops the simulator and is returned.
+func Populate(db *tsdb.DB, cat *catalog.Database, cfg Config) (*Report, error) {
 	if cfg.Step <= 0 || cfg.Duration <= 0 || cfg.Instances <= 0 {
 		return nil, fmt.Errorf("fivegsim: invalid config: step=%v duration=%v instances=%d", cfg.Step, cfg.Duration, cfg.Instances)
 	}

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -158,18 +157,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	// the checkpoint is expected (rotation happens before the snapshot);
 	// the append policy makes the replay idempotent.
 	walDir := filepath.Join(dir, "wal")
-	st, err := ReplayWAL(walDir, fromSeg, func(ls tsdb.Labels, t int64, v float64) error {
-		err := s.db.Append(ls, t, v)
-		switch {
-		case err == nil:
-		case errors.Is(err, tsdb.ErrOutOfOrder):
-			// Already present via the checkpoint (or rejected before the
-			// crash): skip, exactly as the original append did.
-		default:
-			return err
-		}
-		return nil
-	})
+	st, err := ReplayWAL(walDir, fromSeg, s.db)
 	if err != nil {
 		return nil, err
 	}

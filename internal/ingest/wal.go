@@ -412,35 +412,58 @@ type ReplayStats struct {
 	TailBytesDropped int64
 }
 
-// ReplayWAL reads every segment with index >= fromSeg in dir, calling
-// apply for each sample in log order. A torn or corrupt record at the
-// tail of the *final* segment is repaired by truncating the file there; a
+// ReplayWAL appends every sample of the segments with index >= fromSeg in
+// dir to db, in log order. A sample the append policy rejects is skipped:
+// it is already in db (replay overlaps the checkpoint it starts from), or
+// it was rejected when first pushed. A torn or corrupt record at the tail
+// of the *final* segment is repaired by truncating the file there; a
 // corrupt record in any earlier segment aborts with ErrWALCorrupt —
 // acknowledged data would be missing, which replay must not hide.
-func ReplayWAL(dir string, fromSeg int, apply func(ls tsdb.Labels, t int64, v float64) error) (ReplayStats, error) {
-	var st ReplayStats
+func ReplayWAL(dir string, fromSeg int, db *tsdb.DB) (ReplayStats, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
-		return st, err
+		return ReplayStats{}, err
 	}
-	series := make(map[uint64]tsdb.Labels)
+	r := &replayer{db: db, series: make(map[uint64]*replaySeries)}
 	for i, seg := range segs {
 		if seg < fromSeg {
 			continue
 		}
-		last := i == len(segs)-1
-		if err := replaySegment(dir, seg, last, series, apply, &st); err != nil {
-			return st, err
+		if err := r.segment(dir, seg, i == len(segs)-1); err != nil {
+			return r.st, err
 		}
-		st.Segments++
+		r.st.Segments++
 	}
-	return st, nil
+	return r.st, nil
 }
 
-// replaySegment reads one segment file, repairing a damaged tail when
-// last is true.
-func replaySegment(dir string, seg int, last bool, series map[uint64]tsdb.Labels,
-	apply func(ls tsdb.Labels, t int64, v float64) error, st *ReplayStats) error {
+// replayer is one replay's state. WAL refs are only ever keys of its
+// series map, so a hostile ref costs no more than a small one.
+type replayer struct {
+	db     *tsdb.DB
+	series map[uint64]*replaySeries
+	// batch is a samples record, parsed whole before any of it is
+	// appended: a record the repair cuts off leaves nothing behind.
+	batch []replaySample
+	st    ReplayStats
+}
+
+// replaySeries is what one series record says about a WAL ref: its labels
+// and, once its first sample is appended, the DB ref they resolve to.
+type replaySeries struct {
+	labels tsdb.Labels
+	ref    tsdb.SeriesRef
+}
+
+type replaySample struct {
+	series *replaySeries
+	t      int64
+	v      float64
+}
+
+// segment reads one segment file, repairing a damaged tail when last is
+// true.
+func (r *replayer) segment(dir string, seg int, last bool) error {
 	path := filepath.Join(dir, segmentName(seg))
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -450,15 +473,15 @@ func replaySegment(dir string, seg int, last bool, series map[uint64]tsdb.Labels
 		if !last {
 			return fmt.Errorf("%w: segment %d: %s at offset %d", ErrWALCorrupt, seg, why, offset)
 		}
-		st.TailTruncated = true
-		st.TailBytesDropped = int64(len(raw) - offset)
+		r.st.TailTruncated = true
+		r.st.TailBytesDropped = int64(len(raw) - offset)
 		return os.Truncate(path, int64(offset))
 	}
 	if len(raw) < len(walMagic) && last {
 		// A torn first write left no record. Truncating would leave a
 		// headless file for the next segment to make non-final, so the
 		// file goes, durably, before any new segment exists.
-		st.TailTruncated, st.TailBytesDropped = true, int64(len(raw))
+		r.st.TailTruncated, r.st.TailBytesDropped = true, int64(len(raw))
 		if err := os.Remove(path); err != nil {
 			return err
 		}
@@ -481,13 +504,13 @@ func replaySegment(dir string, seg int, last bool, series map[uint64]tsdb.Labels
 		if crc32.ChecksumIEEE(payload) != wantCRC {
 			return damaged(pos, "record CRC mismatch")
 		}
-		if err := applyRecord(payload, series, apply, st); err != nil {
+		if err := r.record(payload); err != nil {
 			if errors.Is(err, errBadRecord) {
 				return damaged(pos, err.Error())
 			}
 			return err
 		}
-		st.Records++
+		r.st.Records++
 		pos += 8 + int(length)
 	}
 	return nil
@@ -497,8 +520,10 @@ func replaySegment(dir string, seg int, last bool, series map[uint64]tsdb.Labels
 // parse — treated like any other torn-tail damage.
 var errBadRecord = errors.New("undecodable record")
 
-func applyRecord(payload []byte, series map[uint64]tsdb.Labels,
-	apply func(ls tsdb.Labels, t int64, v float64) error, st *ReplayStats) error {
+// record replays one record. A series record (re)binds a WAL ref to
+// labels, to be resolved to a DB ref by its first sample; a samples record
+// appends each sample by DB ref.
+func (r *replayer) record(payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("%w: empty payload", errBadRecord)
 	}
@@ -534,19 +559,27 @@ func applyRecord(payload []byte, series map[uint64]tsdb.Labels,
 			}
 			ls = append(ls, tsdb.Label{Name: parts[0], Value: parts[1]})
 		}
-		series[ref] = ls
+		if pos != len(payload) {
+			return fmt.Errorf("%w: %d trailing bytes", errBadRecord, len(payload)-pos)
+		}
+		// Log only writes label sets the codec validated.
+		if err := validateSeries(ref, TimeSeries{Labels: ls}); err != nil {
+			return fmt.Errorf("%w: %v", errBadRecord, err)
+		}
+		r.series[ref] = &replaySeries{labels: ls}
 	case recSamples:
 		n, ok := readUvarint()
 		if !ok {
 			return fmt.Errorf("%w: sample count", errBadRecord)
 		}
+		r.batch = r.batch[:0]
 		prevT := int64(0)
 		for i := uint64(0); i < n; i++ {
 			ref, ok := readUvarint()
 			if !ok {
 				return fmt.Errorf("%w: sample ref", errBadRecord)
 			}
-			ls, known := series[ref]
+			s, known := r.series[ref]
 			if !known {
 				return fmt.Errorf("%w: sample for unknown series ref %d", errBadRecord, ref)
 			}
@@ -561,16 +594,20 @@ func applyRecord(payload []byte, series map[uint64]tsdb.Labels,
 			}
 			v := math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:]))
 			pos += 8
-			if err := apply(ls, t, v); err != nil {
+			r.batch = append(r.batch, replaySample{s, t, v})
+		}
+		if pos != len(payload) {
+			return fmt.Errorf("%w: %d trailing bytes", errBadRecord, len(payload)-pos)
+		}
+		for _, smp := range r.batch {
+			s := smp.series
+			if err := r.db.AppendRef(&s.ref, s.labels, smp.t, smp.v); err != nil && !errors.Is(err, tsdb.ErrOutOfOrder) {
 				return err
 			}
-			st.Samples++
+			r.st.Samples++
 		}
 	default:
 		return fmt.Errorf("%w: unknown record type %#x", errBadRecord, typ)
-	}
-	if pos != len(payload) {
-		return fmt.Errorf("%w: %d trailing bytes", errBadRecord, len(payload)-pos)
 	}
 	return nil
 }

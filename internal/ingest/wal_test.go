@@ -9,21 +9,18 @@ import (
 	"dio/internal/tsdb"
 )
 
-type replayed struct {
-	ls tsdb.Labels
-	t  int64
-	v  float64
-}
-
-func collectReplay(t *testing.T, dir string, fromSeg int) ([]replayed, ReplayStats) {
+// collectReplay replays dir from fromSeg into a fresh store and returns
+// its series in key order.
+func collectReplay(t *testing.T, dir string, fromSeg int) ([]TimeSeries, ReplayStats) {
 	t.Helper()
-	var got []replayed
-	st, err := ReplayWAL(dir, fromSeg, func(ls tsdb.Labels, ts int64, v float64) error {
-		got = append(got, replayed{ls, ts, v})
-		return nil
-	})
+	db := tsdb.New()
+	st, err := ReplayWAL(dir, fromSeg, db)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
+	}
+	var got []TimeSeries
+	for _, sr := range db.AllSeries() {
+		got = append(got, TimeSeries{Labels: sr.Labels, Samples: sr.Samples})
 	}
 	return got, st
 }
@@ -51,19 +48,8 @@ func TestWALLogAndReplay(t *testing.T) {
 	}
 
 	got, st := collectReplay(t, dir, 0)
-	want := []replayed{
-		{a.Labels, 1000, 1}, {a.Labels, 2000, 2},
-		{b.Labels, 1500, -1},
-		{a.Labels, 3000, 3},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("replayed %d samples, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].ls.Equal(want[i].ls) || got[i].t != want[i].t || got[i].v != want[i].v {
-			t.Fatalf("sample %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	a.Samples = append(a.Samples, tsdb.Sample{T: 3000, V: 3})
+	sameSeries(t, got, []TimeSeries{a, b})
 	if st.Samples != 4 || st.TailTruncated {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -94,7 +80,7 @@ func TestWALSegmentsSelfContained(t *testing.T) {
 	// Replay only from the post-rotation segment: the sample must still
 	// resolve its labels.
 	got, _ := collectReplay(t, dir, seg2)
-	if len(got) != 1 || got[0].t != 2 || !got[0].ls.Equal(ls.Labels) {
+	if len(got) != 1 || len(got[0].Samples) != 1 || got[0].Samples[0].T != 2 || !got[0].Labels.Equal(ls.Labels) {
 		t.Fatalf("replay from segment %d = %+v", seg2, got)
 	}
 }
@@ -128,7 +114,7 @@ func TestWALRepairsTornTail(t *testing.T) {
 	f.Close()
 
 	got, st := collectReplay(t, dir, 0)
-	if len(got) != 1 || got[0].t != 1 {
+	if len(got) != 1 || len(got[0].Samples) != 1 || got[0].Samples[0].T != 1 {
 		t.Fatalf("replay after torn tail = %+v", got)
 	}
 	if !st.TailTruncated || st.TailBytesDropped != 6 {
@@ -174,7 +160,7 @@ func TestWALCorruptEarlierSegmentFails(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, rerr := ReplayWAL(dir, 0, func(tsdb.Labels, int64, float64) error { return nil })
+	_, rerr := ReplayWAL(dir, 0, tsdb.New())
 	if !errors.Is(rerr, ErrWALCorrupt) {
 		t.Fatalf("replay of corrupt middle segment: %v", rerr)
 	}

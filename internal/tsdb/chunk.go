@@ -172,8 +172,10 @@ type chunkAppender struct {
 	leading, trailing uint8
 }
 
+// newChunkAppender starts a head with room for a few dozen samples, which
+// spares the reallocations at 8, 16, 32 and 64 bytes of growing from empty.
 func newChunkAppender() *chunkAppender {
-	return &chunkAppender{leading: leadingUnset}
+	return &chunkAppender{w: bwriter{b: make([]byte, 0, 128)}, leading: leadingUnset}
 }
 
 // append adds a sample. The caller guarantees t is strictly greater than

@@ -15,6 +15,8 @@ type Series struct {
 	// fp caches Labels.Key(), computed once when the series is created, so
 	// selection and sorting never rebuild the fingerprint string.
 	fp string
+	// ref is the series' slot in DB.byRef.
+	ref SeriesRef
 
 	// chunks are sealed compressed runs in time order; head is the open
 	// appender new samples land in (nil until the first append after a
@@ -26,12 +28,6 @@ type Series struct {
 	lastT int64   // newest timestamp (undefined when total == 0)
 	lastV float64 // newest value (undefined when total == 0)
 }
-
-// Fingerprint returns the series' cached canonical label key.
-func (s *Series) Fingerprint() string { return s.fp }
-
-// NumSamples returns the number of stored samples.
-func (s *Series) NumSamples() int { return s.total }
 
 // append adds one sample, sealing the head chunk when it reaches
 // capacity. The caller (DB) holds the write lock and has already enforced

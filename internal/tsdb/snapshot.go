@@ -59,11 +59,10 @@ func (db *DB) SnapshotChunked(w io.Writer) error {
 		_, err := bw.WriteString(s)
 		return err
 	}
-	keys := db.sortedKeysLocked()
-	if err := writeUvarint(uint64(len(keys))); err != nil {
+	if err := writeUvarint(uint64(len(db.keys))); err != nil {
 		return err
 	}
-	for _, k := range keys {
+	for _, k := range db.keys {
 		s := db.series[k]
 		if err := writeUvarint(uint64(len(s.Labels))); err != nil {
 			return err

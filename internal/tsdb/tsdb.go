@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -21,6 +20,9 @@ type DB struct {
 	mu sync.RWMutex
 	// series by fingerprint.
 	series map[string]*Series
+	// byRef holds every series ever created at the index of its ref; slot
+	// 0 and the slots of dropped series are nil.
+	byRef []*Series
 	// index is the inverted label→value→fingerprint index used to narrow
 	// selector scans; its __name__ entries are the per-metric posting
 	// lists.
@@ -39,8 +41,14 @@ type DB struct {
 
 // New returns an empty database.
 func New() *DB {
-	return &DB{series: make(map[string]*Series), index: make(postings), minT: 1<<63 - 1, maxT: -(1<<63 - 1)}
+	return &DB{series: make(map[string]*Series), byRef: []*Series{nil}, index: make(postings), minT: 1<<63 - 1, maxT: -(1<<63 - 1)}
 }
+
+// SeriesRef identifies a series within one DB, like the Prometheus head
+// block's storage.SeriesRef: dense, assigned at creation and never reused,
+// so a ref held past a retention drop never addresses a later series. The
+// zero ref is "not resolved yet".
+type SeriesRef uint64
 
 // ErrOutOfOrder is returned when appending a sample before the last
 // timestamp of its series. The store's append policy mirrors Prometheus:
@@ -62,21 +70,92 @@ var ErrDuplicateTimestamp = fmt.Errorf("%w: duplicate timestamp", ErrOutOfOrder)
 // within a series must be strictly increasing; see ErrOutOfOrder and
 // ErrDuplicateTimestamp for the rejection policy.
 func (db *DB) Append(ls Labels, t int64, v float64) error {
-	if ls.Name() == "" {
-		return fmt.Errorf("tsdb: series %s has no metric name", ls)
+	var ref SeriesRef
+	return db.AppendRef(&ref, ls, t, v)
+}
+
+// AppendRef is Append by ref: a live *ref costs one slice index, and ls
+// is not read. A zero *ref, or one whose series retention dropped,
+// resolves from ls, creating the series if needed, and is written back.
+func (db *DB) AppendRef(ref *SeriesRef, ls Labels, t int64, v float64) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.appendRefLocked(ref, ls, t, v)
+}
+
+// AppendScrape is AppendRef(&refs[i], ls[i], t, vals[i]) for every i
+// under one write lock. It stops at the first error; earlier samples stay.
+func (db *DB) AppendScrape(refs []SeriesRef, ls []Labels, t int64, vals []float64) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for i, v := range vals {
+		if err := db.appendRefLocked(&refs[i], ls[i], t, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AppendSamples appends a batch of samples to one series under a single
+// lock acquisition — the streaming-ingest fast path, where per-sample
+// locking would let concurrent readers starve high-rate writers. The
+// policy per sample is exactly Append's: out-of-order and conflicting
+// duplicates are skipped and counted (never stored), identical re-appends
+// of the newest sample count as accepted.
+func (db *DB) AppendSamples(ls Labels, samples []Sample) (appended, outOfOrder, duplicate int, err error) {
+	if len(samples) == 0 && ls.Name() != "" {
+		return 0, 0, 0, nil
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := db.seriesLocked(ls)
+	var ref SeriesRef
+	s, err := db.resolveLocked(&ref, ls)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	for _, smp := range samples {
+		switch db.appendLocked(s, smp.T, smp.V) {
+		case nil:
+			appended++
+		case ErrDuplicateTimestamp:
+			duplicate++
+		default:
+			outOfOrder++
+		}
+	}
+	return appended, outOfOrder, duplicate, nil
+}
+
+// appendRefLocked resolves ref and appends one sample, wrapping a rejection
+// with the series and timestamps. Callers must hold the write lock.
+func (db *DB) appendRefLocked(ref *SeriesRef, ls Labels, t int64, v float64) error {
+	s, err := db.resolveLocked(ref, ls)
+	if err != nil {
+		return err
+	}
+	switch err := db.appendLocked(s, t, v); err {
+	case ErrDuplicateTimestamp:
+		return fmt.Errorf("%w: series %s at t=%d (stored %v, new %v)", err, s.Labels, t, s.lastV, v)
+	case ErrOutOfOrder:
+		return fmt.Errorf("%w: series %s at t=%d (last %d)", err, s.Labels, t, s.lastT)
+	}
+	return nil
+}
+
+// appendLocked is the store's one append policy: it stores (t, v), or
+// accepts a re-append of the newest sample as a no-op, or stores nothing
+// and returns bare ErrOutOfOrder or ErrDuplicateTimestamp. Callers must
+// hold the write lock.
+func (db *DB) appendLocked(s *Series, t int64, v float64) error {
 	if s.total > 0 {
 		switch {
 		case t < s.lastT:
-			return fmt.Errorf("%w: series %s at t=%d (last %d)", ErrOutOfOrder, ls, t, s.lastT)
+			return ErrOutOfOrder
 		case t == s.lastT:
 			if math.Float64bits(v) == math.Float64bits(s.lastV) {
 				return nil // idempotent re-append of the newest sample
 			}
-			return fmt.Errorf("%w: series %s at t=%d (stored %v, new %v)", ErrDuplicateTimestamp, ls, t, s.lastV, v)
+			return ErrDuplicateTimestamp
 		}
 	}
 	s.append(t, v)
@@ -90,76 +169,46 @@ func (db *DB) Append(ls Labels, t int64, v float64) error {
 	return nil
 }
 
-// AppendSamples appends a batch of samples to one series under a single
-// lock acquisition — the streaming-ingest fast path, where per-sample
-// locking would let concurrent readers starve high-rate writers. The
-// policy per sample is exactly Append's: out-of-order and conflicting
-// duplicates are skipped and counted (never stored), identical re-appends
-// of the newest sample count as accepted.
-func (db *DB) AppendSamples(ls Labels, samples []Sample) (appended, outOfOrder, duplicate int, err error) {
+// resolveLocked returns the live series *ref names, else the series for
+// ls, created if needed, writing its ref to *ref. Only a new series
+// allocates. Callers must hold the write lock.
+func (db *DB) resolveLocked(ref *SeriesRef, ls Labels) (*Series, error) {
+	if uint64(*ref) < uint64(len(db.byRef)) {
+		if s := db.byRef[*ref]; s != nil {
+			return s, nil
+		}
+	}
 	if ls.Name() == "" {
-		return 0, 0, 0, fmt.Errorf("tsdb: series %s has no metric name", ls)
+		return nil, fmt.Errorf("tsdb: series %s has no metric name", ls)
 	}
-	if len(samples) == 0 {
-		return 0, 0, 0, nil
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	s := db.seriesLocked(ls)
-	for _, smp := range samples {
-		if s.total > 0 {
-			switch {
-			case smp.T < s.lastT:
-				outOfOrder++
-				continue
-			case smp.T == s.lastT:
-				if math.Float64bits(smp.V) == math.Float64bits(s.lastV) {
-					appended++ // idempotent re-append of the newest sample
-				} else {
-					duplicate++
-				}
-				continue
-			}
-		}
-		s.append(smp.T, smp.V)
-		if smp.T < db.minT {
-			db.minT = smp.T
-		}
-		if smp.T > db.maxT {
-			db.maxT = smp.T
-		}
-		db.samples++
-		appended++
-	}
-	return appended, outOfOrder, duplicate, nil
-}
-
-// seriesLocked returns the series for ls, creating it if needed. Only a
-// new series allocates. Callers must hold the write lock.
-func (db *DB) seriesLocked(ls Labels) *Series {
 	db.keyBuf = ls.AppendKey(db.keyBuf[:0])
-	if s, ok := db.series[string(db.keyBuf)]; ok {
-		return s
+	s, ok := db.series[string(db.keyBuf)]
+	if !ok {
+		s = db.addSeriesLocked(string(db.keyBuf), ls)
 	}
-	return db.addSeriesLocked(string(db.keyBuf), ls)
+	*ref = s.ref
+	return s, nil
 }
 
-// addSeriesLocked registers a new empty series and indexes it. The series
-// keeps a copy of ls carved from key, never the caller's label memory.
-// Callers must hold the write lock.
+// addSeriesLocked registers a new empty series under the next ref and
+// indexes it. The series keeps a copy of ls carved from key, never the
+// caller's label memory. Callers must hold the write lock.
 func (db *DB) addSeriesLocked(key string, ls Labels) *Series {
 	ls = ls.cloneFromKey(key)
-	s := &Series{Labels: ls, fp: key}
+	s := &Series{Labels: ls, fp: key, ref: SeriesRef(len(db.byRef))}
+	db.byRef = append(db.byRef, s)
 	db.series[key] = s
 	db.index.add(key, ls)
 	db.keys = insertSorted(db.keys, key)
 	return s
 }
 
-// dropSeriesLocked removes a series from the store and every index.
-// Callers must hold the write lock.
+// dropSeriesLocked removes a series from the store and every index. Its
+// ref slot stays, empty, so the ref is never handed out again. Callers
+// must hold the write lock.
 func (db *DB) dropSeriesLocked(key string, s *Series) {
 	delete(db.series, key)
+	db.byRef[s.ref] = nil
 	db.index.remove(key, s.Labels)
 	db.keys = removeSorted(db.keys, key)
 }
@@ -509,15 +558,4 @@ func (db *DB) Truncate(keepAfter int64) int64 {
 		db.minT = newMin
 	}
 	return dropped
-}
-
-// sortedKeysLocked returns the fingerprints in canonical order. Callers
-// must hold at least the read lock.
-func (db *DB) sortedKeysLocked() []string {
-	keys := make([]string, 0, len(db.series))
-	for k := range db.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
