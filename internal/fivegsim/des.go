@@ -168,7 +168,9 @@ type ue struct {
 	sessions int
 }
 
-// des is the discrete-event core.
+// des is the discrete-event core. It steps a fork of the world on its own
+// RNG stream and writes only the cells it owns, so it can run on its own
+// goroutine ahead of the rate models.
 type des struct {
 	rng   *rand.Rand
 	queue eventQueue
@@ -176,18 +178,41 @@ type des struct {
 	now   float64
 	world *world
 	procs [numDESProcs]*proc
+	// cells are the world cells the DES owns: its procedures' counters and
+	// the UE and session gauges. Their histograms belong to the rate
+	// stage, which records drawn, the durations the DES drew, in draw
+	// order.
+	cells  []int
+	drawn  []duration
+	nextUE int
 }
 
 func newDES(seed int64, w *world) *des {
-	d := &des{rng: rand.New(rand.NewSource(seed)), world: w}
+	d := &des{rng: rand.New(rand.NewSource(seed)), world: w.fork()}
 	for i, key := range desProcKeys {
 		p, ok := w.procs[key]
 		if !ok {
 			panic("fivegsim: unknown procedure " + key)
 		}
 		d.procs[i] = p
+		d.cells = append(d.cells, p.request, p.attempt, p.success, p.failure, p.timeout, p.reject, p.abort, p.retransmission)
+		d.cells = append(d.cells, p.failureCauses...)
+		d.cells = append(d.cells, p.rejectCauses...)
+	}
+	for _, g := range w.ueGauges {
+		d.cells = append(d.cells, g.cell)
+	}
+	for _, g := range w.sessionGauges {
+		d.cells = append(d.cells, g.cell)
 	}
 	return d
+}
+
+// gather copies the DES's cells into out, in d.cells order.
+func (d *des) gather(out []float64) {
+	for k, c := range d.cells {
+		out[k] = d.world.vals[c]
+	}
 }
 
 // schedule enqueues an event after delay seconds.
@@ -222,7 +247,7 @@ func (d *des) outcome(dp desProc, pSuccess float64) bool {
 	r := d.rng.Float64()
 	if r < pSuccess {
 		w.vals[p.success]++
-		w.observeDuration(p, d.rng)
+		d.drawDuration(p)
 		return true
 	}
 	// Split the unhappy path: failure, timeout, reject, abort.
@@ -240,8 +265,23 @@ func (d *des) outcome(dp desProc, pSuccess float64) bool {
 	default:
 		w.vals[p.abort]++
 	}
-	w.observeDuration(p, d.rng)
+	d.drawDuration(p)
 	return false
+}
+
+// drawDuration draws the standard normal behind one duration of p and
+// logs it for the rate stage, which records the duration in p's histogram:
+// the draw keeps its place in the DES's stream, and math.Exp and the
+// bucket walk run off the DES's goroutine.
+func (d *des) drawDuration(p *proc) {
+	d.drawn = append(d.drawn, duration{p, d.rng.NormFloat64()})
+}
+
+// duration is one procedure duration drawn by the DES, as the standard
+// normal z it comes from.
+type duration struct {
+	p *proc
+	z float64
 }
 
 // dispatch handles one lifecycle event, updating counters, gauges and
@@ -250,8 +290,8 @@ func (d *des) dispatch(e *event) {
 	w := d.world
 	switch e.kind {
 	case evUEArrival:
-		u := &ue{id: w.nextUE}
-		w.nextUE++
+		u := &ue{id: d.nextUE}
+		d.nextUE++
 		d.schedule(d.expo(1.0), evRegister, u)
 		// Keep the arrival process going; a registration storm divides
 		// the mean inter-arrival time by its magnitude.

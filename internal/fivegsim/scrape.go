@@ -1,34 +1,33 @@
 package fivegsim
 
 import (
+	"bytes"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"dio/internal/catalog"
 	"dio/internal/tsdb"
 )
 
-// scrapePlan is every series one scrape appends, resolved once per run:
-// each row's world cell and shares, then per series, rows × instances in
-// append order, its labels, its ref (0 until the first scrape resolves
-// it) and the value being appended.
+// scrapePlan is every series one scrape appends, resolved once per run,
+// in label-key order: per series, the world cell it splits and its
+// instance's share of it, its labels, its ref (0 until the first scrape
+// resolves it) and the value being appended.
 type scrapePlan struct {
-	rows   []scrapeRow
+	cells  []int
+	shares []float64
 	labels []tsdb.Labels
 	refs   []tsdb.SeriesRef
 	vals   []float64
 }
 
-// scrapeRow is one total split into per-instance series.
-type scrapeRow struct {
-	cell   int
-	shares []float64 // per instance, summing to 1
-}
-
-// newScrapePlan resolves every row of cat against w, in catalog order:
-// a histogram bucket metric expands to one row per bound plus +Inf (the
-// count), and every other metric is one row.
+// newScrapePlan resolves every row of cat against w, a series per
+// instance: a histogram bucket metric expands to one row per bound plus
+// +Inf (the count), and every other metric is one row.
 func newScrapePlan(cat *catalog.Database, w *world, instances []string) *scrapePlan {
-	plan := &scrapePlan{}
+	var rows []scrapeSeries
+	var keys []byte // every series' label key, back to back
 	hist := func(m *catalog.Metric) *proc {
 		if p, ok := w.procs[m.NF+"/"+m.Service+"/"+m.Procedure]; ok {
 			return p
@@ -43,17 +42,19 @@ func newScrapePlan(cat *catalog.Database, w *world, instances []string) *scrapeP
 		}
 		shares := instanceShares(m.Name, len(instances))
 		add := func(cell int, le string) {
-			plan.rows = append(plan.rows, scrapeRow{cell: cell, shares: shares})
 			// One array holds the row's label sets, each already in name
 			// order; a non-bucket row has no le label.
 			arr := make([]tsdb.Label, 0, 3*len(instances))
-			for _, inst := range instances {
+			for i, inst := range instances {
 				from := len(arr)
 				arr = append(arr, tsdb.Label{Name: tsdb.MetricNameLabel, Value: exported}, tsdb.Label{Name: "instance", Value: inst})
 				if le != "" {
 					arr = append(arr, tsdb.Label{Name: "le", Value: le})
 				}
-				plan.labels = append(plan.labels, arr[from:len(arr):len(arr)])
+				ls := tsdb.Labels(arr[from:len(arr):len(arr)])
+				key := len(keys)
+				keys = ls.AppendKey(keys)
+				rows = append(rows, scrapeSeries{cell: cell, share: shares[i], labels: ls, key: key, keyEnd: len(keys)})
 			}
 		}
 		switch m.Type {
@@ -73,73 +74,110 @@ func newScrapePlan(cat *catalog.Database, w *world, instances []string) *scrapeP
 			add(w.counter(m.Name), "")
 		}
 	}
-	plan.refs = make([]tsdb.SeriesRef, len(plan.labels))
-	plan.vals = make([]float64, len(plan.labels))
+	// The first scrape creates every series. In key order each one lands
+	// at the end of the store's sorted key and postings lists rather than
+	// being inserted into their middle.
+	slices.SortFunc(rows, func(a, b scrapeSeries) int {
+		return bytes.Compare(keys[a.key:a.keyEnd], keys[b.key:b.keyEnd])
+	})
+	n := len(rows)
+	plan := &scrapePlan{cells: make([]int, n), shares: make([]float64, n), labels: make([]tsdb.Labels, n), refs: make([]tsdb.SeriesRef, n), vals: make([]float64, n)}
+	for j, r := range rows {
+		plan.cells[j], plan.shares[j], plan.labels[j] = r.cell, r.share, r.labels
+	}
 	return plan
+}
+
+// scrapeSeries is one series of the plan while it is built; its label
+// key is keys[key:keyEnd].
+type scrapeSeries struct {
+	cell        int
+	share       float64
+	labels      tsdb.Labels
+	key, keyEnd int
 }
 
 // append writes one scrape of the totals at timestamp ts, under one store
 // lock. The first scrape resolves every series' ref; later ones append by
 // ref alone.
 func (p *scrapePlan) append(db *tsdb.DB, totals []float64, ts int64) error {
-	j := 0
-	for _, r := range p.rows {
-		total := totals[r.cell]
-		for _, share := range r.shares {
-			v := total * share
-			if v < 0 {
-				v = 0
-			}
-			p.vals[j] = v
-			j++
+	for j, cell := range p.cells {
+		v := totals[cell] * p.shares[j]
+		if v < 0 {
+			v = 0
 		}
+		p.vals[j] = v
 	}
 	return db.AppendScrape(p.refs, p.labels, ts, p.vals)
 }
 
-// pipelineBuffers is how many snapshots are in flight at once: one being
-// filled, one being appended and one queued between them.
-const pipelineBuffers = 3
+// pipelineDepth is how many frames Populate keeps in flight: one in each
+// of its three stages and one queued.
+const pipelineDepth = 4
 
-// pipeline runs produce for steps 0..n-1 on the calling goroutine and
-// consume on a single other goroutine, in step order, so consume of step i
-// overlaps produce of step i+1. Each step's snapshot is a width-long
-// buffer from a pool of pipelineBuffers; produce fills it and consume
-// reads it. The first consume error stops production (no later step is
-// consumed) and is returned after the consumer's last step.
-func pipeline(n, width int, produce func(i int, snap []float64), consume func(i int, snap []float64) error) error {
+// pipeline runs steps 0..n-1 through stages, each stage on its own
+// goroutine, so stage k of step i overlaps stage k-1 of step i+1. A step
+// holds one of slots from its first stage to its last, so at most
+// len(slots) steps are in flight; every stage sees the steps in order, and
+// each slot as the stage before left it. An error at step i stops the
+// pipeline there: no stage runs step i or a later one, the earlier stages
+// stop within the slots in flight, and the error is returned once every
+// stage has stopped.
+func pipeline[S any](n int, slots []S, stages ...func(i int, slot S) error) error {
 	type step struct {
 		i    int
-		snap []float64
+		slot S
 	}
-	// Each channel can hold every buffer at once, so no send blocks.
-	free := make(chan []float64, pipelineBuffers)
-	for range pipelineBuffers {
-		free <- make([]float64, width)
+	// Each channel can hold every slot at once, so no send blocks.
+	free := make(chan step, len(slots))
+	for _, s := range slots {
+		free <- step{slot: s}
 	}
-	full := make(chan step, pipelineBuffers)
-	var failed atomic.Bool
-	done := make(chan error, 1)
-	go func() {
-		var err error
-		for s := range full {
-			if err == nil {
-				err = consume(s.i, s.snap)
-				failed.Store(err != nil)
-			}
-			free <- s.snap
+	var (
+		stopAt  atomic.Int64 // the first failed step, n while none has
+		mu      sync.Mutex   // guards stopping
+		stopErr error
+		wg      sync.WaitGroup
+	)
+	stopAt.Store(int64(n))
+	head := make(chan step, len(slots))
+	in := head
+	for k, stage := range stages {
+		out := free // the last stage hands the slot back
+		if k < len(stages)-1 {
+			out = make(chan step, len(slots))
 		}
-		done <- err
-	}()
+		wg.Add(1)
+		go func(in <-chan step, out chan<- step) {
+			defer wg.Done()
+			for st := range in {
+				if int64(st.i) < stopAt.Load() {
+					if err := stage(st.i, st.slot); err != nil {
+						mu.Lock()
+						if int64(st.i) < stopAt.Load() {
+							stopAt.Store(int64(st.i))
+							stopErr = err
+						}
+						mu.Unlock()
+					}
+				}
+				out <- st
+			}
+			// The last stage closes free, which nothing reads by now.
+			close(out)
+		}(in, out)
+		in = out
+	}
 
 	for i := 0; i < n; i++ {
-		snap := <-free
-		if failed.Load() {
+		st := <-free
+		if int64(i) >= stopAt.Load() {
 			break
 		}
-		produce(i, snap)
-		full <- step{i, snap}
+		st.i = i
+		head <- st
 	}
-	close(full)
-	return <-done
+	close(head)
+	wg.Wait()
+	return stopErr
 }

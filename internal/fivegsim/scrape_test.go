@@ -42,60 +42,107 @@ func TestPopulateAppendErrorStopsPipeline(t *testing.T) {
 	}
 }
 
-// TestPipelineOrderAndSnapshots checks that every step is consumed once,
-// in order, from a snapshot holding exactly what its producer wrote:
-// producing step i+1 never touches the buffer of step i.
+// TestPipelineOrderAndSnapshots runs three stages, as Populate does. The
+// first fills a slot, the second checks it and fills its second half, and
+// the third checks the whole slot: every stage must see every step once,
+// in order, in a slot holding exactly what the stages before it wrote, so
+// a stage working on step i+1 never touches the slot of step i.
 func TestPipelineOrderAndSnapshots(t *testing.T) {
 	const n, width = 200, 64
-	next := 0
-	err := pipeline(n, width, func(i int, snap []float64) {
-		for j := range snap {
-			snap[j] = float64(i*width + j)
+	slots := make([][]float64, pipelineDepth)
+	for i := range slots {
+		slots[i] = make([]float64, width)
+	}
+	cell := func(i, j int) float64 { return float64(i*width + j) }
+	// Each stage runs on its own goroutine: report by error.
+	check := func(stage string, next *int, i int, snap []float64, upTo int) error {
+		if i != *next {
+			return fmt.Errorf("%s saw step %d, want %d", stage, i, *next)
 		}
-	}, func(i int, snap []float64) error {
-		// consume runs on the pipeline's goroutine: report by error.
-		if i != next {
-			return fmt.Errorf("consumed step %d, want %d", i, next)
-		}
-		next++
-		for j, v := range snap {
-			if v != float64(i*width+j) {
-				return fmt.Errorf("step %d cell %d holds %g", i, j, v)
+		*next++
+		for j, v := range snap[:upTo] {
+			if v != cell(i, j) {
+				return fmt.Errorf("%s: step %d cell %d holds %g", stage, i, j, v)
 			}
 		}
 		return nil
-	})
+	}
+	var second, third int
+	err := pipeline(n, slots,
+		func(i int, snap []float64) error {
+			for j := range snap[:width/2] {
+				snap[j] = cell(i, j)
+			}
+			return nil
+		},
+		func(i int, snap []float64) error {
+			if err := check("second stage", &second, i, snap, width/2); err != nil {
+				return err
+			}
+			for j := width / 2; j < width; j++ {
+				snap[j] = cell(i, j)
+			}
+			return nil
+		},
+		func(i int, snap []float64) error {
+			return check("third stage", &third, i, snap, width)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next != n {
-		t.Fatalf("consumed %d steps, want %d", next, n)
+	if second != n || third != n {
+		t.Fatalf("stages saw %d and %d steps, want %d", second, third, n)
 	}
 }
 
-// TestPipelineStopsAtFirstError checks that a consume error is returned,
-// that no later step is consumed, and that the producer stops within the
-// buffers already in flight.
+// TestPipelineStopsAtFirstError checks that the last stage's error is
+// returned, that no stage runs a step after it, and that the earlier
+// stages stop within the slots already in flight.
 func TestPipelineStopsAtFirstError(t *testing.T) {
 	const n, failAt = 1000, 5
 	boom := errors.New("boom")
-	produced, consumed := 0, 0
-	err := pipeline(n, 1, func(int, []float64) {
-		produced++
-	}, func(i int, _ []float64) error {
-		consumed++
-		if i == failAt {
-			return boom
-		}
-		return nil
-	})
+	slots := make([]struct{}, pipelineDepth)
+	var first, middle, last int
+	err := pipeline(n, slots,
+		func(int, struct{}) error { first++; return nil },
+		func(int, struct{}) error { middle++; return nil },
+		func(i int, _ struct{}) error {
+			last++
+			if i == failAt {
+				return boom
+			}
+			return nil
+		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want %v", err, boom)
 	}
-	if consumed != failAt+1 {
-		t.Errorf("consumed %d steps, want %d", consumed, failAt+1)
+	if last != failAt+1 {
+		t.Errorf("last stage ran %d steps, want %d", last, failAt+1)
 	}
-	if produced > failAt+pipelineBuffers {
-		t.Errorf("produced %d steps after a failure at step %d", produced, failAt)
+	if first > failAt+len(slots) || middle > first {
+		t.Errorf("stages ran %d and %d steps after a failure at step %d", first, middle, failAt)
+	}
+}
+
+// TestPipelineStopsAfterMiddleStageError checks that a middle stage's
+// error reaches the caller and that the last stage never sees its step.
+func TestPipelineStopsAfterMiddleStageError(t *testing.T) {
+	const failAt = 3
+	boom := errors.New("boom")
+	last := -1
+	err := pipeline(100, make([]int, pipelineDepth),
+		func(int, int) error { return nil },
+		func(i int, _ int) error {
+			if i == failAt {
+				return boom
+			}
+			return nil
+		},
+		func(i int, _ int) error { last = i; return nil })
+	if !errors.Is(err, boom) {
+		t.Fatalf("got %v, want %v", err, boom)
+	}
+	if last != failAt-1 {
+		t.Errorf("last stage's final step is %d, want %d", last, failAt-1)
 	}
 }

@@ -74,10 +74,15 @@ func (r Report) String() string {
 // Populate runs the simulation and appends every scraped sample to db.
 // The same (catalog, cfg) always produces the identical database.
 //
-// The simulator and the appender run one step apart on two goroutines:
-// the simulator snapshots step i's totals while the appender writes step
-// i-1, in exactly the order a single goroutine would, one store lock per
-// step. An append error stops the simulator and is returned.
+// Three stages run in step order, each on its own goroutine, so the DES
+// can run a few steps ahead of the rate models, which run ahead of the
+// appender (one store lock per step). The DES and the rate models draw
+// from separate RNG streams and write disjoint cells. The DES hands each
+// step's cells and duration draws to the rate stage, which copies the
+// cells in (the traffic model follows the session gauge) and records the
+// durations. So every stage makes exactly the draws and the totals a
+// single goroutine would. An append error stops the simulation and is
+// returned.
 func Populate(db *tsdb.DB, cat *catalog.Database, cfg Config) (*Report, error) {
 	if cfg.Step <= 0 || cfg.Duration <= 0 || cfg.Instances <= 0 {
 		return nil, fmt.Errorf("fivegsim: invalid config: step=%v duration=%v instances=%d", cfg.Step, cfg.Duration, cfg.Instances)
@@ -85,14 +90,26 @@ func Populate(db *tsdb.DB, cat *catalog.Database, cfg Config) (*Report, error) {
 	s := newSimulator(cat, cfg)
 	plan := newScrapePlan(cat, s.w, instanceNames(cfg.Instances))
 	steps := int(cfg.Duration / cfg.Step)
-	err := pipeline(steps+1, len(s.w.vals),
-		func(i int, snap []float64) {
-			s.step(i)
-			copy(snap, s.w.vals)
+	frames := make([]*frame, pipelineDepth)
+	for i := range frames {
+		frames[i] = &frame{des: make([]float64, len(s.des.cells)), totals: make([]float64, len(s.w.vals))}
+	}
+	err := pipeline(steps+1, frames,
+		func(i int, f *frame) error {
+			s.des.drawn = f.drawn[:0]
+			s.des.runUntil(float64(i) * s.stepSec)
+			f.drawn = s.des.drawn
+			s.des.gather(f.des)
+			return nil
 		},
-		func(i int, snap []float64) error {
+		func(i int, f *frame) error {
+			s.step(i, f)
+			copy(f.totals, s.w.vals)
+			return nil
+		},
+		func(i int, f *frame) error {
 			at := cfg.Start.Add(time.Duration(i) * cfg.Step)
-			if err := plan.append(db, snap, at.UnixMilli()); err != nil {
+			if err := plan.append(db, f.totals, at.UnixMilli()); err != nil {
 				return fmt.Errorf("fivegsim: scrape at %s: %w", at.Format(time.RFC3339), err)
 			}
 			return nil
@@ -104,9 +121,18 @@ func Populate(db *tsdb.DB, cat *catalog.Database, cfg Config) (*Report, error) {
 		Steps:        steps + 1,
 		Series:       db.NumSeries(),
 		Samples:      db.NumSamples(),
-		SimulatedUEs: s.w.nextUE,
+		SimulatedUEs: s.des.nextUE,
 		End:          cfg.Start.Add(time.Duration(steps) * cfg.Step),
 	}, nil
+}
+
+// frame is one step in flight through Populate's stages: the DES's cells
+// in des.cells order and the durations it drew, then every total the
+// appender scrapes.
+type frame struct {
+	des    []float64
+	drawn  []duration
+	totals []float64
 }
 
 // simulator advances the world one scrape interval at a time: the DES
@@ -247,11 +273,18 @@ func newSimulator(cat *catalog.Database, cfg Config) *simulator {
 	return s
 }
 
-// step advances the world to step i's scrape instant.
-func (s *simulator) step(i int) {
+// step advances the world to step i's scrape instant, given the DES's
+// part of it in f: it copies the DES's cells in and records its durations,
+// then runs the rate models.
+func (s *simulator) step(i int, f *frame) {
 	w := s.w
+	for k, c := range s.des.cells {
+		w.vals[c] = f.des[k]
+	}
+	for _, d := range f.drawn {
+		w.observeDuration(d.p, d.z)
+	}
 	simT := float64(i) * s.stepSec
-	s.des.runUntil(simT)
 	mod := diurnal(simT)
 
 	// Advance secondary plain counters.
@@ -320,7 +353,7 @@ func advanceSecondaryProcedure(w *world, rng *rand.Rand, sp secondaryProc, effSe
 	w.vals[p.reject] += float64(rejects)
 	w.vals[p.abort] += float64(aborts)
 	for j := 0; j < n; j++ {
-		w.observeDuration(p, rng)
+		w.observeDuration(p, rng.NormFloat64())
 	}
 }
 

@@ -91,6 +91,58 @@ func TestPopulateGolden(t *testing.T) {
 	}
 }
 
+// TestStagesWriteDisjointCells checks the split Populate's stages rely on,
+// under anomalies that move every model: the DES's fork changes no cell
+// but its own, the rate models leave the DES's cells exactly as handed
+// over, and the histograms the rate stage fills from the DES's draws are
+// not the DES's cells.
+func TestStagesWriteDisjointCells(t *testing.T) {
+	cfg := shortConfig()
+	cfg.Anomalies = []Anomaly{
+		{Kind: RegistrationStorm, StartOffset: 2 * time.Minute, Duration: 3 * time.Minute, Magnitude: 4},
+		{Kind: AuthFailureSpike, StartOffset: 4 * time.Minute, Duration: 3 * time.Minute, Magnitude: 0.5},
+		{Kind: TrafficDropSurge, StartOffset: 6 * time.Minute, Duration: 3 * time.Minute, Magnitude: 8},
+	}
+	s := newSimulator(catalog.Generate(), cfg)
+	owned := make(map[int]bool)
+	for _, c := range s.des.cells {
+		owned[c] = true
+	}
+	for _, p := range s.des.procs {
+		for i := range DurationBuckets {
+			if owned[p.buckets+i] {
+				t.Fatalf("%s: histogram bucket cell %d is a DES cell", p.key, p.buckets+i)
+			}
+		}
+		if owned[p.sum] || owned[p.count] {
+			t.Fatalf("%s: histogram sum or count is a DES cell", p.key)
+		}
+	}
+	f := &frame{des: make([]float64, len(s.des.cells))}
+	drawn := 0
+	for i := 0; i <= int(cfg.Duration/cfg.Step); i++ {
+		s.des.drawn = s.des.drawn[:0]
+		s.des.runUntil(float64(i) * s.stepSec)
+		f.drawn = s.des.drawn
+		drawn += len(f.drawn)
+		s.des.gather(f.des)
+		for c, v := range s.des.world.vals {
+			if v != 0 && !owned[c] {
+				t.Fatalf("step %d: the DES wrote cell %d, which is not its own", i, c)
+			}
+		}
+		s.step(i, f)
+		for k, c := range s.des.cells {
+			if math.Float64bits(s.w.vals[c]) != math.Float64bits(f.des[k]) {
+				t.Fatalf("step %d: the rate models moved DES cell %d from %g to %g", i, c, f.des[k], s.w.vals[c])
+			}
+		}
+	}
+	if drawn == 0 {
+		t.Fatal("the DES drew no durations")
+	}
+}
+
 func TestPopulateDeterminism(t *testing.T) {
 	cfg := shortConfig()
 	cfg.Duration = 5 * time.Minute

@@ -31,7 +31,6 @@ type world struct {
 	ueGauges, sessionGauges []weightedCell
 	// upfSessions is the active-session gauge the traffic model reads.
 	upfSessions int
-	nextUE      int
 }
 
 // weightedCell is a cell that moves by weight per unit of change.
@@ -107,6 +106,16 @@ func newWorld(cfg Config) *world {
 	return w
 }
 
+// fork returns a world with w's cells and its own copy of their values,
+// for a model that steps on another goroutine. A fork has no names, so it
+// cannot create cells: only the ones w had when it was forked exist.
+func (w *world) fork() *world {
+	f := *w
+	f.vals = append([]float64(nil), w.vals...)
+	f.counterCells, f.gaugeCells, f.procs = nil, nil, nil
+	return &f
+}
+
 // newCells appends n zeroed cells and returns the index of the first.
 func (w *world) newCells(n int) int {
 	first := len(w.vals)
@@ -158,12 +167,12 @@ func weightedCauseIndex(rng *rand.Rand, n int) int {
 	return n - 1
 }
 
-// observeDuration records one procedure duration into the histogram
-// family. Durations are lognormal with a per-procedure median derived from
-// the procedure name, so different procedures have stably different
-// latency profiles.
-func (w *world) observeDuration(p *proc, rng *rand.Rand) {
-	d := p.median * math.Exp(rng.NormFloat64()*0.6)
+// observeDuration records one procedure duration, drawn as the standard
+// normal z, into the histogram family. Durations are lognormal with a
+// per-procedure median derived from the procedure name, so different
+// procedures have stably different latency profiles.
+func (w *world) observeDuration(p *proc, z float64) {
+	d := p.median * math.Exp(z*0.6)
 	for i, le := range DurationBuckets {
 		if d <= le {
 			w.vals[p.buckets+i]++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Gorilla-style chunk encoding: timestamps as varbit delta-of-delta,
@@ -51,42 +52,48 @@ type chunk struct {
 type bwriter struct {
 	b []byte
 	// free is the number of writable bits remaining in the last byte of b
-	// (0 when b is empty or the last byte is full).
+	// (0 when b is empty or the last byte is full). Free bits are zero.
 	free uint8
 }
 
-func (w *bwriter) writeBit(bit uint64) {
-	if w.free == 0 {
-		w.b = append(w.b, 0)
-		w.free = 8
+// writeBits writes the low n bits of v (n ≤ 64), most significant first.
+// A field that fits in the 8 bytes from the last, partly written byte on
+// is one big-endian 8-byte store over them, into b's spare capacity past
+// its length; a longer one is two.
+func (w *bwriter) writeBits(v uint64, n int) {
+	at, used := len(w.b), 0
+	if w.free > 0 {
+		at, used = at-1, 8-int(w.free)
 	}
-	w.free--
-	if bit != 0 {
-		w.b[len(w.b)-1] |= 1 << w.free
+	if used+n > 64 {
+		w.writeBits(v>>32, n-32)
+		w.writeBits(v, 32)
+		return
 	}
+	v &= math.MaxUint64 >> (64 - uint(n))
+	if cap(w.b)-at < 8 {
+		w.b = slices.Grow(w.b, 8)
+	}
+	window := w.b[at : at+8]
+	var last uint64
+	if used > 0 {
+		last = uint64(window[0]) << 56
+	}
+	binary.BigEndian.PutUint64(window, last|v<<uint(64-used-n))
+	end := used + n
+	w.b = w.b[:at+(end+7)/8]
+	w.free = uint8(-end & 7)
 }
 
-// writeBits writes the low n bits of v, most significant first.
-func (w *bwriter) writeBits(v uint64, n int) {
-	v <<= 64 - uint(n)
-	for n >= 8 {
-		if w.free == 0 {
-			w.b = append(w.b, byte(v>>56))
-			v <<= 8
-			n -= 8
-			continue
-		}
-		// Split across the partial byte.
-		w.b[len(w.b)-1] |= byte(v >> (64 - uint64(w.free)))
-		v <<= w.free
-		n -= int(w.free)
-		w.free = 0
+// writeFields writes the n1-bit field f1, then the n2-bit field f2, in one
+// write when they fit in 64 bits.
+func (w *bwriter) writeFields(f1 uint64, n1 int, f2 uint64, n2 int) {
+	if n1+n2 > 64 {
+		w.writeBits(f1, n1)
+		w.writeBits(f2, n2)
+		return
 	}
-	for n > 0 {
-		w.writeBit(v >> 63)
-		v <<= 1
-		n--
-	}
+	w.writeBits(f1<<uint(n2)|f2&(math.MaxUint64>>(64-uint(n2))), n1+n2)
 }
 
 // writeUvarint writes v in LEB128 on byte boundaries of the bit stream
@@ -189,41 +196,40 @@ func (a *chunkAppender) append(t int64, v float64) {
 	case 1:
 		a.tDelta = uint64(t - a.t)
 		a.w.writeUvarint(a.tDelta)
-		a.writeXOR(v)
+		a.writeXOR(0, 0, v)
 	default:
 		delta := uint64(t - a.t)
 		dod := int64(delta) - int64(a.tDelta)
 		a.tDelta = delta
 		zz := zigzag(dod)
+		// A bucket's prefix and payload are one field, which rides with
+		// the value's first.
 		switch {
 		case dod == 0:
-			a.w.writeBit(0)
+			a.writeXOR(0, 1, v)
 		case zz < 1<<14:
-			a.w.writeBits(0b10, 2)
-			a.w.writeBits(zz, 14)
+			a.writeXOR(0b10<<14|zz, 2+14, v)
 		case zz < 1<<17:
-			a.w.writeBits(0b110, 3)
-			a.w.writeBits(zz, 17)
+			a.writeXOR(0b110<<17|zz, 3+17, v)
 		case zz < 1<<20:
-			a.w.writeBits(0b1110, 4)
-			a.w.writeBits(zz, 20)
+			a.writeXOR(0b1110<<20|zz, 4+20, v)
 		default:
-			a.w.writeBits(0b1111, 4)
-			a.w.writeBits(zz, 64)
+			a.w.writeFields(0b1111, 4, zz, 64)
+			a.writeXOR(0, 0, v)
 		}
-		a.writeXOR(v)
 	}
 	a.t, a.v = t, v
 	a.count++
 }
 
-func (a *chunkAppender) writeXOR(v float64) {
+// writeXOR writes the n-bit (n ≤ 24) timestamp field dod, then v XORed
+// with the previous value.
+func (a *chunkAppender) writeXOR(dod uint64, n int, v float64) {
 	xor := math.Float64bits(v) ^ math.Float64bits(a.v)
 	if xor == 0 {
-		a.w.writeBit(0)
+		a.w.writeBits(dod<<1, n+1) // '0'
 		return
 	}
-	a.w.writeBit(1)
 	leading := uint8(bits.LeadingZeros64(xor))
 	trailing := uint8(bits.TrailingZeros64(xor))
 	// 5 bits cap the storable leading-zero count at 31.
@@ -231,17 +237,15 @@ func (a *chunkAppender) writeXOR(v float64) {
 		leading = 31
 	}
 	if a.leading != leadingUnset && leading >= a.leading && trailing >= a.trailing {
-		a.w.writeBit(0)
-		a.w.writeBits(xor>>a.trailing, 64-int(a.leading)-int(a.trailing))
+		// '10', then the meaningful bits in the previous window.
+		a.w.writeFields(dod<<2|0b10, n+2, xor>>a.trailing, 64-int(a.leading)-int(a.trailing))
 		return
 	}
 	a.leading, a.trailing = leading, trailing
 	sig := 64 - int(leading) - int(trailing)
-	a.w.writeBit(1)
-	a.w.writeBits(uint64(leading), 5)
-	// sig is in [1,64]; 64 is stored as 0.
-	a.w.writeBits(uint64(sig&63), 6)
-	a.w.writeBits(xor>>trailing, sig)
+	// '11', 5 bits of leading zeros and 6 of count (sig is in [1,64]; 64 is
+	// stored as 0), then the meaningful bits.
+	a.w.writeFields(dod<<13|0b11<<11|uint64(leading)<<6|uint64(sig&63), n+13, xor>>trailing, sig)
 }
 
 // seal freezes the appender into an immutable chunk.

@@ -1,8 +1,10 @@
 package tsdb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -48,6 +50,123 @@ func sampleExact(t *testing.T, got, want []Sample) {
 		if math.Float64bits(got[i].V) != math.Float64bits(want[i].V) {
 			t.Fatalf("sample %d: v bits %016x want %016x", i,
 				math.Float64bits(got[i].V), math.Float64bits(want[i].V))
+		}
+	}
+}
+
+// refEncode writes the stream layout of chunk.go's header comment one bit
+// at a time, each field on its own, as the encoder did before it wrote
+// whole fields: the encoder's bytes must equal these.
+func refEncode(samples []Sample) []byte {
+	var out []byte
+	nbits := 0
+	put := func(v uint64, n int) {
+		for i := n - 1; i >= 0; i-- {
+			if nbits%8 == 0 {
+				out = append(out, 0)
+			}
+			if v>>uint(i)&1 == 1 {
+				out[len(out)-1] |= 1 << (7 - nbits%8)
+			}
+			nbits++
+		}
+	}
+	uvarint := func(v uint64) {
+		for _, b := range binary.AppendUvarint(nil, v) {
+			put(uint64(b), 8)
+		}
+	}
+	var prev Sample
+	var delta uint64
+	leading, trailing := -1, 0 // no window yet
+	for i, s := range samples {
+		switch i {
+		case 0:
+			uvarint(zigzag(s.T))
+			put(math.Float64bits(s.V), 64)
+			prev = s
+			continue
+		case 1:
+			delta = uint64(s.T - prev.T)
+			uvarint(delta)
+		default:
+			d := uint64(s.T - prev.T)
+			dod := int64(d) - int64(delta)
+			delta = d
+			zz := zigzag(dod)
+			switch {
+			case dod == 0:
+				put(0, 1)
+			case zz < 1<<14:
+				put(0b10, 2)
+				put(zz, 14)
+			case zz < 1<<17:
+				put(0b110, 3)
+				put(zz, 17)
+			case zz < 1<<20:
+				put(0b1110, 4)
+				put(zz, 20)
+			default:
+				put(0b1111, 4)
+				put(zz, 64)
+			}
+		}
+		xor := math.Float64bits(s.V) ^ math.Float64bits(prev.V)
+		prev = s
+		if xor == 0 {
+			put(0, 1)
+			continue
+		}
+		put(1, 1)
+		lead, trail := min(bits.LeadingZeros64(xor), 31), bits.TrailingZeros64(xor)
+		if leading >= 0 && lead >= leading && trail >= trailing {
+			put(0, 1)
+			put(xor>>uint(trailing), 64-leading-trailing)
+			continue
+		}
+		leading, trailing = lead, trail
+		put(1, 1)
+		put(uint64(lead), 5)
+		put(uint64((64-lead-trail)&63), 6)
+		put(xor>>uint(trail), 64-lead-trail)
+	}
+	return out
+}
+
+// TestChunkEncodingMatchesBitwiseReference requires the encoder's bytes to
+// equal refEncode's on every shape the round-trip tests use, so chunks,
+// checkpoints and their sizes are the same whichever writer made them.
+func TestChunkEncodingMatchesBitwiseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	shapes := []struct {
+		name string
+		next func(i int, prev Sample) Sample
+	}{
+		{"regular gauge", func(i int, _ Sample) Sample {
+			return Sample{T: int64(i) * 15000, V: 20 + math.Sin(float64(i)/10)}
+		}},
+		{"integer counter", func(i int, p Sample) Sample {
+			return Sample{T: int64(i) * 30000, V: p.V + float64(rng.Intn(25))}
+		}},
+		{"constant", func(i int, _ Sample) Sample { return Sample{T: int64(i) * 60000, V: 42.5} }},
+		{"jitter and gaps", func(_ int, p Sample) Sample {
+			step := []int64{1, 15000 + rng.Int63n(100), 3600_000, 1 + rng.Int63n(1<<21), 1 << 40}[rng.Intn(5)]
+			return Sample{T: p.T + step, V: rng.NormFloat64() * 1e6}
+		}},
+		{"full-entropy bits", func(_ int, p Sample) Sample {
+			return Sample{T: p.T + 1 + rng.Int63n(1000), V: math.Float64frombits(rng.Uint64())}
+		}},
+	}
+	for _, sh := range shapes {
+		samples := []Sample{{T: -50000, V: 0}}
+		for i := 1; i < 3*chunkCapacity; i++ {
+			samples = append(samples, sh.next(i, samples[i-1]))
+		}
+		for n := 1; n <= len(samples); n += 1 + n/3 {
+			got, want := encodeChunk(samples[:n]).data, refEncode(samples[:n])
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s, %d samples: encoder wrote %x, reference %x", sh.name, n, got, want)
+			}
 		}
 	}
 }
@@ -212,5 +331,8 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		}
 		got := roundTrip(t, samples)
 		sampleExact(t, got, samples)
+		if enc, ref := encodeChunk(samples).data, refEncode(samples); !bytes.Equal(enc, ref) {
+			t.Fatalf("encoder wrote %x, reference %x", enc, ref)
+		}
 	})
 }
