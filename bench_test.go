@@ -560,6 +560,45 @@ func BenchmarkQueryRange(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryRangeWide measures write_read's reader query in process:
+// a rate aggregation over 2 000 counters (40 instances × 50 UEs, sampled
+// every second for 15 minutes), 200 steps of 3 s over the last 10 minutes.
+func BenchmarkQueryRangeWide(b *testing.B) {
+	db := tsdb.New()
+	base := time.Date(2026, 7, 6, 10, 0, 0, 0, time.UTC)
+	const instances, ues, seconds = 40, 50, 15 * 60
+	for g := 0; g < instances; g++ {
+		for u := 0; u < ues; u++ {
+			ls := tsdb.NewLabels(
+				tsdb.Label{Name: tsdb.MetricNameLabel, Value: "bench_dl_bytes_total"},
+				tsdb.Label{Name: "job", Value: "bench"},
+				tsdb.Label{Name: "instance", Value: fmt.Sprintf("gnb-%02d", g)},
+				tsdb.Label{Name: "ue", Value: fmt.Sprintf("ue-%04d", g*ues+u)},
+			)
+			v := 0.0
+			for s := 0; s < seconds; s++ {
+				v += float64((s*7 + u*13 + g) % 1500)
+				if err := db.Append(ls, base.Add(time.Duration(s)*time.Second).UnixMilli(), v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	end := base.Add((seconds - 1) * time.Second)
+	start := end.Add(-199 * 3 * time.Second)
+	eng := promql.NewEngine(db, promql.DefaultEngineOptions())
+	ctx := context.Background()
+	const q = "sum by (instance) (rate(bench_dl_bytes_total[1m]))"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := eng.QueryRange(ctx, q, start, end, 3*time.Second)
+		if err != nil || len(m) != instances {
+			b.Fatalf("%d series, %v", len(m), err)
+		}
+	}
+}
+
 // dashboardQueries are the six query_range shapes of bench/'s dashboard
 // workload, each asked for 200 steps of 36 s over the 2 h trace.
 var dashboardQueries = []string{

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -137,5 +138,26 @@ func TestWriteEndpointRejectsBadPayload(t *testing.T) {
 	}
 	if got := st.DB().NumSamples(); got != 0 {
 		t.Fatalf("rejected payloads stored %d samples", got)
+	}
+}
+
+// TestWriteBodyNotSizedByHeader: a push that declares the full 64 MiB
+// Content-Length but sends only a few bytes is refused without the server
+// allocating anything near the declared size.
+func TestWriteBodyNotSizedByHeader(t *testing.T) {
+	h, _ := newWriteServer(t)
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/write", strings.NewReader("DWR1"))
+	req.Header.Set("Content-Type", ingest.ContentTypeBinary)
+	req.ContentLength = 64 << 20
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("allocated %d bytes for a 4-byte body, want < %d", got, 1<<20)
 	}
 }

@@ -10,6 +10,7 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -18,6 +19,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 
 	"dio/internal/tsdb"
 )
@@ -279,15 +281,32 @@ func DecodeJSON(r io.Reader) ([]TimeSeries, error) {
 	return out, nil
 }
 
-// DecodeWriteRequest dispatches on the request content type.
+// bodyPool recycles binary request bodies across pushes. DecodeBinary
+// copies out every byte it keeps, so a body's buffer is free again as soon
+// as it returns.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody bounds the buffers kept for reuse: one outsized push does
+// not pin its buffer.
+const maxPooledBody = 4 << 20
+
+// DecodeWriteRequest dispatches on the request content type. A binary
+// body is read into a reused buffer, which grows with the bytes actually
+// received, never ahead of them.
 func DecodeWriteRequest(r io.Reader, contentType string) ([]TimeSeries, error) {
 	switch contentType {
 	case ContentTypeBinary:
-		raw, err := io.ReadAll(r)
-		if err != nil {
+		buf := bodyPool.Get().(*bytes.Buffer)
+		defer func() {
+			if buf.Cap() <= maxPooledBody {
+				buf.Reset()
+				bodyPool.Put(buf)
+			}
+		}()
+		if _, err := buf.ReadFrom(r); err != nil {
 			return nil, err
 		}
-		return DecodeBinary(raw)
+		return DecodeBinary(buf.Bytes())
 	case ContentTypeJSON, "":
 		return DecodeJSON(r)
 	default:

@@ -1,7 +1,12 @@
 package ingest
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -46,6 +51,23 @@ func TestPushAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}))
+	// Reading the body reuses a buffer: a push costs what decoding it
+	// costs, plus less than a quarter of the body (io.ReadAll's doubling
+	// cost about twice the body).
+	decoded := bytesPerPush(func() {
+		if _, err := DecodeBinary(raw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	read := bytesPerPush(func() {
+		if _, err := DecodeWriteRequest(bytes.NewReader(raw), ContentTypeBinary); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("DecodeWriteRequest: %.0f bytes per push, DecodeBinary %.0f, body %d", read, decoded, len(raw))
+	if limit := decoded + float64(len(raw))/4; read > limit {
+		t.Errorf("DecodeWriteRequest allocates %.0f bytes per push, ceiling %.0f", read, limit)
+	}
 
 	w, err := OpenWAL(t.TempDir(), WALOptions{})
 	if err != nil {
@@ -77,6 +99,36 @@ func TestPushAllocations(t *testing.T) {
 	}
 	push()
 	ceiling("Store.Append", 200, testing.AllocsPerRun(10, push))
+}
+
+// bytesPerPush is the mean heap allocation of one call of push, after a
+// warming call.
+func bytesPerPush(push func()) float64 {
+	const runs = 10
+	push()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		push()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestDecodeWriteRequestKeepsLimitError: a body over the reader's limit
+// fails with http.MaxBytesError itself, which the write endpoint answers
+// with 413, and the reused buffer serves the next push whole.
+func TestDecodeWriteRequestKeepsLimitError(t *testing.T) {
+	raw := EncodeBinary(pushBatch(100, 1000))
+	body := http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(raw)), int64(len(raw)/2))
+	_, err := DecodeWriteRequest(body, ContentTypeBinary)
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		t.Fatalf("error %v, want *http.MaxBytesError", err)
+	}
+	if _, err := DecodeWriteRequest(bytes.NewReader(raw), ContentTypeBinary); err != nil {
+		t.Fatalf("a body within the limit after one over it: %v", err)
+	}
 }
 
 // TestStoredLabelsOutliveTheRequest: a decoded request's label sets are

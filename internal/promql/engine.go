@@ -363,8 +363,14 @@ func (e *Engine) QueryRangeExpr(ctx context.Context, expr Expr, start, end time.
 }
 
 // dropName removes __name__, as Prometheus does for any operation that
-// changes the meaning of a series' values.
-func dropName(ls tsdb.Labels) tsdb.Labels { return ls.Without(tsdb.MetricNameLabel) }
+// changes the meaning of a series' values. Label sets are immutable, so
+// one without a name is returned as is.
+func dropName(ls tsdb.Labels) tsdb.Labels {
+	if ls.Get(tsdb.MetricNameLabel) == "" {
+		return ls
+	}
+	return ls.Without(tsdb.MetricNameLabel)
+}
 
 func parseLE(s string) (float64, error) {
 	if s == "+Inf" || s == "inf" || s == "Inf" {
@@ -473,7 +479,7 @@ func vectorScalarOp(al *alloc, n *BinaryExpr, vec Vector, scalar float64, swappe
 			}
 			v = s.V
 		}
-		out = append(out, VSample{Labels: al.dropName(s.Labels), T: ts, V: v})
+		out = append(out, VSample{Labels: dropName(s.Labels), T: ts, V: v})
 	}
 	return out
 }
@@ -542,7 +548,7 @@ func evalVectorVector(al *alloc, n *BinaryExpr, l, r Vector, ts int64) (Value, e
 			}
 			v = lv
 		}
-		ls := al.dropName(s.Labels)
+		ls := dropName(s.Labels)
 		if n.Matching != nil && n.Matching.On && card == CardOneToOne {
 			ls = ls.Keep(n.Matching.MatchingLabels...)
 		}
@@ -556,7 +562,7 @@ func evalVectorVector(al *alloc, n *BinaryExpr, l, r Vector, ts int64) (Value, e
 		}
 		out = append(out, VSample{Labels: ls, T: ts, V: v})
 	}
-	al.sortVec(out)
+	out.Sort()
 	return out, nil
 }
 
@@ -599,7 +605,7 @@ func evalSetOp(al *alloc, n *BinaryExpr, l, r Vector) Vector {
 				out = append(out, s)
 			}
 		}
-		al.sortVec(out)
+		out.Sort()
 		return out
 	}
 	return nil

@@ -37,7 +37,9 @@ package promql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,6 +82,134 @@ type execState struct {
 	// peakIntermediate collects the max pooled-intermediate high-water
 	// mark across the execution's allocs (RangeStats.PeakIntermediateBytes).
 	peakIntermediate atomic.Int64
+
+	// ids holds each operator's identity table (by statsIdx), built before
+	// a range query's partitions start; all nil for instant queries.
+	ids []*idTable
+}
+
+// idTable is one operator's output identities for one execution: row i's
+// labels, key and rank in key order. An instant scan has a row per series,
+// a range function over a matrix scan a row per name-dropped series, an
+// aggregation a row per group and, in group, each input row's group. In
+// cursor mode samples carry 1 + their row (VSample.pos), so consumers read
+// labels, keys and order here instead of deriving them at every step.
+type idTable struct {
+	labels []tsdb.Labels
+	keys   []string
+	rank   []int32
+	group  []int32
+	in     *idTable // an aggregation's input table
+}
+
+// newRowTable builds a scan's table, with the metric name dropped or not.
+// It returns nil when dropping the name gives two series one key: such
+// outputs keep the label path.
+func newRowTable(series []tsdb.SeriesView, drop bool) *idTable {
+	t := &idTable{labels: make([]tsdb.Labels, len(series)), keys: make([]string, len(series))}
+	for i, sv := range series {
+		t.labels[i], t.keys[i] = sv.Labels, sv.Fingerprint
+		if drop {
+			t.labels[i] = dropName(sv.Labels)
+			t.keys[i] = t.labels[i].Key()
+		}
+	}
+	if !t.rankKeys() {
+		return nil
+	}
+	return t
+}
+
+// newGroupTable builds an aggregation's table over its input's.
+func newGroupTable(n *AggregateExpr, in *idTable) *idTable {
+	t := &idTable{group: make([]int32, len(in.labels)), in: in}
+	idx := make(map[string]int32)
+	for i, ls := range in.labels {
+		gl := groupLabels(n, ls)
+		key := gl.Key()
+		g, ok := idx[key]
+		if !ok {
+			g = int32(len(t.keys))
+			idx[key] = g
+			t.labels = append(t.labels, gl)
+			t.keys = append(t.keys, key)
+		}
+		t.group[i] = g
+	}
+	t.rankKeys() // group keys are distinct
+	return t
+}
+
+// rankKeys fills rank, reporting false when two rows share a key.
+func (t *idTable) rankKeys() bool {
+	order := make([]int32, len(t.keys))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(t.keys[a], t.keys[b]) })
+	t.rank = make([]int32, len(order))
+	for r, i := range order {
+		if r > 0 && t.keys[order[r-1]] == t.keys[i] {
+			return false
+		}
+		t.rank[i] = int32(r)
+	}
+	return true
+}
+
+// sortByRank sorts v, whose samples all carry rows of t, into key order,
+// comparing integers and only when the rows come out of order.
+func (t *idTable) sortByRank(v Vector) {
+	byRank := func(a, b VSample) int { return int(t.rank[a.pos-1]) - int(t.rank[b.pos-1]) }
+	if !slices.IsSortedFunc(v, byRank) {
+		slices.SortFunc(v, byRank)
+	}
+}
+
+// buildIDs builds the identity tables of op's subtree, inputs first.
+func (st *execState) buildIDs(op physOp) {
+	for _, k := range opKids(op) {
+		st.buildIDs(k)
+	}
+	switch o := op.(type) {
+	case *pScan:
+		st.ids[o.sx] = newRowTable(st.series[o.scanIdx], false)
+	case *pRangeFunc:
+		if m, ok := o.arg.(*pMatrix); ok {
+			st.ids[o.sx] = newRowTable(st.series[m.scanIdx], true)
+		}
+	case *pAgg:
+		if in := st.posTable(o.child); in != nil {
+			st.ids[o.sx] = newGroupTable(o.ast, in)
+		}
+	}
+}
+
+// posTable returns the table whose rows op's output samples carry, or nil
+// when they carry none: topk and bottomk pass their input's rows through,
+// and count_values makes new label sets.
+func (st *execState) posTable(op physOp) *idTable {
+	switch o := op.(type) {
+	case *pScan, *pRangeFunc:
+		return st.ids[op.statsIdx()]
+	case *pAgg:
+		switch o.ast.Op {
+		case AggTopK, AggBottomK:
+			return st.posTable(o.child)
+		case AggCountValues:
+			return nil
+		}
+		return st.ids[o.sx]
+	}
+	return nil
+}
+
+// sampleKey is s's label key: its row's when s carries a row of t.
+func (st *execState) sampleKey(t *idTable, s VSample) string {
+	if t != nil && s.pos > 0 {
+		return t.keys[s.pos-1]
+	}
+	return st.keyOf(s.Labels)
 }
 
 // newExecState prefetches every scan of the plan for an evaluation range
@@ -93,6 +223,7 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState
 		services:   make([]int64, len(cp.plan.scans)),
 		workers:    e.opts.ExecWorkers,
 		opStats:    make([]opSlot, len(cp.stats)),
+		ids:        make([]*idTable, len(cp.stats)),
 	}
 	st.series = e.db.SelectBatch(cp.plan.selectHints(startMs, endMs))
 	for _, views := range st.series {
@@ -192,7 +323,7 @@ type part struct {
 func (st *execState) newCursorPart(ctx context.Context) *part {
 	p := &part{st: st, ctx: ctx, cursors: make([]useCursor, st.cp.nCursors)}
 	if !st.eng.noArena {
-		p.al = getAlloc(st.keys)
+		p.al = allocPool.Get().(*alloc)
 	}
 	return p
 }
@@ -212,25 +343,14 @@ func (st *execState) newInstantPart(ctx context.Context) *part {
 // eval runs one operator, enforcing cancellation at every node, and
 // accumulates the operator's call count and output series into its
 // pre-sized slot — atomics only, no allocation, and never a change to
-// the value flowing through. Wall time is sampled (every
-// statsTimeEvery-th call per operator, the first included) and scaled
-// back up by buildOp: on hosts without a cheap monotonic clock a per-call
-// time.Now pair alone cost 16% on the dashboard mix.
+// the value flowing through.
 func (p *part) eval(op physOp, ts int64) (Value, error) {
 	if err := p.ctx.Err(); err != nil {
 		return nil, err
 	}
-	sl := &p.st.opStats[op.statsIdx()]
-	if (atomic.AddInt64(&sl.calls, 1)-1)&(statsTimeEvery-1) != 0 {
-		v, err := op.exec(p, ts)
-		sl.noteValue(v)
-		return v, err
-	}
-	begin := time.Now()
+	begin := p.enter(op.statsIdx())
 	v, err := op.exec(p, ts)
-	atomic.AddInt64(&sl.wallNs, int64(time.Since(begin)))
-	atomic.AddInt64(&sl.timed, 1)
-	sl.noteValue(v)
+	p.leave(op.statsIdx(), begin, seriesIn(v))
 	return v, err
 }
 
@@ -242,17 +362,9 @@ func (p *part) evalVec(op vecExecer, ts int64) (Vector, error) {
 	if err := p.ctx.Err(); err != nil {
 		return nil, err
 	}
-	sl := &p.st.opStats[op.statsIdx()]
-	if (atomic.AddInt64(&sl.calls, 1)-1)&(statsTimeEvery-1) != 0 {
-		v, err := op.execVec(p, ts)
-		atomic.AddInt64(&sl.series, int64(len(v)))
-		return v, err
-	}
-	begin := time.Now()
+	begin := p.enter(op.statsIdx())
 	v, err := op.execVec(p, ts)
-	atomic.AddInt64(&sl.wallNs, int64(time.Since(begin)))
-	atomic.AddInt64(&sl.timed, 1)
-	atomic.AddInt64(&sl.series, int64(len(v)))
+	p.leave(op.statsIdx(), begin, len(v))
 	return v, err
 }
 
@@ -262,18 +374,32 @@ func (p *part) window(op windowOp, ts int64) (Matrix, int64, int64, error) {
 	if err := p.ctx.Err(); err != nil {
 		return nil, 0, 0, err
 	}
-	sl := &p.st.opStats[op.statsIdx()]
-	if (atomic.AddInt64(&sl.calls, 1)-1)&(statsTimeEvery-1) != 0 {
-		m, start, end, err := op.window(p, ts)
-		atomic.AddInt64(&sl.series, int64(len(m)))
-		return m, start, end, err
-	}
-	begin := time.Now()
+	begin := p.enter(op.statsIdx())
 	m, start, end, err := op.window(p, ts)
-	atomic.AddInt64(&sl.wallNs, int64(time.Since(begin)))
-	atomic.AddInt64(&sl.timed, 1)
-	atomic.AddInt64(&sl.series, int64(len(m)))
+	p.leave(op.statsIdx(), begin, len(m))
 	return m, start, end, err
+}
+
+// enter counts one call of the operator in slot sx. Wall time is sampled
+// (every statsTimeEvery-th call per operator, the first included): enter
+// returns the start time of a timed call and the zero time otherwise, and
+// buildOp scales the sum back up. On hosts without a cheap monotonic
+// clock a per-call time.Now pair alone cost 16% on the dashboard mix.
+func (p *part) enter(sx int) time.Time {
+	if (atomic.AddInt64(&p.st.opStats[sx].calls, 1)-1)&(statsTimeEvery-1) != 0 {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// leave closes a call opened by enter, adding its output series.
+func (p *part) leave(sx int, begin time.Time, series int) {
+	sl := &p.st.opStats[sx]
+	if !begin.IsZero() {
+		atomic.AddInt64(&sl.wallNs, int64(time.Since(begin)))
+		atomic.AddInt64(&sl.timed, 1)
+	}
+	atomic.AddInt64(&sl.series, int64(series))
 }
 
 // noteSamples attributes stored samples to the scan operator that
@@ -328,27 +454,10 @@ func (p *part) vector(op physOp, ts int64) (Vector, error) {
 	return vec, nil
 }
 
-// keyOf resolves a label set's canonical key: stored series labels
-// resolve to their cached fingerprint, fresh label sets compute it. Parts
-// with an arena also hit its derived-label key cache (same strings, no
-// rebuild).
-func (p *part) keyOf(ls tsdb.Labels) string {
-	if p.al != nil {
-		return p.al.keyFor(ls)
-	}
-	if len(ls) == 0 {
-		return ls.Key()
-	}
-	if k, ok := p.st.keys[labelsRef{&ls[0], len(ls)}]; ok {
-		return k
-	}
-	return ls.Key()
-}
-
 // instant serves a selector read at adjusted timestamp ts, stamping
-// samples with outT — cursor-based when the part owns cursors, stateless
-// binary search otherwise. Results are in fingerprint order because the
-// prefetch is.
+// samples with outT — cursor-based when the part owns cursors (samples
+// then carry their scan position), stateless binary search otherwise.
+// Results are in fingerprint order because the prefetch is.
 func (p *part) instant(scanIdx, cur int, ts, outT int64) Vector {
 	series := p.st.series[scanIdx]
 	atomic.AddInt64(&p.st.services[scanIdx], 1)
@@ -374,7 +483,7 @@ func (p *part) instant(scanIdx, cur int, ts, outT int64) Vector {
 			if smp.T < ts-lookback {
 				continue
 			}
-			out = append(out, VSample{Labels: sv.Labels, T: outT, V: smp.V})
+			out = append(out, VSample{Labels: sv.Labels, T: outT, V: smp.V, pos: int32(i + 1)})
 		}
 		return out
 	}
@@ -392,35 +501,13 @@ func (p *part) instant(scanIdx, cur int, ts, outT int64) Vector {
 	return out
 }
 
-// windows serves a matrix window (start, end] plus total sample count.
-func (p *part) windows(scanIdx, cur int, start, end int64) (Matrix, int) {
+// windows serves a matrix window (start, end] plus total sample count by
+// binary search; range queries read windows off the cursors (seek).
+func (p *part) windows(scanIdx int, start, end int64) (Matrix, int) {
 	series := p.st.series[scanIdx]
 	atomic.AddInt64(&p.st.services[scanIdx], 1)
 	out := p.al.mat(len(series))
 	total := 0
-	if p.cursors != nil {
-		cu := &p.cursors[cur]
-		if cu.lo == nil {
-			cu.lo = make([]int, len(series))
-			cu.hi = make([]int, len(series))
-		}
-		scan := cu.winPos && start >= cu.winStart && end >= cu.winEnd
-		if cu.winPos && !scan {
-			p.st.resets.Add(1)
-		}
-		cu.winStart, cu.winEnd, cu.winPos = start, end, true
-		for i, sv := range series {
-			lo := seekAfter(sv.Samples, cu.lo[i], start, scan)
-			hi := seekAfter(sv.Samples, cu.hi[i], end, scan)
-			cu.lo[i], cu.hi[i] = lo, hi
-			if hi <= lo {
-				continue
-			}
-			out = append(out, MSeries{Labels: sv.Labels, Samples: sv.Samples[lo:hi]})
-			total += hi - lo
-		}
-		return out, total
-	}
 	for _, sv := range series {
 		lo := seekAfter(sv.Samples, 0, start, false)
 		hi := seekAfter(sv.Samples, 0, end, false)
@@ -431,6 +518,34 @@ func (p *part) windows(scanIdx, cur int, start, end int64) (Matrix, int) {
 		total += hi - lo
 	}
 	return out, total
+}
+
+// seek advances a matrix scan's window cursors to (start, end]: series
+// i's window is then Samples[cu.lo[i]:cu.hi[i]]. It returns how many
+// series have samples in the window and how many samples they hold.
+func (p *part) seek(scanIdx, cur int, start, end int64) (n, total int) {
+	series := p.st.series[scanIdx]
+	atomic.AddInt64(&p.st.services[scanIdx], 1)
+	cu := &p.cursors[cur]
+	if cu.lo == nil {
+		cu.lo = make([]int, len(series))
+		cu.hi = make([]int, len(series))
+	}
+	scan := cu.winPos && start >= cu.winStart && end >= cu.winEnd
+	if cu.winPos && !scan {
+		p.st.resets.Add(1)
+	}
+	cu.winStart, cu.winEnd, cu.winPos = start, end, true
+	for i, sv := range series {
+		lo := seekAfter(sv.Samples, cu.lo[i], start, scan)
+		hi := seekAfter(sv.Samples, cu.hi[i], end, scan)
+		cu.lo[i], cu.hi[i] = lo, hi
+		if hi > lo {
+			n++
+			total += hi - lo
+		}
+	}
+	return n, total
 }
 
 // rangeFuncParallel fans one range function out across series chunks,
@@ -559,6 +674,7 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 
 	nparts := numPartitions(len(steps), st.workers)
 	accs := make([]*rangeAcc, nparts)
+	st.buildIDs(cp.root)
 	if nparts <= 1 {
 		p := st.newCursorPart(ctx)
 		accs[0] = newRangeAcc()
@@ -611,11 +727,12 @@ func newRangeAcc() *rangeAcc {
 	return &rangeAcc{acc: make(map[string]*MSeries)}
 }
 
-// foldVec appends one step vector's samples. Labels are adopted by
-// reference — label slices are never pooled, so they outlive the batch.
-func (a *rangeAcc) foldVec(p *part, vec Vector, ts int64) {
+// foldVec appends one step vector's samples, keyed by their rows of the
+// root's table ids. Labels are adopted by reference — label slices are
+// never pooled, so they outlive the batch.
+func (a *rangeAcc) foldVec(st *execState, ids *idTable, vec Vector, ts int64) {
 	for _, s := range vec {
-		key := p.keyOf(s.Labels)
+		key := st.sampleKey(ids, s)
 		ms, ok := a.acc[key]
 		if !ok {
 			ms = &MSeries{Labels: s.Labels}
@@ -638,7 +755,9 @@ func (a *rangeAcc) foldScalar(v float64, ts int64) {
 	ms.Samples = append(ms.Samples, tsdb.Sample{T: ts, V: v})
 }
 
-// keyOf on the shared state (assembly runs after all partitions joined).
+// keyOf resolves a label set's canonical key: stored series labels
+// resolve to their cached fingerprint, fresh label sets compute it. The
+// cache is read-only once the execution starts, so partitions share it.
 func (st *execState) keyOf(ls tsdb.Labels) string {
 	if len(ls) == 0 {
 		return ls.Key()
@@ -654,13 +773,14 @@ func (st *execState) keyOf(ls tsdb.Labels) string {
 func (p *part) runSpan(root physOp, steps []int64, lo, hi int, acc *rangeAcc) stepError {
 	batch := p.st.eng.batch
 	ve, _ := root.(vecExecer)
+	ids := p.st.posTable(root)
 	for b0 := lo; b0 < hi; b0 += batch {
 		b1 := b0 + batch
 		if b1 > hi {
 			b1 = hi
 		}
 		for i := b0; i < b1; i++ {
-			if err := p.runStep(root, ve, steps[i], acc); err != nil {
+			if err := p.runStep(root, ve, ids, steps[i], acc); err != nil {
 				return stepError{idx: i, err: err}
 			}
 		}
@@ -672,7 +792,7 @@ func (p *part) runSpan(root physOp, steps []int64, lo, hi int, acc *rangeAcc) st
 // runStep evaluates one step with a fresh per-step sample budget and folds
 // the result straight into the partition accumulator (no per-range value
 // buffer; vector roots with a vecExecer skip the interface box entirely).
-func (p *part) runStep(root physOp, ve vecExecer, ts int64, acc *rangeAcc) error {
+func (p *part) runStep(root physOp, ve vecExecer, ids *idTable, ts int64, acc *rangeAcc) error {
 	p.samples = 0
 	var vec Vector
 	var v Value
@@ -690,12 +810,12 @@ func (p *part) runStep(root physOp, ve vecExecer, ts int64, acc *rangeAcc) error
 		return err
 	}
 	if ve != nil {
-		acc.foldVec(p, vec, ts)
+		acc.foldVec(p.st, ids, vec, ts)
 		return nil
 	}
 	switch x := v.(type) {
 	case Vector:
-		acc.foldVec(p, x, ts)
+		acc.foldVec(p.st, ids, x, ts)
 	case Scalar:
 		acc.foldScalar(x.V, ts)
 	default:

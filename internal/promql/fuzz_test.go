@@ -73,6 +73,17 @@ func FuzzParsePlanEval(f *testing.F) {
 	f.Add("topk(2, smf_pdu_session_active)")
 	f.Add("count by (nf) (amfcc_n1_auth_request)")
 	f.Add("avg(smf_pdu_session_active) + topk(1, smf_pdu_session_active)")
+	// TestWideEquivalence's shapes: aggregations over range functions and
+	// selectors, by and without, and a selector over two names whose name
+	// drop reorders the series.
+	f.Add("sum without (instance) (rate(amfcc_n1_auth_request[5m]))")
+	f.Add("topk by (nf) (1, rate(amfcc_n1_auth_request[5m]))")
+	f.Add("bottomk(1, sum by (instance) (rate(amfcc_n1_auth_request[5m])))")
+	f.Add(`count_values by (nf) ("v", rate(amfcc_n1_auth_request[5m]))`)
+	f.Add("quantile by (nf) (0.9, rate(amfcc_n1_auth_request[5m]))")
+	f.Add("max by (nf) (sum by (nf, instance) (rate(amfcc_n1_auth_request[5m])))")
+	f.Add(`avg by (instance) (rate({__name__=~"amfcc_n1_auth_request|smf_pdu_session_active"}[5m]))`)
+	f.Add(`topk(1, rate({__name__=~"amfcc_n1_auth_request|smf_pdu_session_active"}[5m]))`)
 
 	db, end := testDB(f)
 	base := DefaultEngineOptions()

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
 
 	"dio/internal/tsdb"
@@ -122,9 +123,9 @@ func applyRangeFunc(al *alloc, name string, matrix Matrix, start, end, ts int64,
 		if !ok {
 			continue
 		}
-		out = append(out, VSample{Labels: al.dropName(series.Labels), T: ts, V: v})
+		out = append(out, VSample{Labels: dropName(series.Labels), T: ts, V: v})
 	}
-	al.sortVec(out)
+	out.Sort()
 	return out, nil
 }
 
@@ -178,7 +179,7 @@ func applyVectorMath(al *alloc, name string, vec Vector, scalars []float64) Vect
 		if name == "timestamp" {
 			v = float64(s.T) / 1000
 		}
-		out = append(out, VSample{Labels: al.dropName(s.Labels), T: s.T, V: v})
+		out = append(out, VSample{Labels: dropName(s.Labels), T: s.T, V: v})
 	}
 	switch name {
 	case "sort":
@@ -255,18 +256,36 @@ func labelReplaceVector(al *alloc, vec Vector, re *regexp.Regexp, dst, repl, src
 
 // aggregateVector applies the aggregation described by n to an already
 // evaluated input vector. param/strParam are n.Param's evaluated scalar
-// or string value. Grouping labels and keys resolve through al's caches
-// (one derivation per stable input label set per query), and the group
-// accumulators live in al's reusable scratch slab.
-func aggregateVector(al *alloc, n *AggregateExpr, vec Vector, param float64, strParam string, ts int64) (Vector, error) {
+// or string value. When the input samples carry rows of ids' input table
+// (ids is the aggregation's table, exec.go), each sample's group is read
+// from ids; otherwise grouping labels and keys are derived from the
+// sample's labels. The group accumulators live in al's reusable scratch
+// slab.
+func aggregateVector(al *alloc, n *AggregateExpr, vec Vector, param float64, strParam string, ts int64, ids *idTable) (Vector, error) {
 	sc := al.aggScratchFor(len(vec))
+	if ids != nil && len(vec) > 0 && vec[0].pos > 0 {
+		sc.slot = append(sc.slot[:0], make([]int32, len(ids.keys))...)
+	} else {
+		ids = nil
+	}
 	for _, s := range vec {
-		gl, key := al.groupFor(n, s.Labels)
-		gi, ok := sc.idx[key]
-		if !ok {
-			gi = sc.addGroup(gl)
-			sc.idx[key] = gi
-			sc.order = append(sc.order, key)
+		var gi int
+		if ids != nil {
+			row := ids.group[s.pos-1]
+			if sc.slot[row] == 0 {
+				sc.slot[row] = int32(sc.addGroup(ids.labels[row], row+1)) + 1
+				sc.seq = append(sc.seq, sc.slot[row]-1)
+			}
+			gi = int(sc.slot[row] - 1)
+		} else {
+			gl := groupLabels(n, s.Labels)
+			key := gl.Key()
+			var ok bool
+			if gi, ok = sc.idx[key]; !ok {
+				gi = sc.addGroup(gl, 0)
+				sc.idx[key] = gi
+				sc.order = append(sc.order, key)
+			}
 		}
 		g := &sc.slab[gi]
 		if n.Op == AggCountValues {
@@ -276,11 +295,21 @@ func aggregateVector(al *alloc, n *AggregateExpr, vec Vector, param float64, str
 			g.elems = append(g.elems, s)
 		}
 	}
-	sort.Strings(sc.order)
+	if ids == nil {
+		sort.Strings(sc.order)
+		for _, key := range sc.order {
+			sc.seq = append(sc.seq, int32(sc.idx[key]))
+		}
+	} else {
+		byRank := func(a, b int32) int { return int(ids.rank[sc.slab[a].pos-1]) - int(ids.rank[sc.slab[b].pos-1]) }
+		if !slices.IsSortedFunc(sc.seq, byRank) {
+			slices.SortFunc(sc.seq, byRank)
+		}
+	}
 
 	out := al.vec(len(sc.slab))
-	for _, key := range sc.order {
-		g := &sc.slab[sc.idx[key]]
+	for _, gi := range sc.seq {
+		g := &sc.slab[gi]
 		switch n.Op {
 		case AggTopK, AggBottomK:
 			k := int(param)
@@ -297,7 +326,7 @@ func aggregateVector(al *alloc, n *AggregateExpr, vec Vector, param float64, str
 				elems = elems[:k]
 			}
 			for _, e := range elems {
-				out = append(out, VSample{Labels: e.Labels, T: ts, V: e.V})
+				out = append(out, VSample{Labels: e.Labels, T: ts, V: e.V, pos: e.pos})
 			}
 			continue
 		case AggCountValues:
@@ -364,9 +393,17 @@ func aggregateVector(al *alloc, n *AggregateExpr, vec Vector, param float64, str
 		default:
 			return nil, fmt.Errorf("promql: unhandled aggregation %s", n.Op)
 		}
-		out = append(out, VSample{Labels: g.labels, T: ts, V: v})
+		out = append(out, VSample{Labels: g.labels, T: ts, V: v, pos: g.pos})
 	}
-	al.sortVec(out)
+	// Groups come out in key order; topk, bottomk and count_values emit
+	// other label sets and sort them.
+	switch {
+	case n.Op != AggTopK && n.Op != AggBottomK && n.Op != AggCountValues:
+	case ids != nil && n.Op != AggCountValues:
+		ids.in.sortByRank(out)
+	default:
+		out.Sort()
+	}
 	return out, nil
 }
 

@@ -375,7 +375,7 @@ func (ev *evaluator) evalAggregate(n *AggregateExpr) (Value, error) {
 		}
 	}
 
-	return aggregateVector(nil, n, vec, param, strParam, ev.ts)
+	return aggregateVector(nil, n, vec, param, strParam, ev.ts, nil)
 }
 
 // --- binary operators ----------------------------------------------------

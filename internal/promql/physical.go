@@ -367,7 +367,7 @@ func (o *pNeg) exec(p *part, ts int64) (Value, error) {
 	case Vector:
 		out := p.al.vec(len(x))
 		for _, s := range x {
-			out = append(out, VSample{Labels: p.al.dropName(s.Labels), T: s.T, V: -s.V})
+			out = append(out, VSample{Labels: dropName(s.Labels), T: s.T, V: -s.V})
 		}
 		return out, nil
 	}
@@ -411,7 +411,7 @@ type pMatrix struct {
 func (o *pMatrix) window(p *part, ts int64) (Matrix, int64, int64, error) {
 	end := ts - o.offMs
 	start := end - o.rngMs
-	out, total := p.windows(o.scanIdx, o.cur, start, end)
+	out, total := p.windows(o.scanIdx, start, end)
 	p.noteSamples(o.sx, total)
 	if err := p.account(total); err != nil {
 		return nil, 0, 0, err
@@ -443,6 +443,7 @@ func (o *pSubquery) window(p *part, ts int64) (Matrix, int64, int64, error) {
 	}
 	acc := make(map[string]*MSeries)
 	var order []string
+	ids := p.st.posTable(o.child)
 	n := (end - start) / o.stepMs
 	for i := n; i >= 0; i-- {
 		t := end - i*o.stepMs
@@ -463,7 +464,7 @@ func (o *pSubquery) window(p *part, ts int64) (Matrix, int64, int64, error) {
 			return nil, 0, 0, fmt.Errorf("promql: subquery inner expression must be a vector or scalar")
 		}
 		for _, s := range vec {
-			key := p.keyOf(s.Labels)
+			key := p.st.sampleKey(ids, s)
 			ms, ok := acc[key]
 			if !ok {
 				ms = &MSeries{Labels: s.Labels}
@@ -503,6 +504,9 @@ func (o *pRangeFunc) exec(p *part, ts int64) (Value, error) {
 }
 
 func (o *pRangeFunc) execVec(p *part, ts int64) (Vector, error) {
+	if m, ok := o.arg.(*pMatrix); ok && p.cursors != nil {
+		return o.overCursor(p, m, ts)
+	}
 	matrix, start, end, err := p.window(o.arg, ts)
 	if err != nil {
 		return nil, err
@@ -518,6 +522,60 @@ func (o *pRangeFunc) execVec(p *part, ts int64) (Vector, error) {
 		return p.rangeFuncParallel(o.name, matrix, start, end, ts, scalarParam)
 	}
 	return applyRangeFunc(p.al, o.name, matrix, start, end, ts, scalarParam)
+}
+
+// overCursor is execVec over a matrix scan in cursor mode: each window is
+// read straight off its cursor, with no window matrix, and outputs carry
+// their scan position, so labels and order come from the identity table.
+// The scan's stats and sample budget are charged as pMatrix.window
+// charges them, before the kernel runs.
+func (o *pRangeFunc) overCursor(p *part, m *pMatrix, ts int64) (Vector, error) {
+	if err := p.ctx.Err(); err != nil {
+		return nil, err
+	}
+	end := ts - m.offMs
+	start := end - m.rngMs
+	begin := p.enter(m.sx)
+	n, total := p.seek(m.scanIdx, m.cur, start, end)
+	p.leave(m.sx, begin, n)
+	p.noteSamples(m.sx, total)
+	err := p.account(total)
+	if err != nil {
+		return nil, err
+	}
+	var scalarParam float64
+	if o.scalarArg != nil {
+		if scalarParam, err = p.scalar(o.scalarArg, ts); err != nil {
+			return nil, err
+		}
+	}
+	ids := p.st.ids[o.sx] // nil when the name drop makes keys collide
+	cu := &p.cursors[m.cur]
+	out := p.al.vec(n)
+	for i, sv := range p.st.series[m.scanIdx] {
+		lo, hi := cu.lo[i], cu.hi[i]
+		if hi <= lo {
+			continue
+		}
+		v, ok, err := rangeSeriesValue(p.al, o.name, sv.Samples[lo:hi], start, end, ts, scalarParam)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
+		if ids == nil {
+			out = append(out, VSample{Labels: dropName(sv.Labels), T: ts, V: v})
+		} else {
+			out = append(out, VSample{Labels: ids.labels[i], T: ts, V: v, pos: int32(i + 1)})
+		}
+	}
+	if ids == nil {
+		out.Sort()
+	} else {
+		ids.sortByRank(out)
+	}
+	return out, nil
 }
 
 // pVectorMath applies a simple vector→vector math function.
@@ -701,7 +759,7 @@ func (o *pAgg) execVec(p *part, ts int64) (Vector, error) {
 			return nil, err
 		}
 	}
-	return aggregateVector(p.al, o.ast, vec, param, o.strParam, ts)
+	return aggregateVector(p.al, o.ast, vec, param, o.strParam, ts, p.st.ids[o.sx])
 }
 
 // pBinary joins two operand batches. When both sides touch storage and

@@ -2,14 +2,15 @@ package promql
 
 // pool.go — the allocation layer of the streaming batched executor. Range
 // queries evaluate their steps in bounded batches (defaultBatchSize);
-// every intermediate container a batch produces — step vectors, window
-// matrices, merge scratch — is handed out by a per-partition alloc and
-// recycled wholesale when the batch has been folded into the partition's
-// accumulator. The arena discipline replaces a per-value ownership
-// protocol: nothing is reused while any value of the current batch can
-// still reference it, and the only data that outlives a batch — sample
-// values (copied by the fold) and label slices (never pooled) — is safe by
-// construction.
+// every intermediate container a batch produces — step vectors, subquery
+// window matrices, merge scratch — is handed out by a per-partition alloc
+// and recycled wholesale when the batch has been folded into the
+// partition's accumulator. The arena discipline replaces a per-value
+// ownership protocol: nothing is reused while any value of the current
+// batch can still reference it, and the only data that outlives a batch —
+// sample values (copied by the fold) and label slices (never pooled) — is
+// safe by construction. Range functions over a matrix selector build no
+// window matrix at all: they read each window off the partition's cursor.
 //
 // An alloc is single-goroutine: each cursor partition owns one. The alloc
 // structs themselves recycle across queries through a global sync.Pool (pointer-
@@ -17,16 +18,10 @@ package promql
 // queries allocation-free in steady state: the freelists survive from one
 // dashboard refresh to the next.
 //
-// The alloc also carries the per-partition label-derivation caches.
-// Stored series labels are immutable and live for the whole execution, so
-// name-dropping (rate, binary ops) and aggregation grouping resolve to the
-// same derived slice every step instead of rebuilding it; the derived
-// slices' Key() strings are cached alongside, which the fold and the
-// keyed sort consume. Caches only admit label slices that are themselves
-// stable (stored, or produced by a cache), so labels built fresh each step
-// cannot grow them without bound. Caches are cleared when the alloc is
-// released — label pointers must not leak across queries, where a
-// recycled slice address could alias a different series.
+// The arena derives no labels. Name drops, grouping labels and their keys
+// come once per query from the execution's position tables (idTable,
+// exec.go), which operators index by the scan position their samples
+// carry; shapes without one derive them from each sample's labels.
 //
 // Instant parts carry a nil alloc, on which every method falls back to
 // plain heap allocation; the tests run range queries that way too
@@ -108,68 +103,46 @@ func (f *freelist[T]) put(s []T) {
 	f.buckets[class] = append(f.buckets[class], s)
 }
 
-// groupCacheKey identifies one (aggregation node, input label slice) pair.
-// Aggregate AST nodes are owned by cached plans, so pointer identity is
-// stable for the engine's lifetime; the labels half is identified the same
-// way the fingerprint cache does.
-type groupCacheKey struct {
-	n   *AggregateExpr
-	ref labelsRef
-}
-
-type groupCacheEnt struct {
-	labels tsdb.Labels
-	key    string
-}
-
 // aggGroup is one reusable aggregation-group accumulator of the scratch
 // slab.
 type aggGroup struct {
 	labels tsdb.Labels
+	pos    int32 // 1 + the group's row in its identity table, or 0
 	vals   []float64
 	elems  Vector // for topk/bottomk/count_values
 }
 
 // aggScratch is the reusable working state of aggregateVector: the group
-// index, the insertion-ordered key list and the slab the group
-// accumulators live in (indices, not pointers — the slab may grow).
+// index (by key on the label path, by group row on the position path),
+// the groups' output order and the slab the group accumulators live in
+// (indices, not pointers — the slab may grow).
 type aggScratch struct {
 	idx   map[string]int
 	order []string
+	slot  []int32 // group row → slab index + 1 (position path)
+	seq   []int32 // slab indices in output order
 	slab  []aggGroup
 }
 
 // addGroup appends a group accumulator for gl, reusing a slab entry's
 // vals/elems capacity when one is available.
-func (sc *aggScratch) addGroup(gl tsdb.Labels) int {
+func (sc *aggScratch) addGroup(gl tsdb.Labels, pos int32) int {
 	if len(sc.slab) < cap(sc.slab) {
 		sc.slab = sc.slab[:len(sc.slab)+1]
 		g := &sc.slab[len(sc.slab)-1]
-		g.labels = gl
+		g.labels, g.pos = gl, pos
 		g.vals = g.vals[:0]
 		g.elems = g.elems[:0]
 	} else {
-		sc.slab = append(sc.slab, aggGroup{labels: gl})
+		sc.slab = append(sc.slab, aggGroup{labels: gl, pos: pos})
 	}
 	return len(sc.slab) - 1
 }
 
-// alloc is the per-partition arena allocator plus derivation caches. A nil
-// *alloc is valid everywhere and means "heap, uncached" — instant parts
-// and the test oracle run with nil.
+// alloc is the per-partition arena allocator. A nil *alloc is valid
+// everywhere and means "heap" — instant parts and the test oracle run
+// with nil.
 type alloc struct {
-	// shared is the execution's stored-series fingerprint cache
-	// (execState.keys) — read-only during evaluation, safe to share
-	// across partitions.
-	shared map[labelsRef]string
-	// derived maps label slices produced by the caches below to their
-	// precomputed Key() strings; the fold and keyed sorts hit it.
-	derived map[labelsRef]string
-	// drops caches dropName per stable input slice.
-	drops map[labelsRef]tsdb.Labels
-	// groups caches aggregation grouping labels per (node, input slice).
-	groups map[groupCacheKey]groupCacheEnt
-
 	freeV freelist[VSample]
 	freeM freelist[MSeries]
 	freeS freelist[string]
@@ -188,30 +161,11 @@ type alloc struct {
 	liveBytes int64
 	peakBytes int64
 
-	agg      aggScratch
-	sortKeys []string
-	// keyFn is the bound keyFor method, created once so keyed sorts do not
-	// allocate a closure per call.
-	keyFn func(tsdb.Labels) string
+	agg aggScratch
 }
 
 // allocPool recycles alloc structs — freelists included — across queries.
 var allocPool = sync.Pool{New: func() any { return new(alloc) }}
-
-// getAlloc leases an alloc bound to an execution's fingerprint cache.
-func getAlloc(shared map[labelsRef]string) *alloc {
-	al := allocPool.Get().(*alloc)
-	al.shared = shared
-	if al.derived == nil {
-		al.derived = make(map[labelsRef]string)
-		al.drops = make(map[labelsRef]tsdb.Labels)
-		al.groups = make(map[groupCacheKey]groupCacheEnt)
-	}
-	if al.keyFn == nil {
-		al.keyFn = al.keyFor
-	}
-	return al
-}
 
 // vec returns an empty Vector with capacity >= n.
 func (al *alloc) vec(n int) Vector {
@@ -316,8 +270,9 @@ func (al *alloc) reset() {
 }
 
 // release resets the arena one final time, reports the peak into the
-// execution's stats, clears the per-query caches (label pointers must not
-// alias across queries) and returns the alloc to the global pool.
+// execution's stats, drops every label and key reference (nothing may pin
+// or alias a finished query's series) and returns the alloc to the global
+// pool.
 func (al *alloc) release(st *execState) {
 	if al == nil {
 		return
@@ -327,10 +282,6 @@ func (al *alloc) release(st *execState) {
 		st.notePeakIntermediate(al.peakBytes)
 	}
 	al.peakBytes = 0
-	al.shared = nil
-	clear(al.derived)
-	clear(al.drops)
-	clear(al.groups)
 	clear(al.agg.idx)
 	for i := range al.agg.order {
 		al.agg.order[i] = ""
@@ -347,102 +298,11 @@ func (al *alloc) release(st *execState) {
 		g.vals = g.vals[:0]
 	}
 	al.agg.slab = al.agg.slab[:0]
-	for i := range al.sortKeys {
-		al.sortKeys[i] = ""
-	}
 	allocPool.Put(al)
 }
 
-// stable reports whether ref identifies a label slice with a stable
-// address for this execution: a stored series' labels, or a slice a
-// derivation cache produced. Only stable inputs are admitted to the
-// caches — fresh per-step slices would grow them without bound.
-func (al *alloc) stable(ref labelsRef) bool {
-	if _, ok := al.shared[ref]; ok {
-		return true
-	}
-	_, ok := al.derived[ref]
-	return ok
-}
-
-// keyFor resolves ls.Key() through the fingerprint and derived-key caches.
-func (al *alloc) keyFor(ls tsdb.Labels) string {
-	if len(ls) == 0 {
-		return ""
-	}
-	if al == nil {
-		return ls.Key()
-	}
-	ref := labelsRef{&ls[0], len(ls)}
-	if k, ok := al.shared[ref]; ok {
-		return k
-	}
-	if k, ok := al.derived[ref]; ok {
-		return k
-	}
-	return ls.Key()
-}
-
-// registerDerived caches a derived slice's canonical key.
-func (al *alloc) registerDerived(ls tsdb.Labels) {
-	if len(ls) == 0 {
-		return
-	}
-	ref := labelsRef{&ls[0], len(ls)}
-	if _, ok := al.derived[ref]; !ok {
-		al.derived[ref] = ls.Key()
-	}
-}
-
-// dropName is the cached form of the package-level dropName: stable inputs
-// resolve to one derived slice for the whole execution.
-func (al *alloc) dropName(ls tsdb.Labels) tsdb.Labels {
-	if al == nil || len(ls) == 0 {
-		return dropName(ls)
-	}
-	ref := labelsRef{&ls[0], len(ls)}
-	if d, ok := al.drops[ref]; ok {
-		return d
-	}
-	if !al.stable(ref) {
-		return dropName(ls)
-	}
-	d := dropName(ls)
-	al.drops[ref] = d
-	al.registerDerived(d)
-	return d
-}
-
-// groupFor resolves the aggregation grouping labels and their key for one
-// input sample, cached per (node, stable input slice).
-func (al *alloc) groupFor(n *AggregateExpr, ls tsdb.Labels) (tsdb.Labels, string) {
-	if !n.Without && len(n.Grouping) == 0 {
-		return nil, ""
-	}
-	if al == nil || len(ls) == 0 {
-		gl := groupLabels(n, ls)
-		return gl, gl.Key()
-	}
-	ck := groupCacheKey{n, labelsRef{&ls[0], len(ls)}}
-	if e, ok := al.groups[ck]; ok {
-		return e.labels, e.key
-	}
-	gl := groupLabels(n, ls)
-	key := gl.Key()
-	if al.stable(ck.ref) {
-		al.groups[ck] = groupCacheEnt{labels: gl, key: key}
-		if len(gl) > 0 {
-			ref := labelsRef{&gl[0], len(gl)}
-			if _, ok := al.derived[ref]; !ok {
-				al.derived[ref] = key
-			}
-		}
-	}
-	return gl, key
-}
-
 // groupLabels computes an aggregation's grouping labels for one input
-// label set (the uncached kernel both paths share).
+// label set.
 func groupLabels(n *AggregateExpr, ls tsdb.Labels) tsdb.Labels {
 	if n.Without {
 		drop := append([]string{tsdb.MetricNameLabel}, n.Grouping...)
@@ -455,7 +315,7 @@ func groupLabels(n *AggregateExpr, ls tsdb.Labels) tsdb.Labels {
 }
 
 // aggScratchFor returns cleared aggregation scratch — the alloc's reusable
-// instance, or a fresh heap one on the uncached path. aggregateVector
+// instance, or a fresh heap one on the nil-arena path. aggregateVector
 // never re-enters itself (operands are evaluated before the kernel runs),
 // so one instance per alloc suffices.
 func (al *alloc) aggScratchFor(sizeHint int) *aggScratch {
@@ -472,30 +332,7 @@ func (al *alloc) aggScratchFor(sizeHint int) *aggScratch {
 		sc.order[i] = ""
 	}
 	sc.order = sc.order[:0]
+	sc.seq = sc.seq[:0]
 	sc.slab = sc.slab[:0]
 	return sc
-}
-
-// sortVec sorts v by label key using the cached keys where available —
-// the planner path's equivalent of Vector.Sort, byte-identical because the
-// cached keys equal the computed ones and the sort algorithm is shared.
-func (al *alloc) sortVec(v Vector) {
-	if len(v) < 2 {
-		return
-	}
-	if al == nil {
-		v.Sort()
-		return
-	}
-	if cap(al.sortKeys) < len(v) {
-		al.sortKeys = make([]string, 0, 2*len(v))
-	}
-	keys := al.sortKeys[:len(v)]
-	for i := range v {
-		keys[i] = al.keyFn(v[i].Labels)
-	}
-	sortWithKeys(v, keys)
-	for i := range keys {
-		keys[i] = ""
-	}
 }

@@ -3,8 +3,11 @@ package promql
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
+
+	"dio/internal/tsdb"
 )
 
 // TestPoolPoisonEquivalence re-runs the golden corpus with pool poisoning
@@ -57,39 +60,81 @@ func TestBatchSizeEquivalence(t *testing.T) {
 }
 
 // allocCeiling runs a warmed range query under testing.AllocsPerRun and
-// fails if steady-state allocations exceed the ceiling. Ceilings are set
-// ~1.5x above measured values — they catch regressions back toward
-// per-step materialization (thousands of allocations), not noise.
-func allocCeiling(t *testing.T, eng *Engine, query string, start, end time.Time, step time.Duration, ceiling float64) {
+// fails if steady-state allocations exceed the ceiling, or, when
+// byteCeiling is positive, if the bytes allocated per query do. Ceilings
+// are set ~1.5x above measured values — they catch regressions back
+// toward per-step materialization, not noise.
+func allocCeiling(t *testing.T, eng *Engine, query string, start, end time.Time, step time.Duration, ceiling, byteCeiling float64) {
 	t.Helper()
 	expr, err := Parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Warm: first run pays parse-free one-time costs (selector fetch paths,
-	// pool population) that steady-state dashboards never see again.
-	for i := 0; i < 3; i++ {
+	run := func() {
 		if _, err := eng.QueryRangeExpr(ctx, expr, start, end, step); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := testing.AllocsPerRun(5, func() {
-		if _, err := eng.QueryRangeExpr(ctx, expr, start, end, step); err != nil {
-			t.Fatal(err)
-		}
-	})
+	// Warm: first run pays parse-free one-time costs (selector fetch paths,
+	// pool population) that steady-state dashboards never see again.
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	got := testing.AllocsPerRun(5, run)
 	t.Logf("%q: %.0f allocs/op (ceiling %.0f)", query, got, ceiling)
 	if got > ceiling {
 		t.Errorf("%q: %.0f allocs/op exceeds ceiling %.0f", query, got, ceiling)
 	}
+	if byteCeiling <= 0 {
+		return
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%q: %.0f bytes/op (ceiling %.0f)", query, bytes, byteCeiling)
+	if bytes > byteCeiling {
+		t.Errorf("%q: %.0f bytes/op exceeds ceiling %.0f", query, bytes, byteCeiling)
+	}
+}
+
+// readerDB holds write_read's series: 2 000 counters (40 instances × 50
+// UEs) sampled every second for 15 minutes. It returns the last sample's
+// time.
+func readerDB(t testing.TB) (*tsdb.DB, time.Time) {
+	t.Helper()
+	db := tsdb.New()
+	base := time.Date(2026, 7, 6, 10, 0, 0, 0, time.UTC)
+	const instances, ues, seconds = 40, 50, 15 * 60
+	for g := 0; g < instances; g++ {
+		for u := 0; u < ues; u++ {
+			ls := tsdb.FromMap(map[string]string{
+				"__name__": "bench_dl_bytes_total", "job": "bench",
+				"instance": fmt.Sprintf("gnb-%02d", g), "ue": fmt.Sprintf("ue-%04d", g*ues+u),
+			})
+			v := 0.0
+			for s := 0; s < seconds; s++ {
+				v += float64((s*7 + u*13 + g) % 1500)
+				if err := db.Append(ls, base.Add(time.Duration(s)*time.Second).UnixMilli(), v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return db, base.Add((seconds - 1) * time.Second)
 }
 
 // TestStreamingAllocCeilings pins steady-state allocations per range query
-// for the two core shapes: a raw selector and an aggregation over a rate.
-// Pooled streaming execution keeps these flat in the number of steps; a
-// regression to per-step allocation blows the ceilings by an order of
-// magnitude.
+// for the core shapes: a raw selector, an aggregation over a rate, and
+// write_read's reader query over 2 000 series at 200 steps, whose bytes
+// are pinned too. Pooled streaming execution keeps these flat in the
+// number of steps; a regression to per-step allocation, per-step window
+// matrices or per-step label derivation blows the ceilings.
 func TestStreamingAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not hold under the race detector")
@@ -101,6 +146,10 @@ func TestStreamingAllocCeilings(t *testing.T) {
 	opts.ExecWorkers = 1 // partitioning adds per-part arenas; pin one for a stable count
 
 	eng := NewEngine(db, opts)
-	allocCeiling(t, eng, "smf_pdu_session_active", start, end, time.Minute, 100)
-	allocCeiling(t, eng, "sum by (instance) (rate(amfcc_n1_auth_request[5m]))", start, end, time.Minute, 150)
+	allocCeiling(t, eng, "smf_pdu_session_active", start, end, time.Minute, 100, 0)
+	allocCeiling(t, eng, "sum by (instance) (rate(amfcc_n1_auth_request[5m]))", start, end, time.Minute, 150, 0)
+
+	wide, wend := readerDB(t)
+	allocCeiling(t, NewEngine(wide, opts), "sum by (instance) (rate(bench_dl_bytes_total[1m]))",
+		wend.Add(-199*3*time.Second), wend, 3*time.Second, 16_000, 42<<20)
 }

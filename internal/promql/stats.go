@@ -53,14 +53,15 @@ type opSlot struct {
 	samples int64
 }
 
-// noteValue counts a produced value's output series.
-func (sl *opSlot) noteValue(v Value) {
+// seriesIn counts a produced value's output series.
+func seriesIn(v Value) int {
 	switch x := v.(type) {
 	case Vector:
-		atomic.AddInt64(&sl.series, int64(len(x)))
+		return len(x)
 	case Matrix:
-		atomic.AddInt64(&sl.series, int64(len(x)))
+		return len(x)
 	}
+	return 0
 }
 
 // QueryStats is the profile of one query execution: totals plus a

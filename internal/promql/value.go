@@ -32,6 +32,9 @@ type VSample struct {
 	Labels tsdb.Labels
 	T      int64
 	V      float64
+	// pos is 0 or 1 + the sample's row in its producer's identity table
+	// (idTable, exec.go); set only inside range queries.
+	pos int32
 }
 
 // Vector is an instant vector: one sample per series.

@@ -135,9 +135,19 @@ func (s *Series) window(start, end int64) []Sample {
 }
 
 // clampedSamples returns the samples with minT <= T <= maxT as a fresh
-// slice (the SelectBatch hint clamp).
+// slice (the SelectBatch hint clamp), sized from the counts of the chunks
+// that overlap the range so decoding never grows it.
 func (s *Series) clampedSamples(minT, maxT int64) []Sample {
-	return s.decodeRange(minT, maxT, nil)
+	n := 0
+	for _, c := range s.chunks {
+		if c.count > 0 && c.maxT >= minT && c.minT <= maxT {
+			n += c.count
+		}
+	}
+	if h := s.head; h != nil && h.count > 0 && h.t >= minT && h.minT <= maxT {
+		n += h.count
+	}
+	return s.decodeRange(minT, maxT, make([]Sample, 0, n))
 }
 
 // numBytes is the compressed footprint of the series' sample data.
