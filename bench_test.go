@@ -537,6 +537,16 @@ func rangeBenchDB(b *testing.B) (*tsdb.DB, time.Time, time.Time) {
 	return db, base, base.Add(minutes * time.Minute)
 }
 
+// queryRange parses q and evaluates it over [start, end], as a served
+// query_range does per request.
+func queryRange(ctx context.Context, eng *promql.Engine, q string, start, end time.Time, step time.Duration) (promql.Matrix, error) {
+	expr, err := promql.Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	return eng.QueryRangeExpr(ctx, expr, start, end, step)
+}
+
 // BenchmarkQueryRange measures 195-step range queries over 100 series: a
 // plain selector (the gauge-panel shape) and a rate aggregation (the
 // counter-panel shape).
@@ -552,7 +562,7 @@ func BenchmarkQueryRange(b *testing.B) {
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.QueryRange(ctx, query.q, start.Add(5*time.Minute), end, time.Minute); err != nil {
+				if _, err := queryRange(ctx, eng, query.q, start.Add(5*time.Minute), end, time.Minute); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -592,7 +602,7 @@ func BenchmarkQueryRangeWide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := eng.QueryRange(ctx, q, start, end, 3*time.Second)
+		m, err := queryRange(ctx, eng, q, start, end, 3*time.Second)
 		if err != nil || len(m) != instances {
 			b.Fatalf("%d series, %v", len(m), err)
 		}

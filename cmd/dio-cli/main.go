@@ -124,14 +124,14 @@ func main() {
 	}
 }
 
-// runQuery executes raw PromQL at the newest sample instant.
+// runQuery executes raw PromQL at the newest sample of the metrics it
+// selects (core.Copilot.EvalTime).
 func runQuery(ctx context.Context, cp *core.Copilot, q string) {
-	_, maxT, ok := cp.Executor().Engine().DB().TimeRange()
-	if !ok {
-		fmt.Println("(empty database)")
-		return
+	var names []string
+	if expr, err := promql.Parse(q); err == nil {
+		names = promql.MetricNames(expr)
 	}
-	v, err := cp.Executor().Execute(ctx, q, time.UnixMilli(maxT))
+	v, err := cp.Executor().Execute(ctx, q, cp.EvalTime(names))
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -224,15 +224,15 @@ func ask(ctx context.Context, cp *core.Copilot, q string, showDash, explain bool
 		fmt.Print(ans.AnalyzedPlan)
 	}
 	if showDash && ans.Dashboard != nil {
-		_, maxT, ok := cp.Executor().Engine().DB().TimeRange()
-		if ok {
-			end := time.UnixMilli(maxT)
-			out, err := cp.Renderer().Render(ctx, ans.Dashboard, end, 30*time.Minute, time.Minute, 60)
-			if err != nil {
-				logger.Error("dashboard render failed", "err", err, "trace_id", ans.TraceID)
-			} else {
-				fmt.Println(out)
-			}
+		names := make([]string, len(ans.Metrics))
+		for i, m := range ans.Metrics {
+			names[i] = m.Name
+		}
+		out, err := cp.Renderer().Render(ctx, ans.Dashboard, cp.EvalTime(names), 30*time.Minute, time.Minute, 60)
+		if err != nil {
+			logger.Error("dashboard render failed", "err", err, "trace_id", ans.TraceID)
+		} else {
+			fmt.Println(out)
 		}
 	}
 	if explain {

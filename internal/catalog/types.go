@@ -145,9 +145,8 @@ type Database struct {
 	Metrics   []*Metric
 	Functions []*FunctionDef
 
-	mu       sync.RWMutex
-	byName   map[string]*Metric
-	funcByID map[string]*FunctionDef
+	mu     sync.RWMutex
+	byName map[string]*Metric
 
 	// version counts contributions. Serving-layer cache keys fold it in,
 	// so every expert contribution invalidates cached answers instantly.
@@ -160,13 +159,9 @@ func NewDatabase(metrics []*Metric, functions []*FunctionDef) *Database {
 		Metrics:   metrics,
 		Functions: functions,
 		byName:    make(map[string]*Metric, len(metrics)),
-		funcByID:  make(map[string]*FunctionDef, len(functions)),
 	}
 	for _, m := range metrics {
 		db.byName[m.Name] = m
-	}
-	for _, f := range functions {
-		db.funcByID[f.Name] = f
 	}
 	return db
 }
@@ -186,14 +181,6 @@ func (db *Database) Lookup(name string) (*Metric, bool) {
 
 // LookupTenant is Lookup; bench/lab.go still calls it with tenant.Default.
 func (db *Database) LookupTenant(_, name string) (*Metric, bool) { return db.Lookup(name) }
-
-// LookupFunction returns the bespoke function with the given name.
-func (db *Database) LookupFunction(name string) (*FunctionDef, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	f, ok := db.funcByID[name]
-	return f, ok
-}
 
 // MetricNames returns all metric names, sorted.
 func (db *Database) MetricNames() []string {
@@ -276,13 +263,11 @@ func (db *Database) replaceLocked(old, m *Metric) {
 }
 
 // AddFunction registers a bespoke function contributed at runtime (the
-// feedback loop), keeping the lookup index consistent and bumping the
-// database version.
+// feedback loop) and bumps the database version.
 func (db *Database) AddFunction(f *FunctionDef) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.Functions = append(db.Functions, f)
-	db.funcByID[f.Name] = f
 	db.version.Add(1)
 }
 

@@ -34,9 +34,6 @@ type Options struct {
 	MaxOutputTokens int
 	// Temperature: the paper sets 0 "for repeatable answers".
 	Temperature float64
-	// EvalTime fixes the query evaluation instant; zero means the newest
-	// sample in the store.
-	EvalTime time.Time
 }
 
 // DefaultOptions mirrors §4.
@@ -236,13 +233,11 @@ func (c *Copilot) ExplainQuery(query string) (string, error) {
 // produced, and stored samples scanned. Unlike ExplainQuery this runs
 // the query for real.
 func (c *Copilot) ExplainAnalyzeQuery(ctx context.Context, query string) (string, error) {
-	ts := c.evalTime()
+	var names []string
 	if expr, err := promql.Parse(query); err == nil {
-		if names := promql.MetricNames(expr); len(names) > 0 {
-			ts = c.evalTimeFor(names)
-		}
+		names = promql.MetricNames(expr)
 	}
-	return c.exec.Engine().ExplainAnalyze(ctx, query, ts)
+	return c.exec.Engine().ExplainAnalyze(ctx, query, c.EvalTime(names))
 }
 
 // Tracer returns the pipeline tracer (nil when the copilot was built
@@ -269,26 +264,14 @@ func (c *Copilot) Version() uint64 {
 // cache, which ignores it.
 func (c *Copilot) TenantVersion(string) uint64 { return c.Version() }
 
-// evalTime resolves the evaluation instant.
-func (c *Copilot) evalTime() time.Time {
-	if !c.opts.EvalTime.IsZero() {
-		return c.opts.EvalTime
-	}
-	if _, maxT, ok := c.exec.Engine().DB().TimeRange(); ok {
-		return time.UnixMilli(maxT)
-	}
-	return time.Unix(0, 0)
-}
-
-// evalTimeFor resolves the evaluation instant for a query over the given
-// metrics: the newest sample among them. The store mixes timelines once
-// self-scraping is on (the operator trace is frozen while dio_* series
-// are live), so "now" must follow the data actually being asked about;
-// the store-wide newest sample remains the fallback.
-func (c *Copilot) evalTimeFor(metrics []string) time.Time {
-	if !c.opts.EvalTime.IsZero() {
-		return c.opts.EvalTime
-	}
+// EvalTime is the default evaluation instant of a query over the given
+// metrics, for asks, API queries and the CLI alike: the newest sample
+// among them. The store mixes timelines once self-scraping is on (the
+// operator trace is frozen while dio_* series advance at wall clock), so
+// "now" must follow the data actually being asked about. With no metric
+// that has samples it falls back to the store-wide newest sample, and to
+// the Unix epoch for an empty store.
+func (c *Copilot) EvalTime(metrics []string) time.Time {
 	db := c.exec.Engine().DB()
 	var newest int64
 	found := false
@@ -297,10 +280,13 @@ func (c *Copilot) evalTimeFor(metrics []string) time.Time {
 			newest, found = maxT, true
 		}
 	}
+	if !found {
+		_, newest, found = db.TimeRange()
+	}
 	if found {
 		return time.UnixMilli(newest)
 	}
-	return c.evalTime()
+	return time.Unix(0, 0)
 }
 
 // promptBudget returns the token budget left for context after reserving
@@ -491,7 +477,7 @@ func (c *Copilot) ask(ctx context.Context, question string) (*Answer, error) {
 		if analyzeFrom(ctx) {
 			sctx, capture = promql.WithQueryStats(sctx)
 		}
-		v, execErr := c.exec.Execute(sctx, a.Query, c.evalTimeFor(genResp.Metrics))
+		v, execErr := c.exec.Execute(sctx, a.Query, c.EvalTime(genResp.Metrics))
 		sp.SetError(execErr)
 		sp.End()
 		if execErr != nil {

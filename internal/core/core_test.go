@@ -4,15 +4,11 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
-	"dio/internal/catalog"
 	"dio/internal/core"
-	"dio/internal/fivegsim"
 	"dio/internal/llm"
 	"dio/internal/promql"
 	"dio/internal/testenv"
-	"dio/internal/tsdb"
 	"dio/internal/vecstore"
 )
 
@@ -231,44 +227,6 @@ func TestAskWithIVFRetriever(t *testing.T) {
 	}
 	if len(ans.Context) == 0 {
 		t.Fatal("IVF retriever returned no context")
-	}
-}
-
-func TestEvalTimeOverride(t *testing.T) {
-	cat := catalog.Generate()
-	db := tsdb.New()
-	cfg := fivegsim.DefaultConfig()
-	cfg.Duration = 10 * time.Minute
-	if _, err := fivegsim.Populate(db, cat, cfg); err != nil {
-		t.Fatal(err)
-	}
-	opts := core.DefaultOptions()
-	opts.EvalTime = cfg.Start.Add(5 * time.Minute)
-	cp, err := core.New(core.Config{Catalog: cat, TSDB: db, Model: llm.MustNew("gpt-4"), Options: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid, err := cp.Ask(context.Background(), "How many PDU sessions are currently active?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.EvalTime = time.Time{}
-	cp2, err := core.New(core.Config{Catalog: cat, TSDB: db, Model: llm.MustNew("gpt-4"), Options: opts, Retriever: cp.Retriever()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	end, err := cp2.Ask(context.Background(), "How many PDU sessions are currently active?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mid.ExecErr != nil || end.ExecErr != nil {
-		t.Fatalf("exec errors: %v / %v", mid.ExecErr, end.ExecErr)
-	}
-	// Sessions grow over the trace, so the mid-trace answer differs.
-	mv := promql.Numeric(mid.Value)
-	ev := promql.Numeric(end.Value)
-	if len(mv) == 1 && len(ev) == 1 && mv[0].V == ev[0].V {
-		t.Error("EvalTime override had no effect")
 	}
 }
 

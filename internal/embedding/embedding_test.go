@@ -162,8 +162,8 @@ func TestLexiconExpand(t *testing.T) {
 	if got := lex.Expand([]string{"unrelated"}); len(got) != 1 {
 		t.Errorf("unrelated expansion = %v", got)
 	}
-	if lex.Len() != 1 {
-		t.Errorf("lexicon len = %d", lex.Len())
+	if len(lex.expansions) != 1 {
+		t.Errorf("lexicon len = %d", len(lex.expansions))
 	}
 }
 

@@ -41,9 +41,6 @@ func (l *Lexicon) Add(phrase, canonical string) {
 	}
 }
 
-// Len returns the number of distinct expansion keys.
-func (l *Lexicon) Len() int { return len(l.expansions) }
-
 // Expand returns tokens with canonical expansions appended for every
 // longest-match phrase found in the input. The original tokens are always
 // preserved; expansion only adds signal.

@@ -110,18 +110,6 @@ func (t *Tracker) OnResolve(fn Applier) {
 	t.appliers = append(t.appliers, fn)
 }
 
-// Experts returns the sorted expert roster.
-func (t *Tracker) Experts() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.experts))
-	for e := range t.experts {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Open files a new issue from a copilot interaction.
 func (t *Tracker) Open(question, response, query string, context []string) *Issue {
 	t.mu.Lock()
@@ -210,21 +198,6 @@ func (t *Tracker) Resolve(id int, expert string, c Contribution) error {
 			return fmt.Errorf("feedback: applying contribution: %w", err)
 		}
 	}
-	return nil
-}
-
-// Close closes an open issue without a contribution.
-func (t *Tracker) Close(id int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	is, ok := t.issues[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownIssue, id)
-	}
-	if is.State != Open {
-		return fmt.Errorf("%w: %d is %s", ErrAlreadyClosed, id, is.State)
-	}
-	is.State = Closed
 	return nil
 }
 

@@ -37,8 +37,8 @@ func TestProposeValidation(t *testing.T) {
 	if p.State != feedback.Pending || p.Score() != 0 {
 		t.Fatalf("proposal = %+v", p)
 	}
-	// Proposals against closed issues are refused.
-	if err := tr.Close(is.ID); err != nil {
+	// Proposals against issues no longer open are refused.
+	if err := tr.Resolve(is.ID, "alice", contribution()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tr.Propose(is.ID, "user", contribution()); !errors.Is(err, feedback.ErrAlreadyClosed) {

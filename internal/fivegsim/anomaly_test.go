@@ -24,11 +24,20 @@ func anomalyTrace(t *testing.T, a Anomaly) (*tsdb.DB, Config) {
 	return db, cfg
 }
 
+// instant parses q and evaluates it at ts.
+func instant(eng *promql.Engine, q string, ts time.Time) (promql.Value, error) {
+	expr, err := promql.Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Eval(context.Background(), expr, ts)
+}
+
 // rateAt evaluates a [5m] rate expression at an offset into the trace.
 func rateAt(t *testing.T, db *tsdb.DB, cfg Config, query string, offset time.Duration) float64 {
 	t.Helper()
 	eng := promql.NewEngine(db, promql.DefaultEngineOptions())
-	v, err := eng.Query(context.Background(), query, cfg.Start.Add(offset))
+	v, err := instant(eng, query, cfg.Start.Add(offset))
 	if err != nil {
 		t.Fatalf("query %s: %v", query, err)
 	}

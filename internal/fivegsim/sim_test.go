@@ -1,7 +1,6 @@
 package fivegsim
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -45,7 +44,7 @@ func TestPopulateBasics(t *testing.T) {
 	// Every catalog metric must have at least one series.
 	missing := 0
 	for _, m := range cat.Metrics {
-		if !db.HasMetric(m.Name) {
+		if _, _, ok := db.MetricTimeRange(m.Name); !ok {
 			missing++
 			if missing < 5 {
 				t.Errorf("metric %s has no series", m.Name)
@@ -162,8 +161,8 @@ func TestPopulateDeterminism(t *testing.T) {
 		`sum(smfsm_pdu_sessions_active)`,
 		`sum(upfgtp_n3_dl_bytes)`,
 	} {
-		v1, err1 := eng1.Query(context.Background(), q, at)
-		v2, err2 := eng2.Query(context.Background(), q, at)
+		v1, err1 := instant(eng1, q, at)
+		v2, err2 := instant(eng2, q, at)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("query %s: %v / %v", q, err1, err2)
 		}
@@ -205,7 +204,7 @@ func TestLifecycleInvariants(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		p := procs[rng.Intn(len(procs))]
 		q := `sum(` + p.MetricName("success") + `) <= bool sum(` + p.MetricName("attempt") + `)`
-		v, err := eng.Query(context.Background(), q, at)
+		v, err := instant(eng, q, at)
 		if err != nil {
 			t.Fatalf("query %s: %v", q, err)
 		}

@@ -683,41 +683,16 @@ func parseStep(s string) (time.Duration, error) {
 	return time.Duration(ns).Round(time.Millisecond), nil
 }
 
-// latest returns the newest sample instant in the store.
-func (s *Server) latest() time.Time {
-	if _, maxT, ok := s.copilot.Executor().Engine().DB().TimeRange(); ok {
-		return time.UnixMilli(maxT)
-	}
-	return time.Unix(0, 0)
-}
-
-// defaultEvalTime resolves the default evaluation instant for query: the
-// newest sample among the metrics it selects, falling back to the
-// store-wide newest sample. The store mixes timelines once self-scraping
-// is on (the operator trace is frozen while dio_* series advance at wall
-// clock), so "now" must follow the data actually being queried. Parse
-// errors fall through to the sandbox, which reports them properly.
+// defaultEvalTime resolves the default evaluation instant for query with
+// the copilot's policy (core.Copilot.EvalTime) over the metrics it
+// selects. Parse errors fall through to the sandbox, which reports them
+// properly.
 func (s *Server) defaultEvalTime(query string) time.Time {
-	expr, err := promql.Parse(query)
-	if err != nil {
-		return s.latest()
+	var names []string
+	if expr, err := promql.Parse(query); err == nil {
+		names = promql.MetricNames(expr)
 	}
-	db := s.copilot.Executor().Engine().DB()
-	var newest int64
-	found := false
-	promql.Walk(expr, func(n promql.Expr) {
-		vs, ok := n.(*promql.VectorSelector)
-		if !ok || vs.Name == "" {
-			return
-		}
-		if _, maxT, ok := db.MetricTimeRange(vs.Name); ok && (!found || maxT > newest) {
-			newest, found = maxT, true
-		}
-	})
-	if found {
-		return time.UnixMilli(newest)
-	}
-	return s.latest()
+	return s.copilot.EvalTime(names)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

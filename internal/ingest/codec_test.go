@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -26,7 +27,7 @@ func sameSeries(t *testing.T, got, want []TimeSeries) {
 		t.Fatalf("decoded %d series, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if !got[i].Labels.Equal(want[i].Labels) {
+		if !slices.Equal(got[i].Labels, want[i].Labels) {
 			t.Fatalf("series %d labels %s, want %s", i, got[i].Labels, want[i].Labels)
 		}
 		if len(got[i].Samples) != len(want[i].Samples) {

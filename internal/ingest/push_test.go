@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -163,7 +164,7 @@ func TestStoredLabelsOutliveTheRequest(t *testing.T) {
 		t.Fatalf("store holds %d series, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if !got[i].Labels.Equal(want[i].Labels) {
+		if !slices.Equal(got[i].Labels, want[i].Labels) {
 			t.Fatalf("stored series %d is %s after the request buffers were reused, want %s", i, got[i].Labels, want[i].Labels)
 		}
 		if got[i].Samples[0] != want[i].Samples[0] {

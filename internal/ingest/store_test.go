@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ func scrapeBatches(seriesN, batchN, perBatch int) ([][]TimeSeries, *tsdb.DB) {
 }
 
 // identicalStores fails unless both stores answer queries byte-identically.
-func identicalStores(t *testing.T, got, want tsdb.Storage) {
+func identicalStores(t *testing.T, got, want *tsdb.DB) {
 	t.Helper()
 	if !reflect.DeepEqual(got.AllSeries(), want.AllSeries()) {
 		t.Fatalf("recovered store differs: %d/%d series, %d/%d samples",
@@ -240,7 +241,7 @@ func TestStoreFsyncFailureRefusesAck(t *testing.T) {
 		rs := re.DB().SelectRange([]*tsdb.Matcher{tsdb.NameMatcher(want.Labels.Name())}, want.Samples[0].T-1, want.Samples[len(want.Samples)-1].T)
 		found := false
 		for _, got := range rs {
-			if got.Labels.Equal(want.Labels) {
+			if slices.Equal(got.Labels, want.Labels) {
 				found = true
 				if len(got.Samples) < len(want.Samples) {
 					t.Fatalf("series %s lost acknowledged samples: %d < %d", want.Labels, len(got.Samples), len(want.Samples))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"dio/internal/tsdb"
@@ -80,7 +81,7 @@ func TestWALSegmentsSelfContained(t *testing.T) {
 	// Replay only from the post-rotation segment: the sample must still
 	// resolve its labels.
 	got, _ := collectReplay(t, dir, seg2)
-	if len(got) != 1 || len(got[0].Samples) != 1 || got[0].Samples[0].T != 2 || !got[0].Labels.Equal(ls.Labels) {
+	if len(got) != 1 || len(got[0].Samples) != 1 || got[0].Samples[0].T != 2 || !slices.Equal(got[0].Labels, ls.Labels) {
 		t.Fatalf("replay from segment %d = %+v", seg2, got)
 	}
 }

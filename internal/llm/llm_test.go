@@ -3,6 +3,9 @@ package llm
 import (
 	"strings"
 	"testing"
+
+	"dio/internal/embedding"
+	"dio/internal/textutil"
 )
 
 func TestCountTokens(t *testing.T) {
@@ -330,26 +333,37 @@ func TestMaxOutputTokensClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Usage.CompletionTokens > m.Capability().MaxOutputTokens {
+	if resp.Usage.CompletionTokens > m.cap.MaxOutputTokens {
 		t.Errorf("completion tokens %d exceed the cap", resp.Usage.CompletionTokens)
 	}
 }
 
+// knownPhrases counts the domain phrases lex expands.
+func knownPhrases(lex *embedding.Lexicon) int {
+	n := 0
+	for _, e := range embedding.DomainExpansions() {
+		toks := textutil.StemAll(textutil.Tokenize(e[0]))
+		if len(lex.Expand(toks)) > len(toks) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestKnowledgeLexiconFraction(t *testing.T) {
-	full := knowledgeLexicon("m", 1.0)
-	none := knowledgeLexicon("m", 0.0)
-	if none.Len() != 0 {
-		t.Errorf("zero-knowledge lexicon has %d entries", none.Len())
+	full := knownPhrases(knowledgeLexicon("m", 1.0))
+	if none := knownPhrases(knowledgeLexicon("m", 0.0)); none != 0 {
+		t.Errorf("zero-knowledge lexicon knows %d phrases", none)
 	}
-	if full.Len() == 0 {
-		t.Error("full-knowledge lexicon is empty")
+	if full != len(embedding.DomainExpansions()) {
+		t.Errorf("full-knowledge lexicon knows %d of %d phrases", full, len(embedding.DomainExpansions()))
 	}
-	half := knowledgeLexicon("m", 0.5)
-	if half.Len() == 0 || half.Len() >= full.Len() {
-		t.Errorf("half-knowledge lexicon has %d of %d entries", half.Len(), full.Len())
+	half := knownPhrases(knowledgeLexicon("m", 0.5))
+	if half == 0 || half >= full {
+		t.Errorf("half-knowledge lexicon knows %d of %d phrases", half, full)
 	}
 	// Deterministic per model.
-	if knowledgeLexicon("m", 0.5).Len() != half.Len() {
+	if knownPhrases(knowledgeLexicon("m", 0.5)) != half {
 		t.Error("knowledge lexicon not deterministic")
 	}
 }

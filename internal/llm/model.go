@@ -111,9 +111,6 @@ func MustNew(name string) *Model {
 // Name returns the model identifier.
 func (m *Model) Name() string { return m.name }
 
-// Capability returns the tier constants.
-func (m *Model) Capability() Capability { return m.cap }
-
 // ContextWindow returns the prompt budget in tokens.
 func (m *Model) ContextWindow() int { return m.cap.ContextWindow }
 

@@ -9,3 +9,6 @@ func (s *SelfScraper) SetClock(fn func() time.Time) { s.clock = fn }
 
 // ScrapePasses returns the dio_selfscrape_scrapes_total counter value.
 func (s *SelfScraper) ScrapePasses() float64 { return s.scrapes.Value() }
+
+// Value returns the current count.
+func (c *Counter) Value() float64 { return c.c.get() }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -17,11 +18,11 @@ func TestCounterAndGauge(t *testing.T) {
 	if got := c.Value(); got != 3.5 {
 		t.Errorf("counter = %v, want 3.5", got)
 	}
-	g := r.Gauge("g", "a gauge", "")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Errorf("gauge = %v, want 7", got)
+	r.GaugeFunc("g", "a gauge", "", func() float64 { return 7 })
+	for _, fam := range r.Gather() {
+		if fam.Name == "g" && fam.Samples[0].Value != 7 {
+			t.Errorf("gauge = %v, want 7", fam.Samples[0].Value)
+		}
 	}
 	// Idempotent re-registration returns the same underlying child.
 	if got := r.Counter("c_total", "a counter", "").Value(); got != 3.5 {
@@ -46,7 +47,7 @@ func TestReshapePanics(t *testing.T) {
 			t.Fatal("re-registering with a different kind did not panic")
 		}
 	}()
-	r.Gauge("m", "", "")
+	r.GaugeVec("m", "", "")
 }
 
 func TestGaugeFunc(t *testing.T) {
@@ -104,6 +105,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	const goroutines = 12
 	const iters = 2000
+	var inflight atomic.Int64
+	r.GaugeFunc("hammer_inflight", "", "", func() float64 { return float64(inflight.Load()) })
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -111,13 +114,12 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			c := r.CounterVec("hammer_total", "", "", "worker")
 			h := r.HistogramVec("hammer_seconds", "", "seconds", DefBuckets(), "worker")
-			ga := r.Gauge("hammer_inflight", "", "")
 			lbl := string(rune('a' + id%4))
 			for i := 0; i < iters; i++ {
 				c.With(lbl).Inc()
 				h.With(lbl).Observe(float64(i%100) / 100)
-				ga.Add(1)
-				ga.Add(-1)
+				inflight.Add(1)
+				inflight.Add(-1)
 				if i%500 == 0 {
 					r.Gather()
 				}
@@ -160,7 +162,7 @@ func TestFormatTextGolden(t *testing.T) {
 	c := r.CounterVec("dio_http_requests_total", "HTTP requests handled.", "", "route", "code")
 	c.With("/api/v1/ask", "200").Add(3)
 	c.With(`q"uo\te`+"\n", "500").Inc()
-	r.Gauge("dio_feedback_open", "Open issues.", "").Set(2)
+	r.GaugeFunc("dio_feedback_open", "Open issues.", "", func() float64 { return 2 })
 	h := r.Histogram("dio_ask_duration_seconds", "Ask latency.", "seconds", []float64{0.5, 1})
 	h.Observe(0.25)
 	h.Observe(0.75)

@@ -69,7 +69,7 @@ type family struct {
 // child is one concrete series of a family.
 type child struct {
 	labelValues []string
-	// bits holds the float64 value of counters and gauges.
+	// bits holds a counter's float64 value.
 	bits atomic.Uint64
 	// fn, when set, computes a gauge's value at gather time.
 	fn func() float64
@@ -86,8 +86,7 @@ func (c *child) add(v float64) {
 	}
 }
 
-func (c *child) set(v float64) { c.bits.Store(math.Float64bits(v)) }
-func (c *child) get() float64  { return math.Float64frombits(c.bits.Load()) }
+func (c *child) get() float64 { return math.Float64frombits(c.bits.Load()) }
 
 // histo is fixed-bucket histogram state.
 type histo struct {
@@ -192,9 +191,6 @@ func (c *Counter) Add(v float64) {
 	c.c.add(v)
 }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 { return c.c.get() }
-
 // CounterVec is a counter family partitioned by labels.
 type CounterVec struct{ f *family }
 
@@ -215,38 +211,14 @@ func (r *Registry) CounterVec(name, help, unit string, labelNames ...string) *Co
 
 // --- gauges ---------------------------------------------------------------
 
-// Gauge is a value that can go up and down.
-type Gauge struct{ c *child }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.c.set(v) }
-
-// Add increases (or, negative, decreases) the value.
-func (g *Gauge) Add(v float64) { g.c.add(v) }
-
-// Inc adds 1.
-func (g *Gauge) Inc() { g.c.add(1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.c.get() }
-
-// GaugeVec is a gauge family partitioned by labels.
+// GaugeVec is a gauge family partitioned by labels. Every gauge is a
+// func gauge: its value is owned elsewhere and read at gather time.
 type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values (created on demand).
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return &Gauge{c: v.f.childFor(labelValues)}
-}
 
 // Func binds the child for the given label values to a callback evaluated
 // at gather time (for values owned elsewhere, e.g. open-issue counts).
 func (v *GaugeVec) Func(fn func() float64, labelValues ...string) {
 	v.f.childFor(labelValues).fn = fn
-}
-
-// Gauge registers (or returns) an unlabelled gauge.
-func (r *Registry) Gauge(name, help, unit string) *Gauge {
-	return r.GaugeVec(name, help, unit).With()
 }
 
 // GaugeVec registers (or returns) a labelled gauge family.

@@ -179,21 +179,6 @@ func (s *TraceStore) Get(id string) (*TraceData, bool) {
 	return nil, false
 }
 
-// Len returns how many distinct traces are currently retained.
-func (s *TraceStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := make(map[string]bool)
-	for _, ring := range [2][]*TraceData{s.recent, s.notable} {
-		for _, td := range ring {
-			if td != nil {
-				seen[td.TraceID] = true
-			}
-		}
-	}
-	return len(seen)
-}
-
 // newestFirst returns a ring's live entries, newest first.
 func newestFirst(ring []*TraceData, next int, full bool) []*TraceData {
 	var out []*TraceData

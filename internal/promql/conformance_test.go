@@ -276,7 +276,7 @@ func checkConformanceEval(t *testing.T, path string, db *tsdb.DB, ev conformance
 	t.Helper()
 	eng := NewEngine(db, DefaultEngineOptions())
 	ctx := context.Background()
-	ex, exErr := eng.Query(ctx, ev.expr, ev.at)
+	ex, exErr := query(ctx, eng, ev.expr, ev.at)
 	or, orErr := oracleQuery(ctx, eng, ev.expr, ev.at)
 	where := fmt.Sprintf("%s:%d: %s", path, ev.line, ev.expr)
 

@@ -160,11 +160,6 @@ func (e *Engine) Explain(input string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return e.ExplainExpr(expr)
-}
-
-// ExplainExpr is Explain for an already parsed expression.
-func (e *Engine) ExplainExpr(expr Expr) (string, error) {
 	cp, _, err := e.planFor(expr)
 	if err != nil {
 		return "", err
@@ -293,15 +288,6 @@ const maxRangeSteps = 11000
 // ErrTooManySamples is returned when a query exceeds MaxSamples.
 var ErrTooManySamples = errors.New("promql: query touches too many samples")
 
-// Query parses and evaluates input at ts.
-func (e *Engine) Query(ctx context.Context, input string, ts time.Time) (Value, error) {
-	expr, err := Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	return e.Eval(ctx, expr, ts)
-}
-
 // Eval evaluates expr at the instant ts, waiting for a concurrency slot
 // when the engine is gated.
 func (e *Engine) Eval(ctx context.Context, expr Expr, ts time.Time) (v Value, err error) {
@@ -319,22 +305,11 @@ func (e *Engine) Eval(ctx context.Context, expr Expr, ts time.Time) (v Value, er
 	return e.execInstant(ctx, expr, ts)
 }
 
-// QueryRange evaluates input at every step in [start, end], producing a
-// matrix (used by dashboard panels). Storage selection runs once per
+// QueryRangeExpr evaluates expr at every step in [start, end], producing
+// a matrix (used by dashboard panels). Storage selection runs once per
 // selector for the whole range: every step after the first advances
 // per-series cursors over the fetched samples instead of re-running
 // Select/SelectRange.
-func (e *Engine) QueryRange(ctx context.Context, input string, start, end time.Time, step time.Duration) (Matrix, error) {
-	expr, err := Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	return e.QueryRangeExpr(ctx, expr, start, end, step)
-}
-
-// QueryRangeExpr is QueryRange for an already parsed expression — callers
-// that repeat one query over many windows (dashboards, benchmarks) skip
-// the per-evaluation parse.
 func (e *Engine) QueryRangeExpr(ctx context.Context, expr Expr, start, end time.Time, step time.Duration) (m Matrix, err error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("promql: non-positive step %v", step)

@@ -31,7 +31,7 @@ func TestLabelReplace(t *testing.T) {
 	}
 	// Bad pattern errors.
 	eng := NewEngine(db, DefaultEngineOptions())
-	if _, err := eng.Query(context.Background(), `label_replace(smf_pdu_session_active, "p", "$1", "instance", "(")`, end); err == nil {
+	if _, err := query(context.Background(), eng, `label_replace(smf_pdu_session_active, "p", "$1", "instance", "(")`, end); err == nil {
 		t.Error("bad pattern accepted")
 	}
 }
@@ -116,7 +116,7 @@ func TestManyToManyRejected(t *testing.T) {
 	mustAppend(t, db, map[string]string{"__name__": "b", "instance": "x", "extra": "1"}, ts, 1)
 	mustAppend(t, db, map[string]string{"__name__": "b", "instance": "x", "extra": "2"}, ts, 2)
 	eng := NewEngine(db, DefaultEngineOptions())
-	_, err := eng.Query(context.Background(), `a + on (instance) b`, base)
+	_, err := query(context.Background(), eng, `a + on (instance) b`, base)
 	if err == nil || !strings.Contains(err.Error(), "many-to-many") {
 		t.Fatalf("expected many-to-many error, got %v", err)
 	}

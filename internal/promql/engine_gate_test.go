@@ -39,7 +39,7 @@ func TestGateSerialisesQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := eng.Query(context.Background(), "sum(m)", time.UnixMilli(9000))
+			_, err := query(context.Background(), eng, "sum(m)", time.UnixMilli(9000))
 			errs <- err
 		}()
 	}
@@ -65,7 +65,7 @@ func TestGateRangeQueryNoDeadlock(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := eng.QueryRange(context.Background(), "sum(m)",
+		_, err := queryRange(context.Background(), eng, "sum(m)",
 			time.UnixMilli(0), time.UnixMilli(9000), time.Second)
 		done <- err
 	}()
@@ -93,7 +93,7 @@ func TestGateCancelledWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := eng.Query(ctx, "sum(m)", time.UnixMilli(9000))
+		_, err := query(ctx, eng, "sum(m)", time.UnixMilli(9000))
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -113,7 +113,7 @@ func TestOnSamplesHook(t *testing.T) {
 	eng := NewEngine(gateDB(t), DefaultEngineOptions())
 	var total atomic.Int64
 	eng.SetHooks(Hooks{OnSamples: func(n int) { total.Add(int64(n)) }})
-	if _, err := eng.Query(context.Background(), "m[10s]", time.UnixMilli(9000)); err != nil {
+	if _, err := query(context.Background(), eng, "m[10s]", time.UnixMilli(9000)); err != nil {
 		t.Fatal(err)
 	}
 	if total.Load() == 0 {

@@ -66,7 +66,7 @@ func checkRangeAgainstOracle(t *testing.T, name string, eng *Engine, q string, w
 	t.Helper()
 	ctx := context.Background()
 	want, wantErr := oracleQueryRange(ctx, eng, q, w.start, w.end, w.step)
-	m, err := eng.QueryRange(ctx, q, w.start, w.end, w.step)
+	m, err := queryRange(ctx, eng, q, w.start, w.end, w.step)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("%s %s %q: error mismatch: executor=%v oracle=%v", name, w.name, q, err, wantErr)
 	}
@@ -86,7 +86,7 @@ func checkInstantAgainstOracle(t *testing.T, eng *Engine, q string, ts time.Time
 	t.Helper()
 	ctx := context.Background()
 	want, wantErr := oracleQuery(ctx, eng, q, ts)
-	got, err := eng.Query(ctx, q, ts)
+	got, err := query(ctx, eng, q, ts)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("instant %q: error mismatch: executor=%v oracle=%v", q, err, wantErr)
 	}
@@ -125,8 +125,8 @@ func TestQueryRangeEquivalenceSingleWorker(t *testing.T) {
 
 	start := end.Add(-25 * time.Minute)
 	for _, q := range rangeCorpus {
-		m1, err1 := pe.QueryRange(context.Background(), q, start, end, 5*time.Second)
-		m2, err2 := se.QueryRange(context.Background(), q, start, end, 5*time.Second)
+		m1, err1 := queryRange(context.Background(), pe, q, start, end, 5*time.Second)
+		m2, err2 := queryRange(context.Background(), se, q, start, end, 5*time.Second)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%q: error mismatch: workers=8 %v workers=1 %v", q, err1, err2)
 		}
@@ -150,7 +150,7 @@ func TestQueryRangeStats(t *testing.T) {
 	eng.SetHooks(Hooks{OnRangeEval: func(s RangeStats) { stats = s; calls++ }})
 
 	start := end.Add(-10 * time.Minute)
-	if _, err := eng.QueryRange(context.Background(), "rate(amfcc_n1_auth_request[5m])", start, end, time.Minute); err != nil {
+	if _, err := queryRange(context.Background(), eng, "rate(amfcc_n1_auth_request[5m])", start, end, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -169,7 +169,7 @@ func TestQueryRangeStats(t *testing.T) {
 
 	// Subqueries rewind the inner timeline at each outer step; the cache
 	// must absorb that as counted re-seeks, never as a second fetch.
-	if _, err := eng.QueryRange(context.Background(), "avg_over_time(sum(smf_pdu_session_active)[10m:1m])", start, end, time.Minute); err != nil {
+	if _, err := queryRange(context.Background(), eng, "avg_over_time(sum(smf_pdu_session_active)[10m:1m])", start, end, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if stats.SelectorMisses != 1 {
@@ -189,7 +189,7 @@ func TestQueryRangeMaxSamplesPerStep(t *testing.T) {
 	opts.MaxSamples = 3 // each step touches 4 series
 	eng := NewEngine(db, opts)
 	const q = "amfcc_n1_auth_request + smf_pdu_session_active"
-	if _, err := eng.QueryRange(context.Background(), q, end.Add(-5*time.Minute), end, time.Minute); !errors.Is(err, ErrTooManySamples) {
+	if _, err := queryRange(context.Background(), eng, q, end.Add(-5*time.Minute), end, time.Minute); !errors.Is(err, ErrTooManySamples) {
 		t.Errorf("executor: got %v, want ErrTooManySamples", err)
 	}
 	if _, err := oracleQueryRange(context.Background(), eng, q, end.Add(-5*time.Minute), end, time.Minute); !errors.Is(err, ErrTooManySamples) {

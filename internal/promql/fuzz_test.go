@@ -104,7 +104,7 @@ func FuzzParsePlanEval(f *testing.F) {
 		}
 		ctx := context.Background()
 
-		pv, perr := planner.Query(ctx, input, end)
+		pv, perr := query(ctx, planner, input, end)
 		lv, lerr := oracleQuery(ctx, planner, input, end)
 		if fuzzTimeout(perr) || fuzzTimeout(lerr) {
 			return
@@ -119,7 +119,7 @@ func FuzzParsePlanEval(f *testing.F) {
 		}
 
 		start := end.Add(-10 * time.Minute)
-		pm, perr := planner.QueryRange(ctx, input, start, end, time.Minute)
+		pm, perr := queryRange(ctx, planner, input, start, end, time.Minute)
 		lm, lerr := oracleQueryRange(ctx, planner, input, start, end, time.Minute)
 		if fuzzTimeout(perr) || fuzzTimeout(lerr) {
 			return

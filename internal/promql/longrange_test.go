@@ -80,7 +80,7 @@ func TestLongRangeBoundedIntermediate(t *testing.T) {
 		eng.batch = batch
 		var p int64
 		eng.SetHooks(Hooks{OnRangeEval: func(s RangeStats) { p = s.PeakIntermediateBytes }})
-		if _, err := eng.QueryRange(context.Background(), longRangeCorpus[0], start, end, step); err != nil {
+		if _, err := queryRange(context.Background(), eng, longRangeCorpus[0], start, end, step); err != nil {
 			t.Fatal(err)
 		}
 		return p

@@ -48,11 +48,29 @@ func mustAppend(t testing.TB, db tsdb.Storage, labels map[string]string, ts int6
 	}
 }
 
+// query parses input and evaluates it at ts.
+func query(ctx context.Context, e *Engine, input string, ts time.Time) (Value, error) {
+	expr, err := Parse(input)
+	if err != nil {
+		return nil, err
+	}
+	return e.Eval(ctx, expr, ts)
+}
+
+// queryRange parses input and evaluates it at every step in [start, end].
+func queryRange(ctx context.Context, e *Engine, input string, start, end time.Time, step time.Duration) (Matrix, error) {
+	expr, err := Parse(input)
+	if err != nil {
+		return nil, err
+	}
+	return e.QueryRangeExpr(ctx, expr, start, end, step)
+}
+
 // evalQuery evaluates q at ts and fails the test on error.
 func evalQuery(t *testing.T, db tsdb.Storage, q string, ts time.Time) Value {
 	t.Helper()
 	eng := NewEngine(db, DefaultEngineOptions())
-	v, err := eng.Query(context.Background(), q, ts)
+	v, err := query(context.Background(), eng, q, ts)
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
@@ -440,7 +458,7 @@ func TestEvalStalenessLookback(t *testing.T) {
 func TestQueryRange(t *testing.T) {
 	db, end := testDB(t)
 	eng := NewEngine(db, DefaultEngineOptions())
-	m, err := eng.QueryRange(context.Background(), `sum(smf_pdu_session_active)`, end.Add(-5*time.Minute), end, time.Minute)
+	m, err := queryRange(context.Background(), eng, `sum(smf_pdu_session_active)`, end.Add(-5*time.Minute), end, time.Minute)
 	if err != nil {
 		t.Fatalf("range query: %v", err)
 	}
@@ -460,7 +478,7 @@ func TestQueryRange(t *testing.T) {
 func TestMaxSamplesLimit(t *testing.T) {
 	db, end := testDB(t)
 	eng := NewEngine(db, EngineOptions{LookbackDelta: 5 * time.Minute, MaxSamples: 3})
-	_, err := eng.Query(context.Background(), `sum(rate(amfcc_n1_auth_request[5m]))`, end)
+	_, err := query(context.Background(), eng, `sum(rate(amfcc_n1_auth_request[5m]))`, end)
 	if err == nil || !strings.Contains(err.Error(), "too many samples") {
 		t.Fatalf("expected sample-limit error, got %v", err)
 	}
@@ -471,7 +489,7 @@ func TestContextCancellation(t *testing.T) {
 	eng := NewEngine(db, DefaultEngineOptions())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.Query(ctx, `sum(smf_pdu_session_active)`, end); err == nil {
+	if _, err := query(ctx, eng, `sum(smf_pdu_session_active)`, end); err == nil {
 		t.Fatal("expected error from cancelled context")
 	}
 }

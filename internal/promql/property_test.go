@@ -94,8 +94,8 @@ func TestRandomExpressionsEvaluateDeterministically(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 200; i++ {
 		src := genExpr(rng, 2)
-		v1, err1 := eng.Query(ctx, src, end)
-		v2, err2 := eng.Query(ctx, src, end)
+		v1, err1 := query(ctx, eng, src, end)
+		v2, err2 := query(ctx, eng, src, end)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("inconsistent errors for %q: %v vs %v", src, err1, err2)
 		}
@@ -139,7 +139,7 @@ func TestAggregationInvariants(t *testing.T) {
 	for _, metric := range []string{"smf_pdu_session_active", "amfcc_n1_auth_request"} {
 		// sum == avg * count
 		q := fmt.Sprintf("sum(%[1]s) == bool (avg(%[1]s) * count(%[1]s))", metric)
-		v, err := eng.Query(ctx, q, end)
+		v, err := query(ctx, eng, q, end)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -149,7 +149,7 @@ func TestAggregationInvariants(t *testing.T) {
 		}
 		// min <= avg <= max
 		q = fmt.Sprintf("(min(%[1]s) <= bool avg(%[1]s)) * (avg(%[1]s) <= bool max(%[1]s))", metric)
-		v, err = eng.Query(ctx, q, end)
+		v, err = query(ctx, eng, q, end)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -169,7 +169,7 @@ func TestRateNonNegativeOnCounters(t *testing.T) {
 	for _, window := range []string{"1m", "5m", "10m", "25m"} {
 		for _, offset := range []string{"", " offset 1m", " offset 3m"} {
 			q := fmt.Sprintf("min(rate(amfcc_n1_auth_request[%s]%s))", window, offset)
-			v, err := eng.Query(ctx, q, end)
+			v, err := query(ctx, eng, q, end)
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
@@ -190,7 +190,7 @@ func TestQueryRangeMatchesInstantQueries(t *testing.T) {
 	ctx := context.Background()
 	const q = "sum(rate(amfcc_n1_auth_request[5m]))"
 	start := end.Add(-5 * time.Minute)
-	m, err := eng.QueryRange(ctx, q, start, end, time.Minute)
+	m, err := queryRange(ctx, eng, q, start, end, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestQueryRangeMatchesInstantQueries(t *testing.T) {
 		t.Fatalf("series = %d", len(m))
 	}
 	for _, smp := range m[0].Samples {
-		v, err := eng.Query(ctx, q, time.UnixMilli(smp.T))
+		v, err := query(ctx, eng, q, time.UnixMilli(smp.T))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func TestWithQueryStatsCapture(t *testing.T) {
 
 	const q = "sum by (instance) (rate(amfcc_n1_auth_request[5m]))"
 	ctx, cap := WithQueryStats(context.Background())
-	if _, err := eng.QueryRange(ctx, q, end.Add(-10*time.Minute), end, time.Minute); err != nil {
+	if _, err := queryRange(ctx, eng, q, end.Add(-10*time.Minute), end, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	qs := cap.Stats()
@@ -95,7 +95,7 @@ func TestWithQueryStatsCapture(t *testing.T) {
 
 	// Second evaluation of the same expression must report a cache hit.
 	ctx2, cap2 := WithQueryStats(context.Background())
-	if _, err := eng.QueryRange(ctx2, q, end.Add(-10*time.Minute), end, time.Minute); err != nil {
+	if _, err := queryRange(ctx2, eng, q, end.Add(-10*time.Minute), end, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if qs2 := cap2.Stats(); qs2 == nil || !qs2.PlanCacheHit {
@@ -141,7 +141,7 @@ func TestExplainAnalyze(t *testing.T) {
 	}
 
 	rctx, rcap := WithQueryStats(context.Background())
-	if _, err := eng.QueryRange(rctx, q, end.Add(-10*time.Minute), end, time.Minute); err != nil {
+	if _, err := queryRange(rctx, eng, q, end.Add(-10*time.Minute), end, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if rout := rcap.Stats().Render(); !strings.Contains(rout, "steps 11") {
@@ -174,7 +174,7 @@ func TestQueryHooks(t *testing.T) {
 		OnQueryDone: func(e obs.QueryLogEntry) { entries = append(entries, e) },
 	})
 
-	if _, err := eng.Query(context.Background(), "sum(rate(amfcc_n1_auth_request[5m]))", end); err != nil {
+	if _, err := query(context.Background(), eng, "sum(rate(amfcc_n1_auth_request[5m]))", end); err != nil {
 		t.Fatal(err)
 	}
 	if started.Load() != 1 || released.Load() != 1 {
@@ -205,7 +205,7 @@ func TestQueryHooks(t *testing.T) {
 
 	// Range queries report kind "range" and their step count.
 	entries = nil
-	if _, err := eng.QueryRange(context.Background(), "smf_pdu_session_active", end.Add(-5*time.Minute), end, time.Minute); err != nil {
+	if _, err := queryRange(context.Background(), eng, "smf_pdu_session_active", end.Add(-5*time.Minute), end, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 1 || entries[0].Kind != "range" || entries[0].Steps != 6 {
@@ -222,7 +222,7 @@ func TestQueryHooks(t *testing.T) {
 		OnQueryStart: func(string, string, string) func() { return func() { released.Add(1) } },
 		OnQueryDone:  func(e obs.QueryLogEntry) { entries = append(entries, e) },
 	})
-	if _, err := small.Query(context.Background(), "amfcc_n1_auth_request", end); err == nil {
+	if _, err := query(context.Background(), small, "amfcc_n1_auth_request", end); err == nil {
 		t.Fatal("expected a sample-budget error")
 	}
 	if released.Load() != 3 {

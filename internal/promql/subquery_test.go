@@ -126,7 +126,7 @@ func TestPredictLinear(t *testing.T) {
 func TestSubquerySampleBudget(t *testing.T) {
 	db, end := testDB(t)
 	eng := NewEngine(db, EngineOptions{LookbackDelta: 5 * time.Minute, MaxSamples: 10})
-	_, err := eng.Query(context.Background(), `max_over_time(sum(smf_pdu_session_active)[10m:15s])`, end)
+	_, err := query(context.Background(), eng, `max_over_time(sum(smf_pdu_session_active)[10m:15s])`, end)
 	if err == nil {
 		t.Fatal("expected sample-budget error from subquery")
 	}

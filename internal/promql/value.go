@@ -13,7 +13,6 @@ import (
 // Value is a query result: Scalar, Vector or Matrix.
 type Value interface {
 	ValueType() ValueType
-	String() string
 }
 
 // Scalar is a single number at the evaluation timestamp.

@@ -108,7 +108,7 @@ func TestWideEquivalence(t *testing.T) {
 	ctx := context.Background()
 	check := func(name string, eng *Engine, q, want string) {
 		t.Helper()
-		m, err := eng.QueryRange(ctx, q, start, end, 45*time.Second)
+		m, err := queryRange(ctx, eng, q, start, end, 45*time.Second)
 		if err != nil {
 			t.Fatalf("%s %q: %v", name, q, err)
 		}

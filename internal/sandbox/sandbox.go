@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"dio/internal/obs"
@@ -31,9 +30,6 @@ type Limits struct {
 	// RequireSelective rejects selectors with no metric name (which scan
 	// every series in the store).
 	RequireSelective bool
-	// MaxConcurrent caps queries evaluating at once (the engine gate);
-	// zero uses the engine default.
-	MaxConcurrent int
 }
 
 // DefaultLimits returns production-shaped limits.
@@ -47,22 +43,12 @@ func DefaultLimits() Limits {
 	}
 }
 
-// Stats accumulates executor counters.
-type Stats struct {
-	Executed int
-	Rejected int
-	Failed   int
-}
-
 // Executor runs queries under Limits. It is safe for concurrent use.
 type Executor struct {
-	engine   *promql.Engine
-	limits   Limits
-	executed atomic.Int64
-	rejected atomic.Int64
-	failed   atomic.Int64
-	audit    *AuditLog
-	metrics  *executorMetrics
+	engine  *promql.Engine
+	limits  Limits
+	audit   *AuditLog
+	metrics *executorMetrics
 	// hooks accumulates the engine hooks installed so far: Instrument and
 	// ObserveQueries each contribute their slice and reapply the merged
 	// set, so the two can be wired in either order.
@@ -84,9 +70,6 @@ func New(db tsdb.Storage, limits Limits) *Executor {
 	}
 	if limits.Timeout > 0 {
 		opts.Timeout = limits.Timeout
-	}
-	if limits.MaxConcurrent > 0 {
-		opts.MaxConcurrent = limits.MaxConcurrent
 	}
 	return &Executor{engine: promql.NewEngine(db, opts), limits: limits}
 }
@@ -162,15 +145,6 @@ func (e *Executor) SetAudit(a *AuditLog) { e.audit = a }
 
 // Audit returns the attached audit log (nil when auditing is off).
 func (e *Executor) Audit() *AuditLog { return e.audit }
-
-// Stats returns a snapshot of the executor counters.
-func (e *Executor) Stats() Stats {
-	return Stats{
-		Executed: int(e.executed.Load()),
-		Rejected: int(e.rejected.Load()),
-		Failed:   int(e.failed.Load()),
-	}
-}
 
 // ErrRejected marks queries refused by static vetting before execution.
 var ErrRejected = errors.New("sandbox: query rejected")
@@ -256,11 +230,9 @@ func (e *Executor) explain(expr promql.Expr) string {
 func (e *Executor) execute(ctx context.Context, query string, ts time.Time) (promql.Value, string, error) {
 	expr, err := promql.Parse(query)
 	if err != nil {
-		e.failed.Add(1)
 		return nil, "", err
 	}
 	if err := e.Vet(expr); err != nil {
-		e.rejected.Add(1)
 		return nil, "", err
 	}
 	plan := e.explain(expr)
@@ -271,14 +243,11 @@ func (e *Executor) execute(ctx context.Context, query string, ts time.Time) (pro
 	}
 	v, err := e.engine.Eval(ctx, expr, ts)
 	if err != nil {
-		e.failed.Add(1)
 		return nil, plan, err
 	}
 	if vec, ok := v.(promql.Vector); ok && e.limits.MaxResultSeries > 0 && len(vec) > e.limits.MaxResultSeries {
-		e.rejected.Add(1)
 		return nil, plan, fmt.Errorf("%w: result has %d series (limit %d)", ErrRejected, len(vec), e.limits.MaxResultSeries)
 	}
-	e.executed.Add(1)
 	return v, plan, nil
 }
 
@@ -295,18 +264,10 @@ func (e *Executor) ExecuteRange(ctx context.Context, query string, start, end ti
 func (e *Executor) executeRange(ctx context.Context, query string, start, end time.Time, step time.Duration) (promql.Matrix, error) {
 	expr, err := promql.Parse(query)
 	if err != nil {
-		e.failed.Add(1)
 		return nil, err
 	}
 	if err := e.Vet(expr); err != nil {
-		e.rejected.Add(1)
 		return nil, err
 	}
-	m, err := e.engine.QueryRangeExpr(ctx, expr, start, end, step)
-	if err != nil {
-		e.failed.Add(1)
-		return nil, err
-	}
-	e.executed.Add(1)
-	return m, nil
+	return e.engine.QueryRangeExpr(ctx, expr, start, end, step)
 }

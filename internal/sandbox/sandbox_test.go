@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dio/internal/obs"
 	"dio/internal/promql"
 	"dio/internal/tsdb"
 )
@@ -27,9 +28,30 @@ func fixtureDB(t *testing.T) (*tsdb.DB, time.Time) {
 	return db, base.Add(19 * 15 * time.Second)
 }
 
+// instrumented returns an executor over db with its self-metrics on a
+// fresh registry, and a reader of dio_sandbox_queries_total{outcome}.
+func instrumented(db tsdb.Storage, lim Limits) (*Executor, func(Outcome) float64) {
+	reg := obs.NewRegistry()
+	ex := New(db, lim)
+	ex.Instrument(reg)
+	return ex, func(outcome Outcome) float64 {
+		for _, fam := range reg.Gather() {
+			if fam.Name != "dio_sandbox_queries_total" {
+				continue
+			}
+			for _, s := range fam.Samples {
+				if s.Labels[0].Value == string(outcome) {
+					return s.Value
+				}
+			}
+		}
+		return 0
+	}
+}
+
 func TestExecuteBasic(t *testing.T) {
 	db, at := fixtureDB(t)
-	ex := New(db, DefaultLimits())
+	ex, queries := instrumented(db, DefaultLimits())
 	v, err := ex.Execute(context.Background(), "sum(m_total)", at)
 	if err != nil {
 		t.Fatal(err)
@@ -38,31 +60,31 @@ func TestExecuteBasic(t *testing.T) {
 	if len(res) != 1 || res[0].V != 38 {
 		t.Fatalf("result = %v, want 38", res)
 	}
-	if ex.Stats().Executed != 1 {
-		t.Errorf("stats = %+v", ex.Stats())
+	if n := queries(OutcomeExecuted); n != 1 {
+		t.Errorf("executed = %v, want 1", n)
 	}
 }
 
 func TestExecuteParseError(t *testing.T) {
 	db, at := fixtureDB(t)
-	ex := New(db, DefaultLimits())
+	ex, queries := instrumented(db, DefaultLimits())
 	if _, err := ex.Execute(context.Background(), "sum(", at); err == nil {
 		t.Fatal("expected parse error")
 	}
-	if ex.Stats().Failed != 1 {
-		t.Errorf("stats = %+v", ex.Stats())
+	if n := queries(OutcomeFailed); n != 1 {
+		t.Errorf("failed = %v, want 1", n)
 	}
 }
 
 func TestVetRejectsNamelessSelector(t *testing.T) {
 	db, at := fixtureDB(t)
-	ex := New(db, DefaultLimits())
+	ex, queries := instrumented(db, DefaultLimits())
 	_, err := ex.Execute(context.Background(), `sum({instance="a"})`, at)
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("expected rejection, got %v", err)
 	}
-	if ex.Stats().Rejected != 1 {
-		t.Errorf("stats = %+v", ex.Stats())
+	if n := queries(OutcomeRejected); n != 1 {
+		t.Errorf("rejected = %v, want 1", n)
 	}
 	// With the guard disabled, the same query runs.
 	lim := DefaultLimits()

@@ -183,16 +183,3 @@ func (ls Labels) String() string {
 	b.WriteByte('}')
 	return b.String()
 }
-
-// Equal reports whether two label sets are identical.
-func (ls Labels) Equal(other Labels) bool {
-	if len(ls) != len(other) {
-		return false
-	}
-	for i := range ls {
-		if ls[i] != other[i] {
-			return false
-		}
-	}
-	return true
-}

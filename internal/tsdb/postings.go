@@ -5,8 +5,8 @@ import "sort"
 // postings is the store's inverted index: label name → label value → the
 // fingerprints of every series carrying that pair. Lists are kept sorted,
 // so selection iterates candidates in canonical (fingerprint) order and
-// never needs to re-sort, and LabelValues is served without scanning the
-// store. The __name__ entries double as the per-metric posting lists.
+// never needs to re-sort. The __name__ entries double as the per-metric
+// posting lists.
 type postings map[string]map[string][]string
 
 // add indexes one series under every label pair it carries.
@@ -43,16 +43,6 @@ func (p postings) remove(fp string, ls Labels) {
 
 // get returns the sorted fingerprints of the series carrying name=value.
 func (p postings) get(name, value string) []string { return p[name][value] }
-
-// values returns the sorted distinct values of a label name.
-func (p postings) values(name string) []string {
-	vals := make([]string, 0, len(p[name]))
-	for v := range p[name] {
-		vals = append(vals, v)
-	}
-	sort.Strings(vals)
-	return vals
-}
 
 // insertSorted inserts key into a sorted slice, keeping it sorted and
 // duplicate-free.

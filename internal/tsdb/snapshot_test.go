@@ -86,10 +86,10 @@ func TestTruncateRetention(t *testing.T) {
 		t.Fatalf("minT = %d after truncation", minT)
 	}
 	// The g series (samples at 0..4000) disappears entirely.
-	if db.HasMetric("g") {
+	if hasMetric(db, "g") {
 		t.Fatal("fully-truncated series still present")
 	}
-	if db.HasMetric("m") != true {
+	if !hasMetric(db, "m") {
 		t.Fatal("surviving series lost")
 	}
 	// Appends older than the new head of a surviving series still fail;

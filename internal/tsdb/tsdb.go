@@ -313,20 +313,6 @@ func (db *DB) MetricTimeRange(name string) (minT, maxT int64, ok bool) {
 	return minT, maxT, true
 }
 
-// MetricNames returns all distinct metric names, sorted.
-func (db *DB) MetricNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.index.values(MetricNameLabel)
-}
-
-// HasMetric reports whether any series exists for the metric name.
-func (db *DB) HasMetric(name string) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.index.get(MetricNameLabel, name)) > 0
-}
-
 // candidates returns the fingerprints to scan for the given matchers: the
 // shortest posting list among the equality matchers, else every series.
 // All lists are pre-sorted, so results built by filtering candidates are
@@ -499,14 +485,6 @@ func (db *DB) AllSeries() []SeriesRange {
 		out = append(out, SeriesRange{Labels: s.Labels, Samples: s.allSamples()})
 	}
 	return out
-}
-
-// LabelValues returns the sorted distinct values of a label name across
-// all series, served from the inverted index.
-func (db *DB) LabelValues(name string) []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.index.values(name)
 }
 
 // Truncate drops every sample older than keepAfter (exclusive), enforcing

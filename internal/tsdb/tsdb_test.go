@@ -3,6 +3,8 @@ package tsdb
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -69,7 +71,7 @@ func TestLabelsKeyUniqueness(t *testing.T) {
 	f := func(k1, v1, k2, v2 string) bool {
 		l1 := FromMap(map[string]string{k1: v1})
 		l2 := FromMap(map[string]string{k2: v2})
-		if l1.Equal(l2) {
+		if slices.Equal(l1, l2) {
 			return l1.Key() == l2.Key()
 		}
 		return l1.Key() != l2.Key() || (len(l1) == 0 && len(l2) == 0)
@@ -85,7 +87,7 @@ func TestLabelsAppendKeyAndClone(t *testing.T) {
 	f := func(k1, v1, k2, v2 string) bool {
 		ls := FromMap(map[string]string{MetricNameLabel: "m", k1: v1, k2: v2})
 		key := ls.Key()
-		return string(ls.AppendKey([]byte("prefix"))) == "prefix"+key && ls.cloneFromKey(key).Equal(ls)
+		return string(ls.AppendKey([]byte("prefix"))) == "prefix"+key && slices.Equal(ls.cloneFromKey(key), ls)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -229,18 +231,33 @@ func TestMetricNamesAndLabelValues(t *testing.T) {
 	if err := db.Append(FromMap(map[string]string{"__name__": "y"}), 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	names := db.MetricNames()
+	names := labelValues(db, MetricNameLabel)
 	if len(names) != 2 || names[0] != "x" || names[1] != "y" {
 		t.Fatalf("names = %v", names)
 	}
-	vals := db.LabelValues("instance")
+	vals := labelValues(db, "instance")
 	if len(vals) != 2 || vals[0] != "a" {
 		t.Fatalf("label values = %v", vals)
 	}
-	if !db.HasMetric("x") || db.HasMetric("zzz") {
-		t.Error("HasMetric wrong")
+	if !hasMetric(db, "x") || hasMetric(db, "zzz") {
+		t.Error("hasMetric wrong")
 	}
 }
+
+// labelValues returns the sorted values the postings index holds for a
+// label name.
+func labelValues(db *DB, name string) []string {
+	var vals []string
+	for v := range db.index[name] {
+		vals = append(vals, v)
+	}
+	sort.Strings(vals)
+	return vals
+}
+
+// hasMetric reports whether the postings index lists a series of the
+// metric.
+func hasMetric(db *DB, name string) bool { return len(db.index.get(MetricNameLabel, name)) > 0 }
 
 func TestSelectWithLabelMatcher(t *testing.T) {
 	db := New()
@@ -373,16 +390,17 @@ func TestLabelValuesAfterTruncate(t *testing.T) {
 		}
 	}
 	db.Truncate(2000)
-	if vals := db.LabelValues("instance"); len(vals) != 1 || vals[0] != "live" {
+	if vals := labelValues(db, "instance"); len(vals) != 1 || vals[0] != "live" {
 		t.Fatalf("label values after truncate = %v", vals)
 	}
-	if db.HasMetric("m") != true {
+	if !hasMetric(db, "m") {
 		t.Fatal("metric vanished")
 	}
-	// Drop the last series of the metric: the index entry must go too.
+	// Drop the last series of the metric: every posting list, and every
+	// label name left without one, must go too.
 	db.Truncate(10000)
-	if db.HasMetric("m") || len(db.MetricNames()) != 0 || len(db.LabelValues("instance")) != 0 {
-		t.Fatal("stale index entries after full truncate")
+	if len(db.index) != 0 {
+		t.Fatalf("stale index entries after full truncate: %v", db.index)
 	}
 }
 

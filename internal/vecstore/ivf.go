@@ -61,13 +61,6 @@ func (ix *IVF) Add(id string, vec embedding.Vector) error {
 	return nil
 }
 
-// Len returns the number of stored vectors.
-func (ix *IVF) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.t.ids)
-}
-
 // Build trains the k-means coarse quantiser on the buffered vectors and
 // assigns every vector to an inverted list. iters bounds the Lloyd
 // iterations (10 is plenty for retrieval purposes).

@@ -28,8 +28,6 @@ type Index interface {
 	// Search returns up to k nearest entries by cosine similarity,
 	// best first.
 	Search(query embedding.Vector, k int) []Result
-	// Len returns the number of stored vectors.
-	Len() int
 }
 
 // table is the storage Flat and IVF share: the ids, each row's L2 norm and
@@ -352,9 +350,6 @@ type Flat struct {
 func NewFlat(dim int) *Flat {
 	return &Flat{t: table{dim: dim, pos: make(map[string]int)}}
 }
-
-// Dim returns the index dimensionality.
-func (f *Flat) Dim() int { return f.t.dim }
 
 // Add stores vec under id, replacing any previous vector with that id.
 // Vectors with a NaN or infinite component are rejected.
