@@ -18,8 +18,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"runtime"
 	"strings"
-	"sync"
 
 	"dio/internal/tsdb"
 )
@@ -281,10 +281,12 @@ func DecodeJSON(r io.Reader) ([]TimeSeries, error) {
 	return out, nil
 }
 
-// bodyPool recycles binary request bodies across pushes. DecodeBinary
+// bodies recycles binary request bodies across pushes. DecodeBinary
 // copies out every byte it keeps, so a body's buffer is free again as soon
-// as it returns.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// as it returns. It is a bounded free list, not a sync.Pool: a GC empties
+// a pool, and the next push then regrows its buffer. It holds one buffer
+// per processor, since that many pushes decode at once.
+var bodies = make(chan *bytes.Buffer, runtime.GOMAXPROCS(0))
 
 // maxPooledBody bounds the buffers kept for reuse: one outsized push does
 // not pin its buffer.
@@ -296,11 +298,19 @@ const maxPooledBody = 4 << 20
 func DecodeWriteRequest(r io.Reader, contentType string) ([]TimeSeries, error) {
 	switch contentType {
 	case ContentTypeBinary:
-		buf := bodyPool.Get().(*bytes.Buffer)
+		var buf *bytes.Buffer
+		select {
+		case buf = <-bodies:
+		default:
+			buf = new(bytes.Buffer)
+		}
 		defer func() {
 			if buf.Cap() <= maxPooledBody {
 				buf.Reset()
-				bodyPool.Put(buf)
+				select {
+				case bodies <- buf:
+				default:
+				}
 			}
 		}()
 		if _, err := buf.ReadFrom(r); err != nil {

@@ -76,8 +76,8 @@ type RangeStats struct {
 	// timeline).
 	CursorResets int
 	// PeakIntermediateBytes is the high-water mark of pooled intermediate
-	// memory across all partitions of the query — the figure the batched
-	// executor bounds by its batch size.
+	// memory across all partitions of the query: one step's containers,
+	// since each partition's arena resets after every step.
 	PeakIntermediateBytes int64
 }
 
@@ -89,12 +89,9 @@ type Engine struct {
 	gate  chan struct{}
 	hooks Hooks
 
-	// batch is the number of range steps evaluated between arena resets
-	// (defaultBatchSize); noArena runs range partitions on the nil arena,
-	// the plain-heap path instant queries always take. In-package tests
-	// set them to move batch boundaries and to check that results never
-	// depend on recycling; nothing else does.
-	batch   int
+	// noArena runs range partitions on the nil arena, the plain-heap path
+	// instant queries always take. In-package tests set it to check that
+	// results never depend on recycling; nothing else does.
 	noArena bool
 
 	// Compiled plans are cached by canonical expression string: plans
@@ -120,7 +117,7 @@ func NewEngine(db tsdb.Storage, opts EngineOptions) *Engine {
 			opts.ExecWorkers = 16
 		}
 	}
-	e := &Engine{db: db, opts: opts, plans: make(map[string]*compiledPlan), batch: defaultBatchSize}
+	e := &Engine{db: db, opts: opts, plans: make(map[string]*compiledPlan)}
 	if opts.MaxConcurrent > 0 {
 		e.gate = make(chan struct{}, opts.MaxConcurrent)
 	}

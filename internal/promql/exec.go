@@ -1,27 +1,32 @@
 package promql
 
 // exec.go — the third plan-based execution layer (see logical.go,
-// physical.go). The executor prefetches every deduplicated scan with one
-// tsdb.SelectBatch call, then drives the physical operator tree:
+// physical.go). The executor selects every deduplicated scan with one
+// tsdb.SelectBatch call, which copies chunk snapshots under the store's
+// lock and decodes nothing, then drives the physical operator tree:
 //
 //   - Range queries split their steps into contiguous partitions, one
-//     goroutine each, every partition owning private scan cursors that
-//     advance monotonically through its steps (seekAfter in selcache.go
-//     gallops from the previous position). Each partition streams its
-//     steps in bounded batches (defaultBatchSize): step
-//     vectors fold into a per-partition accumulator as they are produced,
-//     and the arena holding the batch's intermediates (pool.go) resets at
-//     every batch boundary — peak memory is bounded by batch size ×
-//     series count, not range length × series count. Partition
-//     accumulators merge in ascending partition order; because partitions
-//     are contiguous and the final series order is re-sorted by key, the
-//     rendered output is byte-identical to sequential evaluation
-//     regardless of which partition finishes first.
-//   - Instant queries run a single stateless part (binary-search scans,
-//     no shared cursor state), which additionally unlocks branch-parallel
-//     binary operands and per-series-parallel range functions: both are
-//     race-free because stateless reads share nothing and outputs merge
-//     into position-indexed slots.
+//     goroutine each, every partition owning private cursors per selector
+//     use site that advance monotonically through its steps. A scan read
+//     in step order streams: its cursor holds a tsdb.Reader per series,
+//     which decodes samples only as the steps reach them and keeps only
+//     those the current window or instant can still use. A scan under a
+//     subquery, whose inner steps run backwards, is decoded whole once per
+//     execution, and its cursors gallop through the samples (seekAfter in
+//     selcache.go). Each step's vector folds into a per-partition
+//     accumulator as soon as it is produced, and the arena holding the
+//     step's intermediates (pool.go) then resets — peak memory is one
+//     step's vectors plus the readers' windows, not range length × series
+//     count. Partition accumulators merge in ascending partition order;
+//     because partitions are contiguous and the final series order is
+//     re-sorted by key, the rendered output is byte-identical to
+//     sequential evaluation regardless of which partition finishes first.
+//   - Instant queries decode every scan whole and run a single stateless
+//     part (binary-search scans, no shared cursor state), which
+//     additionally unlocks branch-parallel binary operands and
+//     per-series-parallel range functions: both are race-free because
+//     stateless reads share nothing and outputs merge into
+//     position-indexed slots.
 //
 // Error determinism: on failure the executor reports the error of the
 // earliest failing step, preferring non-cancellation errors (sibling
@@ -212,9 +217,11 @@ func (st *execState) sampleKey(t *idTable, s VSample) string {
 	return st.keyOf(s.Labels)
 }
 
-// newExecState prefetches every scan of the plan for an evaluation range
-// [startMs, endMs] and seeds the fingerprint key cache.
-func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState {
+// newExecState selects every scan of the plan for an evaluation range
+// [startMs, endMs] and seeds the fingerprint key cache. The scans an
+// instant or a subquery reads are decoded here, whole; a range query's
+// cursors stream the others.
+func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64, instant bool) *execState {
 	st := &execState{
 		eng:        e,
 		cp:         cp,
@@ -226,7 +233,10 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState
 		ids:        make([]*idTable, len(cp.stats)),
 	}
 	st.series = e.db.SelectBatch(cp.plan.selectHints(startMs, endMs))
-	for _, views := range st.series {
+	for i, views := range st.series {
+		if instant || cp.eager[i] {
+			tsdb.DecodeViews(views)
+		}
 		for _, sv := range views {
 			if len(sv.Labels) > 0 {
 				st.keys[labelsRef{&sv.Labels[0], len(sv.Labels)}] = sv.Fingerprint
@@ -288,8 +298,11 @@ func (st *execState) notePeakIntermediate(b int64) {
 	}
 }
 
-// useCursor is the per-partition cursor state of one selector use site.
+// useCursor is the per-partition cursor state of one selector use site:
+// a reader per series over a streamed scan, else indexes into the
+// decoded samples of an eager one.
 type useCursor struct {
+	rd       []tsdb.Reader
 	inst     []int
 	instT    int64
 	instPos  bool
@@ -297,6 +310,20 @@ type useCursor struct {
 	winStart int64
 	winEnd   int64
 	winPos   bool
+}
+
+// readers returns the use site's readers, made at its first read with
+// room for span ms of samples per series, or nil when the part is
+// stateless or the scan eager.
+func (p *part) readers(scanIdx, cur int, span int64) []tsdb.Reader {
+	if p.cursors == nil || p.st.cp.eager[scanIdx] {
+		return nil
+	}
+	cu := &p.cursors[cur]
+	if cu.rd == nil {
+		cu.rd = tsdb.NewReaders(p.st.series[scanIdx], span)
+	}
+	return cu.rd
 }
 
 // part drives the operator tree for a contiguous run of steps (cursor
@@ -313,10 +340,10 @@ type part struct {
 	cursors   []useCursor
 	seriesPar bool
 	branchPar bool
-	// al, when non-nil, is this part's batch arena (pool.go): every
+	// al, when non-nil, is this part's step arena (pool.go): every
 	// intermediate container the part's operators produce comes from it
-	// and is recycled at the next batch boundary. Nil on instant parts:
-	// all methods degrade to plain heap allocation.
+	// and is recycled once the step is folded. Nil on instant parts: all
+	// methods degrade to plain heap allocation.
 	al *alloc
 }
 
@@ -356,7 +383,7 @@ func (p *part) eval(op physOp, ts int64) (Value, error) {
 
 // evalVec is eval for operators that statically produce vectors (the
 // vecExecer fast path): identical cancellation and stats behaviour, but
-// the value never crosses an interface boundary — on the step-batched hot
+// the value never crosses an interface boundary — on the per-step hot
 // path that interface box was one heap allocation per operator per step.
 func (p *part) evalVec(op vecExecer, ts int64) (Vector, error) {
 	if err := p.ctx.Err(); err != nil {
@@ -456,13 +483,22 @@ func (p *part) vector(op physOp, ts int64) (Vector, error) {
 
 // instant serves a selector read at adjusted timestamp ts, stamping
 // samples with outT — cursor-based when the part owns cursors (samples
-// then carry their scan position), stateless binary search otherwise.
-// Results are in fingerprint order because the prefetch is.
+// then carry their scan position): off readers on a streamed scan, by
+// galloping seeks on an eager one; stateless binary search otherwise.
+// Results are in fingerprint order because the selection is.
 func (p *part) instant(scanIdx, cur int, ts, outT int64) Vector {
 	series := p.st.series[scanIdx]
 	atomic.AddInt64(&p.st.services[scanIdx], 1)
 	lookback := p.st.lookbackMs
 	out := p.al.vec(len(series))
+	if rd := p.readers(scanIdx, cur, 0); rd != nil {
+		for i := range rd {
+			if smp, ok := rd[i].Latest(ts-lookback, ts); ok {
+				out = append(out, VSample{Labels: series[i].Labels, T: outT, V: smp.V, pos: int32(i + 1)})
+			}
+		}
+		return out
+	}
 	if p.cursors != nil {
 		cu := &p.cursors[cur]
 		if cu.inst == nil {
@@ -520,12 +556,21 @@ func (p *part) windows(scanIdx int, start, end int64) (Matrix, int) {
 	return out, total
 }
 
-// seek advances a matrix scan's window cursors to (start, end]: series
-// i's window is then Samples[cu.lo[i]:cu.hi[i]]. It returns how many
-// series have samples in the window and how many samples they hold.
+// seek advances a matrix scan's window cursors to (start, end], where
+// cursorWindow then finds series i's window. It returns how many series
+// have samples in the window and how many samples they hold.
 func (p *part) seek(scanIdx, cur int, start, end int64) (n, total int) {
 	series := p.st.series[scanIdx]
 	atomic.AddInt64(&p.st.services[scanIdx], 1)
+	if rd := p.readers(scanIdx, cur, end-start); rd != nil {
+		for i := range rd {
+			if w := rd[i].Window(start+1, end); len(w) > 0 {
+				n++
+				total += len(w)
+			}
+		}
+		return n, total
+	}
 	cu := &p.cursors[cur]
 	if cu.lo == nil {
 		cu.lo = make([]int, len(series))
@@ -546,6 +591,16 @@ func (p *part) seek(scanIdx, cur int, start, end int64) (n, total int) {
 		}
 	}
 	return n, total
+}
+
+// cursorWindow is series i's window after seek(scanIdx, cur, start, end):
+// a streamed scan's reader re-reads it without decoding.
+func (p *part) cursorWindow(scanIdx, cur, i int, start, end int64) []tsdb.Sample {
+	cu := &p.cursors[cur]
+	if cu.rd != nil {
+		return cu.rd[i].Window(start+1, end)
+	}
+	return p.st.series[scanIdx][i].Samples[cu.lo[i]:cu.hi[i]]
 }
 
 // rangeFuncParallel fans one range function out across series chunks,
@@ -610,7 +665,7 @@ func (e *Engine) execInstant(ctx context.Context, expr Expr, ts time.Time) (Valu
 		return nil, err
 	}
 	tsMs := ts.UnixMilli()
-	st := e.newExecState(cp, tsMs, tsMs)
+	st := e.newExecState(cp, tsMs, tsMs, true)
 	p := st.newInstantPart(ctx)
 	v, err := p.eval(cp.root, tsMs)
 	samples := int(p.asamples.Load())
@@ -656,7 +711,7 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 	for t := start; !t.After(end); t = t.Add(step) {
 		steps = append(steps, t.UnixMilli())
 	}
-	st := e.newExecState(cp, steps[0], steps[len(steps)-1])
+	st := e.newExecState(cp, steps[0], steps[len(steps)-1], false)
 	if e.hooks.OnRangeEval != nil {
 		defer func() { e.hooks.OnRangeEval(st.stats()) }()
 	}
@@ -716,8 +771,8 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 }
 
 // rangeAcc is one partition's fold target: step vectors stream into it as
-// they are produced, copying each sample out of the batch arena — the
-// reason batch resets are safe.
+// they are produced, copying each sample out of the step arena — the
+// reason per-step resets are safe.
 type rangeAcc struct {
 	acc   map[string]*MSeries
 	order []string // first-appearance order; re-sorted at merge
@@ -729,7 +784,7 @@ func newRangeAcc() *rangeAcc {
 
 // foldVec appends one step vector's samples, keyed by their rows of the
 // root's table ids. Labels are adopted by reference — label slices are
-// never pooled, so they outlive the batch.
+// never pooled, so they outlive the step.
 func (a *rangeAcc) foldVec(st *execState, ids *idTable, vec Vector, ts int64) {
 	for _, s := range vec {
 		key := st.sampleKey(ids, s)
@@ -768,21 +823,14 @@ func (st *execState) keyOf(ls tsdb.Labels) string {
 	return ls.Key()
 }
 
-// runSpan evaluates a contiguous run of steps [lo, hi) in arena batches:
-// every batch steps the partition's intermediates are recycled.
+// runSpan evaluates a contiguous run of steps [lo, hi), recycling the
+// partition's intermediates once each step is folded.
 func (p *part) runSpan(root physOp, steps []int64, lo, hi int, acc *rangeAcc) stepError {
-	batch := p.st.eng.batch
 	ve, _ := root.(vecExecer)
 	ids := p.st.posTable(root)
-	for b0 := lo; b0 < hi; b0 += batch {
-		b1 := b0 + batch
-		if b1 > hi {
-			b1 = hi
-		}
-		for i := b0; i < b1; i++ {
-			if err := p.runStep(root, ve, ids, steps[i], acc); err != nil {
-				return stepError{idx: i, err: err}
-			}
+	for i := lo; i < hi; i++ {
+		if err := p.runStep(root, ve, ids, steps[i], acc); err != nil {
+			return stepError{idx: i, err: err}
 		}
 		p.al.reset()
 	}

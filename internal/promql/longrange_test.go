@@ -11,8 +11,9 @@ import (
 // longRangeDB builds a multi-day fixture: three days of 5-minute samples
 // (865 points per series) for a pair of counters with distinct rates and a
 // sawtooth gauge, all carrying instance labels so aggregations group.
-// Range queries over this window run hundreds of steps —
-// many times the default batch size — so batch boundaries fall mid-query.
+// Range queries over this window run hundreds of steps, so each
+// partition's readers stream across many sealed chunks and its arena
+// resets hundreds of times.
 func longRangeDB(t testing.TB) (*tsdb.DB, time.Time) {
 	t.Helper()
 	db := tsdb.New()
@@ -40,20 +41,19 @@ var longRangeCorpus = []string{
 }
 
 // TestLongRangeGoldenCorpus: the long-range corpus over the full 3-day
-// window (145 half-hour steps — several batches deep at 64 and at 7) must
-// render byte-identically on the batched executor, at the default and at
-// a small batch size, and on the oracle.
+// window (145 half-hour steps) must render byte-identically on the
+// streaming executor, with and without its arena, and on the oracle.
 func TestLongRangeGoldenCorpus(t *testing.T) {
 	db, end := longRangeDB(t)
 	w := rangeWindow{"3d", end.Add(-72 * time.Hour), end, 30 * time.Minute}
 
 	// The store is one shard; the subtest keeps the name it has always had.
 	t.Run("shards=1", func(t *testing.T) {
-		small := NewEngine(db, DefaultEngineOptions())
-		small.batch = 7
+		heap := NewEngine(db, DefaultEngineOptions())
+		heap.noArena = true
 		engines := map[string]*Engine{
-			"batched":     NewEngine(db, DefaultEngineOptions()),
-			"small-batch": small,
+			"streamed": NewEngine(db, DefaultEngineOptions()),
+			"no-arena": heap,
 		}
 		for _, q := range longRangeCorpus {
 			for name, eng := range engines {
@@ -65,19 +65,18 @@ func TestLongRangeGoldenCorpus(t *testing.T) {
 
 // TestLongRangeBoundedIntermediate pins the memory story of streaming
 // execution: over the 3-day window, peak intermediate (arena-held) bytes
-// with the default batch size must come in well under a whole-range
-// single-batch run, because only one batch of step vectors is ever live —
-// and must stay flat when the same window is cut into three times as many
-// steps (145 → 433), because the bound is the batch, not the range.
+// are one step's containers, because the arena resets after every step —
+// under 1 KiB for this two-series query — and stay the same when the
+// window is cut into three times as many steps (145 → 433), because the
+// bound is the step, not the range.
 func TestLongRangeBoundedIntermediate(t *testing.T) {
 	base, end := longRangeDB(t)
 	start := end.Add(-72 * time.Hour)
 
-	peak := func(batch int, step time.Duration) int64 {
+	peak := func(step time.Duration) int64 {
 		opts := DefaultEngineOptions()
-		opts.ExecWorkers = 1 // partitioning splits the range; single-part isolates batch size
+		opts.ExecWorkers = 1 // one partition, so one arena
 		eng := NewEngine(base, opts)
-		eng.batch = batch
 		var p int64
 		eng.SetHooks(Hooks{OnRangeEval: func(s RangeStats) { p = s.PeakIntermediateBytes }})
 		if _, err := queryRange(context.Background(), eng, longRangeCorpus[0], start, end, step); err != nil {
@@ -86,16 +85,15 @@ func TestLongRangeBoundedIntermediate(t *testing.T) {
 		return p
 	}
 
-	batched, whole := peak(defaultBatchSize, 30*time.Minute), peak(1<<20, 30*time.Minute)
-	fine := peak(defaultBatchSize, 10*time.Minute)
-	t.Logf("peak intermediate bytes: batch=%d %d (145 steps) %d (433 steps), whole-range %d", defaultBatchSize, batched, fine, whole)
-	if batched <= 0 || whole <= 0 {
-		t.Fatalf("peak bytes not recorded: batched=%d whole=%d", batched, whole)
+	coarse, fine := peak(30*time.Minute), peak(10*time.Minute)
+	t.Logf("peak intermediate bytes: %d (145 steps) %d (433 steps)", coarse, fine)
+	if coarse <= 0 {
+		t.Fatalf("peak bytes not recorded: %d", coarse)
 	}
-	if batched*2 >= whole {
-		t.Errorf("batched peak %d not meaningfully below whole-range peak %d", batched, whole)
+	if coarse > 1<<10 {
+		t.Errorf("peak %d bytes over 145 steps; want one step's containers, under 1 KiB", coarse)
 	}
-	if fine > 2*batched {
-		t.Errorf("batched peak grew %d -> %d from 145 to 433 steps; want flat (bounded by batch size, not range)", batched, fine)
+	if fine != coarse {
+		t.Errorf("peak moved %d -> %d from 145 to 433 steps; want flat (bounded by the step, not the range)", coarse, fine)
 	}
 }

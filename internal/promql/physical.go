@@ -3,12 +3,12 @@ package promql
 // physical.go — the second plan-based execution layer (see logical.go,
 // exec.go). compilePlan lowers an optimized logical plan to a tree of
 // pull-based physical operators: each operator's exec produces the
-// step-batch (Vector/Scalar/Matrix) for one evaluation timestamp, pulling
+// value (Vector/Scalar/Matrix) for one evaluation timestamp, pulling
 // its inputs from child operators. Operators are immutable and shared
 // across queries via the Engine plan cache; all mutable per-query state
-// (sample budget, scan cursors, prefetched series) lives in the part
-// passed to exec, so one compiled plan can serve concurrent executions
-// and concurrent partitions of the same execution.
+// (sample budget, scan cursors and readers, selected series) lives in the
+// part passed to exec, so one compiled plan can serve concurrent
+// executions and concurrent partitions of the same execution.
 //
 // Every operator reproduces the test oracle's behaviour exactly — same
 // evaluation order, same kernels (kernels.go), same error messages —
@@ -40,7 +40,7 @@ type windowOp interface {
 // vecExecer is implemented by operators that statically produce instant
 // vectors. part.vector and the range executor's step loop prefer execVec
 // over exec: the concrete Vector return never crosses a Value interface
-// boundary, which on the batched hot path saved one heap allocation per
+// boundary, which on the per-step hot path saved one heap allocation per
 // operator per step (the interface box).
 type vecExecer interface {
 	physOp
@@ -62,6 +62,9 @@ type compiledPlan struct {
 	// nCursors counts selector use sites: each gets a per-partition
 	// cursor slot for monotone multi-step execution.
 	nCursors int
+	// eager marks the scans (by scan ID) read under a subquery, out of
+	// step order: a range query decodes their snapshots whole, up front.
+	eager []bool
 	// stats is the per-operator skeleton EXPLAIN ANALYZE collects into:
 	// one node per operator, labelled with the logical node's describe()
 	// so the analyzed tree matches the plain Explain tree.
@@ -71,16 +74,18 @@ type compiledPlan struct {
 type compiler struct {
 	cursors int
 	stats   []statsNode
+	sub     int // subqueries enclosing the node being lowered
+	eager   []bool
 }
 
 // compilePlan lowers plan to physical operators.
 func compilePlan(plan *Plan) (*compiledPlan, error) {
-	c := &compiler{}
+	c := &compiler{eager: make([]bool, len(plan.scans))}
 	root, err := c.compile(plan.root)
 	if err != nil {
 		return nil, err
 	}
-	return &compiledPlan{plan: plan, root: root, nCursors: c.cursors, stats: c.stats}, nil
+	return &compiledPlan{plan: plan, root: root, nCursors: c.cursors, eager: c.eager, stats: c.stats}, nil
 }
 
 // compile lowers one logical node and registers the operator's stats
@@ -159,15 +164,15 @@ func (c *compiler) lower(n logNode) (physOp, error) {
 		}
 		return &pNeg{child: child}, nil
 	case *lScan:
-		op := &pScan{scanIdx: x.scan.ID, cur: c.cursors, offMs: x.offset.Milliseconds()}
-		c.cursors++
+		op := &pScan{scanIdx: x.scan.ID, cur: c.useSite(x.scan.ID), offMs: x.offset.Milliseconds()}
 		return op, nil
 	case *lMatrix:
-		op := &pMatrix{scanIdx: x.scan.ID, cur: c.cursors, offMs: x.offset.Milliseconds(), rngMs: x.rng.Milliseconds()}
-		c.cursors++
+		op := &pMatrix{scanIdx: x.scan.ID, cur: c.useSite(x.scan.ID), offMs: x.offset.Milliseconds(), rngMs: x.rng.Milliseconds()}
 		return op, nil
 	case *lSubquery:
+		c.sub++
 		child, err := c.compile(x.child)
+		c.sub--
 		if err != nil {
 			return nil, err
 		}
@@ -210,6 +215,16 @@ func (c *compiler) lower(n logNode) (physOp, error) {
 		return &pBinary{ast: x.ast, lhs: lhs, rhs: rhs, parOK: subtreeHasScan(x.lhs) && subtreeHasScan(x.rhs)}, nil
 	}
 	return nil, fmt.Errorf("promql: cannot compile %T", n)
+}
+
+// useSite assigns a selector use site its cursor slot, marking the scan
+// eager when a subquery encloses the site.
+func (c *compiler) useSite(scanIdx int) int {
+	if c.sub > 0 {
+		c.eager[scanIdx] = true
+	}
+	c.cursors++
+	return c.cursors - 1
 }
 
 func (c *compiler) compileCall(x *lCall) (physOp, error) {
@@ -550,14 +565,13 @@ func (o *pRangeFunc) overCursor(p *part, m *pMatrix, ts int64) (Vector, error) {
 		}
 	}
 	ids := p.st.ids[o.sx] // nil when the name drop makes keys collide
-	cu := &p.cursors[m.cur]
 	out := p.al.vec(n)
 	for i, sv := range p.st.series[m.scanIdx] {
-		lo, hi := cu.lo[i], cu.hi[i]
-		if hi <= lo {
+		w := p.cursorWindow(m.scanIdx, m.cur, i, start, end)
+		if len(w) == 0 {
 			continue
 		}
-		v, ok, err := rangeSeriesValue(p.al, o.name, sv.Samples[lo:hi], start, end, ts, scalarParam)
+		v, ok, err := rangeSeriesValue(p.al, o.name, w, start, end, ts, scalarParam)
 		if err != nil {
 			return nil, err
 		}

@@ -1,21 +1,21 @@
 package promql
 
-// pool.go — the allocation layer of the streaming batched executor. Range
-// queries evaluate their steps in bounded batches (defaultBatchSize);
-// every intermediate container a batch produces — step vectors, subquery
-// window matrices, merge scratch — is handed out by a per-partition alloc
-// and recycled wholesale when the batch has been folded into the
-// partition's accumulator. The arena discipline replaces a per-value
-// ownership protocol: nothing is reused while any value of the current
-// batch can still reference it, and the only data that outlives a batch —
-// sample values (copied by the fold) and label slices (never pooled) — is
-// safe by construction. Range functions over a matrix selector build no
-// window matrix at all: they read each window off the partition's cursor.
+// pool.go — the allocation layer of the streaming executor. Range queries
+// evaluate their steps one at a time; every intermediate container a step
+// produces — step vectors, subquery window matrices, merge scratch — is
+// handed out by a per-partition alloc and recycled wholesale as soon as
+// the step has been folded into the partition's accumulator. The arena
+// discipline replaces a per-value ownership protocol: nothing is reused
+// while any value of the current step can still reference it, and the
+// only data that outlives a step — sample values (copied by the fold) and
+// label slices (never pooled) — is safe by construction. Range functions
+// over a matrix selector build no window matrix at all: they read each
+// window off the partition's cursor.
 //
 // An alloc is single-goroutine: each cursor partition owns one. The alloc
 // structs themselves recycle across queries through a global sync.Pool (pointer-
-// typed, so Get/Put never box), which is what makes short single-batch
-// queries allocation-free in steady state: the freelists survive from one
+// typed, so Get/Put never box), which is what makes short queries
+// allocation-free in steady state: the freelists survive from one
 // dashboard refresh to the next.
 //
 // The arena derives no labels. Name drops, grouping labels and their keys
@@ -43,14 +43,9 @@ import (
 // (2^23 elements ≈ 8M — far above any per-step container).
 const poolBuckets = 24
 
-// defaultBatchSize is the number of range steps evaluated between arena
-// resets: enough that per-batch fixed costs amortize, small enough that a
-// dashboard panel's intermediates stay cache-resident.
-const defaultBatchSize = 64
-
 // poisonPools, when set (tests only), scribbles sentinel values over every
 // container before it is recycled, so any value still aliasing a pooled
-// slice after a batch reset corrupts observably instead of silently.
+// slice after a step's reset corrupts observably instead of silently.
 var poisonPools atomic.Bool
 
 // Poison sentinels: a timestamp and label set no real evaluation produces.
@@ -156,8 +151,8 @@ type alloc struct {
 	liveF [][]float64
 
 	// liveBytes approximates the bytes currently held by live containers;
-	// peakBytes is its high-water mark across batches — the "intermediate
-	// memory" figure the batch benchmark reports.
+	// peakBytes is its high-water mark across steps — the "intermediate
+	// memory" figure RangeStats reports.
 	liveBytes int64
 	peakBytes int64
 
@@ -211,7 +206,7 @@ func (al *alloc) floats(n int) []float64 {
 	return s
 }
 
-// reset recycles every live container — the batch boundary. The caller
+// reset recycles every live container — the end of a step. The caller
 // guarantees nothing evaluated since the previous reset is referenced
 // anymore (the fold copied samples out; labels are never pooled).
 func (al *alloc) reset() {

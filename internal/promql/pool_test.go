@@ -13,49 +13,34 @@ import (
 // TestPoolPoisonEquivalence re-runs the golden corpus with pool poisoning
 // enabled: every arena reset scribbles 0xDEADBEEF sentinels over recycled
 // step vectors, matrices, and scratch slices before they are handed out
-// again. Any operator that holds a reference across a batch boundary —
-// instead of copying what it keeps — surfaces as poisoned labels or
-// timestamps in the rendered matrix, not as a silent wrong answer. A
-// 7-step batch puts two resets inside each 21-step query.
+// again. Any operator that holds a reference across a step — instead of
+// copying what it keeps — surfaces as poisoned labels or timestamps in the
+// rendered matrix, not as a silent wrong answer. The arena resets after
+// every step, so each 21-step query crosses 20 resets.
 func TestPoolPoisonEquivalence(t *testing.T) {
 	poisonPools.Store(true)
 	defer poisonPools.Store(false)
 
 	db, end := testDB(t)
 	w := corpusWindows(end)[0]
-	for _, batch := range []int{defaultBatchSize, 7} {
-		eng := NewEngine(db, DefaultEngineOptions())
-		eng.batch = batch
-		for _, q := range rangeCorpus {
-			checkRangeAgainstOracle(t, fmt.Sprintf("poisoned batch=%d", batch), eng, q, w)
-		}
+	eng := NewEngine(db, DefaultEngineOptions())
+	for _, q := range rangeCorpus {
+		checkRangeAgainstOracle(t, "poisoned", eng, q, w)
 	}
 }
 
-// TestBatchSizeEquivalence pins that batch size and arena recycling are
-// invisible in results: single-step batches, a small odd batch, a batch
-// longer than the whole range, and the nil-arena heap path must all
-// render byte-identically to the oracle over the full corpus (the default
-// 64 is TestQueryRangeEquivalence's). The variants are set through the
-// engine's unexported fields — no option selects them.
-func TestBatchSizeEquivalence(t *testing.T) {
+// TestNoArenaEquivalence pins that arena recycling is invisible in
+// results: the nil-arena heap path must render byte-identically to the
+// oracle over the full corpus (the arena path is
+// TestQueryRangeEquivalence's). The variant is set through the engine's
+// unexported field — no option selects it.
+func TestNoArenaEquivalence(t *testing.T) {
 	db, end := testDB(t)
 	w := corpusWindows(end)[0] // 21 steps
-
-	variants := map[string]*Engine{}
-	for _, bs := range []int{1, 7, 1 << 20} {
-		eng := NewEngine(db, DefaultEngineOptions())
-		eng.batch = bs
-		variants[fmt.Sprintf("batch=%d", bs)] = eng
-	}
 	heap := NewEngine(db, DefaultEngineOptions())
 	heap.noArena = true
-	variants["no-arena"] = heap
-
 	for _, q := range rangeCorpus {
-		for name, eng := range variants {
-			checkRangeAgainstOracle(t, name, eng, q, w)
-		}
+		checkRangeAgainstOracle(t, "no-arena", heap, q, w)
 	}
 }
 
@@ -151,5 +136,5 @@ func TestStreamingAllocCeilings(t *testing.T) {
 
 	wide, wend := readerDB(t)
 	allocCeiling(t, NewEngine(wide, opts), "sum by (instance) (rate(bench_dl_bytes_total[1m]))",
-		wend.Add(-199*3*time.Second), wend, 3*time.Second, 16_000, 42<<20)
+		wend.Add(-199*3*time.Second), wend, 3*time.Second, 16_000, 16<<20)
 }

@@ -90,20 +90,13 @@ var wideCorpus = []string{
 }
 
 // TestWideEquivalence holds the executor to the oracle, byte for byte,
-// over 2 003 series under every batch size the arena meets (single-step,
-// odd, default, whole-range), on the heap with no arena, and with pool
-// poisoning.
+// over 2 003 series: streamed off the readers with the arena reset after
+// every step, on the heap with no arena, and with pool poisoning.
 func TestWideEquivalence(t *testing.T) {
 	db, start, end := wideDB(t)
-	variants := map[string]*Engine{}
-	for _, bs := range []int{1, 7, defaultBatchSize, 1 << 20} {
-		eng := NewEngine(db, DefaultEngineOptions())
-		eng.batch = bs
-		variants[fmt.Sprintf("batch=%d", bs)] = eng
-	}
 	heap := NewEngine(db, DefaultEngineOptions())
 	heap.noArena = true
-	variants["no-arena"] = heap
+	variants := map[string]*Engine{"streamed": NewEngine(db, DefaultEngineOptions()), "no-arena": heap}
 
 	ctx := context.Background()
 	check := func(name string, eng *Engine, q, want string) {
@@ -129,8 +122,7 @@ func TestWideEquivalence(t *testing.T) {
 			check(name, eng, q, want)
 		}
 		poisonPools.Store(true)
-		check("poisoned batch=7", variants["batch=7"], q, want)
-		check("poisoned batch=64", variants["batch=64"], q, want)
+		check("poisoned", variants["streamed"], q, want)
 		poisonPools.Store(false)
 	}
 }

@@ -109,40 +109,52 @@ func (w *bwriter) writeUvarint(v uint64) {
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// breader reads a bwriter's stream.
+// breader reads a bwriter's stream a 64-bit word at a time; a field
+// wider than 57 bits takes two reads, and the last 8 bytes of the stream
+// are read a byte at a time.
 type breader struct {
 	b   []byte
 	bit int // absolute bit offset
 }
 
-func (r *breader) readBit() (uint64, error) {
-	i := r.bit >> 3
-	if i >= len(r.b) {
-		return 0, errChunkShort
+// peek returns the stream from the current bit on, left-aligned and
+// zero-padded past its end, and how many of the word's bits are stream
+// bits (at least 57 away from the last 8 bytes; 0 or fewer at the end).
+func (r *breader) peek() (uint64, int) {
+	i, off := r.bit>>3, r.bit&7
+	if i+8 <= len(r.b) {
+		return binary.BigEndian.Uint64(r.b[i:]) << uint(off), 64 - off
 	}
-	v := uint64(r.b[i]>>(7-uint(r.bit&7))) & 1
-	r.bit++
-	return v, nil
+	var w uint64
+	for k := i; k < i+8; k++ {
+		w <<= 8
+		if k < len(r.b) {
+			w |= uint64(r.b[k])
+		}
+	}
+	return w << uint(off), (len(r.b)-i)*8 - off
 }
 
+// readBits reads an n-bit field (n ≤ 64); n ≤ 0 reads nothing, as a
+// corrupt window's negative width must.
 func (r *breader) readBits(n int) (uint64, error) {
-	var v uint64
-	for n > 0 {
-		i := r.bit >> 3
-		if i >= len(r.b) {
-			return 0, errChunkShort
-		}
-		rem := 8 - (r.bit & 7)
-		take := n
-		if take > rem {
-			take = rem
-		}
-		chunkBits := uint64(r.b[i]>>(uint(rem-take))) & ((1 << uint(take)) - 1)
-		v = v<<uint(take) | chunkBits
-		r.bit += take
-		n -= take
+	if n <= 0 {
+		return 0, nil
 	}
-	return v, nil
+	if n > 57 {
+		hi, err := r.readBits(n - 32)
+		if err != nil {
+			return 0, err
+		}
+		lo, err := r.readBits(32)
+		return hi<<32 | lo, err
+	}
+	w, avail := r.peek()
+	if n > avail {
+		return 0, errChunkShort
+	}
+	r.bit += n
+	return w >> uint(64-n), nil
 }
 
 func (r *breader) readUvarint() (uint64, error) {
@@ -271,12 +283,17 @@ type chunkIter struct {
 	err               error
 }
 
-func newChunkIter(data []byte, count int) *chunkIter {
-	return &chunkIter{r: breader{b: data}, total: count, leading: leadingUnset}
+func newChunkIter(data []byte, count int) chunkIter {
+	return chunkIter{r: breader{b: data}, total: count, leading: leadingUnset}
 }
 
+// dodBits gives a dod bucket's payload width by its count of leading one
+// bits.
+var dodBits = [5]int{0, 14, 17, 20, 64}
+
 // next decodes the next sample; it returns false at the end of the chunk
-// or on corruption (check err).
+// or on corruption (check err). From the third sample on, one peek covers
+// the dod bucket and the XOR header.
 func (it *chunkIter) next() bool {
 	if it.err != nil || it.read >= it.total {
 		return false
@@ -302,47 +319,37 @@ func (it *chunkIter) next() bool {
 		}
 		it.tDelta = d
 		it.t += int64(d)
-		if !it.readXOR() {
+		if !it.readXOR(it.r.peek()) {
 			return false
 		}
 	default:
+		w, avail := it.r.peek()
+		ones := min(bits.LeadingZeros64(^w), 4)
+		prefix, width := min(ones+1, 4), dodBits[ones]
 		var dod int64
-		prefix := 0
-		for prefix < 4 {
-			b, err := it.r.readBit()
-			if err != nil {
-				it.err = err
-				return false
-			}
-			if b == 0 {
-				break
-			}
-			prefix++
-		}
-		var nbits int
-		switch prefix {
-		case 0:
-			nbits = 0
-		case 1:
-			nbits = 14
-		case 2:
-			nbits = 17
-		case 3:
-			nbits = 20
-		case 4:
-			nbits = 64
-		}
-		if nbits > 0 {
-			zz, err := it.r.readBits(nbits)
+		if width == 64 {
+			it.r.bit += prefix
+			zz, err := it.r.readBits(64)
 			if err != nil {
 				it.err = err
 				return false
 			}
 			dod = unzigzag(zz)
+			w, avail = it.r.peek()
+		} else {
+			if prefix+width > avail {
+				it.err = errChunkShort
+				return false
+			}
+			if width > 0 {
+				dod = unzigzag(w << uint(prefix) >> uint(64-width))
+			}
+			it.r.bit += prefix + width
+			w, avail = w<<uint(prefix+width), avail-prefix-width
 		}
 		it.tDelta = uint64(int64(it.tDelta) + dod)
 		it.t += int64(it.tDelta)
-		if !it.readXOR() {
+		if !it.readXOR(w, avail) {
 			return false
 		}
 	}
@@ -350,40 +357,33 @@ func (it *chunkIter) next() bool {
 	return true
 }
 
-func (it *chunkIter) readXOR() bool {
-	b, err := it.r.readBit()
-	if err != nil {
-		it.err = err
+// readXOR decodes a value from its header, the left-aligned w of which
+// avail bits are stream bits, then reads the meaningful bits.
+func (it *chunkIter) readXOR(w uint64, avail int) bool {
+	switch {
+	case avail < 1 || (w>>63 == 1 && avail < 2):
+		it.err = errChunkShort
 		return false
-	}
-	if b == 0 {
+	case w>>63 == 0:
+		it.r.bit++
 		return true // repeat of previous value
-	}
-	b, err = it.r.readBit()
-	if err != nil {
-		it.err = err
-		return false
-	}
-	if b == 1 {
-		lead, err := it.r.readBits(5)
-		if err != nil {
-			it.err = err
+	case w>>62 == 0b11:
+		if avail < 13 {
+			it.err = errChunkShort
 			return false
 		}
-		sigRaw, err := it.r.readBits(6)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		sig := int(sigRaw)
+		lead, sig := int(w>>57&31), int(w>>51&63)
 		if sig == 0 {
 			sig = 64
 		}
 		it.leading = uint8(lead)
-		it.trailing = uint8(64 - int(lead) - sig)
-	} else if it.leading == leadingUnset {
+		it.trailing = uint8(64 - lead - sig)
+		it.r.bit += 13
+	case it.leading == leadingUnset:
 		it.err = fmt.Errorf("tsdb: chunk XOR reuse before a window was set")
 		return false
+	default:
+		it.r.bit += 2
 	}
 	sig := 64 - int(it.leading) - int(it.trailing)
 	xbits, err := it.r.readBits(sig)

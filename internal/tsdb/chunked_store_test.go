@@ -123,6 +123,7 @@ func TestChunkSealAcrossCapacity(t *testing.T) {
 		MinT:     int64(chunkCapacity+5) * 1000,
 		MaxT:     int64(3*chunkCapacity+5) * 1000,
 	}})
+	DecodeViews(res[0])
 	want := 2*chunkCapacity + 1
 	if len(res[0]) != 1 || len(res[0][0].Samples) != want {
 		t.Fatalf("clamped batch = %d samples, want %d", len(res[0][0].Samples), want)

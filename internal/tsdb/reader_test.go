@@ -1,0 +1,144 @@
+package tsdb
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+)
+
+// TestReaderSnapshotStable takes a range selection and reads it through
+// Readers while the series changes under them: appends until the head
+// seals, appends into the new head, and a retention truncation that cuts
+// inside the first chunk. The readers must yield exactly the samples the
+// series held when SelectBatch returned, and DecodeViews on the same
+// snapshot must agree. One reader runs alongside the writer, with no
+// synchronisation, so under -race any read of memory the writer changes
+// fails; a second runs once the writer is done, so it reads after every
+// change for certain.
+func TestReaderSnapshotStable(t *testing.T) {
+	for _, span := range []int64{0, 10_000} { // buffers that grow on the heap, and that compact
+		t.Run(fmt.Sprintf("span=%d", span), func(t *testing.T) {
+			db := New()
+			ls := FromMap(map[string]string{"__name__": "m"})
+			const n = 2*chunkCapacity + 41 // two sealed chunks and a head of 41
+			for i := 0; i < n; i++ {
+				if err := db.Append(ls, int64(i)*1000, float64(i)*1.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ms := []*Matcher{NameMatcher("m")}
+			const minT = 30_000
+			views := db.SelectBatch([]SelectHint{{Matchers: ms, MinT: minT, MaxT: math.MaxInt64}})[0]
+			eager := slices.Clone(views)
+			if head, live := views[0].chunks[len(views[0].chunks)-1].data, db.series[ls.Key()].head; &head[0] == &live.w.b[0] || live.w.free == 0 {
+				t.Fatalf("the snapshot shares the live head's bytes, or the head ends on a full byte (free %d)", live.w.free)
+			}
+			want := db.SelectRange(ms, minT-1, math.MaxInt64)[0].Samples
+			if len(views) != 1 || len(want) != n-30 {
+				t.Fatalf("selected %d views, %d samples", len(views), len(want))
+			}
+
+			// read steps end by 7 s through upTo, collecting r's 10 s
+			// windows and checking its latest sample.
+			read := func(r *Reader, got []Sample, end, upTo int64) ([]Sample, int64) {
+				for ; end < upTo; end += 7000 {
+					for _, s := range r.Window(end-10_000+1, end) {
+						if len(got) == 0 || s.T > got[len(got)-1].T {
+							got = append(got, s)
+						}
+					}
+				}
+				return got, end
+			}
+			latest := func(r *Reader, end int64) {
+				i, _ := slices.BinarySearchFunc(want, end+1, func(s Sample, t int64) int { return int(s.T - t) })
+				s, ok := r.Latest(end-5000, end)
+				if wantOK := i > 0 && want[i-1].T >= end-5000; ok != wantOK || (ok && s != want[i-1]) {
+					t.Errorf("Latest at %d = %v, %v; want %v", end, s, ok, want[i-1])
+				}
+			}
+			during, after := &NewReaders(views, span)[0], &NewReaders(views, span)[0]
+			got, end := read(during, nil, minT, 100_000)
+			before := slices.Clone(got)
+
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				tt := int64(n)
+				for ; tt < chunkCapacity*3; tt++ { // fill the head until it seals
+					if err := db.Append(ls, tt*1000, -1); err != nil {
+						t.Error(err)
+					}
+				}
+				for end := tt + 10; tt < end; tt++ { // into the new head
+					if err := db.Append(ls, tt*1000, -2); err != nil {
+						t.Error(err)
+					}
+				}
+				db.Truncate(60_500)
+			}()
+			const upTo = (chunkCapacity*3 + 20) * 1000
+			got, _ = read(during, got, end, upTo)
+			<-done
+			gotAfter, _ := read(after, nil, minT, upTo)
+			if !slices.Equal(gotAfter, want) || !slices.Equal(gotAfter[:len(before)], before) {
+				t.Fatalf("reader after the writer yielded %d samples, want the %d present at selection", len(gotAfter), len(want))
+			}
+			for r, end := &NewReaders(views, span)[0], int64(minT); end < upTo; end += 7000 {
+				latest(r, end)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("reader yielded %d samples, want the %d present at selection", len(got), len(want))
+			}
+			DecodeViews(eager)
+			if !slices.Equal(eager[0].Samples, want) {
+				t.Fatalf("DecodeViews yielded %d samples, want the %d present at selection", len(eager[0].Samples), len(want))
+			}
+		})
+	}
+}
+
+// TestReaderReadsMatchDecode walks readers over every floor from just
+// before the first sample to past the last, with windows of several
+// widths, over three sealed chunks and a head and with floors landing
+// exactly on chunk edges. A reader that steps through the floors, and a
+// fresh one whose first read jumps to the floor (skipping chunks), must
+// each return exactly the decoded samples in [floor, end], and Latest the
+// newest of them.
+func TestReaderReadsMatchDecode(t *testing.T) {
+	db := New()
+	ls := FromMap(map[string]string{"__name__": "m"})
+	var all []Sample
+	for i, tt := 0, int64(0); i < 3*chunkCapacity+17; i++ {
+		tt += int64(1000 + 500*(i%3))
+		all = append(all, Sample{T: tt, V: float64(i % 7)})
+		if err := db.Append(ls, tt, float64(i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	views := db.SelectBatch([]SelectHint{NoClamp([]*Matcher{NameMatcher("m")})})[0]
+	last := all[len(all)-1].T
+	for _, width := range []int64{0, 999, 1500, 20_000} {
+		win, lat := &NewReaders(views, width)[0], &NewReaders(views, 0)[0]
+		for floor := int64(0); floor <= last+1; floor += 250 {
+			end := floor + width
+			var want []Sample
+			for _, s := range all {
+				if s.T >= floor && s.T <= end {
+					want = append(want, s)
+				}
+			}
+			if got := win.Window(floor, end); !slices.Equal(got, want) {
+				t.Fatalf("width %d: Window(%d, %d) = %v, want %v", width, floor, end, got, want)
+			}
+			if got := NewReaders(views, width)[0].Window(floor, end); !slices.Equal(got, want) {
+				t.Fatalf("width %d: a fresh Window(%d, %d) = %v, want %v", width, floor, end, got, want)
+			}
+			s, ok := lat.Latest(floor, end)
+			if ok != (len(want) > 0) || (ok && s != want[len(want)-1]) {
+				t.Fatalf("width %d: Latest(%d, %d) = %v, %v; want %v", width, floor, end, s, ok, want)
+			}
+		}
+	}
+}

@@ -7,9 +7,11 @@ import (
 
 // Series is a label set and its samples, held as Gorilla-compressed
 // chunks: a list of sealed immutable chunks plus an open head appender.
-// All reads decode; all decoded slices handed out are freshly allocated,
-// so they stay valid (and immutable) across concurrent appends and
-// truncations.
+// Reads under the lock either decode into fresh slices or snapshot: a
+// snapshot shares the sealed chunks, which never change, and copies the
+// head's bytes, which appends rewrite. DecodeViews and Readers decode
+// snapshots later, outside the lock. Either way what a reader sees stays
+// valid and unchanged across concurrent appends and truncations.
 type Series struct {
 	Labels Labels
 	// fp caches Labels.Key(), computed once when the series is created, so
@@ -67,34 +69,41 @@ func mustDecode(data []byte, count int, dst []Sample) []Sample {
 	return dst
 }
 
+// overlapping calls f on every chunk of s holding samples in [minT, maxT],
+// oldest first. The open head comes last, as a chunk over its live bytes
+// (head true): only the lock f runs under keeps those still.
+func (s *Series) overlapping(minT, maxT int64, f func(c chunk, head bool)) {
+	for _, c := range s.chunks {
+		if c.count > 0 && c.maxT >= minT && c.minT <= maxT {
+			f(c, false)
+		}
+	}
+	if h := s.head; h != nil && h.count > 0 && h.t >= minT && h.minT <= maxT {
+		f(chunk{data: h.w.b, count: h.count, minT: h.minT, maxT: h.t}, true)
+	}
+}
+
+// appendDecoded appends the samples of c with minT <= T <= maxT to dst.
+func appendDecoded(dst []Sample, c chunk, minT, maxT int64) []Sample {
+	from := len(dst)
+	dst = mustDecode(c.data, c.count, dst)
+	if c.minT >= minT && c.maxT <= maxT {
+		return dst
+	}
+	// Filter in place: keep only the in-window samples.
+	keep := dst[:from]
+	for _, smp := range dst[from:] {
+		if smp.T >= minT && smp.T <= maxT {
+			keep = append(keep, smp)
+		}
+	}
+	return keep
+}
+
 // decodeRange appends every sample with minT <= T <= maxT to dst, in time
 // order, skipping chunks entirely outside the window.
 func (s *Series) decodeRange(minT, maxT int64, dst []Sample) []Sample {
-	appendInRange := func(data []byte, count int, cMin, cMax int64) {
-		if count == 0 || cMax < minT || cMin > maxT {
-			return
-		}
-		if cMin >= minT && cMax <= maxT {
-			dst = mustDecode(data, count, dst)
-			return
-		}
-		from := len(dst)
-		dst = mustDecode(data, count, dst)
-		// Filter in place: keep only the in-window samples.
-		keep := dst[:from]
-		for _, smp := range dst[from:] {
-			if smp.T >= minT && smp.T <= maxT {
-				keep = append(keep, smp)
-			}
-		}
-		dst = keep
-	}
-	for _, c := range s.chunks {
-		appendInRange(c.data, c.count, c.minT, c.maxT)
-	}
-	if s.head != nil && s.head.count > 0 {
-		appendInRange(s.head.w.b, s.head.count, s.head.minT, s.head.t)
-	}
+	s.overlapping(minT, maxT, func(c chunk, _ bool) { dst = appendDecoded(dst, c, minT, maxT) })
 	return dst
 }
 
@@ -132,22 +141,6 @@ func (s *Series) window(start, end int64) []Sample {
 	}
 	// Integer-millisecond timestamps make T > start equal to T >= start+1.
 	return s.decodeRange(start+1, end, nil)
-}
-
-// clampedSamples returns the samples with minT <= T <= maxT as a fresh
-// slice (the SelectBatch hint clamp), sized from the counts of the chunks
-// that overlap the range so decoding never grows it.
-func (s *Series) clampedSamples(minT, maxT int64) []Sample {
-	n := 0
-	for _, c := range s.chunks {
-		if c.count > 0 && c.maxT >= minT && c.minT <= maxT {
-			n += c.count
-		}
-	}
-	if h := s.head; h != nil && h.count > 0 && h.t >= minT && h.minT <= maxT {
-		n += h.count
-	}
-	return s.decodeRange(minT, maxT, make([]Sample, 0, n))
 }
 
 // numBytes is the compressed footprint of the series' sample data.
@@ -204,4 +197,162 @@ func (s *Series) restoreChunks(chunks []chunk, total int, lastT int64, lastV flo
 	s.head = nil
 	s.total = total
 	s.lastT, s.lastV = lastT, lastV
+}
+
+// DecodeViews decodes the snapshot of every view SelectBatch returned into
+// its Samples, clamped to the view's hint, all into one slab. It takes no
+// lock: snapshots share nothing that appends or truncations change.
+func DecodeViews(views []SeriesView) {
+	n := 0
+	for _, v := range views {
+		for _, c := range v.chunks {
+			n += c.count
+		}
+	}
+	slab := make([]Sample, 0, n)
+	for i := range views {
+		v := &views[i]
+		from := len(slab)
+		for _, c := range v.chunks {
+			slab = appendDecoded(slab, c, v.minT, v.maxT)
+		}
+		v.Samples = slab[from:len(slab):len(slab)]
+	}
+}
+
+// Reader streams one SelectBatch view's snapshot forward: it decodes a
+// sample only when a read reaches it, and keeps only the samples at or
+// above the latest read's floor. Floors and ends must not decrease from
+// one read to the next.
+type Reader struct {
+	chunks     []chunk   // snapshot chunks not yet started
+	it         chunkIter // decoder over the current chunk
+	minT, maxT int64     // the view's clamp
+	// buf[off:] are the kept samples in time order; the last of them may
+	// lie past the latest read's end.
+	buf   []Sample
+	off   int
+	spent bool
+}
+
+// NewReaders returns a Reader for every view. Their buffers share one
+// slab, which gives each series room for its samples in about span ms, a
+// quarter as many again and 4 more: reads fill that slack before a full
+// buffer moves its kept samples to the front. A read that needs more
+// room moves that series' buffer to the heap.
+func NewReaders(views []SeriesView, span int64) []Reader {
+	rs := make([]Reader, len(views))
+	total := 0
+	for i := range views {
+		total += readerRoom(&views[i], span)
+	}
+	slab := make([]Sample, total)
+	for i := range views {
+		v := &views[i]
+		n := readerRoom(v, span)
+		rs[i] = Reader{chunks: v.chunks, minT: v.minT, maxT: v.maxT, buf: slab[:0:n]}
+		slab = slab[n:]
+	}
+	return rs
+}
+
+// readerRoom is the buffer room NewReaders gives v for reads spanning
+// span ms, estimated from the density of its snapshot.
+func readerRoom(v *SeriesView, span int64) int {
+	n := 0
+	for _, c := range v.chunks {
+		n += c.count
+	}
+	if n == 0 {
+		return 0
+	}
+	est := n
+	if lo, hi := v.chunks[0].minT, v.chunks[len(v.chunks)-1].maxT; span < hi-lo {
+		est = int(float64(n-1)*float64(span)/float64(hi-lo)) + 1
+	}
+	return est + est/4 + 4
+}
+
+// Window returns the samples with floor <= T <= end, decoding forward as
+// far as end needs. The slice is valid until the next read.
+func (r *Reader) Window(floor, end int64) []Sample { return r.read(floor, end, false) }
+
+// Latest returns the newest sample with floor <= T <= end, and keeps no
+// sample older than it.
+func (r *Reader) Latest(floor, end int64) (Sample, bool) {
+	w := r.read(floor, end, true)
+	if len(w) == 0 {
+		return Sample{}, false
+	}
+	return w[len(w)-1], true
+}
+
+// read drops the samples below floor, decodes until a sample past end is
+// kept or the snapshot is spent, and returns the kept samples up to end;
+// latest drops all but the newest of those, as it decodes.
+func (r *Reader) read(floor, end int64, latest bool) []Sample {
+	for r.off < len(r.buf) && r.buf[r.off].T < floor {
+		r.off++
+	}
+	for !r.spent && (r.off == len(r.buf) || r.buf[len(r.buf)-1].T <= end) {
+		s, ok := r.next(floor)
+		if !ok {
+			break
+		}
+		if s.T < floor {
+			continue
+		}
+		if latest && s.T <= end {
+			r.off = len(r.buf)
+		}
+		r.push(s)
+	}
+	w := r.buf[r.off:]
+	if n := len(w); n > 0 && w[n-1].T > end {
+		w = w[:n-1]
+	}
+	if latest && len(w) > 1 {
+		r.off += len(w) - 1
+		w = w[len(w)-1:]
+	}
+	return w
+}
+
+// push keeps s, first moving the kept samples to the front of the buffer
+// when it is full.
+func (r *Reader) push(s Sample) {
+	if len(r.buf) == cap(r.buf) && r.off > 0 {
+		r.buf = r.buf[:copy(r.buf, r.buf[r.off:])]
+		r.off = 0
+	}
+	r.buf = append(r.buf, s)
+}
+
+// next decodes the snapshot's next sample inside the clamp, skipping the
+// chunks that end before floor without decoding them.
+func (r *Reader) next(floor int64) (Sample, bool) {
+	for {
+		for r.it.next() {
+			s := r.it.at()
+			if s.T > r.maxT {
+				r.spent = true
+				return Sample{}, false
+			}
+			if s.T >= r.minT {
+				return s, true
+			}
+		}
+		if r.it.err != nil {
+			panic(fmt.Sprintf("tsdb: internal chunk corruption: %v", r.it.err))
+		}
+		for len(r.chunks) > 0 && r.chunks[0].maxT < floor {
+			r.chunks = r.chunks[1:]
+		}
+		if len(r.chunks) == 0 {
+			r.spent = true
+			return Sample{}, false
+		}
+		r.it = newChunkIter(r.chunks[0].data, r.chunks[0].count)
+		r.chunks = r.chunks[1:]
+	}
 }

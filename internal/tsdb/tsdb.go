@@ -393,14 +393,20 @@ func (db *DB) SelectRange(matchers []*Matcher, start, end int64) []SeriesRange {
 }
 
 // SeriesView is a handle on one stored series: the shared label set, its
-// cached fingerprint, and a stable snapshot of its samples decoded from
-// the compressed chunks. The samples slice is freshly decoded per select,
-// never aliases chunk storage, and must be treated as read-only; it stays
-// valid (and unchanged) across concurrent appends and truncations.
+// cached fingerprint and its samples as they were when it was selected.
+// SelectSeries decodes them into Samples. SelectBatch leaves Samples nil
+// and takes a snapshot instead: the headers of the sealed chunks that
+// overlap its hint and a copy of the head chunk's bytes, which
+// DecodeViews decodes into Samples and NewReaders streams forward. The
+// samples stay unchanged across concurrent appends and truncations, and
+// must be treated as read-only.
 type SeriesView struct {
 	Labels      Labels
 	Fingerprint string
 	Samples     []Sample
+
+	chunks     []chunk // SelectBatch's snapshot, oldest first
+	minT, maxT int64   // the hint's clamp
 }
 
 // SelectSeries returns views of every series matching matchers, ordered by
@@ -448,7 +454,9 @@ func NoClamp(matchers []*Matcher) SelectHint {
 // batched form of SelectSeries used by the query planner so merged
 // selectors hit the postings index once per query instead of once per
 // selector evaluation. Result i holds the views for hints[i], ordered by
-// fingerprint, with each view's samples clamped to [MinT, MaxT].
+// fingerprint. It decodes nothing: each view holds a snapshot of the
+// chunks that overlap [MinT, MaxT], whose samples read back clamped to it.
+// The snapshots' chunk headers share one slab and the head copies another.
 func (db *DB) SelectBatch(hints []SelectHint) [][]SeriesView {
 	out := make([][]SeriesView, len(hints))
 	if len(hints) == 0 {
@@ -456,20 +464,45 @@ func (db *DB) SelectBatch(hints []SelectHint) [][]SeriesView {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	var matched []*Series
+	ends := make([]int, len(hints))
+	nChunks, nBytes := 0, 0
 	for i, h := range hints {
-		var views []SeriesView
 		for _, key := range db.candidates(h.Matchers) {
 			s := db.series[key]
 			if !MatchLabels(s.Labels, h.Matchers) {
 				continue
 			}
-			views = append(views, SeriesView{
-				Labels:      s.Labels,
-				Fingerprint: s.fp,
-				Samples:     s.clampedSamples(h.MinT, h.MaxT),
+			matched = append(matched, s)
+			s.overlapping(h.MinT, h.MaxT, func(c chunk, head bool) {
+				nChunks++
+				if head {
+					nBytes += len(c.data)
+				}
 			})
 		}
-		out[i] = views
+		ends[i] = len(matched)
+	}
+	views := make([]SeriesView, len(matched))
+	chunks := make([]chunk, 0, nChunks)
+	heads := make([]byte, 0, nBytes)
+	lo := 0
+	for i, h := range hints {
+		for j := lo; j < ends[i]; j++ {
+			s, from := matched[j], len(chunks)
+			s.overlapping(h.MinT, h.MaxT, func(c chunk, head bool) {
+				if head {
+					at := len(heads)
+					heads = append(heads, c.data...)
+					c.data = heads[at:len(heads):len(heads)]
+				}
+				chunks = append(chunks, c)
+			})
+			views[j] = SeriesView{Labels: s.Labels, Fingerprint: s.fp,
+				chunks: chunks[from:len(chunks):len(chunks)], minT: h.MinT, maxT: h.MaxT}
+		}
+		out[i] = views[lo:ends[i]:ends[i]]
+		lo = ends[i]
 	}
 	return out
 }

@@ -477,6 +477,9 @@ func TestSelectBatch(t *testing.T) {
 	if len(res) != 4 {
 		t.Fatalf("results = %d, want 4", len(res))
 	}
+	for _, views := range res {
+		DecodeViews(views)
+	}
 
 	// Unclamped: both series, all samples, fingerprint order.
 	if len(res[0]) != 2 {
@@ -525,12 +528,13 @@ func TestSelectBatchMatchesSelectSeries(t *testing.T) {
 	db := newTestDB(t)
 	ms := []*Matcher{NameMatcher("m")}
 	batch := db.SelectBatch([]SelectHint{NoClamp(ms)})[0]
+	DecodeViews(batch)
 	single := db.SelectSeries(ms)
 	if len(batch) != len(single) {
 		t.Fatalf("batch=%d single=%d", len(batch), len(single))
 	}
 	for i := range batch {
-		if batch[i].Fingerprint != single[i].Fingerprint || len(batch[i].Samples) != len(single[i].Samples) {
+		if batch[i].Fingerprint != single[i].Fingerprint || !slices.Equal(batch[i].Samples, single[i].Samples) {
 			t.Fatalf("batch[%d] differs: %+v vs %+v", i, batch[i], single[i])
 		}
 	}
