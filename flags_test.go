@@ -2,61 +2,35 @@ package dio
 
 import (
 	"bufio"
-	"go/ast"
-	"go/parser"
-	"go/token"
+	"flag"
 	"os"
-	"strconv"
+	"reflect"
 	"strings"
 	"testing"
+
+	"dio/internal/server"
 )
 
 // flagTableHeader opens README.md's one table of dio-server flags.
 const flagTableHeader = "| `dio-server` flag | default | meaning |"
 
-// serverFlags returns the names of the flags cmd/dio-server/main.go
-// defines: the string literal first argument of every flag.<Type>(…) call.
-func serverFlags(t *testing.T) map[string]bool {
-	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), "cmd/dio-server/main.go", nil, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
-			return true
-		}
-		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			name, err := strconv.Unquote(lit.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			names[name] = true
-		}
-		return true
-	})
-	return names
+// flagRow is one row of README.md's dio-server flag table.
+type flagRow struct {
+	line          int
+	name, defText string
 }
 
-// readmeFlagRows returns the flag names in the first column of README.md's
-// dio-server flag table, in row order.
-func readmeFlagRows(t *testing.T) []string {
+// readmeFlagRows returns the rows of README.md's dio-server flag table in
+// order: the flag name from the first column and the default from the
+// second, with its backquotes removed and `""` read as the empty string.
+func readmeFlagRows(t *testing.T) []flagRow {
 	t.Helper()
 	f, err := os.Open("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var rows []string
+	var rows []flagRow
 	tables := 0
 	inTable := false
 	sc := bufio.NewScanner(f)
@@ -77,13 +51,17 @@ func readmeFlagRows(t *testing.T) []string {
 		if strings.HasPrefix(text, "|---") {
 			continue
 		}
-		cell, _, _ := strings.Cut(strings.TrimPrefix(text, "| "), " |")
-		name, ok := strings.CutPrefix(cell, "`-")
-		if !ok || !strings.HasSuffix(name, "`") {
-			t.Errorf("README.md:%d: want a row starting \"| `-name` |\", got %q", line, text)
+		cells := strings.Split(strings.TrimPrefix(text, "| "), " | ")
+		name, ok := strings.CutPrefix(cells[0], "`-")
+		if !ok || !strings.HasSuffix(name, "`") || len(cells) < 3 {
+			t.Errorf("README.md:%d: want a row \"| `-name` | `default` | meaning |\", got %q", line, text)
 			continue
 		}
-		rows = append(rows, strings.TrimSuffix(name, "`"))
+		def := strings.Trim(cells[1], "`")
+		if def == `""` {
+			def = ""
+		}
+		rows = append(rows, flagRow{line: line, name: strings.TrimSuffix(name, "`"), defText: def})
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -95,24 +73,40 @@ func readmeFlagRows(t *testing.T) []string {
 }
 
 // TestServerFlagTable keeps README.md's dio-server flag table and the
-// flags main.go defines the same set: a flag without a row fails, and so
-// does a row without a flag.
+// FlagSet server.Config.Flags registers the same, in both directions: a
+// flag without a row fails, and so does a row without a flag. Each row's
+// default must parse, through the flag itself, to DefaultConfig's value,
+// so "2h" matches 2h0m0s.
 func TestServerFlagTable(t *testing.T) {
-	defined := serverFlags(t)
+	cfg := server.DefaultConfig()
+	fs := flag.NewFlagSet("dio-server", flag.ContinueOnError)
+	cfg.Flags(fs)
 	documented := map[string]bool{}
-	for _, name := range readmeFlagRows(t) {
-		if documented[name] {
-			t.Errorf("README.md documents -%s twice", name)
+	for _, row := range readmeFlagRows(t) {
+		if documented[row.name] {
+			t.Errorf("README.md:%d documents -%s twice", row.line, row.name)
 		}
-		documented[name] = true
-		if !defined[name] {
-			t.Errorf("README.md documents -%s, which cmd/dio-server/main.go does not define", name)
+		documented[row.name] = true
+		f := fs.Lookup(row.name)
+		if f == nil {
+			t.Errorf("README.md:%d documents -%s, which server.Config.Flags does not register", row.line, row.name)
+			continue
+		}
+		// A fresh FlagSet per row, so one row's Set cannot hide another's.
+		got := server.DefaultConfig()
+		one := flag.NewFlagSet("dio-server", flag.ContinueOnError)
+		got.Flags(one)
+		if err := one.Set(row.name, row.defText); err != nil {
+			t.Errorf("README.md:%d: -%s default %q does not parse: %v", row.line, row.name, row.defText, err)
+		} else if !reflect.DeepEqual(got, server.DefaultConfig()) {
+			t.Errorf("README.md:%d documents -%s's default as %q; the flag's default is %q",
+				row.line, row.name, row.defText, f.DefValue)
 		}
 	}
-	for name := range defined {
-		if !documented[name] {
-			t.Errorf("cmd/dio-server/main.go defines -%s, which README.md's flag table lacks", name)
+	fs.VisitAll(func(f *flag.Flag) {
+		if !documented[f.Name] {
+			t.Errorf("server.Config.Flags registers -%s, which README.md's flag table lacks", f.Name)
 		}
-	}
-	t.Logf("%d dio-server flags", len(defined))
+	})
+	t.Logf("%d dio-server flags", len(documented))
 }

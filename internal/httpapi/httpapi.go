@@ -121,14 +121,7 @@ func WithTracing(tr *obs.Tracer) Option {
 // bounds how many answers compute concurrently (overload sheds with
 // 429). Either may be a nil interface to enable just one half.
 func WithServingLayer(front AnswerFront, gate Admitter) Option {
-	return func(s *Server) {
-		if front != nil {
-			s.front = front
-		}
-		if gate != nil {
-			s.gate = gate
-		}
-	}
+	return func(s *Server) { s.front, s.gate = front, gate }
 }
 
 // WithQueryObservability attaches the slow-query log and the active-query
@@ -155,7 +148,8 @@ func WithPprof() Option {
 	}
 }
 
-// New assembles the server. logger may be nil to disable request logs.
+// New assembles the server around cp and tracker, neither of which may
+// be nil. logger may be nil to disable request logs.
 func New(cp *core.Copilot, tracker *feedback.Tracker, logger *slog.Logger, opts ...Option) *Server {
 	s := &Server{copilot: cp, tracker: tracker, logger: logger, mux: http.NewServeMux()}
 	// Audit every query the service executes (§5.4 safety).
@@ -781,10 +775,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFeedbackList(w http.ResponseWriter, _ *http.Request) {
-	if s.tracker == nil {
-		s.writeErr(w, http.StatusNotImplemented, errors.New("feedback is not enabled"))
-		return
-	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"status": "success", "issues": s.tracker.List(-1)})
 }
 
@@ -796,10 +786,6 @@ type feedbackOpenRequest struct {
 }
 
 func (s *Server) handleFeedbackOpen(w http.ResponseWriter, r *http.Request) {
-	if s.tracker == nil {
-		s.writeErr(w, http.StatusNotImplemented, errors.New("feedback is not enabled"))
-		return
-	}
 	var req feedbackOpenRequest
 	if !s.decodeJSON(w, r, &req) {
 		return
@@ -824,21 +810,14 @@ func (s *Server) handleFeedbackOpen(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusCreated, map[string]any{"status": "success", "issue": issue})
 }
 
-// resolveRequest is the POST /api/v1/feedback/{id}/resolve body.
+// resolveRequest is the POST /api/v1/feedback/{id}/resolve body: the
+// expert beside the contribution's own fields.
 type resolveRequest struct {
-	Expert       string `json:"expert"`
-	MetricName   string `json:"metric_name"`
-	Description  string `json:"description"`
-	FunctionName string `json:"function_name,omitempty"`
-	FunctionTmpl string `json:"function_template,omitempty"`
-	FunctionArgs int    `json:"function_arity,omitempty"`
+	Expert string `json:"expert"`
+	feedback.Contribution
 }
 
 func (s *Server) handleFeedbackResolve(w http.ResponseWriter, r *http.Request) {
-	if s.tracker == nil {
-		s.writeErr(w, http.StatusNotImplemented, errors.New("feedback is not enabled"))
-		return
-	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad issue id: %w", err))
@@ -848,11 +827,7 @@ func (s *Server) handleFeedbackResolve(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	err = s.tracker.Resolve(id, req.Expert, feedback.Contribution{
-		MetricName: req.MetricName, Description: req.Description,
-		FunctionName: req.FunctionName, FunctionTemplate: req.FunctionTmpl,
-		FunctionArity: req.FunctionArgs,
-	})
+	err = s.tracker.Resolve(id, req.Expert, req.Contribution)
 	switch {
 	case errors.Is(err, feedback.ErrUnknownIssue):
 		s.writeErr(w, http.StatusNotFound, err)
@@ -870,19 +845,11 @@ func (s *Server) handleFeedbackResolve(w http.ResponseWriter, r *http.Request) {
 // community contribution awaiting expert votes (the Stack Overflow-style
 // mechanism of §3.4's future work).
 type proposeRequest struct {
-	Author       string `json:"author"`
-	MetricName   string `json:"metric_name"`
-	Description  string `json:"description"`
-	FunctionName string `json:"function_name,omitempty"`
-	FunctionTmpl string `json:"function_template,omitempty"`
-	FunctionArgs int    `json:"function_arity,omitempty"`
+	Author string `json:"author"`
+	feedback.Contribution
 }
 
 func (s *Server) handleProposalOpen(w http.ResponseWriter, r *http.Request) {
-	if s.tracker == nil {
-		s.writeErr(w, http.StatusNotImplemented, errors.New("feedback is not enabled"))
-		return
-	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad issue id: %w", err))
@@ -892,11 +859,7 @@ func (s *Server) handleProposalOpen(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	p, err := s.tracker.Propose(id, req.Author, feedback.Contribution{
-		MetricName: req.MetricName, Description: req.Description,
-		FunctionName: req.FunctionName, FunctionTemplate: req.FunctionTmpl,
-		FunctionArity: req.FunctionArgs,
-	})
+	p, err := s.tracker.Propose(id, req.Author, req.Contribution)
 	switch {
 	case errors.Is(err, feedback.ErrUnknownIssue):
 		s.writeErr(w, http.StatusNotFound, err)
@@ -908,10 +871,6 @@ func (s *Server) handleProposalOpen(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleProposalList(w http.ResponseWriter, r *http.Request) {
-	if s.tracker == nil {
-		s.writeErr(w, http.StatusNotImplemented, errors.New("feedback is not enabled"))
-		return
-	}
 	issueID := -1
 	if v := r.URL.Query().Get("issue"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -931,10 +890,6 @@ type voteRequest struct {
 }
 
 func (s *Server) handleProposalVote(w http.ResponseWriter, r *http.Request) {
-	if s.tracker == nil {
-		s.writeErr(w, http.StatusNotImplemented, errors.New("feedback is not enabled"))
-		return
-	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad proposal id: %w", err))
@@ -959,10 +914,5 @@ func (s *Server) handleProposalVote(w http.ResponseWriter, r *http.Request) {
 
 // handleAudit returns the sandbox's query audit log, newest last.
 func (s *Server) handleAudit(w http.ResponseWriter, _ *http.Request) {
-	a := s.copilot.Executor().Audit()
-	if a == nil {
-		s.writeErr(w, http.StatusNotImplemented, errors.New("auditing is not enabled"))
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"status": "success", "entries": a.Entries()})
+	s.writeJSON(w, http.StatusOK, map[string]any{"status": "success", "entries": s.copilot.Executor().Audit().Entries()})
 }
