@@ -601,11 +601,22 @@ func BenchmarkQueryRangeWide(b *testing.B) {
 	const q = "sum by (instance) (rate(bench_dl_bytes_total[1m]))"
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu0, _ := processCPU()
 	for i := 0; i < b.N; i++ {
 		m, err := queryRange(ctx, eng, q, start, end, 3*time.Second)
 		if err != nil || len(m) != instances {
 			b.Fatalf("%d series, %v", len(m), err)
 		}
+	}
+	reportCPU(b, cpu0)
+}
+
+// reportCPU reports the process CPU time per op since cpu0 as cpu-ms/op.
+// Work the executor spreads over idle cores costs CPU but not wall time,
+// so wall ms/op alone hides it.
+func reportCPU(b *testing.B, cpu0 time.Duration) {
+	if cpu, ok := processCPU(); ok {
+		b.ReportMetric(float64(cpu-cpu0)/1e6/float64(b.N), "cpu-ms/op")
 	}
 }
 
@@ -678,9 +689,11 @@ func BenchmarkQueryRangeServe(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu0, _ := processCPU()
 	for i := 0; i < b.N; i++ {
 		serve(reqs[i%len(reqs)])
 	}
+	reportCPU(b, cpu0)
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N), "ms/op")
 	b.ReportMetric(float64(body)/float64(len(reqs)), "body-B/resp")
 }

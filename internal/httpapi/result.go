@@ -80,12 +80,33 @@ func appendLabels(b []byte, ls tsdb.Labels) []byte {
 	return append(b, '}')
 }
 
-// appendPoint writes [seconds,"value"]: float64(t)/1000 as encoding/json
-// writes a float (a non-zero |t|/1000 lies between 1e-3 and 1e16, where it
-// uses 'f') and v as strconv.FormatFloat(v, 'g', -1, 64).
+// appendPoint writes [seconds,"value"]: t through appendSeconds and v as
+// strconv.FormatFloat(v, 'g', -1, 64).
 func appendPoint(b []byte, t int64, v float64) []byte {
-	b = append(strconv.AppendFloat(append(b, '['), float64(t)/1000, 'f', -1, 64), ',', '"')
+	b = append(appendSeconds(append(b, '['), t), ',', '"')
 	return append(strconv.AppendFloat(b, v, 'g', -1, 64), '"', ']')
+}
+
+// appendSeconds writes t ms as encoding/json writes float64(t)/1000 (a
+// non-zero |t|/1000 lies between 1e-3 and 1e16, where it uses 'f'). Below
+// 1e15 ms the exact value has at most three decimals and 15 significant
+// digits, so it is the shortest form that round-trips: it is written as
+// integers, with trailing zeros of the milliseconds dropped.
+func appendSeconds(b []byte, t int64) []byte {
+	if t < 0 || t >= 1e15 {
+		return strconv.AppendFloat(b, float64(t)/1000, 'f', -1, 64)
+	}
+	b = strconv.AppendInt(b, t/1000, 10)
+	ms := t % 1000
+	if ms == 0 {
+		return b
+	}
+	frac := [4]byte{'.', byte('0' + ms/100), byte('0' + ms/10%10), byte('0' + ms%10)}
+	n := len(frac)
+	for frac[n-1] == '0' {
+		n--
+	}
+	return append(b, frac[:n]...)
 }
 
 // encoding/json writes control bytes as \b, \f, \n, \r, \t or \u00XX.

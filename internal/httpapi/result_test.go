@@ -287,6 +287,10 @@ func FuzzQueryResultEncoding(f *testing.F) {
 	f.Add("<a&b>", lineSep+invalidUTF8+paraSep, int64(1e15), math.NaN())
 	f.Add(controlBytes, `"\`, int64(-1), math.Copysign(0, -1))
 	f.Add("", "", int64(math.MinInt64), 5e-324)
+	// appendSeconds writes [0, 1e15) ms as integers and the rest as floats.
+	for _, ts := range []int64{-1, 0, 999, 1000, 1001, 1e15 - 1, 1e15} {
+		f.Add("instance", "amf-0", ts, 1.5)
+	}
 	f.Fuzz(func(t *testing.T, name, value string, ts int64, v float64) {
 		ls := tsdb.Labels{{Name: name, Value: value}}
 		checkEncoding(t, "matrix", promql.Matrix{{Labels: ls, Samples: []tsdb.Sample{{T: ts, V: v}}}})

@@ -47,8 +47,10 @@ type Hooks struct {
 	// QueueWait receives how long each gated query waited for a
 	// concurrency slot (only called when MaxConcurrent > 0).
 	QueueWait func(time.Duration)
-	// OnSamples receives the number of stored samples each top-level
-	// evaluation touched.
+	// OnSamples receives, once per query, the number of stored samples it
+	// touched: an instant query's total, or a range query's summed over its
+	// steps once its partitions join, the value QueryStats.Samples and the
+	// promql.samples_loaded span attribute report.
 	OnSamples func(int)
 	// OnRangeEval receives the select-once statistics of each range query.
 	OnRangeEval func(RangeStats)

@@ -108,7 +108,8 @@ func TestGateCancelledWhileQueued(t *testing.T) {
 	}
 }
 
-// TestOnSamplesHook checks the touched-samples hook fires per evaluation.
+// TestOnSamplesHook checks the touched-samples hook fires once per query:
+// an instant query's total, and a range query's summed over its steps.
 func TestOnSamplesHook(t *testing.T) {
 	eng := NewEngine(gateDB(t), DefaultEngineOptions())
 	var total atomic.Int64
@@ -118,5 +119,15 @@ func TestOnSamplesHook(t *testing.T) {
 	}
 	if total.Load() == 0 {
 		t.Error("OnSamples hook not called")
+	}
+
+	var calls, got int
+	eng.SetHooks(Hooks{OnSamples: func(n int) { calls++; got = n }})
+	ctx, capture := WithQueryStats(context.Background())
+	if _, err := queryRange(ctx, eng, "sum(rate(m[3s]))", time.UnixMilli(3000), time.UnixMilli(9000), time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if want := capture.Stats().Samples; calls != 1 || int64(got) != want || want == 0 {
+		t.Errorf("range query: OnSamples called %d times with %d, want once with QueryStats.Samples %d", calls, got, want)
 	}
 }

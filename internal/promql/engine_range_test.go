@@ -3,6 +3,7 @@ package promql
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -114,17 +115,29 @@ func TestQueryRangeEquivalence(t *testing.T) {
 
 // TestQueryRangeEquivalenceSingleWorker pins that the parallel executor and
 // a single-worker executor (no partitioning, no branch parallelism) render
-// identically — parallelism must be invisible in results.
+// identically — parallelism must be invisible in results. testDB gains 120
+// more instances of its counter and its gauge, one sample each at the
+// window's start, so that their selectors are above the partition gate and
+// split the 301 steps while the work stays small.
 func TestQueryRangeEquivalenceSingleWorker(t *testing.T) {
 	db, end := testDB(t)
+	start := end.Add(-25 * time.Minute)
+	for i := 0; i < 120; i++ {
+		inst := fmt.Sprintf("p%03d", i)
+		mustAppend(t, db, map[string]string{"__name__": "amfcc_n1_auth_request", "nf": "amf", "instance": inst}, start.UnixMilli(), float64(i))
+		mustAppend(t, db, map[string]string{"__name__": "smf_pdu_session_active", "instance": inst}, start.UnixMilli(), float64(i))
+	}
 	par := DefaultEngineOptions()
 	par.ExecWorkers = 8
 	seq := par
 	seq.ExecWorkers = 1
 	pe, se := NewEngine(db, par), NewEngine(db, seq)
 
-	start := end.Add(-25 * time.Minute)
+	split := 0
 	for _, q := range rangeCorpus {
+		if partitionsFor(t, pe, q, start, end, 5*time.Second) >= 2 {
+			split++
+		}
 		m1, err1 := queryRange(context.Background(), pe, q, start, end, 5*time.Second)
 		m2, err2 := queryRange(context.Background(), se, q, start, end, 5*time.Second)
 		if (err1 == nil) != (err2 == nil) {
@@ -136,6 +149,9 @@ func TestQueryRangeEquivalenceSingleWorker(t *testing.T) {
 		if got, want := m1.String(), m2.String(); got != want {
 			t.Errorf("%q: matrices differ\nworkers=8:\n%s\nworkers=1:\n%s", q, got, want)
 		}
+	}
+	if split < len(rangeCorpus)/2 {
+		t.Errorf("only %d of %d queries ran on two or more partitions", split, len(rangeCorpus))
 	}
 }
 

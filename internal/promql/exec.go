@@ -5,9 +5,14 @@ package promql
 // tsdb.SelectBatch call, which copies chunk snapshots under the store's
 // lock and decodes nothing, then drives the physical operator tree:
 //
-//   - Range queries split their steps into contiguous partitions, one
-//     goroutine each, every partition owning private cursors per selector
-//     use site that advance monotonically through its steps. A scan read
+//   - Range queries whose selected series × steps pass a gate
+//     (numPartitions) split their steps into contiguous partitions, one
+//     goroutine each; smaller ones run as a single partition on the
+//     caller's goroutine. Every partition owns private cursors per
+//     selector use site that advance monotonically through its steps, and
+//     its own counters (operator stats, scan services, loaded samples),
+//     counted with plain adds and folded into the execution's once, when
+//     its span ends, failed or not. A scan read
 //     in step order streams: its cursor holds a tsdb.Reader per series,
 //     which decodes samples only as the steps reach them and keeps only
 //     those the current window or instant can still use. A scan under a
@@ -28,6 +33,10 @@ package promql
 //     stateless reads share nothing and outputs merge into
 //     position-indexed slots.
 //
+// Cancellation is polled at every operator through the context's Done
+// channel, read once per part: ctx.Err takes the context's lock, and
+// concurrent partitions calling it at every operator contended on it.
+//
 // Error determinism: on failure the executor reports the error of the
 // earliest failing step, preferring non-cancellation errors (sibling
 // partitions are cancelled once one fails, and their context.Canceled
@@ -37,7 +46,7 @@ package promql
 // Sample budgets match the test oracle exactly: each range step gets
 // a fresh MaxSamples budget, and subqueries inherit and extend their
 // step's budget. Instant queries use one budget guarded by an atomic so
-// parallel branches share it safely.
+// parallel branches share it safely; it is the only counter parts share.
 
 import (
 	"context"
@@ -63,8 +72,8 @@ const minStepsPerPartition = 8
 const minSeriesForParallel = 8
 
 // execState is the shared, read-mostly state of one query execution:
-// prefetched series per scan, the fingerprint key cache, and the atomic
-// stat counters partitions update.
+// prefetched series per scan, the fingerprint key cache, and the
+// counters every part folds into once its span ends.
 type execState struct {
 	eng        *Engine
 	cp         *compiledPlan
@@ -72,21 +81,11 @@ type execState struct {
 	keys       map[labelsRef]string
 	lookbackMs int64
 
-	services     []int64 // per scan, atomic: operator reads served
-	resets       atomic.Int64
-	totalSamples atomic.Int64
-
-	// opStats holds one accumulator per operator of the compiled plan
-	// (indexed by statsIdx) — the EXPLAIN ANALYZE slab, pre-sized once per
-	// execution and updated with atomics.
-	opStats []opSlot
-
 	workers int
 	sem     chan struct{} // bounds extra goroutines beyond the caller's
 
-	// peakIntermediate collects the max pooled-intermediate high-water
-	// mark across the execution's allocs (RangeStats.PeakIntermediateBytes).
-	peakIntermediate atomic.Int64
+	mu sync.Mutex // guards counters while parts fold into them
+	counters
 
 	// ids holds each operator's identity table (by statsIdx), built before
 	// a range query's partitions start; all nil for instant queries.
@@ -217,6 +216,54 @@ func (st *execState) sampleKey(t *idTable, s VSample) string {
 	return st.keyOf(s.Labels)
 }
 
+// counters are one part's execution statistics, counted with plain adds:
+// a part owns its counters, so concurrent partitions share no cache line.
+type counters struct {
+	ops      []opSlot // per operator, by statsIdx: the EXPLAIN ANALYZE slab
+	services []int64  // per scan: operator reads served
+	resets   int64
+	loaded   int64 // stored samples accounted by a range part's steps
+	peak     int64 // pooled-intermediate high-water mark
+}
+
+func (st *execState) newCounters() counters {
+	return counters{ops: make([]opSlot, len(st.cp.stats)), services: make([]int64, len(st.cp.plan.scans))}
+}
+
+// add folds src's counts into c.
+func (c *counters) add(src *counters) {
+	for i := range src.ops {
+		c.ops[i].add(&src.ops[i])
+	}
+	for i, n := range src.services {
+		c.services[i] += n
+	}
+	c.resets += src.resets
+	c.loaded += src.loaded
+	c.peak = max(c.peak, src.peak)
+}
+
+// fold adds a finished part's counters into the execution's; the first
+// part to finish hands over its slabs instead of copying them.
+func (st *execState) fold(c *counters) {
+	st.mu.Lock()
+	if st.ops == nil {
+		st.counters = *c
+	} else {
+		st.counters.add(c)
+	}
+	st.mu.Unlock()
+}
+
+// seriesCount is the number of series the execution's scans selected.
+func (st *execState) seriesCount() int {
+	n := 0
+	for _, views := range st.series {
+		n += len(views)
+	}
+	return n
+}
+
 // newExecState selects every scan of the plan for an evaluation range
 // [startMs, endMs] and seeds the fingerprint key cache. The scans an
 // instant or a subquery reads are decoded here, whole; a range query's
@@ -227,9 +274,7 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64, instant bo
 		cp:         cp,
 		keys:       make(map[labelsRef]string),
 		lookbackMs: e.opts.LookbackDelta.Milliseconds(),
-		services:   make([]int64, len(cp.plan.scans)),
 		workers:    e.opts.ExecWorkers,
-		opStats:    make([]opSlot, len(cp.stats)),
 		ids:        make([]*idTable, len(cp.stats)),
 	}
 	st.series = e.db.SelectBatch(cp.plan.selectHints(startMs, endMs))
@@ -266,35 +311,21 @@ func (st *execState) acquireWorker() bool {
 
 func (st *execState) releaseWorker() { <-st.sem }
 
-// stats summarises the execution for the engine's observation hooks:
-// misses are the distinct storage fetches (one per deduplicated scan),
-// hits the operator reads served beyond each scan's first.
+// stats summarises the execution's folded counters for the engine's
+// observation hooks: misses are the distinct storage fetches (one per
+// deduplicated scan), hits the operator reads served beyond each scan's
+// first.
 func (st *execState) stats() RangeStats {
-	services := int64(0)
-	for i := range st.services {
-		services += atomic.LoadInt64(&st.services[i])
+	services := 0
+	for _, n := range st.services {
+		services += int(n)
 	}
-	misses := len(st.services)
-	hits := int(services) - misses
-	if hits < 0 {
-		hits = 0
-	}
+	misses := len(st.cp.plan.scans)
 	return RangeStats{
-		SelectorHits:          hits,
+		SelectorHits:          max(services-misses, 0),
 		SelectorMisses:        misses,
-		CursorResets:          int(st.resets.Load()),
-		PeakIntermediateBytes: st.peakIntermediate.Load(),
-	}
-}
-
-// notePeakIntermediate folds one alloc's high-water mark into the
-// execution-wide max (CAS loop: allocs release from partition goroutines).
-func (st *execState) notePeakIntermediate(b int64) {
-	for {
-		cur := st.peakIntermediate.Load()
-		if b <= cur || st.peakIntermediate.CompareAndSwap(cur, b) {
-			return
-		}
+		CursorResets:          int(st.resets),
+		PeakIntermediateBytes: st.peak,
 	}
 }
 
@@ -329,8 +360,9 @@ func (p *part) readers(scanIdx, cur int, span int64) []tsdb.Reader {
 // part drives the operator tree for a contiguous run of steps (cursor
 // mode) or a single instant (stateless parallel mode).
 type part struct {
-	st  *execState
-	ctx context.Context
+	st   *execState
+	ctx  context.Context
+	done <-chan struct{} // ctx.Done(), read once for cancelled
 	// samples is the per-step budget in sequential cursor mode; asamples
 	// replaces it in parallel instant mode.
 	samples  int
@@ -345,34 +377,55 @@ type part struct {
 	// and is recycled once the step is folded. Nil on instant parts: all
 	// methods degrade to plain heap allocation.
 	al *alloc
+	counters
 }
 
 func (st *execState) newCursorPart(ctx context.Context) *part {
-	p := &part{st: st, ctx: ctx, cursors: make([]useCursor, st.cp.nCursors)}
+	p := &part{st: st, ctx: ctx, done: ctx.Done(), cursors: make([]useCursor, st.cp.nCursors), counters: st.newCounters()}
 	if !st.eng.noArena {
 		p.al = allocPool.Get().(*alloc)
 	}
 	return p
 }
 
-// releaseAllocs returns the partition's arena to the global pool when its
-// span is done.
-func (p *part) releaseAllocs() {
-	p.al.release(p.st)
-	p.al = nil
-}
-
 func (st *execState) newInstantPart(ctx context.Context) *part {
 	par := st.workers > 1
-	return &part{st: st, ctx: ctx, asamples: new(atomic.Int64), seriesPar: par, branchPar: par}
+	return &part{st: st, ctx: ctx, done: ctx.Done(), asamples: new(atomic.Int64), seriesPar: par, branchPar: par, counters: st.newCounters()}
+}
+
+// child returns a part for a branch goroutine of an instant part: it
+// shares p's context and sample budget but counts into counters of its
+// own, which the caller adds into p's once the branch joins.
+func (p *part) child() *part {
+	c := *p
+	c.counters = p.st.newCounters()
+	return &c
+}
+
+// finish ends the part's span, failed or not: its arena returns to the
+// global pool and its counters fold into the execution's.
+func (p *part) finish() {
+	p.peak = p.al.release()
+	p.al = nil
+	p.st.fold(&p.counters)
+}
+
+// cancelled polls the part's context at an operator boundary.
+func (p *part) cancelled() error {
+	select {
+	case <-p.done:
+		return p.ctx.Err()
+	default:
+		return nil
+	}
 }
 
 // eval runs one operator, enforcing cancellation at every node, and
-// accumulates the operator's call count and output series into its
-// pre-sized slot — atomics only, no allocation, and never a change to
-// the value flowing through.
+// accumulates the operator's call count and output series into the part's
+// pre-sized slot — plain adds, no allocation, and never a change to the
+// value flowing through.
 func (p *part) eval(op physOp, ts int64) (Value, error) {
-	if err := p.ctx.Err(); err != nil {
+	if err := p.cancelled(); err != nil {
 		return nil, err
 	}
 	begin := p.enter(op.statsIdx())
@@ -386,7 +439,7 @@ func (p *part) eval(op physOp, ts int64) (Value, error) {
 // the value never crosses an interface boundary — on the per-step hot
 // path that interface box was one heap allocation per operator per step.
 func (p *part) evalVec(op vecExecer, ts int64) (Vector, error) {
-	if err := p.ctx.Err(); err != nil {
+	if err := p.cancelled(); err != nil {
 		return nil, err
 	}
 	begin := p.enter(op.statsIdx())
@@ -398,7 +451,7 @@ func (p *part) evalVec(op vecExecer, ts int64) (Vector, error) {
 // window runs a window-producing operator (the pRangeFunc input path,
 // which bypasses eval), mirroring eval's stats collection.
 func (p *part) window(op windowOp, ts int64) (Matrix, int64, int64, error) {
-	if err := p.ctx.Err(); err != nil {
+	if err := p.cancelled(); err != nil {
 		return nil, 0, 0, err
 	}
 	begin := p.enter(op.statsIdx())
@@ -408,12 +461,15 @@ func (p *part) window(op windowOp, ts int64) (Matrix, int64, int64, error) {
 }
 
 // enter counts one call of the operator in slot sx. Wall time is sampled
-// (every statsTimeEvery-th call per operator, the first included): enter
-// returns the start time of a timed call and the zero time otherwise, and
-// buildOp scales the sum back up. On hosts without a cheap monotonic
-// clock a per-call time.Now pair alone cost 16% on the dashboard mix.
+// (every statsTimeEvery-th call per operator and part, the first
+// included): enter returns the start time of a timed call and the zero
+// time otherwise, and buildOp scales the sum back up. On hosts without a
+// cheap monotonic clock a per-call time.Now pair alone cost 16% on the
+// dashboard mix.
 func (p *part) enter(sx int) time.Time {
-	if (atomic.AddInt64(&p.st.opStats[sx].calls, 1)-1)&(statsTimeEvery-1) != 0 {
+	sl := &p.ops[sx]
+	sl.calls++
+	if (sl.calls-1)&(statsTimeEvery-1) != 0 {
 		return time.Time{}
 	}
 	return time.Now()
@@ -421,18 +477,18 @@ func (p *part) enter(sx int) time.Time {
 
 // leave closes a call opened by enter, adding its output series.
 func (p *part) leave(sx int, begin time.Time, series int) {
-	sl := &p.st.opStats[sx]
+	sl := &p.ops[sx]
 	if !begin.IsZero() {
-		atomic.AddInt64(&sl.wallNs, int64(time.Since(begin)))
-		atomic.AddInt64(&sl.timed, 1)
+		sl.wallNs += int64(time.Since(begin))
+		sl.timed++
 	}
-	atomic.AddInt64(&sl.series, int64(series))
+	sl.series += int64(series)
 }
 
 // noteSamples attributes stored samples to the scan operator that
 // accounted them.
 func (p *part) noteSamples(sx, n int) {
-	atomic.AddInt64(&p.st.opStats[sx].samples, int64(n))
+	p.ops[sx].samples += int64(n)
 }
 
 func (p *part) account(n int) error {
@@ -448,7 +504,7 @@ func (p *part) account(n int) error {
 			return ErrTooManySamples
 		}
 	}
-	return p.ctx.Err()
+	return p.cancelled()
 }
 
 // scalar evaluates an operator that must yield a scalar.
@@ -488,7 +544,7 @@ func (p *part) vector(op physOp, ts int64) (Vector, error) {
 // Results are in fingerprint order because the selection is.
 func (p *part) instant(scanIdx, cur int, ts, outT int64) Vector {
 	series := p.st.series[scanIdx]
-	atomic.AddInt64(&p.st.services[scanIdx], 1)
+	p.services[scanIdx]++
 	lookback := p.st.lookbackMs
 	out := p.al.vec(len(series))
 	if rd := p.readers(scanIdx, cur, 0); rd != nil {
@@ -506,7 +562,7 @@ func (p *part) instant(scanIdx, cur int, ts, outT int64) Vector {
 		}
 		scan := cu.instPos && ts >= cu.instT
 		if cu.instPos && ts < cu.instT {
-			p.st.resets.Add(1)
+			p.resets++
 		}
 		cu.instT, cu.instPos = ts, true
 		for i, sv := range series {
@@ -541,7 +597,7 @@ func (p *part) instant(scanIdx, cur int, ts, outT int64) Vector {
 // binary search; range queries read windows off the cursors (seek).
 func (p *part) windows(scanIdx int, start, end int64) (Matrix, int) {
 	series := p.st.series[scanIdx]
-	atomic.AddInt64(&p.st.services[scanIdx], 1)
+	p.services[scanIdx]++
 	out := p.al.mat(len(series))
 	total := 0
 	for _, sv := range series {
@@ -561,7 +617,7 @@ func (p *part) windows(scanIdx int, start, end int64) (Matrix, int) {
 // have samples in the window and how many samples they hold.
 func (p *part) seek(scanIdx, cur int, start, end int64) (n, total int) {
 	series := p.st.series[scanIdx]
-	atomic.AddInt64(&p.st.services[scanIdx], 1)
+	p.services[scanIdx]++
 	if rd := p.readers(scanIdx, cur, end-start); rd != nil {
 		for i := range rd {
 			if w := rd[i].Window(start+1, end); len(w) > 0 {
@@ -578,7 +634,7 @@ func (p *part) seek(scanIdx, cur int, start, end int64) (n, total int) {
 	}
 	scan := cu.winPos && start >= cu.winStart && end >= cu.winEnd
 	if cu.winPos && !scan {
-		p.st.resets.Add(1)
+		p.resets++
 	}
 	cu.winStart, cu.winEnd, cu.winPos = start, end, true
 	for i, sv := range series {
@@ -668,6 +724,7 @@ func (e *Engine) execInstant(ctx context.Context, expr Expr, ts time.Time) (Valu
 	st := e.newExecState(cp, tsMs, tsMs, true)
 	p := st.newInstantPart(ctx)
 	v, err := p.eval(cp.root, tsMs)
+	p.finish()
 	samples := int(p.asamples.Load())
 	if e.hooks.OnSamples != nil {
 		e.hooks.OnSamples(samples)
@@ -682,14 +739,20 @@ func (e *Engine) execInstant(ctx context.Context, expr Expr, ts time.Time) (Valu
 	return v, err
 }
 
-// numPartitions picks the partition count for a step range.
-func numPartitions(nSteps, workers int) int {
-	if workers <= 1 || nSteps < 2*minStepsPerPartition {
+// minSeriesStepsPerPartition is the least work, in selected series ×
+// steps, that earns a range partition its goroutine, cursors and arena.
+// On a 2-core host the dashboard's shapes (≤ ~2 000 series-steps) spent a
+// third of their engine CPU on a second partition for no wall time, and
+// write_read's reader (2 000 series × 200 steps) takes 90–105 ms on two
+// partitions against 140–200 ms on one (BenchmarkQueryRangeWide).
+const minSeriesStepsPerPartition = 1 << 14
+
+// numPartitions picks the partition count for a step range over nSeries
+// selected series.
+func numPartitions(nSteps, nSeries, workers int) int {
+	n := min(workers, nSteps/minStepsPerPartition, nSteps*nSeries/minSeriesStepsPerPartition)
+	if n < 2 {
 		return 1
-	}
-	n := nSteps / minStepsPerPartition
-	if n > workers {
-		n = workers
 	}
 	return n
 }
@@ -712,33 +775,36 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 		steps = append(steps, t.UnixMilli())
 	}
 	st := e.newExecState(cp, steps[0], steps[len(steps)-1], false)
-	if e.hooks.OnRangeEval != nil {
-		defer func() { e.hooks.OnRangeEval(st.stats()) }()
-	}
-	defer func() {
-		if sp := obs.SpanFrom(ctx); sp.Recording() {
-			sp.SetAttr("promql.samples_loaded", int(st.totalSamples.Load()))
-			sp.SetAttr("promql.steps", len(steps))
-			rs := st.stats()
-			sp.SetAttr("promql.selector_cache", map[string]int{
-				"hits": rs.SelectorHits, "misses": rs.SelectorMisses,
-			})
-			sp.SetAttr("promql.plan", cp.plan.Compact())
-		}
-	}()
-
-	nparts := numPartitions(len(steps), st.workers)
+	nparts := numPartitions(len(steps), st.seriesCount(), st.workers)
 	accs := make([]*rangeAcc, nparts)
 	st.buildIDs(cp.root)
 	if nparts <= 1 {
 		p := st.newCursorPart(ctx)
 		accs[0] = newRangeAcc()
 		se := p.runSpan(cp.root, steps, 0, len(steps), accs[0])
-		p.releaseAllocs()
-		if se.idx >= 0 {
-			return nil, se.err
-		}
-	} else if err := st.runPartitions(ctx, cp.root, steps, accs, nparts); err != nil {
+		p.finish()
+		err = se.err
+	} else {
+		err = st.runPartitions(ctx, cp.root, steps, accs, nparts)
+	}
+
+	// Every part has folded its counters, failed or not.
+	if e.hooks.OnSamples != nil {
+		e.hooks.OnSamples(int(st.loaded))
+	}
+	rs := st.stats()
+	if e.hooks.OnRangeEval != nil {
+		e.hooks.OnRangeEval(rs)
+	}
+	if sp := obs.SpanFrom(ctx); sp.Recording() {
+		sp.SetAttr("promql.samples_loaded", int(st.loaded))
+		sp.SetAttr("promql.steps", len(steps))
+		sp.SetAttr("promql.selector_cache", map[string]int{
+			"hits": rs.SelectorHits, "misses": rs.SelectorMisses,
+		})
+		sp.SetAttr("promql.plan", cp.plan.Compact())
+	}
+	if err != nil {
 		return nil, err
 	}
 
@@ -765,7 +831,7 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 		out = append(out, *acc[k])
 	}
 	if cap, ok := statsCaptureFrom(ctx); ok {
-		cap.set(st.buildStats(expr.String(), "range", begin, st.totalSamples.Load(), len(steps), cacheHit))
+		cap.set(st.buildStats(expr.String(), "range", begin, st.loaded, len(steps), cacheHit))
 	}
 	return out, nil
 }
@@ -850,10 +916,7 @@ func (p *part) runStep(root physOp, ve vecExecer, ids *idTable, ts int64, acc *r
 	} else {
 		v, err = p.eval(root, ts)
 	}
-	p.st.totalSamples.Add(int64(p.samples))
-	if hook := p.st.eng.hooks.OnSamples; hook != nil {
-		hook(p.samples)
-	}
+	p.loaded += int64(p.samples)
 	if err != nil {
 		return err
 	}
@@ -899,7 +962,7 @@ func (st *execState) runPartitions(ctx context.Context, root physOp, steps []int
 			if errs[w].idx >= 0 {
 				cancel()
 			}
-			p.releaseAllocs()
+			p.finish()
 		}(w, lo, hi)
 		lo = hi
 	}

@@ -545,7 +545,7 @@ func (o *pRangeFunc) execVec(p *part, ts int64) (Vector, error) {
 // The scan's stats and sample budget are charged as pMatrix.window
 // charges them, before the kernel runs.
 func (o *pRangeFunc) overCursor(p *part, m *pMatrix, ts int64) (Vector, error) {
-	if err := p.ctx.Err(); err != nil {
+	if err := p.cancelled(); err != nil {
 		return nil, err
 	}
 	end := ts - m.offMs
@@ -778,7 +778,8 @@ func (o *pAgg) execVec(p *part, ts int64) (Vector, error) {
 
 // pBinary joins two operand batches. When both sides touch storage and
 // the execution mode allows it (single-step, stateless scans), the
-// right side evaluates on a worker goroutine concurrently with the left.
+// right side evaluates on a worker goroutine concurrently with the left,
+// in a child part whose counters fold into p's after the join.
 type pBinary struct {
 	opMeta
 	ast      *BinaryExpr
@@ -790,14 +791,16 @@ func (o *pBinary) exec(p *part, ts int64) (Value, error) {
 	var lv, rv Value
 	var lerr, rerr error
 	if o.parOK && p.branchPar && p.st.acquireWorker() {
+		rp := p.child()
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			defer p.st.releaseWorker()
-			rv, rerr = p.eval(o.rhs, ts)
+			rv, rerr = rp.eval(o.rhs, ts)
 		}()
 		lv, lerr = p.eval(o.lhs, ts)
 		<-done
+		p.counters.add(&rp.counters)
 	} else {
 		lv, lerr = p.eval(o.lhs, ts)
 		if lerr == nil {

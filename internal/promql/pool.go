@@ -264,19 +264,15 @@ func (al *alloc) reset() {
 	al.liveF = al.liveF[:0]
 }
 
-// release resets the arena one final time, reports the peak into the
-// execution's stats, drops every label and key reference (nothing may pin
-// or alias a finished query's series) and returns the alloc to the global
-// pool.
-func (al *alloc) release(st *execState) {
+// release resets the arena one final time, drops every label and key
+// reference (nothing may pin or alias a finished query's series), returns
+// the alloc to the global pool and reports its high-water mark.
+func (al *alloc) release() (peak int64) {
 	if al == nil {
-		return
+		return 0
 	}
 	al.reset()
-	if st != nil {
-		st.notePeakIntermediate(al.peakBytes)
-	}
-	al.peakBytes = 0
+	peak, al.peakBytes = al.peakBytes, 0
 	clear(al.agg.idx)
 	for i := range al.agg.order {
 		al.agg.order[i] = ""
@@ -294,6 +290,7 @@ func (al *alloc) release(st *execState) {
 	}
 	al.agg.slab = al.agg.slab[:0]
 	allocPool.Put(al)
+	return peak
 }
 
 // groupLabels computes an aggregation's grouping labels for one input

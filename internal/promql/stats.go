@@ -3,14 +3,15 @@ package promql
 // stats.go — per-operator execution statistics (EXPLAIN ANALYZE). The
 // compiler records a statsNode skeleton alongside the physical operators
 // (one slot per operator, children linked by dense index), and each
-// execution allocates a matching []opSlot once up front. Collection is
-// allocation-free on the hot path: part.eval and part.window add call
-// counts, output series and sampled wall time into the slot with atomics
-// (steps of one range query may run on concurrent partitions), and the
-// scan operators attribute the samples they account into their
-// own slot. Clock reads are strided (statsTimeEvery) and scaled back up
-// when folding; every other counter is exact. After
-// the last step, buildStats folds the slots back into a QueryStats tree
+// part of an execution allocates a matching []opSlot once up front.
+// Collection is allocation-free on the hot path: part.eval and
+// part.window add call counts, output series and sampled wall time into
+// the part's own slot with plain adds, and the scan operators attribute
+// the samples they account into their own slot. Each part folds its
+// slots into the execution's once, when its span ends (counters.add).
+// Clock reads are strided (statsTimeEvery) and scaled back up when
+// building; every other counter is exact. After the last part has
+// joined, buildStats folds the slots back into a QueryStats tree
 // mirroring the plan, retrieved by callers through a context capture
 // (WithQueryStats) and rendered by Render/Compact.
 //
@@ -23,7 +24,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -43,14 +43,21 @@ type statsNode struct {
 // operator calls cost 16% on the dashboard mix.
 const statsTimeEvery = 16
 
-// opSlot is the per-execution accumulator of one operator. All fields are
-// updated with atomics: partitions and branch goroutines share the slots.
+// opSlot is one part's accumulator for one operator.
 type opSlot struct {
 	wallNs  int64
 	calls   int64
 	timed   int64 // calls that contributed to wallNs
 	series  int64
 	samples int64
+}
+
+func (sl *opSlot) add(src *opSlot) {
+	sl.wallNs += src.wallNs
+	sl.calls += src.calls
+	sl.timed += src.timed
+	sl.series += src.series
+	sl.samples += src.samples
 }
 
 // seriesIn counts a produced value's output series.
@@ -249,17 +256,17 @@ func (st *execState) buildStats(query, kind string, start time.Time, samples int
 
 func (st *execState) buildOp(idx int) *OpStats {
 	sn := &st.cp.stats[idx]
-	sl := &st.opStats[idx]
+	sl := &st.ops[idx]
 	o := &OpStats{
 		Op:        sn.label,
-		Wall:      time.Duration(atomic.LoadInt64(&sl.wallNs)),
-		Calls:     atomic.LoadInt64(&sl.calls),
-		SeriesOut: atomic.LoadInt64(&sl.series),
-		Samples:   atomic.LoadInt64(&sl.samples),
+		Wall:      time.Duration(sl.wallNs),
+		Calls:     sl.calls,
+		SeriesOut: sl.series,
+		Samples:   sl.samples,
 	}
 	// Wall time is sampled every statsTimeEvery-th call; scale the sampled
 	// sum to the full call count (exact when every call was timed).
-	if timed := atomic.LoadInt64(&sl.timed); timed > 0 && timed < o.Calls {
+	if timed := sl.timed; timed > 0 && timed < o.Calls {
 		o.Wall = time.Duration(float64(o.Wall) * float64(o.Calls) / float64(timed))
 	}
 	for _, k := range sn.kids {
