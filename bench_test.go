@@ -19,9 +19,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -279,13 +281,19 @@ func BenchmarkRetrieverRetrieve(b *testing.B) {
 
 // BenchmarkVecstoreFlatSearch times the exact scan alone over the
 // embedded cold questions, so the share of rows it prunes is the
-// workload's and not one query's.
+// workload's and not one query's. Before timing it checks every question
+// against the definition of the search, embedding.Dot per document and a
+// full sort by score then id, to the last bit of every score, so a run at
+// -benchtime 1x is a correctness check.
 func BenchmarkVecstoreFlatSearch(b *testing.B) {
 	e := env(b)
 	m := e.retriever.EmbeddingModel()
+	docs := e.cat.Documents()
 	flat := vecstore.NewFlat(m.Dim())
-	for _, d := range e.cat.Documents() {
-		if err := flat.Add(d.ID, m.Embed(d.Text)); err != nil {
+	vecs := make([]embedding.Vector, len(docs))
+	for i, d := range docs {
+		vecs[i] = m.Embed(d.Text)
+		if err := flat.Add(d.ID, vecs[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -293,11 +301,45 @@ func BenchmarkVecstoreFlatSearch(b *testing.B) {
 	for _, q := range coldQuestions(b, e) {
 		qs = append(qs, m.Embed(q))
 	}
+	if !flatSearchChecked { // the reference takes seconds: once a process
+		for i, q := range qs {
+			got, want := flat.Search(q, 29), flatReference(q, docs, vecs, 29)
+			if len(got) != len(want) {
+				b.Fatalf("cold question %d: %d hits, want %d", i, len(got), len(want))
+			}
+			for j := range want {
+				if got[j].ID != want[j].ID || math.Float64bits(got[j].Score) != math.Float64bits(want[j].Score) {
+					b.Fatalf("cold question %d, hit %d: got %s %v, want %s %v", i, j, got[j].ID, got[j].Score, want[j].ID, want[j].Score)
+				}
+			}
+		}
+		flatSearchChecked = true
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu0, _ := processCPU()
 	for i := 0; i < b.N; i++ {
 		flat.Search(qs[i%len(qs)], 29)
 	}
+	reportCPU(b, cpu0)
+}
+
+var flatSearchChecked bool
+
+// flatReference is what Flat.Search must return: every document scored by
+// embedding.Dot, sorted by score descending then id ascending, the first k.
+func flatReference(q embedding.Vector, docs []catalog.Document, vecs []embedding.Vector, k int) []vecstore.Result {
+	res := make([]vecstore.Result, len(docs))
+	for i, d := range docs {
+		res[i] = vecstore.Result{ID: d.ID, Score: embedding.Dot(q, vecs[i])}
+	}
+	sort.Slice(res, func(i, j int) bool {
+		if res[i].Score != res[j].Score {
+			return res[i].Score > res[j].Score
+		}
+		return res[i].ID < res[j].ID
+	})
+	return res[:k]
 }
 
 func BenchmarkVecstoreIVFSearch(b *testing.B) {

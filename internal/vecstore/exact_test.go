@@ -398,6 +398,41 @@ func TestPrunedSearchMatchesReference(t *testing.T) {
 			checkAll(t, c, ix, name)
 		})
 	}
+	for _, name := range []string{"flat", "ivf-unbuilt", "ivf-built"} {
+		t.Run(name+"/quantisation error", func(t *testing.T) {
+			// The query's 32 lanes are all heavy, so only the Q₁·qerr term
+			// covers what the int8 lanes miss. The a rows score 1.30–1.34
+			// on one lane, estimated exactly, and lead pass 1. Each b row
+			// has 1 on a lane and 1.49/127 on thirty more, which quantise
+			// to 1/127: estimated at 157/127 ≈ 1.236, they score ≈ 1.352
+			// and are the true leaders.
+			q := make(embedding.Vector, dim)
+			for d := 0; d < 32; d++ {
+				q[d] = 1
+			}
+			ix, c := build(name), &corpus{}
+			for i := 0; i < 5; i++ {
+				a, b := make(embedding.Vector, dim), make(embedding.Vector, dim)
+				a[0], b[1] = 1.3+float32(i)/100, 1
+				for d := 2; d < 32; d++ {
+					b[d] = 1.49 / 127
+				}
+				b[40+i] = 0.5 // off the query: distinct rows, same score
+				c.add(t, ix, fmt.Sprintf("a%d", i), a)
+				c.add(t, ix, fmt.Sprintf("b%d", i), b)
+			}
+			for i, v := range sparseVectors(rng, 50, dim, 0.6) {
+				for d := range v {
+					v[d] /= 10 // scores well below both
+				}
+				c.add(t, ix, fmt.Sprintf("n%02d", i), v)
+			}
+			finish(t, name, ix)
+			for _, k := range []int{1, 3, 5, 7} {
+				c.check(t, ix, name, q, k)
+			}
+		})
+	}
 	t.Run("flat/tie across passes", func(t *testing.T) {
 		// Every row scores exactly 0.5. The b rows earn it on a heavy lane
 		// and lead the first pass; the a rows earn it on a light lane, are

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -82,14 +83,13 @@ func (ix *IVF) Build(iters int) error {
 	perm := rng.Perm(n)
 	ix.centroids = make([]embedding.Vector, ix.nlist)
 	for c := 0; c < ix.nlist; c++ {
-		ix.centroids[c] = ix.t.row(perm[c], make(embedding.Vector, ix.t.dim))
+		ix.centroids[c] = slices.Clone(ix.t.rows[perm[c]])
 	}
 	assign := make([]int, n)
-	row := make(embedding.Vector, ix.t.dim)
 	for it := 0; it < iters; it++ {
 		changed := false
 		for i := range assign {
-			c := ix.nearestCentroid(ix.t.row(i, row))
+			c := ix.nearestCentroid(ix.t.rows[i])
 			if assign[i] != c || it == 0 {
 				assign[i] = c
 				changed = true
@@ -103,14 +103,14 @@ func (ix *IVF) Build(iters int) error {
 		}
 		for i, c := range assign {
 			counts[c]++
-			for d, x := range ix.t.row(i, row) {
+			for d, x := range ix.t.rows[i] {
 				sums[c][d] += x
 			}
 		}
 		for c := range sums {
 			if counts[c] == 0 {
 				// Re-seed empty cluster with a random vector.
-				ix.t.row(rng.Intn(n), sums[c])
+				copy(sums[c], ix.t.rows[rng.Intn(n)])
 			}
 			embedding.Normalize(sums[c])
 			ix.centroids[c] = sums[c]
@@ -121,7 +121,7 @@ func (ix *IVF) Build(iters int) error {
 	}
 	ix.lists = make([][]int, ix.nlist)
 	for i := 0; i < n; i++ {
-		c := ix.nearestCentroid(ix.t.row(i, row))
+		c := ix.nearestCentroid(ix.t.rows[i])
 		ix.lists[c] = append(ix.lists[c], i)
 	}
 	ix.built = true

@@ -1,7 +1,8 @@
 #!/bin/sh
 # verify.sh — the checks a change must pass before merging: formatting,
-# static vetting, the full test suite under the race detector, the bench/
-# module and a run of every example program.
+# static vetting (and an arm64 vet of vecstore's portable path), the full
+# test suite under the race detector, the bench/ module and a run of every
+# example program.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -15,6 +16,11 @@ fi
 
 echo ">> go vet ./..."
 go vet ./...
+
+# vecstore has an amd64 kernel and a portable path; vetting it for arm64
+# keeps the portable path compiling on this host.
+echo ">> GOARCH=arm64 go vet ./internal/vecstore"
+GOARCH=arm64 go vet ./internal/vecstore
 
 echo ">> go test -race ./..."
 go test -race ./...
