@@ -54,6 +54,32 @@ func fuzzTimeout(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
+// fuzzSeeds are FuzzParsePlanEval's seeds beyond the golden range corpus;
+// TestPlanGolden pins their plans too.
+var fuzzSeeds = []string{
+	"label_replace(smf_pdu_session_active, (\"dst\"), \"$1\", \"instance\", \"(.*)\")",
+	"rate(((amfcc_n1_auth_request[5m])))",
+	"-(1 + 2) * time()",
+	"max_over_time(rate(amfcc_n1_auth_request[5m])[1h:1s])",
+	// Aggregation seeds: shapes whose fold order (avg, topk ties, count
+	// regrouping) a kernel change could move.
+	"avg by (instance) (rate(amfcc_n1_auth_request[5m]))",
+	"topk(2, smf_pdu_session_active)",
+	"count by (nf) (amfcc_n1_auth_request)",
+	"avg(smf_pdu_session_active) + topk(1, smf_pdu_session_active)",
+	// TestWideEquivalence's shapes: aggregations over range functions and
+	// selectors, by and without, and a selector over two names whose name
+	// drop reorders the series.
+	"sum without (instance) (rate(amfcc_n1_auth_request[5m]))",
+	"topk by (nf) (1, rate(amfcc_n1_auth_request[5m]))",
+	"bottomk(1, sum by (instance) (rate(amfcc_n1_auth_request[5m])))",
+	`count_values by (nf) ("v", rate(amfcc_n1_auth_request[5m]))`,
+	"quantile by (nf) (0.9, rate(amfcc_n1_auth_request[5m]))",
+	"max by (nf) (sum by (nf, instance) (rate(amfcc_n1_auth_request[5m])))",
+	`avg by (instance) (rate({__name__=~"amfcc_n1_auth_request|smf_pdu_session_active"}[5m]))`,
+	`topk(1, rate({__name__=~"amfcc_n1_auth_request|smf_pdu_session_active"}[5m]))`,
+}
+
 // FuzzParsePlanEval: for arbitrary input, parse → plan → evaluate never
 // panics, and on valid inputs the plan-based executor and the oracle
 // tree-walker agree byte-for-byte (instant and range). Seeded with the
@@ -63,27 +89,9 @@ func FuzzParsePlanEval(f *testing.F) {
 	for _, q := range rangeCorpus {
 		f.Add(q)
 	}
-	f.Add("label_replace(smf_pdu_session_active, (\"dst\"), \"$1\", \"instance\", \"(.*)\")")
-	f.Add("rate(((amfcc_n1_auth_request[5m])))")
-	f.Add("-(1 + 2) * time()")
-	f.Add("max_over_time(rate(amfcc_n1_auth_request[5m])[1h:1s])")
-	// Aggregation seeds: shapes whose fold order (avg, topk ties, count
-	// regrouping) a kernel change could move.
-	f.Add("avg by (instance) (rate(amfcc_n1_auth_request[5m]))")
-	f.Add("topk(2, smf_pdu_session_active)")
-	f.Add("count by (nf) (amfcc_n1_auth_request)")
-	f.Add("avg(smf_pdu_session_active) + topk(1, smf_pdu_session_active)")
-	// TestWideEquivalence's shapes: aggregations over range functions and
-	// selectors, by and without, and a selector over two names whose name
-	// drop reorders the series.
-	f.Add("sum without (instance) (rate(amfcc_n1_auth_request[5m]))")
-	f.Add("topk by (nf) (1, rate(amfcc_n1_auth_request[5m]))")
-	f.Add("bottomk(1, sum by (instance) (rate(amfcc_n1_auth_request[5m])))")
-	f.Add(`count_values by (nf) ("v", rate(amfcc_n1_auth_request[5m]))`)
-	f.Add("quantile by (nf) (0.9, rate(amfcc_n1_auth_request[5m]))")
-	f.Add("max by (nf) (sum by (nf, instance) (rate(amfcc_n1_auth_request[5m])))")
-	f.Add(`avg by (instance) (rate({__name__=~"amfcc_n1_auth_request|smf_pdu_session_active"}[5m]))`)
-	f.Add(`topk(1, rate({__name__=~"amfcc_n1_auth_request|smf_pdu_session_active"}[5m]))`)
+	for _, q := range fuzzSeeds {
+		f.Add(q)
+	}
 
 	db, end := testDB(f)
 	base := DefaultEngineOptions()
