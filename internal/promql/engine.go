@@ -136,11 +136,7 @@ func (e *Engine) planFor(expr Expr) (cp *compiledPlan, hit bool, err error) {
 	if cp, ok := e.plans[key]; ok {
 		return cp, true, nil
 	}
-	plan, err := newPlan(expr, e.opts)
-	if err != nil {
-		return nil, false, err
-	}
-	cp, err = compilePlan(plan)
+	cp, err = compile(expr, e.opts)
 	if err != nil {
 		return nil, false, err
 	}
@@ -163,7 +159,7 @@ func (e *Engine) Explain(input string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return cp.plan.Tree(), nil
+	return cp.tree(), nil
 }
 
 // ExplainCompact returns the one-line plan form — the same string the
@@ -173,7 +169,7 @@ func (e *Engine) ExplainCompact(expr Expr) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return cp.plan.Compact(), nil
+	return cp.compact, nil
 }
 
 // ExplainAnalyze executes input at ts and returns the plan annotated with

@@ -1,7 +1,7 @@
 package promql
 
-// exec.go — the third plan-based execution layer (see logical.go,
-// physical.go). The executor selects every deduplicated scan with one
+// exec.go — running a compiled plan (plan.go compiles it from the AST,
+// physical.go holds its operators). The executor selects every deduplicated scan with one
 // tsdb.SelectBatch call, which copies chunk snapshots under the store's
 // lock and decodes nothing, then drives the physical operator tree:
 //
@@ -172,7 +172,8 @@ func (t *idTable) sortByRank(v Vector) {
 
 // buildIDs builds the identity tables of op's subtree, inputs first.
 func (st *execState) buildIDs(op physOp) {
-	for _, k := range opKids(op) {
+	var buf [4]physOp
+	for _, k := range opKids(op, buf[:0]) {
 		st.buildIDs(k)
 	}
 	switch o := op.(type) {
@@ -227,7 +228,7 @@ type counters struct {
 }
 
 func (st *execState) newCounters() counters {
-	return counters{ops: make([]opSlot, len(st.cp.stats)), services: make([]int64, len(st.cp.plan.scans))}
+	return counters{ops: make([]opSlot, len(st.cp.labels)), services: make([]int64, len(st.cp.scans))}
 }
 
 // add folds src's counts into c.
@@ -275,11 +276,11 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64, instant bo
 		keys:       make(map[labelsRef]string),
 		lookbackMs: e.opts.LookbackDelta.Milliseconds(),
 		workers:    e.opts.ExecWorkers,
-		ids:        make([]*idTable, len(cp.stats)),
+		ids:        make([]*idTable, len(cp.labels)),
 	}
-	st.series = e.db.SelectBatch(cp.plan.selectHints(startMs, endMs))
+	st.series = e.db.SelectBatch(cp.selectHints(startMs, endMs))
 	for i, views := range st.series {
-		if instant || cp.eager[i] {
+		if instant || cp.scans[i].eager {
 			tsdb.DecodeViews(views)
 		}
 		for _, sv := range views {
@@ -320,7 +321,7 @@ func (st *execState) stats() RangeStats {
 	for _, n := range st.services {
 		services += int(n)
 	}
-	misses := len(st.cp.plan.scans)
+	misses := len(st.cp.scans)
 	return RangeStats{
 		SelectorHits:          max(services-misses, 0),
 		SelectorMisses:        misses,
@@ -347,7 +348,7 @@ type useCursor struct {
 // room for span ms of samples per series, or nil when the part is
 // stateless or the scan eager.
 func (p *part) readers(scanIdx, cur int, span int64) []tsdb.Reader {
-	if p.cursors == nil || p.st.cp.eager[scanIdx] {
+	if p.cursors == nil || p.st.cp.scans[scanIdx].eager {
 		return nil
 	}
 	cu := &p.cursors[cur]
@@ -731,7 +732,7 @@ func (e *Engine) execInstant(ctx context.Context, expr Expr, ts time.Time) (Valu
 	}
 	if sp := obs.SpanFrom(ctx); sp.Recording() {
 		sp.SetAttr("promql.samples_loaded", samples)
-		sp.SetAttr("promql.plan", cp.plan.Compact())
+		sp.SetAttr("promql.plan", cp.compact)
 	}
 	if cap, ok := statsCaptureFrom(ctx); ok && err == nil {
 		cap.set(st.buildStats(expr.String(), "instant", begin, int64(samples), 1, cacheHit))
@@ -802,7 +803,7 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 		sp.SetAttr("promql.selector_cache", map[string]int{
 			"hits": rs.SelectorHits, "misses": rs.SelectorMisses,
 		})
-		sp.SetAttr("promql.plan", cp.plan.Compact())
+		sp.SetAttr("promql.plan", cp.compact)
 	}
 	if err != nil {
 		return nil, err

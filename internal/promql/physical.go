@@ -1,10 +1,9 @@
 package promql
 
-// physical.go — the second plan-based execution layer (see logical.go,
-// exec.go). compilePlan lowers an optimized logical plan to a tree of
-// pull-based physical operators: each operator's exec produces the
-// value (Vector/Scalar/Matrix) for one evaluation timestamp, pulling
-// its inputs from child operators. Operators are immutable and shared
+// physical.go — the operators a query compiles to (plan.go compiles them,
+// exec.go drives them). Operators are pull-based: each operator's exec
+// produces the value (Vector/Scalar/Matrix) for one evaluation timestamp,
+// pulling its inputs from child operators. Operators are immutable and shared
 // across queries via the Engine plan cache; all mutable per-query state
 // (sample budget, scan cursors and readers, selected series) lives in the
 // part passed to exec, so one compiled plan can serve concurrent
@@ -23,7 +22,8 @@ import (
 )
 
 // physOp is one compiled operator. statsIdx is the operator's dense slot
-// in the plan's stats skeleton (promoted from the embedded opMeta).
+// in the execution's stats slab and the plan's label table (promoted from
+// the embedded opMeta).
 type physOp interface {
 	exec(p *part, ts int64) (Value, error)
 	statsIdx() int
@@ -54,300 +54,45 @@ type opMeta struct{ sx int }
 
 func (m *opMeta) statsIdx() int { return m.sx }
 
-// compiledPlan is an executable physical plan plus its logical source
-// (kept for Explain and for the scan table the executor prefetches).
-type compiledPlan struct {
-	plan *Plan
-	root physOp
-	// nCursors counts selector use sites: each gets a per-partition
-	// cursor slot for monotone multi-step execution.
-	nCursors int
-	// eager marks the scans (by scan ID) read under a subquery, out of
-	// step order: a range query decodes their snapshots whole, up front.
-	eager []bool
-	// stats is the per-operator skeleton EXPLAIN ANALYZE collects into:
-	// one node per operator, labelled with the logical node's describe()
-	// so the analyzed tree matches the plain Explain tree.
-	stats []statsNode
-}
-
-type compiler struct {
-	cursors int
-	stats   []statsNode
-	sub     int // subqueries enclosing the node being lowered
-	eager   []bool
-}
-
-// compilePlan lowers plan to physical operators.
-func compilePlan(plan *Plan) (*compiledPlan, error) {
-	c := &compiler{eager: make([]bool, len(plan.scans))}
-	root, err := c.compile(plan.root)
-	if err != nil {
-		return nil, err
-	}
-	return &compiledPlan{plan: plan, root: root, nCursors: c.cursors, eager: c.eager, stats: c.stats}, nil
-}
-
-// compile lowers one logical node and registers the operator's stats
-// slot. Children lower first (inside lower's recursion), so their slot
-// indexes are known when the parent's skeleton node links to them.
-func (c *compiler) compile(n logNode) (physOp, error) {
-	op, err := c.lower(n)
-	if err != nil {
-		return nil, err
-	}
-	sn := statsNode{label: n.describe()}
-	for _, k := range opKids(op) {
-		sn.kids = append(sn.kids, k.statsIdx())
-	}
-	c.setStatsIdx(op, len(c.stats))
-	c.stats = append(c.stats, sn)
-	return op, nil
-}
-
-// setStatsIdx writes the assigned slot into the operator's embedded meta.
-func (c *compiler) setStatsIdx(op physOp, idx int) {
-	type setter interface{ setIdx(int) }
-	op.(setter).setIdx(idx)
-}
-
-func (m *opMeta) setIdx(i int) { m.sx = i }
-
-// opKids enumerates an operator's children in plan order — the stats
-// skeleton's edge list.
-func opKids(op physOp) []physOp {
+// opKids appends op's children to buf in plan order: the order the query
+// text names them, an aggregation's input before its parameter. It is
+// the only child enumeration; pass a stack array's slice to keep a walk
+// allocation-free.
+func opKids(op physOp, buf []physOp) []physOp {
 	switch o := op.(type) {
 	case *pNeg:
-		return []physOp{o.child}
+		return append(buf, o.child)
 	case *pSubquery:
-		return []physOp{o.child}
+		return append(buf, o.child)
 	case *pRangeFunc:
-		if o.scalarArg != nil {
-			return []physOp{o.arg, o.scalarArg}
+		switch {
+		case o.scalarArg == nil:
+			return append(buf, o.arg)
+		case o.scalarFirst:
+			return append(buf, o.scalarArg, o.arg)
 		}
-		return []physOp{o.arg}
+		return append(buf, o.arg, o.scalarArg)
 	case *pVectorMath:
-		out := make([]physOp, 0, 1+len(o.scalars))
-		out = append(out, o.vec)
-		return append(out, o.scalars...)
+		return append(append(buf, o.vec), o.scalars...)
 	case *pVectorFn:
-		return []physOp{o.arg}
+		return append(buf, o.arg)
 	case *pScalarFn:
-		return []physOp{o.arg}
+		return append(buf, o.arg)
 	case *pAbsent:
-		return []physOp{o.arg}
+		return append(buf, o.arg)
 	case *pHistogram:
-		return []physOp{o.phi, o.vec}
+		return append(buf, o.phi, o.vec)
 	case *pLabelReplace:
-		return []physOp{o.vec}
+		return append(buf, o.vec)
 	case *pAgg:
 		if o.param != nil {
-			return []physOp{o.child, o.param}
+			return append(buf, o.child, o.param)
 		}
-		return []physOp{o.child}
+		return append(buf, o.child)
 	case *pBinary:
-		return []physOp{o.lhs, o.rhs}
+		return append(buf, o.lhs, o.rhs)
 	}
-	return nil
-}
-
-func (c *compiler) lower(n logNode) (physOp, error) {
-	switch x := n.(type) {
-	case *lConst:
-		return &pConst{v: x.val}, nil
-	case *lString:
-		return &pString{s: x.val}, nil
-	case *lNeg:
-		child, err := c.compile(x.child)
-		if err != nil {
-			return nil, err
-		}
-		return &pNeg{child: child}, nil
-	case *lScan:
-		op := &pScan{scanIdx: x.scan.ID, cur: c.useSite(x.scan.ID), offMs: x.offset.Milliseconds()}
-		return op, nil
-	case *lMatrix:
-		op := &pMatrix{scanIdx: x.scan.ID, cur: c.useSite(x.scan.ID), offMs: x.offset.Milliseconds(), rngMs: x.rng.Milliseconds()}
-		return op, nil
-	case *lSubquery:
-		c.sub++
-		child, err := c.compile(x.child)
-		c.sub--
-		if err != nil {
-			return nil, err
-		}
-		return &pSubquery{
-			child:  child,
-			offMs:  x.ast.Offset.Milliseconds(),
-			rngMs:  x.ast.Range.Milliseconds(),
-			stepMs: x.ast.Step.Milliseconds(),
-		}, nil
-	case *lCall:
-		return c.compileCall(x)
-	case *lAgg:
-		child, err := c.compile(x.child)
-		if err != nil {
-			return nil, err
-		}
-		op := &pAgg{ast: x.ast, child: child}
-		if x.ast.Param != nil {
-			if sl, ok := x.ast.Param.(*StringLiteral); ok {
-				op.strParam = sl.Val
-			} else {
-				op.param, err = c.compile(x.param)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		return op, nil
-	case *lBinary:
-		lhs, err := c.compile(x.lhs)
-		if err != nil {
-			return nil, err
-		}
-		rhs, err := c.compile(x.rhs)
-		if err != nil {
-			return nil, err
-		}
-		// Branch-parallel evaluation only pays off when both sides touch
-		// storage; scalar-literal sides evaluate in nanoseconds.
-		return &pBinary{ast: x.ast, lhs: lhs, rhs: rhs, parOK: subtreeHasScan(x.lhs) && subtreeHasScan(x.rhs)}, nil
-	}
-	return nil, fmt.Errorf("promql: cannot compile %T", n)
-}
-
-// useSite assigns a selector use site its cursor slot, marking the scan
-// eager when a subquery encloses the site.
-func (c *compiler) useSite(scanIdx int) int {
-	if c.sub > 0 {
-		c.eager[scanIdx] = true
-	}
-	c.cursors++
-	return c.cursors - 1
-}
-
-func (c *compiler) compileCall(x *lCall) (physOp, error) {
-	name := x.ast.Func.Name
-	arg := func(i int) (physOp, error) { return c.compile(x.args[i]) }
-	switch name {
-	case "time":
-		return &pTime{}, nil
-	case "vector":
-		a, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		return &pVectorFn{arg: a}, nil
-	case "scalar":
-		a, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		return &pScalarFn{arg: a}, nil
-	case "absent":
-		a, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		return &pAbsent{arg: a}, nil
-	case "histogram_quantile":
-		phi, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		vec, err := arg(1)
-		if err != nil {
-			return nil, err
-		}
-		return &pHistogram{phi: phi, vec: vec}, nil
-	case "label_replace":
-		vec, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		lits := make([]string, 4)
-		for i := 1; i <= 4; i++ {
-			lits[i-1], err = stringLitArg(x.ast.Args[i])
-			if err != nil {
-				return nil, err
-			}
-		}
-		op := &pLabelReplace{vec: vec, dst: lits[0], repl: lits[1], src: lits[2]}
-		// The pattern compiles once per plan instead of once per step; a
-		// bad pattern is reported at exec time after the input vector
-		// evaluates, exactly where the test oracle reports it.
-		op.re, op.reErr = compileLabelReplace(lits[3])
-		return op, nil
-	}
-	if x.matrixArg >= 0 {
-		a, err := arg(x.matrixArg)
-		if err != nil {
-			return nil, err
-		}
-		w, ok := a.(windowOp)
-		if !ok {
-			return nil, fmt.Errorf("promql: not a range-vector expression: %T", x.args[x.matrixArg])
-		}
-		op := &pRangeFunc{name: name, arg: w}
-		// Scalar parameters (quantile_over_time's φ, predict_linear's
-		// horizon): the first scalar-typed argument, evaluated after the
-		// range argument like the test oracle does.
-		for i, astArg := range x.ast.Args {
-			if astArg.Type() == ValueScalar {
-				op.scalarArg, err = arg(i)
-				if err != nil {
-					return nil, err
-				}
-				break
-			}
-		}
-		return op, nil
-	}
-	// Simple vector→vector math functions.
-	vec, err := arg(0)
-	if err != nil {
-		return nil, err
-	}
-	scalars := make([]physOp, 0, len(x.args)-1)
-	for i := 1; i < len(x.args); i++ {
-		s, err := arg(i)
-		if err != nil {
-			return nil, err
-		}
-		scalars = append(scalars, s)
-	}
-	return &pVectorMath{name: name, vec: vec, scalars: scalars}, nil
-}
-
-// stringLitArg extracts a string literal argument, unwrapping parens
-// (checkTypes has already guaranteed the string type).
-func stringLitArg(e Expr) (string, error) {
-	for {
-		p, ok := e.(*ParenExpr)
-		if !ok {
-			break
-		}
-		e = p.Expr
-	}
-	if s, ok := e.(*StringLiteral); ok {
-		return s.Val, nil
-	}
-	return "", fmt.Errorf("promql: expected string literal, got %s", e.Type())
-}
-
-// subtreeHasScan reports whether the logical subtree touches storage.
-func subtreeHasScan(n logNode) bool {
-	switch n.(type) {
-	case *lScan, *lMatrix:
-		return true
-	}
-	for _, k := range n.kids() {
-		if subtreeHasScan(k) {
-			return true
-		}
-	}
-	return false
+	return buf
 }
 
 // --- operators -----------------------------------------------------------
@@ -508,6 +253,11 @@ type pRangeFunc struct {
 	name      string
 	arg       windowOp
 	scalarArg physOp // nil when the function takes none
+	// scalarFirst records that the scalar argument precedes the range
+	// argument in the query (quantile_over_time's φ). It orders the
+	// rendered tree only: the range argument always evaluates first, as
+	// in the test oracle.
+	scalarFirst bool
 }
 
 func (o *pRangeFunc) exec(p *part, ts int64) (Value, error) {
@@ -719,10 +469,10 @@ func (o *pHistogram) execVec(p *part, ts int64) (Vector, error) {
 
 type pLabelReplace struct {
 	opMeta
-	vec            physOp
-	dst, repl, src string
-	re             *regexp.Regexp
-	reErr          error
+	vec                     physOp
+	dst, repl, src, pattern string
+	re                      *regexp.Regexp
+	reErr                   error
 }
 
 func (o *pLabelReplace) exec(p *part, ts int64) (Value, error) {

@@ -80,8 +80,9 @@ func indent(s string) string {
 
 // TestPlanGolden pins, for every query of planGoldenQueries, the Explain
 // tree, the compact form and the EXPLAIN ANALYZE operator skeleton (an
-// instant evaluation over an empty store, measurements stripped). Run with
-// -update to rewrite testdata/plans.golden, and read its diff.
+// instant evaluation over an empty store, measurements stripped), and
+// checks that the skeleton is the Explain tree. Run with -update to
+// rewrite testdata/plans.golden, and read its diff.
 func TestPlanGolden(t *testing.T) {
 	eng := NewEngine(tsdb.New(), DefaultEngineOptions())
 	at := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
@@ -111,6 +112,11 @@ func TestPlanGolden(t *testing.T) {
 		}
 		var sk strings.Builder
 		renderSkeleton(&sk, capture.Stats().Root, "", "")
+		// One operator tree: EXPLAIN ANALYZE prints what Explain prints.
+		_, ops, _ := strings.Cut(tree, "\npasses: ")
+		if _, ops, _ = strings.Cut(ops, "\n"); ops != sk.String() {
+			t.Errorf("%q: EXPLAIN ANALYZE skeleton differs from the Explain tree\nexplain:\n%s\nanalyze:\n%s", q, tree, sk.String())
+		}
 		b.WriteString("analyze:\n" + indent(sk.String()) + "\n")
 	}
 	got := b.String()

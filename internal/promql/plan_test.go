@@ -43,7 +43,7 @@ func TestPlanSelectorDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := newPlan(expr, DefaultEngineOptions())
+	p, err := compile(expr, DefaultEngineOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +53,8 @@ func TestPlanSelectorDedup(t *testing.T) {
 	if p.scans[0].Uses != 2 {
 		t.Errorf("Uses = %d, want 2", p.scans[0].Uses)
 	}
-	joined := strings.Join(p.passes, ", ")
-	if !strings.Contains(joined, "selector-dedup(1 scans, 1 shared)") {
-		t.Errorf("passes = %q, want selector-dedup(1 scans, 1 shared)", joined)
+	if !strings.Contains(p.passes, "selector-dedup(1 scans, 1 shared)") {
+		t.Errorf("passes = %q, want selector-dedup(1 scans, 1 shared)", p.passes)
 	}
 	// Instant use reads back LookbackDelta (5m), matrix use reads back 10m:
 	// the widened hint must cover the larger window.
@@ -73,15 +72,19 @@ func TestPlanConstFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := newPlan(expr, DefaultEngineOptions())
+	p, err := compile(expr, DefaultEngineOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := p.root.(*lConst); !ok || c.val != 7 {
+	if c, ok := p.root.(*pConst); !ok || c.v != 7 {
 		t.Fatalf("root = %#v, want const 7", p.root)
 	}
-	if joined := strings.Join(p.passes, ", "); !strings.Contains(joined, "constfold(2)") {
-		t.Errorf("passes = %q, want constfold(2)", joined)
+	// The folded operands give their stats slots back: one operator, one slot.
+	if p.root.statsIdx() != 0 || len(p.labels) != 1 {
+		t.Errorf("root slot %d of %d, want the only slot", p.root.statsIdx(), len(p.labels))
+	}
+	if !strings.Contains(p.passes, "constfold(2)") {
+		t.Errorf("passes = %q, want constfold(2)", p.passes)
 	}
 }
 
@@ -93,7 +96,7 @@ func TestPlanOffsetHints(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultEngineOptions()
-	p, err := newPlan(expr, opts)
+	p, err := compile(expr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,7 @@ func TestPlanSubqueryHints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := newPlan(expr, DefaultEngineOptions())
+	p, err := compile(expr, DefaultEngineOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,17 +182,18 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
-// TestPlanCompact: the one-line span-attribute form names scans and passes.
+// TestPlanCompact: the one-line span-attribute form names scans and passes,
+// rendered once when the plan compiles.
 func TestPlanCompact(t *testing.T) {
 	expr, err := Parse("sum(rate(amfcc_n1_auth_request[5m])) / scalar(sum(smf_pdu_session_active))")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := newPlan(expr, DefaultEngineOptions())
+	p, err := compile(expr, DefaultEngineOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := p.Compact()
+	got := p.compact
 	want := "(sum(rate(window[5m](scan#0))) / scalar(sum(scan#1))) | selector-dedup(2 scans, 0 shared), pushdown(2 matchers -> 1 SelectBatch), range-hints"
 	if got != want {
 		t.Errorf("Compact() = %q, want %q", got, want)

@@ -1,9 +1,8 @@
 package promql
 
 // stats.go — per-operator execution statistics (EXPLAIN ANALYZE). The
-// compiler records a statsNode skeleton alongside the physical operators
-// (one slot per operator, children linked by dense index), and each
-// part of an execution allocates a matching []opSlot once up front.
+// compiler gives every operator a dense stats slot, and each part of an
+// execution allocates a matching []opSlot once up front.
 // Collection is allocation-free on the hot path: part.eval and
 // part.window add call counts, output series and sampled wall time into
 // the part's own slot with plain adds, and the scan operators attribute
@@ -11,8 +10,8 @@ package promql
 // slots into the execution's once, when its span ends (counters.add).
 // Clock reads are strided (statsTimeEvery) and scaled back up when
 // building; every other counter is exact. After the last part has
-// joined, buildStats folds the slots back into a QueryStats tree
-// mirroring the plan, retrieved by callers through a context capture
+// joined, buildStats folds the slots back into a QueryStats tree over
+// the operator tree, labelled as Explain labels it, retrieved by callers through a context capture
 // (WithQueryStats) and rendered by Render/Compact.
 //
 // Collection is unconditional and never touches evaluation values: the
@@ -26,13 +25,6 @@ import (
 	"sync"
 	"time"
 )
-
-// statsNode is the compile-time skeleton of one operator's stats slot:
-// its plan label and the slot indexes of its children.
-type statsNode struct {
-	label string
-	kids  []int
-}
 
 // statsTimeEvery is the wall-time sampling stride: every N-th call of an
 // operator is timed (the first always is, so instant queries and EXPLAIN
@@ -250,15 +242,14 @@ func (st *execState) buildStats(query, kind string, start time.Time, samples int
 		PlanCacheHit: cacheHit,
 		MaxSamples:   st.eng.opts.MaxSamples,
 	}
-	qs.Root = st.buildOp(st.cp.root.statsIdx())
+	qs.Root = st.buildOp(st.cp.root)
 	return qs
 }
 
-func (st *execState) buildOp(idx int) *OpStats {
-	sn := &st.cp.stats[idx]
-	sl := &st.ops[idx]
+func (st *execState) buildOp(op physOp) *OpStats {
+	sl := &st.ops[op.statsIdx()]
 	o := &OpStats{
-		Op:        sn.label,
+		Op:        st.cp.labels[op.statsIdx()],
 		Wall:      time.Duration(sl.wallNs),
 		Calls:     sl.calls,
 		SeriesOut: sl.series,
@@ -269,7 +260,8 @@ func (st *execState) buildOp(idx int) *OpStats {
 	if timed := sl.timed; timed > 0 && timed < o.Calls {
 		o.Wall = time.Duration(float64(o.Wall) * float64(o.Calls) / float64(timed))
 	}
-	for _, k := range sn.kids {
+	var buf [4]physOp
+	for _, k := range opKids(op, buf[:0]) {
 		o.Children = append(o.Children, st.buildOp(k))
 	}
 	return o
