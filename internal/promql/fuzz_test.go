@@ -3,6 +3,7 @@ package promql
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -80,8 +81,8 @@ var fuzzSeeds = []string{
 	`topk(1, rate({__name__=~"amfcc_n1_auth_request|smf_pdu_session_active"}[5m]))`,
 }
 
-// FuzzParsePlanEval: for arbitrary input, parse → plan → evaluate never
-// panics, and on valid inputs the plan-based executor and the oracle
+// FuzzParsePlanEval: for arbitrary input, parse → plan → render →
+// evaluate never panics, and on valid inputs the plan-based executor and the oracle
 // tree-walker agree byte-for-byte (instant and range). Seeded with the
 // golden range corpus. CI runs a 30s -fuzz smoke on top of the checked-in
 // corpus replay that `go test` always performs.
@@ -106,6 +107,16 @@ func FuzzParsePlanEval(f *testing.F) {
 		expr, err := Parse(input)
 		if err != nil {
 			return // invalid input; not panicking is the property
+		}
+		// Every input that plans renders, saturated ±inf hints and deep
+		// subqueries included: the Explain tree and the compact form.
+		tree, terr := planner.Explain(input)
+		compact, cerr := planner.ExplainCompact(expr)
+		if (terr == nil) != (cerr == nil) {
+			t.Fatalf("%q: Explain error %v, ExplainCompact error %v", input, terr, cerr)
+		}
+		if terr == nil && (!strings.HasPrefix(tree, "plan for: "+expr.String()+"\n") || !strings.Contains(compact, " | ")) {
+			t.Fatalf("%q: malformed plan renderings\ntree:\n%s\ncompact: %s", input, tree, compact)
 		}
 		if fuzzTooDeep(expr) {
 			return
