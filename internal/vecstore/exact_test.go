@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -118,13 +119,41 @@ func TestFlatSearchMatchesReferenceOnCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The 4 000 items repeat about 1 234 questions: each distinct one is
+	// checked once, its reference computed on one of GOMAXPROCS workers.
+	var questions []string
+	seen := map[string]bool{}
+	for _, it := range items {
+		if !seen[it.Question] {
+			seen[it.Question] = true
+			questions = append(questions, it.Question)
+		}
+	}
 	stride := 1
 	if raceEnabled || testing.Short() {
 		stride = 20 // the reference alone costs ~2 ms a question, ~10x that under -race
 	}
-	for i := 0; i < len(items); i += stride {
-		c.check(t, flat, items[i].Question, model.Embed(items[i].Question), core.DefaultOptions().TopK)
+	k := core.DefaultOptions().TopK
+	work := make(chan string)
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for q := range work {
+				v := model.Embed(q)
+				if got, want := flat.Search(v, k), reference(v, c.ids, c.vecs, k); !sameResults(got, want) {
+					t.Errorf("%q, k=%d:\n got %v\nwant %v", q, k, got, want)
+				}
+			}
+		}()
 	}
+	for i := 0; i < len(questions); i += stride {
+		work <- questions[i]
+	}
+	close(work)
+	wg.Wait()
+	t.Logf("checked %d of %d distinct questions", (len(questions)+stride-1)/stride, len(questions))
 }
 
 func TestSearchMatchesReferenceOnEdges(t *testing.T) {
