@@ -1,9 +1,10 @@
 package promql
 
 // exec.go — running a compiled plan (plan.go compiles it from the AST,
-// physical.go holds its operators). The executor selects every deduplicated scan with one
-// tsdb.SelectBatch call, which copies chunk snapshots under the store's
-// lock and decodes nothing, then drives the physical operator tree:
+// physical.go holds its operators). The executor selects every
+// deduplicated scan with one tsdb.SelectBatch call, which copies chunk
+// snapshots under the store's lock and decodes nothing, then drives the
+// operator tree:
 //
 //   - Range queries whose selected series × steps pass a gate
 //     (numPartitions) split their steps into contiguous partitions, one

@@ -94,8 +94,9 @@ type compiledPlan struct {
 	// nCursors counts selector use sites: each gets a per-partition
 	// cursor slot for monotone multi-step execution.
 	nCursors int
-	// labels holds every operator's display line by stats slot, rendered
-	// once for Explain and for each EXPLAIN ANALYZE.
+	// labels holds every operator's display line by stats slot, so its
+	// length is the slot count; rendered once for Explain and for each
+	// EXPLAIN ANALYZE.
 	labels  []string
 	query   string // canonical form
 	passes  string // the optimizations applied, in order
@@ -473,7 +474,7 @@ func callName(op physOp) (kind, name string) {
 	case *pLabelReplace:
 		return "call", "label_replace"
 	}
-	return "op", fmt.Sprintf("%T", op)
+	panic(fmt.Sprintf("promql: %T is not a function call", op))
 }
 
 func msDuration(ms int64) string { return FormatDuration(time.Duration(ms) * time.Millisecond) }

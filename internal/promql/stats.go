@@ -11,8 +11,9 @@ package promql
 // Clock reads are strided (statsTimeEvery) and scaled back up when
 // building; every other counter is exact. After the last part has
 // joined, buildStats folds the slots back into a QueryStats tree over
-// the operator tree, labelled as Explain labels it, retrieved by callers through a context capture
-// (WithQueryStats) and rendered by Render/Compact.
+// the operator tree, labelled as Explain labels it. Callers retrieve it
+// through a context capture (WithQueryStats) and render it with
+// Render/Compact.
 //
 // Collection is unconditional and never touches evaluation values: the
 // golden corpora compare the instrumented executor with an oracle that
