@@ -23,10 +23,11 @@ import (
 
 // physOp is one compiled operator. statsIdx is the operator's dense slot
 // in the execution's stats slab and the plan's label table (promoted from
-// the embedded opMeta).
+// the embedded opMeta, set once by compiledPlan.label).
 type physOp interface {
 	exec(p *part, ts int64) (Value, error)
 	statsIdx() int
+	setSlot(sx int)
 }
 
 // windowOp is implemented by operators producing range vectors with
@@ -52,7 +53,8 @@ type vecExecer interface {
 // no lookups or allocation.
 type opMeta struct{ sx int }
 
-func (m *opMeta) statsIdx() int { return m.sx }
+func (m *opMeta) statsIdx() int  { return m.sx }
+func (m *opMeta) setSlot(sx int) { m.sx = sx }
 
 // opKids appends op's children to buf in plan order: the order the query
 // text names them, an aggregation's input before its parameter. It is

@@ -110,7 +110,6 @@ type compiler struct {
 	byKey      map[string]*ScanNode
 	folded     int
 	shared     int
-	slots      int // stats slots handed out
 	cursors    int // selector use sites seen
 	sub        int // subqueries enclosing the node being compiled
 }
@@ -130,7 +129,7 @@ func compile(expr Expr, opts EngineOptions) (*compiledPlan, error) {
 		fmt.Sprintf("selector-dedup(%d scans, %d shared)", len(c.scans), c.shared),
 		fmt.Sprintf("pushdown(%d matchers -> 1 SelectBatch)", len(c.scans)),
 		"range-hints")
-	cp := &compiledPlan{root: root, scans: c.scans, nCursors: c.cursors, labels: make([]string, c.slots),
+	cp := &compiledPlan{root: root, scans: c.scans, nCursors: c.cursors,
 		query: expr.String(), passes: strings.Join(passes, ", ")}
 	cp.label(root)
 	var b strings.Builder
@@ -139,22 +138,15 @@ func compile(expr Expr, opts EngineOptions) (*compiledPlan, error) {
 	return cp, nil
 }
 
-// slot hands out the next stats slot. Operators take theirs after their
-// children, so a folded constant always holds the last slot handed out.
-func (c *compiler) slot() opMeta {
-	c.slots++
-	return opMeta{sx: c.slots - 1}
-}
-
 // op compiles e. Evaluation timestamps reaching e lie in [start+lo,
 // end+hi] of the evaluation range; selectors widen their scan's hint by
 // what they read back from there.
 func (c *compiler) op(e Expr, lo, hi int64) (physOp, error) {
 	switch n := e.(type) {
 	case *NumberLiteral:
-		return &pConst{opMeta: c.slot(), v: n.Val}, nil
+		return &pConst{v: n.Val}, nil
 	case *StringLiteral:
-		return &pString{opMeta: c.slot(), s: n.Val}, nil
+		return &pString{s: n.Val}, nil
 	case *ParenExpr:
 		return c.op(n.Expr, lo, hi)
 	case *UnaryExpr:
@@ -167,15 +159,15 @@ func (c *compiler) op(e Expr, lo, hi int64) (physOp, error) {
 			k.v = -k.v
 			return k, nil
 		}
-		return &pNeg{opMeta: c.slot(), child: child}, nil
+		return &pNeg{child: child}, nil
 	case *VectorSelector:
 		off := n.Offset.Milliseconds()
 		s := c.scan(n, satSub(satSub(lo, off), c.lookbackMs), satSub(hi, off))
-		return &pScan{opMeta: c.slot(), scanIdx: s.ID, cur: c.useSite(s), offMs: off}, nil
+		return &pScan{scanIdx: s.ID, cur: c.useSite(s), offMs: off}, nil
 	case *MatrixSelector:
 		off, rng := n.VectorSelector.Offset.Milliseconds(), n.Range.Milliseconds()
 		s := c.scan(n.VectorSelector, satSub(satSub(lo, off), rng), satSub(hi, off))
-		return &pMatrix{opMeta: c.slot(), scanIdx: s.ID, cur: c.useSite(s), offMs: off, rngMs: rng}, nil
+		return &pMatrix{scanIdx: s.ID, cur: c.useSite(s), offMs: off, rngMs: rng}, nil
 	case *SubqueryExpr:
 		// Inner timestamps live in (ts-offset-range, ts-offset].
 		off, rng := n.Offset.Milliseconds(), n.Range.Milliseconds()
@@ -185,7 +177,7 @@ func (c *compiler) op(e Expr, lo, hi int64) (physOp, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &pSubquery{opMeta: c.slot(), child: child, offMs: off, rngMs: rng, stepMs: n.Step.Milliseconds()}, nil
+		return &pSubquery{child: child, offMs: off, rngMs: rng, stepMs: n.Step.Milliseconds()}, nil
 	case *Call:
 		return c.call(n, lo, hi)
 	case *AggregateExpr:
@@ -201,7 +193,6 @@ func (c *compiler) op(e Expr, lo, hi int64) (physOp, error) {
 				return nil, err
 			}
 		}
-		op.opMeta = c.slot()
 		return op, nil
 	case *BinaryExpr:
 		before := c.cursors
@@ -219,7 +210,6 @@ func (c *compiler) op(e Expr, lo, hi int64) (physOp, error) {
 		if lok && rok && (!n.Op.isComparison() || n.ReturnBool) && !n.Op.isSetOp() {
 			if v, keep := binArith(n.Op, lc.v, rc.v, n.ReturnBool); keep {
 				c.folded++
-				c.slots-- // rc's
 				lc.v = v
 				return lc, nil
 			}
@@ -227,7 +217,7 @@ func (c *compiler) op(e Expr, lo, hi int64) (physOp, error) {
 		// Branch-parallel evaluation only pays off when both sides touch
 		// storage, that is hold a selector use site; scalar-literal sides
 		// evaluate in nanoseconds.
-		return &pBinary{opMeta: c.slot(), ast: n, lhs: lhs, rhs: rhs, parOK: mid > before && c.cursors > mid}, nil
+		return &pBinary{ast: n, lhs: lhs, rhs: rhs, parOK: mid > before && c.cursors > mid}, nil
 	}
 	return nil, fmt.Errorf("promql: cannot plan %T", e)
 }
@@ -276,7 +266,7 @@ func (c *compiler) call(n *Call, lo, hi int64) (physOp, error) {
 	name := n.Func.Name
 	switch name {
 	case "time":
-		return &pTime{opMeta: c.slot()}, nil
+		return &pTime{}, nil
 	case "label_replace":
 		vec, err := c.op(n.Args[0], lo, hi)
 		if err != nil {
@@ -288,7 +278,7 @@ func (c *compiler) call(n *Call, lo, hi int64) (physOp, error) {
 				return nil, err
 			}
 		}
-		op := &pLabelReplace{opMeta: c.slot(), vec: vec, dst: lits[0], repl: lits[1], src: lits[2], pattern: lits[3]}
+		op := &pLabelReplace{vec: vec, dst: lits[0], repl: lits[1], src: lits[2], pattern: lits[3]}
 		// The pattern compiles once per plan instead of once per step; a
 		// bad pattern is reported at exec time after the input vector
 		// evaluates, exactly where the test oracle reports it.
@@ -304,13 +294,13 @@ func (c *compiler) call(n *Call, lo, hi int64) (physOp, error) {
 	}
 	switch name {
 	case "vector":
-		return &pVectorFn{opMeta: c.slot(), arg: args[0]}, nil
+		return &pVectorFn{arg: args[0]}, nil
 	case "scalar":
-		return &pScalarFn{opMeta: c.slot(), arg: args[0]}, nil
+		return &pScalarFn{arg: args[0]}, nil
 	case "absent":
-		return &pAbsent{opMeta: c.slot(), arg: args[0]}, nil
+		return &pAbsent{arg: args[0]}, nil
 	case "histogram_quantile":
-		return &pHistogram{opMeta: c.slot(), phi: args[0], vec: args[1]}, nil
+		return &pHistogram{phi: args[0], vec: args[1]}, nil
 	}
 	if m := matrixArg(n); m >= 0 {
 		w, ok := args[m].(windowOp)
@@ -326,11 +316,10 @@ func (c *compiler) call(n *Call, lo, hi int64) (physOp, error) {
 				break
 			}
 		}
-		op.opMeta = c.slot()
 		return op, nil
 	}
 	// Simple vector→vector math functions.
-	return &pVectorMath{opMeta: c.slot(), name: name, vec: args[0], scalars: args[1:]}, nil
+	return &pVectorMath{name: name, vec: args[0], scalars: args[1:]}, nil
 }
 
 // matrixArg indexes a range function's range-vector argument, -1 for
@@ -385,13 +374,15 @@ func (cp *compiledPlan) selectHints(startMs, endMs int64) []tsdb.SelectHint {
 
 // --- rendering ------------------------------------------------------------
 
-// label renders the display line of every operator under op.
+// label gives every operator under op its stats slot, in post-order, and
+// renders its display line into that slot.
 func (cp *compiledPlan) label(op physOp) {
 	var buf [4]physOp
 	for _, k := range opKids(op, buf[:0]) {
 		cp.label(k)
 	}
-	cp.labels[op.statsIdx()] = cp.describe(op)
+	op.setSlot(len(cp.labels))
+	cp.labels = append(cp.labels, cp.describe(op))
 }
 
 func (cp *compiledPlan) describe(op physOp) string {

@@ -79,7 +79,7 @@ func TestPlanConstFold(t *testing.T) {
 	if c, ok := p.root.(*pConst); !ok || c.v != 7 {
 		t.Fatalf("root = %#v, want const 7", p.root)
 	}
-	// The folded operands give their stats slots back: one operator, one slot.
+	// Folded operands never take a stats slot: one operator, one slot.
 	if p.root.statsIdx() != 0 || len(p.labels) != 1 {
 		t.Errorf("root slot %d of %d, want the only slot", p.root.statsIdx(), len(p.labels))
 	}

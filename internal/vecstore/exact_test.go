@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -70,11 +71,13 @@ func (c *corpus) add(t *testing.T, ix vecstore.Index, id string, v embedding.Vec
 	c.ids, c.vecs = append(c.ids, id), append(c.vecs, v)
 }
 
+// check compares one search with the reference. It reports with Errorf,
+// so workers may call it.
 func (c *corpus) check(t *testing.T, ix vecstore.Index, name string, q embedding.Vector, k int) {
 	t.Helper()
 	got, want := ix.Search(q, k), reference(q, c.ids, c.vecs, k)
 	if !sameResults(got, want) {
-		t.Fatalf("%s, k=%d, n=%d:\n got %v\nwant %v", name, k, len(c.ids), got, want)
+		t.Errorf("%s, k=%d, n=%d:\n got %v\nwant %v", name, k, len(c.ids), got, want)
 	}
 }
 
@@ -121,17 +124,17 @@ func TestFlatSearchMatchesReferenceOnCatalog(t *testing.T) {
 	}
 	// The 4 000 items repeat about 1 234 questions: each distinct one is
 	// checked once, its reference computed on one of GOMAXPROCS workers.
-	var questions []string
-	seen := map[string]bool{}
-	for _, it := range items {
-		if !seen[it.Question] {
-			seen[it.Question] = true
-			questions = append(questions, it.Question)
-		}
-	}
 	stride := 1
 	if raceEnabled || testing.Short() {
 		stride = 20 // the reference alone costs ~2 ms a question, ~10x that under -race
+	}
+	var questions []string
+	seen := map[string]bool{}
+	for i := 0; i < len(items); i += stride {
+		if q := items[i].Question; !seen[q] {
+			seen[q] = true
+			questions = append(questions, q)
+		}
 	}
 	k := core.DefaultOptions().TopK
 	work := make(chan string)
@@ -141,19 +144,16 @@ func TestFlatSearchMatchesReferenceOnCatalog(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for q := range work {
-				v := model.Embed(q)
-				if got, want := flat.Search(v, k), reference(v, c.ids, c.vecs, k); !sameResults(got, want) {
-					t.Errorf("%q, k=%d:\n got %v\nwant %v", q, k, got, want)
-				}
+				c.check(t, flat, strconv.Quote(q), model.Embed(q), k)
 			}
 		}()
 	}
-	for i := 0; i < len(questions); i += stride {
-		work <- questions[i]
+	for _, q := range questions {
+		work <- q
 	}
 	close(work)
 	wg.Wait()
-	t.Logf("checked %d of %d distinct questions", (len(questions)+stride-1)/stride, len(questions))
+	t.Logf("checked %d distinct questions (stride %d over %d items)", len(questions), stride, len(items))
 }
 
 func TestSearchMatchesReferenceOnEdges(t *testing.T) {
