@@ -2,8 +2,8 @@ package promql
 
 import (
 	"context"
+	"errors"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -475,12 +475,44 @@ func TestQueryRange(t *testing.T) {
 	}
 }
 
+// TestMaxSamplesLimit: an instant query's budget is one count over the
+// whole evaluation — both operands of a binary operation and every inner
+// step of a subquery. For each shape, with N the oracle's total, executor
+// and oracle both succeed at MaxSamples = N and both fail at N-1.
 func TestMaxSamplesLimit(t *testing.T) {
 	db, end := testDB(t)
-	eng := NewEngine(db, EngineOptions{LookbackDelta: 5 * time.Minute, MaxSamples: 3})
-	_, err := query(context.Background(), eng, `sum(rate(amfcc_n1_auth_request[5m]))`, end)
-	if err == nil || !strings.Contains(err.Error(), "too many samples") {
-		t.Fatalf("expected sample-limit error, got %v", err)
+	for _, q := range []string{
+		`sum(rate(amfcc_n1_auth_request[5m]))`,
+		`sum(smf_pdu_session_active) + sum(amfcc_n1_auth_request)`,
+		`max_over_time(sum(amfcc_n1_auth_request)[10m:1m])`,
+		`rate(amfcc_n1_auth_request[5m]) / smf_pdu_session_active`,
+	} {
+		expr, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		ev := &evaluator{ctx: ctx, eng: NewEngine(db, EngineOptions{LookbackDelta: 5 * time.Minute}), ts: end.UnixMilli()}
+		if _, err := ev.eval(expr); err != nil {
+			t.Fatalf("%s: oracle: %v", q, err)
+		}
+		n := ev.samples
+		if n < 2 {
+			t.Fatalf("%s: oracle touched %d samples", q, n)
+		}
+		for _, max := range []int{n, n - 1} {
+			// Several workers, so the budget is shared by whatever runs
+			// concurrently inside one instant evaluation.
+			eng := NewEngine(db, EngineOptions{LookbackDelta: 5 * time.Minute, MaxSamples: max, ExecWorkers: 4})
+			_, err := eng.Eval(ctx, expr, end)
+			_, oerr := oracleQuery(ctx, eng, q, end)
+			if max == n && (err != nil || oerr != nil) {
+				t.Errorf("%s at MaxSamples = %d: executor %v, oracle %v; want both to succeed", q, max, err, oerr)
+			}
+			if max < n && (!errors.Is(err, ErrTooManySamples) || !errors.Is(oerr, ErrTooManySamples)) {
+				t.Errorf("%s at MaxSamples = %d: executor %v, oracle %v; want ErrTooManySamples from both", q, max, err, oerr)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package promql
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -277,5 +278,93 @@ func TestQueryStatsRenderFormat(t *testing.T) {
 	}
 	if got := formatDur(2 * time.Second); got != "2.000s" {
 		t.Errorf("formatDur(2s) = %q, want 2.000s", got)
+	}
+}
+
+// renderCounts draws an analyzed operator tree with each operator's
+// calls, output series and samples, and no timings.
+func renderCounts(b *strings.Builder, o *OpStats, head, tail string) {
+	fmt.Fprintf(b, "%s%s  [%d calls | %d out | %d samples]\n", head, o.Op, o.Calls, o.SeriesOut, o.Samples)
+	for i, c := range o.Children {
+		if i == len(o.Children)-1 {
+			renderCounts(b, c, tail+"└─ ", tail+"   ")
+		} else {
+			renderCounts(b, c, tail+"├─ ", tail+"│  ")
+		}
+	}
+}
+
+// TestInstantAnalyzeCounts pins an instant query's per-operator EXPLAIN
+// ANALYZE counts over testDB, timings stripped: TestPlanGolden renders
+// the same trees over an empty store, so only this test pins the numbers.
+func TestInstantAnalyzeCounts(t *testing.T) {
+	db, end := testDB(t)
+	eng := NewEngine(db, DefaultEngineOptions())
+	for _, c := range []struct{ q, want string }{
+		{`smf_pdu_session_active`, `
+			scan #0 smf_pdu_session_active hint [start-5m, end]  [1 calls | 2 out | 2 samples]
+`},
+		{`smf_pdu_session_active offset 5m`, `
+			scan #0 smf_pdu_session_active offset 5m hint [start-10m, end-5m]  [1 calls | 2 out | 2 samples]
+`},
+		{`rate(amfcc_n1_auth_request[5m])`, `
+			range_fn rate()  [1 calls | 2 out | 0 samples]
+			└─ window [5m] scan #0 amfcc_n1_auth_request hint [start-5m, end]  [1 calls | 2 out | 40 samples]
+`},
+		{`amfcc_n1_auth_request[1m]`, `
+			window [1m] scan #0 amfcc_n1_auth_request hint [start-1m, end]  [1 calls | 2 out | 8 samples]
+`},
+		{`max_over_time(sum(amfcc_n1_auth_request)[10m:1m])`, `
+			range_fn max_over_time()  [1 calls | 1 out | 0 samples]
+			└─ subquery [10m:1m]  [1 calls | 1 out | 0 samples]
+			   └─ agg sum  [10 calls | 10 out | 0 samples]
+			      └─ scan #0 amfcc_n1_auth_request hint [start-15m, end]  [10 calls | 20 out | 20 samples]
+`},
+		{`avg_over_time(rate(amfcc_n1_auth_request[5m])[10m:2m])`, `
+			range_fn avg_over_time()  [1 calls | 2 out | 0 samples]
+			└─ subquery [10m:2m]  [1 calls | 2 out | 0 samples]
+			   └─ range_fn rate()  [5 calls | 10 out | 0 samples]
+			      └─ window [5m] scan #0 amfcc_n1_auth_request hint [start-15m, end]  [5 calls | 10 out | 200 samples]
+`},
+		{`amfcc_n1_auth_request - amfcc_n1_auth_request offset 5m`, `
+			binop -  [1 calls | 2 out | 0 samples]
+			├─ scan #0 amfcc_n1_auth_request hint [start-10m, end]  [1 calls | 2 out | 2 samples]
+			└─ scan #0 amfcc_n1_auth_request offset 5m hint [start-10m, end]  [1 calls | 2 out | 2 samples]
+`},
+		{`100 * sum(smf_pdu_session_active) / sum(amfcc_n1_auth_request)`, `
+			binop /  [1 calls | 1 out | 0 samples]
+			├─ binop *  [1 calls | 1 out | 0 samples]
+			│  ├─ const 100  [1 calls | 0 out | 0 samples]
+			│  └─ agg sum  [1 calls | 1 out | 0 samples]
+			│     └─ scan #0 smf_pdu_session_active hint [start-5m, end]  [1 calls | 2 out | 2 samples]
+			└─ agg sum  [1 calls | 1 out | 0 samples]
+			   └─ scan #1 amfcc_n1_auth_request hint [start-5m, end]  [1 calls | 2 out | 2 samples]
+`},
+		{`topk(1, smf_pdu_session_active)`, `
+			agg topk  [1 calls | 1 out | 0 samples]
+			├─ scan #0 smf_pdu_session_active hint [start-5m, end]  [1 calls | 2 out | 2 samples]
+			└─ const 1  [1 calls | 0 out | 0 samples]
+`},
+		{`sum by (instance) (rate(amfcc_n1_auth_request[5m]))`, `
+			agg sum by (instance)  [1 calls | 2 out | 0 samples]
+			└─ range_fn rate()  [1 calls | 2 out | 0 samples]
+			   └─ window [5m] scan #0 amfcc_n1_auth_request hint [start-5m, end]  [1 calls | 2 out | 40 samples]
+`},
+		{`histogram_quantile(0.9, http_request_duration_seconds_bucket)`, `
+			call histogram_quantile()  [1 calls | 1 out | 0 samples]
+			├─ const 0.9  [1 calls | 0 out | 0 samples]
+			└─ scan #0 http_request_duration_seconds_bucket hint [start-5m, end]  [1 calls | 3 out | 3 samples]
+`},
+	} {
+		ctx, capture := WithQueryStats(context.Background())
+		if _, err := query(ctx, eng, c.q, end); err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		var b strings.Builder
+		renderCounts(&b, capture.Stats().Root, "", "")
+		want := strings.ReplaceAll(strings.TrimPrefix(c.want, "\n"), "\t", "")
+		if got := b.String(); got != want {
+			t.Errorf("%s: counts\n%s\nwant\n%s", c.q, got, want)
+		}
 	}
 }
