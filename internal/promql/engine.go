@@ -29,10 +29,10 @@ type EngineOptions struct {
 	// in a semaphore queue (and fail if their context is cancelled while
 	// queued). Zero means unlimited.
 	MaxConcurrent int
-	// ExecWorkers caps the goroutines the plan executor may use for one
-	// query (step partitions, parallel plan branches, per-series
-	// partitions). Zero picks min(GOMAXPROCS, 16); 1 forces sequential
-	// execution.
+	// ExecWorkers caps the step partitions, one goroutine each, that a
+	// range query may split into; an instant query is one step and runs on
+	// the caller's goroutine. Zero picks min(GOMAXPROCS, 16); 1 runs every
+	// query sequentially.
 	ExecWorkers int
 }
 
@@ -92,7 +92,7 @@ type Engine struct {
 	hooks Hooks
 
 	// noArena runs range partitions on the nil arena, the plain-heap path
-	// instant queries always take. In-package tests set it to check that
+	// an instant query's part always takes. In-package tests set it to check that
 	// results never depend on recycling; nothing else does.
 	noArena bool
 

@@ -113,9 +113,9 @@ func TestQueryRangeEquivalence(t *testing.T) {
 	}
 }
 
-// TestQueryRangeEquivalenceSingleWorker pins that the parallel executor and
-// a single-worker executor (no partitioning, no branch parallelism) render
-// identically — parallelism must be invisible in results. testDB gains 120
+// TestQueryRangeEquivalenceSingleWorker pins that the partitioned executor
+// and a single-worker executor (one partition) render identically —
+// partitioning must be invisible in results. testDB gains 120
 // more instances of its counter and its gauge, one sample each at the
 // window's start, so that their selectors are above the partition gate and
 // split the 301 steps while the work stays small.

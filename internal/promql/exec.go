@@ -4,35 +4,31 @@ package promql
 // physical.go holds its operators). The executor selects every
 // deduplicated scan with one tsdb.SelectBatch call, which copies chunk
 // snapshots under the store's lock and decodes nothing, then drives the
-// operator tree:
+// operator tree through parts. A part runs a contiguous run of steps on
+// one goroutine; an instant query is a single step at its timestamp,
+// whose root value is returned instead of folded.
 //
-//   - Range queries whose selected series × steps pass a gate
-//     (numPartitions) split their steps into contiguous partitions, one
-//     goroutine each; smaller ones run as a single partition on the
-//     caller's goroutine. Every partition owns private cursors per
-//     selector use site that advance monotonically through its steps, and
-//     its own counters (operator stats, scan services, loaded samples),
-//     counted with plain adds and folded into the execution's once, when
-//     its span ends, failed or not. A scan read
-//     in step order streams: its cursor holds a tsdb.Reader per series,
-//     which decodes samples only as the steps reach them and keeps only
-//     those the current window or instant can still use. A scan under a
-//     subquery, whose inner steps run backwards, is decoded whole once per
-//     execution, and its cursors gallop through the samples (seekAfter in
-//     selcache.go). Each step's vector folds into a per-partition
-//     accumulator as soon as it is produced, and the arena holding the
-//     step's intermediates (pool.go) then resets — peak memory is one
-//     step's vectors plus the readers' windows, not range length × series
-//     count. Partition accumulators merge in ascending partition order;
-//     because partitions are contiguous and the final series order is
-//     re-sorted by key, the rendered output is byte-identical to
-//     sequential evaluation regardless of which partition finishes first.
-//   - Instant queries decode every scan whole and run a single stateless
-//     part (binary-search scans, no shared cursor state), which
-//     additionally unlocks branch-parallel binary operands and
-//     per-series-parallel range functions: both are race-free because
-//     stateless reads share nothing and outputs merge into
-//     position-indexed slots.
+// Every part owns private cursors per selector use site that advance
+// monotonically through its steps, and its own counters (operator stats,
+// scan services, loaded samples), counted with plain adds and folded into
+// the execution's once, when its span ends, failed or not. A scan read in
+// step order streams: its cursor holds a tsdb.Reader per series, which
+// decodes samples only as the steps reach them and keeps only those the
+// current window or instant can still use. A scan under a subquery, whose
+// inner steps run backwards, is decoded whole once per execution, and its
+// cursors gallop through the samples (seekAfter in selcache.go).
+//
+// Range queries whose selected series × steps pass a gate (numPartitions)
+// split their steps into contiguous partitions, one goroutine each;
+// smaller ones run as a single partition on the caller's goroutine. Each
+// step's vector folds into a per-partition accumulator as soon as it is
+// produced, and the arena holding the step's intermediates (pool.go) then
+// resets — peak memory is one step's vectors plus the readers' windows,
+// not range length × series count. Partition accumulators merge in
+// ascending partition order; because partitions are contiguous and the
+// final series order is re-sorted by key, the rendered output is
+// byte-identical to sequential evaluation regardless of which partition
+// finishes first.
 //
 // Cancellation is polled at every operator through the context's Done
 // channel, read once per part: ctx.Err takes the context's lock, and
@@ -44,10 +40,9 @@ package promql
 // must not mask the root cause) — the same rule the dashboard renderer
 // uses for its panel pool.
 //
-// Sample budgets match the test oracle exactly: each range step gets
-// a fresh MaxSamples budget, and subqueries inherit and extend their
-// step's budget. Instant queries use one budget guarded by an atomic so
-// parallel branches share it safely; it is the only counter parts share.
+// Sample budgets match the test oracle exactly: each step gets a fresh
+// MaxSamples budget, and subqueries inherit and extend their step's
+// budget, so an instant query's is one count over its whole evaluation.
 
 import (
 	"context"
@@ -56,7 +51,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dio/internal/obs"
@@ -67,10 +61,6 @@ import (
 // still amortises: splitting fewer steps than this per worker costs more
 // in setup than it saves.
 const minStepsPerPartition = 8
-
-// minSeriesForParallel gates per-series-parallel range functions; tiny
-// matrices are cheaper sequentially.
-const minSeriesForParallel = 8
 
 // execState is the shared, read-mostly state of one query execution:
 // prefetched series per scan, the fingerprint key cache, and the
@@ -83,7 +73,6 @@ type execState struct {
 	lookbackMs int64
 
 	workers int
-	sem     chan struct{} // bounds extra goroutines beyond the caller's
 
 	mu sync.Mutex // guards counters while parts fold into them
 	counters
@@ -96,9 +85,9 @@ type execState struct {
 // idTable is one operator's output identities for one execution: row i's
 // labels, key and rank in key order. An instant scan has a row per series,
 // a range function over a matrix scan a row per name-dropped series, an
-// aggregation a row per group and, in group, each input row's group. In
-// cursor mode samples carry 1 + their row (VSample.pos), so consumers read
-// labels, keys and order here instead of deriving them at every step.
+// aggregation a row per group and, in group, each input row's group.
+// Samples carry 1 + their row (VSample.pos), so consumers read labels,
+// keys and order here instead of deriving them at every step.
 type idTable struct {
 	labels []tsdb.Labels
 	keys   []string
@@ -267,10 +256,9 @@ func (st *execState) seriesCount() int {
 }
 
 // newExecState selects every scan of the plan for an evaluation range
-// [startMs, endMs] and seeds the fingerprint key cache. The scans an
-// instant or a subquery reads are decoded here, whole; a range query's
-// cursors stream the others.
-func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64, instant bool) *execState {
+// [startMs, endMs] and seeds the fingerprint key cache. The scans a
+// subquery reads are decoded here, whole; cursors stream the others.
+func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState {
 	st := &execState{
 		eng:        e,
 		cp:         cp,
@@ -281,7 +269,7 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64, instant bo
 	}
 	st.series = e.db.SelectBatch(cp.selectHints(startMs, endMs))
 	for i, views := range st.series {
-		if instant || cp.scans[i].eager {
+		if cp.scans[i].eager {
 			tsdb.DecodeViews(views)
 		}
 		for _, sv := range views {
@@ -290,28 +278,8 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64, instant bo
 			}
 		}
 	}
-	if st.workers > 1 {
-		st.sem = make(chan struct{}, st.workers-1)
-	}
 	return st
 }
-
-// acquireWorker reserves a worker slot for an extra goroutine; callers
-// fall back to inline evaluation when the pool is saturated, so plan
-// recursion can never deadlock on its own semaphore.
-func (st *execState) acquireWorker() bool {
-	if st.sem == nil {
-		return false
-	}
-	select {
-	case st.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (st *execState) releaseWorker() { <-st.sem }
 
 // stats summarises the execution's folded counters for the engine's
 // observation hooks: misses are the distinct storage fetches (one per
@@ -346,10 +314,9 @@ type useCursor struct {
 }
 
 // readers returns the use site's readers, made at its first read with
-// room for span ms of samples per series, or nil when the part is
-// stateless or the scan eager.
+// room for span ms of samples per series, or nil when the scan is eager.
 func (p *part) readers(scanIdx, cur int, span int64) []tsdb.Reader {
-	if p.cursors == nil || p.st.cp.scans[scanIdx].eager {
+	if p.st.cp.scans[scanIdx].eager {
 		return nil
 	}
 	cu := &p.cursors[cur]
@@ -359,49 +326,34 @@ func (p *part) readers(scanIdx, cur int, span int64) []tsdb.Reader {
 	return cu.rd
 }
 
-// part drives the operator tree for a contiguous run of steps (cursor
-// mode) or a single instant (stateless parallel mode).
+// part drives the operator tree for a contiguous run of steps on one
+// goroutine: a range partition's, or an instant query's single step.
 type part struct {
 	st   *execState
 	ctx  context.Context
 	done <-chan struct{} // ctx.Done(), read once for cancelled
-	// samples is the per-step budget in sequential cursor mode; asamples
-	// replaces it in parallel instant mode.
-	samples  int
-	asamples *atomic.Int64
-	// cursors, when non-nil, holds one slot per selector use site and
-	// enables monotone cursor scans; nil means stateless binary search.
-	cursors   []useCursor
-	seriesPar bool
-	branchPar bool
+	// samples is the current step's sample budget spent so far.
+	samples int
+	// cursors holds one slot per selector use site, advanced monotonically
+	// through the part's steps.
+	cursors []useCursor
 	// al, when non-nil, is this part's step arena (pool.go): every
 	// intermediate container the part's operators produce comes from it
-	// and is recycled once the step is folded. Nil on instant parts: all
-	// methods degrade to plain heap allocation.
+	// and is recycled once the step is folded. Nil when the step's value
+	// escapes to the caller (instant queries): all methods degrade to
+	// plain heap allocation.
 	al *alloc
 	counters
 }
 
-func (st *execState) newCursorPart(ctx context.Context) *part {
+// newPart returns a part with fresh cursors and counters, and a step
+// arena when arena is set (and the engine has not turned arenas off).
+func (st *execState) newPart(ctx context.Context, arena bool) *part {
 	p := &part{st: st, ctx: ctx, done: ctx.Done(), cursors: make([]useCursor, st.cp.nCursors), counters: st.newCounters()}
-	if !st.eng.noArena {
+	if arena && !st.eng.noArena {
 		p.al = allocPool.Get().(*alloc)
 	}
 	return p
-}
-
-func (st *execState) newInstantPart(ctx context.Context) *part {
-	par := st.workers > 1
-	return &part{st: st, ctx: ctx, done: ctx.Done(), asamples: new(atomic.Int64), seriesPar: par, branchPar: par, counters: st.newCounters()}
-}
-
-// child returns a part for a branch goroutine of an instant part: it
-// shares p's context and sample budget but counts into counters of its
-// own, which the caller adds into p's once the branch joins.
-func (p *part) child() *part {
-	c := *p
-	c.counters = p.st.newCounters()
-	return &c
 }
 
 // finish ends the part's span, failed or not: its arena returns to the
@@ -494,17 +446,9 @@ func (p *part) noteSamples(sx, n int) {
 }
 
 func (p *part) account(n int) error {
-	max := p.st.eng.opts.MaxSamples
-	if p.asamples != nil {
-		total := p.asamples.Add(int64(n))
-		if max > 0 && total > int64(max) {
-			return ErrTooManySamples
-		}
-	} else {
-		p.samples += n
-		if max > 0 && p.samples > max {
-			return ErrTooManySamples
-		}
+	p.samples += n
+	if max := p.st.eng.opts.MaxSamples; max > 0 && p.samples > max {
+		return ErrTooManySamples
 	}
 	return p.cancelled()
 }
@@ -540,10 +484,9 @@ func (p *part) vector(op physOp, ts int64) (Vector, error) {
 }
 
 // instant serves a selector read at adjusted timestamp ts, stamping
-// samples with outT — cursor-based when the part owns cursors (samples
-// then carry their scan position): off readers on a streamed scan, by
-// galloping seeks on an eager one; stateless binary search otherwise.
-// Results are in fingerprint order because the selection is.
+// samples with outT and their scan position: off readers on a streamed
+// scan, by galloping seeks on an eager one. Results are in fingerprint
+// order because the selection is.
 func (p *part) instant(scanIdx, cur int, ts, outT int64) Vector {
 	series := p.st.series[scanIdx]
 	p.services[scanIdx]++
@@ -557,32 +500,18 @@ func (p *part) instant(scanIdx, cur int, ts, outT int64) Vector {
 		}
 		return out
 	}
-	if p.cursors != nil {
-		cu := &p.cursors[cur]
-		if cu.inst == nil {
-			cu.inst = make([]int, len(series))
-		}
-		scan := cu.instPos && ts >= cu.instT
-		if cu.instPos && ts < cu.instT {
-			p.resets++
-		}
-		cu.instT, cu.instPos = ts, true
-		for i, sv := range series {
-			idx := seekAfter(sv.Samples, cu.inst[i], ts, scan)
-			cu.inst[i] = idx
-			if idx == 0 {
-				continue
-			}
-			smp := sv.Samples[idx-1]
-			if smp.T < ts-lookback {
-				continue
-			}
-			out = append(out, VSample{Labels: sv.Labels, T: outT, V: smp.V, pos: int32(i + 1)})
-		}
-		return out
+	cu := &p.cursors[cur]
+	if cu.inst == nil {
+		cu.inst = make([]int, len(series))
 	}
-	for _, sv := range series {
-		idx := seekAfter(sv.Samples, 0, ts, false)
+	scan := cu.instPos && ts >= cu.instT
+	if cu.instPos && ts < cu.instT {
+		p.resets++
+	}
+	cu.instT, cu.instPos = ts, true
+	for i, sv := range series {
+		idx := seekAfter(sv.Samples, cu.inst[i], ts, scan)
+		cu.inst[i] = idx
 		if idx == 0 {
 			continue
 		}
@@ -590,28 +519,9 @@ func (p *part) instant(scanIdx, cur int, ts, outT int64) Vector {
 		if smp.T < ts-lookback {
 			continue
 		}
-		out = append(out, VSample{Labels: sv.Labels, T: outT, V: smp.V})
+		out = append(out, VSample{Labels: sv.Labels, T: outT, V: smp.V, pos: int32(i + 1)})
 	}
 	return out
-}
-
-// windows serves a matrix window (start, end] plus total sample count by
-// binary search; range queries read windows off the cursors (seek).
-func (p *part) windows(scanIdx int, start, end int64) (Matrix, int) {
-	series := p.st.series[scanIdx]
-	p.services[scanIdx]++
-	out := p.al.mat(len(series))
-	total := 0
-	for _, sv := range series {
-		lo := seekAfter(sv.Samples, 0, start, false)
-		hi := seekAfter(sv.Samples, 0, end, false)
-		if hi <= lo {
-			continue
-		}
-		out = append(out, MSeries{Labels: sv.Labels, Samples: sv.Samples[lo:hi]})
-		total += hi - lo
-	}
-	return out, total
 }
 
 // seek advances a matrix scan's window cursors to (start, end], where
@@ -661,58 +571,6 @@ func (p *part) cursorWindow(scanIdx, cur, i int, start, end int64) []tsdb.Sample
 	return p.st.series[scanIdx][i].Samples[cu.lo[i]:cu.hi[i]]
 }
 
-// rangeFuncParallel fans one range function out across series chunks,
-// then assembles results in series order — position-indexed slots keep
-// the output identical to the sequential kernel.
-func (p *part) rangeFuncParallel(name string, matrix Matrix, start, end, ts int64, scalarParam float64) (Vector, error) {
-	type res struct {
-		v   float64
-		ok  bool
-		err error
-	}
-	results := make([]res, len(matrix))
-	nw := p.st.workers
-	if nw > len(matrix) {
-		nw = len(matrix)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(matrix) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(matrix) {
-			hi = len(matrix)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				// nil alloc: worker goroutines must not share a part's
-				// single-goroutine arena (instant parts carry none anyway).
-				v, ok, err := rangeSeriesValue(nil, name, matrix[i].Samples, start, end, ts, scalarParam)
-				results[i] = res{v: v, ok: ok, err: err}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	out := make(Vector, 0, len(matrix))
-	for i, series := range matrix {
-		r := results[i]
-		if r.err != nil {
-			return nil, r.err
-		}
-		if !r.ok {
-			continue
-		}
-		out = append(out, VSample{Labels: dropName(series.Labels), T: ts, V: r.v})
-	}
-	out.Sort()
-	return out, nil
-}
-
 // --- engine entry points -------------------------------------------------
 
 // execInstant evaluates one instant through the compiled plan.
@@ -723,11 +581,13 @@ func (e *Engine) execInstant(ctx context.Context, expr Expr, ts time.Time) (Valu
 		return nil, err
 	}
 	tsMs := ts.UnixMilli()
-	st := e.newExecState(cp, tsMs, tsMs, true)
-	p := st.newInstantPart(ctx)
+	st := e.newExecState(cp, tsMs, tsMs)
+	// One step at tsMs. Its value escapes to the caller, so the part runs
+	// without an arena.
+	p := st.newPart(ctx, false)
 	v, err := p.eval(cp.root, tsMs)
 	p.finish()
-	samples := int(p.asamples.Load())
+	samples := p.samples
 	if e.hooks.OnSamples != nil {
 		e.hooks.OnSamples(samples)
 	}
@@ -776,12 +636,12 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 	for t := start; !t.After(end); t = t.Add(step) {
 		steps = append(steps, t.UnixMilli())
 	}
-	st := e.newExecState(cp, steps[0], steps[len(steps)-1], false)
+	st := e.newExecState(cp, steps[0], steps[len(steps)-1])
 	nparts := numPartitions(len(steps), st.seriesCount(), st.workers)
 	accs := make([]*rangeAcc, nparts)
 	st.buildIDs(cp.root)
 	if nparts <= 1 {
-		p := st.newCursorPart(ctx)
+		p := st.newPart(ctx, true)
 		accs[0] = newRangeAcc()
 		se := p.runSpan(cp.root, steps, 0, len(steps), accs[0])
 		p.finish()
@@ -959,7 +819,7 @@ func (st *execState) runPartitions(ctx context.Context, root physOp, steps []int
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			p := st.newCursorPart(pctx)
+			p := st.newPart(pctx, true)
 			errs[w] = p.runSpan(root, steps, lo, hi, accs[w])
 			if errs[w].idx >= 0 {
 				cancel()

@@ -24,7 +24,7 @@ func partitionsFor(t testing.TB, eng *Engine, q string, start, end time.Time, st
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.newExecState(cp, start.UnixMilli(), end.UnixMilli(), false)
+	st := eng.newExecState(cp, start.UnixMilli(), end.UnixMilli())
 	return numPartitions(int(end.Sub(start)/step)+1, st.seriesCount(), st.workers)
 }
 

@@ -161,7 +161,9 @@ func (o *pScan) execVec(p *part, ts int64) (Vector, error) {
 	return out, nil
 }
 
-// pMatrix is a range-vector window read over prefetched series.
+// pMatrix is a range-vector window read over prefetched series. Range
+// functions read its windows straight off the cursor (overCursor); window
+// builds the matrix only for a query whose value is the window itself.
 type pMatrix struct {
 	opMeta
 	scanIdx int
@@ -173,10 +175,16 @@ type pMatrix struct {
 func (o *pMatrix) window(p *part, ts int64) (Matrix, int64, int64, error) {
 	end := ts - o.offMs
 	start := end - o.rngMs
-	out, total := p.windows(o.scanIdx, start, end)
+	n, total := p.seek(o.scanIdx, o.cur, start, end)
 	p.noteSamples(o.sx, total)
 	if err := p.account(total); err != nil {
 		return nil, 0, 0, err
+	}
+	out := p.al.mat(n)
+	for i, sv := range p.st.series[o.scanIdx] {
+		if w := p.cursorWindow(o.scanIdx, o.cur, i, start, end); len(w) > 0 {
+			out = append(out, MSeries{Labels: sv.Labels, Samples: w})
+		}
 	}
 	return out, start, end, nil
 }
@@ -271,7 +279,7 @@ func (o *pRangeFunc) exec(p *part, ts int64) (Value, error) {
 }
 
 func (o *pRangeFunc) execVec(p *part, ts int64) (Vector, error) {
-	if m, ok := o.arg.(*pMatrix); ok && p.cursors != nil {
+	if m, ok := o.arg.(*pMatrix); ok {
 		return o.overCursor(p, m, ts)
 	}
 	matrix, start, end, err := p.window(o.arg, ts)
@@ -285,14 +293,11 @@ func (o *pRangeFunc) execVec(p *part, ts int64) (Vector, error) {
 			return nil, err
 		}
 	}
-	if p.seriesPar && len(matrix) >= minSeriesForParallel {
-		return p.rangeFuncParallel(o.name, matrix, start, end, ts, scalarParam)
-	}
 	return applyRangeFunc(p.al, o.name, matrix, start, end, ts, scalarParam)
 }
 
-// overCursor is execVec over a matrix scan in cursor mode: each window is
-// read straight off its cursor, with no window matrix, and outputs carry
+// overCursor is execVec over a matrix scan: each window is read straight
+// off its cursor, with no window matrix, and outputs carry
 // their scan position, so labels and order come from the identity table.
 // The scan's stats and sample budget are charged as pMatrix.window
 // charges them, before the kernel runs.
@@ -528,44 +533,22 @@ func (o *pAgg) execVec(p *part, ts int64) (Vector, error) {
 	return aggregateVector(p.al, o.ast, vec, param, o.strParam, ts, p.st.ids[o.sx])
 }
 
-// pBinary joins two operand batches. When both sides touch storage and
-// the execution mode allows it (single-step, stateless scans), the
-// right side evaluates on a worker goroutine concurrently with the left,
-// in a child part whose counters fold into p's after the join.
+// pBinary joins two operand batches, the left evaluated first as in the
+// test oracle, so a failing left side reports its error.
 type pBinary struct {
 	opMeta
 	ast      *BinaryExpr
 	lhs, rhs physOp
-	parOK    bool
 }
 
 func (o *pBinary) exec(p *part, ts int64) (Value, error) {
-	var lv, rv Value
-	var lerr, rerr error
-	if o.parOK && p.branchPar && p.st.acquireWorker() {
-		rp := p.child()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			defer p.st.releaseWorker()
-			rv, rerr = rp.eval(o.rhs, ts)
-		}()
-		lv, lerr = p.eval(o.lhs, ts)
-		<-done
-		p.counters.add(&rp.counters)
-	} else {
-		lv, lerr = p.eval(o.lhs, ts)
-		if lerr == nil {
-			rv, rerr = p.eval(o.rhs, ts)
-		}
+	lv, err := p.eval(o.lhs, ts)
+	if err != nil {
+		return nil, err
 	}
-	// The left error wins, matching the test oracle's sequential
-	// order (it never reached the right side).
-	if lerr != nil {
-		return nil, lerr
-	}
-	if rerr != nil {
-		return nil, rerr
+	rv, err := p.eval(o.rhs, ts)
+	if err != nil {
+		return nil, err
 	}
 	return applyBinary(p.al, o.ast, lv, rv, ts)
 }

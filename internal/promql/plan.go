@@ -195,12 +195,10 @@ func (c *compiler) op(e Expr, lo, hi int64) (physOp, error) {
 		}
 		return op, nil
 	case *BinaryExpr:
-		before := c.cursors
 		lhs, err := c.op(n.LHS, lo, hi)
 		if err != nil {
 			return nil, err
 		}
-		mid := c.cursors
 		rhs, err := c.op(n.RHS, lo, hi)
 		if err != nil {
 			return nil, err
@@ -214,10 +212,7 @@ func (c *compiler) op(e Expr, lo, hi int64) (physOp, error) {
 				return lc, nil
 			}
 		}
-		// Branch-parallel evaluation only pays off when both sides touch
-		// storage, that is hold a selector use site; scalar-literal sides
-		// evaluate in nanoseconds.
-		return &pBinary{ast: n, lhs: lhs, rhs: rhs, parOK: mid > before && c.cursors > mid}, nil
+		return &pBinary{ast: n, lhs: lhs, rhs: rhs}, nil
 	}
 	return nil, fmt.Errorf("promql: cannot plan %T", e)
 }

@@ -12,7 +12,7 @@ package promql
 // over a matrix selector build no window matrix at all: they read each
 // window off the partition's cursor.
 //
-// An alloc is single-goroutine: each cursor partition owns one. The alloc
+// An alloc is single-goroutine: each range partition owns one. The alloc
 // structs themselves recycle across queries through a global sync.Pool (pointer-
 // typed, so Get/Put never box), which is what makes short queries
 // allocation-free in steady state: the freelists survive from one
@@ -23,9 +23,10 @@ package promql
 // exec.go), which operators index by the scan position their samples
 // carry; shapes without one derive them from each sample's labels.
 //
-// Instant parts carry a nil alloc, on which every method falls back to
-// plain heap allocation; the tests run range queries that way too
-// (Engine.noArena) to pin that results never depend on recycling. The
+// An instant query's part carries a nil alloc, because its value escapes
+// to the caller; on it every method falls back to plain heap allocation.
+// The tests run range queries that way too (Engine.noArena) to pin that
+// results never depend on recycling. The
 // poison mode scribbles sentinel values over recycled containers so the
 // golden corpus catches any use-after-reset aliasing.
 
@@ -135,7 +136,7 @@ func (sc *aggScratch) addGroup(gl tsdb.Labels, pos int32) int {
 }
 
 // alloc is the per-partition arena allocator. A nil *alloc is valid
-// everywhere and means "heap" — instant parts and the test oracle run
+// everywhere and means "heap" — instant queries and the test oracle run
 // with nil.
 type alloc struct {
 	freeV freelist[VSample]

@@ -115,9 +115,10 @@ func readerDB(t testing.TB) (*tsdb.DB, time.Time) {
 }
 
 // TestStreamingAllocCeilings pins steady-state allocations per range query
-// for the core shapes: a raw selector, an aggregation over a rate, and
-// write_read's reader query over 2 000 series at 200 steps, whose bytes
-// are pinned too. Pooled streaming execution keeps these flat in the
+// for the core shapes: a raw selector, an aggregation over a rate, a
+// binary operation over two aggregations (its operands must not escape to
+// the heap at every step), and write_read's reader query over 2 000
+// series at 200 steps, whose bytes are pinned too. Pooled streaming execution keeps these flat in the
 // number of steps; a regression to per-step allocation, per-step window
 // matrices or per-step label derivation blows the ceilings.
 func TestStreamingAllocCeilings(t *testing.T) {
@@ -133,6 +134,7 @@ func TestStreamingAllocCeilings(t *testing.T) {
 	eng := NewEngine(db, opts)
 	allocCeiling(t, eng, "smf_pdu_session_active", start, end, time.Minute, 100, 0)
 	allocCeiling(t, eng, "sum by (instance) (rate(amfcc_n1_auth_request[5m]))", start, end, time.Minute, 150, 0)
+	allocCeiling(t, eng, "100 * sum(smf_pdu_session_active) / sum(amfcc_n1_auth_request)", start, end, time.Minute, 200, 0)
 
 	wide, wend := readerDB(t)
 	allocCeiling(t, NewEngine(wide, opts), "sum by (instance) (rate(bench_dl_bytes_total[1m]))",

@@ -91,7 +91,8 @@ type OpStats struct {
 }
 
 // Self is the operator's exclusive wall time: total minus children,
-// clamped at zero (branch-parallel children can overlap their parent).
+// clamped at zero (wall times are strided samples scaled up per operator,
+// so children's estimates can exceed their parent's).
 func (o *OpStats) Self() time.Duration {
 	self := o.Wall
 	for _, c := range o.Children {

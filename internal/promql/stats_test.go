@@ -13,7 +13,7 @@ import (
 
 // TestQueryStatsByteIdentity: per-operator stats collection must be
 // invisible in results. With a finished-query hook installed every query
-// runs the whole collection path (slot allocation, atomic accumulation,
+// runs the whole collection path (slot allocation, per-part accumulation,
 // buildStats, Compact); every corpus query, over every window shape, must
 // still render byte-identically to the oracle, which collects nothing.
 func TestQueryStatsByteIdentity(t *testing.T) {
@@ -267,7 +267,8 @@ func TestQueryStatsRenderFormat(t *testing.T) {
 		t.Errorf("Compact = %q, want %q", compact, wantCompact)
 	}
 
-	// Self-time clamps at zero when parallel children overlap the parent.
+	// Self-time clamps at zero when the children's scaled estimates exceed
+	// the parent's.
 	o := &OpStats{Wall: time.Millisecond, Children: []*OpStats{{Wall: 2 * time.Millisecond}}}
 	if o.Self() != 0 {
 		t.Errorf("Self() = %v, want 0 when children exceed the parent", o.Self())

@@ -31,8 +31,9 @@ type VSample struct {
 	Labels tsdb.Labels
 	T      int64
 	V      float64
-	// pos is 0 or 1 + the sample's row in its producer's identity table
-	// (idTable, exec.go); set only inside range queries.
+	// pos is 0 or 1 + the sample's row in its producer's scan or identity
+	// table (idTable, exec.go); the executor reads it only where that
+	// table exists, which is inside range queries.
 	pos int32
 }
 
