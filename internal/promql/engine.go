@@ -342,15 +342,6 @@ func dropName(ls tsdb.Labels) tsdb.Labels {
 	return ls.Without(tsdb.MetricNameLabel)
 }
 
-func parseLE(s string) (float64, error) {
-	if s == "+Inf" || s == "inf" || s == "Inf" {
-		return math.Inf(1), nil
-	}
-	var v float64
-	_, err := fmt.Sscanf(s, "%g", &v)
-	return v, err
-}
-
 // bucket is one cumulative histogram bucket (le upper bound, count).
 type bucket struct {
 	le    float64

@@ -13,6 +13,7 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 
 	"dio/internal/tsdb"
 )
@@ -200,7 +201,8 @@ func histogramQuantileVector(al *alloc, phi float64, vec Vector, ts int64) Vecto
 		if leStr == "" {
 			continue
 		}
-		le, err := parseLE(leStr)
+		// Prometheus skips a bucket whose le does not parse as a float.
+		le, err := strconv.ParseFloat(leStr, 64)
 		if err != nil {
 			continue
 		}
