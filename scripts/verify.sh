@@ -1,8 +1,8 @@
 #!/bin/sh
 # verify.sh — the checks a change must pass before merging: formatting,
 # static vetting (and an arm64 vet of vecstore's portable path), the full
-# test suite under the race detector, the bench/ module and a run of every
-# example program.
+# test suite under the race detector, the bench/ module, a run of every
+# example program and the count of functions no driver runs.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -37,6 +37,12 @@ for ex in examples/*/; do
 	echo ">> go run ./$ex"
 	go run "./$ex" >/dev/null
 done
+
+# Reach by execution: the count of functions that no driver runs (the
+# list itself is `sh scripts/reach_exec.sh`). It reports; it gates nothing.
+echo ">> sh scripts/reach_exec.sh"
+reach=$(sh scripts/reach_exec.sh)
+echo "$reach" | tail -n 1
 
 # Opt-in (VERIFY_BENCH=1 make verify): the substrate micro-benchmarks with
 # allocation reporting, and the crash-recovery smoke — acknowledged
