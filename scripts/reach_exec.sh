@@ -1,8 +1,8 @@
 #!/bin/sh
-# reach_exec.sh — which functions no driver runs. It builds dio-bench,
-# every example and dio-cli with coverage of all dio packages, runs each
-# once, runs TestTranscript (the HTTP session over every route, across a
-# restart) with the same coverage, and prints the functions that
+# reach_exec.sh — which functions none of the programs runs. It builds
+# dio-bench, every example and dio-cli with coverage of all dio packages,
+# runs each once, runs TestTranscript (the HTTP session over every route,
+# across a restart) with the same coverage, and prints the functions that
 # `go tool covdata func` reports at 0.0%, then their count.
 #
 #   sh scripts/reach_exec.sh

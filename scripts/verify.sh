@@ -2,7 +2,7 @@
 # verify.sh — the checks a change must pass before merging: formatting,
 # static vetting (and an arm64 vet of vecstore's portable path), the full
 # test suite under the race detector, the bench/ module, a run of every
-# example program and the count of functions no driver runs.
+# example program and the count of functions no program runs.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -38,7 +38,7 @@ for ex in examples/*/; do
 	go run "./$ex" >/dev/null
 done
 
-# Reach by execution: the count of functions that no driver runs (the
+# Reach by execution: the count of functions that no program runs (the
 # list itself is `sh scripts/reach_exec.sh`). It reports; it gates nothing.
 echo ">> sh scripts/reach_exec.sh"
 reach=$(sh scripts/reach_exec.sh)
