@@ -110,3 +110,18 @@ func TestCounterWindowsMatchOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestIncreaseIsLastMinusFirst: over 0.3, 0.6, …, 1.8 with no gap to
+// either window edge, increase is last − first, 1.8 − 0.3 = 1.5 exactly,
+// as Prometheus 3.x's extrapolatedRate computes it. Summing the five
+// increments instead rounds to 1.5000000000000002.
+func TestIncreaseIsLastMinusFirst(t *testing.T) {
+	var s []tsdb.Sample
+	for i, v := range []float64{0.3, 0.6, 0.9, 1.2, 1.5, 1.8} {
+		s = append(s, tsdb.Sample{T: int64(i) * 1000, V: v})
+	}
+	v, ok, err := rangeSeriesValue(nil, "increase", s, s[0].T, s[len(s)-1].T, s[len(s)-1].T, 0)
+	if err != nil || !ok || v != 1.5 {
+		t.Fatalf("increase = %v, %v, %v; want exactly 1.5", v, ok, err)
+	}
+}

@@ -562,11 +562,11 @@ func (p *part) seek(scanIdx, cur int, start, end int64) (n, total int) {
 }
 
 // cursorWindow is series i's window after seek(scanIdx, cur, start, end):
-// a streamed scan's reader re-reads it without decoding.
-func (p *part) cursorWindow(scanIdx, cur, i int, start, end int64) []tsdb.Sample {
+// a streamed scan's reader returns the window seek read.
+func (p *part) cursorWindow(scanIdx, cur, i int) []tsdb.Sample {
 	cu := &p.cursors[cur]
 	if cu.rd != nil {
-		return cu.rd[i].Window(start+1, end)
+		return cu.rd[i].Last()
 	}
 	return p.st.series[scanIdx][i].Samples[cu.lo[i]:cu.hi[i]]
 }

@@ -66,31 +66,32 @@ func LookupFunction(name string) (*Function, bool) {
 
 // --- range-vector function kernels -------------------------------------
 
+// counterDelta is a counter window's increase in Prometheus 3.x's form:
+// last − first, then, in sample order, the value before each drop, since
+// a drop means the counter restarted from zero. On an integer-valued
+// counter it equals the sum of the window's increments bit for bit: every
+// partial sum of either is an integer, so exact.
+func counterDelta(samples []tsdb.Sample) float64 {
+	delta := samples[len(samples)-1].V - samples[0].V
+	prev := samples[0].V
+	for _, s := range samples[1:] {
+		if s.V < prev {
+			delta += prev
+		}
+		prev = s.V
+	}
+	return delta
+}
+
 // extrapolatedRate implements the Prometheus rate/increase/delta
-// extrapolation: compute the in-window delta (with counter reset
-// correction when isCounter), then extrapolate to the window boundaries
-// unless the first/last samples are far from them.
-func extrapolatedRate(samples []tsdb.Sample, rangeStart, rangeEnd int64, isCounter, isRate bool) (float64, bool) {
+// extrapolation of a window's delta (counterDelta's for a counter, last −
+// first for a gauge) to the window boundaries, unless the first/last
+// samples are far from them. A streamed counter window with no drop
+// passes last − first, which is what counterDelta returns for it.
+func extrapolatedRate(samples []tsdb.Sample, delta float64, rangeStart, rangeEnd int64, isCounter, isRate bool) (float64, bool) {
 	if len(samples) < 2 {
 		return 0, false
 	}
-	var delta float64
-	if isCounter {
-		// Sum of increments with counter-reset correction: a drop means the
-		// counter restarted, so the post-reset value is itself an increment.
-		prev := samples[0].V
-		for _, s := range samples[1:] {
-			if s.V < prev {
-				delta += s.V
-			} else {
-				delta += s.V - prev
-			}
-			prev = s.V
-		}
-	} else {
-		delta = samples[len(samples)-1].V - samples[0].V
-	}
-
 	sampledInterval := float64(samples[len(samples)-1].T-samples[0].T) / 1000
 	if sampledInterval == 0 {
 		return 0, false

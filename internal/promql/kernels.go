@@ -25,12 +25,10 @@ import (
 func rangeSeriesValue(al *alloc, name string, s []tsdb.Sample, start, end, ts int64, scalarParam float64) (v float64, ok bool, err error) {
 	ok = true
 	switch name {
-	case "rate":
-		v, ok = extrapolatedRate(s, start, end, true, true)
-	case "increase":
-		v, ok = extrapolatedRate(s, start, end, true, false)
+	case "rate", "increase":
+		v, ok = extrapolatedRate(s, counterDelta(s), start, end, true, name == "rate")
 	case "delta":
-		v, ok = extrapolatedRate(s, start, end, false, false)
+		v, ok = extrapolatedRate(s, s[len(s)-1].V-s[0].V, start, end, false, false)
 	case "irate":
 		if len(s) < 2 {
 			ok = false

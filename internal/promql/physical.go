@@ -182,7 +182,7 @@ func (o *pMatrix) window(p *part, ts int64) (Matrix, int64, int64, error) {
 	}
 	out := p.al.mat(n)
 	for i, sv := range p.st.series[o.scanIdx] {
-		if w := p.cursorWindow(o.scanIdx, o.cur, i, start, end); len(w) > 0 {
+		if w := p.cursorWindow(o.scanIdx, o.cur, i); len(w) > 0 {
 			out = append(out, MSeries{Labels: sv.Labels, Samples: w})
 		}
 	}
@@ -300,7 +300,9 @@ func (o *pRangeFunc) execVec(p *part, ts int64) (Vector, error) {
 // off its cursor, with no window matrix, and outputs carry
 // their scan position, so labels and order come from the identity table.
 // The scan's stats and sample budget are charged as pMatrix.window
-// charges them, before the kernel runs.
+// charges them, before the kernel runs. Over a streamed scan, rate and
+// increase run counterDelta's scan only on a window that holds a drop:
+// on any other, last − first is the delta (tsdb.Reader.LastDrop).
 func (o *pRangeFunc) overCursor(p *part, m *pMatrix, ts int64) (Vector, error) {
 	if err := p.cancelled(); err != nil {
 		return nil, err
@@ -321,15 +323,20 @@ func (o *pRangeFunc) overCursor(p *part, m *pMatrix, ts int64) (Vector, error) {
 			return nil, err
 		}
 	}
-	ids := p.st.ids[o.sx] // nil when the name drop makes keys collide
+	ids := p.st.ids[o.sx]     // nil when the name drop makes keys collide
+	rd := p.cursors[m.cur].rd // nil over an eager scan
+	counter := rd != nil && (o.name == "rate" || o.name == "increase")
 	out := p.al.vec(n)
 	for i, sv := range p.st.series[m.scanIdx] {
-		w := p.cursorWindow(m.scanIdx, m.cur, i, start, end)
+		w := p.cursorWindow(m.scanIdx, m.cur, i)
 		if len(w) == 0 {
 			continue
 		}
-		v, ok, err := rangeSeriesValue(p.al, o.name, w, start, end, ts, scalarParam)
-		if err != nil {
+		var v float64
+		var ok bool
+		if counter && rd[i].LastDrop() <= w[0].T {
+			v, ok = extrapolatedRate(w, w[len(w)-1].V-w[0].V, start, end, true, o.name == "rate")
+		} else if v, ok, err = rangeSeriesValue(p.al, o.name, w, start, end, ts, scalarParam); err != nil {
 			return nil, err
 		}
 		if !ok {

@@ -120,19 +120,27 @@ type breader struct {
 // peek returns the stream from the current bit on, left-aligned and
 // zero-padded past its end, and how many of the word's bits are stream
 // bits (at least 57 away from the last 8 bytes; 0 or fewer at the end).
-func (r *breader) peek() (uint64, int) {
-	i, off := r.bit>>3, r.bit&7
-	if i+8 <= len(r.b) {
-		return binary.BigEndian.Uint64(r.b[i:]) << uint(off), 64 - off
+func (r *breader) peek() (uint64, int) { return peekAt(r.b, r.bit) }
+
+// peekAt is peek at bit offset bit of b.
+func peekAt(b []byte, bit int) (uint64, int) {
+	i, off := bit>>3, bit&7
+	if i+8 <= len(b) {
+		return binary.BigEndian.Uint64(b[i:]) << uint(off), 64 - off
 	}
+	return peekTail(b, i, off)
+}
+
+// peekTail is peekAt within the last 8 bytes of b.
+func peekTail(b []byte, i, off int) (uint64, int) {
 	var w uint64
 	for k := i; k < i+8; k++ {
 		w <<= 8
-		if k < len(r.b) {
-			w |= uint64(r.b[k])
+		if k < len(b) {
+			w |= uint64(b[k])
 		}
 	}
-	return w << uint(off), (len(r.b)-i)*8 - off
+	return w << uint(off), (len(b)-i)*8 - off
 }
 
 // readBits reads an n-bit field (n ≤ 64); n ≤ 0 reads nothing, as a
@@ -270,150 +278,168 @@ func (a *chunkAppender) seal() chunk {
 // numBytes is the encoded size of the open head so far.
 func (a *chunkAppender) numBytes() int { return len(a.w.b) }
 
-// chunkIter decodes a chunk stream. The zero value is invalid; use
-// newChunkIter.
-type chunkIter struct {
-	r                 breader
-	total             int
-	read              int
+// chunkDecoder is a chunk stream's decoding state between decode calls.
+// The zero value is invalid; use newChunkDecoder.
+type chunkDecoder struct {
+	b                 []byte
+	bit               int // absolute bit offset into b
+	read, total       int // samples decoded, samples in the stream
 	t                 int64
-	v                 float64
+	v                 uint64 // the last value's bits
 	tDelta            uint64
 	leading, trailing uint8
-	err               error
 }
 
-func newChunkIter(data []byte, count int) chunkIter {
-	return chunkIter{r: breader{b: data}, total: count, leading: leadingUnset}
+func newChunkDecoder(data []byte, count int) chunkDecoder {
+	return chunkDecoder{b: data, total: count, leading: leadingUnset}
 }
+
+// done reports whether every sample of the stream has been decoded.
+func (d *chunkDecoder) done() bool { return d.read >= d.total }
 
 // dodBits gives a dod bucket's payload width by its count of leading one
 // bits.
 var dodBits = [5]int{0, 14, 17, 20, 64}
 
-// next decodes the next sample; it returns false at the end of the chunk
-// or on corruption (check err). From the third sample on, one peek covers
-// the dod bucket and the XOR header.
-func (it *chunkIter) next() bool {
-	if it.err != nil || it.read >= it.total {
-		return false
-	}
-	switch it.read {
-	case 0:
-		zz, err := it.r.readUvarint()
-		if err != nil {
-			it.err = err
-			return false
-		}
-		vbits, err := it.r.readBits(64)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		it.t, it.v = unzigzag(zz), math.Float64frombits(vbits)
-	case 1:
-		d, err := it.r.readUvarint()
-		if err != nil {
-			it.err = err
-			return false
-		}
-		it.tDelta = d
-		it.t += int64(d)
-		if !it.readXOR(it.r.peek()) {
-			return false
-		}
-	default:
-		w, avail := it.r.peek()
-		ones := min(bits.LeadingZeros64(^w), 4)
-		prefix, width := min(ones+1, 4), dodBits[ones]
-		var dod int64
-		if width == 64 {
-			it.r.bit += prefix
-			zz, err := it.r.readBits(64)
-			if err != nil {
-				it.err = err
-				return false
-			}
-			dod = unzigzag(zz)
-			w, avail = it.r.peek()
-		} else {
-			if prefix+width > avail {
-				it.err = errChunkShort
-				return false
-			}
-			if width > 0 {
-				dod = unzigzag(w << uint(prefix) >> uint(64-width))
-			}
-			it.r.bit += prefix + width
-			w, avail = w<<uint(prefix+width), avail-prefix-width
-		}
-		it.tDelta = uint64(int64(it.tDelta) + dod)
-		it.t += int64(it.tDelta)
-		if !it.readXOR(w, avail) {
-			return false
-		}
-	}
-	it.read++
-	return true
-}
+// errXORReuse reports a value that reuses the XOR window before one was
+// set.
+var errXORReuse = fmt.Errorf("tsdb: chunk XOR reuse before a window was set")
 
-// readXOR decodes a value from its header, the left-aligned w of which
-// avail bits are stream bits, then reads the meaningful bits.
-func (it *chunkIter) readXOR(w uint64, avail int) bool {
-	switch {
-	case avail < 1 || (w>>63 == 1 && avail < 2):
-		it.err = errChunkShort
-		return false
-	case w>>63 == 0:
-		it.r.bit++
-		return true // repeat of previous value
-	case w>>62 == 0b11:
-		if avail < 13 {
-			it.err = errChunkShort
-			return false
+// decode appends the stream's next samples to dst's spare capacity. It
+// stops when that is full, when the stream ends, or after the first
+// sample later than stop. It is the only decoding loop: the state lives
+// in locals while it runs, and from the third sample on one peek covers
+// the dod bucket and the XOR header. On corruption it returns the
+// samples decoded before it and the error, and d is spent.
+func (d *chunkDecoder) decode(dst []Sample, stop int64) ([]Sample, error) {
+	b, bit, read := d.b, d.bit, d.read
+	t, v, tDelta := d.t, d.v, d.tDelta
+	leading, trailing := d.leading, d.trailing
+	var err error
+	for read < d.total && len(dst) < cap(dst) {
+		var w uint64
+		var avail int
+		switch read {
+		case 0:
+			r := breader{b: b, bit: bit}
+			var zz uint64
+			if zz, err = r.readUvarint(); err == nil {
+				v, err = r.readBits(64)
+			}
+			t, bit = unzigzag(zz), r.bit
+		case 1:
+			r := breader{b: b, bit: bit}
+			tDelta, err = r.readUvarint()
+			t += int64(tDelta)
+			bit = r.bit
+			w, avail = peekAt(b, bit)
+		default:
+			if i := bit >> 3; i+8 <= len(b) {
+				w, avail = binary.BigEndian.Uint64(b[i:])<<uint(bit&7), 64-bit&7
+			} else {
+				w, avail = peekTail(b, i, bit&7)
+			}
+			ones := min(bits.LeadingZeros64(^w), 4)
+			prefix, width := min(ones+1, 4), dodBits[ones]
+			var dod int64
+			if width == 64 {
+				r := breader{b: b, bit: bit + prefix}
+				var zz uint64
+				zz, err = r.readBits(64)
+				dod, bit = unzigzag(zz), r.bit
+				w, avail = peekAt(b, bit)
+			} else if prefix+width > avail {
+				err = errChunkShort
+			} else {
+				if width > 0 {
+					dod = unzigzag(w << uint(prefix) >> uint(64-width))
+				}
+				bit += prefix + width
+				w, avail = w<<uint(prefix+width), avail-prefix-width
+			}
+			tDelta = uint64(int64(tDelta) + dod)
+			t += int64(tDelta)
 		}
-		lead, sig := int(w>>57&31), int(w>>51&63)
-		if sig == 0 {
-			sig = 64
+		if err != nil {
+			break
 		}
-		it.leading = uint8(lead)
-		it.trailing = uint8(64 - lead - sig)
-		it.r.bit += 13
-	case it.leading == leadingUnset:
-		it.err = fmt.Errorf("tsdb: chunk XOR reuse before a window was set")
-		return false
-	default:
-		it.r.bit += 2
+		// From the second sample on, the XOR-encoded value: its header is
+		// the left-aligned w, of which avail bits are stream bits, and so
+		// are its meaningful bits when w holds them all.
+		if read > 0 {
+			if avail < 1 || (w>>63 == 1 && avail < 2) {
+				err = errChunkShort
+				break
+			}
+			if w>>63 == 0 { // '0' repeats the previous value
+				bit++
+			} else {
+				head := 2
+				if w>>62 == 0b11 {
+					if avail < 13 {
+						err = errChunkShort
+						break
+					}
+					lead, sig := int(w>>57&31), int(w>>51&63)
+					if sig == 0 {
+						sig = 64
+					}
+					leading, trailing = uint8(lead), uint8(64-lead-sig)
+					head = 13
+				} else if leading == leadingUnset {
+					err = errXORReuse
+					break
+				}
+				bit += head
+				var xor uint64
+				if sig := 64 - int(leading) - int(trailing); sig > 0 && sig <= avail-head {
+					xor = w << uint(head) >> uint(64-sig)
+					bit += sig
+				} else {
+					r := breader{b: b, bit: bit}
+					if xor, err = r.readBits(sig); err != nil {
+						break
+					}
+					bit = r.bit
+				}
+				v ^= xor << trailing
+			}
+		}
+		dst = append(dst, Sample{T: t, V: math.Float64frombits(v)})
+		read++
+		if t > stop {
+			break
+		}
 	}
-	sig := 64 - int(it.leading) - int(it.trailing)
-	xbits, err := it.r.readBits(sig)
+	d.bit, d.read = bit, read
+	d.t, d.v, d.tDelta = t, v, tDelta
+	d.leading, d.trailing = leading, trailing
 	if err != nil {
-		it.err = err
-		return false
+		d.total = read
 	}
-	it.v = math.Float64frombits(math.Float64bits(it.v) ^ xbits<<it.trailing)
-	return true
+	return dst, err
 }
-
-// at returns the sample decoded by the last successful next call.
-func (it *chunkIter) at() Sample { return Sample{T: it.t, V: it.v} }
 
 // decodeChunk appends every sample of a sealed chunk to dst.
 func decodeChunk(c chunk, dst []Sample) ([]Sample, error) {
 	return decodeStream(c.data, c.count, dst)
 }
 
-// decodeStream appends count samples decoded from data to dst.
+// decodeStream appends count samples decoded from data to dst, growing
+// it by at most a chunk's capacity ahead of what is decoded.
 func decodeStream(data []byte, count int, dst []Sample) ([]Sample, error) {
-	it := newChunkIter(data, count)
-	for it.next() {
-		dst = append(dst, it.at())
+	d := newChunkDecoder(data, count)
+	for !d.done() {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, min(d.total-d.read, chunkCapacity))
+		}
+		var err error
+		if dst, err = d.decode(dst, math.MaxInt64); err != nil {
+			return dst, err
+		}
 	}
-	if it.err != nil {
-		return dst, it.err
-	}
-	if it.read != count {
-		return dst, fmt.Errorf("tsdb: chunk decoded %d of %d samples", it.read, count)
+	if d.read != count {
+		return dst, fmt.Errorf("tsdb: chunk decoded %d of %d samples", d.read, count)
 	}
 	return dst, nil
 }

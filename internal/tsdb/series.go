@@ -3,6 +3,7 @@ package tsdb
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Series is a label set and its samples, held as Gorilla-compressed
@@ -220,26 +221,33 @@ func DecodeViews(views []SeriesView) {
 	}
 }
 
-// Reader streams one SelectBatch view's snapshot forward: it decodes a
-// sample only when a read reaches it, and keeps only the samples at or
+// Reader streams one SelectBatch view's snapshot forward: it decodes
+// samples only as reads reach them, and keeps only the samples at or
 // above the latest read's floor. Floors and ends must not decrease from
-// one read to the next.
+// one read to the next. A Window read after the first decodes a buffer
+// at a time, into the spare room of the buffer NewReaders gave it; the
+// first read, and every Latest, decodes only up to the first sample past
+// its end, so an instant query decodes no more than it uses.
 type Reader struct {
-	chunks     []chunk   // snapshot chunks not yet started
-	it         chunkIter // decoder over the current chunk
-	minT, maxT int64     // the view's clamp
-	// buf[off:] are the kept samples in time order; the last of them may
-	// lie past the latest read's end.
-	buf   []Sample
-	off   int
+	chunks     []chunk      // snapshot chunks not yet started
+	dec        chunkDecoder // decoder over the current chunk
+	minT, maxT int64        // the view's clamp
+	// buf[off:hi] is the latest read's window, in time order; buf[hi:]
+	// are kept samples past its end.
+	buf     []Sample
+	off, hi int
+	// drop is the time of the newest decoded sample lower than the one
+	// kept before it.
+	drop  int64
+	ahead bool // a Window read has run: decode into the spare room
 	spent bool
 }
 
 // NewReaders returns a Reader for every view. Their buffers share one
 // slab, which gives each series room for its samples in about span ms, a
-// quarter as many again and 4 more: reads fill that slack before a full
-// buffer moves its kept samples to the front. A read that needs more
-// room moves that series' buffer to the heap.
+// quarter as many again and 4 more: reads decode ahead into that slack,
+// and move their kept samples to the front of a full buffer. A read that
+// needs more room moves that series' buffer to the heap.
 func NewReaders(views []SeriesView, span int64) []Reader {
 	rs := make([]Reader, len(views))
 	total := 0
@@ -250,7 +258,7 @@ func NewReaders(views []SeriesView, span int64) []Reader {
 	for i := range views {
 		v := &views[i]
 		n := readerRoom(v, span)
-		rs[i] = Reader{chunks: v.chunks, minT: v.minT, maxT: v.maxT, buf: slab[:0:n]}
+		rs[i] = Reader{chunks: v.chunks, minT: v.minT, maxT: v.maxT, buf: slab[:0:n], drop: math.MinInt64}
 		slab = slab[n:]
 	}
 	return rs
@@ -274,85 +282,116 @@ func readerRoom(v *SeriesView, span int64) int {
 }
 
 // Window returns the samples with floor <= T <= end, decoding forward as
-// far as end needs. The slice is valid until the next read.
-func (r *Reader) Window(floor, end int64) []Sample { return r.read(floor, end, false) }
+// far as end needs. The slice is valid until the next read, and Last
+// returns it again until then.
+func (r *Reader) Window(floor, end int64) []Sample {
+	r.read(floor, end, false)
+	r.ahead = true
+	return r.buf[r.off:r.hi]
+}
+
+// Last returns the window the latest Window read returned.
+func (r *Reader) Last() []Sample { return r.buf[r.off:r.hi] }
+
+// LastDrop returns the time of the newest sample decoded so far that is
+// lower than the sample before it, or math.MinInt64. A window whose first
+// sample is at or after it holds no such pair: a pair is checked as its
+// later sample is decoded, and its earlier one, kept until then, is at or
+// above every floor read before. A counter's window holds no reset then.
+func (r *Reader) LastDrop() int64 { return r.drop }
 
 // Latest returns the newest sample with floor <= T <= end, and keeps no
 // sample older than it.
 func (r *Reader) Latest(floor, end int64) (Sample, bool) {
-	w := r.read(floor, end, true)
-	if len(w) == 0 {
+	r.read(floor, end, true)
+	if r.hi == r.off {
 		return Sample{}, false
 	}
-	return w[len(w)-1], true
+	r.off = r.hi - 1
+	return r.buf[r.off], true
 }
 
-// read drops the samples below floor, decodes until a sample past end is
-// kept or the snapshot is spent, and returns the kept samples up to end;
-// latest drops all but the newest of those, as it decodes.
-func (r *Reader) read(floor, end int64, latest bool) []Sample {
-	for r.off < len(r.buf) && r.buf[r.off].T < floor {
-		r.off++
+// read drops the kept samples below floor, decodes until a sample past
+// end is kept or the snapshot is spent, and sets hi to the end of the
+// window [floor, end]; latest drops all but the newest sample of it as it
+// decodes.
+func (r *Reader) read(floor, end int64, latest bool) {
+	lo := max(floor, r.minT)
+	r.trim(lo)
+	stop := end
+	if r.ahead && !latest {
+		stop = math.MaxInt64
 	}
 	for !r.spent && (r.off == len(r.buf) || r.buf[len(r.buf)-1].T <= end) {
-		s, ok := r.next(floor)
-		if !ok {
+		if r.dec.done() && !r.nextChunk(floor) {
 			break
 		}
-		if s.T < floor {
-			continue
+		if len(r.buf) == cap(r.buf) {
+			r.compact()
 		}
-		if latest && s.T <= end {
-			r.off = len(r.buf)
+		from := len(r.buf)
+		buf, err := r.dec.decode(r.buf, stop)
+		if err != nil {
+			panic(fmt.Sprintf("tsdb: internal chunk corruption: %v", err))
 		}
-		r.push(s)
-	}
-	w := r.buf[r.off:]
-	if n := len(w); n > 0 && w[n-1].T > end {
-		w = w[:n-1]
-	}
-	if latest && len(w) > 1 {
-		r.off += len(w) - 1
-		w = w[len(w)-1:]
-	}
-	return w
-}
-
-// push keeps s, first moving the kept samples to the front of the buffer
-// when it is full.
-func (r *Reader) push(s Sample) {
-	if len(r.buf) == cap(r.buf) && r.off > 0 {
-		r.buf = r.buf[:copy(r.buf, r.buf[r.off:])]
-		r.off = 0
-	}
-	r.buf = append(r.buf, s)
-}
-
-// next decodes the snapshot's next sample inside the clamp, skipping the
-// chunks that end before floor without decoding them.
-func (r *Reader) next(floor int64) (Sample, bool) {
-	for {
-		for r.it.next() {
-			s := r.it.at()
-			if s.T > r.maxT {
-				r.spent = true
-				return Sample{}, false
+		if n := len(buf); buf[n-1].T > r.maxT {
+			for n > from && buf[n-1].T > r.maxT {
+				n--
 			}
-			if s.T >= r.minT {
-				return s, true
+			buf, r.spent = buf[:n], true
+		}
+		for i := len(buf) - 1; i >= max(from, r.off+1); i-- {
+			if buf[i].V < buf[i-1].V {
+				r.drop = buf[i].T
+				break
 			}
 		}
-		if r.it.err != nil {
-			panic(fmt.Sprintf("tsdb: internal chunk corruption: %v", r.it.err))
+		r.buf = buf
+		r.trim(lo)
+		if n := len(r.buf); latest && n > r.off {
+			if r.buf[n-1].T > end {
+				n--
+			}
+			r.off = max(r.off, n-1)
 		}
-		for len(r.chunks) > 0 && r.chunks[0].maxT < floor {
-			r.chunks = r.chunks[1:]
-		}
-		if len(r.chunks) == 0 {
-			r.spent = true
-			return Sample{}, false
-		}
-		r.it = newChunkIter(r.chunks[0].data, r.chunks[0].count)
+	}
+	r.hi = max(r.hi, r.off)
+	for r.hi < len(r.buf) && r.buf[r.hi].T <= end {
+		r.hi++
+	}
+}
+
+// trim drops the kept samples below lo.
+func (r *Reader) trim(lo int64) {
+	for r.off < len(r.buf) && r.buf[r.off].T < lo {
+		r.off++
+	}
+}
+
+// compact moves the kept samples to the front of the full buffer, or
+// moves the buffer to the heap with room for more when none can go.
+func (r *Reader) compact() {
+	if r.off == 0 {
+		r.buf = slices.Grow(r.buf, 1)
+		return
+	}
+	r.buf = r.buf[:copy(r.buf, r.buf[r.off:])]
+	r.hi = max(r.hi-r.off, 0)
+	r.off = 0
+}
+
+// nextChunk starts decoding the snapshot's next chunk that does not end
+// before floor, skipping the others undecoded; it reports false, and
+// marks the reader spent, when there is none.
+func (r *Reader) nextChunk(floor int64) bool {
+	for len(r.chunks) > 0 && r.chunks[0].maxT < floor {
 		r.chunks = r.chunks[1:]
 	}
+	if len(r.chunks) == 0 {
+		r.spent = true
+		return false
+	}
+	r.dec = newChunkDecoder(r.chunks[0].data, r.chunks[0].count)
+	r.chunks = r.chunks[1:]
+	return true
 }
