@@ -60,9 +60,10 @@ func rangeSeriesValue(al *alloc, name string, s []tsdb.Sample, start, end, ts in
 			prev = x.V
 		}
 	case "changes":
+		// A NaN after a NaN is no change, as in Prometheus's funcChanges.
 		prev := s[0].V
 		for _, x := range s[1:] {
-			if x.V != prev {
+			if x.V != prev && !(math.IsNaN(x.V) && math.IsNaN(prev)) {
 				v++
 			}
 			prev = x.V
