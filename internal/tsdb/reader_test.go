@@ -142,3 +142,124 @@ func TestReaderReadsMatchDecode(t *testing.T) {
 		}
 	}
 }
+
+// fuzzSamples turns raw into strictly increasing samples, 3 bytes each:
+// a gap that reaches every dod bucket, and a value that repeats, steps,
+// turns negative, NaN or infinite, or takes arbitrary bits.
+func fuzzSamples(raw []byte) []Sample {
+	raw = raw[:min(len(raw), 3*900)] // 900 gaps of at most 2^53 fit in an int64
+	var out []Sample
+	t, v := int64(0), 0.0
+	for ; len(raw) >= 3; raw = raw[3:] {
+		gap := 1 + int64(raw[1])
+		if raw[0] >= 240 {
+			gap <<= 3 * int64(raw[0]-240)
+		} else {
+			gap += int64(raw[0]) * 1000
+		}
+		t += gap
+		switch raw[2] % 8 {
+		case 0: // repeat
+		case 1:
+			v = math.NaN()
+		case 2:
+			v = -v
+		case 3:
+			v = math.Inf(1)
+		case 4:
+			v = math.Float64frombits(uint64(raw[1])<<56 | uint64(raw[2])<<28 | uint64(raw[0]))
+		default:
+			v += float64(raw[1]) * 0.3
+		}
+		out = append(out, Sample{T: t, V: v})
+	}
+	return out
+}
+
+// FuzzReaderMatchesDecode appends arbitrary samples to a series, enough
+// for sealed chunks and an open head, selects it under a clamp, and
+// reads the snapshot with a Reader through a non-decreasing sequence of
+// Window reads and, on a second Reader, Latest reads, each over a buffer
+// of arbitrary room. Every read must equal the matching slice of
+// DecodeViews' decode of the same snapshot, bit for bit.
+func FuzzReaderMatchesDecode(f *testing.F) {
+	var long []byte
+	for i := 0; i < 3*chunkCapacity+17; i++ {
+		long = append(long, byte(i*7%251), byte(i*13), byte(i))
+	}
+	var reads []byte
+	for i := 0; i < 60; i++ {
+		reads = append(reads, byte(i%5), byte(i), byte(i*11))
+	}
+	f.Add(long, reads, uint8(0), uint8(0), uint8(255), uint8(0))
+	f.Add(long, reads, uint8(10), uint8(3), uint8(200), uint8(60))
+	f.Add(long[:300], reads[:30], uint8(0), uint8(40), uint8(90), uint8(255))
+	f.Add([]byte{250, 1, 4, 255, 2, 1, 0, 0, 0}, []byte{0, 0, 0, 1, 1, 1}, uint8(0), uint8(0), uint8(2), uint8(1))
+	f.Fuzz(checkReaderReads)
+}
+
+// checkReaderReads is FuzzReaderMatchesDecode's check of one input.
+func checkReaderReads(t *testing.T, raw, rawReads []byte, spanShift, lo, hi, gap uint8) {
+	all := fuzzSamples(raw)
+	if len(all) == 0 {
+		return
+	}
+	db := New()
+	ls := FromMap(map[string]string{"__name__": "m"})
+	for _, s := range all {
+		if err := db.Append(ls, s.T, s.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The clamp: from just before sample lo to just after sample hi,
+	// or unbounded on a side whose index is past the data.
+	hint := NoClamp([]*Matcher{NameMatcher("m")})
+	if i := int(lo); i < len(all) {
+		hint.MinT = all[i].T - int64(gap%3)
+	}
+	if i := int(hi); i < len(all) {
+		hint.MaxT = all[i].T + int64(gap%3)
+	}
+	views := db.SelectBatch([]SelectHint{hint})[0]
+	eager := slices.Clone(views)
+	DecodeViews(eager)
+	var decoded []Sample
+	if len(eager) == 1 {
+		decoded = eager[0].Samples
+	}
+	if len(views) == 0 {
+		return
+	}
+	span := int64(1) << (spanShift % 48)
+	win, lat := &NewReaders(views, span)[0], &NewReaders(views, 0)[0]
+	floor, end, idx := all[0].T-1, int64(math.MinInt64), 0
+	for ; len(rawReads) >= 3; rawReads = rawReads[3:] {
+		idx = min(idx+int(rawReads[0]%16), len(all)-1)
+		floor = max(floor, all[idx].T+int64(rawReads[1]%3)-1)
+		end = max(end, all[min(idx+int(rawReads[2]%40), len(all)-1)].T+int64(rawReads[2]/40%3)-1)
+		var want []Sample
+		for _, s := range decoded {
+			if s.T >= floor && s.T <= end {
+				want = append(want, s)
+			}
+		}
+		got := win.Window(floor, end)
+		if !sameBits(got, want) {
+			t.Fatalf("Window(%d, %d) = %v, want %v", floor, end, got, want)
+		}
+		if !sameBits(win.Last(), want) {
+			t.Fatalf("Last after Window(%d, %d) = %v, want %v", floor, end, win.Last(), want)
+		}
+		s, ok := lat.Latest(floor, end)
+		if ok != (len(want) > 0) || (ok && !sameBits([]Sample{s}, want[len(want)-1:])) {
+			t.Fatalf("Latest(%d, %d) = %v, %v; want the last of %v", floor, end, s, ok, want)
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same samples, bit for bit.
+func sameBits(a, b []Sample) bool {
+	return slices.EqualFunc(a, b, func(x, y Sample) bool {
+		return x.T == y.T && math.Float64bits(x.V) == math.Float64bits(y.V)
+	})
+}
