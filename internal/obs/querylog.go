@@ -27,6 +27,10 @@ type QueryLogEntry struct {
 	Slow     bool   // duration reached the log's slow threshold
 	Err      string // empty on success
 	Plan     string // compact analyzed plan; empty when the query failed
+	// Analyzed, when set, renders Plan: Observe calls it only for an
+	// entry one of its rings keeps, so a query that enters neither never
+	// pays for the render.
+	Analyzed interface{ Compact() string }
 }
 
 // QueryLog is the dual-ring slow-query store. Safe for concurrent use.
@@ -75,9 +79,15 @@ func (l *QueryLog) Threshold() time.Duration { return l.threshold }
 // Observe records one finished query into both rings and the metrics.
 func (l *QueryLog) Observe(e QueryLogEntry) {
 	e.Slow = e.Duration >= l.threshold
+	if e.Analyzed != nil {
+		if l.keeps(&e) {
+			e.Plan = e.Analyzed.Compact()
+		}
+		e.Analyzed = nil
+	}
 	l.mu.Lock()
-	insertTop(&l.slowest, e, l.capacity, func(a, b *QueryLogEntry) bool { return a.Duration > b.Duration })
-	insertTop(&l.heaviest, e, l.capacity, func(a, b *QueryLogEntry) bool { return a.Samples > b.Samples })
+	insertTop(&l.slowest, e, l.capacity, slower)
+	insertTop(&l.heaviest, e, l.capacity, heavier)
 	l.mu.Unlock()
 	if l.total != nil {
 		l.total.With(e.Kind).Inc()
@@ -87,6 +97,21 @@ func (l *QueryLog) Observe(e QueryLogEntry) {
 			l.slow.Inc()
 		}
 	}
+}
+
+func slower(a, b *QueryLogEntry) bool  { return a.Duration > b.Duration }
+func heavier(a, b *QueryLogEntry) bool { return a.Samples > b.Samples }
+
+// keeps reports whether either ring would take e now. A full ring's last
+// entry only ever gets larger, so an entry refused here is refused when
+// it is inserted too.
+func (l *QueryLog) keeps(e *QueryLogEntry) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	fits := func(ring []QueryLogEntry, more func(a, b *QueryLogEntry) bool) bool {
+		return len(ring) < l.capacity || !more(&ring[len(ring)-1], e)
+	}
+	return fits(l.slowest, slower) || fits(l.heaviest, heavier)
 }
 
 // insertTop inserts e into the descending-ordered ring, evicting the

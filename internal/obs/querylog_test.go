@@ -132,3 +132,47 @@ func TestQueryLogConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// countingPlan is an analyzed plan that counts its renders.
+type countingPlan struct{ renders int }
+
+func (p *countingPlan) Compact() string { p.renders++; return "plan" }
+
+// TestQueryLogRendersKeptPlansOnly: Observe renders the plan of an entry
+// a ring keeps, once, and never the plan of an entry both full rings
+// refuse.
+func TestQueryLogRendersKeptPlansOnly(t *testing.T) {
+	l := NewQueryLog(2, time.Second)
+	for i := 1; i <= 2; i++ {
+		e := qle(fmt.Sprintf("q%d", i), time.Duration(i)*10*time.Millisecond, int64(i)*100)
+		e.Analyzed = &countingPlan{}
+		l.Observe(e)
+		if got := e.Analyzed.(*countingPlan).renders; got != 1 {
+			t.Errorf("kept entry q%d rendered its plan %d times, want 1", i, got)
+		}
+	}
+	refused := qle("refused", time.Millisecond, 1)
+	plan := &countingPlan{}
+	refused.Analyzed = plan
+	l.Observe(refused)
+	if plan.renders != 0 {
+		t.Errorf("an entry neither ring keeps rendered its plan %d times", plan.renders)
+	}
+	// Heavier than the heaviest ring's last entry only: kept, and rendered.
+	heavy := qle("heavy", time.Millisecond, 150)
+	heavy.Analyzed = &countingPlan{}
+	l.Observe(heavy)
+	for _, ring := range [][]QueryLogEntry{l.Slowest(), l.Heaviest()} {
+		for _, e := range ring {
+			if e.Plan != "plan" || e.Analyzed != nil {
+				t.Errorf("ring entry %q has Plan %q and Analyzed %v, want the rendered plan only", e.Query, e.Plan, e.Analyzed)
+			}
+			if e.Query == "refused" {
+				t.Errorf("a ring kept the refused entry")
+			}
+		}
+	}
+	if got := l.Heaviest(); len(got) != 2 || got[1].Query != "heavy" {
+		t.Errorf("heaviest ring = %+v, want q2 then heavy", got)
+	}
+}

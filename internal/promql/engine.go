@@ -238,7 +238,7 @@ func (e *Engine) beginQuery(ctx context.Context, expr Expr, kind string) (contex
 			if qs := cap.Stats(); qs != nil {
 				ent.Samples = qs.Samples
 				ent.Steps = qs.Steps
-				ent.Plan = qs.Compact()
+				ent.Analyzed = qs
 			}
 		}
 		e.hooks.OnQueryDone(ent)

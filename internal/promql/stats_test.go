@@ -200,8 +200,8 @@ func TestQueryHooks(t *testing.T) {
 	if ent.Err != "" {
 		t.Errorf("entry Err = %q on a successful query", ent.Err)
 	}
-	if !strings.Contains(ent.Plan, "agg sum{") {
-		t.Errorf("entry Plan = %q, want a compact analyzed plan", ent.Plan)
+	if ent.Analyzed == nil || !strings.Contains(ent.Analyzed.Compact(), "agg sum{") {
+		t.Errorf("entry Analyzed = %v, want a compact analyzed plan", ent.Analyzed)
 	}
 
 	// Range queries report kind "range" and their step count.
