@@ -187,9 +187,9 @@ func FuzzReaderMatchesDecode(f *testing.F) {
 	for i := 0; i < 3*chunkCapacity+17; i++ {
 		long = append(long, byte(i*7%251), byte(i*13), byte(i))
 	}
-	var reads []byte
+	var reads []byte // 60 reads that sweep all of long's samples
 	for i := 0; i < 60; i++ {
-		reads = append(reads, byte(i%5), byte(i), byte(i*11))
+		reads = append(reads, byte(i%5+5), byte(i), byte(i*11))
 	}
 	f.Add(long, reads, uint8(0), uint8(0), uint8(255), uint8(0))
 	f.Add(long, reads, uint8(10), uint8(3), uint8(200), uint8(60))

@@ -294,10 +294,11 @@ func (r *Reader) Window(floor, end int64) []Sample {
 func (r *Reader) Last() []Sample { return r.buf[r.off:r.hi] }
 
 // LastDrop returns the time of the newest sample decoded so far that is
-// lower than the sample before it, or math.MinInt64. A window whose first
-// sample is at or after it holds no such pair: a pair is checked as its
-// later sample is decoded, and its earlier one, kept until then, is at or
-// above every floor read before. A counter's window holds no reset then.
+// lower than the kept sample before it, or math.MinInt64. Every pair of
+// neighbours inside a window is checked when its later sample is
+// decoded, since its earlier one is at or above every floor read until
+// then. So a window whose first sample is at or after LastDrop holds no
+// drop: as a counter, no reset.
 func (r *Reader) LastDrop() int64 { return r.drop }
 
 // Latest returns the newest sample with floor <= T <= end, and keeps no
