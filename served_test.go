@@ -68,9 +68,9 @@ var traceIDField = regexp.MustCompile(`"trace_id":"[^"]*"`)
 // over the 2-hour seed-42 trace with self-scrape off, asked the 200
 // seed-7 questions with nocache, each returned query executed and scored
 // by the evaluator TestPaperHeadlinePinned uses. It pins the served EX
-// and mean cost. The served retriever also indexes the 60 dio_* self-
-// metric documents, which moves two generated queries and the cost's
-// fourth decimal against the in-process pin.
+// and mean cost. They need not equal that test's pin: server.Run adds
+// the dio_* self-metric documents to the catalog whether or not
+// self-scrape runs, so the served retriever indexes more documents.
 //
 // Then the questions go through the answer cache twice: the first pass
 // computes and stores, the second must be served from the cache. Every
