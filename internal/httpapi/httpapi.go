@@ -252,7 +252,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	root.End()
 	if s.logger != nil {
 		args := []any{"method", r.Method, "path", r.URL.Path,
-			"status", sw.status, "duration", elapsed.Round(time.Millisecond).String()}
+			"status", sw.status, "duration", elapsed.Round(time.Microsecond).String()}
 		if id := root.TraceID(); id != "" {
 			args = append(args, "trace_id", id)
 		}

@@ -99,9 +99,9 @@ func EncodeBinary(series []TimeSeries) []byte {
 
 // DecodeBinary parses and validates a binary write request. Label strings
 // are slices of a few shared strings holding only the label bytes (no
-// sample bytes), and label sets share a few backing arrays; whoever keeps
-// a label set beyond the request (the TSDB, the WAL) copies it, so
-// nothing long-lived pins the request.
+// sample bytes), and label sets and samples share a few backing arrays;
+// whoever keeps a label set beyond the request (the TSDB, the WAL) copies
+// it, so nothing long-lived pins the request.
 func DecodeBinary(raw []byte) ([]TimeSeries, error) {
 	if len(raw) < len(binaryMagic)+4 || string(raw[:len(binaryMagic)]) != binaryMagic {
 		return nil, badPayloadf("bad magic")
@@ -128,12 +128,14 @@ func DecodeBinary(raw []byte) ([]TimeSeries, error) {
 		return nil, badPayloadf("%d series exceeds the %d limit", nSeries, maxSeriesPerRequest)
 	}
 	out := make([]TimeSeries, 0, nSeries)
-	// Both arenas are sized as if every remaining series were this one
+	// The arenas are sized as if every remaining series were this one
 	// (capped by the bytes left) and are replaced, not grown, when a larger
 	// series comes along: labelArena holds the label sets, labelBytes a
-	// copy of each series' label region for the strings to slice.
+	// copy of each series' label region for the strings to slice, and
+	// sampleArena the samples.
 	var labelArena []tsdb.Label
 	var labelBytes strings.Builder
+	var sampleArena []tsdb.Sample
 	// spans[i] is where name or value i starts and ends in the region.
 	var spans [2 * maxLabelsPerSeries][2]int
 	totalSamples := uint64(0)
@@ -186,7 +188,11 @@ func DecodeBinary(raw []byte) ([]TimeSeries, error) {
 		if totalSamples += nSamples; totalSamples > maxSamplesPerRequest {
 			return nil, badPayloadf("request exceeds %d total samples", maxSamplesPerRequest)
 		}
-		samples := make([]tsdb.Sample, 0, nSamples)
+		if uint64(cap(sampleArena)-len(sampleArena)) < nSamples {
+			// A sample takes at least 9 bytes: a varint and the value.
+			sampleArena = make([]tsdb.Sample, 0, max(nSamples, min(nSamples*(nSeries-si), uint64(len(payload)-pos)/9)))
+		}
+		samples := sampleArena[len(sampleArena) : len(sampleArena) : len(sampleArena)+int(nSamples)]
 		prevT := int64(0)
 		for i := uint64(0); i < nSamples; i++ {
 			zz, err := readUvarint()
@@ -202,6 +208,7 @@ func DecodeBinary(raw []byte) ([]TimeSeries, error) {
 			samples = append(samples, tsdb.Sample{T: t, V: v})
 			prevT = t
 		}
+		sampleArena = sampleArena[:len(sampleArena)+len(samples)]
 		ts := TimeSeries{Labels: ls, Samples: samples}
 		if err := validateSeries(si, ts); err != nil {
 			return nil, err

@@ -25,6 +25,15 @@ func SetDiskFaults(faults DiskFaults) (restore func()) {
 	return func() { writeFile, syncFile = prevWrite, prevSync }
 }
 
+// SetAfterLog installs fn to run in Store.Append between the WAL log and
+// the TSDB apply, with the store's append lock held, and returns a
+// function removing it. Install it while no append is in flight.
+func SetAfterLog(fn func(batch []TimeSeries)) (restore func()) {
+	prev := afterLog
+	afterLog = fn
+	return func() { afterLog = prev }
+}
+
 // currentSegment returns the index of the segment appends go to.
 func (w *WAL) currentSegment() int {
 	w.mu.Lock()

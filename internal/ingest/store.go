@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,11 +33,21 @@ type Store struct {
 	db  *tsdb.DB
 	wal *WAL
 
-	// mu orders appends against checkpoints: appends hold RLock across
-	// {WAL write, TSDB apply} so a checkpoint (Lock during WAL rotation)
-	// can only observe states where every sample in a pre-rotation
-	// segment is also in the TSDB.
-	mu sync.RWMutex
+	// mu is held by an append across {WAL log, TSDB apply}, so the TSDB
+	// applies pushes in WAL order and a sample the live store dropped as
+	// out of order is dropped by replay too. A checkpoint holds it to
+	// rotate the WAL, so every sample in a pre-rotation segment is then
+	// also in the TSDB. It guards refs and the scratch slices.
+	mu sync.Mutex
+	// refs[walRef] is the TSDB ref of the series the WAL knows as walRef,
+	// zero until its first append: a series resolves from its labels once
+	// in the WAL and, after its first push, not again in the TSDB. A ref
+	// whose series retention dropped re-resolves (tsdb.DB.AppendRef's
+	// rule).
+	refs []tsdb.SeriesRef
+	// walRefs and appends are one push's WAL refs and TSDB batch, reused.
+	walRefs []uint64
+	appends []tsdb.SeriesAppend
 
 	replay ReplayStats
 
@@ -202,6 +213,10 @@ type AppendStats struct {
 	Duplicate  int // same timestamp as the head with a different value, dropped
 }
 
+// afterLog, when set, runs in Append between the WAL log and the TSDB
+// apply, under mu. Tests set it (export_test.go) to hold a push there.
+var afterLog func(batch []TimeSeries)
+
 // Append logs the batch to the WAL, applies it to the TSDB, and waits for
 // the WAL record to be durable before returning. Out-of-order and
 // duplicate samples are dropped and counted (Prometheus remote-write
@@ -209,26 +224,12 @@ type AppendStats struct {
 // failed call means the batch was NOT acknowledged.
 func (s *Store) Append(batch []TimeSeries) (AppendStats, error) {
 	var st AppendStats
-	s.mu.RLock()
-	mark, err := s.wal.Log(batch)
+	s.mu.Lock()
+	mark, err := s.apply(batch, &st)
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.RUnlock()
 		return st, err
 	}
-	for _, ts := range batch {
-		// One lock acquisition per series, not per sample — at streaming
-		// rates the per-sample path lets concurrent dashboard readers
-		// starve the writers.
-		appended, ooo, dup, err := s.db.AppendSamples(ts.Labels, ts.Samples)
-		if err != nil {
-			s.mu.RUnlock()
-			return st, err
-		}
-		st.Appended += appended
-		st.OutOfOrder += ooo
-		st.Duplicate += dup
-	}
-	s.mu.RUnlock()
 
 	// Acknowledge only after the WAL record is on disk. The mark makes
 	// this a group commit: one fsync covers every batch written since the
@@ -249,6 +250,40 @@ func (s *Store) Append(batch []TimeSeries) (AppendStats, error) {
 		c.Add(float64(st.Duplicate))
 	}
 	return st, nil
+}
+
+// apply logs batch to the WAL and appends it to the TSDB by ref, adding
+// the TSDB's counts to st. It returns the WAL's durability mark. Callers
+// hold mu.
+func (s *Store) apply(batch []TimeSeries, st *AppendStats) (uint64, error) {
+	s.walRefs = slices.Grow(s.walRefs[:0], len(batch))[:len(batch)]
+	mark, err := s.wal.log(batch, s.walRefs)
+	if err != nil {
+		return mark, err
+	}
+	if afterLog != nil {
+		afterLog(batch)
+	}
+	// Grow refs first: the batch points into it.
+	top := uint64(0)
+	for i, ts := range batch {
+		if len(ts.Samples) > 0 {
+			top = max(top, s.walRefs[i])
+		}
+	}
+	if n := int(top) + 1; n > len(s.refs) {
+		s.refs = append(s.refs, make([]tsdb.SeriesRef, n-len(s.refs))...)
+	}
+	apps := s.appends[:0]
+	for i, ts := range batch {
+		if len(ts.Samples) > 0 {
+			apps = append(apps, tsdb.SeriesAppend{Ref: &s.refs[s.walRefs[i]], Labels: ts.Labels, Samples: ts.Samples})
+		}
+	}
+	st.Appended, st.OutOfOrder, st.Duplicate, err = s.db.AppendSeries(apps)
+	clear(apps) // keep no pointer into the request past it
+	s.appends = apps[:0]
+	return mark, err
 }
 
 // Checkpoint writes a chunked snapshot covering every WAL segment before

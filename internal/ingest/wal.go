@@ -96,8 +96,8 @@ type WALOptions struct {
 
 // WAL is the segmented write-ahead log. It is safe for concurrent use.
 // Durability is a group commit with no goroutine of its own: the first
-// appender to wait takes the lock and fsyncs everything written so far,
-// and the appenders that queue behind it meanwhile form the next group.
+// appender to wait fsyncs everything written so far, with the lock
+// released, and the appenders that log meanwhile form the next group.
 type WAL struct {
 	dir  string
 	opts WALOptions
@@ -107,21 +107,27 @@ type WAL struct {
 	bw       *bufio.Writer
 	seg      int
 	segBytes int64
-	// refs maps series fingerprints to their process-lifetime refs;
-	// loggedInSeg tracks which refs already have a series record in the
-	// current segment.
+	// refs maps series fingerprints to their process-lifetime refs, dense
+	// from 1; loggedInSeg[ref] reports whether ref already has a series
+	// record in the current segment.
 	refs        map[string]uint64
-	loggedInSeg map[uint64]bool
+	loggedInSeg []bool
 	nextRef     uint64
 	// keyBuf, rec and seriesRec are reused across appends (each as large
 	// as the largest request needs): the series-key lookup buffer, the
-	// samples record and the series record payloads.
+	// samples record and the series record payloads. hdr is the record
+	// header; on the stack it would escape through the writer.
 	keyBuf, rec, seriesRec []byte
+	hdr                    [8]byte
 
 	written uint64 // append batches written to the buffer
 	synced  uint64 // append batches covered by a successful fsync
 	err     error  // sticky write/fsync error
 	closed  bool
+	// syncing is set while a commit fsyncs with mu released; committed
+	// (on mu) is signalled when it ends.
+	syncing   bool
+	committed sync.Cond
 }
 
 // segmentName formats the file name of segment idx.
@@ -178,7 +184,8 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	if len(segs) > 0 {
 		next = segs[len(segs)-1] + 1
 	}
-	w := &WAL{dir: dir, opts: opts, refs: make(map[string]uint64)}
+	w := &WAL{dir: dir, opts: opts, refs: make(map[string]uint64), loggedInSeg: make([]bool, 1)}
+	w.committed.L = &w.mu
 	if err := w.openSegmentLocked(next); err != nil {
 		return nil, err
 	}
@@ -210,7 +217,7 @@ func (w *WAL) openSegmentLocked(idx int) error {
 	w.bw = bufio.NewWriterSize(segmentWriter{f}, 1<<20)
 	w.seg = idx
 	w.segBytes = int64(len(walMagic))
-	w.loggedInSeg = make(map[uint64]bool)
+	clear(w.loggedInSeg)
 	return nil
 }
 
@@ -236,15 +243,52 @@ func (w *WAL) syncLocked() {
 	}
 }
 
+// commitLocked is syncLocked with mu released for the fsync, so appends
+// can log meanwhile; it covers the batches written before it flushed.
+// Callers hold mu and have checked that no commit is in flight.
+func (w *WAL) commitLocked() {
+	if err := w.bw.Flush(); err != nil {
+		w.err = err
+		return
+	}
+	f, target := w.f, w.written
+	w.syncing = true
+	w.mu.Unlock()
+	t0 := time.Now()
+	err := syncFile(f)
+	took := time.Since(t0)
+	w.mu.Lock()
+	w.syncing = false
+	w.committed.Broadcast()
+	if err != nil {
+		if w.err == nil {
+			w.err = err
+		}
+		return
+	}
+	w.synced = max(w.synced, target)
+	if w.opts.OnFsync != nil {
+		w.opts.OnFsync(took.Seconds())
+	}
+}
+
+// awaitCommitLocked waits out a commit in flight, which may be syncing
+// the current segment file. Callers hold mu.
+func (w *WAL) awaitCommitLocked() {
+	for w.syncing {
+		w.committed.Wait()
+	}
+}
+
 // writeRecordLocked frames and writes one record payload.
 func (w *WAL) writeRecordLocked(payload []byte) {
 	if w.err != nil {
 		return
 	}
-	var hdr [8]byte
+	hdr := w.hdr[:]
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
+	if _, err := w.bw.Write(hdr); err != nil {
 		w.err = err
 		return
 	}
@@ -267,6 +311,7 @@ func (w *WAL) refLocked(ls tsdb.Labels) uint64 {
 		w.nextRef++
 		ref = w.nextRef
 		w.refs[string(w.keyBuf)] = ref
+		w.loggedInSeg = append(w.loggedInSeg, false)
 	}
 	if !w.loggedInSeg[ref] {
 		payload := append(w.seriesRec[:0], recSeries)
@@ -289,6 +334,13 @@ func (w *WAL) refLocked(ls tsdb.Labels) uint64 {
 // record) and returns a durability mark for WaitDurable. It does not wait
 // for the data to reach disk.
 func (w *WAL) Log(batch []TimeSeries) (uint64, error) {
+	return w.log(batch, nil)
+}
+
+// log is Log that, when refs is not nil (len(batch) long), also writes
+// the WAL ref of each series with samples to refs[i]. A series with no
+// samples gets no ref, and its refs[i] is left as it was.
+func (w *WAL) log(batch []TimeSeries, refs []uint64) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -302,11 +354,14 @@ func (w *WAL) Log(batch []TimeSeries) (uint64, error) {
 		payload := append(w.rec[:0], recSamples)
 		payload = binary.AppendUvarint(payload, uint64(n))
 		prevT := int64(0)
-		for _, ts := range batch {
+		for i, ts := range batch {
 			if len(ts.Samples) == 0 {
 				continue
 			}
 			ref := w.refLocked(ts.Labels)
+			if refs != nil {
+				refs[i] = ref
+			}
 			for _, s := range ts.Samples {
 				payload = binary.AppendUvarint(payload, ref)
 				payload = binary.AppendUvarint(payload, zigzag(s.T-prevT))
@@ -318,14 +373,17 @@ func (w *WAL) Log(batch []TimeSeries) (uint64, error) {
 		w.rec = payload
 	}
 	w.written++
+	mark := w.written // rotation may release mu, and others log meanwhile
 	if w.err == nil && w.segBytes >= w.opts.SegmentBytes {
 		w.rotateLocked()
 	}
-	return w.written, w.err
+	return mark, w.err
 }
 
-// rotateLocked syncs and closes the current segment and opens the next.
+// rotateLocked syncs and closes the current segment and opens the next,
+// once no commit is syncing it; while it waits, mu is released.
 func (w *WAL) rotateLocked() {
+	w.awaitCommitLocked()
 	w.syncLocked()
 	if err := w.f.Close(); err != nil && w.err == nil {
 		w.err = err
@@ -350,13 +408,18 @@ func (w *WAL) Rotate() (int, error) {
 
 // WaitDurable blocks until the batch identified by mark is fsynced, or
 // returns the error that keeps it from being. A waiter that finds its
-// batch not yet synced commits everything written so far itself, holding
-// the lock, so appenders arriving meanwhile queue up as the next group.
+// batch not yet synced and no commit in flight commits everything written
+// so far itself; one that finds a commit in flight waits for it. Appends
+// log while a commit fsyncs, and the next commit covers them as a group.
 func (w *WAL) WaitDurable(mark uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.synced < mark && !w.closed {
-		w.syncLocked()
+	for w.synced < mark && w.err == nil && !w.closed {
+		if w.syncing {
+			w.committed.Wait()
+			continue
+		}
+		w.commitLocked()
 	}
 	if w.synced >= mark {
 		return nil
@@ -392,6 +455,7 @@ func (w *WAL) Close() error {
 	if w.closed {
 		return w.err
 	}
+	w.awaitCommitLocked()
 	w.syncLocked()
 	w.closed = true
 	if err := w.f.Close(); err != nil && w.err == nil {

@@ -58,42 +58,95 @@ func TestAppendDuplicatePolicy(t *testing.T) {
 	}
 }
 
-// TestAppendSamplesMatchesAppend: the batched single-lock append must
-// enforce exactly the per-sample policy of Append.
+// TestAppendSamplesMatchesAppend: the batched by-ref append (AppendSeries,
+// and AppendSamples, its one-series form) must enforce exactly the
+// per-sample policy of Append, across series and across the lock holds a
+// series longer than maxSamplesPerLock straddles, and a second batch by
+// the refs the first wrote back must reach the same series.
 func TestAppendSamplesMatchesAppend(t *testing.T) {
 	ls := FromMap(map[string]string{"__name__": "m"})
 	batch := []Sample{
 		{T: 1000, V: 1}, {T: 500, V: 9}, {T: 1000, V: 1}, {T: 1000, V: 2},
 		{T: 2000, V: 3}, {T: 1500, V: 4}, {T: 3000, V: 5},
 	}
+	long := FromMap(map[string]string{"__name__": "m", "ue": "long"})
+	var longBatch []Sample
+	for i := 0; i < 2*maxSamplesPerLock+7; i++ {
+		t := int64(10 * i)
+		if i%100 == 99 {
+			t -= 15 // out of order
+		}
+		longBatch = append(longBatch, Sample{T: t, V: float64(i % 3)})
+	}
+	other := FromMap(map[string]string{"__name__": "n"})
+	later := []Sample{{T: 4000, V: 6}, {T: 3000, V: 7}, {T: 4000, V: 6}}
+
 	one := New()
 	var wantApp, wantOoo, wantDup int
-	for _, smp := range batch {
-		switch err := one.Append(ls, smp.T, smp.V); {
-		case err == nil:
-			wantApp++
-		case errors.Is(err, ErrDuplicateTimestamp):
-			wantDup++
-		case errors.Is(err, ErrOutOfOrder):
-			wantOoo++
-		default:
-			t.Fatal(err)
+	appendAll := func(ls Labels, samples []Sample) {
+		for _, smp := range samples {
+			switch err := one.Append(ls, smp.T, smp.V); {
+			case err == nil:
+				wantApp++
+			case errors.Is(err, ErrDuplicateTimestamp):
+				wantDup++
+			case errors.Is(err, ErrOutOfOrder):
+				wantOoo++
+			default:
+				t.Fatal(err)
+			}
 		}
 	}
+	appendAll(ls, batch)
+	appendAll(long, longBatch)
+	appendAll(other, batch[:2])
+	appendAll(ls, later)
+	appendAll(other, later)
+
 	batched := New()
-	app, ooo, dup, err := batched.AppendSamples(ls, batch)
+	refs := make([]SeriesRef, 3)
+	app, ooo, dup, err := batched.AppendSeries([]SeriesAppend{
+		{Ref: &refs[0], Labels: ls, Samples: batch},
+		{Ref: &refs[1], Labels: long, Samples: longBatch},
+		{Ref: &refs[2], Labels: other, Samples: batch[:2]},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if refs[0] == 0 || refs[1] == 0 || refs[2] == 0 {
+		t.Fatalf("refs not written back: %v", refs)
+	}
+	// By ref: the labels are not read, so wrong ones must not matter.
+	app2, ooo2, dup2, err := batched.AppendSeries([]SeriesAppend{
+		{Ref: &refs[0], Labels: other, Samples: later},
+		{Ref: &refs[2], Labels: ls, Samples: later},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, ooo, dup = app+app2, ooo+ooo2, dup+dup2
 	if app != wantApp || ooo != wantOoo || dup != wantDup {
-		t.Fatalf("AppendSamples = %d/%d/%d, Append loop = %d/%d/%d",
+		t.Fatalf("AppendSeries = %d/%d/%d, Append loop = %d/%d/%d",
 			app, ooo, dup, wantApp, wantOoo, wantDup)
 	}
 	if !reflect.DeepEqual(one.AllSeries(), batched.AllSeries()) {
 		t.Fatal("stores diverged")
 	}
-	if _, _, _, err := batched.AppendSamples(Labels{{Name: "job", Value: "x"}}, batch); err == nil {
+
+	single := New()
+	app, ooo, dup, err = single.AppendSamples(ls, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if app != 4 || ooo != 2 || dup != 1 {
+		t.Fatalf("AppendSamples = %d/%d/%d, want 4/2/1", app, ooo, dup)
+	}
+	if _, _, _, err := single.AppendSamples(Labels{{Name: "job", Value: "x"}}, batch); err == nil {
 		t.Fatal("nameless series accepted")
+	}
+	var ref SeriesRef
+	if _, _, _, err := single.AppendSeries([]SeriesAppend{{Ref: &ref, Labels: Labels{{Name: "job", Value: "x"}}, Samples: batch}}); err == nil {
+		t.Fatal("nameless series accepted by AppendSeries")
 	}
 }
 

@@ -96,34 +96,69 @@ func (db *DB) AppendScrape(refs []SeriesRef, ls []Labels, t int64, vals []float6
 	return nil
 }
 
-// AppendSamples appends a batch of samples to one series under a single
-// lock acquisition — the streaming-ingest fast path, where per-sample
-// locking would let concurrent readers starve high-rate writers. The
-// policy per sample is exactly Append's: out-of-order and conflicting
-// duplicates are skipped and counted (never stored), identical re-appends
-// of the newest sample count as accepted.
-func (db *DB) AppendSamples(ls Labels, samples []Sample) (appended, outOfOrder, duplicate int, err error) {
-	if len(samples) == 0 && ls.Name() != "" {
-		return 0, 0, 0, nil
-	}
+// maxSamplesPerLock bounds the samples AppendSeries appends under one hold
+// of the write lock. A query waits for at most one hold, about 1 024
+// appends (tens of microseconds), however large the push: a 2 M-sample
+// push would otherwise hold the lock for the whole of it. A 2 000-series
+// push of one sample each takes the lock twice, not once per series.
+const maxSamplesPerLock = 1024
+
+// SeriesAppend is one series' part of an AppendSeries batch: the ref it
+// appends by, its labels, read only when *Ref is zero or names a series
+// retention dropped (AppendRef's rule, which writes the resolved ref
+// back), and its samples.
+type SeriesAppend struct {
+	Ref     *SeriesRef
+	Labels  Labels
+	Samples []Sample
+}
+
+// AppendSeries appends a batch of series by ref, taking the write lock
+// once per maxSamplesPerLock samples rather than once per series or per
+// sample. The policy per sample is exactly Append's: out-of-order and
+// conflicting duplicates are skipped and counted (never stored), identical
+// re-appends of the newest sample count as accepted. An entry with no
+// samples is skipped. It stops at the first series that does not resolve
+// (no metric name); earlier samples stay.
+func (db *DB) AppendSeries(batch []SeriesAppend) (appended, outOfOrder, duplicate int, err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	var ref SeriesRef
-	s, err := db.resolveLocked(&ref, ls)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	for _, smp := range samples {
-		switch db.appendLocked(s, smp.T, smp.V) {
-		case nil:
-			appended++
-		case ErrDuplicateTimestamp:
-			duplicate++
-		default:
-			outOfOrder++
+	held := 0 // samples appended under the current hold
+	for _, e := range batch {
+		for samples := e.Samples; len(samples) > 0; {
+			if held == maxSamplesPerLock {
+				// Waiting readers go first: Unlock admits them before
+				// the next Lock can succeed.
+				db.mu.Unlock()
+				db.mu.Lock()
+				held = 0
+			}
+			s, err := db.resolveLocked(e.Ref, e.Labels)
+			if err != nil {
+				return appended, outOfOrder, duplicate, err
+			}
+			n := min(len(samples), maxSamplesPerLock-held)
+			for _, smp := range samples[:n] {
+				switch db.appendLocked(s, smp.T, smp.V) {
+				case nil:
+					appended++
+				case ErrDuplicateTimestamp:
+					duplicate++
+				default:
+					outOfOrder++
+				}
+			}
+			held += n
+			samples = samples[n:]
 		}
 	}
 	return appended, outOfOrder, duplicate, nil
+}
+
+// AppendSamples is AppendSeries for one series resolved from ls.
+func (db *DB) AppendSamples(ls Labels, samples []Sample) (appended, outOfOrder, duplicate int, err error) {
+	var ref SeriesRef
+	return db.AppendSeries([]SeriesAppend{{Ref: &ref, Labels: ls, Samples: samples}})
 }
 
 // appendRefLocked resolves ref and appends one sample, wrapping a rejection
