@@ -1,8 +1,11 @@
 package httpapi_test
 
 import (
+	"bytes"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -33,6 +36,35 @@ func newObsServer(t *testing.T, reg *obs.Registry, db *tsdb.DB) http.Handler {
 	}
 	tracker := feedback.NewTracker([]string{"alice"}, nil)
 	return httpapi.New(cp, tracker, nil, httpapi.WithMetrics(reg))
+}
+
+// TestRequestLogDurationResolution: the request log line's duration has
+// microsecond resolution, so a request faster than a millisecond, as a
+// health check is, logs its time and not duration=0s.
+func TestRequestLogDurationResolution(t *testing.T) {
+	cat, db, r, err := testenv.Env()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := core.New(core.Config{Catalog: cat, TSDB: db, Model: llm.MustNew("gpt-4"), Retriever: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	h := httpapi.New(cp, feedback.NewTracker([]string{"alice"}, nil), slog.New(slog.NewTextHandler(&logs, nil)))
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
+	line := logs.String()
+	m := regexp.MustCompile(`msg=request .*duration="?([^ "\n]+)`).FindStringSubmatch(line)
+	if m == nil {
+		t.Fatalf("no request line with a duration in %q", line)
+	}
+	d, err := time.ParseDuration(m[1])
+	if err != nil {
+		t.Fatalf("duration %q: %v", m[1], err)
+	}
+	if d <= 0 || d%time.Microsecond != 0 {
+		t.Fatalf("logged duration=%s in %q: want a positive whole number of microseconds", m[1], line)
+	}
 }
 
 // TestMetricsExposition checks GET /metrics serves Prometheus text with
