@@ -410,7 +410,8 @@ func BenchmarkTSDBAppend(b *testing.B) {
 // BenchmarkIngestPush times one write_read push in process: DecodeBinary
 // of 2000 series × 1 sample (40 gNBs × 50 UEs, as bench/ pushes them),
 // then Store.Append through the WAL and its fsync. It tracks write_read the
-// way BenchmarkCopilotAsk tracks ask_cold.
+// way BenchmarkCopilotAsk tracks ask_cold, and fails on a push that does
+// not append every sample. cpu-ms/op leaves out the untimed encoding.
 func BenchmarkIngestPush(b *testing.B) {
 	st, err := ingest.OpenStore(b.TempDir(), ingest.StoreOptions{})
 	if err != nil {
@@ -431,27 +432,38 @@ func BenchmarkIngestPush(b *testing.B) {
 			})
 		}
 	}
+	var untimed time.Duration // CPU spent with the timer stopped
 	push := func(i int) {
+		c0, _ := processCPU()
 		b.StopTimer()
 		for s := range batch {
 			batch[s].Samples[0] = tsdb.Sample{T: int64(i+1) * 1000, V: float64(i * s)}
 		}
 		body := ingest.EncodeBinary(batch)
 		b.StartTimer()
+		c1, _ := processCPU()
+		untimed += c1 - c0
 		decoded, err := ingest.DecodeBinary(body)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := st.Append(decoded); err != nil {
+		as, err := st.Append(decoded)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if as.Appended != len(batch) {
+			b.Fatalf("push %d appended %+v of %d samples", i, as, len(batch))
 		}
 	}
 	push(-1) // the server's series exist after the first push; time the rest
 	b.ReportAllocs()
 	b.ResetTimer()
+	untimed = 0
+	cpu0, _ := processCPU()
 	for i := 0; i < b.N; i++ {
 		push(i)
 	}
+	reportCPU(b, cpu0+untimed)
 }
 
 // BenchmarkWALReplay times OpenStore over 1.2 M pushed samples that no
