@@ -214,7 +214,7 @@ func (db *DB) resolveLocked(ref *SeriesRef, ls Labels) (*Series, error) {
 		}
 	}
 	if ls.Name() == "" {
-		return nil, fmt.Errorf("tsdb: series %s has no metric name", ls)
+		return nil, fmt.Errorf("tsdb: series %s has no metric name", ls.String())
 	}
 	db.keyBuf = ls.AppendKey(db.keyBuf[:0])
 	s, ok := db.series[string(db.keyBuf)]
@@ -229,11 +229,11 @@ func (db *DB) resolveLocked(ref *SeriesRef, ls Labels) (*Series, error) {
 // indexes it. The series keeps a copy of ls carved from key, never the
 // caller's label memory. Callers must hold the write lock.
 func (db *DB) addSeriesLocked(key string, ls Labels) *Series {
-	ls = ls.cloneFromKey(key)
-	s := &Series{Labels: ls, fp: key, ref: SeriesRef(len(db.byRef))}
+	kept := ls.cloneFromKey(key) // a new variable, so ls does not escape
+	s := &Series{Labels: kept, fp: key, ref: SeriesRef(len(db.byRef))}
 	db.byRef = append(db.byRef, s)
 	db.series[key] = s
-	db.index.add(key, ls)
+	db.index.add(key, kept)
 	db.keys = insertSorted(db.keys, key)
 	return s
 }
