@@ -252,8 +252,8 @@ func (s *Store) Append(batch []TimeSeries) (AppendStats, error) {
 	return st, nil
 }
 
-// apply logs batch to the WAL and appends it to the TSDB by ref, adding
-// the TSDB's counts to st. It returns the WAL's durability mark. Callers
+// apply logs batch to the WAL and appends it to the TSDB by ref, setting
+// st to the TSDB's counts. It returns the WAL's durability mark. Callers
 // hold mu.
 func (s *Store) apply(batch []TimeSeries, st *AppendStats) (uint64, error) {
 	s.walRefs = slices.Grow(s.walRefs[:0], len(batch))[:len(batch)]
