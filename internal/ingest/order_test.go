@@ -222,9 +222,7 @@ func TestConcurrentPushesMatchSerialReplay(t *testing.T) {
 	if len(order) != writers*pushes || got != counts {
 		t.Errorf("%d pushes applied, counts %+v; serial replay of %d: %+v", len(order), got, writers*pushes, counts)
 	}
-	if counts.OutOfOrder == 0 || counts.Duplicate == 0 {
-		t.Logf("the interleaving dropped %d out-of-order and %d duplicate samples", counts.OutOfOrder, counts.Duplicate)
-	}
+	t.Logf("%d pushes applied: %+v", len(order), counts)
 	identicalStores(t, st.DB(), want)
 	re, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
