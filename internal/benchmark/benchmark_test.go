@@ -182,6 +182,42 @@ func TestEvaluatorBounds(t *testing.T) {
 	}
 }
 
+// TestEvaluatorAcrossItemSets scores two generated sets with one
+// evaluator. Their IDs repeat with different references, and a reference
+// cached for one set must not score the other.
+func TestEvaluatorAcrossItemSets(t *testing.T) {
+	cat, db, _, err := testenv.Env()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := benchmark.NewEvaluator(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev []benchmark.Item
+	for _, seed := range []int64{7, 2} {
+		its, err := benchmark.Generate(cat, 40, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil && prev[0].ID == its[0].ID && prev[0].Reference == its[0].Reference {
+			t.Fatalf("seeds 7 and 2 share item 1's reference %q; the check needs sets that differ", its[0].Reference)
+		}
+		prev = its
+		perfect := &perfectSystem{byQ: make(map[string]string)}
+		for _, it := range its {
+			perfect.byQ[it.Question] = it.Reference
+		}
+		r, err := eval.Evaluate(context.Background(), perfect, its)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.EX() != 100 {
+			t.Errorf("seed %d: perfect system EX = %g through a reused evaluator, want 100", seed, r.EX())
+		}
+	}
+}
+
 func TestEvaluatorEmptyDB(t *testing.T) {
 	if _, err := benchmark.NewEvaluator(tsdb.New()); err == nil {
 		t.Fatal("expected error for empty database")

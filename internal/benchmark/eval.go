@@ -22,8 +22,10 @@ type Evaluator struct {
 	exec *sandbox.Executor
 	at   time.Time
 	tol  float64
-	// refs caches reference results keyed by item ID.
-	refs map[int]promql.NumericResult
+	// refs caches reference results keyed by the reference query's text,
+	// not by item ID: IDs number the questions of one generated set, so
+	// every set reuses them for different references.
+	refs map[string]promql.NumericResult
 }
 
 // NewEvaluator builds an evaluator over the populated database, evaluating
@@ -37,13 +39,13 @@ func NewEvaluator(db tsdb.Storage) (*Evaluator, error) {
 		exec: sandbox.New(db, sandbox.DefaultLimits()),
 		at:   time.UnixMilli(maxT),
 		tol:  1e-6,
-		refs: make(map[int]promql.NumericResult),
+		refs: make(map[string]promql.NumericResult),
 	}, nil
 }
 
 // Reference executes an item's reference query (cached).
 func (e *Evaluator) Reference(ctx context.Context, it Item) (promql.NumericResult, error) {
-	if r, ok := e.refs[it.ID]; ok {
+	if r, ok := e.refs[it.Reference]; ok {
 		return r, nil
 	}
 	v, err := e.exec.Execute(ctx, it.Reference, e.at)
@@ -54,7 +56,7 @@ func (e *Evaluator) Reference(ctx context.Context, it Item) (promql.NumericResul
 	if len(r) == 0 {
 		return nil, fmt.Errorf("benchmark: reference for item %d returned no data: %s", it.ID, it.Reference)
 	}
-	e.refs[it.ID] = r
+	e.refs[it.Reference] = r
 	return r, nil
 }
 
