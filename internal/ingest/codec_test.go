@@ -182,35 +182,35 @@ func FuzzDecodeBinary(f *testing.F) {
 	})
 }
 
-// BenchmarkDecodeBinary decodes a label-heavy push (write_read's 2000
-// series × 1 sample) and a sample-heavy one (10 series × 100 000 samples,
-// a 10 MB body), so a cut in one shape's copies cannot hide a cost in the
-// other's.
-func BenchmarkDecodeBinary(b *testing.B) {
-	for _, shape := range []struct {
-		name            string
-		series, samples int
-	}{{"2000x1", 2000, 1}, {"10x100000", 10, 100_000}} {
-		batch := make([]TimeSeries, shape.series)
-		for i := range batch {
-			batch[i].Labels = tsdb.Labels{
-				{Name: tsdb.MetricNameLabel, Value: "bench_dl_bytes_total"},
-				{Name: "instance", Value: "gnb-" + strconv.Itoa(i%40)},
-				{Name: "ue", Value: "ue-" + strconv.Itoa(i)},
-			}
-			for j := 0; j < shape.samples; j++ {
-				batch[i].Samples = append(batch[i].Samples, tsdb.Sample{T: int64(j) * 1000, V: float64(j)})
-			}
+// BenchmarkDecodeBinary2000x1 and BenchmarkDecodeBinary10x100000 decode a
+// label-heavy push (write_read's 2000 series × 1 sample) and a
+// sample-heavy one (10 series × 100 000 samples, a 10 MB body), so a cut
+// in one shape's copies cannot hide a cost in the other's. They are
+// separate benchmarks so that a -benchtime count chosen for one shape is
+// never applied to the other.
+func BenchmarkDecodeBinary2000x1(b *testing.B) { benchDecodeBinary(b, 2000, 1) }
+
+func BenchmarkDecodeBinary10x100000(b *testing.B) { benchDecodeBinary(b, 10, 100_000) }
+
+func benchDecodeBinary(b *testing.B, series, samples int) {
+	batch := make([]TimeSeries, series)
+	for i := range batch {
+		batch[i].Labels = tsdb.Labels{
+			{Name: tsdb.MetricNameLabel, Value: "bench_dl_bytes_total"},
+			{Name: "instance", Value: "gnb-" + strconv.Itoa(i%40)},
+			{Name: "ue", Value: "ue-" + strconv.Itoa(i)},
 		}
-		raw := EncodeBinary(batch)
-		b.Run(shape.name, func(b *testing.B) {
-			b.SetBytes(int64(len(raw)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := DecodeBinary(raw); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		for j := 0; j < samples; j++ {
+			batch[i].Samples = append(batch[i].Samples, tsdb.Sample{T: int64(j) * 1000, V: float64(j)})
+		}
+	}
+	raw := EncodeBinary(batch)
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeBinary(raw); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
