@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-paper
+.PHONY: build test verify bench
 
 build:
 	$(GO) build ./...
@@ -25,8 +25,3 @@ verify:
 # retriever build) with allocation reporting.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryRange$$|BenchmarkQueryRangeWide|BenchmarkQueryRangeServe|BenchmarkSelect$$|BenchmarkDashboardRender|BenchmarkTSDBAppend|BenchmarkPromQL|BenchmarkVecstoreFlatSearch|BenchmarkEmbeddingEmbed|BenchmarkRetrieverRetrieve|BenchmarkRetrieverBuild|BenchmarkCopilotAsk|BenchmarkIngestPush|BenchmarkWALReplay|BenchmarkSimulatorPopulate' -benchmem -benchtime=20x .
-
-# bench-paper regenerates the paper's evaluation tables alongside
-# performance numbers (every benchmark, one iteration each).
-bench-paper:
-	$(GO) test -bench=. -benchtime=1x .

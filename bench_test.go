@@ -1,17 +1,6 @@
-// Package dio's root benchmark harness: one testing.B benchmark per table
-// and figure of the paper (§4), plus substrate micro-benchmarks. The
-// per-experiment benchmarks report execution accuracy (EX%) and cost as
-// custom metrics, so `go test -bench=. -benchmem` regenerates the paper's
-// evaluation alongside performance numbers:
-//
-//	BenchmarkTable3a_DIOCopilot    — paper: EX 66%
-//	BenchmarkTable3a_DINSQL        — paper: EX 48%
-//	BenchmarkTable3a_GPT4Direct    — paper: EX 12%
-//	BenchmarkTable3b_GPT4          — paper: EX 66%
-//	BenchmarkTable3b_GPT35Turbo    — paper: EX 46%
-//	BenchmarkTable3b_TextCurie001  — paper: EX 13%
-//	BenchmarkFigure1_*             — the qualitative comparison
-//	BenchmarkInferenceCost_*       — paper: 4.25¢ / 0.35¢ per query
+// Package dio's root benchmark harness: substrate micro-benchmarks over
+// the paper's evaluation setup. The paper's tables and figures are
+// rendered by TestExperimentsDoc (experiments_test.go), not here.
 package dio
 
 import (
@@ -64,29 +53,17 @@ var (
 func env(b testing.TB) *benchEnv {
 	b.Helper()
 	envOnce.Do(func() {
-		cat := catalog.Generate()
-		db := tsdb.New()
-		cfg := fivegsim.DefaultConfig()
-		if _, err := fivegsim.Populate(db, cat, cfg); err != nil {
-			envErr = err
-			return
-		}
-		items, err := benchmark.Generate(cat, benchmark.DefaultSize, 7)
+		pe, err := benchmark.NewEnv()
 		if err != nil {
 			envErr = err
 			return
 		}
-		eval, err := benchmark.NewEvaluator(db)
+		eval, err := benchmark.NewEvaluator(pe.DB)
 		if err != nil {
 			envErr = err
 			return
 		}
-		retriever, err := core.NewRetriever(cat, nil)
-		if err != nil {
-			envErr = err
-			return
-		}
-		envVal = &benchEnv{cat: cat, db: db, items: items, eval: eval, retriever: retriever}
+		envVal = &benchEnv{cat: pe.Catalog, db: pe.DB, items: pe.Items, eval: eval, retriever: pe.Retriever}
 	})
 	if envErr != nil {
 		b.Fatal(envErr)
@@ -101,133 +78,6 @@ func (e *benchEnv) dio(b testing.TB, model string) *baselines.DIOAdapter {
 		b.Fatal(err)
 	}
 	return &baselines.DIOAdapter{Copilot: cp}
-}
-
-// runEX evaluates the system over the full 200-question benchmark once per
-// iteration and reports EX% and ¢/query as benchmark metrics.
-func runEX(b *testing.B, sys baselines.QuerySystem) {
-	e := env(b)
-	ctx := context.Background()
-	var last *benchmark.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := e.eval.Evaluate(ctx, sys, e.items)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.StopTimer()
-	b.ReportMetric(last.EX(), "EX%")
-	b.ReportMetric(last.MeanCostCents, "¢/query")
-	b.ReportMetric(float64(last.Total), "questions")
-}
-
-// --- Table 3a: end-to-end comparison (paper: 66 / 48 / 12) ----------------
-
-func BenchmarkTable3a_DIOCopilot(b *testing.B) {
-	runEX(b, env(b).dio(b, "gpt-4"))
-}
-
-func BenchmarkTable3a_DINSQL(b *testing.B) {
-	e := env(b)
-	runEX(b, baselines.NewDINSQL(e.cat, llm.MustNew("gpt-4"), 600, 11))
-}
-
-func BenchmarkTable3a_GPT4Direct(b *testing.B) {
-	e := env(b)
-	runEX(b, baselines.NewDirect(e.cat, llm.MustNew("gpt-4"), 600, 11))
-}
-
-// --- Table 3b: foundation-model ablation (paper: 66 / 46 / 13) -------------
-
-func BenchmarkTable3b_GPT4(b *testing.B) {
-	runEX(b, env(b).dio(b, "gpt-4"))
-}
-
-func BenchmarkTable3b_GPT35Turbo(b *testing.B) {
-	runEX(b, env(b).dio(b, "gpt-3.5-turbo"))
-}
-
-func BenchmarkTable3b_TextCurie001(b *testing.B) {
-	runEX(b, env(b).dio(b, "text-curie-001"))
-}
-
-// --- Figure 1: qualitative comparison ---------------------------------------
-
-// BenchmarkFigure1_ChatGPT measures the raw chat model's (non-)answer to
-// the PDU-session question with no operator context.
-func BenchmarkFigure1_ChatGPT(b *testing.B) {
-	model := llm.MustNew("gpt-4")
-	for i := 0; i < b.N; i++ {
-		_, err := model.Complete(llm.Request{
-			Kind:   llm.KindAnswerDirect,
-			Prompt: &llm.Prompt{Question: "How many PDU sessions are currently active?"},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure1_DIOCopilot measures the full pipeline answering the
-// same question, reporting the per-question cost.
-func BenchmarkFigure1_DIOCopilot(b *testing.B) {
-	dio := env(b).dio(b, "gpt-4")
-	ctx := context.Background()
-	var cost float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ans, err := dio.Copilot.Ask(ctx, "How many PDU sessions are currently active?")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ans.ExecErr != nil {
-			b.Fatal(ans.ExecErr)
-		}
-		cost = ans.CostCents
-	}
-	b.StopTimer()
-	b.ReportMetric(cost, "¢/query")
-}
-
-// --- §4.2.5: inference cost (paper: 4.25¢ GPT-4, 0.35¢ GPT-3.5-turbo) -------
-
-func BenchmarkInferenceCost_GPT4(b *testing.B)       { runEX(b, env(b).dio(b, "gpt-4")) }
-func BenchmarkInferenceCost_GPT35Turbo(b *testing.B) { runEX(b, env(b).dio(b, "gpt-3.5-turbo")) }
-
-// --- Ablation benches (extensions) ------------------------------------------
-
-// BenchmarkAblation_ContextSize sweeps the top-K context size.
-func BenchmarkAblation_ContextSize(b *testing.B) {
-	e := env(b)
-	for _, k := range []int{5, 15, 29, 60} {
-		b.Run(fmt.Sprintf("topK=%d", k), func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.TopK = k
-			cp, err := core.New(core.Config{Catalog: e.cat, TSDB: e.db, Model: llm.MustNew("gpt-4"), Retriever: e.retriever, Options: opts})
-			if err != nil {
-				b.Fatal(err)
-			}
-			runEX(b, &baselines.DIOAdapter{Copilot: cp})
-		})
-	}
-}
-
-// BenchmarkAblation_FewShot sweeps the number of few-shot examples.
-func BenchmarkAblation_FewShot(b *testing.B) {
-	e := env(b)
-	for _, n := range []int{0, 10, 20} {
-		b.Run(fmt.Sprintf("fewshot=%d", n), func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.FewShot = n
-			cp, err := core.New(core.Config{Catalog: e.cat, TSDB: e.db, Model: llm.MustNew("gpt-4"), Retriever: e.retriever, Options: opts})
-			if err != nil {
-				b.Fatal(err)
-			}
-			runEX(b, &baselines.DIOAdapter{Copilot: cp})
-		})
-	}
 }
 
 // --- Substrate micro-benchmarks ---------------------------------------------

@@ -233,15 +233,3 @@ func TestSummary(t *testing.T) {
 		}
 	}
 }
-
-func TestFormatResultAndTable(t *testing.T) {
-	r := &benchmark.Result{System: "X", Total: 10, Correct: 5, PerTask: map[llm.TaskKind][2]int{llm.TaskRate: {2, 4}}}
-	out := benchmark.FormatResult(r)
-	if !strings.Contains(out, "EX = 50%") || !strings.Contains(out, "rate") {
-		t.Errorf("format = %q", out)
-	}
-	tbl := benchmark.Table("T", "EX", [][2]string{{"A", "1"}, {"B", "2"}})
-	if !strings.Contains(tbl, "Approach") || !strings.Contains(tbl, "A") {
-		t.Errorf("table = %q", tbl)
-	}
-}

@@ -3,12 +3,9 @@ package benchmark
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"dio/internal/baselines"
-	"dio/internal/llm"
 	"dio/internal/promql"
 	"dio/internal/sandbox"
 	"dio/internal/tsdb"
@@ -62,12 +59,8 @@ func (e *Evaluator) Reference(ctx context.Context, it Item) (promql.NumericResul
 
 // ItemResult records one question's outcome.
 type ItemResult struct {
-	Item      Item
-	Query     string
-	Correct   bool
-	Err       string
-	CostCents float64
-	Usage     llm.Usage
+	Item    Item
+	Correct bool
 }
 
 // Result aggregates one system's run.
@@ -75,9 +68,7 @@ type Result struct {
 	System        string
 	Total         int
 	Correct       int
-	PerTask       map[llm.TaskKind][2]int // task → {correct, total}
 	MeanCostCents float64
-	MeanUsage     llm.Usage
 	Items         []ItemResult
 }
 
@@ -89,103 +80,34 @@ func (r *Result) EX() float64 {
 	return 100 * float64(r.Correct) / float64(r.Total)
 }
 
-// Evaluate runs the system over every item.
+// Evaluate runs the system over every item. A question the system fails
+// on, or whose query does not execute, counts as wrong.
 func (e *Evaluator) Evaluate(ctx context.Context, sys baselines.QuerySystem, items []Item) (*Result, error) {
-	res := &Result{System: sys.Name(), PerTask: make(map[llm.TaskKind][2]int)}
+	res := &Result{System: sys.Name()}
 	var totalCost float64
-	var totalUsage llm.Usage
 	for _, it := range items {
 		ref, err := e.Reference(ctx, it)
 		if err != nil {
 			return nil, err
 		}
 		ir := ItemResult{Item: it}
-		qr, err := sys.GenerateQuery(ctx, it.Question)
-		if err != nil {
-			ir.Err = err.Error()
-		} else {
-			ir.Query = qr.Query
-			ir.CostCents = qr.CostCents
-			ir.Usage = qr.Usage
+		if qr, err := sys.GenerateQuery(ctx, it.Question); err == nil {
 			totalCost += qr.CostCents
-			totalUsage.PromptTokens += qr.Usage.PromptTokens
-			totalUsage.CompletionTokens += qr.Usage.CompletionTokens
 			if qr.Query != "" {
-				v, execErr := e.exec.Execute(ctx, qr.Query, e.at)
-				if execErr != nil {
-					ir.Err = execErr.Error()
-				} else {
+				if v, err := e.exec.Execute(ctx, qr.Query, e.at); err == nil {
 					got := promql.Numeric(v)
 					ir.Correct = len(got) > 0 && promql.EqualResults(got, ref, e.tol)
 				}
 			}
 		}
 		res.Total++
-		pt := res.PerTask[it.Task]
-		pt[1]++
 		if ir.Correct {
 			res.Correct++
-			pt[0]++
 		}
-		res.PerTask[it.Task] = pt
 		res.Items = append(res.Items, ir)
 	}
 	if res.Total > 0 {
 		res.MeanCostCents = totalCost / float64(res.Total)
-		res.MeanUsage = llm.Usage{
-			PromptTokens:     totalUsage.PromptTokens / res.Total,
-			CompletionTokens: totalUsage.CompletionTokens / res.Total,
-		}
 	}
 	return res, nil
-}
-
-// Table renders results in the paper's two-column table style.
-func Table(title, valueHeader string, rows [][2]string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	w := len("Approach")
-	for _, r := range rows {
-		if len(r[0]) > w {
-			w = len(r[0])
-		}
-	}
-	fmt.Fprintf(&b, "  %-*s  %s\n", w, "Approach", valueHeader)
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-*s  %s\n", w, r[0], r[1])
-	}
-	return b.String()
-}
-
-// FormatResult renders one result with its per-task and per-complexity
-// breakdowns (complexity = metrics combined per expression, the paper's
-// "up to three metrics" axis).
-func FormatResult(r *Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: EX = %.0f%% (%d/%d), mean cost %.2f ¢/query\n",
-		r.System, r.EX(), r.Correct, r.Total, r.MeanCostCents)
-	tasks := make([]llm.TaskKind, 0, len(r.PerTask))
-	for t := range r.PerTask {
-		tasks = append(tasks, t)
-	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i] < tasks[j] })
-	for _, t := range tasks {
-		pt := r.PerTask[t]
-		fmt.Fprintf(&b, "  %-14s %d/%d\n", t.String(), pt[0], pt[1])
-	}
-	byArity := map[int][2]int{}
-	for _, ir := range r.Items {
-		c := byArity[len(ir.Item.Metrics)]
-		c[1]++
-		if ir.Correct {
-			c[0]++
-		}
-		byArity[len(ir.Item.Metrics)] = c
-	}
-	for n := 1; n <= 3; n++ {
-		if c := byArity[n]; c[1] > 0 {
-			fmt.Fprintf(&b, "  %d-metric       %d/%d\n", n, c[0], c[1])
-		}
-	}
-	return b.String()
 }

@@ -17,7 +17,7 @@ mkdir "$cov"
 build() { go build -cover -coverpkg=dio/... -o "$tmp/$1" "$2"; }
 
 build dio-bench ./cmd/dio-bench
-GOCOVERDIR="$cov" "$tmp/dio-bench" -experiment all >/dev/null
+GOCOVERDIR="$cov" "$tmp/dio-bench" >/dev/null
 
 for ex in examples/*/; do
 	name=$(basename "$ex")
