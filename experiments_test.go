@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"regexp"
-	"slices"
 	"strings"
 	"testing"
 
@@ -21,31 +20,39 @@ const experimentsDoc = "EXPERIMENTS.md"
 // "<!-- end NAME -->" on a line of its own.
 var marker = regexp.MustCompile(`(?m)^<!-- (generated:|end) ([a-z0-9]+) -->\n`)
 
-// docRegions returns the byte span [start, end) of each generated region's
-// text in doc, by name. Every region must open, close before the next
-// opens, and appear once.
-func docRegions(doc string) (map[string][2]int, error) {
-	regions := make(map[string][2]int)
-	open, start := "", 0
+// region is one generated region: its name and the byte span
+// [start, end) of its text.
+type region struct {
+	name       string
+	start, end int
+}
+
+// docRegions returns doc's generated regions in order. Every region must
+// open, close before the next opens, and appear once.
+func docRegions(doc string) ([]region, error) {
+	var regions []region
+	seen := make(map[string]bool)
+	open := -1 // index in regions of the region not yet closed
 	for _, m := range marker.FindAllStringSubmatchIndex(doc, -1) {
 		kind, name := doc[m[2]:m[3]], doc[m[4]:m[5]]
 		switch {
-		case kind == "generated:" && open != "":
-			return nil, fmt.Errorf("region %s opens inside region %s", name, open)
+		case kind == "generated:" && open >= 0:
+			return nil, fmt.Errorf("region %s opens inside region %s", name, regions[open].name)
+		case kind == "generated:" && seen[name]:
+			return nil, fmt.Errorf("region %s appears twice", name)
 		case kind == "generated:":
-			if _, dup := regions[name]; dup {
-				return nil, fmt.Errorf("region %s appears twice", name)
-			}
-			open, start = name, m[1]
-		case name != open:
-			return nil, fmt.Errorf("end %s does not close the open region %q", name, open)
+			seen[name] = true
+			open = len(regions)
+			regions = append(regions, region{name: name, start: m[1]})
+		case open < 0 || regions[open].name != name:
+			return nil, fmt.Errorf("end %s closes no open region of that name", name)
 		default:
-			regions[name] = [2]int{start, m[0]}
-			open = ""
+			regions[open].end = m[0]
+			open = -1
 		}
 	}
-	if open != "" {
-		return nil, fmt.Errorf("region %s is never closed", open)
+	if open >= 0 {
+		return nil, fmt.Errorf("region %s is never closed", regions[open].name)
 	}
 	return regions, nil
 }
@@ -55,12 +62,6 @@ func docRegions(doc string) (map[string][2]int, error) {
 // EXPERIMENTS.md. A region that differs, is missing, is unknown or
 // appears twice fails; -update rewrites the regions' text.
 func TestExperimentsDoc(t *testing.T) {
-	e := env(t)
-	sections, err := benchmark.Experiments(context.Background(),
-		benchmark.Env{Catalog: e.cat, DB: e.db, Items: e.items, Retriever: e.retriever})
-	if err != nil {
-		t.Fatal(err)
-	}
 	raw, err := os.ReadFile(experimentsDoc)
 	if err != nil {
 		t.Fatal(err)
@@ -70,40 +71,40 @@ func TestExperimentsDoc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%s: %v", experimentsDoc, err)
 	}
+	e := env(t)
+	sections, err := benchmark.Experiments(context.Background(),
+		benchmark.Env{Catalog: e.cat, DB: e.db, Items: e.items, Retriever: e.retriever})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rendered := make(map[string]string)
 	for _, s := range sections {
 		rendered[s.Name] = s.Text
-		if _, ok := regions[s.Name]; !ok {
+	}
+	var out strings.Builder
+	prev := 0
+	for _, r := range regions {
+		text, ok := rendered[r.name]
+		if !ok {
+			t.Errorf("%s has region %q, which benchmark.Experiments does not render", experimentsDoc, r.name)
+			continue
+		}
+		delete(rendered, r.name)
+		if got := doc[r.start:r.end]; got != text && !*update {
+			t.Errorf("region %s of %s differs from the rendering (go test -run TestExperimentsDoc -update . rewrites it):\n%s",
+				r.name, experimentsDoc, firstDiff(got, text))
+		}
+		out.WriteString(doc[prev:r.start])
+		out.WriteString(text)
+		prev = r.end
+	}
+	for _, s := range sections {
+		if _, missing := rendered[s.Name]; missing {
 			t.Errorf("%s has no region %q", experimentsDoc, s.Name)
 		}
 	}
-	for name := range regions {
-		if _, ok := rendered[name]; !ok {
-			t.Errorf("%s has region %q, which benchmark.Experiments does not render", experimentsDoc, name)
-		}
-	}
-	if t.Failed() {
-		return
-	}
-	names := make([]string, 0, len(regions))
-	for name := range regions {
-		names = append(names, name)
-	}
-	slices.SortFunc(names, func(a, b string) int { return regions[a][0] - regions[b][0] })
-	var out strings.Builder
-	prev := 0
-	for _, name := range names {
-		span := regions[name]
-		if got := doc[span[0]:span[1]]; got != rendered[name] && !*update {
-			t.Errorf("region %s of %s differs from the rendering (go test -run TestExperimentsDoc -update . rewrites it):\n%s",
-				name, experimentsDoc, firstDiff(got, rendered[name]))
-		}
-		out.WriteString(doc[prev:span[0]])
-		out.WriteString(rendered[name])
-		prev = span[1]
-	}
 	out.WriteString(doc[prev:])
-	if *update {
+	if *update && !t.Failed() {
 		if err := os.WriteFile(experimentsDoc, []byte(out.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
