@@ -102,11 +102,6 @@ func (r *run) copilot(model string, opts core.Options, cat *catalog.Database, re
 	return core.New(core.Config{Catalog: cat, TSDB: r.DB, Model: m, Options: opts, Retriever: ret})
 }
 
-// score evaluates sys on items.
-func (r *run) score(sys baselines.QuerySystem, items []Item) (*Result, error) {
-	return r.eval.Evaluate(r.ctx, sys, items)
-}
-
 // dio scores DIO over the environment's catalog and retriever, once per
 // model and options: the sections share the paper's configuration.
 func (r *run) dio(model string, opts core.Options) (*Result, error) {
@@ -118,9 +113,12 @@ func (r *run) dio(model string, opts core.Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.score(&baselines.DIOAdapter{Copilot: cp}, r.Items)
+	res, err := r.eval.Evaluate(r.ctx, &baselines.DIOAdapter{Copilot: cp}, r.Items)
+	if err != nil {
+		return nil, err
+	}
 	r.dioRuns[key] = res
-	return res, err
+	return res, nil
 }
 
 // sweep scores DIO over gpt-4 once per setting and renders the EX values
@@ -219,7 +217,7 @@ func (r *run) table3a() (string, error) {
 		{baselines.NewDINSQL(r.Catalog, model, 600, 11), "48"},
 		{baselines.NewDirect(r.Catalog, model, 600, 11), "12"},
 	} {
-		res, err := r.score(s.sys, r.Items)
+		res, err := r.eval.Evaluate(r.ctx, s.sys, r.Items)
 		if err != nil {
 			return "", err
 		}
@@ -346,7 +344,7 @@ func (r *run) index() (string, string, error) {
 	if err != nil {
 		return "", "", err
 	}
-	approx, err := r.score(&baselines.DIOAdapter{Copilot: cp}, r.Items)
+	approx, err := r.eval.Evaluate(r.ctx, &baselines.DIOAdapter{Copilot: cp}, r.Items)
 	if err != nil {
 		return "", "", err
 	}
@@ -366,7 +364,7 @@ func (r *run) feedback() (string, string, error) {
 	contributed := make(map[int]bool)
 	var counts, curve []string
 	for round := 0; ; round++ {
-		res, err := r.score(&baselines.DIOAdapter{Copilot: cp}, r.Items)
+		res, err := r.eval.Evaluate(r.ctx, &baselines.DIOAdapter{Copilot: cp}, r.Items)
 		if err != nil {
 			return "", "", err
 		}
@@ -413,7 +411,7 @@ func (r *run) jargonFeedback() (string, string, error) {
 	}
 	var counts, curve []string
 	for done := 0; ; done += 4 {
-		res, err := r.score(&baselines.DIOAdapter{Copilot: cp}, items)
+		res, err := r.eval.Evaluate(r.ctx, &baselines.DIOAdapter{Copilot: cp}, items)
 		if err != nil {
 			return "", "", err
 		}
@@ -449,7 +447,7 @@ func (r *run) selfConsistency() (string, string, error) {
 		if err != nil {
 			return "", "", err
 		}
-		res, err := r.score(&selfConsistent{cp: cp, samples: k}, r.Items)
+		res, err := r.eval.Evaluate(r.ctx, &selfConsistent{cp: cp, samples: k}, r.Items)
 		if err != nil {
 			return "", "", err
 		}
