@@ -79,6 +79,13 @@ var fuzzSeeds = []string{
 	"max by (nf) (sum by (nf, instance) (rate(amfcc_n1_auth_request[5m])))",
 	`avg by (instance) (rate({__name__=~"amfcc_n1_auth_request|smf_pdu_session_active"}[5m]))`,
 	`topk(1, rate({__name__=~"amfcc_n1_auth_request|smf_pdu_session_active"}[5m]))`,
+	// Subqueries, as in TestWideEquivalence: an inner step no outer step
+	// is a multiple of, nesting, offsets at both levels, and counters.
+	"avg_over_time(sum by (instance) (smf_pdu_session_active)[4m:40s])",
+	"max_over_time(avg_over_time(sum(amfcc_n1_auth_request)[1m:20s])[5m:1m])",
+	"sum_over_time(sum(smf_pdu_session_active offset 1m)[3m:30s] offset 2m)",
+	"max_over_time(rate(amfcc_n1_auth_request[2m])[5m:30s])",
+	"min_over_time(increase(amfcc_n1_auth_request[3m])[6m:1m] offset 1m)",
 }
 
 // FuzzParsePlanEval: for arbitrary input, parse → plan → render →

@@ -392,8 +392,8 @@ func (ev *evaluator) evalBinary(n *BinaryExpr) (Value, error) {
 	return applyBinary(nil, n, lv, rv, ev.ts)
 }
 
-// evalSubquery evaluates the inner expression at every step in the
-// window (start, end], grouping results into a matrix.
+// evalSubquery evaluates the inner expression at every multiple of the
+// step in the window (start, end], grouping results into a matrix.
 func (ev *evaluator) evalSubquery(sq *SubqueryExpr) (Matrix, int64, int64, error) {
 	end := ev.ts - sq.Offset.Milliseconds()
 	start := end - sq.Range.Milliseconds()
@@ -403,14 +403,13 @@ func (ev *evaluator) evalSubquery(sq *SubqueryExpr) (Matrix, int64, int64, error
 	}
 	acc := make(map[string]*MSeries)
 	var order []string
-	// First evaluation point: the earliest step boundary inside the
-	// window (left-open), aligned to the end.
-	n := (end - start) / stepMs
-	for i := n; i >= 0; i-- {
-		t := end - i*stepMs
-		if t <= start {
-			continue
-		}
+	// First evaluation point: the earliest multiple of the step inside
+	// the window (left-open), counted from the epoch.
+	first := start - start%stepMs
+	if start%stepMs < 0 {
+		first -= stepMs // % truncates toward zero; floor it
+	}
+	for t := first + stepMs; t <= end; t += stepMs {
 		// The step evaluator inherits and extends the parent's sample
 		// budget, so a subquery cannot amplify past MaxSamples.
 		sub := &evaluator{ctx: ev.ctx, eng: ev.eng, ts: t, samples: ev.samples}

@@ -196,7 +196,8 @@ func (o *pMatrix) exec(p *part, ts int64) (Value, error) {
 
 // pSubquery evaluates its child at every inner step of the window
 // (start, end], accumulating a matrix in first-seen series order (the
-// same order the test oracle produces).
+// same order the test oracle produces). Inner steps are the multiples of
+// the step, counted from the epoch as in Prometheus.
 type pSubquery struct {
 	opMeta
 	child  physOp
@@ -214,12 +215,7 @@ func (o *pSubquery) window(p *part, ts int64) (Matrix, int64, int64, error) {
 	acc := make(map[string]*MSeries)
 	var order []string
 	ids := p.st.posTable(o.child)
-	n := (end - start) / o.stepMs
-	for i := n; i >= 0; i-- {
-		t := end - i*o.stepMs
-		if t <= start {
-			continue
-		}
+	for t := firstStep(start, o.stepMs); t <= end; t += o.stepMs {
 		v, err := p.eval(o.child, t)
 		if err != nil {
 			return nil, 0, 0, err
@@ -249,6 +245,17 @@ func (o *pSubquery) window(p *part, ts int64) (Matrix, int64, int64, error) {
 		out = append(out, *acc[k])
 	}
 	return out, start, end, nil
+}
+
+// firstStep is the least multiple of step above start. Go's division
+// truncates toward zero, so for a negative start the product is already
+// the ceiling, and only a multiple at or below start moves up a step.
+func firstStep(start, step int64) int64 {
+	t := start / step * step
+	if t <= start {
+		t += step
+	}
+	return t
 }
 
 func (o *pSubquery) exec(p *part, ts int64) (Value, error) {

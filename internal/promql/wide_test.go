@@ -64,8 +64,8 @@ func wideDB(t testing.TB) (*tsdb.DB, time.Time, time.Time) {
 
 // wideCorpus is the aggregation and range-function mix over wideDB: by and
 // without grouping, every aggregation that orders or regroups its input,
-// nested aggregations, instant selectors under an aggregation, a subquery,
-// and selectors whose name drop reorders or collides.
+// nested aggregations, instant selectors under an aggregation,
+// subqueries, and selectors whose name drop reorders or collides.
 var wideCorpus = []string{
 	"rate(wide_a_total[1m])",
 	"sum by (instance) (rate(wide_a_total[1m]))",
@@ -81,6 +81,14 @@ var wideCorpus = []string{
 	"max by (Zone) (sum by (Zone, instance) (rate(wide_a_total[1m])))",
 	"sum by (instance) (wide_b_total)",
 	"max_over_time(sum by (instance) (rate(wide_a_total[1m]))[3m:1m])",
+	// Subqueries: an inner step that no outer step is a multiple of, a
+	// nested subquery, offsets at both levels, and rate and increase over
+	// counters that reset inside the subquery's windows.
+	"avg_over_time(sum by (instance) (wide_b_total)[2m:40s])",
+	"max_over_time(avg_over_time(sum by (Zone) (wide_a_total)[1m:20s])[3m:1m])",
+	"sum_over_time(sum by (instance) (wide_a_total offset 1m)[3m:30s] offset 2m)",
+	"max_over_time(rate(wide_a_total[1m])[2m:30s])",
+	"min_over_time(sum by (instance) (increase(wide_b_total[2m]))[3m:1m])",
 	`rate({__name__=~"wide_.*", ue!~"u-01[5-9]|u-02[0-4]"}[1m])`,
 	`sum(rate({__name__=~"wide_.*", ue!~"u-01[5-9]|u-02[0-4]"}[1m]))`,
 	`avg by (Zone) (rate({__name__=~"wide_.*", ue!~"u-01[5-9]|u-02[0-4]"}[1m]))`,
