@@ -73,10 +73,6 @@ type RangeStats struct {
 	// SelectorMisses counts selector fetches that went to storage (one per
 	// distinct selector node).
 	SelectorMisses int
-	// CursorResets counts cursor re-seeks caused by non-monotone
-	// evaluation timestamps (subqueries re-anchoring their inner
-	// timeline).
-	CursorResets int
 	// PeakIntermediateBytes is the high-water mark of pooled intermediate
 	// memory across all partitions of the query: one step's containers,
 	// since each partition's arena resets after every step.

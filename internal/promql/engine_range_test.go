@@ -157,7 +157,7 @@ func TestQueryRangeEquivalenceSingleWorker(t *testing.T) {
 
 // TestQueryRangeStats: the select-once cache must fetch each selector from
 // storage exactly once per range query and serve every later step from the
-// cache, with cursor resets only on non-monotone (subquery) timelines.
+// cache, and a subquery must evaluate each aligned inner step once.
 func TestQueryRangeStats(t *testing.T) {
 	db, end := testDB(t)
 	eng := NewEngine(db, DefaultEngineOptions())
@@ -179,20 +179,20 @@ func TestQueryRangeStats(t *testing.T) {
 	if stats.SelectorHits != 10 {
 		t.Errorf("SelectorHits = %d, want 10", stats.SelectorHits)
 	}
-	if stats.CursorResets != 0 {
-		t.Errorf("CursorResets = %d, want 0 for a monotone range", stats.CursorResets)
-	}
 
-	// Subqueries rewind the inner timeline at each outer step; the cache
-	// must absorb that as counted re-seeks, never as a second fetch.
-	if _, err := queryRange(context.Background(), eng, "avg_over_time(sum(smf_pdu_session_active)[10m:1m])", start, end, time.Minute); err != nil {
+	// The 11 outer windows of [10m:1m] hold 10 inner steps each, but only
+	// 20 distinct ones, the minutes in (start-10m, end]: the inner sum
+	// runs once per distinct step, not 110 times, off one fetch.
+	ctx, capture := WithQueryStats(context.Background())
+	if _, err := queryRange(ctx, eng, "avg_over_time(sum(smf_pdu_session_active)[10m:1m])", start, end, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if stats.SelectorMisses != 1 {
 		t.Errorf("subquery SelectorMisses = %d, want 1", stats.SelectorMisses)
 	}
-	if stats.CursorResets == 0 {
-		t.Error("subquery range produced no cursor resets; expected re-seeks on inner-timeline rewinds")
+	sub := capture.Stats().Root.Children[0]
+	if agg := sub.Children[0]; agg.Op != "agg sum" || agg.Calls != 20 {
+		t.Errorf("inner %q ran %d times, want agg sum once per inner step: 20", agg.Op, agg.Calls)
 	}
 }
 

@@ -11,12 +11,12 @@ package promql
 // Every part owns private cursors per selector use site that advance
 // monotonically through its steps, and its own counters (operator stats,
 // scan services, loaded samples), counted with plain adds and folded into
-// the execution's once, when its span ends, failed or not. A scan read in
-// step order streams: its cursor holds a tsdb.Reader per series, which
-// decodes samples only as the steps reach them and keeps only those the
-// current window or instant can still use. A scan under a subquery, whose
-// inner steps run backwards, is decoded whole once per execution, and its
-// cursors gallop through the samples (seekAfter in selcache.go).
+// the execution's once, when its span ends, failed or not. Every scan
+// streams: its cursor holds a tsdb.Reader per series, which decodes
+// samples only as the steps reach them and keeps only those the current
+// window or instant can still use. Scans under a subquery read in time
+// order too, because a part evaluates each aligned inner step once
+// (pSubquery.window) and the steps only move forward.
 //
 // Range queries whose selected series × steps pass a gate (numPartitions)
 // split their steps into contiguous partitions, one goroutine each;
@@ -80,6 +80,14 @@ type execState struct {
 	// ids holds each operator's identity table (by statsIdx), built before
 	// a range query's partitions start; all nil for instant queries.
 	ids []*idTable
+}
+
+// labelsRef identifies a label slice by backing array and length. Equal
+// refs view the exact same elements, so (labels being immutable) they
+// share one canonical key.
+type labelsRef struct {
+	p *tsdb.Label
+	n int
 }
 
 // idTable is one operator's output identities for one execution: row i's
@@ -212,9 +220,8 @@ func (st *execState) sampleKey(t *idTable, s VSample) string {
 type counters struct {
 	ops      []opSlot // per operator, by statsIdx: the EXPLAIN ANALYZE slab
 	services []int64  // per scan: operator reads served
-	resets   int64
-	loaded   int64 // stored samples accounted by a range part's steps
-	peak     int64 // pooled-intermediate high-water mark
+	loaded   int64    // stored samples accounted by a range part's steps
+	peak     int64    // pooled-intermediate high-water mark
 }
 
 func (st *execState) newCounters() counters {
@@ -229,7 +236,6 @@ func (c *counters) add(src *counters) {
 	for i, n := range src.services {
 		c.services[i] += n
 	}
-	c.resets += src.resets
 	c.loaded += src.loaded
 	c.peak = max(c.peak, src.peak)
 }
@@ -256,8 +262,8 @@ func (st *execState) seriesCount() int {
 }
 
 // newExecState selects every scan of the plan for an evaluation range
-// [startMs, endMs] and seeds the fingerprint key cache. The scans a
-// subquery reads are decoded here, whole; cursors stream the others.
+// [startMs, endMs] and seeds the fingerprint key cache. It decodes
+// nothing: cursors stream every scan.
 func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState {
 	st := &execState{
 		eng:        e,
@@ -268,10 +274,7 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState
 		ids:        make([]*idTable, len(cp.labels)),
 	}
 	st.series = e.db.SelectBatch(cp.selectHints(startMs, endMs))
-	for i, views := range st.series {
-		if cp.scans[i].eager {
-			tsdb.DecodeViews(views)
-		}
+	for _, views := range st.series {
 		for _, sv := range views {
 			if len(sv.Labels) > 0 {
 				st.keys[labelsRef{&sv.Labels[0], len(sv.Labels)}] = sv.Fingerprint
@@ -294,36 +297,19 @@ func (st *execState) stats() RangeStats {
 	return RangeStats{
 		SelectorHits:          max(services-misses, 0),
 		SelectorMisses:        misses,
-		CursorResets:          int(st.resets),
 		PeakIntermediateBytes: st.peak,
 	}
 }
 
-// useCursor is the per-partition cursor state of one selector use site:
-// a reader per series over a streamed scan, else indexes into the
-// decoded samples of an eager one.
-type useCursor struct {
-	rd       []tsdb.Reader
-	inst     []int
-	instT    int64
-	instPos  bool
-	lo, hi   []int
-	winStart int64
-	winEnd   int64
-	winPos   bool
-}
-
-// readers returns the use site's readers, made at its first read with
-// room for span ms of samples per series, or nil when the scan is eager.
+// readers returns the use site's cursor, a reader per series, made at
+// its first read with room for span ms of samples per series.
 func (p *part) readers(scanIdx, cur int, span int64) []tsdb.Reader {
-	if p.st.cp.scans[scanIdx].eager {
-		return nil
+	rd := p.cursors[cur]
+	if rd == nil {
+		rd = tsdb.NewReaders(p.st.series[scanIdx], span)
+		p.cursors[cur] = rd
 	}
-	cu := &p.cursors[cur]
-	if cu.rd == nil {
-		cu.rd = tsdb.NewReaders(p.st.series[scanIdx], span)
-	}
-	return cu.rd
+	return rd
 }
 
 // part drives the operator tree for a contiguous run of steps on one
@@ -336,7 +322,10 @@ type part struct {
 	samples int
 	// cursors holds one slot per selector use site, advanced monotonically
 	// through the part's steps.
-	cursors []useCursor
+	cursors [][]tsdb.Reader
+	// subs holds one slot per subquery: the inner steps still inside its
+	// latest window, oldest first.
+	subs [][]innerStep
 	// al, when non-nil, is this part's step arena (pool.go): every
 	// intermediate container the part's operators produce comes from it
 	// and is recycled once the step is folded. Nil when the step's value
@@ -349,7 +338,8 @@ type part struct {
 // newPart returns a part with fresh cursors and counters, and a step
 // arena when arena is set (and the engine has not turned arenas off).
 func (st *execState) newPart(ctx context.Context, arena bool) *part {
-	p := &part{st: st, ctx: ctx, done: ctx.Done(), cursors: make([]useCursor, st.cp.nCursors), counters: st.newCounters()}
+	p := &part{st: st, ctx: ctx, done: ctx.Done(), cursors: make([][]tsdb.Reader, st.cp.nCursors),
+		subs: make([][]innerStep, st.cp.nSubs), counters: st.newCounters()}
 	if arena && !st.eng.noArena {
 		p.al = allocPool.Get().(*alloc)
 	}
@@ -483,92 +473,36 @@ func (p *part) vector(op physOp, ts int64) (Vector, error) {
 	return vec, nil
 }
 
-// instant serves a selector read at adjusted timestamp ts, stamping
-// samples with outT and their scan position: off readers on a streamed
-// scan, by galloping seeks on an eager one. Results are in fingerprint
-// order because the selection is.
+// instant serves a selector read at adjusted timestamp ts off the use
+// site's readers, stamping samples with outT and their scan position.
+// Results are in fingerprint order because the selection is.
 func (p *part) instant(scanIdx, cur int, ts, outT int64) Vector {
 	series := p.st.series[scanIdx]
 	p.services[scanIdx]++
-	lookback := p.st.lookbackMs
+	rd := p.readers(scanIdx, cur, 0)
 	out := p.al.vec(len(series))
-	if rd := p.readers(scanIdx, cur, 0); rd != nil {
-		for i := range rd {
-			if smp, ok := rd[i].Latest(ts-lookback, ts); ok {
-				out = append(out, VSample{Labels: series[i].Labels, T: outT, V: smp.V, pos: int32(i + 1)})
-			}
+	for i := range rd {
+		if smp, ok := rd[i].Latest(ts-p.st.lookbackMs, ts); ok {
+			out = append(out, VSample{Labels: series[i].Labels, T: outT, V: smp.V, pos: int32(i + 1)})
 		}
-		return out
-	}
-	cu := &p.cursors[cur]
-	if cu.inst == nil {
-		cu.inst = make([]int, len(series))
-	}
-	scan := cu.instPos && ts >= cu.instT
-	if cu.instPos && ts < cu.instT {
-		p.resets++
-	}
-	cu.instT, cu.instPos = ts, true
-	for i, sv := range series {
-		idx := seekAfter(sv.Samples, cu.inst[i], ts, scan)
-		cu.inst[i] = idx
-		if idx == 0 {
-			continue
-		}
-		smp := sv.Samples[idx-1]
-		if smp.T < ts-lookback {
-			continue
-		}
-		out = append(out, VSample{Labels: sv.Labels, T: outT, V: smp.V, pos: int32(i + 1)})
 	}
 	return out
 }
 
-// seek advances a matrix scan's window cursors to (start, end], where
-// cursorWindow then finds series i's window. It returns how many series
-// have samples in the window and how many samples they hold.
-func (p *part) seek(scanIdx, cur int, start, end int64) (n, total int) {
-	series := p.st.series[scanIdx]
+// seek reads a matrix scan's window (start, end] off the use site's
+// readers, which then return series i's window from Last. It returns the
+// readers, how many series have samples in the window and how many
+// samples they hold.
+func (p *part) seek(scanIdx, cur int, start, end int64) (rd []tsdb.Reader, n, total int) {
 	p.services[scanIdx]++
-	if rd := p.readers(scanIdx, cur, end-start); rd != nil {
-		for i := range rd {
-			if w := rd[i].Window(start+1, end); len(w) > 0 {
-				n++
-				total += len(w)
-			}
-		}
-		return n, total
-	}
-	cu := &p.cursors[cur]
-	if cu.lo == nil {
-		cu.lo = make([]int, len(series))
-		cu.hi = make([]int, len(series))
-	}
-	scan := cu.winPos && start >= cu.winStart && end >= cu.winEnd
-	if cu.winPos && !scan {
-		p.resets++
-	}
-	cu.winStart, cu.winEnd, cu.winPos = start, end, true
-	for i, sv := range series {
-		lo := seekAfter(sv.Samples, cu.lo[i], start, scan)
-		hi := seekAfter(sv.Samples, cu.hi[i], end, scan)
-		cu.lo[i], cu.hi[i] = lo, hi
-		if hi > lo {
+	rd = p.readers(scanIdx, cur, end-start)
+	for i := range rd {
+		if w := rd[i].Window(start+1, end); len(w) > 0 {
 			n++
-			total += hi - lo
+			total += len(w)
 		}
 	}
-	return n, total
-}
-
-// cursorWindow is series i's window after seek(scanIdx, cur, start, end):
-// a streamed scan's reader returns the window seek read.
-func (p *part) cursorWindow(scanIdx, cur, i int) []tsdb.Sample {
-	cu := &p.cursors[cur]
-	if cu.rd != nil {
-		return cu.rd[i].Last()
-	}
-	return p.st.series[scanIdx][i].Samples[cu.lo[i]:cu.hi[i]]
+	return rd, n, total
 }
 
 // --- engine entry points -------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,52 +91,122 @@ func opCounts(o *OpStats) []string {
 }
 
 // TestCountsIndependentOfPartitions runs the wide corpus, which is above
-// the partition gate, on one worker and on four: every per-operator count
-// and every select-once statistic must come out the same, because each
-// partition counts into its own slab and folds it once its span ends.
-// Cursor resets are the one exception: a partition's first step starts
-// its cursors fresh, so a subquery, which re-seeks at every outer step,
-// re-seeks once less per extra partition.
+// the partition gate, on one worker and on four. Every operator outside a
+// subquery, the samples loaded and the storage fetches must come out the
+// same, because each partition counts into its own slab and folds it once
+// its span ends. Inside a subquery they may not: each part keeps its own
+// inner steps, so a later partition's first window evaluates again the
+// aligned inner steps its predecessor evaluated. There the four-worker
+// counts must be exactly the sum of one-worker runs over each partition's
+// steps, and the subquery's child must run once more per such step.
 func TestCountsIndependentOfPartitions(t *testing.T) {
 	db, start, end := wideDB(t)
 	const step = 25 * time.Second // 37 steps: two partitions over 1 000 series
 	nSteps := int(end.Sub(start)/step) + 1
 	opts1, opts4 := DefaultEngineOptions(), DefaultEngineOptions()
 	opts1.ExecWorkers, opts4.ExecWorkers = 1, 4
-	run := func(opts EngineOptions, q string) (*QueryStats, RangeStats) {
+	run := func(opts EngineOptions, q string, from, to time.Time) (*QueryStats, RangeStats) {
 		eng := NewEngine(db, opts)
 		var rs RangeStats
 		eng.SetHooks(Hooks{OnRangeEval: func(s RangeStats) { rs = s }})
 		ctx, capture := WithQueryStats(context.Background())
-		if _, err := queryRange(ctx, eng, q, start, end, step); err != nil {
+		if _, err := queryRange(ctx, eng, q, from, to, step); err != nil {
 			t.Fatalf("workers=%d %q: %v", opts.ExecWorkers, q, err)
 		}
 		return capture.Stats(), rs
 	}
 	for _, q := range wideCorpus {
-		qs1, rs1 := run(opts1, q)
-		qs4, rs4 := run(opts4, q)
+		qs1, rs1 := run(opts1, q, start, end)
+		qs4, rs4 := run(opts4, q, start, end)
 		if qs1.Root.Calls != int64(nSteps) {
 			t.Errorf("%q: root called %d times, want %d", q, qs1.Root.Calls, nSteps)
 		}
 		if qs1.Samples != qs4.Samples || qs1.Samples == 0 {
 			t.Errorf("%q: samples %d on one worker, %d on four", q, qs1.Samples, qs4.Samples)
 		}
-		c1, c4 := opCounts(qs1.Root), opCounts(qs4.Root)
-		if fmt.Sprint(c1) != fmt.Sprint(c4) {
-			t.Errorf("%q: operator counts differ\none worker:  %v\nfour workers: %v", q, c1, c4)
-		}
-		if rs1.SelectorHits != rs4.SelectorHits || rs1.SelectorMisses != rs4.SelectorMisses || rs1.SelectorHits == 0 {
+		if rs1.SelectorMisses != rs4.SelectorMisses || rs1.SelectorHits == 0 {
 			t.Errorf("%q: selector stats %+v on one worker, %+v on four", q, rs1, rs4)
 		}
 		nparts := partitionsFor(t, NewEngine(db, opts4), q, start, end, step)
 		if nparts < 2 {
 			t.Fatalf("%q: %d partitions on four workers, want the query above the gate", q, nparts)
 		}
-		// A query that re-seeks does so at every step after its first.
-		if want := rs1.CursorResets - (nparts-1)*rs1.CursorResets/(nSteps-1); rs4.CursorResets != want {
-			t.Errorf("%q: %d cursor resets on %d partitions, want %d (%d on one)", q, rs4.CursorResets, nparts, want, rs1.CursorResets)
+		expr, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var sq *SubqueryExpr // the outermost subquery, if any
+		Walk(expr, func(e Expr) {
+			if s, ok := e.(*SubqueryExpr); ok && sq == nil {
+				sq = s
+			}
+		})
+		if sq == nil {
+			c1, c4 := opCounts(qs1.Root), opCounts(qs4.Root)
+			if fmt.Sprint(c1) != fmt.Sprint(c4) {
+				t.Errorf("%q: operator counts differ\none worker:  %v\nfour workers: %v", q, c1, c4)
+			}
+			if rs1.SelectorHits != rs4.SelectorHits {
+				t.Errorf("%q: selector stats %+v on one worker, %+v on four", q, rs1, rs4)
+			}
+			continue
+		}
+
+		// The partitions' steps, split as runPartitions splits them; the
+		// inner steps each later partition's first window evaluates again
+		// are the multiples of the inner step in (first-offset-range,
+		// previous-offset].
+		var parts []*OpStats
+		hits, again := 0, int64(0)
+		offMs, rngMs, stepMs := sq.Offset.Milliseconds(), sq.Range.Milliseconds(), sq.Step.Milliseconds()
+		for w, lo := 0, 0; w < nparts; w++ {
+			hi := lo + nSteps/nparts
+			if w < nSteps%nparts {
+				hi++
+			}
+			from := start.Add(time.Duration(lo) * step)
+			qsw, rsw := run(opts1, q, from, start.Add(time.Duration(hi-1)*step))
+			parts = append(parts, qsw.Root)
+			hits += rsw.SelectorHits + rsw.SelectorMisses
+			if w > 0 {
+				first := from.UnixMilli() - offMs
+				again += (first-step.Milliseconds())/stepMs - (first-rngMs)/stepMs
+			}
+			lo = hi
+		}
+		if want := hits - rs4.SelectorMisses; rs4.SelectorHits != want || rs4.SelectorHits < rs1.SelectorHits {
+			t.Errorf("%q: %d selector hits on four workers, want %d, the partitions' (%d on one)", q, rs4.SelectorHits, want, rs1.SelectorHits)
+		}
+		var check func(o1, o4 *OpStats, ow []*OpStats, inside bool)
+		check = func(o1, o4 *OpStats, ow []*OpStats, inside bool) {
+			want := *o1
+			if inside {
+				want.Calls, want.SeriesOut, want.Samples = 0, 0, 0
+				for _, o := range ow {
+					want.Calls += o.Calls
+					want.SeriesOut += o.SeriesOut
+					want.Samples += o.Samples
+				}
+			}
+			if o4.Calls != want.Calls || o4.SeriesOut != want.SeriesOut || o4.Samples != want.Samples ||
+				o4.Calls < o1.Calls || o4.SeriesOut < o1.SeriesOut {
+				t.Errorf("%q: %s: %d calls, %d out, %d samples on four workers, want %d, %d, %d (%d, %d, %d on one)",
+					q, o1.Op, o4.Calls, o4.SeriesOut, o4.Samples, want.Calls, want.SeriesOut, want.Samples, o1.Calls, o1.SeriesOut, o1.Samples)
+			}
+			if sub := strings.HasPrefix(o1.Op, "subquery"); sub && !inside {
+				if got := o4.Children[0].Calls - o1.Children[0].Calls; got != again {
+					t.Errorf("%q: the subquery's child ran %d more times on %d partitions, want %d", q, got, nparts, again)
+				}
+			}
+			for i := range o1.Children {
+				kids := make([]*OpStats, len(ow))
+				for j, o := range ow {
+					kids[j] = o.Children[i]
+				}
+				check(o1.Children[i], o4.Children[i], kids, inside || strings.HasPrefix(o1.Op, "subquery"))
+			}
+		}
+		check(qs1.Root, qs4.Root, parts, false)
 	}
 }
 

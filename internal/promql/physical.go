@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 
 	"dio/internal/tsdb"
 )
@@ -175,14 +176,14 @@ type pMatrix struct {
 func (o *pMatrix) window(p *part, ts int64) (Matrix, int64, int64, error) {
 	end := ts - o.offMs
 	start := end - o.rngMs
-	n, total := p.seek(o.scanIdx, o.cur, start, end)
+	rd, n, total := p.seek(o.scanIdx, o.cur, start, end)
 	p.noteSamples(o.sx, total)
 	if err := p.account(total); err != nil {
 		return nil, 0, 0, err
 	}
 	out := p.al.mat(n)
 	for i, sv := range p.st.series[o.scanIdx] {
-		if w := p.cursorWindow(o.scanIdx, o.cur, i); len(w) > 0 {
+		if w := rd[i].Last(); len(w) > 0 {
 			out = append(out, MSeries{Labels: sv.Labels, Samples: w})
 		}
 	}
@@ -197,13 +198,26 @@ func (o *pMatrix) exec(p *part, ts int64) (Value, error) {
 // pSubquery evaluates its child at every inner step of the window
 // (start, end], accumulating a matrix in first-seen series order (the
 // same order the test oracle produces). Inner steps are the multiples of
-// the step, counted from the epoch as in Prometheus.
+// the step, counted from the epoch as in Prometheus, so consecutive
+// windows share them: a part evaluates each inner step once, in time
+// order, and keeps its vector while the window holds it (slot indexes
+// part.subs). A window that reuses a step charges the samples the step
+// charged again, so the sample budget is what evaluating it anew spends.
 type pSubquery struct {
 	opMeta
 	child  physOp
+	slot   int
 	offMs  int64
 	rngMs  int64
 	stepMs int64
+}
+
+// innerStep is one evaluated inner step of a subquery: its vector, copied
+// out of the step arena, and the samples its evaluation charged.
+type innerStep struct {
+	t       int64
+	vec     Vector
+	samples int
 }
 
 func (o *pSubquery) window(p *part, ts int64) (Matrix, int64, int64, error) {
@@ -212,10 +226,16 @@ func (o *pSubquery) window(p *part, ts int64) (Matrix, int64, int64, error) {
 	if o.stepMs <= 0 {
 		return nil, 0, 0, fmt.Errorf("promql: subquery step must be positive")
 	}
-	acc := make(map[string]*MSeries)
-	var order []string
-	ids := p.st.posTable(o.child)
-	for t := firstStep(start, o.stepMs); t <= end; t += o.stepMs {
+	steps := slices.DeleteFunc(p.subs[o.slot], func(s innerStep) bool { return s.t <= start })
+	t := firstStep(start, o.stepMs)
+	for _, s := range steps {
+		if err := p.account(s.samples); err != nil {
+			return nil, 0, 0, err
+		}
+		t = s.t + o.stepMs
+	}
+	for ; t <= end; t += o.stepMs {
+		before := p.samples
 		v, err := p.eval(o.child, t)
 		if err != nil {
 			return nil, 0, 0, err
@@ -224,12 +244,23 @@ func (o *pSubquery) window(p *part, ts int64) (Matrix, int64, int64, error) {
 		switch x := v.(type) {
 		case Vector:
 			vec = x
+			if p.al != nil { // the arena recycles x once this outer step folds
+				vec = slices.Clone(x)
+			}
 		case Scalar:
 			vec = Vector{{Labels: nil, T: x.T, V: x.V}}
 		default:
 			return nil, 0, 0, fmt.Errorf("promql: subquery inner expression must be a vector or scalar")
 		}
-		for _, s := range vec {
+		steps = append(steps, innerStep{t: t, vec: vec, samples: p.samples - before})
+	}
+	p.subs[o.slot] = steps
+
+	acc := make(map[string]*MSeries)
+	var order []string
+	ids := p.st.posTable(o.child)
+	for _, st := range steps {
+		for _, s := range st.vec {
 			key := p.st.sampleKey(ids, s)
 			ms, ok := acc[key]
 			if !ok {
@@ -237,7 +268,7 @@ func (o *pSubquery) window(p *part, ts int64) (Matrix, int64, int64, error) {
 				acc[key] = ms
 				order = append(order, key)
 			}
-			ms.Samples = append(ms.Samples, tsdb.Sample{T: t, V: s.V})
+			ms.Samples = append(ms.Samples, tsdb.Sample{T: st.t, V: s.V})
 		}
 	}
 	out := p.al.mat(len(order))
@@ -307,9 +338,9 @@ func (o *pRangeFunc) execVec(p *part, ts int64) (Vector, error) {
 // off its cursor, with no window matrix, and outputs carry
 // their scan position, so labels and order come from the identity table.
 // The scan's stats and sample budget are charged as pMatrix.window
-// charges them, before the kernel runs. Over a streamed scan, rate and
-// increase run counterDelta's scan only on a window that holds a drop:
-// on any other, last − first is the delta (tsdb.Reader.LastDrop).
+// charges them, before the kernel runs. Rate and increase run
+// counterDelta's scan only on a window that holds a drop: on any other,
+// last − first is the delta (tsdb.Reader.LastDrop).
 func (o *pRangeFunc) overCursor(p *part, m *pMatrix, ts int64) (Vector, error) {
 	if err := p.cancelled(); err != nil {
 		return nil, err
@@ -317,7 +348,7 @@ func (o *pRangeFunc) overCursor(p *part, m *pMatrix, ts int64) (Vector, error) {
 	end := ts - m.offMs
 	start := end - m.rngMs
 	begin := p.enter(m.sx)
-	n, total := p.seek(m.scanIdx, m.cur, start, end)
+	rd, n, total := p.seek(m.scanIdx, m.cur, start, end)
 	p.leave(m.sx, begin, n)
 	p.noteSamples(m.sx, total)
 	err := p.account(total)
@@ -330,12 +361,11 @@ func (o *pRangeFunc) overCursor(p *part, m *pMatrix, ts int64) (Vector, error) {
 			return nil, err
 		}
 	}
-	ids := p.st.ids[o.sx]     // nil when the name drop makes keys collide
-	rd := p.cursors[m.cur].rd // nil over an eager scan
-	counter := rd != nil && (o.name == "rate" || o.name == "increase")
+	ids := p.st.ids[o.sx] // nil when the name drop makes keys collide
+	counter := o.name == "rate" || o.name == "increase"
 	out := p.al.vec(n)
 	for i, sv := range p.st.series[m.scanIdx] {
-		w := p.cursorWindow(m.scanIdx, m.cur, i)
+		w := rd[i].Last()
 		if len(w) == 0 {
 			continue
 		}

@@ -47,9 +47,6 @@ type ScanNode struct {
 	// clamp just widens).
 	RelLo, RelHi int64
 	Uses         int // selector use sites sharing this scan
-	// eager marks a scan read under a subquery, out of step order: a
-	// range query decodes its snapshots whole, up front.
-	eager bool
 }
 
 func (s *ScanNode) widen(lo, hi int64) {
@@ -94,6 +91,9 @@ type compiledPlan struct {
 	// nCursors counts selector use sites: each gets a per-partition
 	// cursor slot for monotone multi-step execution.
 	nCursors int
+	// nSubs counts subqueries: each gets a per-partition slot for the
+	// inner steps its window still holds.
+	nSubs int
 	// labels holds every operator's display line by stats slot, so its
 	// length is the slot count; rendered once for Explain and for each
 	// EXPLAIN ANALYZE.
@@ -111,7 +111,7 @@ type compiler struct {
 	folded     int
 	shared     int
 	cursors    int // selector use sites seen
-	sub        int // subqueries enclosing the node being compiled
+	subs       int // subqueries seen
 }
 
 // compile lowers expr to an executable plan.
@@ -129,7 +129,7 @@ func compile(expr Expr, opts EngineOptions) (*compiledPlan, error) {
 		fmt.Sprintf("selector-dedup(%d scans, %d shared)", len(c.scans), c.shared),
 		fmt.Sprintf("pushdown(%d matchers -> 1 SelectBatch)", len(c.scans)),
 		"range-hints")
-	cp := &compiledPlan{root: root, scans: c.scans, nCursors: c.cursors,
+	cp := &compiledPlan{root: root, scans: c.scans, nCursors: c.cursors, nSubs: c.subs,
 		query: expr.String(), passes: strings.Join(passes, ", ")}
 	cp.label(root)
 	var b strings.Builder
@@ -171,13 +171,12 @@ func (c *compiler) op(e Expr, lo, hi int64) (physOp, error) {
 	case *SubqueryExpr:
 		// Inner timestamps live in (ts-offset-range, ts-offset].
 		off, rng := n.Offset.Milliseconds(), n.Range.Milliseconds()
-		c.sub++
 		child, err := c.op(n.Expr, satSub(satSub(lo, off), rng), satSub(hi, off))
-		c.sub--
 		if err != nil {
 			return nil, err
 		}
-		return &pSubquery{child: child, offMs: off, rngMs: rng, stepMs: n.Step.Milliseconds()}, nil
+		c.subs++
+		return &pSubquery{child: child, slot: c.subs - 1, offMs: off, rngMs: rng, stepMs: n.Step.Milliseconds()}, nil
 	case *Call:
 		return c.call(n, lo, hi)
 	case *AggregateExpr:
@@ -245,12 +244,8 @@ func (c *compiler) scan(vs *VectorSelector, lo, hi int64) *ScanNode {
 	return s
 }
 
-// useSite assigns a selector use site its cursor slot, marking the scan
-// eager when a subquery encloses the site.
+// useSite assigns a selector use site its cursor slot.
 func (c *compiler) useSite(s *ScanNode) int {
-	if c.sub > 0 {
-		s.eager = true
-	}
 	c.cursors++
 	return c.cursors - 1
 }

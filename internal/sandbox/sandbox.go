@@ -93,14 +93,11 @@ func (e *Executor) Instrument(reg *obs.Registry) {
 		"Range-query selector evaluations served from the select-once cache.", "")
 	selMisses := reg.Counter("dio_promql_selector_cache_misses_total",
 		"Range-query selector fetches that went to storage.", "")
-	resets := reg.Counter("dio_promql_cursor_resets_total",
-		"Series cursor re-seeks caused by non-monotone evaluation timestamps.", "")
 	e.hooks.QueueWait = func(d time.Duration) { queueWait.Observe(d.Seconds()) }
 	e.hooks.OnSamples = func(n int) { samples.Observe(float64(n)) }
 	e.hooks.OnRangeEval = func(s promql.RangeStats) {
 		selHits.Add(float64(s.SelectorHits))
 		selMisses.Add(float64(s.SelectorMisses))
-		resets.Add(float64(s.CursorResets))
 	}
 	e.engine.SetHooks(e.hooks)
 }

@@ -7,6 +7,28 @@ import (
 	"testing"
 )
 
+// DecodeViews decodes the snapshot of every view SelectBatch returned into
+// its Samples, clamped to the view's hint, all into one slab: the whole
+// decode that the tests hold every Reader read to. It takes no lock:
+// snapshots share nothing that appends or truncations change.
+func DecodeViews(views []SeriesView) {
+	n := 0
+	for _, v := range views {
+		for _, c := range v.chunks {
+			n += c.count
+		}
+	}
+	slab := make([]Sample, 0, n)
+	for i := range views {
+		v := &views[i]
+		from := len(slab)
+		for _, c := range v.chunks {
+			slab = appendDecoded(slab, c, v.minT, v.maxT)
+		}
+		v.Samples = slab[from:len(slab):len(slab)]
+	}
+}
+
 // TestReaderSnapshotStable takes a range selection and reads it through
 // Readers while the series changes under them: appends until the head
 // seals, appends into the new head, and a retention truncation that cuts

@@ -10,9 +10,9 @@ import (
 // chunks: a list of sealed immutable chunks plus an open head appender.
 // Reads under the lock either decode into fresh slices or snapshot: a
 // snapshot shares the sealed chunks, which never change, and copies the
-// head's bytes, which appends rewrite. DecodeViews and Readers decode
-// snapshots later, outside the lock. Either way what a reader sees stays
-// valid and unchanged across concurrent appends and truncations.
+// head's bytes, which appends rewrite. Readers decode snapshots later,
+// outside the lock. Either way what a reader sees stays valid and
+// unchanged across concurrent appends and truncations.
 type Series struct {
 	Labels Labels
 	// fp caches Labels.Key(), computed once when the series is created, so
@@ -198,27 +198,6 @@ func (s *Series) restoreChunks(chunks []chunk, total int, lastT int64, lastV flo
 	s.head = nil
 	s.total = total
 	s.lastT, s.lastV = lastT, lastV
-}
-
-// DecodeViews decodes the snapshot of every view SelectBatch returned into
-// its Samples, clamped to the view's hint, all into one slab. It takes no
-// lock: snapshots share nothing that appends or truncations change.
-func DecodeViews(views []SeriesView) {
-	n := 0
-	for _, v := range views {
-		for _, c := range v.chunks {
-			n += c.count
-		}
-	}
-	slab := make([]Sample, 0, n)
-	for i := range views {
-		v := &views[i]
-		from := len(slab)
-		for _, c := range v.chunks {
-			slab = appendDecoded(slab, c, v.minT, v.maxT)
-		}
-		v.Samples = slab[from:len(slab):len(slab)]
-	}
 }
 
 // Reader streams one SelectBatch view's snapshot forward: it decodes

@@ -432,9 +432,8 @@ func (db *DB) SelectRange(matchers []*Matcher, start, end int64) []SeriesRange {
 // SelectSeries decodes them into Samples. SelectBatch leaves Samples nil
 // and takes a snapshot instead: the headers of the sealed chunks that
 // overlap its hint and a copy of the head chunk's bytes, which
-// DecodeViews decodes into Samples and NewReaders streams forward. The
-// samples stay unchanged across concurrent appends and truncations, and
-// must be treated as read-only.
+// NewReaders streams forward. The samples stay unchanged across
+// concurrent appends and truncations, and must be treated as read-only.
 type SeriesView struct {
 	Labels      Labels
 	Fingerprint string
