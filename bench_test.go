@@ -515,6 +515,61 @@ func BenchmarkQueryRangeWide(b *testing.B) {
 	reportCPU(b, cpu0)
 }
 
+// subqueryShapes are BenchmarkSubqueryRange's queries over the populated
+// trace: a subquery over an aggregated rate (of 192 counters), over a bare
+// rate and over a plain selector (18 histogram buckets each). Each comes
+// with the series its result must hold and the steps of the 2 h range at
+// 1 m that each series must have: 120 for a rate, which has no value at
+// the trace's first sample, and 121 for a selector.
+var subqueryShapes = []struct {
+	name, q       string
+	series, steps int
+}{
+	{"agg_rate", `max_over_time(sum by (instance) (rate({__name__=~".+_attempt"}[5m]))[30m:1m])`, 2, 120},
+	{"rate", "max_over_time(rate(amfcc_n1_auth_duration_seconds_bucket[5m])[30m:1m])", 18, 120},
+	{"selector", "avg_over_time(smfsm_ebi_assignment_duration_seconds_bucket[30m:1m])", 18, 121},
+}
+
+// BenchmarkSubqueryRange evaluates each subquery shape as an instant
+// query at the trace's end and as a range query over the whole 2 h trace
+// at 1 m steps, where consecutive [30m:1m] windows share 29 of their 30
+// inner steps.
+func BenchmarkSubqueryRange(b *testing.B) {
+	eng := promql.NewEngine(env(b).db, promql.DefaultEngineOptions())
+	start := time.Date(2026, 7, 6, 8, 0, 0, 0, time.UTC)
+	end := start.Add(2 * time.Hour)
+	ctx := context.Background()
+	for _, s := range subqueryShapes {
+		expr, err := promql.Parse(s.q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(s.name+"/instant", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v, err := eng.Eval(ctx, expr, end)
+				if vec, ok := v.(promql.Vector); err != nil || !ok || len(vec) != s.series {
+					b.Fatalf("%s: %v series, want %d: %v", s.q, v, s.series, err)
+				}
+			}
+		})
+		b.Run(s.name+"/range", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := eng.QueryRangeExpr(ctx, expr, start, end, time.Minute)
+				if err != nil || len(m) != s.series {
+					b.Fatalf("%s: %d series, want %d: %v", s.q, len(m), s.series, err)
+				}
+				for _, ms := range m {
+					if len(ms.Samples) != s.steps {
+						b.Fatalf("%s: %s has %d steps, want %d", s.q, ms.Labels, len(ms.Samples), s.steps)
+					}
+				}
+			}
+		})
+	}
+}
+
 // reportCPU reports the process CPU time per op since cpu0 as cpu-ms/op.
 // Work the executor spreads over idle cores costs CPU but not wall time,
 // so wall ms/op alone hides it.
