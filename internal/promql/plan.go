@@ -163,11 +163,11 @@ func (c *compiler) op(e Expr, lo, hi int64) (physOp, error) {
 	case *VectorSelector:
 		off := n.Offset.Milliseconds()
 		s := c.scan(n, satSub(satSub(lo, off), c.lookbackMs), satSub(hi, off))
-		return &pScan{scanIdx: s.ID, cur: c.useSite(s), offMs: off}, nil
+		return &pScan{scanIdx: s.ID, cur: c.useSite(), offMs: off}, nil
 	case *MatrixSelector:
 		off, rng := n.VectorSelector.Offset.Milliseconds(), n.Range.Milliseconds()
 		s := c.scan(n.VectorSelector, satSub(satSub(lo, off), rng), satSub(hi, off))
-		return &pMatrix{scanIdx: s.ID, cur: c.useSite(s), offMs: off, rngMs: rng}, nil
+		return &pMatrix{scanIdx: s.ID, cur: c.useSite(), offMs: off, rngMs: rng}, nil
 	case *SubqueryExpr:
 		// Inner timestamps live in (ts-offset-range, ts-offset].
 		off, rng := n.Offset.Milliseconds(), n.Range.Milliseconds()
@@ -245,7 +245,7 @@ func (c *compiler) scan(vs *VectorSelector, lo, hi int64) *ScanNode {
 }
 
 // useSite assigns a selector use site its cursor slot.
-func (c *compiler) useSite(s *ScanNode) int {
+func (c *compiler) useSite() int {
 	c.cursors++
 	return c.cursors - 1
 }
