@@ -227,7 +227,14 @@ func (o *pSubquery) window(p *part, ts int64) (Matrix, int64, int64, error) {
 		return nil, 0, 0, fmt.Errorf("promql: subquery step must be positive")
 	}
 	steps := slices.DeleteFunc(p.subs[o.slot], func(s innerStep) bool { return s.t <= start })
-	t := firstStep(start, o.stepMs)
+	// The first inner step is the least multiple of the step above start.
+	// Division truncates toward zero, so for a negative start the product
+	// is already the ceiling, and only a multiple at or below start moves
+	// up a step.
+	t := start / o.stepMs * o.stepMs
+	if t <= start {
+		t += o.stepMs
+	}
 	for _, s := range steps {
 		if err := p.account(s.samples); err != nil {
 			return nil, 0, 0, err
@@ -276,17 +283,6 @@ func (o *pSubquery) window(p *part, ts int64) (Matrix, int64, int64, error) {
 		out = append(out, *acc[k])
 	}
 	return out, start, end, nil
-}
-
-// firstStep is the least multiple of step above start. Go's division
-// truncates toward zero, so for a negative start the product is already
-// the ceiling, and only a multiple at or below start moves up a step.
-func firstStep(start, step int64) int64 {
-	t := start / step * step
-	if t <= start {
-		t += step
-	}
-	return t
 }
 
 func (o *pSubquery) exec(p *part, ts int64) (Value, error) {
