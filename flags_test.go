@@ -3,8 +3,11 @@ package dio
 import (
 	"bufio"
 	"flag"
+	"io"
 	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -109,4 +112,67 @@ func TestServerFlagTable(t *testing.T) {
 		}
 	})
 	t.Logf("%d dio-server flags", len(documented))
+}
+
+// commandLineFiles are the files whose dio-server command lines
+// TestServerCommandLines parses.
+var commandLineFiles = []string{"README.md", "DESIGN.md", "scripts/*.sh", "cmd/dio-server/main.go"}
+
+// serverCommandLine matches a dio-server invocation with flags: the
+// command, as a path or a bare name, then its arguments up to the end of
+// the line or of the inline code span holding it.
+var serverCommandLine = regexp.MustCompile("(?:^|[\\s`/])dio-server[ \\t]+(-[^`\\n]*)")
+
+// serverArgs splits what follows dio-server into its arguments. Quotes are
+// dropped, since no documented argument holds a space, and the first
+// redirection, pipe, background or separator token ends the command.
+func serverArgs(s string) []string {
+	var args []string
+	for _, f := range strings.Fields(s) {
+		if strings.HasPrefix(strings.TrimLeft(f, "0123456789"), ">") || strings.ContainsAny(f[:1], "<|&;#") {
+			break
+		}
+		args = append(args, strings.Trim(f, `"'`))
+	}
+	return args
+}
+
+// TestServerCommandLines parses every dio-server command line in the docs
+// and scripts with the flags server.Config registers, so a documented
+// invocation of a removed or renamed flag fails here instead of at a
+// reader's terminal. Shell continuation lines are joined first.
+func TestServerCommandLines(t *testing.T) {
+	var files []string
+	for _, pattern := range commandLineFiles {
+		matches, err := filepath.Glob(pattern)
+		if err != nil || len(matches) == 0 {
+			t.Fatalf("%s matches no file (%v)", pattern, err)
+		}
+		files = append(files, matches...)
+	}
+	found := 0
+	for _, name := range files {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.ReplaceAll(string(src), "\\\n", " ")
+		for _, m := range serverCommandLine.FindAllStringSubmatch(text, -1) {
+			found++
+			args := serverArgs(m[1])
+			cfg := server.DefaultConfig()
+			fs := flag.NewFlagSet("dio-server", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			cfg.Flags(fs)
+			if err := fs.Parse(args); err != nil {
+				t.Errorf("%s: dio-server %s: %v", name, strings.Join(args, " "), err)
+			} else if fs.NArg() > 0 {
+				t.Errorf("%s: dio-server %s: arguments %q are not flags", name, strings.Join(args, " "), fs.Args())
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatalf("found no dio-server command line in %v", files)
+	}
+	t.Logf("%d dio-server command lines", found)
 }

@@ -44,6 +44,8 @@ var selfMetricDefs = []selfMetricDef{
 		desc: "Wall-clock latency of sandboxed PromQL query execution in the DIO copilot."},
 	{name: "dio_sandbox_timeouts_total", typ: Counter,
 		desc: "The number of sandboxed DIO queries that hit the wall-clock timeout."},
+	// No server registers this family any more; the document stays while
+	// ROADMAP item 12 keeps the 3 152-document corpus pinned.
 	{name: "dio_promql_queue_wait_seconds", unit: "seconds", histogram: true,
 		desc: "Time DIO queries spent waiting for a PromQL engine concurrency slot before evaluating."},
 	{name: "dio_promql_samples_loaded", histogram: true,

@@ -225,19 +225,23 @@ func (c *Copilot) ExplainQuery(query string) (string, error) {
 	return c.exec.Engine().Explain(query)
 }
 
-// ExplainAnalyzeQuery executes a PromQL query at the metric-aware
-// evaluation instant (the newest sample among the metrics it selects, so
-// frozen operator queries are profiled over their own timeline rather
-// than the live dio_* one) and returns the plan annotated with measured
-// per-operator cost: wall time with hot-path percentages, series
-// produced, and stored samples scanned. Unlike ExplainQuery this runs
-// the query for real.
+// ExplainAnalyzeQuery executes a PromQL query through the sandbox at the
+// metric-aware evaluation instant (the newest sample among the metrics it
+// selects, so frozen operator queries are profiled over their own
+// timeline rather than the live dio_* one) and returns the plan annotated
+// with measured per-operator cost: wall time with hot-path percentages,
+// series produced, and stored samples scanned. Unlike ExplainQuery this
+// runs the query for real, vetted, capped and audited like any other.
 func (c *Copilot) ExplainAnalyzeQuery(ctx context.Context, query string) (string, error) {
 	var names []string
 	if expr, err := promql.Parse(query); err == nil {
 		names = promql.MetricNames(expr)
 	}
-	return c.exec.Engine().ExplainAnalyze(ctx, query, c.EvalTime(names))
+	ctx, capture := promql.WithQueryStats(ctx)
+	if _, err := c.exec.Execute(ctx, query, c.EvalTime(names)); err != nil {
+		return "", err
+	}
+	return capture.Stats().Render(), nil
 }
 
 // Tracer returns the pipeline tracer (nil when the copilot was built

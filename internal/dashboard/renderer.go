@@ -14,9 +14,10 @@ import (
 
 // Renderer evaluates dashboard panels concurrently through a bounded
 // worker pool. Panels are independent range queries, so rendering them in
-// parallel hides per-panel storage latency; the engine's MaxConcurrent
-// gate still applies underneath, bounding total evaluation pressure on the
-// store. A Renderer is safe for concurrent use.
+// parallel hides per-panel storage latency. The pool bounds one
+// dashboard's evaluation pressure on the store; the server's admission
+// gate, whose slot the ask holds, bounds how many run at once. A Renderer
+// is safe for concurrent use.
 type Renderer struct {
 	exec    *sandbox.Executor
 	workers int

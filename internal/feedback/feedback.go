@@ -177,24 +177,36 @@ func (t *Tracker) Resolve(id int, expert string, c Contribution) error {
 		t.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotExpert, expert)
 	}
+	appliers, err := t.resolveLocked(is, expert, c)
+	t.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return apply(appliers, c, expert)
+}
+
+// resolveLocked is the one state change from open to resolved, shared by
+// Resolve and an accepted proposal: it records c on is, attributed to by,
+// and returns the appliers to hand c to once t.mu is released. An issue
+// that is not open, or an incomplete contribution, changes nothing.
+func (t *Tracker) resolveLocked(is *Issue, by string, c Contribution) ([]Applier, error) {
 	if is.State != Open {
-		t.mu.Unlock()
-		return fmt.Errorf("%w: %d is %s", ErrAlreadyClosed, id, is.State)
+		return nil, fmt.Errorf("%w: %d is %s", ErrAlreadyClosed, is.ID, is.State)
 	}
 	if c.MetricName == "" || c.Description == "" {
-		t.mu.Unlock()
-		return errors.New("feedback: contribution requires a metric name and description")
+		return nil, errors.New("feedback: contribution requires a metric name and description")
 	}
 	is.State = Resolved
-	is.Expert = expert
+	is.Expert = by
 	is.ResolvedAt = t.clock()
-	cc := c
-	is.Resolution = &cc
-	appliers := append([]Applier(nil), t.appliers...)
-	t.mu.Unlock()
+	is.Resolution = &c
+	return append([]Applier(nil), t.appliers...), nil
+}
 
+// apply hands c, contributed by author, to each applier in turn.
+func apply(appliers []Applier, c Contribution, author string) error {
 	for _, fn := range appliers {
-		if err := fn(c, expert); err != nil {
+		if err := fn(c, author); err != nil {
 			return fmt.Errorf("feedback: applying contribution: %w", err)
 		}
 	}

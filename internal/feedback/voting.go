@@ -150,23 +150,14 @@ func (t *Tracker) Vote(proposalID int, expert string, up bool) error {
 	case score >= DefaultAcceptThreshold:
 		p.State = Accepted
 		// Apply as a resolution attributed to the author, endorsed by the
-		// up-voting experts.
-		is, ok := t.issues[p.IssueID]
-		if ok && is.State == Open {
-			is.State = Resolved
-			is.Expert = p.Author + " (community, accepted by " + votersList(p) + ")"
-			is.ResolvedAt = t.clock()
-			cc := p.Contribution
-			is.Resolution = &cc
+		// up-voting experts. An issue that is no longer open keeps its
+		// resolution, and the proposal applies nothing.
+		var appliers []Applier
+		if is, ok := t.issues[p.IssueID]; ok {
+			appliers, _ = t.resolveLocked(is, p.Author+" (community, accepted by "+votersList(p)+")", p.Contribution)
 		}
-		appliers := append([]Applier(nil), t.appliers...)
 		t.mu.Unlock()
-		for _, fn := range appliers {
-			if err := fn(p.Contribution, p.Author); err != nil {
-				return fmt.Errorf("feedback: applying accepted proposal: %w", err)
-			}
-		}
-		return nil
+		return apply(appliers, p.Contribution, p.Author)
 	case score <= DefaultRejectThreshold:
 		p.State = Rejected
 	}

@@ -94,6 +94,45 @@ func TestVoteAcceptFlow(t *testing.T) {
 	}
 }
 
+// TestVoteAcceptAfterExpertResolution: a proposal filed while its issue
+// was open and accepted after an expert resolved the issue applies
+// nothing, so the catalog and the retriever keep the expert's text, the
+// text the issue shows.
+func TestVoteAcceptAfterExpertResolution(t *testing.T) {
+	tr, is := openIssueTracker(t)
+	var applied []string
+	tr.OnResolve(func(c feedback.Contribution, author string) error {
+		applied = append(applied, c.Description+" by "+author)
+		return nil
+	})
+	community := contribution()
+	community.Description = "community text"
+	p, err := tr.Propose(is.ID, "j.doe", community)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expert := contribution()
+	expert.Description = "expert text"
+	if err := tr.Resolve(is.ID, "alice", expert); err != nil {
+		t.Fatal(err)
+	}
+	for _, voter := range []string{"bob", "carol"} {
+		if err := tr.Vote(p.ID, voter, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tr.Proposals(is.ID)[0].State; got != feedback.Accepted {
+		t.Errorf("proposal state = %s, want accepted", got)
+	}
+	if len(applied) != 1 || applied[0] != "expert text by alice" {
+		t.Errorf("appliers received %q, want only the expert's resolution", applied)
+	}
+	issue, _ := tr.Get(is.ID)
+	if issue.Expert != "alice" || issue.Resolution.Description != "expert text" {
+		t.Errorf("issue resolved by %q with %q, want alice's expert text", issue.Expert, issue.Resolution.Description)
+	}
+}
+
 func TestVoteRejectFlow(t *testing.T) {
 	tr, is := openIssueTracker(t)
 	p, _ := tr.Propose(is.ID, "community.user", contribution())

@@ -50,7 +50,7 @@ type AnswerFront interface {
 }
 
 // Admitter is the admission-control surface bounding concurrent answer
-// computations (servecache.Gate in production).
+// computations and PromQL evaluations (servecache.Gate in production).
 type Admitter interface {
 	Acquire(ctx context.Context) (release func(), err error)
 }
@@ -76,7 +76,7 @@ type Server struct {
 
 	// front/gate form the serving-throughput layer (nil when off): the
 	// answer cache with singleflight in front of Ask, and the admission
-	// gate bounding concurrent answer computations.
+	// gate bounding every request that evaluates PromQL.
 	front AnswerFront
 	gate  Admitter
 
@@ -118,8 +118,9 @@ func WithTracing(tr *obs.Tracer) Option {
 
 // WithServingLayer attaches the serving-throughput layer: ask answers are
 // served through the cache/singleflight front, and the admission gate
-// bounds how many answers compute concurrently (overload sheds with
-// 429). Either may be a nil interface to enable just one half.
+// bounds how many asks, feedback re-asks, queries, range queries and
+// analyzed plans run concurrently (overload sheds with 429). Either may
+// be a nil interface to enable just one half.
 func WithServingLayer(front AnswerFront, gate Admitter) Option {
 	return func(s *Server) { s.front, s.gate = front, gate }
 }
@@ -329,8 +330,9 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 // the engine compiles for the query, rendered as an operator tree with the
 // optimizer passes that applied. The plan comes from the same per-engine
 // cache the executor uses, so what this endpoint shows is what runs.
-// ?analyze=true executes the query and annotates every operator with its
-// measured wall time, series and sample counts (EXPLAIN ANALYZE).
+// ?analyze=true executes the query through the admission gate and the
+// sandbox and annotates every operator with its measured wall time, series
+// and sample counts (EXPLAIN ANALYZE).
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("query")
 	if q == "" {
@@ -351,12 +353,17 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		err  error
 	)
 	if analyze {
+		release, ok := s.admit(w, r)
+		if !ok {
+			return
+		}
+		defer release()
 		plan, err = s.copilot.ExplainAnalyzeQuery(r.Context(), q)
 	} else {
 		plan, err = s.copilot.ExplainQuery(q)
 	}
 	if err != nil {
-		s.writeErr(w, http.StatusUnprocessableEntity, err)
+		s.writeEvalErr(w, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
@@ -541,11 +548,11 @@ type askMetric struct {
 	Description string `json:"description,omitempty"`
 }
 
-// admit takes an admission-gate slot before an answer computation, or
-// sheds the request: 429 with a Retry-After when the queue wait expires,
-// 503 when the client context dies while queued. The release func must be
-// called once the computation finishes; ok=false means the response is
-// already written.
+// admit takes an admission-gate slot before an answer computation or a
+// PromQL evaluation, or sheds the request: 429 with a Retry-After when the
+// queue wait expires, 503 when the client context dies while queued. The
+// release func must be called once the computation finishes; ok=false
+// means the response is already written.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
 	if s.gate == nil {
 		return func() {}, true
@@ -700,16 +707,28 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad time: %w", err))
 		return
 	}
+	release, ok := s.admit(w, r)
+	if !ok {
+		return
+	}
+	defer release()
 	v, err := s.copilot.Executor().Execute(r.Context(), q, ts)
 	if err != nil {
-		code := http.StatusUnprocessableEntity
-		if errors.Is(err, sandbox.ErrRejected) {
-			code = http.StatusForbidden
-		}
-		s.writeErr(w, code, err)
+		s.writeEvalErr(w, err)
 		return
 	}
 	writeResult(w, v)
+}
+
+// writeEvalErr answers a failed PromQL evaluation the same way on every
+// route that runs one: 403 for a query the sandbox refuses, 422 for any
+// other error.
+func (s *Server) writeEvalErr(w http.ResponseWriter, err error) {
+	code := http.StatusUnprocessableEntity
+	if errors.Is(err, sandbox.ErrRejected) {
+		code = http.StatusForbidden
+	}
+	s.writeErr(w, code, err)
 }
 
 func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
@@ -736,9 +755,14 @@ func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	release, ok := s.admit(w, r)
+	if !ok {
+		return
+	}
+	defer release()
 	m, err := s.copilot.Executor().ExecuteRange(r.Context(), q, start, end, step)
 	if err != nil {
-		s.writeErr(w, http.StatusUnprocessableEntity, err)
+		s.writeEvalErr(w, err)
 		return
 	}
 	writeResult(w, m)

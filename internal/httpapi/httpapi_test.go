@@ -140,6 +140,24 @@ func TestQueryErrors(t *testing.T) {
 	if w, _ := do(t, h, "GET", "/api/v1/query?query=up&time=notatime", nil); w.Code != 400 {
 		t.Errorf("bad time = %d", w.Code)
 	}
+	// Every route that evaluates PromQL answers a sandbox refusal with 403
+	// and any other evaluation error with 422: an unselective selector and
+	// a window wider than the sandbox's 24h are refused, and a query that
+	// does not parse fails.
+	for _, route := range []string{"/api/v1/query?query=", "/api/v1/query_range?step=5m&query=", "/debug/plan?analyze=true&query="} {
+		for _, tc := range []struct {
+			query string
+			want  int
+		}{
+			{`count({instance=~".+"})`, 403},
+			{"sum(rate(amfcc_initial_registration_attempt[48h]))", 403},
+			{"sum(", 422},
+		} {
+			if w, out := do(t, h, "GET", route+queryEscape(tc.query), nil); w.Code != tc.want {
+				t.Errorf("GET %s%s = %d %v, want %d", route, tc.query, w.Code, out, tc.want)
+			}
+		}
+	}
 }
 
 func TestQueryRangeEndpoint(t *testing.T) {

@@ -156,7 +156,9 @@ func TestDebugPlanAnalyze(t *testing.T) {
 }
 
 // TestAskAnalyze: an ask with "analyze": true profiles the generated
-// query's sandbox execution and returns its EXPLAIN ANALYZE tree.
+// query's sandbox execution and returns its EXPLAIN ANALYZE tree. On a
+// fresh server that execution compiles the plan, so it reports a plan
+// cache miss; the audit's plan does not compile it first.
 func TestAskAnalyze(t *testing.T) {
 	h := newServer(t)
 	w, out := do(t, h, "POST", "/api/v1/ask",
@@ -167,6 +169,9 @@ func TestAskAnalyze(t *testing.T) {
 	plan, _ := out["analyzed_plan"].(string)
 	if !strings.Contains(plan, "analyze for: ") {
 		t.Errorf("analyzed_plan = %q, want an EXPLAIN ANALYZE tree", plan)
+	}
+	if !strings.Contains(plan, "plan cache miss") {
+		t.Errorf("first analyzed ask on a fresh server reports no plan cache miss:\n%s", plan)
 	}
 
 	// Without the flag the field stays absent.

@@ -3,6 +3,7 @@ package httpapi_test
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -135,5 +136,65 @@ func TestAskOverloadSheds(t *testing.T) {
 	w, _ = do(t, h, "POST", "/api/v1/ask", map[string]any{"question": "How many PDU sessions are currently active?"})
 	if w.Code != 200 {
 		t.Fatalf("post-release ask = %d, want 200", w.Code)
+	}
+}
+
+// evaluatingTargets are the GET routes that evaluate PromQL, each with a
+// query the sandbox accepts.
+var evaluatingTargets = []string{
+	"/api/v1/query?query=" + queryEscape("sum(smfsm_pdu_sessions_active)"),
+	"/api/v1/query_range?query=" + queryEscape("sum(smfsm_pdu_sessions_active)") + "&step=5m",
+	"/debug/plan?analyze=true&query=" + queryEscape("sum(smfsm_pdu_sessions_active)"),
+}
+
+// TestEvaluationRoutesShed holds the only slot of the admission gate: a
+// query, a range query and an analyzed plan each shed with 429 and a
+// one-second Retry-After, like an ask. A plain plan evaluates nothing and
+// needs no slot. Once the slot is free each evaluating route answers.
+func TestEvaluationRoutesShed(t *testing.T) {
+	gate := servecache.NewGate(1, 30*time.Millisecond)
+	h := newServingServer(t, gate, nil)
+	release, err := gate.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range evaluatingTargets {
+		w, out := do(t, h, "GET", target, nil)
+		if w.Code != http.StatusTooManyRequests {
+			t.Errorf("GET %s with the slot held = %d %v, want 429", target, w.Code, out)
+		}
+		if got := w.Header().Get("Retry-After"); got != "1" {
+			t.Errorf("GET %s: Retry-After = %q, want \"1\"", target, got)
+		}
+	}
+	if w, out := do(t, h, "GET", "/debug/plan?query="+queryEscape("sum(smfsm_pdu_sessions_active)"), nil); w.Code != http.StatusOK {
+		t.Errorf("plain plan with the slot held = %d %v, want 200", w.Code, out)
+	}
+	release()
+	for _, target := range evaluatingTargets {
+		if w, out := do(t, h, "GET", target, nil); w.Code != http.StatusOK {
+			t.Errorf("GET %s with the slot free = %d %v, want 200", target, w.Code, out)
+		}
+	}
+}
+
+// TestQueryRangeThroughOneSlotGate: a range query holds one admission slot
+// for its whole step loop and takes no other, so it completes through a
+// one-slot gate.
+func TestQueryRangeThroughOneSlotGate(t *testing.T) {
+	h := newServingServer(t, servecache.NewGate(1, time.Minute), nil)
+	done := make(chan int, 1)
+	go func() {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", evaluatingTargets[1], nil))
+		done <- w.Code
+	}()
+	select {
+	case code := <-done:
+		if code != http.StatusOK {
+			t.Fatalf("query_range through a one-slot gate = %d, want 200", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("query_range through a one-slot gate did not complete")
 	}
 }

@@ -25,10 +25,6 @@ type EngineOptions struct {
 	// Timeout aborts long evaluations; zero means no engine-level timeout
 	// (context cancellation still applies).
 	Timeout time.Duration
-	// MaxConcurrent caps queries evaluating at once; excess queries wait
-	// in a semaphore queue (and fail if their context is cancelled while
-	// queued). Zero means unlimited.
-	MaxConcurrent int
 	// ExecWorkers caps the step partitions, one goroutine each, that a
 	// range query may split into; an instant query is one step and runs on
 	// the caller's goroutine. Zero picks min(GOMAXPROCS, 16); 1 runs every
@@ -38,15 +34,12 @@ type EngineOptions struct {
 
 // DefaultEngineOptions mirrors Prometheus defaults.
 func DefaultEngineOptions() EngineOptions {
-	return EngineOptions{LookbackDelta: 5 * time.Minute, MaxSamples: 50_000_000, Timeout: 2 * time.Minute, MaxConcurrent: 20}
+	return EngineOptions{LookbackDelta: 5 * time.Minute, MaxSamples: 50_000_000, Timeout: 2 * time.Minute}
 }
 
 // Hooks observe engine behaviour without coupling evaluation to any
 // metrics implementation (package obs supplies the histograms).
 type Hooks struct {
-	// QueueWait receives how long each gated query waited for a
-	// concurrency slot (only called when MaxConcurrent > 0).
-	QueueWait func(time.Duration)
 	// OnSamples receives, once per query, the number of stored samples it
 	// touched: an instant query's total, or a range query's summed over its
 	// steps once its partitions join, the value QueryStats.Samples and the
@@ -54,10 +47,10 @@ type Hooks struct {
 	OnSamples func(int)
 	// OnRangeEval receives the select-once statistics of each range query.
 	OnRangeEval func(RangeStats)
-	// OnQueryStart fires when a query begins evaluating (after the
-	// concurrency gate), instant and range alike. The returned func fires
-	// when the query finishes, whatever the outcome: the active-query
-	// tracker's insert/release pair.
+	// OnQueryStart fires when a query begins evaluating, instant and
+	// range alike. The returned func fires when the query finishes,
+	// whatever the outcome: the active-query tracker's insert/release
+	// pair.
 	OnQueryStart func(query, kind, traceID string) func()
 	// OnQueryDone receives every finished query's log entry — the
 	// slow-query log's feed. Entries of successful queries carry the
@@ -84,7 +77,6 @@ type RangeStats struct {
 type Engine struct {
 	db    tsdb.Storage
 	opts  EngineOptions
-	gate  chan struct{}
 	hooks Hooks
 
 	// noArena runs range partitions on the nil arena, the plain-heap path
@@ -115,11 +107,7 @@ func NewEngine(db tsdb.Storage, opts EngineOptions) *Engine {
 			opts.ExecWorkers = 16
 		}
 	}
-	e := &Engine{db: db, opts: opts, plans: make(map[string]*compiledPlan)}
-	if opts.MaxConcurrent > 0 {
-		e.gate = make(chan struct{}, opts.MaxConcurrent)
-	}
-	return e
+	return &Engine{db: db, opts: opts, plans: make(map[string]*compiledPlan)}
 }
 
 // planFor compiles (or fetches from cache) the physical plan for expr.
@@ -166,22 +154,6 @@ func (e *Engine) ExplainCompact(expr Expr) (string, error) {
 		return "", err
 	}
 	return cp.compact, nil
-}
-
-// ExplainAnalyze executes input at ts and returns the plan annotated with
-// the measured per-operator statistics (wall time with hot-path
-// percentages, calls, output series, samples scanned). The query really
-// runs — budget, gate and hooks included.
-func (e *Engine) ExplainAnalyze(ctx context.Context, input string, ts time.Time) (string, error) {
-	expr, err := Parse(input)
-	if err != nil {
-		return "", err
-	}
-	ctx, cap := WithQueryStats(ctx)
-	if _, err := e.Eval(ctx, expr, ts); err != nil {
-		return "", err
-	}
-	return cap.Stats().Render(), nil
 }
 
 // SetHooks installs observation hooks. Call before the engine serves
@@ -244,34 +216,6 @@ func (e *Engine) beginQuery(ctx context.Context, expr Expr, kind string) (contex
 // DB returns the engine's backing store.
 func (e *Engine) DB() tsdb.Storage { return e.db }
 
-// enter acquires a concurrency slot, reporting the queue wait. It returns
-// immediately when the engine is ungated.
-func (e *Engine) enter(ctx context.Context) error {
-	if e.gate == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	start := time.Now()
-	select {
-	case e.gate <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	if e.hooks.QueueWait != nil {
-		e.hooks.QueueWait(time.Since(start))
-	}
-	return nil
-}
-
-// exit releases the concurrency slot taken by enter.
-func (e *Engine) exit() {
-	if e.gate != nil {
-		<-e.gate
-	}
-}
-
 // maxRangeSteps bounds the steps of one range query (Prometheus's limit of
 // 11,000 points per series).
 const maxRangeSteps = 11000
@@ -279,13 +223,8 @@ const maxRangeSteps = 11000
 // ErrTooManySamples is returned when a query exceeds MaxSamples.
 var ErrTooManySamples = errors.New("promql: query touches too many samples")
 
-// Eval evaluates expr at the instant ts, waiting for a concurrency slot
-// when the engine is gated.
+// Eval evaluates expr at the instant ts.
 func (e *Engine) Eval(ctx context.Context, expr Expr, ts time.Time) (v Value, err error) {
-	if err := e.enter(ctx); err != nil {
-		return nil, err
-	}
-	defer e.exit()
 	ctx, fin := e.beginQuery(ctx, expr, "instant")
 	defer func() { fin(err) }()
 	if e.opts.Timeout > 0 {
@@ -308,15 +247,11 @@ func (e *Engine) QueryRangeExpr(ctx context.Context, expr Expr, start, end time.
 	if end.Before(start) {
 		return nil, fmt.Errorf("promql: range end precedes start")
 	}
-	// Refused before the gate, the plan and the step slice: MaxSamples is a
-	// per-step budget, so nothing else bounds what a tiny step allocates.
+	// Refused before the plan and the step slice: MaxSamples is a per-step
+	// budget, so nothing else bounds what a tiny step allocates.
 	if n := int64(end.Sub(start)/step) + 1; n > maxRangeSteps {
 		return nil, fmt.Errorf("promql: range of %d steps exceeds the maximum of %d; use a larger step", n, maxRangeSteps)
 	}
-	if err := e.enter(ctx); err != nil {
-		return nil, err
-	}
-	defer e.exit()
 	ctx, fin := e.beginQuery(ctx, expr, "range")
 	defer func() { fin(err) }()
 	// The engine timeout spans the whole range evaluation.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dio/internal/obs"
+	"dio/internal/tsdb"
 )
 
 // TestQueryStatsByteIdentity: per-operator stats collection must be
@@ -104,6 +105,20 @@ func TestWithQueryStatsCapture(t *testing.T) {
 	}
 }
 
+// explainAnalyze parses input, evaluates it at ts with a stats capture
+// and renders the capture: EXPLAIN ANALYZE on the bare engine.
+func explainAnalyze(ctx context.Context, eng *Engine, input string, ts time.Time) (string, error) {
+	expr, err := Parse(input)
+	if err != nil {
+		return "", err
+	}
+	ctx, capture := WithQueryStats(ctx)
+	if _, err := eng.Eval(ctx, expr, ts); err != nil {
+		return "", err
+	}
+	return capture.Stats().Render(), nil
+}
+
 // TestExplainAnalyze pins the rendered output: header, totals line with
 // the plan-cache state, and the annotated operator tree.
 func TestExplainAnalyze(t *testing.T) {
@@ -112,7 +127,7 @@ func TestExplainAnalyze(t *testing.T) {
 	eng := NewEngine(db, opts)
 
 	const q = "sum by (instance) (rate(amfcc_n1_auth_request[5m]))"
-	out, err := eng.ExplainAnalyze(context.Background(), q, end)
+	out, err := explainAnalyze(context.Background(), eng, q, end)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,17 +143,17 @@ func TestExplainAnalyze(t *testing.T) {
 		" samples]",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("ExplainAnalyze output missing %q:\n%s", want, out)
+			t.Errorf("explainAnalyze output missing %q:\n%s", want, out)
 		}
 	}
 
 	// The same expression analyzed again must hit the plan cache.
-	out2, err := eng.ExplainAnalyze(context.Background(), q, end)
+	out2, err := explainAnalyze(context.Background(), eng, q, end)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out2, "plan cache hit") {
-		t.Errorf("second ExplainAnalyze did not report a plan cache hit:\n%s", out2)
+		t.Errorf("second explainAnalyze did not report a plan cache hit:\n%s", out2)
 	}
 
 	rctx, rcap := WithQueryStats(context.Background())
@@ -149,8 +164,8 @@ func TestExplainAnalyze(t *testing.T) {
 		t.Errorf("analyzed range plan missing steps 11:\n%s", rout)
 	}
 
-	if _, err := eng.ExplainAnalyze(context.Background(), "sum by ((", end); err == nil {
-		t.Error("ExplainAnalyze accepted an unparsable expression")
+	if _, err := explainAnalyze(context.Background(), eng, "sum by ((", end); err == nil {
+		t.Error("explainAnalyze accepted an unparsable expression")
 	}
 }
 
@@ -231,6 +246,44 @@ func TestQueryHooks(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].Err == "" {
 		t.Fatalf("failed query entry = %+v, want a logged error", entries)
+	}
+}
+
+// tenSamplesDB holds one series, m{instance="a"}, with the values 0..9 at
+// seconds 0..9.
+func tenSamplesDB(t *testing.T) *tsdb.DB {
+	t.Helper()
+	db := tsdb.New()
+	ls := tsdb.FromMap(map[string]string{tsdb.MetricNameLabel: "m", "instance": "a"})
+	for i := 0; i < 10; i++ {
+		if err := db.Append(ls, int64(i*1000), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestOnSamplesHook checks the touched-samples hook fires once per query:
+// an instant query's total, and a range query's summed over its steps.
+func TestOnSamplesHook(t *testing.T) {
+	eng := NewEngine(tenSamplesDB(t), DefaultEngineOptions())
+	var total atomic.Int64
+	eng.SetHooks(Hooks{OnSamples: func(n int) { total.Add(int64(n)) }})
+	if _, err := query(context.Background(), eng, "m[10s]", time.UnixMilli(9000)); err != nil {
+		t.Fatal(err)
+	}
+	if total.Load() == 0 {
+		t.Error("OnSamples hook not called")
+	}
+
+	var calls, got int
+	eng.SetHooks(Hooks{OnSamples: func(n int) { calls++; got = n }})
+	ctx, capture := WithQueryStats(context.Background())
+	if _, err := queryRange(ctx, eng, "sum(rate(m[3s]))", time.UnixMilli(3000), time.UnixMilli(9000), time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if want := capture.Stats().Samples; calls != 1 || int64(got) != want || want == 0 {
+		t.Errorf("range query: OnSamples called %d times with %d, want once with QueryStats.Samples %d", calls, got, want)
 	}
 }
 

@@ -75,7 +75,8 @@ func New(db tsdb.Storage, limits Limits) *Executor {
 }
 
 // Instrument registers the executor's self-metrics on reg and wires the
-// engine hooks (queue wait, samples loaded). Call once, before serving.
+// engine hooks (samples loaded, select-once cache). Call once, before
+// serving.
 func (e *Executor) Instrument(reg *obs.Registry) {
 	e.metrics = &executorMetrics{
 		queries: reg.CounterVec("dio_sandbox_queries_total",
@@ -85,15 +86,12 @@ func (e *Executor) Instrument(reg *obs.Registry) {
 		timeouts: reg.Counter("dio_sandbox_timeouts_total",
 			"Sandboxed queries that hit the wall-clock timeout.", ""),
 	}
-	queueWait := reg.Histogram("dio_promql_queue_wait_seconds",
-		"Time queries spent waiting for an engine concurrency slot.", "seconds", obs.DefBuckets())
 	samples := reg.Histogram("dio_promql_samples_loaded",
 		"Stored samples touched per query evaluation.", "", obs.ExponentialBuckets(10, 10, 7))
 	selHits := reg.Counter("dio_promql_selector_cache_hits_total",
 		"Range-query selector evaluations served from the select-once cache.", "")
 	selMisses := reg.Counter("dio_promql_selector_cache_misses_total",
 		"Range-query selector fetches that went to storage.", "")
-	e.hooks.QueueWait = func(d time.Duration) { queueWait.Observe(d.Seconds()) }
 	e.hooks.OnSamples = func(n int) { samples.Observe(float64(n)) }
 	e.hooks.OnRangeEval = func(s promql.RangeStats) {
 		selHits.Add(float64(s.SelectorHits))
@@ -214,16 +212,6 @@ func (e *Executor) Execute(ctx context.Context, query string, ts time.Time) (pro
 	return v, err
 }
 
-// explain returns the compact execution plan for an already vetted
-// expression, empty when it does not compile (Eval then reports why).
-func (e *Executor) explain(expr promql.Expr) string {
-	plan, err := e.engine.ExplainCompact(expr)
-	if err != nil {
-		return ""
-	}
-	return plan
-}
-
 func (e *Executor) execute(ctx context.Context, query string, ts time.Time) (promql.Value, string, error) {
 	expr, err := promql.Parse(query)
 	if err != nil {
@@ -232,13 +220,11 @@ func (e *Executor) execute(ctx context.Context, query string, ts time.Time) (pro
 	if err := e.Vet(expr); err != nil {
 		return nil, "", err
 	}
-	plan := e.explain(expr)
-	if e.limits.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.limits.Timeout)
-		defer cancel()
-	}
+	// New set the engine's timeout from Limits.Timeout. The audit's plan
+	// is taken after Eval, so the evaluation reports its own plan-cache
+	// state; it is empty when expr does not compile, and Eval says why.
 	v, err := e.engine.Eval(ctx, expr, ts)
+	plan, _ := e.engine.ExplainCompact(expr)
 	if err != nil {
 		return nil, plan, err
 	}

@@ -29,17 +29,31 @@ import (
 	"dio/internal/tsdb"
 )
 
-// Config is dio-server's command line: each field is the flag of the
-// matching name, whose usage Flags holds.
+// Config is dio-server's command line: each exported field is the flag
+// of the matching name, whose usage Flags holds.
 type Config struct {
-	Addr, Model, StateDir, DataDir                                       string
-	Seed                                                                 int64
-	Experts                                                              []string
-	Debug, SelfScrape                                                    bool
-	TraceCapacity, TraceSample, CacheSize, MaxInflight, ActiveQuerySlots int
-	Duration, SelfScrapeInterval, TraceSlow, CacheTTL, QueueWait         time.Duration
-	Retention, CheckpointInterval, SlowQueryThreshold                    time.Duration
+	Addr, Model, DataDir                    string
+	Seed                                    int64
+	Experts                                 []string
+	Debug, SelfScrape                       bool
+	Duration, SelfScrapeInterval, Retention time.Duration
+
+	// slow and maintenance are not flags. DefaultConfig sets them to
+	// slowThreshold and checkpointInterval; in-package tests change them.
+	slow, maintenance time.Duration
 }
+
+// The served configuration's fixed settings.
+const (
+	traceCapacity      = 256              // request traces kept in memory
+	slowThreshold      = time.Second      // a request or query this long is slow
+	cacheSize          = 4096             // answer-cache entries
+	cacheTTL           = 30 * time.Second // answer freshness bucket
+	maxInflight        = 64               // requests evaluating PromQL at once
+	queueWait          = 2 * time.Second  // longest wait for a slot before 429
+	activeQuerySlots   = 32               // slots of the queries.active file
+	checkpointInterval = 5 * time.Minute  // between checkpoints of the store
+)
 
 // DefaultConfig returns every flag's default; a field left out is zero.
 func DefaultConfig() Config {
@@ -47,14 +61,12 @@ func DefaultConfig() Config {
 		Addr: ":8080", Model: "gpt-4", Duration: 2 * time.Hour, Seed: 42,
 		Experts:    []string{"r.nakamura", "a.kimura", "m.okafor", "s.ivanova"},
 		SelfScrape: true, SelfScrapeInterval: 15 * time.Second,
-		TraceCapacity: 256, TraceSample: 1, TraceSlow: time.Second,
-		CacheSize: 4096, CacheTTL: 30 * time.Second, MaxInflight: 64, QueueWait: 2 * time.Second,
-		CheckpointInterval: 5 * time.Minute, SlowQueryThreshold: time.Second, ActiveQuerySlots: 32,
+		slow: slowThreshold, maintenance: checkpointInterval,
 	}
 }
 
-// Flags registers every field of c as a flag on fs, with the field's
-// current value as the flag's default: call it on DefaultConfig().
+// Flags registers every flag field of c on fs, with the field's current
+// value as the flag's default: call it on DefaultConfig().
 func (c *Config) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Addr, "addr", c.Addr, "listen address")
 	fs.StringVar(&c.Model, "model", c.Model, "foundation model tier (gpt-4, gpt-3.5-turbo, text-curie-001)")
@@ -65,26 +77,15 @@ func (c *Config) Flags(fs *flag.FlagSet) {
 		return nil
 	})
 	fs.Lookup("experts").DefValue = strings.Join(c.Experts, ",")
-	fs.StringVar(&c.StateDir, "state", c.StateDir, "directory for feedback issues (issues.json, written on shutdown) and, without -data-dir, the active-query slot file; empty keeps neither")
 	fs.BoolVar(&c.SelfScrape, "selfscrape", c.SelfScrape, "append the server's own dio_* metrics into the TSDB so the copilot can answer questions about itself")
 	fs.DurationVar(&c.SelfScrapeInterval, "selfscrape-interval", c.SelfScrapeInterval, "self-scrape period")
 	fs.BoolVar(&c.Debug, "debug", c.Debug, "serve net/http/pprof under /debug/pprof/")
-	fs.IntVar(&c.TraceCapacity, "trace-capacity", c.TraceCapacity, "request traces retained in memory (0 disables capture)")
-	fs.IntVar(&c.TraceSample, "trace-sample", c.TraceSample, "capture one in N requests (1 = every request; explain always captures)")
-	fs.DurationVar(&c.TraceSlow, "trace-slow", c.TraceSlow, "requests at least this long get preferential trace retention")
-	fs.IntVar(&c.CacheSize, "cache-size", c.CacheSize, "answer-cache entries (0 disables the serving cache)")
-	fs.DurationVar(&c.CacheTTL, "cache-ttl", c.CacheTTL, "answer freshness window: cached answers expire once the TSDB head advances past this bucket")
-	fs.IntVar(&c.MaxInflight, "max-inflight", c.MaxInflight, "concurrent answer computations admitted (0 disables the gate)")
-	fs.DurationVar(&c.QueueWait, "queue-wait", c.QueueWait, "longest a request waits for an admission slot before 429")
-	fs.StringVar(&c.DataDir, "data-dir", c.DataDir, "durable ingest directory (WAL + checkpoints); enables POST /api/v1/write, empty runs memory-only")
+	fs.StringVar(&c.DataDir, "data-dir", c.DataDir, "durable state directory: WAL, checkpoints, feedback issues and the active-query file; enables POST /api/v1/write, empty runs memory-only")
 	fs.DurationVar(&c.Retention, "retention", c.Retention, "drop samples older than this behind the TSDB head (0 keeps everything)")
-	fs.DurationVar(&c.CheckpointInterval, "checkpoint-interval", c.CheckpointInterval, "how often the ingest store checkpoints and truncates its WAL")
-	fs.DurationVar(&c.SlowQueryThreshold, "slow-query-threshold", c.SlowQueryThreshold, "queries at least this long count as slow in the /debug/queries/slow log")
-	fs.IntVar(&c.ActiveQuerySlots, "active-query-slots", c.ActiveQuerySlots, "in-flight queries tracked at once (the crash-survivable queries.active file holds this many slots)")
 }
 
 // Validate rejects a configuration the server would otherwise ignore or
-// silently replace. 0 keeps its documented "off" meaning.
+// silently replace.
 func (c Config) Validate() error {
 	var errs []error
 	check := func(bad bool, format string, args ...any) {
@@ -95,15 +96,10 @@ func (c Config) Validate() error {
 	_, err := llm.New(c.Model)
 	check(err != nil, "-model: %v", err)
 	check(c.Retention > 0 && c.DataDir == "", "-retention needs -data-dir")
-	check(c.Retention > 0 && c.CheckpointInterval <= 0, "-retention needs a positive -checkpoint-interval")
-	check(c.CacheSize < 0, "-cache-size %d is negative (0 disables the cache)", c.CacheSize)
-	check(c.MaxInflight < 0, "-max-inflight %d is negative (0 disables the gate)", c.MaxInflight)
-	check(c.TraceCapacity < 0, "-trace-capacity %d is negative (0 disables capture)", c.TraceCapacity)
-	check(c.TraceSample < 1, "-trace-sample %d is below 1", c.TraceSample)
-	check(c.ActiveQuerySlots <= 0, "-active-query-slots %d is not positive", c.ActiveQuerySlots)
 	check(c.SelfScrapeInterval <= 0, "-selfscrape-interval %v is not positive", c.SelfScrapeInterval)
-	check(c.TraceSlow <= 0, "-trace-slow %v is not positive", c.TraceSlow)
-	check(c.SlowQueryThreshold <= 0, "-slow-query-threshold %v is not positive", c.SlowQueryThreshold)
+	// Only a Config that did not start from DefaultConfig lacks these.
+	check(c.slow <= 0, "slow threshold %v is not positive; start from DefaultConfig", c.slow)
+	check(c.maintenance <= 0, "maintenance tick %v is not positive; start from DefaultConfig", c.maintenance)
 	return errors.Join(errs...)
 }
 
@@ -191,18 +187,14 @@ func Run(ctx context.Context, cfg Config, ln net.Listener) error {
 		return fmt.Errorf("copilot: %w", err)
 	}
 	phase("copilot", began)
-	if cfg.TraceCapacity > 0 {
-		cp.Tracer().EnableCapture(obs.NewTraceStore(cfg.TraceCapacity, cfg.TraceSlow), cfg.TraceSample)
-		apiOpts = append(apiOpts, httpapi.WithTracing(cp.Tracer()))
-	}
+	// Every request is traced (explain forces capture regardless).
+	cp.Tracer().EnableCapture(obs.NewTraceStore(traceCapacity, cfg.slow), 1)
+	apiOpts = append(apiOpts, httpapi.WithTracing(cp.Tracer()))
 
 	tracker := feedback.NewTracker(cfg.Experts, nil)
 	issuesPath := ""
-	if cfg.StateDir != "" {
-		if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
-			return fmt.Errorf("state dir: %w", err)
-		}
-		issuesPath = filepath.Join(cfg.StateDir, "issues.json")
+	if cfg.DataDir != "" {
+		issuesPath = filepath.Join(cfg.DataDir, "issues.json")
 		if b, err := os.ReadFile(issuesPath); err == nil {
 			if tracker, err = feedback.Load(bytes.NewReader(b), nil); err != nil {
 				return fmt.Errorf("loading issues: %w", err)
@@ -214,16 +206,12 @@ func Run(ctx context.Context, cfg Config, ln net.Listener) error {
 	tracker.Instrument(reg)
 
 	// Query-level profiling: a slow-query log over every engine query and
-	// an active-query tracker whose slot file (in -data-dir, falling back
-	// to -state) survives kill -9, so a restart can name the queries that
-	// were in flight when the process died.
-	qlog := obs.NewQueryLog(0, cfg.SlowQueryThreshold)
+	// an active-query tracker whose slot file (in -data-dir) survives
+	// kill -9, so a restart can name the queries that were in flight when
+	// the process died.
+	qlog := obs.NewQueryLog(0, cfg.slow)
 	qlog.Instrument(reg)
-	trackerDir := cfg.DataDir
-	if trackerDir == "" {
-		trackerDir = cfg.StateDir
-	}
-	activeq, interrupted, err := obs.NewActiveQueryTracker(trackerDir, cfg.ActiveQuerySlots)
+	activeq, interrupted, err := obs.NewActiveQueryTracker(cfg.DataDir, activeQuerySlots)
 	if err != nil {
 		return fmt.Errorf("active-query tracker: %w", err)
 	}
@@ -236,21 +224,13 @@ func Run(ctx context.Context, cfg Config, ln net.Listener) error {
 
 	apiOpts = append(apiOpts, httpapi.WithMetrics(reg), httpapi.WithQueryObservability(qlog, activeq))
 	// Serving-throughput layer: the answer cache with singleflight, plus
-	// the admission gate bounding concurrent pipeline runs.
-	var answerFront httpapi.AnswerFront
-	if cfg.CacheSize > 0 {
-		front := servecache.NewFront(servecache.FrontConfig[*core.Answer]{
-			Size: cfg.CacheSize, TTL: cfg.CacheTTL, Version: cp.Version, Head: db.HeadTime, Compute: cp.Ask})
-		front.Instrument(reg)
-		answerFront = front
-	}
-	var admitter httpapi.Admitter
-	if cfg.MaxInflight > 0 {
-		gate := servecache.NewGate(cfg.MaxInflight, cfg.QueueWait)
-		gate.Instrument(reg)
-		admitter = gate
-	}
-	apiOpts = append(apiOpts, httpapi.WithServingLayer(answerFront, admitter))
+	// the admission gate bounding every request that evaluates PromQL.
+	front := servecache.NewFront(servecache.FrontConfig[*core.Answer]{
+		Size: cacheSize, TTL: cacheTTL, Version: cp.Version, Head: db.HeadTime, Compute: cp.Ask})
+	front.Instrument(reg)
+	gate := servecache.NewGate(maxInflight, queueWait)
+	gate.Instrument(reg)
+	apiOpts = append(apiOpts, httpapi.WithServingLayer(front, gate))
 	if cfg.Debug {
 		apiOpts = append(apiOpts, httpapi.WithPprof())
 	}
@@ -277,9 +257,9 @@ func Run(ctx context.Context, cfg Config, ln net.Listener) error {
 	}
 	// Maintenance loop: periodic checkpoints bound WAL replay time, and
 	// retention truncates samples that fell behind the head.
-	if store != nil && cfg.CheckpointInterval > 0 {
+	if store != nil {
 		goLoop(func() {
-			tick := time.NewTicker(cfg.CheckpointInterval)
+			tick := time.NewTicker(cfg.maintenance)
 			defer tick.Stop()
 			for {
 				select {

@@ -28,14 +28,13 @@ var update = flag.Bool("update", false, "rewrite testdata/transcript.txt from th
 const transcriptPath = "testdata/transcript.txt"
 
 // testConfig is the configuration every test here boots: the defaults,
-// with a 20-minute trace, fresh data and state directories, no
+// with a 20-minute trace, a fresh data directory, no
 // self-scrape (its wall-clock dio_* series would make query bodies differ
 // between runs) and pprof mounted.
 func testConfig(t *testing.T) Config {
 	cfg := DefaultConfig()
 	cfg.Duration = 20 * time.Minute
 	cfg.DataDir = t.TempDir()
-	cfg.StateDir = t.TempDir()
 	cfg.SelfScrape = false
 	cfg.Debug = true
 	return cfg
@@ -121,17 +120,13 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"unknown model", func(c *Config) { c.Model = "gpt-5" }, "-model"},
 		{"retention without data dir", func(c *Config) { c.Retention = time.Hour }, "-retention needs -data-dir"},
-		{"retention without checkpoints", func(c *Config) {
-			c.Retention, c.DataDir, c.CheckpointInterval = time.Hour, "d", 0
-		}, "-retention needs a positive -checkpoint-interval"},
-		{"negative cache size", func(c *Config) { c.CacheSize = -1 }, "-cache-size"},
-		{"negative max inflight", func(c *Config) { c.MaxInflight = -1 }, "-max-inflight"},
-		{"negative trace capacity", func(c *Config) { c.TraceCapacity = -1 }, "-trace-capacity"},
-		{"zero active query slots", func(c *Config) { c.ActiveQuerySlots = 0 }, "-active-query-slots"},
-		{"zero trace sample", func(c *Config) { c.TraceSample = 0 }, "-trace-sample"},
 		{"zero self-scrape interval", func(c *Config) { c.SelfScrapeInterval = 0 }, "-selfscrape-interval"},
-		{"zero trace slow", func(c *Config) { c.TraceSlow = 0 }, "-trace-slow"},
-		{"negative slow query threshold", func(c *Config) { c.SlowQueryThreshold = -time.Second }, "-slow-query-threshold"},
+		// The one slow threshold serves traces and the slow-query log.
+		{"zero trace slow", func(c *Config) { c.slow = 0 }, "slow threshold"},
+		{"negative slow query threshold", func(c *Config) { c.slow = -time.Second }, "slow threshold"},
+		{"retention without checkpoints", func(c *Config) {
+			c.Retention, c.DataDir, c.maintenance = time.Hour, "d", 0
+		}, "maintenance tick"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -141,12 +136,6 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("Validate() = %v, want an error naming %q", err, tc.want)
 			}
 		})
-	}
-	// 0 keeps its documented "off" meaning.
-	cfg := DefaultConfig()
-	cfg.CacheSize, cfg.MaxInflight, cfg.TraceCapacity, cfg.Retention = 0, 0, 0, 0
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("Validate() with every off switch at 0 = %v", err)
 	}
 }
 
@@ -176,7 +165,7 @@ func TestRunShutdown(t *testing.T) {
 	logs := captureLog(t)
 	cfg := testConfig(t)
 	cfg.SelfScrape, cfg.SelfScrapeInterval = true, time.Millisecond
-	cfg.CheckpointInterval, cfg.Retention = time.Millisecond, time.Hour
+	cfg.maintenance, cfg.Retention = time.Millisecond, time.Hour
 	before := runtime.NumGoroutine()
 	client := newClient()
 	r := boot(t, cfg)
@@ -225,7 +214,7 @@ func allStacks() string {
 //	(blank line)
 //
 // "=== restart" in place of the request stops Run and runs it again on
-// the same -data-dir and -state.
+// the same -data-dir.
 type entry struct {
 	line     int // of the ">>>" or "===" line
 	comments []string
@@ -487,7 +476,7 @@ func TestTranscript(t *testing.T) {
 	// Whether a trace or query counts as slow is timing, like the
 	// durations the mask hides; an hour keeps a loaded host from flipping
 	// a "slow" field.
-	cfg.TraceSlow, cfg.SlowQueryThreshold = time.Hour, time.Hour
+	cfg.slow = time.Hour
 	client := newClient()
 	defer client.CloseIdleConnections()
 	r := boot(t, cfg)
