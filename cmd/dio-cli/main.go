@@ -25,7 +25,6 @@ import (
 	"dio/internal/llm"
 	"dio/internal/obs"
 	"dio/internal/promql"
-	"dio/internal/sandbox"
 	"dio/internal/tsdb"
 )
 
@@ -72,7 +71,6 @@ func main() {
 	}
 	tracker := feedback.NewTracker([]string{"r.nakamura", "a.kimura"}, nil)
 	feedback.WireCopilot(tracker, cp)
-	cp.Executor().SetAudit(sandbox.NewAuditLog(256, nil))
 
 	ctx := context.Background()
 	if *analyze {
@@ -192,7 +190,7 @@ func searchMetrics(cp *core.Copilot, q string) {
 // showAudit prints the sandbox audit trail.
 func showAudit(cp *core.Copilot) {
 	a := cp.Executor().Audit()
-	if a == nil || a.Len() == 0 {
+	if a.Len() == 0 {
 		fmt.Println("  (no audited queries yet)")
 		return
 	}

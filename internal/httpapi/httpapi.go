@@ -129,7 +129,8 @@ func WithServingLayer(front AnswerFront, gate Admitter) Option {
 // tracker: GET /debug/queries lists in-flight queries and
 // GET /debug/queries/slow the slowest/heaviest finished ones. Either may
 // be nil to expose just one view. The caller wires the same instances
-// into the executor (Executor.ObserveQueries) so the engine feeds them.
+// into the executor (Executor.ObserveQueries), which records every query
+// it evaluates into them.
 func WithQueryObservability(qlog *obs.QueryLog, tracker *obs.ActiveQueryTracker) Option {
 	return func(s *Server) {
 		s.qlog = qlog
@@ -153,10 +154,6 @@ func WithPprof() Option {
 // be nil. logger may be nil to disable request logs.
 func New(cp *core.Copilot, tracker *feedback.Tracker, logger *slog.Logger, opts ...Option) *Server {
 	s := &Server{copilot: cp, tracker: tracker, logger: logger, mux: http.NewServeMux()}
-	// Audit every query the service executes (§5.4 safety).
-	if cp.Executor().Audit() == nil {
-		cp.Executor().SetAudit(sandbox.NewAuditLog(4096, nil))
-	}
 	s.mux.HandleFunc("GET /api/v1/audit", s.handleAudit)
 	s.mux.HandleFunc("GET /debug/plan", s.handlePlan)
 	s.mux.HandleFunc("GET /debug/queries", s.handleQueriesActive)

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"dio/internal/obs"
 	"dio/internal/tsdb"
 )
 
@@ -40,22 +39,8 @@ func DefaultEngineOptions() EngineOptions {
 // Hooks observe engine behaviour without coupling evaluation to any
 // metrics implementation (package obs supplies the histograms).
 type Hooks struct {
-	// OnSamples receives, once per query, the number of stored samples it
-	// touched: an instant query's total, or a range query's summed over its
-	// steps once its partitions join, the value QueryStats.Samples and the
-	// promql.samples_loaded span attribute report.
-	OnSamples func(int)
 	// OnRangeEval receives the select-once statistics of each range query.
 	OnRangeEval func(RangeStats)
-	// OnQueryStart fires when a query begins evaluating, instant and
-	// range alike. The returned func fires when the query finishes,
-	// whatever the outcome: the active-query tracker's insert/release
-	// pair.
-	OnQueryStart func(query, kind, traceID string) func()
-	// OnQueryDone receives every finished query's log entry — the
-	// slow-query log's feed. Entries of successful queries carry the
-	// compact analyzed plan.
-	OnQueryDone func(obs.QueryLogEntry)
 }
 
 // RangeStats summarises select-once evaluation for one range query.
@@ -146,72 +131,9 @@ func (e *Engine) Explain(input string) (string, error) {
 	return cp.tree(), nil
 }
 
-// ExplainCompact returns the one-line plan form — the same string the
-// executor attaches to trace spans as the promql.plan attribute.
-func (e *Engine) ExplainCompact(expr Expr) (string, error) {
-	cp, _, err := e.planFor(expr)
-	if err != nil {
-		return "", err
-	}
-	return cp.compact, nil
-}
-
 // SetHooks installs observation hooks. Call before the engine serves
 // concurrent queries.
 func (e *Engine) SetHooks(h Hooks) { e.hooks = h }
-
-// finishNothing is beginQuery's no-op finish when no query hooks are set.
-func finishNothing(error) {}
-
-// beginQuery opens query-level observability for one evaluation: it
-// registers the query with the active-query tracker hook, installs a
-// stats capture when the slow-query log wants analyzed plans and the
-// caller did not bring its own, and returns a finish func fired with the
-// evaluation outcome.
-func (e *Engine) beginQuery(ctx context.Context, expr Expr, kind string) (context.Context, func(error)) {
-	if e.hooks.OnQueryStart == nil && e.hooks.OnQueryDone == nil {
-		return ctx, finishNothing
-	}
-	query := expr.String()
-	traceID := obs.SpanFrom(ctx).TraceID()
-	start := time.Now()
-	var release func()
-	if e.hooks.OnQueryStart != nil {
-		release = e.hooks.OnQueryStart(query, kind, traceID)
-	}
-	if e.hooks.OnQueryDone != nil {
-		if _, ok := statsCaptureFrom(ctx); !ok {
-			ctx, _ = WithQueryStats(ctx)
-		}
-	}
-	fctx := ctx
-	return ctx, func(evalErr error) {
-		if release != nil {
-			release()
-		}
-		if e.hooks.OnQueryDone == nil {
-			return
-		}
-		ent := obs.QueryLogEntry{
-			Query:    query,
-			Kind:     kind,
-			TraceID:  traceID,
-			Start:    start,
-			Duration: time.Since(start),
-		}
-		if evalErr != nil {
-			ent.Err = evalErr.Error()
-		}
-		if cap, ok := statsCaptureFrom(fctx); ok {
-			if qs := cap.Stats(); qs != nil {
-				ent.Samples = qs.Samples
-				ent.Steps = qs.Steps
-				ent.Analyzed = qs
-			}
-		}
-		e.hooks.OnQueryDone(ent)
-	}
-}
 
 // DB returns the engine's backing store.
 func (e *Engine) DB() tsdb.Storage { return e.db }
@@ -224,9 +146,7 @@ const maxRangeSteps = 11000
 var ErrTooManySamples = errors.New("promql: query touches too many samples")
 
 // Eval evaluates expr at the instant ts.
-func (e *Engine) Eval(ctx context.Context, expr Expr, ts time.Time) (v Value, err error) {
-	ctx, fin := e.beginQuery(ctx, expr, "instant")
-	defer func() { fin(err) }()
+func (e *Engine) Eval(ctx context.Context, expr Expr, ts time.Time) (Value, error) {
 	if e.opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
@@ -240,7 +160,7 @@ func (e *Engine) Eval(ctx context.Context, expr Expr, ts time.Time) (v Value, er
 // selector for the whole range: every step after the first advances
 // per-series cursors over the fetched samples instead of re-running
 // Select/SelectRange.
-func (e *Engine) QueryRangeExpr(ctx context.Context, expr Expr, start, end time.Time, step time.Duration) (m Matrix, err error) {
+func (e *Engine) QueryRangeExpr(ctx context.Context, expr Expr, start, end time.Time, step time.Duration) (Matrix, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("promql: non-positive step %v", step)
 	}
@@ -252,8 +172,6 @@ func (e *Engine) QueryRangeExpr(ctx context.Context, expr Expr, start, end time.
 	if n := int64(end.Sub(start)/step) + 1; n > maxRangeSteps {
 		return nil, fmt.Errorf("promql: range of %d steps exceeds the maximum of %d; use a larger step", n, maxRangeSteps)
 	}
-	ctx, fin := e.beginQuery(ctx, expr, "range")
-	defer func() { fin(err) }()
 	// The engine timeout spans the whole range evaluation.
 	if e.opts.Timeout > 0 {
 		var cancel context.CancelFunc

@@ -63,9 +63,8 @@ type rangeWindow struct {
 // checkRangeAgainstOracle fails unless eng's executor and the oracle
 // (evaluating under eng's options and storage) agree on q over w: the same
 // rendered matrix byte for byte, or the same error text.
-func checkRangeAgainstOracle(t *testing.T, name string, eng *Engine, q string, w rangeWindow) {
+func checkRangeAgainstOracle(ctx context.Context, t *testing.T, name string, eng *Engine, q string, w rangeWindow) {
 	t.Helper()
-	ctx := context.Background()
 	want, wantErr := oracleQueryRange(ctx, eng, q, w.start, w.end, w.step)
 	m, err := queryRange(ctx, eng, q, w.start, w.end, w.step)
 	if (err == nil) != (wantErr == nil) {
@@ -83,9 +82,8 @@ func checkRangeAgainstOracle(t *testing.T, name string, eng *Engine, q string, w
 }
 
 // checkInstantAgainstOracle is checkRangeAgainstOracle for one instant.
-func checkInstantAgainstOracle(t *testing.T, eng *Engine, q string, ts time.Time) {
+func checkInstantAgainstOracle(ctx context.Context, t *testing.T, eng *Engine, q string, ts time.Time) {
 	t.Helper()
-	ctx := context.Background()
 	want, wantErr := oracleQuery(ctx, eng, q, ts)
 	got, err := query(ctx, eng, q, ts)
 	if (err == nil) != (wantErr == nil) {
@@ -108,7 +106,7 @@ func TestQueryRangeEquivalence(t *testing.T) {
 	eng := NewEngine(db, DefaultEngineOptions())
 	for _, w := range corpusWindows(end) {
 		for _, q := range rangeCorpus {
-			checkRangeAgainstOracle(t, "default", eng, q, w)
+			checkRangeAgainstOracle(context.Background(), t, "default", eng, q, w)
 		}
 	}
 }

@@ -521,17 +521,11 @@ func (e *Engine) execInstant(ctx context.Context, expr Expr, ts time.Time) (Valu
 	p := st.newPart(ctx, false)
 	v, err := p.eval(cp.root, tsMs)
 	p.finish()
-	samples := p.samples
-	if e.hooks.OnSamples != nil {
-		e.hooks.OnSamples(samples)
-	}
 	if sp := obs.SpanFrom(ctx); sp.Recording() {
-		sp.SetAttr("promql.samples_loaded", samples)
+		sp.SetAttr("promql.samples_loaded", p.samples)
 		sp.SetAttr("promql.plan", cp.compact)
 	}
-	if cap, ok := statsCaptureFrom(ctx); ok && err == nil {
-		cap.set(st.buildStats(expr.String(), "instant", begin, int64(samples), 1, cacheHit))
-	}
+	st.deposit(ctx, expr, "instant", begin, int64(p.samples), 1, cacheHit)
 	return v, err
 }
 
@@ -585,9 +579,6 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 	}
 
 	// Every part has folded its counters, failed or not.
-	if e.hooks.OnSamples != nil {
-		e.hooks.OnSamples(int(st.loaded))
-	}
 	rs := st.stats()
 	if e.hooks.OnRangeEval != nil {
 		e.hooks.OnRangeEval(rs)
@@ -601,6 +592,7 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 		sp.SetAttr("promql.plan", cp.compact)
 	}
 	if err != nil {
+		st.deposit(ctx, expr, "range", begin, st.loaded, len(steps), cacheHit)
 		return nil, err
 	}
 
@@ -626,9 +618,7 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 	for _, k := range order {
 		out = append(out, *acc[k])
 	}
-	if cap, ok := statsCaptureFrom(ctx); ok {
-		cap.set(st.buildStats(expr.String(), "range", begin, st.loaded, len(steps), cacheHit))
-	}
+	st.deposit(ctx, expr, "range", begin, st.loaded, len(steps), cacheHit)
 	return out, nil
 }
 

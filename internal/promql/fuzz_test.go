@@ -118,9 +118,9 @@ func FuzzParsePlanEval(f *testing.F) {
 		// Every input that plans renders, saturated ±inf hints and deep
 		// subqueries included: the Explain tree and the compact form.
 		tree, terr := planner.Explain(input)
-		compact, cerr := planner.ExplainCompact(expr)
+		compact, cerr := explainCompact(planner, expr)
 		if (terr == nil) != (cerr == nil) {
-			t.Fatalf("%q: Explain error %v, ExplainCompact error %v", input, terr, cerr)
+			t.Fatalf("%q: Explain error %v, compact form error %v", input, terr, cerr)
 		}
 		if terr == nil && (!strings.HasPrefix(tree, "plan for: "+expr.String()+"\n") || !strings.Contains(compact, " | ")) {
 			t.Fatalf("%q: malformed plan renderings\ntree:\n%s\ncompact: %s", input, tree, compact)

@@ -57,7 +57,7 @@ func TestLongRangeGoldenCorpus(t *testing.T) {
 		}
 		for _, q := range longRangeCorpus {
 			for name, eng := range engines {
-				checkRangeAgainstOracle(t, name, eng, q, w)
+				checkRangeAgainstOracle(context.Background(), t, name, eng, q, w)
 			}
 		}
 	})

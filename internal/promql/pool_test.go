@@ -25,7 +25,7 @@ func TestPoolPoisonEquivalence(t *testing.T) {
 	w := corpusWindows(end)[0]
 	eng := NewEngine(db, DefaultEngineOptions())
 	for _, q := range rangeCorpus {
-		checkRangeAgainstOracle(t, "poisoned", eng, q, w)
+		checkRangeAgainstOracle(context.Background(), t, "poisoned", eng, q, w)
 	}
 }
 
@@ -40,7 +40,7 @@ func TestNoArenaEquivalence(t *testing.T) {
 	heap := NewEngine(db, DefaultEngineOptions())
 	heap.noArena = true
 	for _, q := range rangeCorpus {
-		checkRangeAgainstOracle(t, "no-arena", heap, q, w)
+		checkRangeAgainstOracle(context.Background(), t, "no-arena", heap, q, w)
 	}
 }
 

@@ -120,9 +120,9 @@ func TestDifferentialPlannerOracle(t *testing.T) {
 
 	for i := 0; i < 150; i++ {
 		src := genExpr(rng, 3)
-		checkInstantAgainstOracle(t, eng, src, end)
+		checkInstantAgainstOracle(context.Background(), t, eng, src, end)
 		for _, w := range corpusWindows(end) {
-			checkRangeAgainstOracle(t, "default", eng, src, w)
+			checkRangeAgainstOracle(context.Background(), t, "default", eng, src, w)
 		}
 		if t.Failed() {
 			t.FailNow() // one diverging expression is enough to read

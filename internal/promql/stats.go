@@ -10,7 +10,7 @@ package promql
 // slots into the execution's once, when its span ends (counters.add).
 // Clock reads are strided (statsTimeEvery) and scaled back up when
 // building; every other counter is exact. After the last part has
-// joined, buildStats folds the slots back into a QueryStats tree over
+// joined, deposit folds the slots back into a QueryStats tree over
 // the operator tree, labelled as Explain labels it. Callers retrieve it
 // through a context capture (WithQueryStats) and render it with
 // Render/Compact.
@@ -74,7 +74,8 @@ type QueryStats struct {
 	Samples      int64 // stored samples touched (the MaxSamples currency)
 	Steps        int
 	PlanCacheHit bool
-	MaxSamples   int // the budget Samples counts against; 0 = unlimited
+	MaxSamples   int    // the budget Samples counts against; 0 = unlimited
+	Plan         string // the compiled plan's one-line form (the promql.plan span attribute)
 	Root         *OpStats
 }
 
@@ -204,8 +205,13 @@ type StatsCapture struct {
 type statsCtxKey struct{}
 
 // WithQueryStats derives a context that captures the execution statistics
-// of the next query evaluated under it.
+// of the next query evaluated under it. A context that already carries a
+// capture is returned as it is, with that capture: a caller that asks for
+// the profile and the sandbox that records it share one.
 func WithQueryStats(ctx context.Context) (context.Context, *StatsCapture) {
+	if c, ok := statsCaptureFrom(ctx); ok {
+		return ctx, c
+	}
 	c := &StatsCapture{}
 	return context.WithValue(ctx, statsCtxKey{}, c), c
 }
@@ -222,7 +228,8 @@ func (c *StatsCapture) set(qs *QueryStats) {
 }
 
 // Stats returns the captured profile, or nil when no evaluation has
-// deposited one (none ran under the context yet, or it failed).
+// deposited one (none ran under the context yet, or its query did not
+// compile). A query that compiled and then failed leaves its profile.
 func (c *StatsCapture) Stats() *QueryStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -231,11 +238,16 @@ func (c *StatsCapture) Stats() *QueryStats {
 
 // --- building ------------------------------------------------------------
 
-// buildStats folds the execution's slots into the QueryStats tree. Called
-// once, after every partition has joined.
-func (st *execState) buildStats(query, kind string, start time.Time, samples int64, steps int, cacheHit bool) *QueryStats {
+// deposit folds the execution's slots into the QueryStats tree and hands
+// it to the capture ctx carries, if any. Called once, after every
+// partition has joined, whether or not the execution failed.
+func (st *execState) deposit(ctx context.Context, expr Expr, kind string, start time.Time, samples int64, steps int, cacheHit bool) {
+	c, ok := statsCaptureFrom(ctx)
+	if !ok {
+		return
+	}
 	qs := &QueryStats{
-		Query:        query,
+		Query:        expr.String(),
 		Kind:         kind,
 		Start:        start,
 		Duration:     time.Since(start),
@@ -243,9 +255,10 @@ func (st *execState) buildStats(query, kind string, start time.Time, samples int
 		Steps:        steps,
 		PlanCacheHit: cacheHit,
 		MaxSamples:   st.eng.opts.MaxSamples,
+		Plan:         st.cp.compact,
 	}
 	qs.Root = st.buildOp(st.cp.root)
-	return qs
+	c.set(qs)
 }
 
 func (st *execState) buildOp(op physOp) *OpStats {

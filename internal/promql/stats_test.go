@@ -4,32 +4,31 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"dio/internal/obs"
-	"dio/internal/tsdb"
 )
 
 // TestQueryStatsByteIdentity: per-operator stats collection must be
-// invisible in results. With a finished-query hook installed every query
-// runs the whole collection path (slot allocation, per-part accumulation,
-// buildStats, Compact); every corpus query, over every window shape, must
+// invisible in results. Under a WithQueryStats capture every query runs
+// the whole collection path (slot allocation, per-part accumulation,
+// deposit); every corpus query, over every window shape, must
 // still render byte-identically to the oracle, which collects nothing.
 func TestQueryStatsByteIdentity(t *testing.T) {
 	db, end := testDB(t)
 	// The store is one shard; the subtest keeps the name it has always had.
 	t.Run("shards=1", func(t *testing.T) {
 		eng := NewEngine(db, DefaultEngineOptions())
-		eng.SetHooks(Hooks{OnQueryDone: func(obs.QueryLogEntry) {}})
+		captured := func() context.Context {
+			ctx, _ := WithQueryStats(context.Background())
+			return ctx
+		}
 		for _, w := range corpusWindows(end) {
 			for _, q := range rangeCorpus {
-				checkRangeAgainstOracle(t, "hooked", eng, q, w)
+				checkRangeAgainstOracle(captured(), t, "captured", eng, q, w)
 			}
 			// Instant evaluation at the window end must agree too.
 			for _, q := range rangeCorpus {
-				checkInstantAgainstOracle(t, eng, q, w.end)
+				checkInstantAgainstOracle(captured(), t, eng, q, w.end)
 			}
 		}
 	})
@@ -166,124 +165,6 @@ func TestExplainAnalyze(t *testing.T) {
 
 	if _, err := explainAnalyze(context.Background(), eng, "sum by ((", end); err == nil {
 		t.Error("explainAnalyze accepted an unparsable expression")
-	}
-}
-
-// TestQueryHooks: OnQueryStart must fire with the canonical query text and
-// kind and have its release called on finish; OnQueryDone must receive an
-// entry carrying the measured totals and the compact analyzed plan, on
-// success and on failure alike.
-func TestQueryHooks(t *testing.T) {
-	db, end := testDB(t)
-	opts := DefaultEngineOptions()
-	eng := NewEngine(db, opts)
-
-	var started, released atomic.Int64
-	var startQuery, startKind string
-	var entries []obs.QueryLogEntry
-	eng.SetHooks(Hooks{
-		OnQueryStart: func(query, kind, traceID string) func() {
-			started.Add(1)
-			startQuery, startKind = query, kind
-			return func() { released.Add(1) }
-		},
-		OnQueryDone: func(e obs.QueryLogEntry) { entries = append(entries, e) },
-	})
-
-	if _, err := query(context.Background(), eng, "sum(rate(amfcc_n1_auth_request[5m]))", end); err != nil {
-		t.Fatal(err)
-	}
-	if started.Load() != 1 || released.Load() != 1 {
-		t.Fatalf("start/release fired %d/%d times, want 1/1", started.Load(), released.Load())
-	}
-	if startQuery != "sum(rate(amfcc_n1_auth_request[5m]))" || startKind != "instant" {
-		t.Errorf("OnQueryStart got (%q, %q), want the canonical query and kind instant", startQuery, startKind)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("OnQueryDone fired %d times, want 1", len(entries))
-	}
-	ent := entries[0]
-	if ent.Query != "sum(rate(amfcc_n1_auth_request[5m]))" || ent.Kind != "instant" {
-		t.Errorf("entry = {%q %q}, want the query and kind instant", ent.Query, ent.Kind)
-	}
-	if ent.Duration <= 0 {
-		t.Error("entry Duration is zero")
-	}
-	if ent.Samples <= 0 {
-		t.Error("entry carries no sample count")
-	}
-	if ent.Err != "" {
-		t.Errorf("entry Err = %q on a successful query", ent.Err)
-	}
-	if ent.Analyzed == nil || !strings.Contains(ent.Analyzed.Compact(), "agg sum{") {
-		t.Errorf("entry Analyzed = %v, want a compact analyzed plan", ent.Analyzed)
-	}
-
-	// Range queries report kind "range" and their step count.
-	entries = nil
-	if _, err := queryRange(context.Background(), eng, "smf_pdu_session_active", end.Add(-5*time.Minute), end, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Kind != "range" || entries[0].Steps != 6 {
-		t.Fatalf("range entry = %+v, want kind range with 6 steps", entries)
-	}
-
-	// A failed evaluation still releases the tracker slot and logs the
-	// error text.
-	entries = nil
-	tight := opts
-	tight.MaxSamples = 1
-	small := NewEngine(db, tight)
-	small.SetHooks(Hooks{
-		OnQueryStart: func(string, string, string) func() { return func() { released.Add(1) } },
-		OnQueryDone:  func(e obs.QueryLogEntry) { entries = append(entries, e) },
-	})
-	if _, err := query(context.Background(), small, "amfcc_n1_auth_request", end); err == nil {
-		t.Fatal("expected a sample-budget error")
-	}
-	if released.Load() != 3 {
-		t.Error("failed query did not release its tracker slot")
-	}
-	if len(entries) != 1 || entries[0].Err == "" {
-		t.Fatalf("failed query entry = %+v, want a logged error", entries)
-	}
-}
-
-// tenSamplesDB holds one series, m{instance="a"}, with the values 0..9 at
-// seconds 0..9.
-func tenSamplesDB(t *testing.T) *tsdb.DB {
-	t.Helper()
-	db := tsdb.New()
-	ls := tsdb.FromMap(map[string]string{tsdb.MetricNameLabel: "m", "instance": "a"})
-	for i := 0; i < 10; i++ {
-		if err := db.Append(ls, int64(i*1000), float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return db
-}
-
-// TestOnSamplesHook checks the touched-samples hook fires once per query:
-// an instant query's total, and a range query's summed over its steps.
-func TestOnSamplesHook(t *testing.T) {
-	eng := NewEngine(tenSamplesDB(t), DefaultEngineOptions())
-	var total atomic.Int64
-	eng.SetHooks(Hooks{OnSamples: func(n int) { total.Add(int64(n)) }})
-	if _, err := query(context.Background(), eng, "m[10s]", time.UnixMilli(9000)); err != nil {
-		t.Fatal(err)
-	}
-	if total.Load() == 0 {
-		t.Error("OnSamples hook not called")
-	}
-
-	var calls, got int
-	eng.SetHooks(Hooks{OnSamples: func(n int) { calls++; got = n }})
-	ctx, capture := WithQueryStats(context.Background())
-	if _, err := queryRange(ctx, eng, "sum(rate(m[3s]))", time.UnixMilli(3000), time.UnixMilli(9000), time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if want := capture.Stats().Samples; calls != 1 || int64(got) != want || want == 0 {
-		t.Errorf("range query: OnSamples called %d times with %d, want once with QueryStats.Samples %d", calls, got, want)
 	}
 }
 

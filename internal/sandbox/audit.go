@@ -8,8 +8,9 @@ import (
 // This file addresses the paper's §5.4 safety challenge: "safety concerns
 // arise when the copilot interacts with operational databases". Beyond the
 // static vetting and resource limits, every query the sandbox sees —
-// executed, rejected or failed — is recorded in a bounded audit log so
-// operators can review exactly what generated code ran against their data.
+// instant or range; executed, rejected or failed — is recorded in a
+// bounded audit log, which every executor has, so operators can review
+// exactly what generated code ran against their data.
 
 // Outcome classifies an audited query.
 type Outcome string
@@ -44,23 +45,13 @@ type AuditLog struct {
 	clock   func() time.Time
 }
 
-// NewAuditLog returns a log keeping the most recent limit entries. A nil
-// clock uses time.Now.
-func NewAuditLog(limit int, clock func() time.Time) *AuditLog {
-	if limit <= 0 {
-		limit = 1024
-	}
-	if clock == nil {
-		clock = time.Now
-	}
-	return &AuditLog{entries: make([]AuditEntry, limit), limit: limit, clock: clock}
+// newAuditLog returns a log keeping the most recent limit entries.
+func newAuditLog(limit int) *AuditLog {
+	return &AuditLog{entries: make([]AuditEntry, limit), limit: limit, clock: time.Now}
 }
 
 // record appends one entry, evicting the oldest at capacity.
 func (a *AuditLog) record(query, plan string, outcome Outcome, err error, d time.Duration) {
-	if a == nil {
-		return
-	}
 	e := AuditEntry{Time: a.clock(), Query: query, Plan: plan, Outcome: outcome, Duration: d}
 	if err != nil {
 		e.Error = err.Error()

@@ -43,16 +43,15 @@ func DefaultLimits() Limits {
 	}
 }
 
-// Executor runs queries under Limits. It is safe for concurrent use.
+// Executor runs queries under Limits and records each one once. It is
+// safe for concurrent use.
 type Executor struct {
 	engine  *promql.Engine
 	limits  Limits
 	audit   *AuditLog
 	metrics *executorMetrics
-	// hooks accumulates the engine hooks installed so far: Instrument and
-	// ObserveQueries each contribute their slice and reapply the merged
-	// set, so the two can be wired in either order.
-	hooks promql.Hooks
+	qlog    *obs.QueryLog
+	tracker *obs.ActiveQueryTracker
 }
 
 // executorMetrics holds the obs instruments attached by Instrument.
@@ -60,9 +59,10 @@ type executorMetrics struct {
 	queries  *obs.CounterVec // dio_sandbox_queries_total{outcome}
 	duration *obs.Histogram  // dio_sandbox_exec_duration_seconds
 	timeouts *obs.Counter    // dio_sandbox_timeouts_total
+	samples  *obs.Histogram  // dio_promql_samples_loaded
 }
 
-// New returns an executor over db.
+// New returns an executor over db that audits every query it is given.
 func New(db tsdb.Storage, limits Limits) *Executor {
 	opts := promql.DefaultEngineOptions()
 	if limits.MaxSamples > 0 {
@@ -71,12 +71,11 @@ func New(db tsdb.Storage, limits Limits) *Executor {
 	if limits.Timeout > 0 {
 		opts.Timeout = limits.Timeout
 	}
-	return &Executor{engine: promql.NewEngine(db, opts), limits: limits}
+	return &Executor{engine: promql.NewEngine(db, opts), limits: limits, audit: newAuditLog(4096)}
 }
 
 // Instrument registers the executor's self-metrics on reg and wires the
-// engine hooks (samples loaded, select-once cache). Call once, before
-// serving.
+// engine's select-once cache counters. Call once, before serving.
 func (e *Executor) Instrument(reg *obs.Registry) {
 	e.metrics = &executorMetrics{
 		queries: reg.CounterVec("dio_sandbox_queries_total",
@@ -85,60 +84,32 @@ func (e *Executor) Instrument(reg *obs.Registry) {
 			"Wall-clock latency of sandboxed query execution.", "seconds", obs.DefBuckets()),
 		timeouts: reg.Counter("dio_sandbox_timeouts_total",
 			"Sandboxed queries that hit the wall-clock timeout.", ""),
+		samples: reg.Histogram("dio_promql_samples_loaded",
+			"Stored samples touched per query evaluation.", "", obs.ExponentialBuckets(10, 10, 7)),
 	}
-	samples := reg.Histogram("dio_promql_samples_loaded",
-		"Stored samples touched per query evaluation.", "", obs.ExponentialBuckets(10, 10, 7))
 	selHits := reg.Counter("dio_promql_selector_cache_hits_total",
 		"Range-query selector evaluations served from the select-once cache.", "")
 	selMisses := reg.Counter("dio_promql_selector_cache_misses_total",
 		"Range-query selector fetches that went to storage.", "")
-	e.hooks.OnSamples = func(n int) { samples.Observe(float64(n)) }
-	e.hooks.OnRangeEval = func(s promql.RangeStats) {
+	e.engine.SetHooks(promql.Hooks{OnRangeEval: func(s promql.RangeStats) {
 		selHits.Add(float64(s.SelectorHits))
 		selMisses.Add(float64(s.SelectorMisses))
-	}
-	e.engine.SetHooks(e.hooks)
+	}})
 }
 
-// ObserveQueries wires the query-level observability hooks: every query
-// through this executor's engine — sandboxed asks, dashboard panels,
-// direct API queries — registers with the active-query tracker while it
+// ObserveQueries attaches the slow-query log and the active-query
+// tracker: every query this executor evaluates — sandboxed asks,
+// dashboard panels, direct API queries — holds a tracker slot while it
 // runs and lands in the slow-query log when it finishes. Either argument
-// may be nil. Call alongside Instrument, before serving.
+// may be nil. Call before serving.
 func (e *Executor) ObserveQueries(qlog *obs.QueryLog, tracker *obs.ActiveQueryTracker) {
-	if tracker != nil {
-		e.hooks.OnQueryStart = func(query, kind, traceID string) func() {
-			slot := tracker.Insert(query, kind, traceID)
-			return func() { tracker.Done(slot) }
-		}
-	}
-	if qlog != nil {
-		e.hooks.OnQueryDone = qlog.Observe
-	}
-	e.engine.SetHooks(e.hooks)
+	e.qlog, e.tracker = qlog, tracker
 }
 
-// observe records one run on the attached instruments (no-op when the
-// executor is uninstrumented).
-func (e *Executor) observe(outcome Outcome, err error, d time.Duration) {
-	if e.metrics == nil {
-		return
-	}
-	e.metrics.queries.With(string(outcome)).Inc()
-	e.metrics.duration.Observe(d.Seconds())
-	if errors.Is(err, context.DeadlineExceeded) {
-		e.metrics.timeouts.Inc()
-	}
-}
-
-// Engine exposes the underlying engine (for dashboards' range queries).
+// Engine exposes the underlying engine (for EXPLAIN and the backing store).
 func (e *Executor) Engine() *promql.Engine { return e.engine }
 
-// SetAudit attaches an audit log; every subsequent query submission is
-// recorded (§5.4 safety).
-func (e *Executor) SetAudit(a *AuditLog) { e.audit = a }
-
-// Audit returns the attached audit log (nil when auditing is off).
+// Audit returns the executor's audit log.
 func (e *Executor) Audit() *AuditLog { return e.audit }
 
 // ErrRejected marks queries refused by static vetting before execution.
@@ -186,71 +157,106 @@ func outcomeOf(err error) Outcome {
 	}
 }
 
-// annotate records the query verdict on the request trace span carried by
-// ctx (nil-safe: no-op on untraced paths).
-func annotate(ctx context.Context, query string, outcome Outcome, err error) {
-	sp := obs.SpanFrom(ctx)
-	if !sp.Recording() {
-		return
-	}
-	sp.SetAttr("promql.query", query)
-	sp.SetAttr("sandbox.outcome", string(outcome))
-	// A failed or rejected query errors the span so the trace earns
-	// preferential (notable) retention in the store.
-	sp.SetError(err)
-}
-
 // Execute parses, vets and evaluates query at ts.
 func (e *Executor) Execute(ctx context.Context, query string, ts time.Time) (promql.Value, error) {
-	started := time.Now()
-	v, plan, err := e.execute(ctx, query, ts)
-	d := time.Since(started)
-	outcome := outcomeOf(err)
-	e.audit.record(query, plan, outcome, err, d)
-	e.observe(outcome, err, d)
-	annotate(ctx, query, outcome, err)
-	return v, err
+	return e.run(ctx, query, "instant", func(ctx context.Context, expr promql.Expr) (promql.Value, error) {
+		return e.engine.Eval(ctx, expr, ts)
+	})
 }
 
-func (e *Executor) execute(ctx context.Context, query string, ts time.Time) (promql.Value, string, error) {
-	expr, err := promql.Parse(query)
-	if err != nil {
-		return nil, "", err
-	}
-	if err := e.Vet(expr); err != nil {
-		return nil, "", err
-	}
-	// New set the engine's timeout from Limits.Timeout. The audit's plan
-	// is taken after Eval, so the evaluation reports its own plan-cache
-	// state; it is empty when expr does not compile, and Eval says why.
-	v, err := e.engine.Eval(ctx, expr, ts)
-	plan, _ := e.engine.ExplainCompact(expr)
-	if err != nil {
-		return nil, plan, err
-	}
-	if vec, ok := v.(promql.Vector); ok && e.limits.MaxResultSeries > 0 && len(vec) > e.limits.MaxResultSeries {
-		return nil, plan, fmt.Errorf("%w: result has %d series (limit %d)", ErrRejected, len(vec), e.limits.MaxResultSeries)
-	}
-	return v, plan, nil
-}
-
-// ExecuteRange vets and evaluates a range query (dashboard panels).
+// ExecuteRange parses, vets and evaluates a range query (dashboard panels,
+// /api/v1/query_range).
 func (e *Executor) ExecuteRange(ctx context.Context, query string, start, end time.Time, step time.Duration) (promql.Matrix, error) {
-	started := time.Now()
-	m, err := e.executeRange(ctx, query, start, end, step)
-	outcome := outcomeOf(err)
-	e.observe(outcome, err, time.Since(started))
-	annotate(ctx, query, outcome, err)
+	v, err := e.run(ctx, query, "range", func(ctx context.Context, expr promql.Expr) (promql.Value, error) {
+		return e.engine.QueryRangeExpr(ctx, expr, start, end, step)
+	})
+	m, _ := v.(promql.Matrix)
 	return m, err
 }
 
-func (e *Executor) executeRange(ctx context.Context, query string, start, end time.Time, step time.Duration) (promql.Matrix, error) {
+// run is the one path every query takes. It parses and vets query; a
+// query that passes holds an active-query slot while eval runs it under a
+// stats capture, and its result is held to MaxResultSeries. run then
+// writes the query's one record: the audit entry, the slow-query log
+// entry, the self-metrics and the span annotation. A query that parse or
+// vet refuses takes no slot and no slow-log entry, but is audited and
+// metered like any other. The engine's timeout (New set it from
+// Limits.Timeout) bounds eval.
+func (e *Executor) run(ctx context.Context, query, kind string, eval func(context.Context, promql.Expr) (promql.Value, error)) (promql.Value, error) {
+	start := time.Now()
 	expr, err := promql.Parse(query)
+	if err == nil {
+		err = e.Vet(expr)
+	}
 	if err != nil {
+		e.record(ctx, query, nil, err, time.Since(start))
 		return nil, err
 	}
-	if err := e.Vet(expr); err != nil {
-		return nil, err
+
+	canonical, traceID := expr.String(), obs.SpanFrom(ctx).TraceID()
+	if e.tracker != nil {
+		slot := e.tracker.Insert(canonical, kind, traceID)
+		defer e.tracker.Done(slot)
 	}
-	return e.engine.QueryRangeExpr(ctx, expr, start, end, step)
+	ctx, capture := promql.WithQueryStats(ctx)
+	v, err := eval(ctx, expr)
+	if err == nil && e.limits.MaxResultSeries > 0 {
+		if n := seriesIn(v); n > e.limits.MaxResultSeries {
+			v, err = nil, fmt.Errorf("%w: result has %d series (limit %d)", ErrRejected, n, e.limits.MaxResultSeries)
+		}
+	}
+	d := time.Since(start)
+	qs := capture.Stats()
+	e.record(ctx, query, qs, err, d)
+	if e.qlog != nil {
+		ent := obs.QueryLogEntry{Query: canonical, Kind: kind, TraceID: traceID, Start: start, Duration: d}
+		if err != nil {
+			ent.Err = err.Error()
+		} else if qs != nil {
+			ent.Samples, ent.Steps, ent.Analyzed = qs.Samples, qs.Steps, qs
+		}
+		e.qlog.Observe(ent)
+	}
+	return v, err
+}
+
+// record writes one query's audit entry and self-metrics, and its verdict
+// on the request span ctx carries (none on untraced paths). qs is the
+// evaluation's profile, nil when the query never compiled.
+func (e *Executor) record(ctx context.Context, query string, qs *promql.QueryStats, err error, d time.Duration) {
+	outcome := outcomeOf(err)
+	plan := ""
+	if qs != nil {
+		plan = qs.Plan
+	}
+	e.audit.record(query, plan, outcome, err, d)
+	if m := e.metrics; m != nil {
+		m.queries.With(string(outcome)).Inc()
+		m.duration.Observe(d.Seconds())
+		if errors.Is(err, context.DeadlineExceeded) {
+			m.timeouts.Inc()
+		}
+		if qs != nil {
+			m.samples.Observe(float64(qs.Samples))
+		}
+	}
+	if sp := obs.SpanFrom(ctx); sp.Recording() {
+		sp.SetAttr("promql.query", query)
+		sp.SetAttr("sandbox.outcome", string(outcome))
+		// A failed or rejected query errors the span so the trace earns
+		// preferential (notable) retention in the store.
+		sp.SetError(err)
+	}
+}
+
+// seriesIn counts a result's series: a vector's samples or a matrix's
+// series, zero for scalars and strings.
+func seriesIn(v promql.Value) int {
+	switch x := v.(type) {
+	case promql.Vector:
+		return len(x)
+	case promql.Matrix:
+		return len(x)
+	}
+	return 0
 }
