@@ -1,8 +1,9 @@
 #!/bin/sh
 # reach_exec.sh — which functions none of the programs runs. It builds
 # dio-bench, every example and dio-cli with coverage of all dio packages,
-# runs each once, runs TestTranscript (the HTTP session over every route,
-# across a restart) with the same coverage, and prints the functions that
+# runs each once (dio-cli as a REPL session over every command), runs
+# TestTranscript (the HTTP session over every route, across a restart)
+# with the same coverage, and prints the functions that
 # `go tool covdata func` reports at 0.0%, then their count.
 #
 #   sh scripts/reach_exec.sh
@@ -26,7 +27,17 @@ for ex in examples/*/; do
 done
 
 build dio-cli ./cmd/dio-cli
-GOCOVERDIR="$cov" "$tmp/dio-cli" -q "How many PDU sessions are currently active?" -explain -analyze >/dev/null
+GOCOVERDIR="$cov" "$tmp/dio-cli" -explain -analyze >/dev/null <<'EOF'
+How many PDU sessions are currently active?
+query sum(smfsm_pdu_sessions_active)
+explain sum(rate(amfmm_paging_attempt[5m]))
+explain -analyze sum(rate(amfmm_paging_attempt[5m]))
+metrics paging
+expert
+issues
+audit
+quit
+EOF
 
 go test -count=1 -run '^TestTranscript$' -cover -coverpkg=dio/... ./internal/server \
 	-args -test.gocoverdir="$cov" >/dev/null
