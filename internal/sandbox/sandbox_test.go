@@ -291,8 +291,9 @@ func TestQueryHooks(t *testing.T) {
 	}
 	defer tracker.Close()
 	var seen []obs.ActiveQueryEntry
+	store := peekStorage{Storage: db, peek: func() { seen = append(seen, tracker.Active()...) }}
 	lim := DefaultLimits()
-	ex := New(peekStorage{Storage: db, peek: func() { seen = append(seen, tracker.Active()...) }}, lim)
+	ex := New(store, lim)
 	qlog := obs.NewQueryLog(8, time.Nanosecond)
 	ex.ObserveQueries(qlog, tracker)
 	ctx := context.Background()
@@ -343,7 +344,7 @@ func TestQueryHooks(t *testing.T) {
 	// A failed evaluation releases its slot and logs its error text.
 	tight := lim
 	tight.MaxSamples = 1
-	small := New(peekStorage{Storage: db, peek: func() { seen = append(seen, tracker.Active()...) }}, tight)
+	small := New(store, tight)
 	failLog := obs.NewQueryLog(8, time.Nanosecond)
 	small.ObserveQueries(failLog, tracker)
 	seen = nil
