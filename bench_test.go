@@ -4,6 +4,7 @@
 package dio
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -257,11 +258,12 @@ func BenchmarkTSDBAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestPush times one write_read push in process: DecodeBinary
-// of 2000 series × 1 sample (40 gNBs × 50 UEs, as bench/ pushes them),
-// then Store.Append through the WAL and its fsync. It tracks write_read the
-// way BenchmarkCopilotAsk tracks ask_cold, and fails on a push that does
-// not append every sample. cpu-ms/op leaves out the untimed encoding.
+// BenchmarkIngestPush times one write_read push in process as the server
+// serves it: Store.Push of a binary body of 2000 series × 1 sample (40
+// gNBs × 50 UEs, as bench/ pushes them), decoded in place and appended
+// through the WAL and its fsync. It tracks write_read the way
+// BenchmarkCopilotAsk tracks ask_cold, and fails on a push that does not
+// append every sample. cpu-ms/op leaves out the untimed encoding.
 func BenchmarkIngestPush(b *testing.B) {
 	st, err := ingest.OpenStore(b.TempDir(), ingest.StoreOptions{})
 	if err != nil {
@@ -293,11 +295,7 @@ func BenchmarkIngestPush(b *testing.B) {
 		b.StartTimer()
 		c1, _ := processCPU()
 		untimed += c1 - c0
-		decoded, err := ingest.DecodeBinary(body)
-		if err != nil {
-			b.Fatal(err)
-		}
-		as, err := st.Append(decoded)
+		as, err := st.Push(bytes.NewReader(body), ingest.ContentTypeBinary)
 		if err != nil {
 			b.Fatal(err)
 		}

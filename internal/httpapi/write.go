@@ -37,21 +37,17 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	if i := strings.IndexByte(contentType, ';'); i >= 0 {
 		contentType = strings.TrimSpace(contentType[:i])
 	}
-	body := http.MaxBytesReader(w, r.Body, maxWriteBody)
-	batch, err := ingest.DecodeWriteRequest(body, contentType)
+	st, err := s.ingest.Push(http.MaxBytesReader(w, r.Body, maxWriteBody), contentType)
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
+		// A failed push is NOT durable: the client must not assume it landed.
+		code, what := http.StatusInternalServerError, "append failed"
+		if errors.Is(err, ingest.ErrBadWritePayload) {
+			code, what = http.StatusBadRequest, "bad write request"
+		}
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		s.writeErr(w, code, fmt.Errorf("bad write request: %w", err))
-		return
-	}
-	st, err := s.ingest.Append(batch)
-	if err != nil {
-		// The batch is NOT durable: the client must not assume it landed.
-		s.writeErr(w, http.StatusInternalServerError, fmt.Errorf("append failed: %w", err))
+		s.writeErr(w, code, fmt.Errorf("%s: %w", what, err))
 		return
 	}
 	s.writeJSON(w, http.StatusOK, writeResponse{

@@ -2,7 +2,9 @@ package httpapi_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -18,15 +20,15 @@ import (
 	"dio/internal/tsdb"
 )
 
-// newWriteServer builds a handler whose TSDB is the durable ingest store,
-// exactly as dio-server wires it with -data-dir.
-func newWriteServer(t *testing.T) (http.Handler, *ingest.Store) {
+// newWriteServer builds a handler whose TSDB is the durable ingest store in
+// dir, exactly as dio-server wires it with -data-dir.
+func newWriteServer(t *testing.T, dir string) (http.Handler, *ingest.Store) {
 	t.Helper()
 	cat, _, r, err := testenv.Env()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ingest.OpenStore(t.TempDir(), ingest.StoreOptions{})
+	st, err := ingest.OpenStore(dir, ingest.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func push(t *testing.T, h http.Handler, batch []ingest.TimeSeries) pushResult {
 }
 
 func TestWriteEndpointBinary(t *testing.T) {
-	h, st := newWriteServer(t)
+	h, st := newWriteServer(t, t.TempDir())
 	batch := []ingest.TimeSeries{{
 		Labels: tsdb.FromMap(map[string]string{"__name__": "dl_throughput_bytes", "ue": "ue01"}),
 		Samples: []tsdb.Sample{
@@ -98,7 +100,7 @@ func TestWriteEndpointBinary(t *testing.T) {
 }
 
 func TestWriteEndpointJSON(t *testing.T) {
-	h, st := newWriteServer(t)
+	h, st := newWriteServer(t, t.TempDir())
 	body := `{"series":[{"labels":{"__name__":"up","job":"gnb"},"samples":[[1000,1],[16000,0]]}]}`
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/write", strings.NewReader(body))
@@ -112,32 +114,61 @@ func TestWriteEndpointJSON(t *testing.T) {
 	}
 }
 
+// TestWriteEndpointRejectsBadPayload: a push that does not decode, or that
+// holds a series with invalid labels, is a 400 and lands nothing, live or
+// after a restart. That holds for binary pushes whose bad series is new,
+// even after series the server already holds, and for a held series sent
+// with a non-minimal varint, which would otherwise be a second key for it.
 func TestWriteEndpointRejectsBadPayload(t *testing.T) {
-	h, st := newWriteServer(t)
-	for name, req := range map[string]*http.Request{
-		"garbage binary": httptest.NewRequest(http.MethodPost, "/api/v1/write",
-			strings.NewReader("DWR1 this is not a write request")),
-		"nameless series": httptest.NewRequest(http.MethodPost, "/api/v1/write",
-			strings.NewReader(`{"series":[{"labels":{"job":"x"},"samples":[[1,1]]}]}`)),
-		"unknown content type": httptest.NewRequest(http.MethodPost, "/api/v1/write",
-			strings.NewReader(`x`)),
+	dir := t.TempDir()
+	h, st := newWriteServer(t, dir)
+	held := ingest.TimeSeries{
+		Labels:  tsdb.FromMap(map[string]string{"__name__": "up", "job": "x"}),
+		Samples: []tsdb.Sample{{T: 1000, V: 1}},
+	}
+	push(t, h, []ingest.TimeSeries{held})
+	later := ingest.TimeSeries{Labels: held.Labels, Samples: []tsdb.Sample{{T: 2000, V: 2}}}
+	bad := func(ls ...tsdb.Label) ingest.TimeSeries { return ingest.TimeSeries{Labels: ls, Samples: later.Samples} }
+	encode := func(batch ...ingest.TimeSeries) string { return string(ingest.EncodeBinary(batch)) }
+	// The held series at t=2000 with its first label length (offset 6,
+	// after the magic and the series and label counts) as 0x88 0x00.
+	raw := ingest.EncodeBinary([]ingest.TimeSeries{later})
+	nonMinimal := append(append(raw[:6:6], 0x88, 0x00), raw[7:len(raw)-4]...)
+	nonMinimal = binary.BigEndian.AppendUint32(nonMinimal, crc32.ChecksumIEEE(nonMinimal[4:]))
+	unsorted := bad(tsdb.Label{Name: "job", Value: "x"}, tsdb.Label{Name: "__name__", Value: "m"})
+	const dwr1 = ingest.ContentTypeBinary
+	for name, c := range map[string]struct{ contentType, body string }{
+		"garbage binary":         {dwr1, "DWR1 this is not a write request"},
+		"nameless series":        {"application/json", `{"series":[{"labels":{"job":"x"},"samples":[[1,1]]}]}`},
+		"unknown content type":   {"text/plain", "x"},
+		"binary unsorted labels": {dwr1, encode(unsorted)},
+		"binary repeated label": {dwr1, encode(bad(tsdb.Label{Name: "__name__", Value: "m"},
+			tsdb.Label{Name: "a", Value: "1"}, tsdb.Label{Name: "a", Value: "2"}))},
+		"binary no metric name":                   {dwr1, encode(bad(tsdb.Label{Name: "job", Value: "x"}))},
+		"binary non-minimal varint, held series":  {dwr1, string(nonMinimal)},
+		"binary held series before a bad new one": {dwr1, encode(later, unsorted)},
 	} {
-		switch name {
-		case "garbage binary":
-			req.Header.Set("Content-Type", ingest.ContentTypeBinary)
-		case "unknown content type":
-			req.Header.Set("Content-Type", "text/plain")
-		default:
-			req.Header.Set("Content-Type", "application/json")
-		}
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/write", strings.NewReader(c.body))
+		req.Header.Set("Content-Type", c.contentType)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, rec.Code)
+			t.Errorf("%s: status %d, want 400: %s", name, rec.Code, rec.Body)
 		}
 	}
-	if got := st.DB().NumSamples(); got != 0 {
-		t.Fatalf("rejected payloads stored %d samples", got)
+	if got := st.DB().NumSamples(); got != 1 {
+		t.Fatalf("after the rejected pushes the store holds %d samples, want the 1 pushed before them", got)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := ingest.OpenStore(dir, ingest.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.DB().NumSamples(); got != 1 {
+		t.Fatalf("the reopened store holds %d samples, want 1: a rejected push was logged", got)
 	}
 }
 
@@ -145,7 +176,7 @@ func TestWriteEndpointRejectsBadPayload(t *testing.T) {
 // Content-Length but sends only a few bytes is refused without the server
 // allocating anything near the declared size.
 func TestWriteBodyNotSizedByHeader(t *testing.T) {
-	h, _ := newWriteServer(t)
+	h, _ := newWriteServer(t, t.TempDir())
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/write", strings.NewReader("DWR1"))
 	req.Header.Set("Content-Type", ingest.ContentTypeBinary)
 	req.ContentLength = 64 << 20

@@ -1,12 +1,14 @@
 // Package ingest is the durable streaming-ingest subsystem: a segmented
 // CRC-checked write-ahead log with fsync batching, a Store that pairs the
 // WAL with the in-memory chunked TSDB (crash-recovery replay, periodic
-// checkpoint/truncation), and the remote-write wire codec + client the
+// checkpoint/truncation), and the remote-write wire codec the
 // /api/v1/write endpoint speaks.
 //
-// The layering follows the client/codec/reader split of Prometheus-style
-// remote-write implementations: codec.go defines the wire formats,
-// client.go the pushing side, and httpapi owns the reading endpoint.
+// The layering follows the codec/reader split of Prometheus-style
+// remote-write implementations: codec.go defines the wire formats and
+// decodes a push in place, store.go appends it, and httpapi owns the
+// reading endpoint, which hands each request body to Store.Push. Pushers
+// (the benchmark's write_read client, the tests) encode with EncodeBinary.
 package ingest
 
 import (
@@ -19,6 +21,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 
 	"dio/internal/tsdb"
@@ -77,13 +80,7 @@ func EncodeBinary(series []TimeSeries) []byte {
 	b = append(b, binaryMagic...)
 	b = binary.AppendUvarint(b, uint64(len(series)))
 	for _, ts := range series {
-		b = binary.AppendUvarint(b, uint64(len(ts.Labels)))
-		for _, l := range ts.Labels {
-			b = binary.AppendUvarint(b, uint64(len(l.Name)))
-			b = append(b, l.Name...)
-			b = binary.AppendUvarint(b, uint64(len(l.Value)))
-			b = append(b, l.Value...)
-		}
+		b = appendKey(b, ts.Labels)
 		b = binary.AppendUvarint(b, uint64(len(ts.Samples)))
 		prevT := int64(0)
 		for _, s := range ts.Samples {
@@ -97,126 +94,249 @@ func EncodeBinary(series []TimeSeries) []byte {
 	return append(b, sum[:]...)
 }
 
-// DecodeBinary parses and validates a binary write request. Label strings
-// are slices of a few shared strings holding only the label bytes (no
-// sample bytes), and label sets and samples share a few backing arrays;
-// whoever keeps a label set beyond the request (the TSDB, the WAL) copies
-// it, so nothing long-lived pins the request.
-func DecodeBinary(raw []byte) ([]TimeSeries, error) {
+// appendKey appends the key of ls to b. A series' key is its label region
+// as DWR1 and the WAL's series record both encode it: a uvarint label
+// count, then each name and value as a uvarint length and its bytes. Its
+// varints are minimal, so a label set has exactly one key, and the WAL
+// finds a known series by its key as it sits in the request body.
+func appendKey(b []byte, ls tsdb.Labels) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ls)))
+	for _, l := range ls {
+		b = binary.AppendUvarint(b, uint64(len(l.Name)))
+		b = append(b, l.Name...)
+		b = binary.AppendUvarint(b, uint64(len(l.Value)))
+		b = append(b, l.Value...)
+	}
+	return b
+}
+
+// uvarint reads the varint at b[*pos:] and moves *pos past it. A varint
+// that is not minimal is refused: in a key it would give one label set a
+// second key.
+func uvarint(b []byte, pos *int) (uint64, error) {
+	v, n := binary.Uvarint(b[*pos:])
+	if n <= 0 || n > 1 && b[*pos+n-1] == 0 {
+		return 0, badPayloadf("truncated or non-minimal varint at offset %d", *pos)
+	}
+	*pos += n
+	return v, nil
+}
+
+// scanKey returns the length of the key at the start of b, checked
+// against the decode limits, with label strings of at most maxLen bytes.
+func scanKey(b []byte, maxLen uint64) (int, error) {
+	pos := 0
+	nLabels, err := uvarint(b, &pos)
+	if err != nil {
+		return 0, err
+	}
+	if nLabels == 0 || nLabels > maxLabelsPerSeries {
+		return 0, badPayloadf("series has %d labels", nLabels)
+	}
+	for i := uint64(0); i < 2*nLabels; i++ {
+		n, err := uvarint(b, &pos)
+		if err != nil {
+			return 0, err
+		}
+		if n > maxLen {
+			return 0, badPayloadf("string of %d bytes exceeds the %d limit", n, maxLen)
+		}
+		if uint64(len(b)-pos) < n {
+			return 0, badPayloadf("truncated label string")
+		}
+		pos += int(n)
+	}
+	return pos, nil
+}
+
+// appendLabels appends the label set of a scanned key to dst. str holds
+// the key's bytes, and the label strings are slices of it.
+func appendLabels(dst tsdb.Labels, key []byte, str string) tsdb.Labels {
+	nLabels, n := binary.Uvarint(key)
+	dst = slices.Grow(dst, int(nLabels))
+	for ; nLabels > 0; nLabels-- {
+		var pair [2]string
+		for j := range pair {
+			size, k := binary.Uvarint(key[n:])
+			pair[j] = str[n+k : n+k+int(size)]
+			n += k + int(size)
+		}
+		dst = append(dst, tsdb.Label{Name: pair[0], Value: pair[1]})
+	}
+	return dst
+}
+
+// keyLabels builds and checks the label set of a key nothing has checked
+// yet: it must scan whole and pass validateSeries, as replay requires of
+// a series record. idx names the series in the error.
+func keyLabels(idx uint64, key []byte, maxLen uint64) (tsdb.Labels, error) {
+	n, err := scanKey(key, maxLen)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(key) {
+		return nil, badPayloadf("series %d key has %d trailing bytes", idx, len(key)-n)
+	}
+	ls := appendLabels(nil, key, string(key))
+	return ls, validateSeries(idx, TimeSeries{Labels: ls})
+}
+
+// wireSeries is one series of a decoded push: its key and samples, as
+// they sit in the decoder's buffers, and the ref and labels WAL.log sets.
+type wireSeries struct {
+	key     []byte
+	samples []tsdb.Sample
+	ref     uint64
+	labels  tsdb.Labels
+}
+
+// decoder holds one push between its read and its release. A binary body
+// is parsed in place: each series' key is a slice of the body, and the
+// samples share one arena. Only the WAL builds label sets, for keys it
+// has not seen.
+type decoder struct {
+	body    bytes.Buffer
+	series  []wireSeries
+	samples []tsdb.Sample
+}
+
+// decode parses and checks a binary write request into d, replacing what
+// d held: framing, CRC, limits, keys and sample order. A series' labels
+// are checked only when the WAL first meets its key (keyLabels).
+func (d *decoder) decode(raw []byte) error {
+	d.series, d.samples = d.series[:0], d.samples[:0]
 	if len(raw) < len(binaryMagic)+4 || string(raw[:len(binaryMagic)]) != binaryMagic {
-		return nil, badPayloadf("bad magic")
+		return badPayloadf("bad magic")
 	}
 	payload := raw[len(binaryMagic) : len(raw)-4]
 	want := binary.BigEndian.Uint32(raw[len(raw)-4:])
 	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, badPayloadf("CRC mismatch (got %08x, want %08x)", got, want)
+		return badPayloadf("CRC mismatch (got %08x, want %08x)", got, want)
 	}
 	pos := 0
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(payload[pos:])
-		if n <= 0 {
-			return 0, badPayloadf("truncated varint at offset %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-	nSeries, err := readUvarint()
+	nSeries, err := uvarint(payload, &pos)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nSeries > maxSeriesPerRequest {
-		return nil, badPayloadf("%d series exceeds the %d limit", nSeries, maxSeriesPerRequest)
+		return badPayloadf("%d series exceeds the %d limit", nSeries, maxSeriesPerRequest)
 	}
-	out := make([]TimeSeries, 0, nSeries)
-	// The arenas are sized as if every remaining series were this one
-	// (capped by the bytes left) and are replaced, not grown, when a larger
-	// series comes along: labelArena holds the label sets, labelBytes a
-	// copy of each series' label region for the strings to slice, and
-	// sampleArena the samples.
-	var labelArena []tsdb.Label
-	var labelBytes strings.Builder
-	var sampleArena []tsdb.Sample
-	// spans[i] is where name or value i starts and ends in the region.
-	var spans [2 * maxLabelsPerSeries][2]int
+	// A series takes at least 4 bytes: the counts and two lengths.
+	d.series = slices.Grow(d.series, int(min(nSeries, uint64(len(payload)-pos)/4)))
 	totalSamples := uint64(0)
 	for si := uint64(0); si < nSeries; si++ {
-		nLabels, err := readUvarint()
+		n, err := scanKey(payload[pos:], maxLabelLength)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if nLabels == 0 || nLabels > maxLabelsPerSeries {
-			return nil, badPayloadf("series %d has %d labels", si, nLabels)
-		}
-		start := pos
-		for i := 0; i < 2*int(nLabels); i++ {
-			n, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			if n > maxLabelLength {
-				return nil, badPayloadf("string of %d bytes exceeds the %d limit", n, maxLabelLength)
-			}
-			if uint64(len(payload)-pos) < n {
-				return nil, badPayloadf("truncated string at offset %d", pos)
-			}
-			spans[i] = [2]int{pos - start, pos - start + int(n)}
-			pos += int(n)
-		}
-		region := payload[start:pos]
-		if labelBytes.Cap()-labelBytes.Len() < len(region) {
-			labelBytes = strings.Builder{}
-			labelBytes.Grow(max(len(region), min(len(region)*int(nSeries-si), len(payload)-start)))
-		}
-		labelBytes.Write(region)
-		str := labelBytes.String()[labelBytes.Len()-len(region):]
-		if cap(labelArena)-len(labelArena) < int(nLabels) {
-			labelArena = make([]tsdb.Label, 0, max(nLabels, min(nLabels*(nSeries-si), uint64(len(payload)-pos)/2)))
-		}
-		ls := labelArena[len(labelArena) : len(labelArena) : len(labelArena)+int(nLabels)]
-		for i := 0; i < 2*int(nLabels); i += 2 {
-			name, value := spans[i], spans[i+1]
-			ls = append(ls, tsdb.Label{Name: str[name[0]:name[1]], Value: str[value[0]:value[1]]})
-		}
-		labelArena = labelArena[:len(labelArena)+len(ls)]
-		nSamples, err := readUvarint()
+		key := payload[pos : pos+n : pos+n]
+		pos += n
+		nSamples, err := uvarint(payload, &pos)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if nSamples > maxSamplesPerSeries {
-			return nil, badPayloadf("series %d has %d samples", si, nSamples)
+			return badPayloadf("series %d has %d samples", si, nSamples)
 		}
 		if totalSamples += nSamples; totalSamples > maxSamplesPerRequest {
-			return nil, badPayloadf("request exceeds %d total samples", maxSamplesPerRequest)
+			return badPayloadf("request exceeds %d total samples", maxSamplesPerRequest)
 		}
-		if uint64(cap(sampleArena)-len(sampleArena)) < nSamples {
-			// A sample takes at least 9 bytes: a varint and the value.
-			sampleArena = make([]tsdb.Sample, 0, max(nSamples, min(nSamples*(nSeries-si), uint64(len(payload)-pos)/9)))
+		if uint64(cap(d.samples)-len(d.samples)) < nSamples {
+			// Room as if every remaining series were this one, capped by
+			// the bytes left (a sample takes at least 9).
+			d.samples = slices.Grow(d.samples, int(max(nSamples, min(nSamples*(nSeries-si), uint64(len(payload)-pos)/9))))
 		}
-		samples := sampleArena[len(sampleArena) : len(sampleArena) : len(sampleArena)+int(nSamples)]
+		start := len(d.samples)
 		prevT := int64(0)
 		for i := uint64(0); i < nSamples; i++ {
-			zz, err := readUvarint()
+			zz, err := uvarint(payload, &pos)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			t := prevT + unzigzag(zz)
+			if i > 0 && t <= prevT {
+				return badPayloadf("series %d samples are not strictly time-ordered", si)
+			}
 			if len(payload)-pos < 8 {
-				return nil, badPayloadf("truncated value at offset %d", pos)
+				return badPayloadf("truncated value at offset %d", pos)
 			}
 			v := math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:]))
 			pos += 8
-			samples = append(samples, tsdb.Sample{T: t, V: v})
+			d.samples = append(d.samples, tsdb.Sample{T: t, V: v})
 			prevT = t
 		}
-		sampleArena = sampleArena[:len(sampleArena)+len(samples)]
-		ts := TimeSeries{Labels: ls, Samples: samples}
-		if err := validateSeries(si, ts); err != nil {
-			return nil, err
-		}
-		out = append(out, ts)
+		d.series = append(d.series, wireSeries{key: key, samples: d.samples[start:len(d.samples):len(d.samples)]})
 	}
 	if pos != len(payload) {
-		return nil, badPayloadf("%d trailing bytes", len(payload)-pos)
+		return badPayloadf("%d trailing bytes", len(payload)-pos)
+	}
+	return nil
+}
+
+// fromSeries hands a push over as []TimeSeries to d: the keys are encoded
+// into d.body, and the samples stay the caller's. When the body grows,
+// earlier keys still slice the old array, whose bytes nothing changes.
+func (d *decoder) fromSeries(batch []TimeSeries) {
+	for _, ts := range batch {
+		start := d.body.Len()
+		d.body.Write(appendKey(d.body.AvailableBuffer(), ts.Labels))
+		d.series = append(d.series, wireSeries{key: d.body.Bytes()[start:], samples: ts.Samples})
+	}
+}
+
+// read decodes the write request in r into d as DecodeWriteRequest reads
+// it, but in place. A read error is wrapped with ErrBadWritePayload.
+func (d *decoder) read(r io.Reader, contentType string) error {
+	switch contentType {
+	case ContentTypeBinary:
+		if _, err := d.body.ReadFrom(r); err != nil {
+			return fmt.Errorf("%w: read body: %w", ErrBadWritePayload, err)
+		}
+		return d.decode(d.body.Bytes())
+	case ContentTypeJSON, "":
+		batch, err := DecodeJSON(r) // nil on error
+		d.fromSeries(batch)
+		return err
+	default:
+		return badPayloadf("unsupported content type %q", contentType)
+	}
+}
+
+// DecodeBinary parses and validates a binary write request. Label strings
+// are slices of one string holding only the label bytes (no sample
+// bytes), and label sets and samples share one backing array each;
+// whoever keeps a label set beyond the request (the TSDB, the WAL) copies
+// it, so nothing long-lived pins the request or the reused decoder.
+func DecodeBinary(raw []byte) ([]TimeSeries, error) {
+	d := getDecoder()
+	defer d.release()
+	if err := d.decode(raw); err != nil {
+		return nil, err
+	}
+	keyBytes, nLabels, nSamples := 0, 0, 0
+	for _, s := range d.series {
+		keyBytes += len(s.key)
+		nLabels += int(s.key[0]) // a label count is at most 64: one varint byte
+		nSamples += len(s.samples)
+	}
+	var keys strings.Builder
+	keys.Grow(keyBytes)
+	for _, s := range d.series {
+		keys.Write(s.key)
+	}
+	str := keys.String()
+	labels := make(tsdb.Labels, 0, nLabels)
+	samples := make([]tsdb.Sample, 0, nSamples)
+	out := make([]TimeSeries, len(d.series))
+	for i, s := range d.series {
+		l, m := len(labels), len(samples)
+		labels = appendLabels(labels, s.key, str[:len(s.key)])
+		str = str[len(s.key):]
+		samples = append(samples, s.samples...)
+		out[i] = TimeSeries{Labels: labels[l:len(labels):len(labels)], Samples: samples[m:len(samples):len(samples)]}
+		if err := validateSeries(uint64(i), out[i]); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -288,42 +408,52 @@ func DecodeJSON(r io.Reader) ([]TimeSeries, error) {
 	return out, nil
 }
 
-// bodies recycles binary request bodies across pushes. DecodeBinary
-// copies out every byte it keeps, so a body's buffer is free again as soon
-// as it returns. It is a bounded free list, not a sync.Pool: a GC empties
-// a pool, and the next push then regrows its buffer. It holds one buffer
-// per processor, since that many pushes decode at once.
-var bodies = make(chan *bytes.Buffer, runtime.GOMAXPROCS(0))
+// decoders recycles decoders across pushes. A decoder is free again once
+// the push it holds is copied out or durable: the TSDB and the WAL copy
+// what they keep. It is a bounded free list, not a sync.Pool: a GC empties
+// a pool, and the next push then regrows its buffers. It holds one
+// decoder per processor, since that many pushes decode at once.
+var decoders = make(chan *decoder, runtime.GOMAXPROCS(0))
 
-// maxPooledBody bounds the buffers kept for reuse: one outsized push does
-// not pin its buffer.
 const maxPooledBody = 4 << 20
 
+func getDecoder() *decoder {
+	select {
+	case d := <-decoders:
+		return d
+	default:
+		return new(decoder)
+	}
+}
+
+// release empties d, dropping its pointers into the push, and keeps it for
+// reuse unless a buffer outgrew maxPooledBody bytes (a sample takes 16, a
+// wireSeries 80), so that one outsized push does not pin its buffers.
+func (d *decoder) release() {
+	clear(d.series)
+	if d.body.Cap() > maxPooledBody || 16*cap(d.samples) > maxPooledBody || 80*cap(d.series) > maxPooledBody {
+		return
+	}
+	d.body.Reset()
+	d.series, d.samples = d.series[:0], d.samples[:0]
+	select {
+	case decoders <- d:
+	default:
+	}
+}
+
 // DecodeWriteRequest dispatches on the request content type. A binary
-// body is read into a reused buffer, which grows with the bytes actually
-// received, never ahead of them.
+// body is read into a reused decoder's buffer, which grows with the bytes
+// received, never ahead of them, and copied out by DecodeBinary.
 func DecodeWriteRequest(r io.Reader, contentType string) ([]TimeSeries, error) {
 	switch contentType {
 	case ContentTypeBinary:
-		var buf *bytes.Buffer
-		select {
-		case buf = <-bodies:
-		default:
-			buf = new(bytes.Buffer)
-		}
-		defer func() {
-			if buf.Cap() <= maxPooledBody {
-				buf.Reset()
-				select {
-				case bodies <- buf:
-				default:
-				}
-			}
-		}()
-		if _, err := buf.ReadFrom(r); err != nil {
+		d := getDecoder()
+		defer d.release()
+		if _, err := d.body.ReadFrom(r); err != nil {
 			return nil, err
 		}
-		return DecodeBinary(buf.Bytes())
+		return DecodeBinary(d.body.Bytes())
 	case ContentTypeJSON, "":
 		return DecodeJSON(r)
 	default:

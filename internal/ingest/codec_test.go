@@ -182,6 +182,67 @@ func FuzzDecodeBinary(f *testing.F) {
 	})
 }
 
+// FuzzPushDecoderReuse: one decoder decodes the inputs in turn (a, b,
+// then a again), as a pooled decoder serves pushes. Each result, read the
+// way a push is applied (labels built and checked from each key by
+// keyLabels), must equal a DecodeBinary of the same bytes on a decoder
+// that served nothing: the same series, labels and samples, and refused
+// with ErrBadWritePayload exactly when that one is. So nothing of one push
+// leaks into the next.
+func FuzzPushDecoderReuse(f *testing.F) {
+	var bodies [][]byte
+	for _, batch := range [][]TimeSeries{
+		pushBatch(3, 1000),
+		{mkSeries("weird", nil, tsdb.Sample{T: -1, V: math.NaN()}, tsdb.Sample{T: 1 << 44, V: math.Inf(-1)})},
+		{mkSeries("empty", nil), mkSeries("m", map[string]string{"a": "b"}, tsdb.Sample{T: 5, V: 1})},
+		{{Labels: tsdb.Labels{{Name: "b", Value: "1"}, {Name: "__name__", Value: "m"}}, Samples: []tsdb.Sample{{T: 1, V: 1}}}},
+	} {
+		raw := EncodeBinary(batch)
+		bodies = append(bodies, raw[len(binaryMagic):len(raw)-4])
+	}
+	for i, a := range bodies {
+		f.Add(a, bodies[(i+1)%len(bodies)])
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		d := getDecoder()
+		defer d.release()
+		for _, body := range [][]byte{a, b, a} {
+			raw := frameBinary(body)
+			want, wantErr := freshDecodeBinary(raw)
+			err := d.decode(raw)
+			var got []TimeSeries
+			for i := 0; err == nil && i < len(d.series); i++ {
+				var ls tsdb.Labels
+				ls, err = keyLabels(uint64(i), d.series[i].key, maxLabelLength)
+				got = append(got, TimeSeries{Labels: ls, Samples: d.series[i].samples})
+			}
+			for _, e := range []error{err, wantErr} {
+				if e != nil && !errors.Is(e, ErrBadWritePayload) {
+					t.Fatalf("rejection %v does not wrap ErrBadWritePayload", e)
+				}
+			}
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("reused decoder: %v, fresh DecodeBinary: %v", err, wantErr)
+			}
+			if err == nil {
+				sameSeries(t, got, want)
+			}
+		}
+	})
+}
+
+// freshDecodeBinary is DecodeBinary on a decoder that served no push: it
+// empties the free list first.
+func freshDecodeBinary(raw []byte) ([]TimeSeries, error) {
+	for {
+		select {
+		case <-decoders:
+		default:
+			return DecodeBinary(raw)
+		}
+	}
+}
+
 // BenchmarkDecodeBinary2000x1 and BenchmarkDecodeBinary10x100000 decode a
 // label-heavy push (write_read's 2000 series × 1 sample) and a
 // sample-heavy one (10 series × 100 000 samples, a 10 MB body), so a cut

@@ -1,6 +1,11 @@
 package ingest
 
-import "os"
+import (
+	"os"
+	"slices"
+
+	"dio/internal/tsdb"
+)
 
 // DiskFaults replaces the disk calls of the WAL and the store so tests can
 // slow a sync down or inject a short write, ENOSPC or a failed fsync. A nil
@@ -25,13 +30,27 @@ func SetDiskFaults(faults DiskFaults) (restore func()) {
 	return func() { writeFile, syncFile = prevWrite, prevSync }
 }
 
-// SetAfterLog installs fn to run in Store.Append between the WAL log and
-// the TSDB apply, with the store's append lock held, and returns a
-// function removing it. Install it while no append is in flight.
+// SetAfterLog installs fn to run in every store append between the WAL
+// log and the TSDB apply, with the store's append lock held, and returns a
+// function removing it. fn gets a copy of the push. Install it while no
+// append is in flight.
 func SetAfterLog(fn func(batch []TimeSeries)) (restore func()) {
 	prev := afterLog
-	afterLog = fn
+	afterLog = func(series []wireSeries) {
+		batch := make([]TimeSeries, len(series))
+		for i, s := range series {
+			batch[i] = TimeSeries{Labels: appendLabels(nil, s.key, string(s.key)), Samples: slices.Clone(s.samples)}
+		}
+		fn(batch)
+	}
 	return func() { afterLog = prev }
+}
+
+// tsdbRef returns the TSDB ref the store holds for the series ls.
+func (s *Store) tsdbRef(ls tsdb.Labels) tsdb.SeriesRef {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.refs[s.wal.refs[string(appendKey(nil, ls))]]
 }
 
 // currentSegment returns the index of the segment appends go to.

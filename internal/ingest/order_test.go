@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -90,10 +91,23 @@ func TestConcurrentPushesApplyInWALOrder(t *testing.T) {
 
 // TestStoreRefsSurviveRetention: the store appends by the TSDB refs it
 // keeps per WAL ref. When retention drops a pushed series, the same labels
-// pushed again land in a fresh series (a new ref); the series retention
+// pushed again land in a fresh series (a new ref), resolved from the
+// labels the store kept when the series was new; the series retention
 // kept keeps its ref; and after every step the store holds exactly what
 // plain appends by label produce, so no sample reaches another series.
+// The sequence runs through Append and through a binary Push.
 func TestStoreRefsSurviveRetention(t *testing.T) {
+	for name, appendTo := range map[string]func(*Store, []TimeSeries) (AppendStats, error){
+		"append": (*Store).Append,
+		"binary": func(st *Store, batch []TimeSeries) (AppendStats, error) {
+			return st.Push(bytes.NewReader(EncodeBinary(batch)), ContentTypeBinary)
+		},
+	} {
+		t.Run(name, func(t *testing.T) { storeRefsSurviveRetention(t, appendTo) })
+	}
+}
+
+func storeRefsSurviveRetention(t *testing.T, appendTo func(*Store, []TimeSeries) (AppendStats, error)) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
@@ -103,7 +117,7 @@ func TestStoreRefsSurviveRetention(t *testing.T) {
 	want := tsdb.New()
 	push := func(batch ...TimeSeries) {
 		t.Helper()
-		as, err := st.Append(batch)
+		as, err := appendTo(st, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,12 +131,10 @@ func TestStoreRefsSurviveRetention(t *testing.T) {
 		}
 		identicalStores(t, st.DB(), want)
 	}
-	// refOf returns the TSDB ref the store holds for series i of the last
-	// push.
-	refOf := func(i int) tsdb.SeriesRef { return st.refs[st.walRefs[i]] }
+	x, y := oneSample("x", 0, 0).Labels, oneSample("y", 0, 0).Labels
 
 	push(oneSample("x", 1000, 1), oneSample("y", 5000, 5))
-	x0, y0 := refOf(0), refOf(1)
+	x0, y0 := st.tsdbRef(x), st.tsdbRef(y)
 	if x0 == 0 || y0 == 0 || x0 == y0 {
 		t.Fatalf("refs after the first push: x %d, y %d", x0, y0)
 	}
@@ -133,7 +145,7 @@ func TestStoreRefsSurviveRetention(t *testing.T) {
 	identicalStores(t, st.DB(), want)
 
 	push(oneSample("x", 3000, 3), oneSample("y", 6000, 6))
-	x1, y1 := refOf(0), refOf(1)
+	x1, y1 := st.tsdbRef(x), st.tsdbRef(y)
 	if x1 == x0 || x1 <= y0 {
 		t.Errorf("x's ref went %d -> %d after retention dropped it: want a fresh ref above %d", x0, x1, max(x0, y0))
 	}
@@ -141,8 +153,8 @@ func TestStoreRefsSurviveRetention(t *testing.T) {
 		t.Errorf("y's ref went %d -> %d though retention kept it", y0, y1)
 	}
 	push(oneSample("y", 7000, 7), oneSample("x", 4000, 4))
-	if refOf(0) != y1 || refOf(1) != x1 {
-		t.Errorf("refs moved on a push in the other order: y %d -> %d, x %d -> %d", y1, refOf(0), x1, refOf(1))
+	if st.tsdbRef(y) != y1 || st.tsdbRef(x) != x1 {
+		t.Errorf("refs moved on a push in the other order: y %d -> %d, x %d -> %d", y1, st.tsdbRef(y), x1, st.tsdbRef(x))
 	}
 
 	re, err := OpenStore(dir, StoreOptions{})

@@ -38,7 +38,8 @@ func pushBatch(n int, t int64) []TimeSeries {
 // one arena each for label sets, label bytes and samples; its ceiling
 // leaves room for each arena to be replaced once by a larger series.
 // Store.Append makes none: its ceiling of 2 leaves room for one scratch
-// slice regrown.
+// slice regrown. The served path, Store.Push of a binary body, builds no
+// label set and makes at most one allocation (the body's reader) and 4 KB.
 func TestPushAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not hold under the race detector")
@@ -104,13 +105,37 @@ func TestPushAllocations(t *testing.T) {
 	}
 	push()
 	ceiling("Store.Append", 2, testing.AllocsPerRun(10, push))
+
+	var bodies [][]byte // one per push AllocsPerRun and bytesPerPush make
+	for range 1 + 10 + cap(decoders) + 10 {
+		stamp += 1000
+		for i := range batch {
+			batch[i].Samples[0].T = stamp
+		}
+		bodies = append(bodies, EncodeBinary(batch))
+	}
+	served := func() {
+		as, err := st.Push(bytes.NewReader(bodies[0]), ContentTypeBinary)
+		if err != nil || as.Appended != len(batch) {
+			t.Fatalf("served push appended %+v: %v", as, err)
+		}
+		bodies = bodies[1:]
+	}
+	ceiling("Store.Push", 1, testing.AllocsPerRun(10, served))
+	if n := bytesPerPush(served); n > 4<<10 {
+		t.Errorf("Store.Push allocates %.0f bytes per push, ceiling %d", n, 4<<10)
+	} else {
+		t.Logf("Store.Push: %.0f bytes per push", n)
+	}
 }
 
 // bytesPerPush is the mean heap allocation of one call of push, after a
-// warming call.
+// warming call per pooled decoder: the free list hands them out in turn.
 func bytesPerPush(push func()) float64 {
 	const runs = 10
-	push()
+	for range cap(decoders) {
+		push()
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

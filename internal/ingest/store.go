@@ -2,10 +2,10 @@ package ingest
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,16 +37,15 @@ type Store struct {
 	// applies pushes in WAL order and a sample the live store dropped as
 	// out of order is dropped by replay too. A checkpoint holds it to
 	// rotate the WAL, so every sample in a pre-rotation segment is then
-	// also in the TSDB. It guards refs and the scratch slices.
+	// also in the TSDB. It guards refs and appends.
 	mu sync.Mutex
 	// refs[walRef] is the TSDB ref of the series the WAL knows as walRef,
-	// zero until its first append: a series resolves from its labels once
-	// in the WAL and, after its first push, not again in the TSDB. A ref
-	// whose series retention dropped re-resolves (tsdb.DB.AppendRef's
-	// rule).
+	// zero until its first append: a push resolves a known series by one
+	// probe of its key in the WAL and by ref in the TSDB, and builds no
+	// labels. A ref whose series retention dropped re-resolves from the
+	// labels the WAL keeps (tsdb.DB.AppendRef's rule).
 	refs []tsdb.SeriesRef
-	// walRefs and appends are one push's WAL refs and TSDB batch, reused.
-	walRefs []uint64
+	// appends is one push's TSDB batch, reused.
 	appends []tsdb.SeriesAppend
 
 	replay ReplayStats
@@ -213,19 +212,42 @@ type AppendStats struct {
 	Duplicate  int // same timestamp as the head with a different value, dropped
 }
 
-// afterLog, when set, runs in Append between the WAL log and the TSDB
-// apply, under mu. Tests set it (export_test.go) to hold a push there.
-var afterLog func(batch []TimeSeries)
+// afterLog, when set, runs in every append between the WAL log and the
+// TSDB apply, under mu. Tests set it (export_test.go) to hold a push there.
+var afterLog func(series []wireSeries)
+
+// Push reads one write request from r, decodes it by content type and
+// appends it as Append does. A binary body is parsed in place in a reused
+// decoder, released once the push is durable or refused. A request that
+// does not decode fails with ErrBadWritePayload and appends nothing.
+func (s *Store) Push(r io.Reader, contentType string) (AppendStats, error) {
+	d := getDecoder()
+	defer d.release()
+	if err := d.read(r, contentType); err != nil {
+		return AppendStats{}, err
+	}
+	return s.append(d.series)
+}
 
 // Append logs the batch to the WAL, applies it to the TSDB, and waits for
 // the WAL record to be durable before returning. Out-of-order and
 // duplicate samples are dropped and counted (Prometheus remote-write
-// semantics) — only I/O or WAL failures make the whole call fail, and a
-// failed call means the batch was NOT acknowledged.
+// semantics). A series with invalid labels fails the whole call with
+// ErrBadWritePayload before anything is logged; otherwise only I/O or WAL
+// failures make the call fail, and a failed call means the batch was NOT
+// acknowledged.
 func (s *Store) Append(batch []TimeSeries) (AppendStats, error) {
+	d := getDecoder()
+	defer d.release()
+	d.fromSeries(batch)
+	return s.append(d.series)
+}
+
+// append is Append for a decoded push.
+func (s *Store) append(series []wireSeries) (AppendStats, error) {
 	var st AppendStats
 	s.mu.Lock()
-	mark, err := s.apply(batch, &st)
+	mark, err := s.apply(series, &st)
 	s.mu.Unlock()
 	if err != nil {
 		return st, err
@@ -252,36 +274,35 @@ func (s *Store) Append(batch []TimeSeries) (AppendStats, error) {
 	return st, nil
 }
 
-// apply logs batch to the WAL and appends it to the TSDB by ref, setting
-// st to the TSDB's counts. It returns the WAL's durability mark. Callers
-// hold mu.
-func (s *Store) apply(batch []TimeSeries, st *AppendStats) (uint64, error) {
-	s.walRefs = slices.Grow(s.walRefs[:0], len(batch))[:len(batch)]
-	mark, err := s.wal.log(batch, s.walRefs)
+// apply logs series to the WAL and appends them to the TSDB by ref,
+// setting st to the TSDB's counts. It returns the WAL's durability mark.
+// Callers hold mu.
+func (s *Store) apply(series []wireSeries, st *AppendStats) (uint64, error) {
+	mark, err := s.wal.log(series)
 	if err != nil {
 		return mark, err
 	}
 	if afterLog != nil {
-		afterLog(batch)
+		afterLog(series)
 	}
 	// Grow refs first: the batch points into it.
 	top := uint64(0)
-	for i, ts := range batch {
-		if len(ts.Samples) > 0 {
-			top = max(top, s.walRefs[i])
+	for _, ws := range series {
+		if len(ws.samples) > 0 {
+			top = max(top, ws.ref)
 		}
 	}
 	if n := int(top) + 1; n > len(s.refs) {
 		s.refs = append(s.refs, make([]tsdb.SeriesRef, n-len(s.refs))...)
 	}
 	apps := s.appends[:0]
-	for i, ts := range batch {
-		if len(ts.Samples) > 0 {
-			apps = append(apps, tsdb.SeriesAppend{Ref: &s.refs[s.walRefs[i]], Labels: ts.Labels, Samples: ts.Samples})
+	for _, ws := range series {
+		if len(ws.samples) > 0 {
+			apps = append(apps, tsdb.SeriesAppend{Ref: &s.refs[ws.ref], Labels: ws.labels, Samples: ws.samples})
 		}
 	}
 	st.Appended, st.OutOfOrder, st.Duplicate, err = s.db.AppendSeries(apps)
-	clear(apps) // keep no pointer into the request past it
+	clear(apps) // keep no pointer into the push past it
 	s.appends = apps[:0]
 	return mark, err
 }

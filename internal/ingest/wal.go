@@ -107,18 +107,21 @@ type WAL struct {
 	bw       *bufio.Writer
 	seg      int
 	segBytes int64
-	// refs maps series fingerprints to their process-lifetime refs, dense
-	// from 1; loggedInSeg[ref] reports whether ref already has a series
-	// record in the current segment.
+	// refs maps series keys (codec.go), which are also the label part of
+	// their series records, to their process-lifetime refs, dense from 1.
+	// A key is stored only after keyLabels built and checked its labels,
+	// which labels[ref] keeps. loggedInSeg[ref] reports whether ref
+	// already has a series record in the current segment.
 	refs        map[string]uint64
+	labels      []tsdb.Labels
 	loggedInSeg []bool
 	nextRef     uint64
-	// keyBuf, rec and seriesRec are reused across appends (each as large
-	// as the largest request needs): the series-key lookup buffer, the
-	// samples record and the series record payloads. hdr is the record
-	// header; on the stack it would escape through the writer.
-	keyBuf, rec, seriesRec []byte
-	hdr                    [8]byte
+	// rec and seriesRec are reused across appends (each as large as the
+	// largest request needs): the samples record and the series record
+	// payloads. hdr is the record header; on the stack it would escape
+	// through the writer.
+	rec, seriesRec []byte
+	hdr            [8]byte
 
 	written uint64 // append batches written to the buffer
 	synced  uint64 // append batches covered by a successful fsync
@@ -184,7 +187,7 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	if len(segs) > 0 {
 		next = segs[len(segs)-1] + 1
 	}
-	w := &WAL{dir: dir, opts: opts, refs: make(map[string]uint64), loggedInSeg: make([]bool, 1)}
+	w := &WAL{dir: dir, opts: opts, refs: make(map[string]uint64), labels: make([]tsdb.Labels, 1), loggedInSeg: make([]bool, 1)}
 	w.committed.L = &w.mu
 	if err := w.openSegmentLocked(next); err != nil {
 		return nil, err
@@ -302,71 +305,67 @@ func (w *WAL) writeRecordLocked(payload []byte) {
 	}
 }
 
-// refLocked resolves (allocating if needed) the ref for a series and
-// guarantees its series record exists in the current segment.
-func (w *WAL) refLocked(ls tsdb.Labels) uint64 {
-	w.keyBuf = ls.AppendKey(w.keyBuf[:0])
-	ref, ok := w.refs[string(w.keyBuf)]
-	if !ok {
-		w.nextRef++
-		ref = w.nextRef
-		w.refs[string(w.keyBuf)] = ref
-		w.loggedInSeg = append(w.loggedInSeg, false)
-	}
-	if !w.loggedInSeg[ref] {
-		payload := append(w.seriesRec[:0], recSeries)
-		payload = binary.AppendUvarint(payload, ref)
-		payload = binary.AppendUvarint(payload, uint64(len(ls)))
-		for _, l := range ls {
-			payload = binary.AppendUvarint(payload, uint64(len(l.Name)))
-			payload = append(payload, l.Name...)
-			payload = binary.AppendUvarint(payload, uint64(len(l.Value)))
-			payload = append(payload, l.Value...)
-		}
-		w.writeRecordLocked(payload)
-		w.seriesRec = payload
-		w.loggedInSeg[ref] = true
-	}
-	return ref
-}
-
 // Log writes one append batch (series records as needed plus a samples
 // record) and returns a durability mark for WaitDurable. It does not wait
 // for the data to reach disk.
 func (w *WAL) Log(batch []TimeSeries) (uint64, error) {
-	return w.log(batch, nil)
+	d := getDecoder()
+	defer d.release()
+	d.fromSeries(batch)
+	return w.log(d.series)
 }
 
-// log is Log that, when refs is not nil (len(batch) long), also writes
-// the WAL ref of each series with samples to refs[i]. A series with no
-// samples gets no ref, and its refs[i] is left as it was.
-func (w *WAL) log(batch []TimeSeries, refs []uint64) (uint64, error) {
+// log is Log for a decoded push. It first resolves every series by its
+// key, setting its ref and labels. keyLabels builds and checks the labels
+// of a key the WAL has not seen, so a bad series fails the whole batch
+// with ErrBadWritePayload before anything is logged. A series with no
+// samples gets no ref.
+func (w *WAL) log(series []wireSeries) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, ErrWALClosed
 	}
 	n := 0
-	for _, ts := range batch {
-		n += len(ts.Samples)
+	for i := range series {
+		s := &series[i]
+		n += len(s.samples)
+		if s.ref = w.refs[string(s.key)]; s.ref == 0 {
+			ls, err := keyLabels(uint64(i), s.key, maxLabelLength)
+			if err != nil {
+				return 0, err
+			}
+			if len(s.samples) == 0 {
+				continue
+			}
+			w.nextRef++
+			s.ref = w.nextRef
+			w.refs[string(s.key)] = s.ref
+			w.labels = append(w.labels, ls)
+			w.loggedInSeg = append(w.loggedInSeg, false)
+		}
+		s.labels = w.labels[s.ref]
 	}
 	if n > 0 {
 		payload := append(w.rec[:0], recSamples)
 		payload = binary.AppendUvarint(payload, uint64(n))
 		prevT := int64(0)
-		for i, ts := range batch {
-			if len(ts.Samples) == 0 {
+		for i := range series {
+			s := &series[i]
+			if len(s.samples) == 0 {
 				continue
 			}
-			ref := w.refLocked(ts.Labels)
-			if refs != nil {
-				refs[i] = ref
+			if !w.loggedInSeg[s.ref] {
+				rec := append(w.seriesRec[:0], recSeries)
+				w.seriesRec = append(binary.AppendUvarint(rec, s.ref), s.key...)
+				w.writeRecordLocked(w.seriesRec)
+				w.loggedInSeg[s.ref] = true
 			}
-			for _, s := range ts.Samples {
-				payload = binary.AppendUvarint(payload, ref)
-				payload = binary.AppendUvarint(payload, zigzag(s.T-prevT))
-				prevT = s.T
-				payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(s.V))
+			for _, smp := range s.samples {
+				payload = binary.AppendUvarint(payload, s.ref)
+				payload = binary.AppendUvarint(payload, zigzag(smp.T-prevT))
+				prevT = smp.T
+				payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(smp.V))
 			}
 		}
 		w.writeRecordLocked(payload)
@@ -592,63 +591,36 @@ func (r *replayer) record(payload []byte) error {
 		return fmt.Errorf("%w: empty payload", errBadRecord)
 	}
 	typ, pos := payload[0], 1
-	readUvarint := func() (uint64, bool) {
-		v, n := binary.Uvarint(payload[pos:])
-		if n <= 0 {
-			return 0, false
-		}
-		pos += n
-		return v, true
-	}
 	switch typ {
 	case recSeries:
-		ref, ok := readUvarint()
-		if !ok {
+		ref, err := uvarint(payload, &pos)
+		if err != nil {
 			return fmt.Errorf("%w: series ref", errBadRecord)
 		}
-		nLabels, ok := readUvarint()
-		if !ok || nLabels == 0 || nLabels > maxLabelsPerSeries {
-			return fmt.Errorf("%w: series label count", errBadRecord)
-		}
-		ls := make(tsdb.Labels, 0, nLabels)
-		for i := uint64(0); i < nLabels; i++ {
-			var parts [2]string
-			for j := 0; j < 2; j++ {
-				n, ok := readUvarint()
-				if !ok || uint64(len(payload)-pos) < n {
-					return fmt.Errorf("%w: series label bytes", errBadRecord)
-				}
-				parts[j] = string(payload[pos : pos+int(n)])
-				pos += int(n)
-			}
-			ls = append(ls, tsdb.Label{Name: parts[0], Value: parts[1]})
-		}
-		if pos != len(payload) {
-			return fmt.Errorf("%w: %d trailing bytes", errBadRecord, len(payload)-pos)
-		}
-		// Log only writes label sets the codec validated.
-		if err := validateSeries(ref, TimeSeries{Labels: ls}); err != nil {
+		// Log writes only keys keyLabels passed (older builds: any length).
+		ls, err := keyLabels(ref, payload[pos:], math.MaxUint64)
+		if err != nil {
 			return fmt.Errorf("%w: %v", errBadRecord, err)
 		}
 		r.series[ref] = &replaySeries{labels: ls}
 	case recSamples:
-		n, ok := readUvarint()
-		if !ok {
+		n, err := uvarint(payload, &pos)
+		if err != nil {
 			return fmt.Errorf("%w: sample count", errBadRecord)
 		}
 		r.batch = r.batch[:0]
 		prevT := int64(0)
 		for i := uint64(0); i < n; i++ {
-			ref, ok := readUvarint()
-			if !ok {
+			ref, err := uvarint(payload, &pos)
+			if err != nil {
 				return fmt.Errorf("%w: sample ref", errBadRecord)
 			}
 			s, known := r.series[ref]
 			if !known {
 				return fmt.Errorf("%w: sample for unknown series ref %d", errBadRecord, ref)
 			}
-			zz, ok := readUvarint()
-			if !ok {
+			zz, err := uvarint(payload, &pos)
+			if err != nil {
 				return fmt.Errorf("%w: sample timestamp", errBadRecord)
 			}
 			t := prevT + unzigzag(zz)

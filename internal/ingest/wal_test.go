@@ -1,10 +1,15 @@
 package ingest
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
+	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"dio/internal/tsdb"
@@ -184,5 +189,77 @@ func TestWALOpenStartsFreshSegment(t *testing.T) {
 	defer w2.Close()
 	if w2.currentSegment() <= first {
 		t.Fatalf("reopen reused segment %d (first was %d)", w2.currentSegment(), first)
+	}
+}
+
+var updateWAL = flag.Bool("update", false, "rewrite testdata/wal.golden from this run's segments")
+
+// goldenPushes is TestWALSegmentGolden's push sequence: new series, a
+// known one beside a new one, an empty series (it logs nothing), and,
+// after the rotation the second push triggers, known series whose records
+// the new segment logs again.
+func goldenPushes() [][]TimeSeries {
+	up := func(job string, samples ...tsdb.Sample) TimeSeries {
+		return mkSeries("up", map[string]string{"job": job}, samples...)
+	}
+	return [][]TimeSeries{
+		{up("a", tsdb.Sample{T: 1000, V: 1}, tsdb.Sample{T: 2000, V: 2}), up("b", tsdb.Sample{T: 1000, V: math.NaN()})},
+		{up("a", tsdb.Sample{T: 3000, V: 3}), mkSeries("down", nil, tsdb.Sample{T: -5, V: -1}), mkSeries("empty", nil)},
+		{up("b", tsdb.Sample{T: 4000, V: 4}), up("a", tsdb.Sample{T: 4000, V: math.Inf(1)})},
+	}
+}
+
+// TestWALSegmentGolden pins the WAL format: goldenPushes, appended through
+// the store with segments small enough to rotate after the second push,
+// must write exactly the segment bytes in testdata/wal.golden, whether
+// they arrive as []TimeSeries or as binary pushes keyed by their wire
+// bytes. The golden was written by the build that still keyed series by
+// their labels.
+func TestWALSegmentGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/wal.golden")
+	if err != nil && !*updateWAL {
+		t.Fatal(err)
+	}
+	for name, appendTo := range map[string]func(*Store, []TimeSeries) (AppendStats, error){
+		"append": (*Store).Append,
+		"binary": func(st *Store, batch []TimeSeries) (AppendStats, error) {
+			return st.Push(bytes.NewReader(EncodeBinary(batch)), ContentTypeBinary)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := OpenStore(dir, StoreOptions{SegmentBytes: 150})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, batch := range goldenPushes() {
+				if _, err := appendTo(st, batch); err != nil {
+					t.Fatalf("push %d: %v", i, err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var got strings.Builder
+			for seg := 1; ; seg++ {
+				raw, err := os.ReadFile(filepath.Join(dir, "wal", segmentName(seg)))
+				if os.IsNotExist(err) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.WriteString("== " + segmentName(seg) + "\n" + hex.Dump(raw))
+			}
+			if *updateWAL && name == "append" {
+				if err := os.WriteFile("testdata/wal.golden", []byte(got.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if got.String() != string(want) {
+				t.Fatalf("WAL segments differ from testdata/wal.golden:\n%s", got.String())
+			}
+		})
 	}
 }
