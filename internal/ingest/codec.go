@@ -112,15 +112,38 @@ func appendKey(b []byte, ls tsdb.Labels) []byte {
 
 // uvarint reads the varint at b[*pos:] and moves *pos past it. A varint
 // that is not minimal is refused: in a key it would give one label set a
-// second key.
-func uvarint(b []byte, pos *int) (uint64, error) {
-	v, n := binary.Uvarint(b[*pos:])
-	if n <= 0 || n > 1 && b[*pos+n-1] == 0 {
-		return 0, badPayloadf("truncated or non-minimal varint at offset %d", *pos)
+// second key. scanKey and decode call it for every count, length and
+// timestamp, so it is kept small enough to inline: it makes no call, and
+// its error is the offset as a varintError.
+func uvarint(b []byte, pos *int) (v uint64, err error) {
+	p := *pos
+	for s := uint(0); p < len(b) && s < 64; s += 7 {
+		c := b[p]
+		p++
+		v |= uint64(c&0x7f) << s
+		if c < 0x80 {
+			// A zero last byte is not minimal; a tenth byte over 1
+			// overflows 64 bits.
+			if c == 0 && s > 0 || s == 63 && c > 1 {
+				break
+			}
+			*pos = p
+			return v, nil
+		}
 	}
-	*pos += n
-	return v, nil
+	return 0, varintError(*pos)
 }
+
+// varintError is a truncated, overlong or non-minimal varint at an offset.
+type varintError int
+
+func (e varintError) Error() string {
+	return fmt.Sprintf("%v: truncated or non-minimal varint at offset %d", ErrBadWritePayload, int(e))
+}
+
+// Is makes errors.Is(err, ErrBadWritePayload) hold, as it does for every
+// other decode failure.
+func (e varintError) Is(target error) bool { return target == ErrBadWritePayload }
 
 // scanKey returns the length of the key at the start of b, checked
 // against the decode limits, with label strings of at most maxLen bytes.

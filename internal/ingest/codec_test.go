@@ -107,6 +107,40 @@ func TestBinaryCodecRejectsBadSemantics(t *testing.T) {
 	}
 }
 
+// TestUvarintMatchesBinary holds uvarint to binary.Uvarint plus the
+// minimality rule, after a one-byte prefix: every value's encoding, each
+// cut short, each padded to a longer non-minimal form, and ten- and
+// eleven-byte overflows. A refused varint leaves pos where it was and
+// reports that offset.
+func TestUvarintMatchesBinary(t *testing.T) {
+	var inputs [][]byte
+	for _, v := range []uint64{0, 1, 127, 128, 300, 16383, 16384, 1 << 35, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+		enc := binary.AppendUvarint(nil, v)
+		for n := 0; n <= len(enc); n++ {
+			inputs = append(inputs, enc[:n])
+		}
+		padded := append(slices.Clone(enc), 0)
+		padded[len(enc)-1] |= 0x80
+		inputs = append(inputs, padded)
+	}
+	inputs = append(inputs,
+		[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+		[]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	for _, in := range inputs {
+		b := append([]byte{0x7f}, in...)
+		want, n := binary.Uvarint(in)
+		ok := n > 0 && (n == 1 || in[n-1] != 0)
+		pos := 1
+		got, err := uvarint(b, &pos)
+		switch {
+		case ok && (err != nil || got != want || pos != 1+n):
+			t.Errorf("% x: got %d, %v at %d, want %d at %d", in, got, err, pos, want, 1+n)
+		case !ok && (!errors.Is(err, ErrBadWritePayload) || pos != 1 || err.Error() != ErrBadWritePayload.Error()+": truncated or non-minimal varint at offset 1"):
+			t.Errorf("% x: got %d, %v at %d, want a refusal at offset 1", in, got, err, pos)
+		}
+	}
+}
+
 func TestJSONCodecRoundTrip(t *testing.T) {
 	in := []TimeSeries{
 		mkSeries("up", map[string]string{"job": "gnb"},

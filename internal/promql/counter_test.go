@@ -68,21 +68,13 @@ func counterShapesDB(t testing.TB, base time.Time, seconds int) *tsdb.DB {
 // with resets inside windows, at windows' first samples and two to a
 // window, and over equal, NaN, negative and fractional values: with
 // range ≥ step (overlapping windows) and range < step (gaps between
-// them), on one worker and on four, where the steps split into
-// partitions. The executor must render each byte-identically to the
-// oracle.
+// them). The executor must render each byte-identically to the oracle.
 func TestCounterWindowsMatchOracle(t *testing.T) {
 	base := time.Date(2026, 7, 6, 10, 0, 0, 0, time.UTC)
 	db := counterShapesDB(t, base, 3200)
-	// Each window's 32 series × 1 030 steps pass the partition gate.
 	fine := rangeWindow{"step=1s", base.Add(10 * time.Second), base.Add(1039 * time.Second), time.Second}
 	coarse := rangeWindow{"step=3s", base.Add(11 * time.Second), base.Add(3098 * time.Second), 3 * time.Second}
-	engines := map[int]*Engine{}
-	for _, workers := range []int{1, 4} {
-		opts := DefaultEngineOptions()
-		opts.ExecWorkers = workers
-		engines[workers] = NewEngine(db, opts)
-	}
+	eng := NewEngine(db, DefaultEngineOptions())
 	for _, c := range []struct {
 		q string
 		w rangeWindow
@@ -92,21 +84,16 @@ func TestCounterWindowsMatchOracle(t *testing.T) {
 		{"rate(c_total[2s])", coarse},
 		{"increase(c_total[2s])", coarse},
 	} {
-		want, err := oracleQueryRange(context.Background(), engines[1], c.q, c.w.start, c.w.end, c.w.step)
+		want, err := oracleQueryRange(context.Background(), eng, c.q, c.w.start, c.w.end, c.w.step)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for workers, eng := range engines {
-			if n := partitionsFor(t, eng, c.q, c.w.start, c.w.end, c.w.step); (workers > 1) != (n > 1) {
-				t.Fatalf("workers=%d %s %q runs on %d partitions", workers, c.w.name, c.q, n)
-			}
-			got, err := queryRange(context.Background(), eng, c.q, c.w.start, c.w.end, c.w.step)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.String() != want.String() {
-				t.Errorf("workers=%d %s %q: executor and oracle differ", workers, c.w.name, c.q)
-			}
+		got, err := queryRange(context.Background(), eng, c.q, c.w.start, c.w.end, c.w.step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s %q: executor and oracle differ", c.w.name, c.q)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -24,11 +23,6 @@ type EngineOptions struct {
 	// Timeout aborts long evaluations; zero means no engine-level timeout
 	// (context cancellation still applies).
 	Timeout time.Duration
-	// ExecWorkers caps the step partitions, one goroutine each, that a
-	// range query may split into; an instant query is one step and runs on
-	// the caller's goroutine. Zero picks min(GOMAXPROCS, 16); 1 runs every
-	// query sequentially.
-	ExecWorkers int
 }
 
 // DefaultEngineOptions mirrors Prometheus defaults.
@@ -51,9 +45,9 @@ type RangeStats struct {
 	// SelectorMisses counts selector fetches that went to storage (one per
 	// distinct selector node).
 	SelectorMisses int
-	// PeakIntermediateBytes is the high-water mark of pooled intermediate
-	// memory across all partitions of the query: one step's containers,
-	// since each partition's arena resets after every step.
+	// PeakIntermediateBytes is the high-water mark of the query's pooled
+	// intermediate memory: one step's containers, since its one arena
+	// resets after every step.
 	PeakIntermediateBytes int64
 }
 
@@ -64,9 +58,9 @@ type Engine struct {
 	opts  EngineOptions
 	hooks Hooks
 
-	// noArena runs range partitions on the nil arena, the plain-heap path
-	// an instant query's part always takes. In-package tests set it to check that
-	// results never depend on recycling; nothing else does.
+	// noArena runs range queries on the nil arena, the plain-heap path an
+	// instant query's part always takes. In-package tests set it to check
+	// that results never depend on recycling; nothing else does.
 	noArena bool
 
 	// Compiled plans are cached by canonical expression string: plans
@@ -85,12 +79,6 @@ const maxCachedPlans = 512
 func NewEngine(db tsdb.Storage, opts EngineOptions) *Engine {
 	if opts.LookbackDelta <= 0 {
 		opts.LookbackDelta = 5 * time.Minute
-	}
-	if opts.ExecWorkers <= 0 {
-		opts.ExecWorkers = runtime.GOMAXPROCS(0)
-		if opts.ExecWorkers > 16 {
-			opts.ExecWorkers = 16
-		}
 	}
 	return &Engine{db: db, opts: opts, plans: make(map[string]*compiledPlan)}
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dio/internal/tsdb"
 )
 
 // rangeCorpus exercises every evaluation shape that touches storage:
@@ -100,7 +102,9 @@ func checkInstantAgainstOracle(ctx context.Context, t *testing.T, eng *Engine, q
 // TestQueryRangeEquivalence: the plan-based executor and the oracle (full
 // storage selection per step) must produce byte-identical matrices for
 // every corpus query, over windows that include steps before data begins
-// and steps past its end (lookback/staleness).
+// and steps past its end (lookback/staleness). Then testDB gains 120 more
+// instances of its counter and its gauge, one sample each at the start of
+// a 301-step window, and the corpus runs again over that wider store.
 func TestQueryRangeEquivalence(t *testing.T) {
 	db, end := testDB(t)
 	eng := NewEngine(db, DefaultEngineOptions())
@@ -109,47 +113,15 @@ func TestQueryRangeEquivalence(t *testing.T) {
 			checkRangeAgainstOracle(context.Background(), t, "default", eng, q, w)
 		}
 	}
-}
 
-// TestQueryRangeEquivalenceSingleWorker pins that the partitioned executor
-// and a single-worker executor (one partition) render identically —
-// partitioning must be invisible in results. testDB gains 120
-// more instances of its counter and its gauge, one sample each at the
-// window's start, so that their selectors are above the partition gate and
-// split the 301 steps while the work stays small.
-func TestQueryRangeEquivalenceSingleWorker(t *testing.T) {
-	db, end := testDB(t)
-	start := end.Add(-25 * time.Minute)
+	wide := rangeWindow{"120-instances", end.Add(-25 * time.Minute), end, 5 * time.Second}
 	for i := 0; i < 120; i++ {
 		inst := fmt.Sprintf("p%03d", i)
-		mustAppend(t, db, map[string]string{"__name__": "amfcc_n1_auth_request", "nf": "amf", "instance": inst}, start.UnixMilli(), float64(i))
-		mustAppend(t, db, map[string]string{"__name__": "smf_pdu_session_active", "instance": inst}, start.UnixMilli(), float64(i))
+		mustAppend(t, db, map[string]string{"__name__": "amfcc_n1_auth_request", "nf": "amf", "instance": inst}, wide.start.UnixMilli(), float64(i))
+		mustAppend(t, db, map[string]string{"__name__": "smf_pdu_session_active", "instance": inst}, wide.start.UnixMilli(), float64(i))
 	}
-	par := DefaultEngineOptions()
-	par.ExecWorkers = 8
-	seq := par
-	seq.ExecWorkers = 1
-	pe, se := NewEngine(db, par), NewEngine(db, seq)
-
-	split := 0
 	for _, q := range rangeCorpus {
-		if partitionsFor(t, pe, q, start, end, 5*time.Second) >= 2 {
-			split++
-		}
-		m1, err1 := queryRange(context.Background(), pe, q, start, end, 5*time.Second)
-		m2, err2 := queryRange(context.Background(), se, q, start, end, 5*time.Second)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%q: error mismatch: workers=8 %v workers=1 %v", q, err1, err2)
-		}
-		if err1 != nil {
-			continue
-		}
-		if got, want := m1.String(), m2.String(); got != want {
-			t.Errorf("%q: matrices differ\nworkers=8:\n%s\nworkers=1:\n%s", q, got, want)
-		}
-	}
-	if split < len(rangeCorpus)/2 {
-		t.Errorf("only %d of %d queries ran on two or more partitions", split, len(rangeCorpus))
+		checkRangeAgainstOracle(context.Background(), t, "default", eng, q, wide)
 	}
 }
 
@@ -248,5 +220,87 @@ func TestQueryRangeStepLimit(t *testing.T) {
 	}
 	if took > time.Second {
 		t.Errorf("refused query took %v, want milliseconds", took)
+	}
+}
+
+// counterDB holds n counters named name, sampled every 15 s over d from
+// base.
+func counterDB(t testing.TB, name string, n int, base time.Time, d time.Duration) *tsdb.DB {
+	t.Helper()
+	db := tsdb.New()
+	for i := 0; i < n; i++ {
+		ls := tsdb.FromMap(map[string]string{tsdb.MetricNameLabel: name, "instance": fmt.Sprintf("i-%04d", i)})
+		for s := time.Duration(0); s <= d; s += 15 * time.Second {
+			if err := db.Append(ls, base.Add(s).UnixMilli(), float64(int(s/time.Second)*(i%7+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
+// TestFoldOnError fails a range query at its last step and requires
+// OnRangeEval to see the counters of every step before it: the part hands
+// them over on the error path. 800 counters are read at every 10 s step;
+// one more series has its only sample at the last step, so a MaxSamples of
+// 800 fails exactly there.
+func TestFoldOnError(t *testing.T) {
+	base := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
+	end := base.Add(15 * time.Minute)
+	db := counterDB(t, "m", 800, base, 15*time.Minute)
+	late := tsdb.FromMap(map[string]string{tsdb.MetricNameLabel: "m", "instance": "late"})
+	if err := db.Append(late, end.UnixMilli(), 1); err != nil {
+		t.Fatal(err)
+	}
+	const step = 10 * time.Second
+	nSteps := int(end.Sub(base)/step) + 1
+	opts := DefaultEngineOptions()
+	opts.MaxSamples = 800
+	eng := NewEngine(db, opts)
+	var rs RangeStats
+	eng.SetHooks(Hooks{OnRangeEval: func(s RangeStats) { rs = s }})
+	if _, err := queryRange(context.Background(), eng, "sum(m)", base, end, step); !errors.Is(err, ErrTooManySamples) {
+		t.Fatalf("got %v, want ErrTooManySamples", err)
+	}
+	// The one scan is served once per evaluated step.
+	if served := rs.SelectorHits + rs.SelectorMisses; served != nSteps {
+		t.Errorf("%d steps served, want all %d", served, nSteps)
+	}
+}
+
+// TestRangeCancellation: a range query polls its context at every
+// operator. Cancelling it, or letting the engine's timeout expire, after
+// its first steps ends it before it has evaluated them all, with the
+// context's error.
+func TestRangeCancellation(t *testing.T) {
+	base := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
+	end := base.Add(3 * time.Hour)
+	db := counterDB(t, "slow_total", 300, base, 3*time.Hour)
+	const q = "sum(rate(slow_total[5m]))"
+	const step = time.Second // 10 801 steps: far longer than the delays below
+	nSteps := int(end.Sub(base)/step) + 1
+	for _, timeout := range []bool{false, true} {
+		opts := DefaultEngineOptions()
+		if timeout {
+			opts.Timeout = time.Millisecond
+		}
+		eng := NewEngine(db, opts)
+		ctx, cancel := context.WithCancel(context.Background())
+		var rs RangeStats
+		eng.SetHooks(Hooks{OnRangeEval: func(s RangeStats) { rs = s }})
+		want := context.Canceled
+		if timeout {
+			want = context.DeadlineExceeded
+		} else {
+			time.AfterFunc(time.Millisecond, cancel)
+		}
+		_, err := queryRange(ctx, eng, q, base, end, step)
+		cancel()
+		if !errors.Is(err, want) {
+			t.Errorf("timeout=%v: got %v, want %v", timeout, err, want)
+		}
+		if served := rs.SelectorHits + rs.SelectorMisses; served >= nSteps {
+			t.Errorf("timeout=%v: evaluated all %d steps", timeout, nSteps)
+		}
 	}
 }

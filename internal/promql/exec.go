@@ -4,41 +4,36 @@ package promql
 // physical.go holds its operators). The executor selects every
 // deduplicated scan with one tsdb.SelectBatch call, which copies chunk
 // snapshots under the store's lock and decodes nothing, then drives the
-// operator tree through parts. A part runs a contiguous run of steps on
-// one goroutine; an instant query is a single step at its timestamp,
-// whose root value is returned instead of folded.
+// operator tree through one part on the caller's goroutine. A range
+// query's part runs every step in order; an instant query is a single
+// step at its timestamp, whose root value is returned instead of folded.
 //
-// Every part owns private cursors per selector use site that advance
-// monotonically through its steps, and its own counters (operator stats,
-// scan services, loaded samples), counted with plain adds and folded into
-// the execution's once, when its span ends, failed or not. Every scan
-// streams: its cursor holds a tsdb.Reader per series, which decodes
-// samples only as the steps reach them and keeps only those the current
-// window or instant can still use. Scans under a subquery read in time
-// order too, because a part evaluates each aligned inner step once
+// The part owns private cursors per selector use site that advance
+// monotonically through its steps, and the execution's counters
+// (operator stats, scan services, loaded samples), counted with plain
+// adds and handed to the execution when its span ends, failed or not.
+// Every scan streams: its cursor holds a tsdb.Reader per series, which
+// decodes samples only as the steps reach them and keeps only those the
+// current window or instant can still use, so a use site decodes each
+// stored sample once. Scans under a subquery read in time order too,
+// because the part evaluates each aligned inner step once
 // (pSubquery.window) and the steps only move forward.
 //
-// Range queries whose selected series × steps pass a gate (numPartitions)
-// split their steps into contiguous partitions, one goroutine each;
-// smaller ones run as a single partition on the caller's goroutine. Each
-// step's vector folds into a per-partition accumulator as soon as it is
-// produced, and the arena holding the step's intermediates (pool.go) then
-// resets — peak memory is one step's vectors plus the readers' windows,
-// not range length × series count. Partition accumulators merge in
-// ascending partition order; because partitions are contiguous and the
-// final series order is re-sorted by key, the rendered output is
-// byte-identical to sequential evaluation regardless of which partition
-// finishes first.
+// Each step's vector folds into the range accumulator as soon as it is
+// produced, and the arena holding the step's intermediates (pool.go)
+// then resets — peak memory is one step's vectors plus the readers'
+// windows, not range length × series count. The accumulated series are
+// sorted by key once, after the last step. Steps are not split across
+// goroutines (DESIGN §10): a second part decoded again every series'
+// chunk prefix before its first step and allocated a second reader slab
+// and arena, so it cost more CPU than it saved wall time.
 //
 // Cancellation is polled at every operator through the context's Done
-// channel, read once per part: ctx.Err takes the context's lock, and
-// concurrent partitions calling it at every operator contended on it.
+// channel, read once per part; ctx.Err, which takes the context's lock,
+// runs only once Done has closed.
 //
-// Error determinism: on failure the executor reports the error of the
-// earliest failing step, preferring non-cancellation errors (sibling
-// partitions are cancelled once one fails, and their context.Canceled
-// must not mask the root cause) — the same rule the dashboard renderer
-// uses for its panel pool.
+// A failing range query stops at its first failing step and reports that
+// step's error.
 //
 // Sample budgets match the test oracle exactly: each step gets a fresh
 // MaxSamples budget, and subqueries inherit and extend their step's
@@ -50,21 +45,15 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"dio/internal/obs"
 	"dio/internal/tsdb"
 )
 
-// minStepsPerPartition keeps partitions coarse enough that cursor reuse
-// still amortises: splitting fewer steps than this per worker costs more
-// in setup than it saves.
-const minStepsPerPartition = 8
-
-// execState is the shared, read-mostly state of one query execution:
-// prefetched series per scan, the fingerprint key cache, and the
-// counters every part folds into once its span ends.
+// execState is the read-mostly state of one query execution: prefetched
+// series per scan, the fingerprint key cache, and the counters its part
+// hands over once its span ends.
 type execState struct {
 	eng        *Engine
 	cp         *compiledPlan
@@ -72,13 +61,10 @@ type execState struct {
 	keys       map[labelsRef]string
 	lookbackMs int64
 
-	workers int
-
-	mu sync.Mutex // guards counters while parts fold into them
 	counters
 
 	// ids holds each operator's identity table (by statsIdx), built before
-	// a range query's partitions start; all nil for instant queries.
+	// a range query's steps run; all nil for instant queries.
 	ids []*idTable
 }
 
@@ -215,8 +201,8 @@ func (st *execState) sampleKey(t *idTable, s VSample) string {
 	return st.keyOf(s.Labels)
 }
 
-// counters are one part's execution statistics, counted with plain adds:
-// a part owns its counters, so concurrent partitions share no cache line.
+// counters are one execution's statistics, counted by its part with
+// plain adds.
 type counters struct {
 	ops      []opSlot // per operator, by statsIdx: the EXPLAIN ANALYZE slab
 	services []int64  // per scan: operator reads served
@@ -228,39 +214,6 @@ func (st *execState) newCounters() counters {
 	return counters{ops: make([]opSlot, len(st.cp.labels)), services: make([]int64, len(st.cp.scans))}
 }
 
-// add folds src's counts into c.
-func (c *counters) add(src *counters) {
-	for i := range src.ops {
-		c.ops[i].add(&src.ops[i])
-	}
-	for i, n := range src.services {
-		c.services[i] += n
-	}
-	c.loaded += src.loaded
-	c.peak = max(c.peak, src.peak)
-}
-
-// fold adds a finished part's counters into the execution's; the first
-// part to finish hands over its slabs instead of copying them.
-func (st *execState) fold(c *counters) {
-	st.mu.Lock()
-	if st.ops == nil {
-		st.counters = *c
-	} else {
-		st.counters.add(c)
-	}
-	st.mu.Unlock()
-}
-
-// seriesCount is the number of series the execution's scans selected.
-func (st *execState) seriesCount() int {
-	n := 0
-	for _, views := range st.series {
-		n += len(views)
-	}
-	return n
-}
-
 // newExecState selects every scan of the plan for an evaluation range
 // [startMs, endMs] and seeds the fingerprint key cache. It decodes
 // nothing: cursors stream every scan.
@@ -270,7 +223,6 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState
 		cp:         cp,
 		keys:       make(map[labelsRef]string),
 		lookbackMs: e.opts.LookbackDelta.Milliseconds(),
-		workers:    e.opts.ExecWorkers,
 		ids:        make([]*idTable, len(cp.labels)),
 	}
 	st.series = e.db.SelectBatch(cp.selectHints(startMs, endMs))
@@ -284,7 +236,7 @@ func (e *Engine) newExecState(cp *compiledPlan, startMs, endMs int64) *execState
 	return st
 }
 
-// stats summarises the execution's folded counters for the engine's
+// stats summarises the execution's counters for the engine's
 // observation hooks: misses are the distinct storage fetches (one per
 // deduplicated scan), hits the operator reads served beyond each scan's
 // first.
@@ -312,8 +264,8 @@ func (p *part) readers(scanIdx, cur int, span int64) []tsdb.Reader {
 	return rd
 }
 
-// part drives the operator tree for a contiguous run of steps on one
-// goroutine: a range partition's, or an instant query's single step.
+// part drives the operator tree on the caller's goroutine: through every
+// step of a range query, or an instant query's single step.
 type part struct {
 	st   *execState
 	ctx  context.Context
@@ -321,14 +273,14 @@ type part struct {
 	// samples is the current step's sample budget spent so far.
 	samples int
 	// cursors holds one slot per selector use site, advanced monotonically
-	// through the part's steps.
+	// through the steps.
 	cursors [][]tsdb.Reader
 	// subs holds one slot per subquery: the inner steps still inside its
 	// latest window, oldest first.
 	subs [][]innerStep
-	// al, when non-nil, is this part's step arena (pool.go): every
-	// intermediate container the part's operators produce comes from it
-	// and is recycled once the step is folded. Nil when the step's value
+	// al, when non-nil, is the part's step arena (pool.go): every
+	// intermediate container its operators produce comes from it and is
+	// recycled once the step is folded. Nil when the step's value
 	// escapes to the caller (instant queries): all methods degrade to
 	// plain heap allocation.
 	al *alloc
@@ -347,11 +299,11 @@ func (st *execState) newPart(ctx context.Context, arena bool) *part {
 }
 
 // finish ends the part's span, failed or not: its arena returns to the
-// global pool and its counters fold into the execution's.
+// global pool and its counters pass to the execution.
 func (p *part) finish() {
 	p.peak = p.al.release()
 	p.al = nil
-	p.st.fold(&p.counters)
+	p.st.counters = p.counters
 }
 
 // cancelled polls the part's context at an operator boundary.
@@ -529,30 +481,6 @@ func (e *Engine) execInstant(ctx context.Context, expr Expr, ts time.Time) (Valu
 	return v, err
 }
 
-// minSeriesStepsPerPartition is the least work, in selected series ×
-// steps, that earns a range partition its goroutine, cursors and arena.
-// On a 2-core host the dashboard's shapes (≤ ~2 000 series-steps) spent a
-// third of their engine CPU on a second partition for no wall time, and
-// write_read's reader (2 000 series × 200 steps) takes 90–105 ms on two
-// partitions against 140–200 ms on one (BenchmarkQueryRangeWide).
-const minSeriesStepsPerPartition = 1 << 14
-
-// numPartitions picks the partition count for a step range over nSeries
-// selected series.
-func numPartitions(nSteps, nSeries, workers int) int {
-	n := min(workers, nSteps/minStepsPerPartition, nSteps*nSeries/minSeriesStepsPerPartition)
-	if n < 2 {
-		return 1
-	}
-	return n
-}
-
-// stepError records the earliest failing step of one partition.
-type stepError struct {
-	idx int
-	err error
-}
-
 // execRange evaluates a range query through the compiled plan.
 func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time, step time.Duration) (Matrix, error) {
 	begin := time.Now()
@@ -565,20 +493,12 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 		steps = append(steps, t.UnixMilli())
 	}
 	st := e.newExecState(cp, steps[0], steps[len(steps)-1])
-	nparts := numPartitions(len(steps), st.seriesCount(), st.workers)
-	accs := make([]*rangeAcc, nparts)
 	st.buildIDs(cp.root)
-	if nparts <= 1 {
-		p := st.newPart(ctx, true)
-		accs[0] = newRangeAcc()
-		se := p.runSpan(cp.root, steps, 0, len(steps), accs[0])
-		p.finish()
-		err = se.err
-	} else {
-		err = st.runPartitions(ctx, cp.root, steps, accs, nparts)
-	}
+	acc := rangeAcc{acc: make(map[string]*MSeries)}
+	p := st.newPart(ctx, true)
+	err = p.runSpan(cp.root, steps, &acc)
+	p.finish()
 
-	// Every part has folded its counters, failed or not.
 	rs := st.stats()
 	if e.hooks.OnRangeEval != nil {
 		e.hooks.OnRangeEval(rs)
@@ -595,43 +515,23 @@ func (e *Engine) execRange(ctx context.Context, expr Expr, start, end time.Time,
 		st.deposit(ctx, expr, "range", begin, st.loaded, len(steps), cacheHit)
 		return nil, err
 	}
-
-	// Deterministic merge: steps folded into per-partition accumulators in
-	// step order; partitions are contiguous, so concatenating accumulators
-	// in ascending partition order keeps every series' samples
-	// time-ascending, and the final sort.Strings reproduces the exact
-	// series order a sequential step loop renders.
-	acc, order := accs[0].acc, accs[0].order
-	for _, pa := range accs[1:] {
-		for _, key := range pa.order {
-			src := pa.acc[key]
-			if ms, ok := acc[key]; ok {
-				ms.Samples = append(ms.Samples, src.Samples...)
-			} else {
-				acc[key] = src
-				order = append(order, key)
-			}
-		}
-	}
-	sort.Strings(order)
-	out := make(Matrix, 0, len(order))
-	for _, k := range order {
-		out = append(out, *acc[k])
+	// Steps folded in order, so every series' samples are time-ascending;
+	// sorting the keys gives the series order the oracle renders.
+	sort.Strings(acc.order)
+	out := make(Matrix, 0, len(acc.order))
+	for _, k := range acc.order {
+		out = append(out, *acc.acc[k])
 	}
 	st.deposit(ctx, expr, "range", begin, st.loaded, len(steps), cacheHit)
 	return out, nil
 }
 
-// rangeAcc is one partition's fold target: step vectors stream into it as
+// rangeAcc is a range query's fold target: step vectors stream into it as
 // they are produced, copying each sample out of the step arena — the
 // reason per-step resets are safe.
 type rangeAcc struct {
 	acc   map[string]*MSeries
-	order []string // first-appearance order; re-sorted at merge
-}
-
-func newRangeAcc() *rangeAcc {
-	return &rangeAcc{acc: make(map[string]*MSeries)}
+	order []string // first-appearance order; sorted after the last step
 }
 
 // foldVec appends one step vector's samples, keyed by their rows of the
@@ -664,7 +564,7 @@ func (a *rangeAcc) foldScalar(v float64, ts int64) {
 
 // keyOf resolves a label set's canonical key: stored series labels
 // resolve to their cached fingerprint, fresh label sets compute it. The
-// cache is read-only once the execution starts, so partitions share it.
+// cache is read-only once the execution starts.
 func (st *execState) keyOf(ls tsdb.Labels) string {
 	if len(ls) == 0 {
 		return ls.Key()
@@ -675,22 +575,23 @@ func (st *execState) keyOf(ls tsdb.Labels) string {
 	return ls.Key()
 }
 
-// runSpan evaluates a contiguous run of steps [lo, hi), recycling the
-// partition's intermediates once each step is folded.
-func (p *part) runSpan(root physOp, steps []int64, lo, hi int, acc *rangeAcc) stepError {
+// runSpan evaluates every step in order, recycling the part's
+// intermediates once each step is folded, and stops at the first step
+// that fails.
+func (p *part) runSpan(root physOp, steps []int64, acc *rangeAcc) error {
 	ve, _ := root.(vecExecer)
 	ids := p.st.posTable(root)
-	for i := lo; i < hi; i++ {
-		if err := p.runStep(root, ve, ids, steps[i], acc); err != nil {
-			return stepError{idx: i, err: err}
+	for _, ts := range steps {
+		if err := p.runStep(root, ve, ids, ts, acc); err != nil {
+			return err
 		}
 		p.al.reset()
 	}
-	return stepError{idx: -1}
+	return nil
 }
 
 // runStep evaluates one step with a fresh per-step sample budget and folds
-// the result straight into the partition accumulator (no per-range value
+// the result straight into the range accumulator (no per-range value
 // buffer; vector roots with a vecExecer skip the interface box entirely).
 func (p *part) runStep(root physOp, ve vecExecer, ids *idTable, ts int64, acc *rangeAcc) error {
 	p.samples = 0
@@ -720,54 +621,3 @@ func (p *part) runStep(root physOp, ve vecExecer, ids *idTable, ts int64, acc *r
 	}
 	return nil
 }
-
-// runPartitions splits steps into contiguous runs, one goroutine each,
-// each folding into its own accumulator (accs[w]). The first failing
-// partition cancels its siblings; the reported error is the earliest
-// failing step's, preferring non-cancellation causes.
-func (st *execState) runPartitions(ctx context.Context, root physOp, steps []int64, accs []*rangeAcc, nparts int) error {
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]stepError, nparts)
-	var wg sync.WaitGroup
-	base := len(steps) / nparts
-	rem := len(steps) % nparts
-	lo := 0
-	for w := 0; w < nparts; w++ {
-		size := base
-		if w < rem {
-			size++
-		}
-		hi := lo + size
-		accs[w] = newRangeAcc()
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			p := st.newPart(pctx, true)
-			errs[w] = p.runSpan(root, steps, lo, hi, accs[w])
-			if errs[w].idx >= 0 {
-				cancel()
-			}
-			p.finish()
-		}(w, lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-	best := stepError{idx: -1}
-	for _, se := range errs {
-		if se.idx < 0 {
-			continue
-		}
-		better := best.idx < 0 ||
-			(!isCancellation(se.err) && isCancellation(best.err)) ||
-			(isCancellation(se.err) == isCancellation(best.err) && se.idx < best.idx)
-		if better {
-			best = se
-		}
-	}
-	return best.err
-}
-
-// isCancellation reports whether err is the context poison spread by a
-// sibling partition's failure rather than a root cause.
-func isCancellation(err error) bool { return err == context.Canceled }

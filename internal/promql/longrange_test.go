@@ -11,9 +11,9 @@ import (
 // longRangeDB builds a multi-day fixture: three days of 5-minute samples
 // (865 points per series) for a pair of counters with distinct rates and a
 // sawtooth gauge, all carrying instance labels so aggregations group.
-// Range queries over this window run hundreds of steps, so each
-// partition's readers stream across many sealed chunks and its arena
-// resets hundreds of times.
+// Range queries over this window run hundreds of steps, so a query's
+// readers stream across many sealed chunks and its arena resets hundreds
+// of times.
 func longRangeDB(t testing.TB) (*tsdb.DB, time.Time) {
 	t.Helper()
 	db := tsdb.New()
@@ -74,9 +74,7 @@ func TestLongRangeBoundedIntermediate(t *testing.T) {
 	start := end.Add(-72 * time.Hour)
 
 	peak := func(step time.Duration) int64 {
-		opts := DefaultEngineOptions()
-		opts.ExecWorkers = 1 // one partition, so one arena
-		eng := NewEngine(base, opts)
+		eng := NewEngine(base, DefaultEngineOptions())
 		var p int64
 		eng.SetHooks(Hooks{OnRangeEval: func(s RangeStats) { p = s.PeakIntermediateBytes }})
 		if _, err := queryRange(context.Background(), eng, longRangeCorpus[0], start, end, step); err != nil {

@@ -4,7 +4,7 @@ package promql
 // tree-walker that re-runs full storage selection (tsdb.Select /
 // SelectRange) at every step and shares only the value kernels
 // (kernels.go) with the plan-based executor: no plan, no optimizer
-// passes, no cursors, no arenas, no partitions. The differential tests
+// passes, no cursors, no arenas. The differential tests
 // and the conformance corpus compare the executor against it; nothing
 // outside this package's tests can reach it.
 
@@ -41,8 +41,8 @@ func oracleTimeout(ctx context.Context, e *Engine) (context.Context, context.Can
 
 // oracleQueryRange evaluates input at every step in [start, end] on the
 // oracle, one independent instant evaluation per step with a fresh
-// MaxSamples budget each — the semantics the executor's batched,
-// partitioned range path must reproduce byte for byte.
+// MaxSamples budget each — the semantics the executor's streamed range
+// path must reproduce byte for byte.
 func oracleQueryRange(ctx context.Context, e *Engine, input string, start, end time.Time, step time.Duration) (Matrix, error) {
 	expr, err := Parse(input)
 	if err != nil {

@@ -7,7 +7,7 @@ package promql
 // across queries via the Engine plan cache; all mutable per-query state
 // (sample budget, scan cursors and readers, selected series) lives in the
 // part passed to exec, so one compiled plan can serve concurrent
-// executions and concurrent partitions of the same execution.
+// executions.
 //
 // Every operator reproduces the test oracle's behaviour exactly — same
 // evaluation order, same kernels (kernels.go), same error messages —

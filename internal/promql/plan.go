@@ -88,11 +88,11 @@ func satSub(a, b int64) int64 {
 type compiledPlan struct {
 	root  physOp
 	scans []*ScanNode
-	// nCursors counts selector use sites: each gets a per-partition
-	// cursor slot for monotone multi-step execution.
+	// nCursors counts selector use sites: each gets a per-part cursor
+	// slot for monotone multi-step execution.
 	nCursors int
-	// nSubs counts subqueries: each gets a per-partition slot for the
-	// inner steps its window still holds.
+	// nSubs counts subqueries: each gets a per-part slot for the inner
+	// steps its window still holds.
 	nSubs int
 	// labels holds every operator's display line by stats slot, so its
 	// length is the slot count; rendered once for Explain and for each

@@ -3,18 +3,18 @@ package promql
 // pool.go — the allocation layer of the streaming executor. Range queries
 // evaluate their steps one at a time; every intermediate container a step
 // produces — step vectors, subquery window matrices, merge scratch — is
-// handed out by a per-partition alloc and recycled wholesale as soon as
-// the step has been folded into the partition's accumulator. The arena
+// handed out by the query's alloc and recycled wholesale as soon as the
+// step has been folded into the range accumulator. The arena
 // discipline replaces a per-value ownership protocol: nothing is reused
 // while any value of the current step can still reference it, and the
 // only data that outlives a step — sample values (copied by the fold) and
 // label slices (never pooled) — is safe by construction. Range functions
 // over a matrix selector build no window matrix at all: they read each
-// window off the partition's cursor.
+// window off the part's cursor.
 //
-// An alloc is single-goroutine: each range partition owns one. The alloc
-// structs themselves recycle across queries through a global sync.Pool (pointer-
-// typed, so Get/Put never box), which is what makes short queries
+// An alloc is single-goroutine: a range query's part owns one. The alloc
+// structs themselves recycle across queries through a global sync.Pool
+// (pointer-typed, so Get/Put never box), which is what makes short queries
 // allocation-free in steady state: the freelists survive from one
 // dashboard refresh to the next.
 //
@@ -135,7 +135,7 @@ func (sc *aggScratch) addGroup(gl tsdb.Labels, pos int32) int {
 	return len(sc.slab) - 1
 }
 
-// alloc is the per-partition arena allocator. A nil *alloc is valid
+// alloc is a range query's arena allocator. A nil *alloc is valid
 // everywhere and means "heap" — instant queries and the test oracle run
 // with nil.
 type alloc struct {

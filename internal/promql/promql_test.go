@@ -501,9 +501,7 @@ func TestMaxSamplesLimit(t *testing.T) {
 			t.Fatalf("%s: oracle touched %d samples", q, n)
 		}
 		for _, max := range []int{n, n - 1} {
-			// Several workers, so the budget is shared by whatever runs
-			// concurrently inside one instant evaluation.
-			eng := NewEngine(db, EngineOptions{LookbackDelta: 5 * time.Minute, MaxSamples: max, ExecWorkers: 4})
+			eng := NewEngine(db, EngineOptions{LookbackDelta: 5 * time.Minute, MaxSamples: max})
 			_, err := eng.Eval(ctx, expr, end)
 			_, oerr := oracleQuery(ctx, eng, q, end)
 			if max == n && (err != nil || oerr != nil) {

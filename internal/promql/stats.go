@@ -1,16 +1,16 @@
 package promql
 
 // stats.go — per-operator execution statistics (EXPLAIN ANALYZE). The
-// compiler gives every operator a dense stats slot, and each part of an
-// execution allocates a matching []opSlot once up front.
+// compiler gives every operator a dense stats slot, and an execution's
+// part allocates a matching []opSlot once up front.
 // Collection is allocation-free on the hot path: part.eval and
 // part.window add call counts, output series and sampled wall time into
-// the part's own slot with plain adds, and the scan operators attribute
-// the samples they account into their own slot. Each part folds its
-// slots into the execution's once, when its span ends (counters.add).
-// Clock reads are strided (statsTimeEvery) and scaled back up when
-// building; every other counter is exact. After the last part has
-// joined, deposit folds the slots back into a QueryStats tree over
+// the operator's slot with plain adds, and the scan operators attribute
+// the samples they account into their own slot. The part hands its slots
+// to the execution when its span ends (part.finish). Clock reads are
+// strided (statsTimeEvery) and scaled back up when building; every other
+// counter is exact. Once the part has finished, deposit turns the slots
+// into a QueryStats tree over
 // the operator tree, labelled as Explain labels it. Callers retrieve it
 // through a context capture (WithQueryStats) and render it with
 // Render/Compact.
@@ -36,21 +36,13 @@ import (
 // operator calls cost 16% on the dashboard mix.
 const statsTimeEvery = 16
 
-// opSlot is one part's accumulator for one operator.
+// opSlot is one execution's accumulator for one operator.
 type opSlot struct {
 	wallNs  int64
 	calls   int64
 	timed   int64 // calls that contributed to wallNs
 	series  int64
 	samples int64
-}
-
-func (sl *opSlot) add(src *opSlot) {
-	sl.wallNs += src.wallNs
-	sl.calls += src.calls
-	sl.timed += src.timed
-	sl.series += src.series
-	sl.samples += src.samples
 }
 
 // seriesIn counts a produced value's output series.
@@ -80,8 +72,8 @@ type QueryStats struct {
 }
 
 // OpStats is one operator's slice of the profile. Wall is inclusive of
-// children (Self excludes them); on multi-step executions it sums across
-// partitions, so it can exceed the query's wall-clock duration.
+// children (Self excludes them); on multi-step executions it is scaled up
+// from every statsTimeEvery-th call, so it is an estimate.
 type OpStats struct {
 	Op        string
 	Wall      time.Duration
@@ -239,8 +231,8 @@ func (c *StatsCapture) Stats() *QueryStats {
 // --- building ------------------------------------------------------------
 
 // deposit folds the execution's slots into the QueryStats tree and hands
-// it to the capture ctx carries, if any. Called once, after every
-// partition has joined, whether or not the execution failed.
+// it to the capture ctx carries, if any. Called once, after the part has
+// finished, whether or not the execution failed.
 func (st *execState) deposit(ctx context.Context, expr Expr, kind string, start time.Time, samples int64, steps int, cacheHit bool) {
 	c, ok := statsCaptureFrom(ctx)
 	if !ok {
