@@ -102,9 +102,7 @@ func checkInstantAgainstOracle(ctx context.Context, t *testing.T, eng *Engine, q
 // TestQueryRangeEquivalence: the plan-based executor and the oracle (full
 // storage selection per step) must produce byte-identical matrices for
 // every corpus query, over windows that include steps before data begins
-// and steps past its end (lookback/staleness). Then testDB gains 120 more
-// instances of its counter and its gauge, one sample each at the start of
-// a 301-step window, and the corpus runs again over that wider store.
+// and steps past its end (lookback/staleness).
 func TestQueryRangeEquivalence(t *testing.T) {
 	db, end := testDB(t)
 	eng := NewEngine(db, DefaultEngineOptions())
@@ -113,7 +111,16 @@ func TestQueryRangeEquivalence(t *testing.T) {
 			checkRangeAgainstOracle(context.Background(), t, "default", eng, q, w)
 		}
 	}
+}
 
+// TestQueryRangeEquivalenceSingleWorker pins that the executor, which runs
+// every step of a range query in one part on one goroutine, renders the
+// oracle's matrices over a wider store: testDB gains 120 more instances of
+// its counter and its gauge, one sample each at the start of a 301-step
+// window, so every step carries many series while the work stays small.
+func TestQueryRangeEquivalenceSingleWorker(t *testing.T) {
+	db, end := testDB(t)
+	eng := NewEngine(db, DefaultEngineOptions())
 	wide := rangeWindow{"120-instances", end.Add(-25 * time.Minute), end, 5 * time.Second}
 	for i := 0; i < 120; i++ {
 		inst := fmt.Sprintf("p%03d", i)
