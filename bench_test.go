@@ -10,6 +10,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -31,6 +32,7 @@ import (
 	"dio/internal/obs"
 	"dio/internal/promql"
 	"dio/internal/sandbox"
+	"dio/internal/servecache"
 	"dio/internal/tsdb"
 	"dio/internal/vecstore"
 )
@@ -652,6 +654,70 @@ func BenchmarkQueryRangeServe(b *testing.B) {
 	}
 	reportCPU(b, cpu0)
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1000/float64(b.N), "ms/op")
+	b.ReportMetric(float64(body)/float64(len(reqs)), "body-B/resp")
+}
+
+// BenchmarkAskHitServe times one answer-cache hit through Server.ServeHTTP
+// on dio-server's wiring (metrics, request tracing, the answer front and
+// the admission gate, a request log line): bench/'s ask_warm workload
+// without the socket, a Zipf draw over 256 questions that are all cached.
+func BenchmarkAskHitServe(b *testing.B) {
+	e := env(b)
+	reg := obs.NewRegistry()
+	cp, err := core.New(core.Config{Catalog: e.cat, TSDB: e.db, Model: llm.MustNew("gpt-4"), Retriever: e.retriever, Metrics: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cp.Tracer().EnableCapture(obs.NewTraceStore(256, time.Second), 1)
+	front := servecache.NewFront(servecache.FrontConfig[*core.Answer]{
+		Size: 4096, TTL: 30 * time.Second, Version: cp.Version, Head: e.db.HeadTime, Compute: cp.Ask})
+	front.Instrument(reg)
+	gate := servecache.NewGate(64, 2*time.Second)
+	gate.Instrument(reg)
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	srv := httpapi.New(cp, nil, logger, httpapi.WithMetrics(reg),
+		httpapi.WithTracing(cp.Tracer()), httpapi.WithServingLayer(front, gate))
+
+	questions := coldQuestions(b, e)[:256]
+	reqs := make([]*http.Request, len(questions))
+	bodies := make([][]byte, len(questions))
+	readers := make([]*bytes.Reader, len(questions))
+	for i, q := range questions {
+		bodies[i] = []byte(fmt.Sprintf(`{"question":%q}`, q))
+		readers[i] = bytes.NewReader(bodies[i])
+		reqs[i] = httptest.NewRequest("POST", "/api/v1/ask", readers[i])
+		reqs[i].Header.Set("Content-Type", "application/json")
+	}
+	// A hit must answer 200 from the cache with as many bytes as its miss.
+	w := &benchWriter{h: http.Header{}}
+	sizes := make([]int, len(reqs))
+	serve := func(i int, want string) {
+		readers[i].Reset(bodies[i])
+		clear(w.h)
+		w.status, w.n = http.StatusOK, 0
+		srv.ServeHTTP(w, reqs[i])
+		if w.status != http.StatusOK || w.h.Get(httpapi.CacheHeader) != want || (want == "hit" && w.n != sizes[i]) {
+			b.Fatalf("%s: status %d, cache %q, %d bytes; want 200 %s, %d bytes", bodies[i], w.status, w.h.Get(httpapi.CacheHeader), w.n, want, sizes[i])
+		}
+	}
+	body := 0
+	for i := range reqs {
+		serve(i, "miss")
+		sizes[i] = w.n
+		body += w.n
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, uint64(len(reqs)-1))
+	order := make([]uint16, 1<<16)
+	for i := range order {
+		order[i] = uint16(zipf.Uint64())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	cpu0, _ := processCPU()
+	for i := 0; i < b.N; i++ {
+		serve(int(order[i%len(order)]), "hit")
+	}
+	reportCPU(b, cpu0)
 	b.ReportMetric(float64(body)/float64(len(reqs)), "body-B/resp")
 }
 

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"dio/internal/catalog"
@@ -83,6 +84,26 @@ type Answer struct {
 	// (per-operator wall time, series and sample counts). Only populated
 	// when the ask ran with WithAnalyze and execution succeeded.
 	AnalyzedPlan string
+
+	// body is the answer's encoded wire body, kept by Body.
+	body atomic.Pointer[[]byte]
+}
+
+// Body returns the answer's wire body: encode's result on the first call,
+// the same bytes on every later one, so an answer served from a cache is
+// encoded once. An answer does not change once Ask returns, so concurrent
+// first calls encode identical bytes and either may be kept. A failed
+// encode keeps nothing.
+func (a *Answer) Body(encode func(*Answer) ([]byte, error)) ([]byte, error) {
+	if b := a.body.Load(); b != nil {
+		return *b, nil
+	}
+	b, err := encode(a)
+	if err != nil {
+		return nil, err
+	}
+	a.body.Store(&b)
+	return b, nil
 }
 
 // analyzeKey marks a context as requesting per-operator execution

@@ -75,8 +75,12 @@ type askBodyServer struct {
 
 	mu       sync.Mutex
 	computed map[string]*core.Answer // the latest answer per question
-	hold     chan struct{}           // Compute waits on it when non-nil
+	hold     *hold                   // the next Compute waits on it
 }
+
+// hold stops one computation: it closes entered on entry and returns once
+// release is closed.
+type hold struct{ entered, release chan struct{} }
 
 func newAskBodyServer(t *testing.T, model string) *askBodyServer {
 	t.Helper()
@@ -95,10 +99,12 @@ func newAskBodyServer(t *testing.T, model string) *askBodyServer {
 		Size: 64, TTL: time.Hour, Version: cat.Version, Head: db.HeadTime,
 		Compute: func(ctx context.Context, q string) (*core.Answer, error) {
 			s.mu.Lock()
-			hold := s.hold
+			h := s.hold
+			s.hold = nil
 			s.mu.Unlock()
-			if hold != nil {
-				<-hold
+			if h != nil {
+				close(h.entered)
+				<-h.release
 			}
 			a, err := cp.Ask(ctx, q)
 			if err == nil {
@@ -209,9 +215,9 @@ func TestAskBodyEncoding(t *testing.T) {
 		// so the pair is retried on a fresh question until one coalesces.
 		for attempt := 0; attempt < 20; attempt++ {
 			cq := "What is the NAS authentication success rate for attempt " + strconv.Itoa(attempt) + "?"
-			hold := make(chan struct{})
+			h := &hold{entered: make(chan struct{}), release: make(chan struct{})}
 			s.mu.Lock()
-			s.hold = hold
+			s.hold = h
 			s.mu.Unlock()
 			before := s.front.Stats().Coalesced
 			var (
@@ -225,13 +231,14 @@ func TestAskBodyEncoding(t *testing.T) {
 					defer wg.Done()
 					bodies[i], errs[i] = s.try(map[string]any{"question": cq}, want)
 				}()
-				time.Sleep(5 * time.Millisecond) // the leader first
+				if i == 0 {
+					<-h.entered
+				}
 			}
+			// The sleep only widens the window in which the follower joins
+			// the flight; a follower that misses it is retried.
 			time.Sleep(20 * time.Millisecond)
-			s.mu.Lock()
-			s.hold = nil
-			s.mu.Unlock()
-			close(hold)
+			close(h.release)
 			wg.Wait()
 			for _, err := range errs {
 				if err != nil {

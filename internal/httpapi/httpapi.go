@@ -28,8 +28,10 @@ import (
 
 // TraceIDHeader carries the request trace ID in both directions: clients
 // may supply one to adopt (see adoptableTraceID), and every traced
-// response returns the ID that /debug/traces/{id} resolves.
-const TraceIDHeader = "X-DIO-Trace-ID"
+// response returns the ID that /debug/traces/{id} resolves. Header names
+// match in any case; this one and CacheHeader are spelled in the canonical
+// form net/http writes, so reading or setting them costs no allocation.
+const TraceIDHeader = "X-Dio-Trace-Id"
 
 // maxTraceIDLen bounds an adopted client trace ID. The ID is echoed in a
 // response header, kept in the trace ring and written into the
@@ -41,7 +43,7 @@ const maxTraceIDLen = 64
 // (served from the answer cache, including coalesced singleflight
 // followers), "miss" (computed and cached), or "bypass" (nocache/explain
 // request, or no serving layer attached).
-const CacheHeader = "X-DIO-Cache"
+const CacheHeader = "X-Dio-Cache"
 
 // AnswerFront is the answer-cache surface the ask path serves through: a
 // *servecache.Front, or bench/'s tracing decorator around one.
@@ -249,12 +251,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	root.End()
 	if s.logger != nil {
-		args := []any{"method", r.Method, "path", r.URL.Path,
-			"status", sw.status, "duration", elapsed.Round(time.Microsecond).String()}
+		attrs := [5]slog.Attr{slog.String("method", r.Method), slog.String("path", r.URL.Path),
+			slog.Int("status", sw.status), slog.String("duration", elapsed.Round(time.Microsecond).String())}
+		n := 4
 		if id := root.TraceID(); id != "" {
-			args = append(args, "trace_id", id)
+			attrs[n] = slog.String("trace_id", id)
+			n++
 		}
-		s.logger.Info("request", args...)
+		s.logger.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs[:n]...)
 	}
 	if s.requests != nil {
 		s.requests.With(route, strconv.Itoa(sw.status)).Inc()
@@ -473,6 +477,15 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
+// writeBody answers with a JSON body that is already whole: its length
+// goes out with the status, and the bytes in one Write.
+func writeBody(w http.ResponseWriter, code int, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(code)
+	_, _ = w.Write(b) // the status is sent: a failed write has no one to tell
+}
+
 func (s *Server) writeErr(w http.ResponseWriter, code int, err error) {
 	s.writeJSON(w, code, apiError{Status: "error", Error: err.Error()})
 }
@@ -488,8 +501,10 @@ const maxJSONBody = 1 << 20
 // length is already over the limit is refused unread; MaxBytesReader
 // stops the ones that declare none (chunked) or lie.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	var err error = &http.MaxBytesError{Limit: maxJSONBody}
-	if r.ContentLength <= maxJSONBody {
+	var err error
+	if r.ContentLength > maxJSONBody {
+		err = &http.MaxBytesError{Limit: maxJSONBody}
+	} else {
 		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
 	}
 	if err == nil {
@@ -638,6 +653,22 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
+	// A hit, a coalesced follower and the miss that computed the answer
+	// all write the one body the answer encoded, computing trace_id included.
+	body, err := ans.Body(encodeAsk)
+	if err != nil {
+		if s.logger != nil {
+			s.logger.Error("ask encoding failed", "err", err)
+		}
+		s.writeErr(w, http.StatusInternalServerError, fmt.Errorf("encoding the answer: %w", err))
+		return
+	}
+	writeBody(w, http.StatusOK, body)
+}
+
+// encodeAsk is the ask wire body for ans: askResponse as json.Encoder
+// writes it, newline included.
+func encodeAsk(ans *core.Answer) ([]byte, error) {
 	resp := askResponse{
 		Status: "success", Question: ans.Question, Task: ans.Task.String(),
 		Query: ans.Query, Answer: ans.ValueText, Dashboard: ans.Dashboard,
@@ -650,7 +681,8 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	for _, m := range ans.Metrics {
 		resp.Metrics = append(resp.Metrics, askMetric{Name: m.Name, Description: m.Description})
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	b, err := json.Marshal(resp)
+	return append(b, '\n'), err
 }
 
 // parseTime accepts RFC3339 or Unix seconds. An empty s means defaultT(),

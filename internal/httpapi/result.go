@@ -23,10 +23,7 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 func writeResult(w http.ResponseWriter, v promql.Value) {
 	bp := bodyPool.Get().(*[]byte)
 	b := appendResult((*bp)[:0], v)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b) // the status is sent: a failed write has no one to tell
+	writeBody(w, http.StatusOK, b)
 	if cap(b) <= maxPooledBody {
 		*bp = b
 		bodyPool.Put(bp)

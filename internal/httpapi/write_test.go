@@ -172,6 +172,41 @@ func TestWriteEndpointRejectsBadPayload(t *testing.T) {
 	}
 }
 
+// TestWriteEndpointRefusesUnknownJSONKeys: a JSON push with a misspelled
+// key, at the top or inside a series, is a 400 that names the key, and
+// nothing is stored, live or after a restart. The top-level misspelling
+// used to decode as an empty push and answer 200 with appended 0.
+func TestWriteEndpointRefusesUnknownJSONKeys(t *testing.T) {
+	dir := t.TempDir()
+	h, st := newWriteServer(t, dir)
+	for key, body := range map[string]string{
+		"timeseries": `{"timeseries":[{"labels":{"__name__":"up","job":"gnb"},"samples":[[1000,1]]}]}`,
+		"sample":     `{"series":[{"labels":{"__name__":"up","job":"gnb"},"samples":[[1000,1]],"sample":[[2000,2]]}]}`,
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/write", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `unknown field \"`+key+`\"`) {
+			t.Errorf("%s: status %d %s, want 400 naming the key", key, rec.Code, rec.Body)
+		}
+	}
+	if got := st.DB().NumSamples(); got != 0 {
+		t.Fatalf("the store holds %d samples after refused pushes, want 0", got)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := ingest.OpenStore(dir, ingest.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.DB().NumSamples(); got != 0 {
+		t.Fatalf("the reopened store holds %d samples, want 0: a refused push was logged", got)
+	}
+}
+
 // TestWriteBodyNotSizedByHeader: a push that declares the full 64 MiB
 // Content-Length but sends only a few bytes is refused without the server
 // allocating anything near the declared size.

@@ -397,10 +397,13 @@ type jsonSeries struct {
 	Samples [][2]float64      `json:"samples"`
 }
 
-// DecodeJSON parses and validates a JSON write request.
+// DecodeJSON parses and validates a JSON write request. A key the wire
+// shape does not name, at the top or inside a series, is refused: a
+// misspelled "series" would otherwise decode as an empty push.
 func DecodeJSON(r io.Reader) ([]TimeSeries, error) {
 	var req jsonWriteRequest
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return nil, badPayloadf("json decode: %v", err)
 	}

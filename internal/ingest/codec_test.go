@@ -159,6 +159,14 @@ func TestJSONCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeJSON(bytes.NewReader([]byte(`not json`))); !errors.Is(err, ErrBadWritePayload) {
 		t.Errorf("garbage accepted: %v", err)
 	}
+	for _, raw := range []string{
+		`{"timeseries":[{"labels":{"__name__":"up"},"samples":[[1,1]]}]}`,
+		`{"series":[{"labels":{"__name__":"up"},"sample":[[1,1]]}]}`,
+	} {
+		if out, err := DecodeJSON(bytes.NewReader([]byte(raw))); !errors.Is(err, ErrBadWritePayload) {
+			t.Errorf("%s: unknown key accepted as %d series: %v", raw, len(out), err)
+		}
+	}
 }
 
 func TestDecodeWriteRequestDispatch(t *testing.T) {

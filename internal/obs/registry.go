@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -137,16 +136,25 @@ func (f *family) childFor(labelValues []string) *child {
 	if len(labelValues) != len(f.labelNames) {
 		panic(fmt.Sprintf("obs: metric %q expects %d label values, got %d", f.name, len(f.labelNames), len(labelValues)))
 	}
-	key := strings.Join(labelValues, "\xff")
+	// The key is built on the stack: a lookup of a child that exists, as
+	// every request's is, allocates nothing.
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range labelValues {
+		if i > 0 {
+			key = append(key, 0xff)
+		}
+		key = append(key, v...)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	c, ok := f.children[key]
+	c, ok := f.children[string(key)]
 	if !ok {
 		c = &child{labelValues: append([]string(nil), labelValues...)}
 		if f.kind == KindHistogram {
 			c.h = &histo{buckets: f.buckets, counts: make([]uint64, len(f.buckets)+1)}
 		}
-		f.children[key] = c
+		f.children[string(key)] = c
 	}
 	return c
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,9 +176,15 @@ type activeTrace struct {
 func (tr *activeTrace) nextSpanID() string {
 	tr.mu.Lock()
 	tr.seq++
-	id := fmt.Sprintf("s%02d", tr.seq)
+	seq := tr.seq
 	tr.mu.Unlock()
-	return id
+	// "s" and the sequence number, two digits at least.
+	var b [24]byte
+	id := append(b[:0], 's')
+	if seq < 10 {
+		id = append(id, '0')
+	}
+	return string(strconv.AppendInt(id, int64(seq), 10))
 }
 
 // finish records one completed span; the root span closes the trace and
