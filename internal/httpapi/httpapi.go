@@ -4,14 +4,17 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -258,7 +261,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			attrs[n] = slog.String("trace_id", id)
 			n++
 		}
-		s.logger.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs[:n]...)
+		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs[:n]...)
 	}
 	if s.requests != nil {
 		s.requests.With(route, strconv.Itoa(sw.status)).Inc()
@@ -495,17 +498,46 @@ func (s *Server) writeErr(w http.ResponseWriter, code int, err error) {
 // is a few hundred bytes.
 const maxJSONBody = 1 << 20
 
+// maxAskParse bounds the ask bodies decodeJSON reads whole to try
+// askRequest.parse on; a longer body goes to json.Decoder as it arrives.
+const maxAskParse = 4 << 10
+
 // decodeJSON decodes the request's JSON body into v, reading at most
 // maxJSONBody bytes of it. On failure it answers — 413 for an oversized
 // body, 400 for anything else — and reports false. A body whose declared
 // length is already over the limit is refused unread; MaxBytesReader
 // stops the ones that declare none (chunked) or lie.
+//
+// A short ask is read whole and tried on askRequest.parse first. What that
+// does not take, json.Decoder decodes from the same bytes followed by what
+// the body returned after them, so every answer is json.Decoder's.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	var err error
 	if r.ContentLength > maxJSONBody {
 		err = &http.MaxBytesError{Limit: maxJSONBody}
 	} else {
-		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+		body := io.Reader(http.MaxBytesReader(w, r.Body, maxJSONBody))
+		if ask, ok := v.(*askRequest); ok && r.ContentLength > 0 && r.ContentLength <= maxAskParse {
+			bp := bodyPool.Get().(*[]byte)
+			defer bodyPool.Put(bp) // only buffers of at most maxPooledBody are pooled
+			b := slices.Grow((*bp)[:0], int(r.ContentLength))[:r.ContentLength]
+			*bp = b[:0]
+			n, rerr := 0, error(nil)
+			for n < len(b) && rerr == nil {
+				var m int
+				m, rerr = body.Read(b[n:])
+				n += m
+			}
+			if n == len(b) && (rerr == nil || rerr == io.EOF) && ask.parse(b) {
+				return true
+			}
+			rest := body
+			if rerr != nil {
+				rest = errReader{rerr}
+			}
+			body = io.MultiReader(bytes.NewReader(b[:n]), rest)
+		}
+		err = json.NewDecoder(body).Decode(v)
 	}
 	if err == nil {
 		return true
@@ -554,6 +586,103 @@ type askResponse struct {
 	// generated query when the request set analyze.
 	AnalyzedPlan string `json:"analyzed_plan,omitempty"`
 }
+
+// parse decodes b into r as encoding/json does, and reports whether it
+// did, when b is one object whose members are "question" with a string of
+// ASCII from the space up and no escape, or "explain", "analyze" or
+// "nocache" with true or false, each spelled so. As with json.Decoder, what
+// follows the object is not looked at. Any other body is left to
+// json.Decoder, which parse does not second-guess.
+func (r *askRequest) parse(b []byte) bool {
+	var out askRequest
+	i := skipJSONSpace(b, 0)
+	if i == len(b) || b[i] != '{' {
+		return false
+	}
+	if i = skipJSONSpace(b, i+1); i < len(b) && b[i] == '}' {
+		*r = out
+		return true
+	}
+	for {
+		ks, ke, ok := plainJSONString(b, i)
+		if !ok {
+			return false
+		}
+		if i = skipJSONSpace(b, ke+1); i == len(b) || b[i] != ':' {
+			return false
+		}
+		i = skipJSONSpace(b, i+1)
+		var flag *bool
+		switch string(b[ks:ke]) {
+		case "question":
+			vs, ve, ok := plainJSONString(b, i)
+			if !ok {
+				return false
+			}
+			out.Question, i = string(b[vs:ve]), ve+1
+		case "explain":
+			flag = &out.Explain
+		case "analyze":
+			flag = &out.Analyze
+		case "nocache":
+			flag = &out.NoCache
+		default:
+			return false
+		}
+		if flag != nil {
+			switch {
+			case bytes.HasPrefix(b[i:], []byte("true")):
+				*flag, i = true, i+4
+			case bytes.HasPrefix(b[i:], []byte("false")):
+				*flag, i = false, i+5
+			default:
+				return false
+			}
+		}
+		if i = skipJSONSpace(b, i); i == len(b) {
+			return false
+		}
+		switch b[i] {
+		case '}':
+			*r = out
+			return true
+		case ',':
+			i = skipJSONSpace(b, i+1)
+		default:
+			return false
+		}
+	}
+}
+
+// plainJSONString finds the string that opens at b[i] and holds only ASCII
+// from the space up and no escape: its contents are b[start:end], and
+// b[end] is the closing quote.
+func plainJSONString(b []byte, i int) (start, end int, ok bool) {
+	if i >= len(b) || b[i] != '"' {
+		return 0, 0, false
+	}
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			return i + 1, j, true
+		case c < 0x20 || c == '\\' || c >= 0x80:
+			return 0, 0, false
+		}
+	}
+	return 0, 0, false
+}
+
+func skipJSONSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// errReader returns err from every Read.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 type askMetric struct {
 	Name        string `json:"name"`

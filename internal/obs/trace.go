@@ -178,13 +178,10 @@ func (tr *activeTrace) nextSpanID() string {
 	tr.seq++
 	seq := tr.seq
 	tr.mu.Unlock()
-	// "s" and the sequence number, two digits at least.
-	var b [24]byte
-	id := append(b[:0], 's')
 	if seq < 10 {
-		id = append(id, '0')
+		return "s0" + strconv.Itoa(seq)
 	}
-	return string(strconv.AppendInt(id, int64(seq), 10))
+	return "s" + strconv.Itoa(seq)
 }
 
 // finish records one completed span; the root span closes the trace and
