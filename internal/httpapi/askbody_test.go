@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -270,4 +273,26 @@ func TestAskBodyEncoding(t *testing.T) {
 			t.Fatalf("two hits differ:\n%s\n%s", hit1, hit2)
 		}
 	})
+}
+
+// nanFront answers every ask with an answer encoding/json cannot encode.
+type nanFront struct{}
+
+func (nanFront) Do(context.Context, string, bool) (*core.Answer, servecache.Status, error) {
+	return &core.Answer{Question: "q", CostCents: math.NaN()}, servecache.StatusMiss, nil
+}
+
+// TestAskEncodeFailure: an answer that does not encode is a logged 500
+// with the error envelope, not a 200 with a truncated body.
+func TestAskEncodeFailure(t *testing.T) {
+	var log bytes.Buffer
+	h := httpapi.New(nil, nil, slog.New(slog.NewTextHandler(&log, nil)), httpapi.WithServingLayer(nanFront{}, nil))
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/api/v1/ask", strings.NewReader(`{"question":"q"}`)))
+	if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), `"error":"encoding the answer: json: unsupported value: NaN"`) {
+		t.Fatalf("ask = %d %s, want a 500 naming the encode error", w.Code, w.Body)
+	}
+	if !strings.Contains(log.String(), `msg="ask encoding failed"`) {
+		t.Fatalf("the encode failure was not logged:\n%s", log.String())
+	}
 }
