@@ -19,8 +19,9 @@ import (
 // TestAskHitAllocations pins what one answer-cache hit allocates through
 // ServeHTTP on dio-server's wiring: metrics, request tracing, the answer
 // front, the admission gate and a request log line. A hit writes the bytes
-// its answer encoded once, and the ceiling sits below the 46 allocations of
-// a hit that re-encodes the answer by reflection.
+// its answer encoded once and parses a short ask body without json.Decoder:
+// 29 allocations, where re-encoding the answer by reflection and decoding
+// the body with json.Decoder took 46.
 func TestAskHitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not hold under the race detector")
@@ -59,7 +60,7 @@ func TestAskHitAllocations(t *testing.T) {
 	}
 	n := testing.AllocsPerRun(100, serve)
 	t.Logf("%.0f allocations per hit", n)
-	if n > 40 {
-		t.Errorf("an ask hit allocates %.0f times, ceiling 40", n)
+	if n > 32 {
+		t.Errorf("an ask hit allocates %.0f times, ceiling 32", n)
 	}
 }
