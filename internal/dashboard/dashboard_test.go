@@ -3,6 +3,8 @@ package dashboard
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -127,5 +129,31 @@ func TestRenderEndToEnd(t *testing.T) {
 	bad := &Dashboard{Title: "bad", Panels: []Panel{{Title: "p", Query: "sum("}}}
 	if _, err := Render(context.Background(), bad, ex, base, time.Minute, time.Second, 10); err == nil {
 		t.Fatal("expected panel error")
+	}
+}
+
+var updateRender = flag.Bool("update", false, "rewrite testdata/render.golden from this run's rendering")
+
+// TestRenderGolden pins Render's output for the 8-panel fixture byte for
+// byte: the header, then every panel in declaration order.
+func TestRenderGolden(t *testing.T) {
+	exec, d, end := renderFixture(t, 8)
+	got, err := Render(context.Background(), d, exec, end, 20*time.Minute, time.Minute, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "testdata/render.golden"
+	if *updateRender {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("Render output differs from %s:\n got:\n%s\nwant:\n%s", golden, got, want)
 	}
 }
