@@ -748,8 +748,8 @@ func BenchmarkSelect(b *testing.B) {
 	})
 }
 
-// BenchmarkDashboardRender compares serial and parallel panel evaluation
-// over an 8-panel dashboard on the range-bench store.
+// BenchmarkDashboardRender times dashboard.Render over an 8-panel
+// dashboard on the range-bench store.
 func BenchmarkDashboardRender(b *testing.B) {
 	db, _, end := rangeBenchDB(b)
 	ex := sandbox.New(db, sandbox.DefaultLimits())
@@ -762,18 +762,10 @@ func BenchmarkDashboardRender(b *testing.B) {
 		})
 	}
 	ctx := context.Background()
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			r := dashboard.NewRenderer(ex, mode.workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Render(ctx, d, end, 30*time.Minute, time.Minute, 40); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dashboard.Render(ctx, d, ex, end, 30*time.Minute, time.Minute, 40); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

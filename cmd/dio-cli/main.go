@@ -20,6 +20,7 @@ import (
 
 	"dio/internal/catalog"
 	"dio/internal/core"
+	"dio/internal/dashboard"
 	"dio/internal/feedback"
 	"dio/internal/fivegsim"
 	"dio/internal/llm"
@@ -226,7 +227,7 @@ func ask(ctx context.Context, cp *core.Copilot, q string, showDash, explain bool
 		for i, m := range ans.Metrics {
 			names[i] = m.Name
 		}
-		out, err := cp.Renderer().Render(ctx, ans.Dashboard, cp.EvalTime(names), 30*time.Minute, time.Minute, 60)
+		out, err := dashboard.Render(ctx, ans.Dashboard, cp.Executor(), cp.EvalTime(names), 30*time.Minute, time.Minute, 60)
 		if err != nil {
 			logger.Error("dashboard render failed", "err", err, "trace_id", ans.TraceID)
 		} else {

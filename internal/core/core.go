@@ -128,7 +128,6 @@ type Copilot struct {
 	retriever *Retriever
 	model     *llm.Model
 	exec      *sandbox.Executor
-	renderer  *dashboard.Renderer
 	fewshot   []llm.Example
 	opts      Options
 	metrics   *pipelineMetrics
@@ -215,11 +214,9 @@ func New(cfg Config) (*Copilot, error) {
 		fewshot:   few,
 		opts:      opts,
 	}
-	cp.renderer = dashboard.NewRenderer(cp.exec, 0)
 	if cfg.Metrics != nil {
 		cp.metrics = newPipelineMetrics(cfg.Metrics)
 		cp.exec.Instrument(cfg.Metrics)
-		cp.renderer.Instrument(cfg.Metrics)
 		cp.retriever.Instrument(cfg.Metrics)
 	}
 	return cp, nil
@@ -233,10 +230,6 @@ func (c *Copilot) Retriever() *Retriever { return c.retriever }
 
 // Executor returns the sandboxed query executor.
 func (c *Copilot) Executor() *sandbox.Executor { return c.exec }
-
-// Renderer returns the copilot's dashboard renderer (parallel panel
-// evaluation; instrumented when the copilot has a metrics registry).
-func (c *Copilot) Renderer() *dashboard.Renderer { return c.renderer }
 
 // ExplainQuery returns the optimized execution plan for a PromQL query,
 // rendered as an operator tree with the optimizer passes that applied —

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dio/internal/catalog"
+	"dio/internal/obs"
 	"dio/internal/promql"
 	"dio/internal/sandbox"
 	"dio/internal/tsdb"
@@ -75,11 +76,32 @@ func ForMetrics(title string, metrics []*catalog.Metric) *Dashboard {
 	return d
 }
 
-// Render evaluates every panel over [end-window, end] and renders ASCII
-// charts (the CLI's dashboard view). Panels evaluate concurrently; use
-// NewRenderer directly to bound the worker pool or attach metrics.
+// Render evaluates every panel over [end-window, end], in panel order,
+// and renders ASCII charts (the CLI's dashboard view). It stops at the
+// first panel that fails and returns that panel's error.
+//
+// All panels route through one sandbox executor and therefore one engine:
+// repeated renders (and panels sharing a query) reuse the engine's
+// compiled-plan cache, so each distinct panel query is planned once, not
+// once per refresh.
 func Render(ctx context.Context, d *Dashboard, exec *sandbox.Executor, end time.Time, window, step time.Duration, width int) (string, error) {
-	return NewRenderer(exec, 0).Render(ctx, d, end, window, step, width)
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s ==\n", d.Title)
+	for _, p := range d.Panels {
+		// Each panel gets its own child span so the sandbox's
+		// query/outcome attributes land per-panel, not on a shared
+		// parent, and panel timings show up in the trace tree.
+		pctx, psp := obs.StartSpan(ctx, "panel")
+		psp.SetAttr("panel.title", p.Title)
+		m, err := exec.ExecuteRange(pctx, p.Query, end.Add(-window), end, step)
+		psp.End()
+		if err != nil {
+			return "", fmt.Errorf("dashboard: panel %q: %w", p.Title, err)
+		}
+		fmt.Fprintf(&b, "\n-- %s (%s) --\n", p.Title, p.Query)
+		b.WriteString(Sparklines(m, width))
+	}
+	return b.String(), nil
 }
 
 // sparkGlyphs are the eight vertical-resolution levels of a sparkline.

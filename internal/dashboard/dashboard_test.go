@@ -3,7 +3,9 @@ package dashboard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -129,6 +131,117 @@ func TestRenderEndToEnd(t *testing.T) {
 	bad := &Dashboard{Title: "bad", Panels: []Panel{{Title: "p", Query: "sum("}}}
 	if _, err := Render(context.Background(), bad, ex, base, time.Minute, time.Second, 10); err == nil {
 		t.Fatal("expected panel error")
+	}
+}
+
+// renderFixture builds a store with n gauge metrics (g0..g<n-1>, one
+// series each, 30 one-minute samples) and a dashboard with one panel per
+// metric.
+func renderFixture(t testing.TB, n int) (*sandbox.Executor, *Dashboard, time.Time) {
+	t.Helper()
+	db, d, end := renderStore(t, n)
+	return sandbox.New(db, sandbox.DefaultLimits()), d, end
+}
+
+func renderStore(t testing.TB, n int) (*tsdb.DB, *Dashboard, time.Time) {
+	t.Helper()
+	db := tsdb.New()
+	base := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
+	d := &Dashboard{Title: "fixture"}
+	for p := 0; p < n; p++ {
+		name := fmt.Sprintf("g%d", p)
+		ls := tsdb.FromMap(map[string]string{"__name__": name})
+		for i := 0; i < 30; i++ {
+			if err := db.Append(ls, base.Add(time.Duration(i)*time.Minute).UnixMilli(), float64(i*(p+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.Panels = append(d.Panels, Panel{Title: name, Query: name, Kind: KindTimeSeries})
+	}
+	return db, d, base.Add(29 * time.Minute)
+}
+
+// selectLog wraps a store and records the metric name of every selection
+// made through it, calling onSelect (when set) after each.
+type selectLog struct {
+	tsdb.Storage
+	names    []string
+	onSelect func()
+}
+
+func (s *selectLog) record(ms []*tsdb.Matcher) {
+	for _, m := range ms {
+		if m.Name == tsdb.MetricNameLabel {
+			s.names = append(s.names, m.Value)
+		}
+	}
+	if s.onSelect != nil {
+		s.onSelect()
+	}
+}
+
+func (s *selectLog) Select(ms []*tsdb.Matcher, t, lookback int64) []tsdb.SeriesPoint {
+	s.record(ms)
+	return s.Storage.Select(ms, t, lookback)
+}
+
+func (s *selectLog) SelectRange(ms []*tsdb.Matcher, start, end int64) []tsdb.SeriesRange {
+	s.record(ms)
+	return s.Storage.SelectRange(ms, start, end)
+}
+
+func (s *selectLog) SelectSeries(ms []*tsdb.Matcher) []tsdb.SeriesView {
+	s.record(ms)
+	return s.Storage.SelectSeries(ms)
+}
+
+func (s *selectLog) SelectBatch(hints []tsdb.SelectHint) [][]tsdb.SeriesView {
+	for _, h := range hints {
+		s.record(h.Matchers)
+	}
+	return s.Storage.SelectBatch(hints)
+}
+
+// TestRendererPanelErrorWins: the error names the failing panel, and no
+// panel after it is evaluated.
+func TestRendererPanelErrorWins(t *testing.T) {
+	db, d, end := renderStore(t, 6)
+	d.Panels[3].Query = "sum(g3" // parse error
+	log := &selectLog{Storage: db}
+	exec := sandbox.New(log, sandbox.DefaultLimits())
+	_, err := Render(context.Background(), d, exec, end, 20*time.Minute, time.Minute, 40)
+	if err == nil {
+		t.Fatal("expected panel error")
+	}
+	if !strings.Contains(err.Error(), `panel "g3"`) {
+		t.Errorf("error does not name the failing panel: %v", err)
+	}
+	if want := []string{"g0", "g1", "g2"}; strings.Join(log.names, ",") != strings.Join(want, ",") {
+		t.Errorf("selected %v, want %v: panels after the failure must not be evaluated", log.names, want)
+	}
+}
+
+// TestRendererMidRenderCancellation: a context cancelled before Render,
+// or while a panel is being evaluated, ends the render with an error
+// matching context.Canceled, and no later panel is evaluated.
+func TestRendererMidRenderCancellation(t *testing.T) {
+	db, d, end := renderStore(t, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	exec := sandbox.New(db, sandbox.DefaultLimits())
+	if _, err := Render(ctx, d, exec, end, 20*time.Minute, time.Minute, 40); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled render: err = %v, want context.Canceled", err)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	log := &selectLog{Storage: db, onSelect: cancel}
+	exec = sandbox.New(log, sandbox.DefaultLimits())
+	if _, err := Render(ctx, d, exec, end, 20*time.Minute, time.Minute, 40); !errors.Is(err, context.Canceled) {
+		t.Errorf("mid-render cancel: err = %v, want context.Canceled", err)
+	}
+	if len(log.names) == 0 || log.names[len(log.names)-1] != "g0" {
+		t.Errorf("selected %v after cancelling in g0's selection, want only g0", log.names)
 	}
 }
 

@@ -36,10 +36,6 @@ func newScrapePlan(cat *catalog.Database, w *world, instances []string) *scrapeP
 		return &proc{buckets: w.newCells(len(DurationBuckets)), sum: w.newCells(1), count: w.newCells(1)}
 	}
 	for _, m := range cat.Metrics {
-		exported := m.Name
-		if w.cfg.RenameMetric != nil {
-			exported = w.cfg.RenameMetric(m.Name)
-		}
 		shares := instanceShares(m.Name, len(instances))
 		add := func(cell int, le string) {
 			// One array holds the row's label sets, each already in name
@@ -47,7 +43,7 @@ func newScrapePlan(cat *catalog.Database, w *world, instances []string) *scrapeP
 			arr := make([]tsdb.Label, 0, 3*len(instances))
 			for i, inst := range instances {
 				from := len(arr)
-				arr = append(arr, tsdb.Label{Name: tsdb.MetricNameLabel, Value: exported}, tsdb.Label{Name: "instance", Value: inst})
+				arr = append(arr, tsdb.Label{Name: tsdb.MetricNameLabel, Value: m.Name}, tsdb.Label{Name: "instance", Value: inst})
 				if le != "" {
 					arr = append(arr, tsdb.Label{Name: "le", Value: le})
 				}

@@ -31,11 +31,6 @@ type Config struct {
 	UELifetime float64
 	// SessionLifetime is the mean seconds a PDU session lasts.
 	SessionLifetime float64
-	// RenameMetric optionally rewrites metric names at scrape time, so a
-	// deployment can expose a vendor-specific naming scheme (see
-	// internal/vendors) while the simulation stays canonical. Nil keeps
-	// canonical names.
-	RenameMetric func(string) string
 	// Anomalies injects incident windows (registration storms, auth
 	// failure spikes, traffic drop surges) into the trace.
 	Anomalies []Anomaly

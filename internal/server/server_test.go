@@ -434,6 +434,7 @@ type exchange struct {
 	ctype   string
 	traceID string
 	body    string // the view of the body
+	raw     []byte // the body itself
 	err     error
 }
 
@@ -458,7 +459,68 @@ func send(client *http.Client, base string, e *entry, target string) exchange {
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	return exchange{resp.StatusCode, resp.Header.Get("Content-Type"),
-		resp.Header.Get("X-DIO-Trace-ID"), view(req.URL.Path, raw), err}
+		resp.Header.Get("X-DIO-Trace-ID"), view(req.URL.Path, raw), raw, err}
+}
+
+const unmovedPath = "testdata/unmoved_metrics.txt"
+
+// checkUnmovedMetrics makes testdata/unmoved_metrics.txt two-way against
+// the first run's /metrics: a family with no non-zero sample must be
+// listed there with the reason the session cannot move it, and a listed
+// family must be exported and unmoved. Each line is a family name, then
+// its reason; "#" starts a comment.
+func checkUnmovedMetrics(t *testing.T, exposition []byte) {
+	t.Helper()
+	moved := map[string]bool{} // every exported family, true once a sample is non-zero
+	for _, line := range strings.Split(string(exposition), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			moved[name] = false
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(line[i+1:], 64); err != nil || v == 0 {
+			continue
+		}
+		// A histogram's samples carry a suffix its family name does not.
+		name := line[:strings.IndexAny(line, "{ ")]
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok {
+				if _, family := moved[base]; family {
+					name = base
+				}
+			}
+		}
+		moved[name] = true
+	}
+	src, err := os.ReadFile(unmovedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for n, line := range strings.Split(string(src), "\n") {
+		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, reason, _ := strings.Cut(line, " ")
+		switch m, ok := moved[name]; {
+		case strings.TrimSpace(reason) == "":
+			t.Errorf("%s:%d: %s has no reason", unmovedPath, n+1, name)
+		case !ok:
+			t.Errorf("%s:%d: %s is not exported by /metrics", unmovedPath, n+1, name)
+		case m:
+			t.Errorf("%s:%d: %s has a non-zero sample; take it off the list", unmovedPath, n+1, name)
+		}
+		listed[name] = true
+	}
+	for name, m := range moved {
+		if !m && !listed[name] {
+			t.Errorf("/metrics family %s has no non-zero sample in the transcript session; list it in %s with the reason", name, unmovedPath)
+		}
+	}
 }
 
 // TestTranscript boots the assembled server, replays every request in
@@ -519,6 +581,9 @@ func TestTranscript(t *testing.T) {
 			t.Fatalf("%s:%d: %v", transcriptPath, e.line, x.err)
 		}
 		lastTraceID = x.traceID
+		if target == "/metrics" && !restarted {
+			checkUnmovedMetrics(t, x.raw)
+		}
 		if strings.Contains(x.body, "\n\n") {
 			t.Errorf("%s:%d: the body view has a blank line, which the transcript format cannot hold", transcriptPath, e.line)
 		}
