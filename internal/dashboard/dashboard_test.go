@@ -161,43 +161,25 @@ func renderStore(t testing.TB, n int) (*tsdb.DB, *Dashboard, time.Time) {
 	return db, d, base.Add(29 * time.Minute)
 }
 
-// selectLog wraps a store and records the metric name of every selection
-// made through it, calling onSelect (when set) after each.
+// selectLog wraps a store and records the metric name of every selector
+// the engine selects through it (it selects only through SelectBatch),
+// calling onSelect (when set) after each batch.
 type selectLog struct {
 	tsdb.Storage
 	names    []string
 	onSelect func()
 }
 
-func (s *selectLog) record(ms []*tsdb.Matcher) {
-	for _, m := range ms {
-		if m.Name == tsdb.MetricNameLabel {
-			s.names = append(s.names, m.Value)
+func (s *selectLog) SelectBatch(hints []tsdb.SelectHint) [][]tsdb.SeriesView {
+	for _, h := range hints {
+		for _, m := range h.Matchers {
+			if m.Name == tsdb.MetricNameLabel {
+				s.names = append(s.names, m.Value)
+			}
 		}
 	}
 	if s.onSelect != nil {
 		s.onSelect()
-	}
-}
-
-func (s *selectLog) Select(ms []*tsdb.Matcher, t, lookback int64) []tsdb.SeriesPoint {
-	s.record(ms)
-	return s.Storage.Select(ms, t, lookback)
-}
-
-func (s *selectLog) SelectRange(ms []*tsdb.Matcher, start, end int64) []tsdb.SeriesRange {
-	s.record(ms)
-	return s.Storage.SelectRange(ms, start, end)
-}
-
-func (s *selectLog) SelectSeries(ms []*tsdb.Matcher) []tsdb.SeriesView {
-	s.record(ms)
-	return s.Storage.SelectSeries(ms)
-}
-
-func (s *selectLog) SelectBatch(hints []tsdb.SelectHint) [][]tsdb.SeriesView {
-	for _, h := range hints {
-		s.record(h.Matchers)
 	}
 	return s.Storage.SelectBatch(hints)
 }
@@ -240,7 +222,7 @@ func TestRendererMidRenderCancellation(t *testing.T) {
 	if _, err := Render(ctx, d, exec, end, 20*time.Minute, time.Minute, 40); !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-render cancel: err = %v, want context.Canceled", err)
 	}
-	if len(log.names) == 0 || log.names[len(log.names)-1] != "g0" {
+	if strings.Join(log.names, ",") != "g0" {
 		t.Errorf("selected %v after cancelling in g0's selection, want only g0", log.names)
 	}
 }
