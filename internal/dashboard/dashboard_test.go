@@ -134,15 +134,16 @@ func TestRenderEndToEnd(t *testing.T) {
 	}
 }
 
-// renderFixture builds a store with n gauge metrics (g0..g<n-1>, one
-// series each, 30 one-minute samples) and a dashboard with one panel per
-// metric.
+// renderFixture is renderStore's store behind a sandbox executor.
 func renderFixture(t testing.TB, n int) (*sandbox.Executor, *Dashboard, time.Time) {
 	t.Helper()
 	db, d, end := renderStore(t, n)
 	return sandbox.New(db, sandbox.DefaultLimits()), d, end
 }
 
+// renderStore builds a store with n gauge metrics (g0..g<n-1>, one series
+// each, 30 one-minute samples), a dashboard with one panel per metric, and
+// the time of the last sample.
 func renderStore(t testing.TB, n int) (*tsdb.DB, *Dashboard, time.Time) {
 	t.Helper()
 	db := tsdb.New()
